@@ -140,17 +140,3 @@ func ParallelFor(workers, n int, fn func(worker, lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// ParallelSum evaluates fn over chunks of [0, n) and sums the results.
-func ParallelSum(workers, n int, fn func(worker, lo, hi int) int64) int64 {
-	w := Workers(workers)
-	partial := make([]int64, w)
-	ParallelFor(w, n, func(worker, lo, hi int) {
-		partial[worker] += fn(worker, lo, hi)
-	})
-	var total int64
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}

@@ -167,20 +167,6 @@ func TestParallelFor(t *testing.T) {
 	}
 }
 
-func TestParallelSum(t *testing.T) {
-	got := bsp.ParallelSum(3, 10000, func(_, lo, hi int) int64 {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += int64(i)
-		}
-		return s
-	})
-	want := int64(10000) * 9999 / 2
-	if got != want {
-		t.Fatalf("ParallelSum=%d want %d", got, want)
-	}
-}
-
 func BenchmarkEngineBFSMesh(b *testing.B) {
 	g := graph.Mesh(300, 300)
 	b.ResetTimer()

@@ -202,27 +202,6 @@ func OracleFromParts(cl *Clustering, apsp, hops []int64) (*Oracle, error) {
 // Clustering exposes the oracle's underlying decomposition.
 func (o *Oracle) Clustering() *Clustering { return o.clustering }
 
-// APSP returns the weighted quotient all-pairs table as k row views
-// (InfDist for unreachable cluster pairs) — a compatibility accessor that
-// reconstructs [][]row headers over the flat storage. The rows alias
-// internal storage and must not be modified.
-func (o *Oracle) APSP() [][]int64 { return rowViews(o.apsp, o.k) }
-
-// Hops returns the unweighted quotient all-pairs hop table backing
-// LowerQuery, as row views over the flat storage (see APSP). The rows
-// alias internal storage and must not be modified.
-func (o *Oracle) Hops() [][]int64 { return rowViews(o.hops, o.k) }
-
-// rowViews slices a row-major flat k×k table into k row headers without
-// copying the payload.
-func rowViews(flat []int64, k int) [][]int64 {
-	rows := make([][]int64, k)
-	for c := 0; c < k; c++ {
-		rows[c] = flat[c*k : (c+1)*k : (c+1)*k]
-	}
-	return rows
-}
-
 // APSPFlat returns the weighted quotient all-pairs table in its native
 // row-major flat layout: entry (c, d) is at index c*NumClusters()+d. It
 // aliases internal storage and must not be modified; it exists for the

@@ -148,11 +148,9 @@ func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
 		if o.APSPStats() != ref.APSPStats() {
 			t.Fatalf("workers=%d: APSP stats %+v diverge from %+v", workers, o.APSPStats(), ref.APSPStats())
 		}
-		for c := 0; c < k; c++ {
-			for d := 0; d < k; d++ {
-				if o.APSP()[c][d] != ref.APSP()[c][d] || o.Hops()[c][d] != ref.Hops()[c][d] {
-					t.Fatalf("workers=%d: table entry (%d,%d) diverged", workers, c, d)
-				}
+		for i := 0; i < k*k; i++ {
+			if o.APSPFlat()[i] != ref.APSPFlat()[i] || o.HopsFlat()[i] != ref.HopsFlat()[i] {
+				t.Fatalf("workers=%d: table entry (%d,%d) diverged", workers, i/k, i%k)
 			}
 		}
 	}
@@ -202,30 +200,30 @@ func TestOracleLowerQueryDisconnected(t *testing.T) {
 }
 
 func TestOracleFlatAccessorsConsistent(t *testing.T) {
-	// APSP()/Hops() are row views over the flat storage: every (c, d)
-	// entry must equal the flat array at c*k+d, and the views must alias
-	// (not copy) the same memory APSPFlat/HopsFlat return.
+	// APSPFlat()/HopsFlat() are row-major k×k: entry (c, d) lives at c*k+d.
+	// Cluster centers sit at distance 0 from themselves, so a center-to-
+	// center query must read back exactly that entry of each table.
 	g := graph.RoadLike(20, 20, 0.4, 21)
 	o, err := BuildOracle(context.Background(), g, 2, false, Options{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := o.NumClusters()
-	apsp, hops := o.APSP(), o.Hops()
 	flatA, flatH := o.APSPFlat(), o.HopsFlat()
 	if len(flatA) != k*k || len(flatH) != k*k {
 		t.Fatalf("flat tables %d/%d entries, want %d", len(flatA), len(flatH), k*k)
 	}
+	centers := o.Clustering().Centers
 	for c := 0; c < k; c++ {
-		if len(apsp[c]) != k || len(hops[c]) != k {
-			t.Fatalf("row %d has %d/%d columns, want %d", c, len(apsp[c]), len(hops[c]), k)
-		}
-		if &apsp[c][0] != &flatA[c*k] || &hops[c][0] != &flatH[c*k] {
-			t.Fatalf("row %d does not alias the flat storage", c)
-		}
 		for d := 0; d < k; d++ {
-			if apsp[c][d] != flatA[c*k+d] || hops[c][d] != flatH[c*k+d] {
-				t.Fatalf("entry (%d,%d) differs between row view and flat table", c, d)
+			if c == d {
+				continue
+			}
+			if got := o.Query(centers[c], centers[d]); got != flatA[c*k+d] {
+				t.Fatalf("Query(center %d, center %d) = %d, flat APSP entry %d", c, d, got, flatA[c*k+d])
+			}
+			if got := o.LowerQuery(centers[c], centers[d]); got != flatH[c*k+d] {
+				t.Fatalf("LowerQuery(center %d, center %d) = %d, flat hop entry %d", c, d, got, flatH[c*k+d])
 			}
 		}
 	}

@@ -27,6 +27,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -62,15 +63,9 @@ func (e *ShedError) retryAfterHint() time.Duration { return e.RetryAfter }
 
 // retryAfterOf extracts the Retry-After hint from an error chain, or 0.
 func retryAfterOf(err error) time.Duration {
-	for e := err; e != nil; {
-		if h, ok := e.(retryAfterHint); ok {
-			return h.retryAfterHint()
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return 0
-		}
-		e = u.Unwrap()
+	var h retryAfterHint
+	if errors.As(err, &h) {
+		return h.retryAfterHint()
 	}
 	return 0
 }
@@ -79,11 +74,7 @@ func retryAfterOf(err error) time.Duration {
 // Retry-After header, always at least 1 — a zero would invite an
 // immediate retry into the same saturated lane.
 func retryAfterSeconds(d time.Duration) string {
-	secs := int64(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
+	return strconv.FormatInt(max(int64(math.Ceil(d.Seconds())), 1), 10)
 }
 
 // lane is a bounded admission lane: width concurrent holders plus a
@@ -107,36 +98,24 @@ func newLane(name string, width, maxQueue int) *lane {
 // acquire takes a slot, queueing (bounded) when none is free. It returns
 // a *ShedError when the queue is full and ctx.Err() when the caller
 // disconnects while queued.
-func (l *lane) acquire(ctx context.Context) error {
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	default:
-	}
-	if l.queued.Add(1) > int64(l.maxQueue) {
-		l.queued.Add(-1)
-		return &ShedError{Lane: l.name, RetryAfter: time.Second}
-	}
-	defer l.queued.Add(-1)
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (l *lane) acquire(ctx context.Context) error { return l.enter(ctx, true) }
 
 // reacquire re-admits a request that parked its slot to wait on a build.
 // Already-admitted work is never shed — it only waits for a free slot or
 // its own cancellation. The wait is bounded in practice: fast slots are
 // only ever held for microsecond compute, never across build waits.
-func (l *lane) reacquire(ctx context.Context) error {
+func (l *lane) reacquire(ctx context.Context) error { return l.enter(ctx, false) }
+
+func (l *lane) enter(ctx context.Context, shed bool) error {
 	select {
 	case l.slots <- struct{}{}:
 		return nil
 	default:
 	}
-	l.queued.Add(1)
+	if l.queued.Add(1) > int64(l.maxQueue) && shed {
+		l.queued.Add(-1)
+		return &ShedError{Lane: l.name, RetryAfter: time.Second}
+	}
 	defer l.queued.Add(-1)
 	select {
 	case l.slots <- struct{}{}:
@@ -174,12 +153,7 @@ func (s *laneSlot) acquire(ctx context.Context) error {
 }
 
 // park releases the slot while the request blocks on a build.
-func (s *laneSlot) park() {
-	if s.held {
-		s.l.release()
-		s.held = false
-	}
-}
+func (s *laneSlot) park() { s.release() }
 
 // unpark re-acquires the slot after the build completes. On failure
 // (request cancelled) the slot stays unheld, so release stays balanced.
@@ -202,8 +176,9 @@ func (s *laneSlot) release() {
 	}
 }
 
-// admitBuild is the slow lane's gate, called under s.mu right before a
-// new detached build would be created. The lane is saturated when every
+// admitBuild is the slow lane's gate, called under the cache lock right
+// before a new detached build would be created (that lock is what makes
+// its load-then-add atomic). The lane is saturated when every
 // build-pool slot is occupied and the wait queue (pending builds beyond
 // the pool) is at its bound; a new build then sheds with an honest
 // retry estimate instead of joining a queue the client would time out
@@ -235,11 +210,5 @@ func (s *Server) buildRetryAfter(kind string, pending int64) time.Duration {
 	pool := int64(cap(s.buildSem))
 	waves := (pending + pool) / pool // ceil((pending+1)/pool)
 	d := time.Duration(float64(waves) * p50 * float64(time.Second))
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 5*time.Minute {
-		d = 5 * time.Minute
-	}
-	return d
+	return min(max(d, time.Second), 5*time.Minute)
 }

@@ -114,21 +114,9 @@ func (s *Server) handleDistanceBatch(w http.ResponseWriter, r *http.Request) err
 		return badRequest("empty batch")
 	}
 
-	// Validate every id before the artifact lookup (and possible build),
-	// then re-validate against the oracle's own graph: RegisterGraph may
-	// swap the topology between the two. All ids are known non-negative
-	// after decoding, so both checks are one comparison against the
-	// batch's maximum; the failure path scans to name the offending pair.
-	if g, err := s.Graph(p.graph); err != nil {
-		return err
-	} else if err := checkBatchRange(pairs, maxID, g); err != nil {
-		return err
-	}
-	o, err := s.Oracle(r.Context(), p.graph, p.tau, p.seed, p.algo)
+	// Validate every id before the artifact lookup (and possible build).
+	o, err := s.oracleFor(r, p, pairs, maxID)
 	if err != nil {
-		return err
-	}
-	if err := checkBatchRange(pairs, maxID, o.Clustering().G); err != nil {
 		return err
 	}
 

@@ -121,14 +121,10 @@ func (b *breaker) failure(key Key, now time.Time) (tripped bool) {
 	if e.failures < b.threshold {
 		return false
 	}
-	switch {
-	case e.until.IsZero():
+	if e.until.IsZero() {
 		e.cooldown = b.cooldown
-	default:
-		e.cooldown *= 2
-		if e.cooldown > b.maxCooldown {
-			e.cooldown = b.maxCooldown
-		}
+	} else {
+		e.cooldown = min(2*e.cooldown, b.maxCooldown)
 	}
 	e.until = now.Add(e.cooldown)
 	return true

@@ -31,32 +31,54 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func (s *Server) cachedEntries() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.cache)
+func (s *Server) cachedEntries() int { return s.cache.len() }
+
+// newBuildServer returns a server for the controlled-build tests below,
+// with a placeholder graph under each name they key on: every build is
+// handed the graph currently registered for its key.
+func newBuildServer(t *testing.T, cfg Config, graphs ...string) *Server {
+	t.Helper()
+	s := New(cfg)
+	for _, name := range graphs {
+		if err := s.RegisterGraph(name, graph.Mesh(2, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// fakeArtifact is a stand-in build result the tests can tell apart by tag.
+func fakeArtifact(tag int32) artifact {
+	return artifact{kcenter: &core.KCenterResult{Radius: tag}}
+}
+
+func tagOf(a artifact) int32 {
+	if a.kcenter == nil {
+		return -1
+	}
+	return a.kcenter.Radius
 }
 
 // The heart of the contract, with a fully controlled build: cancelling the
 // sole waiter cancels the detached build's context, the entry is removed
 // (key retryable), and a retry rebuilds cleanly.
 func TestCancelSoleWaiterCancelsDetachedBuild(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := newBuildServer(t, Config{Workers: 2}, "g")
 	key := Key{Graph: "g", Kind: "oracle", Tau: 1, Seed: 1, Algorithm: "cluster"}
 
 	started := make(chan struct{})
 	buildErr := make(chan error, 1)
-	build := func(bctx context.Context) (any, error) {
+	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-bctx.Done() // a stand-in for engines parked at a barrier
 		buildErr <- bctx.Err()
-		return nil, bctx.Err()
+		return artifact{}, bctx.Err()
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(ctx, key, build)
+		_, err := s.get(ctx, key, build)
 		waiter <- err
 	}()
 
@@ -89,10 +111,10 @@ func TestCancelSoleWaiterCancelsDetachedBuild(t *testing.T) {
 	waitUntil(t, "cancelled-build counter", func() bool { return s.Stats().CancelledBuilds == 1 })
 
 	// Retry rebuilds cleanly.
-	v, err := s.artifact(context.Background(), key, func(context.Context) (any, error) {
-		return 42, nil
+	v, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+		return fakeArtifact(42), nil
 	})
-	if err != nil || v.(int) != 42 {
+	if err != nil || tagOf(v) != 42 {
 		t.Fatalf("retry after cancellation: v=%v err=%v", v, err)
 	}
 }
@@ -100,27 +122,27 @@ func TestCancelSoleWaiterCancelsDetachedBuild(t *testing.T) {
 // A second waiter keeps the build alive when the first disconnects; only
 // the last departure cancels.
 func TestSurvivingWaiterKeepsBuildAlive(t *testing.T) {
-	s := New(Config{Workers: 4})
+	s := newBuildServer(t, Config{Workers: 4}, "g")
 	key := Key{Graph: "g", Kind: "oracle", Tau: 2, Seed: 1, Algorithm: "cluster"}
 
 	started := make(chan struct{})
 	release := make(chan struct{})
 	cancelledEarly := make(chan struct{}, 1)
-	build := func(bctx context.Context) (any, error) {
+	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		select {
 		case <-bctx.Done():
 			cancelledEarly <- struct{}{}
-			return nil, bctx.Err()
+			return artifact{}, bctx.Err()
 		case <-release:
-			return "artifact", nil
+			return fakeArtifact(7), nil
 		}
 	}
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	w1 := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(ctx1, key, build)
+		_, err := s.get(ctx1, key, build)
 		w1 <- err
 	}()
 	<-started
@@ -128,7 +150,7 @@ func TestSurvivingWaiterKeepsBuildAlive(t *testing.T) {
 	// Second waiter joins the in-flight build.
 	w2 := make(chan any, 1)
 	go func() {
-		v, err := s.artifact(context.Background(), key, build)
+		v, err := s.get(context.Background(), key, build)
 		if err != nil {
 			w2 <- err
 		} else {
@@ -136,10 +158,7 @@ func TestSurvivingWaiterKeepsBuildAlive(t *testing.T) {
 		}
 	}()
 	waitUntil(t, "second waiter registration", func() bool {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		e, ok := s.cache[key]
-		return ok && e.waiters == 2
+		return s.cache.waitersOf(key) == 2
 	})
 
 	// First waiter leaves: the build must NOT be cancelled.
@@ -156,9 +175,9 @@ func TestSurvivingWaiterKeepsBuildAlive(t *testing.T) {
 	// Let the build finish; the surviving waiter gets the artifact.
 	close(release)
 	switch v := (<-w2).(type) {
-	case string:
-		if v != "artifact" {
-			t.Fatalf("w2 got %q", v)
+	case artifact:
+		if tagOf(v) != 7 {
+			t.Fatalf("w2 got %+v", v)
 		}
 	default:
 		t.Fatalf("w2 got %v (%T), want the artifact", v, v)
@@ -229,18 +248,18 @@ func TestCancelledDiameterAndMRDiameterRetryable(t *testing.T) {
 // it abandoned is still running for someone else. This mirrors the wrap()
 // pipeline: slot acquisition wraps the artifact call.
 func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
-	s := New(Config{Workers: 1}) // a single slot makes leakage observable
+	s := newBuildServer(t, Config{Workers: 1}, "g") // a single slot makes leakage observable
 	key := Key{Graph: "g", Kind: "oracle", Tau: 3, Seed: 1, Algorithm: "cluster"}
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	build := func(bctx context.Context) (any, error) {
+	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		select {
 		case <-bctx.Done():
-			return nil, bctx.Err()
+			return artifact{}, bctx.Err()
 		case <-release:
-			return "done", nil
+			return fakeArtifact(1), nil
 		}
 	}
 
@@ -249,12 +268,12 @@ func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
 	aDone := make(chan struct{})
 	go func() {
 		defer close(aDone)
-		if err := s.acquire(ctx); err != nil {
+		if err := s.fast.acquire(ctx); err != nil {
 			t.Errorf("acquire: %v", err)
 			return
 		}
-		defer s.release()
-		_, _ = s.artifact(ctx, key, build)
+		defer s.fast.release()
+		_, _ = s.get(ctx, key, build)
 	}()
 	<-started
 	cancel()
@@ -264,10 +283,10 @@ func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
 	// cancelled) build goroutine may still be winding down.
 	acqCtx, acqCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer acqCancel()
-	if err := s.acquire(acqCtx); err != nil {
+	if err := s.fast.acquire(acqCtx); err != nil {
 		t.Fatalf("worker slot not freed on disconnect: %v", err)
 	}
-	s.release()
+	s.fast.release()
 	close(release)
 }
 
@@ -275,7 +294,7 @@ func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
 // second build queues behind a running one instead of running engines
 // beside it, and a build cancelled while queued never runs at all.
 func TestDetachedBuildsBoundedByBuildPool(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := newBuildServer(t, Config{Workers: 1}, "g")
 	key1 := Key{Graph: "g", Kind: "oracle", Tau: 101, Seed: 1, Algorithm: "cluster"}
 	key2 := Key{Graph: "g", Kind: "oracle", Tau: 102, Seed: 1, Algorithm: "cluster"}
 	key3 := Key{Graph: "g", Kind: "oracle", Tau: 103, Seed: 1, Algorithm: "cluster"}
@@ -284,13 +303,13 @@ func TestDetachedBuildsBoundedByBuildPool(t *testing.T) {
 	release1 := make(chan struct{})
 	w1 := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(context.Background(), key1, func(bctx context.Context) (any, error) {
+		_, err := s.get(context.Background(), key1, func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 			close(started1)
 			select {
 			case <-release1:
-				return "v1", nil
+				return fakeArtifact(1), nil
 			case <-bctx.Done():
-				return nil, bctx.Err()
+				return artifact{}, bctx.Err()
 			}
 		})
 		w1 <- err
@@ -300,9 +319,9 @@ func TestDetachedBuildsBoundedByBuildPool(t *testing.T) {
 	started2 := make(chan struct{}, 1)
 	w2 := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(context.Background(), key2, func(context.Context) (any, error) {
+		_, err := s.get(context.Background(), key2, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
 			started2 <- struct{}{}
-			return "v2", nil
+			return fakeArtifact(2), nil
 		})
 		w2 <- err
 	}()
@@ -316,17 +335,14 @@ func TestDetachedBuildsBoundedByBuildPool(t *testing.T) {
 	ctx3, cancel3 := context.WithCancel(context.Background())
 	w3 := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(ctx3, key3, func(context.Context) (any, error) {
+		_, err := s.get(ctx3, key3, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
 			t.Error("queued build ran despite cancellation")
-			return nil, nil
+			return artifact{}, nil
 		})
 		w3 <- err
 	}()
 	waitUntil(t, "third key registration", func() bool {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		_, ok := s.cache[key3]
-		return ok
+		return s.cache.waitersOf(key3) == 1
 	})
 	cancel3()
 	if err := <-w3; !errors.Is(err, context.Canceled) {
@@ -357,10 +373,10 @@ func TestRegisterGraphCancelsPrunedBuilds(t *testing.T) {
 	started := make(chan struct{})
 	w := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(context.Background(), key, func(bctx context.Context) (any, error) {
+		_, err := s.get(context.Background(), key, func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 			close(started)
 			<-bctx.Done()
-			return nil, bctx.Err()
+			return artifact{}, bctx.Err()
 		})
 		w <- err
 	}()
@@ -383,10 +399,10 @@ func TestRegisterGraphCancelsPrunedBuilds(t *testing.T) {
 // crash. The detached goroutine has no net/http recover above it, so the
 // containment lives in runBuild.
 func TestPanickingBuildIsContainedAndRetryable(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := newBuildServer(t, Config{Workers: 2}, "g")
 	key := Key{Graph: "g", Kind: "oracle", Tau: 9, Seed: 1, Algorithm: "cluster"}
 
-	_, err := s.artifact(context.Background(), key, func(context.Context) (any, error) {
+	_, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
 		panic("boom")
 	})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -395,10 +411,10 @@ func TestPanickingBuildIsContainedAndRetryable(t *testing.T) {
 	waitUntil(t, "panicked entry removal", func() bool { return s.cachedEntries() == 0 })
 
 	// The key is retryable and the server is still alive.
-	v, err := s.artifact(context.Background(), key, func(context.Context) (any, error) {
-		return "ok", nil
+	v, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+		return fakeArtifact(3), nil
 	})
-	if err != nil || v.(string) != "ok" {
+	if err != nil || tagOf(v) != 3 {
 		t.Fatalf("retry after panic: v=%v err=%v", v, err)
 	}
 }
@@ -406,18 +422,18 @@ func TestPanickingBuildIsContainedAndRetryable(t *testing.T) {
 // Server.Shutdown cancels every in-flight build and drains the build
 // goroutines.
 func TestServerShutdownCancelsInFlightBuilds(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := newBuildServer(t, Config{Workers: 2}, "g")
 	key := Key{Graph: "g", Kind: "oracle", Tau: 4, Seed: 1, Algorithm: "cluster"}
 
 	started := make(chan struct{})
-	build := func(bctx context.Context) (any, error) {
+	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-bctx.Done()
-		return nil, bctx.Err()
+		return artifact{}, bctx.Err()
 	}
 	w := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(context.Background(), key, build)
+		_, err := s.get(context.Background(), key, build)
 		w <- err
 	}()
 	<-started
@@ -436,9 +452,9 @@ func TestServerShutdownCancelsInFlightBuilds(t *testing.T) {
 
 	// Builds requested after Shutdown are rejected fast, so late traffic
 	// cannot extend the drain.
-	_, err := s.artifact(context.Background(), key, func(context.Context) (any, error) {
+	_, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
 		t.Error("build ran after Shutdown")
-		return nil, nil
+		return artifact{}, nil
 	})
 	if !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-shutdown build err = %v, want ErrShuttingDown", err)
@@ -499,19 +515,19 @@ func TestInstallSnapshotHonorsCacheCap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Config{Workers: 2, MaxArtifacts: 1})
+	s := newBuildServer(t, Config{Workers: 2, MaxArtifacts: 1}, "other")
 	// Occupy the single slot with an in-flight build.
 	key := Key{Graph: "other", Kind: "oracle", Tau: 1, Seed: 1, Algorithm: "cluster"}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _ = s.artifact(context.Background(), key, func(bctx context.Context) (any, error) {
+		_, _ = s.get(context.Background(), key, func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 			close(started)
 			select {
 			case <-release:
-				return "v", nil
+				return fakeArtifact(1), nil
 			case <-bctx.Done():
-				return nil, bctx.Err()
+				return artifact{}, bctx.Err()
 			}
 		})
 	}()
@@ -525,10 +541,8 @@ func TestInstallSnapshotHonorsCacheCap(t *testing.T) {
 	// install succeeds within the cap.
 	close(release)
 	waitUntil(t, "build completion", func() bool {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		e, ok := s.cache[key]
-		return ok && e.completed()
+		_, ok := s.cache.lookup(key)
+		return ok
 	})
 	if err := s.InstallSnapshot(art); err != nil {
 		t.Fatalf("install after completion: %v", err)

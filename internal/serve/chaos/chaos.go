@@ -90,13 +90,6 @@ func (i *Injector) Clear(key serve.Key) {
 	i.mu.Unlock()
 }
 
-// ClearKind removes the per-kind fallback rule.
-func (i *Injector) ClearKind(kind string) {
-	i.mu.Lock()
-	delete(i.kinds, kind)
-	i.mu.Unlock()
-}
-
 // Starts reports how many builds of key reached the build phase.
 func (i *Injector) Starts(key serve.Key) int {
 	i.mu.Lock()

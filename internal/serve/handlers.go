@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -103,13 +104,18 @@ func errStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// wrap is the shared request pipeline: take a bounded worker slot
-// (honouring client disconnect while queued), run the handler, and map
-// errors to JSON error bodies. Request counting and latency live in the
-// instrument middleware wrapped around it.
-func (s *Server) wrap(h func(r *http.Request) (any, error)) http.HandlerFunc {
+// wrap is the shared request pipeline of the JSON endpoints: take a
+// bounded worker slot (honouring client disconnect while queued), parse
+// the artifact-selecting parameters, run the handler, and map errors to
+// JSON error bodies. Request counting and latency live in the instrument
+// middleware wrapped around it.
+func (s *Server) wrap(h func(r *http.Request, p buildParams) (any, error)) http.HandlerFunc {
 	return s.wrapRaw(func(w http.ResponseWriter, r *http.Request) error {
-		v, err := h(r)
+		p, err := s.parseBuildParams(r)
+		if err != nil {
+			return err
+		}
+		v, err := h(r, p)
 		if err != nil {
 			return err
 		}
@@ -169,10 +175,8 @@ func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	if errors.Is(err, context.Canceled) && r.Context().Err() != nil {
 		s.met.clientGone.Inc()
 	}
-	writeJSON(w, errStatus(err), errBody(err))
+	writeJSON(w, errStatus(err), map[string]string{"error": err.Error()})
 }
-
-func errBody(err error) map[string]string { return map[string]string{"error": err.Error()} }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -239,16 +243,31 @@ func parseNodeID(r *http.Request, name string) (graph.NodeID, error) {
 	return graph.NodeID(id), nil
 }
 
-// checkNodeRange is the semantic half. It runs twice per request: first
-// against the registered graph, before the artifact build, so an
-// out-of-range id is a cheap 400 instead of the trigger for (and a cache
-// slot spent on) a multi-second decomposition; then against the oracle's
-// own graph, because RegisterGraph may swap the topology between the two.
-func checkNodeRange(name string, id graph.NodeID, g *graph.Graph) error {
-	if int(id) >= g.NumNodes() {
-		return badRequest("node %s=%d out of range [0, %d)", name, id, g.NumNodes())
+// oracleFor is the shared preamble of the oracle-backed endpoints
+// (/distance, /cluster-of, /distance-batch) — the semantic half of node
+// validation. Ids are range-checked twice: first against the registered
+// graph, BEFORE the artifact lookup, so an out-of-range id is a cheap 400
+// instead of the trigger for (and a cache slot spent on) a multi-second
+// decomposition; then against the oracle's own graph, because
+// RegisterGraph may swap the topology between the two. All ids are known
+// non-negative after parsing, so each check is one comparison against the
+// maximum; only the failure path scans to name the offending pair.
+func (s *Server) oracleFor(r *http.Request, p buildParams, pairs [][2]graph.NodeID, maxID graph.NodeID) (*core.Oracle, error) {
+	g, err := s.Graph(p.graph)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if err := checkBatchRange(pairs, maxID, g); err != nil {
+		return nil, err
+	}
+	o, err := s.Oracle(r.Context(), p.graph, p.tau, p.seed, p.algo)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkBatchRange(pairs, maxID, o.Clustering().G); err != nil {
+		return nil, err
+	}
+	return o, nil
 }
 
 // --- endpoint handlers ---
@@ -268,11 +287,7 @@ type DistanceResponse struct {
 	ClusterV  int32  `json:"cluster_v"`
 }
 
-func (s *Server) handleDistance(r *http.Request) (any, error) {
-	p, err := s.parseBuildParams(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) handleDistance(r *http.Request, p buildParams) (any, error) {
 	u, err := parseNodeID(r, "u")
 	if err != nil {
 		return nil, err
@@ -281,21 +296,8 @@ func (s *Server) handleDistance(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g, err := s.Graph(p.graph); err != nil {
-		return nil, err
-	} else if err := checkNodeRange("u", u, g); err != nil {
-		return nil, err
-	} else if err := checkNodeRange("v", v, g); err != nil {
-		return nil, err
-	}
-	o, err := s.Oracle(r.Context(), p.graph, p.tau, p.seed, p.algo)
+	o, err := s.oracleFor(r, p, [][2]graph.NodeID{{u, v}}, max(u, v))
 	if err != nil {
-		return nil, err
-	}
-	if err := checkNodeRange("u", u, o.Clustering().G); err != nil {
-		return nil, err
-	}
-	if err := checkNodeRange("v", v, o.Clustering().G); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -331,25 +333,13 @@ type ClusterOfResponse struct {
 	NumClusters   int    `json:"num_clusters"`
 }
 
-func (s *Server) handleClusterOf(r *http.Request) (any, error) {
-	p, err := s.parseBuildParams(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) handleClusterOf(r *http.Request, p buildParams) (any, error) {
 	u, err := parseNodeID(r, "u")
 	if err != nil {
 		return nil, err
 	}
-	if g, err := s.Graph(p.graph); err != nil {
-		return nil, err
-	} else if err := checkNodeRange("u", u, g); err != nil {
-		return nil, err
-	}
-	o, err := s.Oracle(r.Context(), p.graph, p.tau, p.seed, p.algo)
+	o, err := s.oracleFor(r, p, [][2]graph.NodeID{{u, u}}, u)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkNodeRange("u", u, o.Clustering().G); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -379,11 +369,7 @@ type DiameterResponse struct {
 	Exact       bool   `json:"quotient_exact"`
 }
 
-func (s *Server) handleDiameter(r *http.Request) (any, error) {
-	p, err := s.parseBuildParams(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) handleDiameter(r *http.Request, p buildParams) (any, error) {
 	res, err := s.Diameter(r.Context(), p.graph, p.tau, p.seed, p.algo)
 	if err != nil {
 		return nil, err
@@ -402,22 +388,11 @@ func (s *Server) handleDiameter(r *http.Request) (any, error) {
 // executed on the sharded MR runtime, with the round accounting the model
 // charges for it. Upper = 2R + quotient_diameter is the certified bound.
 type MRDiameterResponse struct {
-	Graph            string `json:"graph"`
-	QuotientDiameter int64  `json:"quotient_diameter"`
-	Upper            int64  `json:"upper"`
-	RMax             int32  `json:"r_max"`
-	NumClusters      int    `json:"num_clusters"`
-	MRRounds         int    `json:"mr_rounds"`
-	MRShards         int    `json:"mr_shards"`
-	MRPairsShuffled  int64  `json:"mr_pairs_shuffled"`
-	MRMaxReducer     int    `json:"mr_max_reducer_input"`
+	Graph string `json:"graph"`
+	*MRDiameterResult
 }
 
-func (s *Server) handleMRDiameter(r *http.Request) (any, error) {
-	p, err := s.parseBuildParams(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) handleMRDiameter(r *http.Request, p buildParams) (any, error) {
 	// The MR pipeline only implements CLUSTER; an explicit algo=cluster2
 	// must be rejected rather than silently answered with CLUSTER results.
 	if a := r.URL.Query().Get("algo"); a != "" && a != "cluster" {
@@ -427,17 +402,7 @@ func (s *Server) handleMRDiameter(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MRDiameterResponse{
-		Graph:            p.graph,
-		QuotientDiameter: res.QuotientDiameter,
-		Upper:            res.Upper,
-		RMax:             res.RMax,
-		NumClusters:      res.NumClusters,
-		MRRounds:         res.Rounds,
-		MRShards:         res.Shards,
-		MRPairsShuffled:  res.PairsShuffled,
-		MRMaxReducer:     res.MaxReducerInput,
-	}, nil
+	return MRDiameterResponse{Graph: p.graph, MRDiameterResult: res}, nil
 }
 
 // KCenterResponse answers /kcenter: the selected centers and the exact
@@ -450,11 +415,7 @@ type KCenterResponse struct {
 	Merged  bool    `json:"merged"`
 }
 
-func (s *Server) handleKCenter(r *http.Request) (any, error) {
-	p, err := s.parseBuildParams(r)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) handleKCenter(r *http.Request, p buildParams) (any, error) {
 	kStr := r.URL.Query().Get("k")
 	if kStr == "" {
 		return nil, badRequest("missing k parameter")

@@ -3,7 +3,6 @@ package serve
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -141,10 +140,7 @@ func (s *Server) registerServerGauges() {
 	reg := s.met.reg
 	reg.GaugeFunc("reprod_artifact_cache_entries",
 		"Artifact cache slots in use, completed and in-flight.", func() float64 {
-			s.mu.RLock()
-			n := len(s.cache)
-			s.mu.RUnlock()
-			return float64(n)
+			return float64(s.cache.len())
 		})
 	reg.GaugeFunc("reprod_artifact_cache_capacity",
 		"Configured artifact cache bound (Config.MaxArtifacts).", func() float64 {
@@ -152,7 +148,7 @@ func (s *Server) registerServerGauges() {
 		})
 	reg.GaugeFunc("reprod_builds_in_flight",
 		"Detached builds currently queued or running.", func() float64 {
-			return float64(s.buildingCount())
+			return float64(s.slowPending.Load()) // every in-flight build holds a slow-lane admission
 		})
 	reg.GaugeFunc("reprod_build_pool_occupancy",
 		"Build-pool slots currently held by running builds.", func() float64 {
@@ -164,10 +160,7 @@ func (s *Server) registerServerGauges() {
 		})
 	reg.GaugeFunc("reprod_graphs",
 		"Graphs registered and queryable.", func() float64 {
-			s.mu.RLock()
-			n := len(s.graphs)
-			s.mu.RUnlock()
-			return float64(n)
+			return float64(len(s.GraphNames()))
 		})
 	reg.GaugeFunc("reprod_fast_lane_queue_depth",
 		"Requests waiting for a fast-lane slot.", func() float64 {
@@ -181,20 +174,6 @@ func (s *Server) registerServerGauges() {
 		"Artifact keys whose circuit breaker is currently open or half-open.", func() float64 {
 			return float64(s.breaker.openKeys())
 		})
-}
-
-// buildTimer returns a stop closure that records the build in the
-// aggregate counters and reports its duration (so callers can attach the
-// same measurement to the per-artifact cost line and the per-kind
-// duration histogram).
-func (m *metrics) buildTimer() func() time.Duration {
-	start := time.Now()
-	return func() time.Duration {
-		d := time.Since(start)
-		m.builds.Inc()
-		m.buildNs.Add(d.Nanoseconds())
-		return d
-	}
 }
 
 // Stats is the JSON shape of the /stats endpoint.
@@ -272,15 +251,8 @@ func (s *Server) Stats() Stats {
 	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 		st.HitRate = float64(st.CacheHits) / float64(lookups)
 	}
-	s.mu.RLock()
-	st.Graphs = len(s.graphs)
-	st.Artifacts = len(s.cache)
-	for _, e := range s.cache {
-		if e.completed() && e.cost != nil {
-			st.ArtifactDetails = append(st.ArtifactDetails, *e.cost)
-		}
-	}
-	s.mu.RUnlock()
+	st.Graphs = len(s.GraphNames())
+	st.Artifacts, st.ArtifactDetails = s.cache.len(), s.cache.costs()
 	sort.Slice(st.ArtifactDetails, func(i, j int) bool {
 		return st.ArtifactDetails[i].Key < st.ArtifactDetails[j].Key
 	})

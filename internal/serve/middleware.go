@@ -27,9 +27,9 @@ type RequestLogEntry struct {
 // annotate the request that reached it; the handler goroutine writes and
 // reads it, so plain fields suffice.
 type requestInfo struct {
-	id          string
-	artifactKey string
-	cache       string
+	id    string
+	key   Key // zero until the request reaches the artifact cache
+	cache string
 
 	// slot is the request's fast-lane admission handle, set by wrapRaw so
 	// the artifact cache can park it while the request blocks on a build.
@@ -89,15 +89,20 @@ func (s *Server) instrument(path string, next http.Handler) http.Handler {
 			s.met.errors.Inc()
 		}
 		if s.cfg.RequestLog != nil {
-			s.cfg.RequestLog(RequestLogEntry{
-				ID:          ri.id,
-				Method:      r.Method,
-				Path:        path,
-				Status:      rec.status,
-				Latency:     elapsed,
-				ArtifactKey: ri.artifactKey,
-				Cache:       ri.cache,
-			})
+			entry := RequestLogEntry{
+				ID:      ri.id,
+				Method:  r.Method,
+				Path:    path,
+				Status:  rec.status,
+				Latency: elapsed,
+				Cache:   ri.cache,
+			}
+			// Formatted only here, so requests that are not logged — the
+			// warm cache hits above all — never pay for the Sprintf.
+			if ri.key != (Key{}) {
+				entry.ArtifactKey = ri.key.String()
+			}
+			s.cfg.RequestLog(entry)
 		}
 	})
 }

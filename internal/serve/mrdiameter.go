@@ -3,8 +3,8 @@ package serve
 import (
 	"context"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/mr"
 	"repro/internal/quotient"
 )
@@ -19,64 +19,57 @@ const maxMRQuotient = 256
 // MRDiameterResult is the cached artifact behind /mr-diameter: the
 // paper's Section 5 diameter path executed on the sharded MR runtime —
 // CLUSTER(τ) decomposition, weighted quotient, then ⌈log₂ℓ⌉ min-plus
-// squarings — with the run's full MR(MG, ML) accounting attached.
+// squarings — with the run's full MR(MG, ML) accounting attached. The JSON
+// tags are the /mr-diameter response fields (MRDiameterResponse embeds it).
 type MRDiameterResult struct {
 	// QuotientDiameter is ∆′C, the weighted quotient diameter computed by
 	// repeated squaring; Upper = 2R + ∆′C is the certified upper bound.
-	QuotientDiameter int64
-	Upper            int64
-	RMax             int32
-	NumClusters      int
+	QuotientDiameter int64 `json:"quotient_diameter"`
+	Upper            int64 `json:"upper"`
+	RMax             int32 `json:"r_max"`
+	NumClusters      int   `json:"num_clusters"`
 
-	// MR accounting of the squaring pipeline (shard-count invariant).
-	Rounds          int
-	Shards          int
-	PairsShuffled   int64
-	MaxReducerInput int
-	RoundStats      []mr.RoundStat
-
-	// Stats is the BSP cost of the decomposition the quotient came from.
-	Stats bsp.Stats
+	// MR accounting of the squaring pipeline (shard-count invariant). The
+	// per-round profile is surfaced in /stats, not in the response.
+	Rounds          int            `json:"mr_rounds"`
+	Shards          int            `json:"mr_shards"`
+	PairsShuffled   int64          `json:"mr_pairs_shuffled"`
+	MaxReducerInput int            `json:"mr_max_reducer_input"`
+	RoundStats      []mr.RoundStat `json:"-"`
 }
 
 // MRDiameter returns the cached MR-runtime diameter artifact for the
 // graph, building it on first use. tau <= 0 resolves like the oracle
-// default (via the shared resolveTau helper, so the resolved value is what
+// default (via the shared artifactKey helper, so the resolved value is what
 // gets keyed and reported). The MR round accounting is surfaced per
 // artifact in /stats.
 func (s *Server) MRDiameter(ctx context.Context, name string, tau int, seed uint64) (*MRDiameterResult, error) {
-	g, err := s.Graph(name)
+	key, err := s.artifactKey("mrdiameter", name, tau, seed, "cluster", core.DefaultOracleTau)
 	if err != nil {
 		return nil, err
 	}
-	tau = s.resolveTau(tau, g, core.DefaultOracleTau)
-	key := Key{Graph: name, Kind: "mrdiameter", Tau: tau, Seed: seed, Algorithm: "cluster"}
-	v, err := s.artifact(ctx, key, func(bctx context.Context) (any, error) {
-		g, err := s.Graph(key.Graph)
+	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
+		cl, err := core.ClusterContext(bctx, g, key.Tau, s.buildOptions(tr, seed))
 		if err != nil {
-			return nil, err
-		}
-		cl, err := core.ClusterContext(bctx, g, key.Tau, s.buildOptions(bctx, seed))
-		if err != nil {
-			return nil, err
+			return artifact{}, err
 		}
 		_, wq, err := quotient.BuildWeighted(g, cl.Owner, cl.Dist, cl.NumClusters())
 		if err != nil {
-			return nil, err
+			return artifact{}, err
 		}
 		if wq.NumNodes() > maxMRQuotient {
-			return nil, badRequest("quotient has %d clusters, above the %d-cluster cap for MR repeated squaring (decrease tau, or use /diameter)",
+			return artifact{}, badRequest("quotient has %d clusters, above the %d-cluster cap for MR repeated squaring (decrease tau, or use /diameter)",
 				wq.NumNodes(), maxMRQuotient)
 		}
 		eng := mr.NewEngine(mr.Config{Shards: s.cfg.BuildWorkers})
 		eng.SetContext(bctx)
-		eng.SetObserver(s.mrObserver(bctx))
+		eng.SetObserver(s.mrObserver(tr))
 		defer eng.Close()
 		diam, err := eng.DiameterByRepeatedSquaring(wq)
 		if err != nil {
-			return nil, err
+			return artifact{}, err
 		}
-		return &MRDiameterResult{
+		return artifact{stats: cl.Stats, mrdiameter: &MRDiameterResult{
 			QuotientDiameter: diam,
 			Upper:            2*int64(cl.MaxRadius()) + diam,
 			RMax:             cl.MaxRadius(),
@@ -86,11 +79,7 @@ func (s *Server) MRDiameter(ctx context.Context, name string, tau int, seed uint
 			PairsShuffled:    eng.TotalShuffled(),
 			MaxReducerInput:  eng.MaxReducerInput(),
 			RoundStats:       eng.RoundStats(),
-			Stats:            cl.Stats,
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*MRDiameterResult), nil
+	return a.mrdiameter, err
 }

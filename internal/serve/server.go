@@ -5,10 +5,17 @@
 //
 // The design follows the paper's own cost split: builds are the expensive
 // parallel phase (seconds), queries are O(1) table lookups (microseconds).
-// Accordingly the server keeps a per-artifact cache keyed by
-// (graph, τ, seed, algorithm), deduplicates concurrent builds of the same
-// key single-flight style, and admits traffic through two lanes that
-// mirror the cost split: a FAST lane (Config.Workers slots, a small
+// The package is three thin layers around that lookup. Server (this file)
+// is the graph registry and the mapping from requests to artifact keys
+// (graph, τ, seed, algorithm): it decides whether a new build may start
+// and runs it. artifactCache (cache.go) owns everything about the cached
+// and in-flight artifacts under its own lock — single-flight entries,
+// waiter refcounts, LRU eviction, snapshot inserts, pruning, shutdown —
+// and knows nothing of HTTP, lanes or metrics. A build is a detached
+// goroutine returning a small typed artifact value. Around them, the
+// server deduplicates concurrent builds of the same key single-flight
+// style, and admits traffic through two lanes that mirror the cost split:
+// a FAST lane (Config.Workers slots, a small
 // bounded wait queue) for the request's own compute — cached-artifact
 // lookups, point and batch queries, encoding — and a SLOW lane bounding
 // how many cold builds may be pending at once. A request that must wait
@@ -28,11 +35,14 @@
 // worker slot immediately, and when the last waiter for an in-flight
 // build leaves, the build's context is cancelled and the engines stop at
 // their next round/bucket/shard barrier — a dropped request never leaves
-// a multi-second decomposition burning cores for nobody. A cancelled build's cache entry is removed, so the key is
-// immediately retryable. Artifacts persisted with internal/snapshot can be
-// installed at startup, so a restart skips the rebuild entirely; Shutdown
-// cancels the in-flight builds and drains their goroutines for a graceful
-// exit.
+// a multi-second decomposition burning cores for nobody. A cancelled
+// build's cache entry is removed, so the key is immediately retryable; so
+// is a failed one, and only failures that say something about the key's
+// health (panics, timeouts, 5xx build errors — not deterministic 4xx
+// rejections) count toward its breaker. Artifacts persisted with
+// internal/snapshot can be installed at startup, so a restart skips the
+// rebuild entirely; Shutdown cancels the in-flight builds and drains their
+// goroutines for a graceful exit.
 //
 // The server is fully observable while it runs. Every handler sits behind
 // middleware that stamps an X-Request-ID, counts requests per path and
@@ -63,13 +73,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mr"
@@ -228,48 +238,14 @@ type ArtifactCost struct {
 	Trace *BuildTraceInfo `json:"trace,omitempty"`
 }
 
-// entry is a cache slot. ready is closed when val/err are set; concurrent
-// requests for an in-flight key block on it instead of duplicating the
-// build (single flight). The build itself runs detached, on its own
-// goroutine under its own context: waiters holds the number of requests
-// currently blocked on ready, and when the last of them leaves before the
-// build completes, cancel is invoked so the build stops at its next
-// round/bucket/shard barrier instead of burning cores for nobody. lastUsed
-// is the server's logical clock at the entry's most recent touch, driving
-// LRU eviction; completed entries are recognized by their closed ready
-// channel. val/err/cost are written under s.mu before ready closes and
-// read only after it is closed.
-type entry struct {
-	ready    chan struct{}
-	val      any
-	err      error
-	cost     *ArtifactCost
-	lastUsed atomic.Int64
-
-	// trace is the build's lifecycle trace (nil for snapshot installs,
-	// whose artifact was never built here).
-	trace *buildTrace
-
-	// Guarded by Server.mu.
-	waiters int
-	cancel  context.CancelFunc // cancels the detached build; nil once irrelevant
-}
-
-func (e *entry) completed() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
-}
-
 // Server is the query service. Create with New, register graphs (and
-// optionally snapshot artifacts), then serve via Handler.
+// optionally snapshot artifacts), then serve via Handler. It is the thin
+// layer around the artifact cache: the graph registry, the mapping from
+// requests to artifact keys, the admission decision for new builds, and
+// the detached build runner.
 type Server struct {
-	cfg   Config
-	fast  *lane        // fast-lane admission: the request worker pool
-	clock atomic.Int64 // logical time for LRU bookkeeping
+	cfg  Config
+	fast *lane // fast-lane admission: the request worker pool
 
 	// buildSem bounds the number of builds executing engines at once to
 	// Config.Workers. Request slots (the fast lane) no longer cover
@@ -289,15 +265,11 @@ type Server struct {
 	// breaker is the per-key build circuit breaker (breaker.go).
 	breaker *breaker
 
-	mu       sync.RWMutex
-	graphs   map[string]*graph.Graph
-	cache    map[Key]*entry
-	draining bool // set by Shutdown: new builds are rejected
+	// cache holds the artifacts and the in-flight builds (cache.go).
+	cache *artifactCache
 
-	// buildWG tracks the detached build goroutines so Shutdown can wait
-	// for them after cancelling their contexts. Add only happens under
-	// s.mu with draining false, so it cannot race the Wait in Shutdown.
-	buildWG sync.WaitGroup
+	mu     sync.RWMutex // guards the graph registry only
+	graphs map[string]*graph.Graph
 
 	met *metrics
 
@@ -321,11 +293,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxArtifacts <= 0 {
 		cfg.MaxArtifacts = 128
 	}
-	switch {
-	case cfg.FastLaneQueue == 0:
-		cfg.FastLaneQueue = 256
-	case cfg.FastLaneQueue < 0:
-		cfg.FastLaneQueue = 0
+	if cfg.FastLaneQueue == 0 {
+		cfg.FastLaneQueue = 256 // negative (no queue) is clamped by newLane
 	}
 	switch {
 	case cfg.SlowLaneQueue == 0:
@@ -339,18 +308,19 @@ func New(cfg Config) *Server {
 		buildSem: make(chan struct{}, cfg.Workers),
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		graphs:   make(map[string]*graph.Graph),
-		cache:    make(map[Key]*entry),
 		met:      newMetrics(),
 		idBase:   fmt.Sprintf("%08x", time.Now().UnixNano()&0xffffffff),
 		building: make(map[int64]*buildTrace),
 	}
+	s.cache = newArtifactCache(cfg.MaxArtifacts, s.met.evictions.Inc)
 	s.registerServerGauges()
 	return s
 }
 
 // RegisterGraph makes g queryable under the given name, replacing any
-// previous registration. Artifacts cached for an earlier graph of the same
-// name are dropped (they answer for the old topology).
+// previous registration. Artifacts cached (or under construction) for an
+// earlier graph of the same name are dropped: they answer for the old
+// topology.
 func (s *Server) RegisterGraph(name string, g *graph.Graph) error {
 	if name == "" {
 		return errors.New("serve: empty graph name")
@@ -359,26 +329,17 @@ func (s *Server) RegisterGraph(name string, g *graph.Graph) error {
 		return errors.New("serve: nil or empty graph")
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.graphs[name]; exists {
-		for k, e := range s.cache {
-			if k.Graph == name {
-				if !e.completed() && e.cancel != nil {
-					// An artifact under construction answers for the old
-					// topology: cancel it so it cannot outlive its graph —
-					// and so Shutdown, which cancels via cache membership,
-					// is never blind to a still-running pruned build. Its
-					// waiters get an error and retry against the new graph.
-					e.cancel()
-				}
-				delete(s.cache, k)
-			}
-		}
-	}
+	_, replaced := s.graphs[name]
 	s.graphs[name] = g
+	s.mu.Unlock()
+	// Swap first, prune second: a build started in between already runs on
+	// the new graph and is merely cancelled (its waiters retry), whereas the
+	// other order could cache an artifact of the old topology for good.
+	if replaced {
+		s.cache.pruneGraph(name)
+	}
 	// The breaker's failure records belong to the old topology; a fresh
-	// graph starts with a clean slate. (breaker.mu nests inside s.mu
-	// here; the breaker never takes s.mu, so the order cannot invert.)
+	// graph starts with a clean slate.
 	s.breaker.clearGraph(name)
 	return nil
 }
@@ -405,24 +366,10 @@ func (s *Server) InstallSnapshot(a *snapshot.Artifact) error {
 		algo = "cluster"
 	}
 	key := Key{Graph: name, Kind: "oracle", Tau: a.Meta.Tau, Seed: a.Meta.Seed, Algorithm: algo}
-	e := &entry{ready: make(chan struct{}), val: a.Oracle}
-	e.cost = costFor(key, "snapshot", 0, a.Oracle)
-	e.lastUsed.Store(s.clock.Add(1))
-	close(e.ready)
-	s.mu.Lock()
-	// Honor MaxArtifacts exactly like a build does: replacing an existing
-	// key needs no room, a new key must find (or evict) a free slot. If
-	// every slot holds an in-flight build there is nothing evictable and
-	// the install is rejected rather than silently growing the cache past
-	// its bound.
-	if _, exists := s.cache[key]; !exists && len(s.cache) >= s.cfg.MaxArtifacts {
-		if !s.evictLRULocked() {
-			s.mu.Unlock()
-			return fmt.Errorf("%w: cannot install snapshot %v", ErrCacheFull, key)
-		}
+	val := oracleArtifact(a.Oracle)
+	if err := s.cache.put(key, val, costFor(key, "snapshot", 0, val)); err != nil {
+		return err
 	}
-	s.cache[key] = e
-	s.mu.Unlock()
 	s.met.installs.Add(1)
 	return nil
 }
@@ -458,249 +405,112 @@ func (s *Server) graphNamesLocked() []string {
 	return names
 }
 
-// acquire takes a fast-lane worker slot, honouring ctx cancellation
-// while queued and shedding when the lane's bounded queue is full.
-func (s *Server) acquire(ctx context.Context) error { return s.fast.acquire(ctx) }
+// buildFunc builds the artifact for one key on the graph currently
+// registered under Key.Graph, reporting engine progress to the build's
+// trace. It runs on the detached build goroutine, under the build's own
+// context.
+type buildFunc func(ctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error)
 
-func (s *Server) release() { s.fast.release() }
-
-// artifact returns the cached value for key, building it with build on
+// get returns the cached artifact for key, building it with build on
 // first use. Exactly one build runs per key however many requests race;
 // the rest join as waiters and block until it completes or their own ctx
-// is cancelled. The build runs detached, on its own goroutine under its
-// own context passed to the build closure: a waiter that leaves releases
-// only itself (its worker slot frees immediately), and when the LAST
-// waiter leaves the build's context is cancelled so the engines stop at
-// their next barrier. A build that fails — including one that returns
-// ctx.Err() after such a cancellation — is not cached: the entry is
-// removed before ready closes, so the key is immediately retryable.
-func (s *Server) artifact(ctx context.Context, key Key, build func(ctx context.Context) (any, error)) (any, error) {
-	// Fast path: completed entries (the steady state of the query
-	// workload) only take the read lock, so concurrent queries never
-	// serialize on s.mu.
+// is cancelled. A waiter that leaves releases only itself (its worker slot
+// frees immediately); the cache cancels the build when the LAST waiter
+// leaves, and never caches a failed one.
+//
+// A request that has to wait holds a fast-lane slot (when it came through
+// the HTTP layer) and is about to block for seconds: it PARKS the slot —
+// releases it for the duration of the wait and re-acquires it before
+// touching the value — so warm traffic keeps flowing through the fast
+// lane however many requests are camped on cold builds, even at
+// Workers=1. Direct API callers (tests, the daemon's bootstrap) have no
+// slot and skip the juggling.
+func (s *Server) get(ctx context.Context, key Key, build buildFunc) (artifact, error) {
+	var slot *laneSlot
 	ri := requestInfoFrom(ctx)
 	if ri != nil {
-		ri.artifactKey = key.String()
+		ri.key, slot = key, ri.slot
 	}
-	s.mu.RLock()
-	e, ok := s.cache[key]
-	s.mu.RUnlock()
-	if ok && e.completed() {
-		e.lastUsed.Store(s.clock.Add(1))
+	// Completed entries — the steady state of the query workload — only
+	// take the cache's read lock, and return before the closures below are
+	// even allocated.
+	e, ok := s.cache.lookup(key)
+	how := cacheHit
+	if !ok {
+		var err error
+		e, how, err = s.cache.acquire(key,
+			func() (*buildTrace, error) { return s.startBuild(key) },
+			func(bctx context.Context, e *entry) { s.runBuild(bctx, key, e, build) })
+		if err != nil {
+			return artifact{}, err
+		}
+	}
+	if ri != nil {
+		ri.cache = how
+	}
+	if how == cacheHit {
 		s.met.hits.Add(1)
-		if ri != nil {
-			ri.cache = "hit"
-		}
-		return e.val, e.err
-	}
-
-	s.mu.Lock()
-	e, ok = s.cache[key]
-	switch {
-	case !ok:
-		// Absent under the write lock: start the detached build. The
-		// build context is independent of this request's ctx — it is
-		// cancelled by the last departing waiter, not the first.
-		if s.draining {
-			s.mu.Unlock()
-			return nil, ErrShuttingDown
-		}
-		// Gate the new build: the key's circuit breaker first (a poisoned
-		// key answers a fast 503 without touching the slow lane), then
-		// slow-lane admission (shed with Retry-After past the pending-build
-		// bound). Joins on in-flight builds never reach this path.
-		probe, berr := s.breaker.allow(key, time.Now())
-		if berr != nil {
-			s.mu.Unlock()
-			s.met.breakerRejected.Inc()
-			return nil, berr
-		}
-		if probe {
-			s.met.breakerProbes.Inc()
-		}
-		if err := s.admitBuild(key.Kind); err != nil {
-			s.mu.Unlock()
-			// A granted probe that never became a build must not jam the
-			// breaker half-open forever.
-			s.breaker.cancelled(key)
-			return nil, err
-		}
-		if len(s.cache) >= s.cfg.MaxArtifacts {
-			if !s.evictLRULocked() {
-				s.mu.Unlock()
-				// Undo the admission: this build will never reach
-				// finishBuild, where the slow lane is normally repaid.
-				s.slowPending.Add(-1)
-				s.breaker.cancelled(key)
-				return nil, ErrCacheFull
-			}
-		}
-		tr := s.startTrace(key)
-		tr.setWaiters(1)
-		//lint:allow background deliberate detached root: builds outlive the requesting waiter and are cancelled by the server (PR 5 design)
-		bctx, cancel := context.WithCancel(withTrace(context.Background(), tr))
-		e = &entry{ready: make(chan struct{}), cancel: cancel, waiters: 1, trace: tr}
-		e.lastUsed.Store(s.clock.Add(1))
-		s.cache[key] = e
-		s.buildWG.Add(1)
-		go s.runBuild(bctx, key, e, build)
-		s.mu.Unlock()
-		if ri != nil {
-			ri.cache = "miss"
-		}
-		return s.await(ctx, key, e, false)
-	case e.completed():
-		// Completed between the two lock acquisitions.
-		e.lastUsed.Store(s.clock.Add(1))
-		s.mu.Unlock()
-		s.met.hits.Add(1)
-		if ri != nil {
-			ri.cache = "hit"
-		}
-		return e.val, e.err
-	default:
-		// In flight: join as a waiter.
-		e.waiters++
-		if e.trace != nil {
-			e.trace.setWaiters(e.waiters)
-		}
-		e.lastUsed.Store(s.clock.Add(1))
-		s.mu.Unlock()
-		if ri != nil {
-			ri.cache = "join"
-		}
-		return s.await(ctx, key, e, true)
-	}
-}
-
-// await blocks until e's build completes or ctx is cancelled, maintaining
-// the waiter refcount either way. joined says this request did not start
-// the build (a join counts as a cache hit, matching the pre-detached
-// accounting).
-//
-// A request that reaches here holds a fast-lane slot (when it came
-// through the HTTP layer) and is about to block for seconds: it PARKS
-// the slot — releases it for the duration of the wait and re-acquires
-// it before touching the value — so warm traffic keeps flowing through
-// the fast lane however many requests are camped on cold builds, even
-// at Workers=1. Direct API callers (tests, the daemon's bootstrap) have
-// no slot and skip the juggling.
-func (s *Server) await(ctx context.Context, key Key, e *entry, joined bool) (any, error) {
-	var slot *laneSlot
-	if ri := requestInfoFrom(ctx); ri != nil {
-		slot = ri.slot
+		return e.val, nil
 	}
 	if slot != nil {
 		slot.park()
 	}
-	select {
-	case <-e.ready:
-		s.mu.Lock()
-		e.waiters--
-		if e.trace != nil {
-			e.trace.setWaiters(e.waiters)
-		}
-		s.mu.Unlock()
-		if slot != nil {
-			if err := slot.unpark(ctx); err != nil {
-				// Client gone while re-entering the fast lane: the slot
-				// stays unheld, so the deferred release up the stack no-ops.
-				return nil, err
-			}
-		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		if joined {
-			s.met.hits.Add(1)
-		}
-		return e.val, nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		e.waiters--
-		if e.trace != nil {
-			e.trace.setWaiters(e.waiters)
-		}
-		if e.waiters == 0 && !e.completed() && e.cancel != nil {
-			// Last waiter gone mid-build: stop the engines, and drop the
-			// doomed entry NOW rather than when the build unwinds at its
-			// next barrier. The key is retryable immediately, and a
-			// request arriving in the unwind window starts a fresh build
-			// instead of joining this one and inheriting its
-			// context.Canceled as a spurious 503.
-			e.cancel()
-			if cur, ok := s.cache[key]; ok && cur == e {
-				delete(s.cache, key)
-			}
-		}
-		s.mu.Unlock()
-		return nil, ctx.Err()
+	if err := s.cache.wait(ctx, key, e); err != nil {
+		return artifact{}, err // client gone: the slot stays parked
 	}
+	if slot != nil {
+		if err := slot.unpark(ctx); err != nil {
+			// Client gone while re-entering the fast lane: the slot stays
+			// unheld, so the deferred release up the stack no-ops.
+			return artifact{}, err
+		}
+	}
+	if e.err != nil {
+		return artifact{}, e.err
+	}
+	if how == cacheJoin {
+		s.met.hits.Add(1) // a join counts as a hit, matching the pre-detached accounting
+	}
+	return e.val, nil
 }
 
-// evictLRULocked removes the least-recently-used completed entry, making
-// room for a new build. In-flight builds are never evicted (waiters hold
-// references to them). Returns false if nothing was evictable. Caller
-// holds s.mu.
-func (s *Server) evictLRULocked() bool {
-	var (
-		victim    Key
-		victimAge int64
-		found     bool
-	)
-	for k, e := range s.cache {
-		if !e.completed() {
-			continue
-		}
-		if age := e.lastUsed.Load(); !found || age < victimAge {
-			victim, victimAge, found = k, age, true
-		}
+// startBuild gates a new build, under the cache lock and only once the
+// cache has a slot for it: the key's circuit breaker first (a poisoned key
+// answers a fast 503 without touching the slow lane), then slow-lane
+// admission (shed with Retry-After past the pending-build bound). Joins on
+// in-flight builds never reach it. (breaker.mu and traceMu nest inside the
+// cache lock here; neither ever takes it, so the order cannot invert.)
+func (s *Server) startBuild(key Key) (*buildTrace, error) {
+	probe, err := s.breaker.allow(key, time.Now())
+	if err != nil {
+		s.met.breakerRejected.Inc()
+		return nil, err
 	}
-	if found {
-		delete(s.cache, victim)
-		s.met.evictions.Add(1)
+	if probe {
+		s.met.breakerProbes.Inc()
 	}
-	return found
+	if err := s.admitBuild(key.Kind); err != nil {
+		// A granted probe that never became a build must not jam the
+		// breaker half-open forever.
+		s.breaker.cancelled(key)
+		return nil, err
+	}
+	return s.startTrace(key), nil
 }
 
-// artifactStats digs the substrate cost out of a cached artifact, for
-// build-cost reporting: the decomposition's traversal stats, plus — for
-// oracles — the delta-stepping cost of the quotient APSP build, so the
-// weighted work is reported as honestly as the unweighted rounds. Unknown
-// artifact kinds report nil (no cost line).
-func artifactStats(val any) *bsp.Stats {
-	switch v := val.(type) {
-	case *core.Oracle:
-		st := v.Clustering().Stats
-		st.Add(v.APSPStats())
-		return &st
-	case *core.DiameterResult:
-		return &v.Clustering.Stats
-	case *core.KCenterResult:
-		return &v.Clustering.Stats
-	case *MRDiameterResult:
-		return &v.Stats
-	}
-	return nil
-}
-
-func costFor(key Key, source string, millis float64, val any) *ArtifactCost {
-	st := artifactStats(val)
-	if st == nil {
-		return nil
-	}
+func costFor(key Key, source string, millis float64, a artifact) *ArtifactCost {
 	c := &ArtifactCost{
 		Key:         key.String(),
 		Source:      source,
 		BuildMillis: millis,
-		Rounds:      st.Rounds,
-		PullRounds:  st.PullRounds,
-		Messages:    st.Messages,
-		MaxFrontier: st.MaxFrontier,
-		Relaxations: st.Relaxations,
-		Buckets:     st.Buckets,
+		Rounds:      a.stats.Rounds,
+		PullRounds:  a.stats.PullRounds,
+		Messages:    a.stats.Messages,
+		MaxFrontier: a.stats.MaxFrontier,
+		Relaxations: a.stats.Relaxations,
+		Buckets:     a.stats.Buckets,
 	}
-	if m, ok := val.(*MRDiameterResult); ok {
+	if m := a.mrdiameter; m != nil {
 		c.MRRounds = m.Rounds
 		c.MRShards = m.Shards
 		c.MRPairsShuffled = m.PairsShuffled
@@ -710,13 +520,8 @@ func costFor(key Key, source string, millis float64, val any) *ArtifactCost {
 	return c
 }
 
-// runBuild executes one detached build. It publishes the result (or
-// removes the entry on failure, making the key retryable) and closes ready
-// under s.mu, so waiter bookkeeping in await can never observe a
-// half-published entry.
-func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build func(ctx context.Context) (any, error)) {
-	defer s.buildWG.Done()
-	defer e.cancel() // release the context's resources in every outcome
+// runBuild executes one detached build and classifies how it ended.
+func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFunc) {
 	s.met.misses.Add(1)
 
 	// Take a build slot before touching the engines, so at most Workers
@@ -725,7 +530,7 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build func(ctx
 	select {
 	case s.buildSem <- struct{}{}:
 	case <-ctx.Done():
-		s.finishBuild(key, e, nil, ctx.Err(), 0)
+		s.finishBuild(key, e, BuildCancelled, artifact{}, ctx.Err(), 0)
 		return
 	}
 	e.trace.markRunning()
@@ -736,9 +541,10 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build func(ctx
 	if s.cfg.BuildTimeout > 0 {
 		runCtx, cancelRun = context.WithTimeout(ctx, s.cfg.BuildTimeout)
 	}
-	stop := s.met.buildTimer()
-	var panicked bool
-	val, err := func() (val any, err error) {
+	defer cancelRun()
+	start := time.Now()
+	state := BuildDone
+	val, err := func() (val artifact, err error) {
 		// On the old request-goroutine builds, net/http's per-connection
 		// recover contained a panicking build to one failed request; a
 		// detached goroutine has no such net, so restore the containment
@@ -747,57 +553,52 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build func(ctx
 		// injected panic exercises exactly this containment.
 		defer func() {
 			if r := recover(); r != nil {
-				panicked = true
-				val, err = nil, fmt.Errorf("serve: build %v panicked: %v", key, r)
+				state = BuildPanicked
+				val, err = artifact{}, fmt.Errorf("serve: build %v panicked: %v", key, r)
 			}
 		}()
 		if fi := s.cfg.FaultInjector; fi != nil {
 			if ferr := fi.BuildStarted(runCtx, key); ferr != nil {
-				return nil, ferr
+				return artifact{}, ferr
 			}
 		}
-		return build(runCtx)
+		// Fetch the graph inside the build: a RegisterGraph swap between
+		// key resolution and here must not bake a stale topology into the
+		// cache.
+		g, err := s.Graph(key.Graph)
+		if err != nil {
+			return artifact{}, err
+		}
+		return build(runCtx, g, e.trace)
 	}()
-	elapsed := stop()
+	elapsed := time.Since(start)
+	s.met.builds.Inc()
+	s.met.buildNs.Add(elapsed.Nanoseconds())
 	s.met.buildLatency.With(key.Kind).Observe(elapsed.Seconds())
 	<-s.buildSem
-	if err != nil && errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
+	switch {
+	case err == nil || state == BuildPanicked:
+	case errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil:
 		// The server-side build deadline fired — distinguishable from a
 		// waiter cancellation because the outer (waiter-driven) context is
 		// still live. Normalize the error so waiters see DeadlineExceeded
 		// (mapped to 504) however the engines dressed the cancellation up.
-		e.trace.markTimedOut()
+		state = BuildTimedOut
 		err = fmt.Errorf("serve: build %v exceeded build timeout %s: %w",
 			key, s.cfg.BuildTimeout, context.DeadlineExceeded)
-	}
-	cancelRun()
-	if panicked {
-		e.trace.markPanicked()
-	}
-	s.finishBuild(key, e, val, err, elapsed)
-}
-
-// finishBuild publishes a build outcome: the result (or the removal of the
-// failed entry, making the key retryable) and the ready close happen under
-// one critical section, so waiter bookkeeping never sees a half-published
-// entry.
-func (s *Server) finishBuild(key Key, e *entry, val any, err error, elapsed time.Duration) {
-	// Resolve the terminal trace state before publishing, so a waiter that
-	// wakes on ready and immediately scrapes /builds sees the final state.
-	// Timed-out is checked before the cancellation catch-all: its
-	// normalized error wraps DeadlineExceeded too.
-	state := BuildDone
-	switch {
-	case err == nil:
-	case e.trace.didPanic():
-		state = BuildPanicked
-	case e.trace.didTimeout():
-		state = BuildTimedOut
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		state = BuildCancelled
 	default:
 		state = BuildFailed
 	}
+	s.finishBuild(key, e, state, val, err, elapsed)
+}
+
+// finishBuild settles a build that ended in state: the trace, the slow
+// lane and the breaker first, then the outcome is published to the cache.
+func (s *Server) finishBuild(key Key, e *entry, state string, val artifact, err error, elapsed time.Duration) {
+	// Stamp the terminal trace state before publishing, so a waiter that
+	// wakes on ready and immediately scrapes /builds sees the final state.
 	errMsg := ""
 	if err != nil {
 		errMsg = err.Error()
@@ -805,14 +606,21 @@ func (s *Server) finishBuild(key Key, e *entry, val any, err error, elapsed time
 	e.trace.finish(state, errMsg)
 
 	// Repay the slow lane (every admitted build reaches here exactly once)
-	// and feed the breaker: a good build closes the key's breaker, a
-	// cancellation says nothing about its health, and every other terminal
+	// and feed the breaker: a good build closes the key's breaker; a
+	// cancellation says nothing about its health, and neither does a
+	// deterministic client-side rejection (a 4xx from the build, which no
+	// retry can turn into a success — tripping on it would only turn an
+	// honest 400 into a 503 that invites retries); every other terminal
 	// state counts toward tripping it.
 	s.slowPending.Add(-1)
-	switch state {
-	case BuildDone:
+	var he *httpError
+	switch {
+	case state == BuildDone:
 		s.breaker.success(key)
-	case BuildCancelled:
+	case state == BuildCancelled:
+		s.met.cancelled.Add(1)
+		s.breaker.cancelled(key)
+	case state == BuildFailed && errors.As(err, &he) && he.status < http.StatusInternalServerError:
 		s.breaker.cancelled(key)
 	default:
 		if state == BuildTimedOut {
@@ -823,27 +631,13 @@ func (s *Server) finishBuild(key Key, e *entry, val any, err error, elapsed time
 		}
 	}
 
-	s.mu.Lock()
-	e.val, e.err = val, err
+	var cost *ArtifactCost
 	if err == nil {
-		millis := float64(elapsed.Nanoseconds()) / 1e6
-		e.cost = costFor(key, "build", millis, val)
-		if e.cost != nil {
-			tr := e.trace.info()
-			e.cost.Trace = &tr
-		}
-	} else {
-		if state == BuildCancelled {
-			s.met.cancelled.Add(1)
-		}
-		// Only drop the entry if it is still ours: RegisterGraph may have
-		// already replaced the graph and pruned the key.
-		if cur, ok := s.cache[key]; ok && cur == e {
-			delete(s.cache, key)
-		}
+		cost = costFor(key, "build", float64(elapsed.Nanoseconds())/1e6, val)
+		tr := e.trace.info()
+		cost.Trace = &tr
 	}
-	close(e.ready)
-	s.mu.Unlock()
+	s.cache.finish(key, e, val, cost, err)
 	s.endTrace(e.trace)
 }
 
@@ -853,116 +647,86 @@ func (s *Server) finishBuild(key Key, e *entry, val any, err error, elapsed time
 // queryable throughout, so it is safe to call before draining the HTTP
 // listener — late requests either hit the cache or fail fast instead of
 // starting builds nobody will wait out.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	for _, e := range s.cache {
-		if !e.completed() && e.cancel != nil {
-			e.cancel()
-		}
-	}
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.buildWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("serve: builds still draining at shutdown deadline: %w", ctx.Err())
-	}
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.cache.shutdown(ctx) }
 
-// resolveTau resolves a request's granularity the same way for every
-// artifact family: non-positive falls back to Config.DefaultTau, then to
-// the family's paper default for the graph's size. Every key-minting path
-// (oracle, diameter, mr-diameter) must key on the resolved value, so a
-// parameter-less request and an explicit request for the default share one
-// cache slot and /stats reports the parameter the build actually used.
-func (s *Server) resolveTau(tau int, g *graph.Graph, paperDefault func(n int) int) int {
+// artifactKey mints the cache key of a tau-parameterised artifact family.
+// Non-positive tau falls back to Config.DefaultTau, then to the family's
+// paper default for the graph's size, and the algorithm name is
+// canonicalized. Every such family (oracle, diameter, mr-diameter) keys on
+// the resolved values, so a parameter-less request and an explicit request
+// for the defaults share one cache slot, /stats reports the parameters the
+// build actually used, and a persisted snapshot Meta round-trips to the key
+// parameter-less requests hit after a warm restart.
+func (s *Server) artifactKey(kind, name string, tau int, seed uint64, algorithm string, paperDefault func(n int) int) (Key, error) {
+	g, err := s.Graph(name)
+	if err != nil {
+		return Key{}, err
+	}
+	algorithm, err = parseAlgorithm(algorithm)
+	if err != nil {
+		return Key{}, err
+	}
 	if tau <= 0 {
 		tau = s.cfg.DefaultTau
 	}
 	if tau <= 0 {
 		tau = paperDefault(g.NumNodes())
 	}
-	return tau
+	return Key{Graph: name, Kind: kind, Tau: tau, Seed: seed, Algorithm: algorithm}, nil
 }
 
-// oracleKey resolves the cache key for an oracle request: tau is resolved
-// via resolveTau (Config.DefaultTau, then core.DefaultOracleTau) and the
-// algorithm name canonicalized. The same resolution feeds Oracle and
-// SnapshotArtifact, so a persisted Meta always round-trips to the key
-// parameter-less requests hit after a warm restart.
-func (s *Server) oracleKey(name string, tau int, seed uint64, algorithm string) (Key, *graph.Graph, bool, error) {
-	g, err := s.Graph(name)
-	if err != nil {
-		return Key{}, nil, false, err
-	}
-	tau = s.resolveTau(tau, g, core.DefaultOracleTau)
-	useCluster2, err := parseAlgorithm(algorithm)
-	if err != nil {
-		return Key{}, nil, false, err
-	}
-	key := Key{Graph: name, Kind: "oracle", Tau: tau, Seed: seed, Algorithm: canonicalAlgorithm(useCluster2)}
-	return key, g, useCluster2, nil
+func (s *Server) oracleKey(name string, tau int, seed uint64, algorithm string) (Key, error) {
+	return s.artifactKey("oracle", name, tau, seed, algorithm, core.DefaultOracleTau)
 }
 
 // Oracle returns the distance oracle for the key's graph and build
 // parameters, building and caching it on first use. tau <= 0 selects
 // Config.DefaultTau, then the paper default.
 func (s *Server) Oracle(ctx context.Context, name string, tau int, seed uint64, algorithm string) (*core.Oracle, error) {
-	key, _, useCluster2, err := s.oracleKey(name, tau, seed, algorithm)
+	key, err := s.oracleKey(name, tau, seed, algorithm)
 	if err != nil {
 		return nil, err
 	}
-	v, err := s.artifact(ctx, key, func(bctx context.Context) (any, error) {
-		// Re-fetch inside the build: a RegisterGraph swap between key
-		// resolution and here must not bake a stale topology into the
-		// cache.
-		g, err := s.Graph(key.Graph)
+	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
+		o, err := core.BuildOracle(bctx, g, key.Tau, key.Algorithm == "cluster2", s.buildOptions(tr, seed))
 		if err != nil {
-			return nil, err
+			return artifact{}, err
 		}
-		return core.BuildOracle(bctx, g, key.Tau, useCluster2, s.buildOptions(bctx, seed))
+		return oracleArtifact(o), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Oracle), nil
+	return a.oracle, err
+}
+
+// oracleArtifact wraps an oracle — built here or loaded from a snapshot —
+// with its cost: the decomposition's traversal stats plus the
+// delta-stepping cost of the quotient APSP build, so the weighted work is
+// reported as honestly as the unweighted rounds.
+func oracleArtifact(o *core.Oracle) artifact {
+	st := o.Clustering().Stats
+	st.Add(o.APSPStats())
+	return artifact{oracle: o, stats: st}
 }
 
 // Diameter returns the cached diameter bounds for the key's graph. tau is
 // resolved (Config.DefaultTau, then core.DefaultDiameterTau) before the
 // key is minted, exactly like the oracle path.
 func (s *Server) Diameter(ctx context.Context, name string, tau int, seed uint64, algorithm string) (*core.DiameterResult, error) {
-	g, err := s.Graph(name)
+	key, err := s.artifactKey("diameter", name, tau, seed, algorithm, core.DefaultDiameterTau)
 	if err != nil {
 		return nil, err
 	}
-	tau = s.resolveTau(tau, g, core.DefaultDiameterTau)
-	useCluster2, err := parseAlgorithm(algorithm)
-	if err != nil {
-		return nil, err
-	}
-	key := Key{Graph: name, Kind: "diameter", Tau: tau, Seed: seed, Algorithm: canonicalAlgorithm(useCluster2)}
-	v, err := s.artifact(ctx, key, func(bctx context.Context) (any, error) {
-		g, err := s.Graph(key.Graph)
-		if err != nil {
-			return nil, err
-		}
-		return core.ApproxDiameter(bctx, g, core.DiameterOptions{
-			Options:     s.buildOptions(bctx, seed),
+	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
+		res, err := core.ApproxDiameter(bctx, g, core.DiameterOptions{
+			Options:     s.buildOptions(tr, seed),
 			Tau:         key.Tau,
-			UseCluster2: useCluster2,
+			UseCluster2: key.Algorithm == "cluster2",
 		})
+		if err != nil {
+			return artifact{}, err
+		}
+		return artifact{diameter: res, stats: res.Clustering.Stats}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.DiameterResult), nil
+	return a.diameter, err
 }
 
 // KCenter returns the cached k-center solution for the key's graph.
@@ -974,17 +738,14 @@ func (s *Server) KCenter(ctx context.Context, name string, k int, seed uint64) (
 		return nil, errors.New("serve: k must be >= 1")
 	}
 	key := Key{Graph: name, Kind: "kcenter", Tau: k, Seed: seed, Algorithm: "cluster"}
-	v, err := s.artifact(ctx, key, func(bctx context.Context) (any, error) {
-		g, err := s.Graph(key.Graph)
+	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
+		res, err := core.KCenter(bctx, g, k, s.buildOptions(tr, seed))
 		if err != nil {
-			return nil, err
+			return artifact{}, err
 		}
-		return core.KCenter(bctx, g, k, s.buildOptions(bctx, seed))
+		return artifact{kcenter: res, stats: res.Clustering.Stats}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.KCenterResult), nil
+	return a.kcenter, err
 }
 
 // CachedOracleArtifact assembles the persistable artifact for the resolved
@@ -992,27 +753,21 @@ func (s *Server) KCenter(ctx context.Context, name string, k int, seed uint64) (
 // false otherwise. The daemon's shutdown path uses it to persist a lazily
 // built oracle without triggering a build while draining.
 func (s *Server) CachedOracleArtifact(name string, tau int, seed uint64, algorithm string) (art *snapshot.Artifact, ok bool, err error) {
-	key, _, _, err := s.oracleKey(name, tau, seed, algorithm)
+	key, err := s.oracleKey(name, tau, seed, algorithm)
 	if err != nil {
 		return nil, false, err
 	}
-	s.mu.RLock()
-	e, found := s.cache[key]
-	s.mu.RUnlock()
-	if !found || !e.completed() || e.err != nil {
+	e, found := s.cache.lookup(key)
+	if !found {
 		return nil, false, nil
 	}
-	o, isOracle := e.val.(*core.Oracle)
-	if !isOracle {
-		return nil, false, nil
-	}
-	return oracleArtifact(key, o), true, nil
+	return oracleSnapshot(key, e.val.oracle), true, nil
 }
 
-// oracleArtifact assembles the persistable snapshot for a resolved oracle
+// oracleSnapshot assembles the persistable snapshot for a resolved oracle
 // key — the one shape every persistence path writes, so a persisted Meta
 // always round-trips to the cache slot InstallSnapshot re-seeds.
-func oracleArtifact(key Key, o *core.Oracle) *snapshot.Artifact {
+func oracleSnapshot(key Key, o *core.Oracle) *snapshot.Artifact {
 	return &snapshot.Artifact{
 		Meta: snapshot.Meta{
 			GraphName: key.Graph,
@@ -1030,7 +785,7 @@ func oracleArtifact(key Key, o *core.Oracle) *snapshot.Artifact {
 // write its snapshot after the first build; Meta carries the resolved key
 // so InstallSnapshot re-seeds exactly the slot future requests look up.
 func (s *Server) SnapshotArtifact(ctx context.Context, name string, tau int, seed uint64, algorithm string) (*snapshot.Artifact, error) {
-	key, _, _, err := s.oracleKey(name, tau, seed, algorithm)
+	key, err := s.oracleKey(name, tau, seed, algorithm)
 	if err != nil {
 		return nil, err
 	}
@@ -1038,34 +793,28 @@ func (s *Server) SnapshotArtifact(ctx context.Context, name string, tau int, see
 	if err != nil {
 		return nil, err
 	}
-	return oracleArtifact(key, o), nil
+	return oracleSnapshot(key, o), nil
 }
 
-// buildOptions assembles the core.Options for a build running under bctx:
-// the configured parallelism plus the observer that feeds the server-wide
-// engine counters and the build's trace (carried on bctx by artifact).
-func (s *Server) buildOptions(bctx context.Context, seed uint64) core.Options {
+// buildOptions assembles the core.Options for the build traced by tr: the
+// configured parallelism plus the observer that feeds the server-wide
+// engine counters and the build's trace.
+func (s *Server) buildOptions(tr *buildTrace, seed uint64) core.Options {
 	return core.Options{
 		Seed:     seed,
 		Workers:  s.cfg.BuildWorkers,
-		Observer: s.buildObserver(traceFrom(bctx)),
+		Observer: s.buildObserver(tr),
 	}
 }
 
-func parseAlgorithm(algorithm string) (useCluster2 bool, err error) {
+// parseAlgorithm validates a decomposition name and returns its canonical
+// form ("cluster" when empty).
+func parseAlgorithm(algorithm string) (string, error) {
 	switch algorithm {
 	case "", "cluster":
-		return false, nil
+		return "cluster", nil
 	case "cluster2":
-		return true, nil
-	default:
-		return false, fmt.Errorf("serve: unknown algorithm %q (want cluster or cluster2)", algorithm)
+		return "cluster2", nil
 	}
-}
-
-func canonicalAlgorithm(useCluster2 bool) string {
-	if useCluster2 {
-		return "cluster2"
-	}
-	return "cluster"
+	return "", fmt.Errorf("serve: unknown algorithm %q (want cluster or cluster2)", algorithm)
 }

@@ -472,7 +472,7 @@ func TestMRDiameterEndpoint(t *testing.T) {
 	if resp.Upper != 2*int64(resp.RMax)+resp.QuotientDiameter {
 		t.Fatalf("upper %d != 2·%d + %d", resp.Upper, resp.RMax, resp.QuotientDiameter)
 	}
-	if resp.MRRounds <= 0 || resp.MRPairsShuffled <= 0 || resp.MRMaxReducer <= 0 || resp.MRShards < 1 {
+	if resp.Rounds <= 0 || resp.PairsShuffled <= 0 || resp.MaxReducerInput <= 0 || resp.Shards < 1 {
 		t.Fatalf("empty MR accounting: %+v", resp)
 	}
 
@@ -485,8 +485,8 @@ func TestMRDiameterEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.QuotientDiameter != resp.QuotientDiameter || ref.Rounds != resp.MRRounds ||
-		ref.PairsShuffled != resp.MRPairsShuffled || ref.MaxReducerInput != resp.MRMaxReducer {
+	if ref.QuotientDiameter != resp.QuotientDiameter || ref.Rounds != resp.Rounds ||
+		ref.PairsShuffled != resp.PairsShuffled || ref.MaxReducerInput != resp.MaxReducerInput {
 		t.Fatalf("single-shard build differs: %+v vs %+v", ref, resp)
 	}
 
@@ -499,7 +499,7 @@ func TestMRDiameterEndpoint(t *testing.T) {
 	for _, d := range st.ArtifactDetails {
 		if d.MRRounds > 0 {
 			found = true
-			if d.MRPairsShuffled != resp.MRPairsShuffled || d.MRMaxReducer != resp.MRMaxReducer {
+			if d.MRPairsShuffled != resp.PairsShuffled || d.MRMaxReducer != resp.MaxReducerInput {
 				t.Fatalf("stats MR cost %+v inconsistent with response %+v", d, resp)
 			}
 			if len(d.MRRoundStats) != d.MRRounds {
@@ -531,6 +531,22 @@ func TestMRDiameterQuotientCap(t *testing.T) {
 	// tau=1600 ≥ n makes every node a center: 1600 clusters > 256 cap.
 	if code := getStatus(t, ts.URL+"/mr-diameter?graph=mesh&tau=1600&seed=1"); code != http.StatusBadRequest {
 		t.Fatalf("oversized quotient: status %d want 400", code)
+	}
+}
+
+// A build that fails with a deterministic client-side rejection (4xx) says
+// nothing about the key's health: repeating the request must keep
+// answering the honest 400, never trip the breaker into a 503 +
+// Retry-After that invites retries which cannot succeed.
+func TestClientErrorBuildDoesNotTripBreaker(t *testing.T) {
+	s, ts := newTestServer(t, "mesh", graph.Mesh(40, 40))
+	for i := 1; i <= 5; i++ {
+		if code := getStatus(t, ts.URL+"/mr-diameter?graph=mesh&tau=1600&seed=1"); code != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d want 400", i, code)
+		}
+	}
+	if st := s.Stats(); st.BreakerOpenKeys != 0 || st.BreakerTrips != 0 {
+		t.Fatalf("client errors tripped the breaker: open_keys=%d trips=%d", st.BreakerOpenKeys, st.BreakerTrips)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,7 +46,7 @@ type buildTrace struct {
 	mrRounds    atomic.Int64
 	mrPairs     atomic.Int64
 
-	// Waiter bookkeeping, written under Server.mu alongside entry.waiters.
+	// Waiter bookkeeping, written under the cache lock alongside entry.waiters.
 	waiters    atomic.Int64
 	waiterHigh atomic.Int64
 
@@ -57,33 +56,10 @@ type buildTrace struct {
 	slotAt     time.Time // zero until the build-pool slot is acquired
 	finishedAt time.Time // zero until terminal
 	errMsg     string
-	panicked   bool
-	timedOut   bool
-}
-
-func newBuildTrace(id int64, key Key) *buildTrace {
-	return &buildTrace{id: id, key: key, state: BuildQueued, enqueuedAt: time.Now()}
-}
-
-// observeBSP folds one engine progress delta in; it is the bsp.Observer
-// target for every engine the build creates.
-func (t *buildTrace) observeBSP(d bsp.Stats) {
-	t.rounds.Add(int64(d.Rounds))
-	t.pullRounds.Add(int64(d.PullRounds))
-	t.arcs.Add(d.Messages)
-	t.relaxations.Add(d.Relaxations)
-	t.buckets.Add(int64(d.Buckets))
-	maxStore(&t.maxFrontier, int64(d.MaxFrontier))
-}
-
-// observeMR folds one committed MR round in.
-func (t *buildTrace) observeMR(rs mr.RoundStat) {
-	t.mrRounds.Add(1)
-	t.mrPairs.Add(rs.PairsIn)
 }
 
 // setWaiters records the current waiter count (and its high-water mark).
-// Called wherever entry.waiters changes, under Server.mu.
+// Called from artifactCache.addWaiterLocked, the one place entry.waiters changes.
 func (t *buildTrace) setWaiters(n int) {
 	t.waiters.Store(int64(n))
 	maxStore(&t.waiterHigh, int64(n))
@@ -104,35 +80,6 @@ func (t *buildTrace) markRunning() {
 	t.state = BuildRunning
 	t.slotAt = time.Now()
 	t.mu.Unlock()
-}
-
-// markPanicked flags the build as recovered-from-panic, so the terminal
-// state distinguishes it from an ordinary failure.
-func (t *buildTrace) markPanicked() {
-	t.mu.Lock()
-	t.panicked = true
-	t.mu.Unlock()
-}
-
-func (t *buildTrace) didPanic() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.panicked
-}
-
-// markTimedOut flags the build as killed by the server-side build
-// deadline, so the terminal state distinguishes it from a waiter-driven
-// cancellation.
-func (t *buildTrace) markTimedOut() {
-	t.mu.Lock()
-	t.timedOut = true
-	t.mu.Unlock()
-}
-
-func (t *buildTrace) didTimeout() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.timedOut
 }
 
 // finish stamps the terminal state. errMsg is empty for BuildDone.
@@ -219,7 +166,7 @@ func millisBetween(a, b time.Time) float64 {
 // startTrace mints a trace for a new detached build and registers it as
 // in-flight.
 func (s *Server) startTrace(key Key) *buildTrace {
-	tr := newBuildTrace(s.nextBuildID.Add(1), key)
+	tr := &buildTrace{id: s.nextBuildID.Add(1), key: key, state: BuildQueued, enqueuedAt: time.Now()}
 	s.traceMu.Lock()
 	s.building[tr.id] = tr
 	s.traceMu.Unlock()
@@ -239,15 +186,6 @@ func (s *Server) endTrace(tr *buildTrace) {
 		s.recent = s.recent[:recentBuilds]
 	}
 	s.traceMu.Unlock()
-}
-
-// buildingCount returns the number of in-flight builds (queued or
-// running), feeding the reprod_builds_in_flight gauge.
-func (s *Server) buildingCount() int {
-	s.traceMu.Lock()
-	n := len(s.building)
-	s.traceMu.Unlock()
-	return n
 }
 
 // BuildTracesResponse is the JSON shape of /builds: every in-flight build
@@ -271,20 +209,6 @@ func (s *Server) BuildTraces() BuildTracesResponse {
 	return BuildTracesResponse{InFlight: inFlight, Recent: recent}
 }
 
-// traceCtxKey carries the buildTrace on the detached build's context, so
-// the build closures reach it through the ctx they already receive — the
-// artifact build signature stays observer-agnostic.
-type traceCtxKey struct{}
-
-func withTrace(ctx context.Context, tr *buildTrace) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tr)
-}
-
-func traceFrom(ctx context.Context) *buildTrace {
-	tr, _ := ctx.Value(traceCtxKey{}).(*buildTrace)
-	return tr
-}
-
 // buildObserver returns the bsp.Observer installed on every engine of a
 // build: it feeds both the server-wide engine counters (/metrics) and the
 // build's own trace (/builds). Safe for concurrent use, as the Observer
@@ -297,22 +221,23 @@ func (s *Server) buildObserver(tr *buildTrace) bsp.Observer {
 		m.engArcs.Add(d.Messages)
 		m.engRelaxations.Add(d.Relaxations)
 		m.engBuckets.Add(int64(d.Buckets))
-		if tr != nil {
-			tr.observeBSP(d)
-		}
+		tr.rounds.Add(int64(d.Rounds))
+		tr.pullRounds.Add(int64(d.PullRounds))
+		tr.arcs.Add(d.Messages)
+		tr.relaxations.Add(d.Relaxations)
+		tr.buckets.Add(int64(d.Buckets))
+		maxStore(&tr.maxFrontier, int64(d.MaxFrontier))
 	}
 }
 
 // mrObserver is the MR counterpart, installed on the engine behind
 // /mr-diameter builds.
-func (s *Server) mrObserver(ctx context.Context) func(mr.RoundStat) {
-	tr := traceFrom(ctx)
+func (s *Server) mrObserver(tr *buildTrace) func(mr.RoundStat) {
 	m := s.met
 	return func(rs mr.RoundStat) {
 		m.mrRounds.Inc()
 		m.mrPairs.Add(rs.PairsIn)
-		if tr != nil {
-			tr.observeMR(rs)
-		}
+		tr.mrRounds.Add(1)
+		tr.mrPairs.Add(rs.PairsIn)
 	}
 }

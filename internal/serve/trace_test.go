@@ -27,20 +27,20 @@ func findTrace(infos []BuildTraceInfo, key string) *BuildTraceInfo {
 // waiter high-water tracks a second joiner, and the terminal snapshot in
 // the recent ring carries timestamps and the done state.
 func TestBuildTraceLifecycle(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := newBuildServer(t, Config{Workers: 2}, "g")
 	key := Key{Graph: "g", Kind: "oracle", Tau: 1, Seed: 1, Algorithm: "cluster"}
 
 	started := make(chan struct{})
 	unblock := make(chan struct{})
-	build := func(bctx context.Context) (any, error) {
+	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-unblock
-		return 42, nil
+		return fakeArtifact(42), nil
 	}
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(context.Background(), key, build)
+		_, err := s.get(context.Background(), key, build)
 		first <- err
 	}()
 	<-started
@@ -67,7 +67,7 @@ func TestBuildTraceLifecycle(t *testing.T) {
 	// A second waiter joins the same key: high-water rises to 2.
 	second := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(context.Background(), key, build)
+		_, err := s.get(context.Background(), key, build)
 		second <- err
 	}()
 	waitUntil(t, "waiter high-water of 2", func() bool {
@@ -113,20 +113,20 @@ func TestBuildTraceLifecycle(t *testing.T) {
 // A build whose sole waiter disconnects is recorded as cancelled, with the
 // context error preserved.
 func TestBuildTraceCancelled(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := newBuildServer(t, Config{Workers: 2}, "g")
 	key := Key{Graph: "g", Kind: "oracle", Tau: 1, Seed: 9, Algorithm: "cluster"}
 
 	started := make(chan struct{})
-	build := func(bctx context.Context) (any, error) {
+	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-bctx.Done()
-		return nil, bctx.Err()
+		return artifact{}, bctx.Err()
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := s.artifact(ctx, key, build)
+		_, err := s.get(ctx, key, build)
 		waiter <- err
 	}()
 	<-started
@@ -221,11 +221,11 @@ func TestBuildTraceLiveEngineProgress(t *testing.T) {
 
 // The recent ring keeps only the newest recentBuilds entries, newest first.
 func TestBuildTraceRecentRingBounded(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := newBuildServer(t, Config{Workers: 2}, "g")
 	for i := 0; i < recentBuilds+8; i++ {
 		key := Key{Graph: "g", Kind: "oracle", Tau: 1, Seed: uint64(i), Algorithm: "cluster"}
-		if _, err := s.artifact(context.Background(), key, func(context.Context) (any, error) {
-			return i, nil
+		if _, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+			return fakeArtifact(int32(i)), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
