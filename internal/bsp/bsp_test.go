@@ -8,33 +8,16 @@ import (
 	"repro/internal/graph"
 )
 
-// engineBFS runs a BFS on the Engine in the given direction mode and
-// returns the distance array; it is the canonical claim-style usage
-// pattern exercised here. Push claims race through CAS; pull adoptions are
-// deterministic first-match, and both assign the same depth values.
+// engineBFS runs Engine.BFS — the canonical claim-style traversal — in the
+// given direction mode and returns the distance array. Push claims race
+// through CAS; pull adoptions are deterministic first-match, and both
+// assign the same depth values.
 func engineBFS(g *graph.Graph, src graph.NodeID, workers int, dir bsp.Direction) ([]int32, bsp.Stats) {
-	n := g.NumNodes()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
+	dist := make([]int32, g.NumNodes())
 	e := bsp.NewEngine(g, workers)
 	defer e.Close()
 	e.SetDirection(dir)
-	e.Seed(src)
-	for depth := int32(1); e.FrontierLen() > 0; depth++ {
-		d := depth
-		e.Step(bsp.StepSpec{
-			Push: func(_ int, u, v graph.NodeID) bool {
-				return atomic.CompareAndSwapInt32(&dist[v], -1, d)
-			},
-			Pull: func(_ int, v, u graph.NodeID) bool {
-				dist[v] = d
-				return true
-			},
-		})
-	}
+	e.BFS(src, dist)
 	return dist, e.Stats()
 }
 

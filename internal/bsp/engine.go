@@ -3,6 +3,7 @@ package bsp
 import (
 	"context"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Topology is the adjacency access the engine needs. *graph.Graph satisfies
@@ -370,6 +371,35 @@ func (e *Engine) Step(spec StepSpec) RoundStat {
 	e.log = append(e.log, rs)
 	e.observe(rs, dir)
 	return rs
+}
+
+// BFS runs one breadth-first search from src on a freshly Reset engine:
+// dist (len NumNodes) is overwritten with hop distances, -1 for unreached
+// nodes, and the eccentricity of src within its component is returned.
+// Push claims race through CAS; pull adoptions write plainly, since each
+// candidate belongs to exactly one worker. If the engine's context is
+// cancelled the search stops at the next barrier, dist is partial and Err
+// reports the cause.
+func (e *Engine) BFS(src NodeID, dist []int32) (ecc int32) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	e.Reset()
+	e.Seed(src)
+	dist[src] = 0
+	for d := int32(1); e.FrontierLen() > 0; d++ {
+		rs := e.Step(StepSpec{
+			Push: func(_ int, _, v NodeID) bool { return atomic.CompareAndSwapInt32(&dist[v], -1, d) },
+			Pull: func(_ int, v, _ NodeID) bool {
+				dist[v] = d
+				return true
+			},
+		})
+		if rs.Claimed > 0 {
+			ecc = d
+		}
+	}
+	return ecc
 }
 
 // gatherBufs concatenates the per-worker claim buffers, in worker order,

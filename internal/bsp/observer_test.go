@@ -1,7 +1,6 @@
 package bsp_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bsp"
@@ -13,12 +12,6 @@ import (
 // with Stats.Add, must reconstruct the engine's own post-hoc totals.
 func TestEngineObserverDeltasSumToStats(t *testing.T) {
 	g := lowDiameterGraph()
-	n := g.NumNodes()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[0] = 0
 	e := bsp.NewEngine(g, 4)
 	defer e.Close()
 	e.SetDirection(bsp.DirAuto)
@@ -28,19 +21,7 @@ func TestEngineObserverDeltasSumToStats(t *testing.T) {
 		seen.Add(d)
 		emissions++
 	})
-	e.Seed(0)
-	for depth := int32(1); e.FrontierLen() > 0; depth++ {
-		d := depth
-		e.Step(bsp.StepSpec{
-			Push: func(_ int, u, v graph.NodeID) bool {
-				return atomic.CompareAndSwapInt32(&dist[v], -1, d)
-			},
-			Pull: func(_ int, v, u graph.NodeID) bool {
-				dist[v] = d
-				return true
-			},
-		})
-	}
+	e.BFS(0, make([]int32, g.NumNodes()))
 	want := e.Stats()
 	if seen != want {
 		t.Fatalf("accumulated observer deltas %+v != engine stats %+v", seen, want)

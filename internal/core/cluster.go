@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // Cluster runs the paper's Algorithm 1, CLUSTER(τ): it partitions the nodes
@@ -39,61 +38,22 @@ func ClusterContext(ctx context.Context, g *graph.Graph, tau int, opt Options) (
 	if tau < 1 {
 		return nil, errors.New("core: Cluster requires tau >= 1")
 	}
-	opt = opt.withDefaults()
-	n := g.NumNodes()
 	gr := newGrower(g, opt)
 	gr.e.SetContext(ctx)
-
-	logn := log2n(n)
-	threshold := opt.ThresholdFactor * float64(tau) * logn
-	seed := rng.Mix64(opt.Seed, 0xc105_7e12, uint64(tau))
-
-	batches := 0
-	var centers []graph.NodeID
-	for ctx.Err() == nil && float64(gr.uncovered()) >= threshold {
-		uncovered := gr.uncovered()
-		p := opt.CenterFactor * float64(tau) * logn / float64(uncovered)
-		batch := uint64(batches)
-		centers = gr.selectUncovered(centers[:0], func(u graph.NodeID) bool {
-			return rng.Coin(p, seed, batch, uint64(u))
-		})
-		if len(centers) == 0 && gr.frontierLen() == 0 {
-			// Guard: nothing can grow and nothing was sampled; force one
-			// center so the iteration makes progress.
-			for u := 0; u < n; u++ {
-				if gr.owner[u] == -1 { //lint:allow plainatomic between-rounds barrier, no writers live
-					centers = append(centers, graph.NodeID(u))
-					break
-				}
-			}
-		}
-		for _, u := range centers {
-			gr.addCenter(u)
-		}
-		batches++
-
-		// Grow all clusters, old and new, until at least half of the nodes
-		// that were uncovered at batch start are covered.
-		target := (uncovered + 1) / 2
-		claimed := len(centers) // centers cover themselves
-		for claimed < target {
-			got := gr.step()
-			if got == 0 {
-				break // all frontiers exhausted; activate the next batch
-			}
-			claimed += got
-		}
+	batches, err := opt.Schedule(gr, g.NumNodes(), tau, ClusterTag)
+	if err == nil {
+		err = ctx.Err()
 	}
-
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		gr.abort()
 		return nil, err
 	}
 
-	// Remaining uncovered nodes become singleton clusters.
-	rest := gr.selectUncovered(nil, func(graph.NodeID) bool { return true })
+	// Remaining uncovered nodes become singleton clusters (the BSP grower's
+	// selection is a local scan and never fails).
+	rest, _ := gr.SelectUncovered(nil, func(graph.NodeID) bool { return true })
 	for _, u := range rest {
-		gr.addCenter(u)
+		gr.AddCenter(u)
 	}
 	return gr.finish(batches), nil
 }

@@ -58,21 +58,23 @@ func cluster2With(ctx context.Context, g *graph.Graph, rAlg int32, opt Options) 
 	}
 	var centers []graph.NodeID
 	batches := 0
-	for i := 1; i <= iters && gr.uncovered() > 0 && ctx.Err() == nil; i++ {
+	for i := 1; i <= iters && gr.Uncovered() > 0 && ctx.Err() == nil; i++ {
 		p := math.Pow(2, float64(i)) / float64(n)
 		if i == iters {
 			p = 1 // final iteration covers every remaining node
 		}
 		it := uint64(i)
-		centers = gr.selectUncovered(centers[:0], func(u graph.NodeID) bool {
+		// The grower's selection never fails, and a cancelled Step reports
+		// !live; the loop condition picks the cancellation up.
+		centers, _ = gr.SelectUncovered(centers[:0], func(u graph.NodeID) bool {
 			return rng.Coin(p, seed, it, uint64(u))
 		})
 		for _, u := range centers {
-			gr.addCenter(u)
+			gr.AddCenter(u)
 		}
 		batches++
 		for s := int32(0); s < 2*rAlg; s++ {
-			if gr.step() == 0 {
+			if _, live, _ := gr.Step(); !live {
 				break
 			}
 		}

@@ -37,14 +37,15 @@ type Clustering struct {
 func (c *Clustering) NumClusters() int { return len(c.Centers) }
 
 // MaxRadius returns the maximum cluster radius R_ALG.
-func (c *Clustering) MaxRadius() int32 {
-	var r int32
-	for _, x := range c.Radii {
-		if x > r {
-			r = x
-		}
+func (c *Clustering) MaxRadius() int32 { return maxOf(c.Radii) }
+
+// maxOf returns the largest element of xs, 0 if there is none (radii are
+// non-negative).
+func maxOf[T int32 | int64](xs []T) (m T) {
+	for _, x := range xs {
+		m = max(m, x)
 	}
-	return r
+	return m
 }
 
 // ClusterSizes returns the number of nodes in each cluster.

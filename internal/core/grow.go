@@ -10,8 +10,9 @@ import (
 // grower is the shared engine for disjoint parallel cluster growing: it
 // maintains the ownership and distance arrays and advances all active
 // clusters one synchronous BSP round at a time on the direction-optimizing
-// traversal engine. CLUSTER and CLUSTER2 (and the package mpx, via its own
-// variant) are thin drivers around it.
+// traversal engine. It is the BSP implementation of Growth: CLUSTER drives
+// it through Options.Schedule, CLUSTER2 through its own iteration loop (the
+// package mpx grows on its own variant).
 type grower struct {
 	g       *graph.Graph
 	e       *bsp.Engine
@@ -39,35 +40,40 @@ func newGrower(g *graph.Graph, opt Options) *grower {
 	return gr
 }
 
-func (gr *grower) uncovered() int { return gr.g.NumNodes() - gr.covered }
+// The Growth methods, as the batch schedule sees the grower.
 
-func (gr *grower) frontierLen() int { return gr.e.FrontierLen() }
+func (gr *grower) Uncovered() int { return gr.g.NumNodes() - gr.covered }
 
-// addCenter makes u the center of a fresh singleton cluster and returns the
-// cluster index. u must be uncovered. Not safe for concurrent use: centers
-// are added between growth rounds, matching the algorithm structure.
+func (gr *grower) Idle() bool { return gr.e.FrontierLen() == 0 }
+
+//lint:allow plainatomic between-rounds barrier, no writers live
+func (gr *grower) Covered(u graph.NodeID) bool { return gr.owner[u] != -1 }
+
+// AddCenter makes u the center of a fresh singleton cluster. u must be
+// uncovered. Not safe for concurrent use: centers are added between growth
+// rounds, matching the algorithm structure.
 //
 //lint:allow plainatomic between-rounds barrier phase, no concurrent writers
-func (gr *grower) addCenter(u graph.NodeID) int {
+func (gr *grower) AddCenter(u graph.NodeID) {
 	if gr.owner[u] != -1 {
-		panic("core: addCenter on covered node")
+		panic("core: AddCenter on covered node")
 	}
-	id := len(gr.centers)
+	gr.owner[u] = int32(len(gr.centers))
 	gr.centers = append(gr.centers, u)
-	gr.owner[u] = int32(id)
 	gr.dist[u] = 0
 	gr.e.Seed(u)
 	gr.covered++
-	return id
 }
 
-// step grows every active cluster by one round and returns the number of
-// newly covered nodes. Top-down rounds have each frontier node claim its
-// uncovered neighbors (CAS, arbitrary winner under contention, as the
-// paper allows); bottom-up rounds have each uncovered node adopt its first
-// frontier neighbor in adjacency order — deterministic, so the pull
-// direction strengthens the schedule-independence of the round.
-func (gr *grower) step() int {
+// Step grows every active cluster by one round and returns the number of
+// newly covered nodes; a round that covers nothing means every frontier is
+// exhausted, and a cancelled engine context surfaces as the error.
+// Top-down rounds have each frontier node claim its uncovered neighbors
+// (CAS, arbitrary winner under contention, as the paper allows); bottom-up
+// rounds have each uncovered node adopt its first frontier neighbor in
+// adjacency order — deterministic, so the pull direction strengthens the
+// schedule-independence of the round.
+func (gr *grower) Step() (claimed int, live bool, err error) {
 	owner, dist := gr.owner, gr.dist
 	rs := gr.e.Step(bsp.StepSpec{
 		Push: func(_ int, u, v graph.NodeID) bool {
@@ -90,21 +96,20 @@ func (gr *grower) step() int {
 			return true
 		},
 	})
-	if rs.Frontier == 0 {
-		return 0
+	if rs.Frontier > 0 {
+		gr.steps++
+		gr.covered += rs.Claimed
 	}
-	gr.steps++
-	gr.covered += rs.Claimed
-	return rs.Claimed
+	return rs.Claimed, rs.Claimed > 0, gr.e.Err()
 }
 
-// selectUncovered appends to dst every uncovered node u for which pick(u)
+// SelectUncovered appends to dst every uncovered node u for which pick(u)
 // is true, scanning in parallel (on the engine's persistent pool) but
 // returning nodes in ascending id order so center numbering is
-// deterministic.
+// deterministic. It never fails.
 //
 //lint:allow plainatomic read-only scan between growth rounds, no writers live
-func (gr *grower) selectUncovered(dst []graph.NodeID, pick func(u graph.NodeID) bool) []graph.NodeID {
+func (gr *grower) SelectUncovered(dst []graph.NodeID, pick func(u graph.NodeID) bool) ([]graph.NodeID, error) {
 	n := gr.g.NumNodes()
 	w := gr.e.NumWorkers()
 	parts := make([][]graph.NodeID, w)
@@ -120,7 +125,7 @@ func (gr *grower) selectUncovered(dst []graph.NodeID, pick func(u graph.NodeID) 
 	for _, p := range parts {
 		dst = append(dst, p...)
 	}
-	return dst
+	return dst, nil
 }
 
 // abort releases the engine's worker pool without producing a clustering —

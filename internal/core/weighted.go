@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
-	"repro/internal/rng"
+	"repro/internal/quotient"
 )
 
 // Weighted-graph extension. The paper's Section 7 names the extension to
@@ -61,26 +61,10 @@ type WeightedClustering struct {
 func (c *WeightedClustering) NumClusters() int { return len(c.Centers) }
 
 // MaxWeightedRadius returns the maximum weighted radius.
-func (c *WeightedClustering) MaxWeightedRadius() int64 {
-	var r int64
-	for _, x := range c.WRadii {
-		if x > r {
-			r = x
-		}
-	}
-	return r
-}
+func (c *WeightedClustering) MaxWeightedRadius() int64 { return maxOf(c.WRadii) }
 
 // MaxHopRadius returns the maximum hop radius.
-func (c *WeightedClustering) MaxHopRadius() int32 {
-	var r int32
-	for _, x := range c.HopRadii {
-		if x > r {
-			r = x
-		}
-	}
-	return r
-}
+func (c *WeightedClustering) MaxHopRadius() int32 { return maxOf(c.HopRadii) }
 
 // Validate checks the partition invariants: full coverage, centers at
 // distance zero, and every non-center node claimed through an incident
@@ -144,83 +128,37 @@ func WeightedClusterContext(ctx context.Context, wg *graph.Weighted, tau int, op
 	if tau < 1 {
 		return nil, errors.New("core: WeightedCluster requires tau >= 1")
 	}
-	opt = opt.withDefaults()
 	n := wg.NumNodes()
 	if n == 0 {
 		return nil, errors.New("core: WeightedCluster on empty graph")
 	}
-	seed := rng.Mix64(opt.Seed, 0x3e19_77ed, uint64(tau))
-
 	e := bsp.NewWeightedEngine(wg, opt.Workers, opt.Delta)
 	defer e.Close()
 	e.SetContext(ctx)
 	e.SetObserver(opt.Observer)
 	e.GrowInit()
-
-	var centers []graph.NodeID
-	addCenter := func(u graph.NodeID) {
-		e.AddSource(u, graph.NodeID(len(centers)))
-		centers = append(centers, u)
-	}
-
-	// Batch schedule: like CLUSTER(τ), a new center batch activates every
-	// time the covered set halves the remainder. Coverage is settled
-	// coverage — tentative claims sitting in unprocessed buckets do not
-	// count, and such nodes remain eligible as centers (a fresh center's
-	// distance-zero claim overrides any tentative one).
-	logn := log2n(n)
-	threshold := opt.ThresholdFactor * float64(tau) * logn
-	batch := 0
-	for ctx.Err() == nil && float64(n-e.SettledCount()) >= threshold {
-		uncovered := n - e.SettledCount()
-		p := opt.CenterFactor * float64(tau) * logn / float64(uncovered)
-		selected := 0
-		for u := 0; u < n; u++ {
-			if !e.Settled(graph.NodeID(u)) && rng.Coin(p, seed, uint64(batch), uint64(u)) {
-				addCenter(graph.NodeID(u))
-				selected++
-			}
-		}
-		if selected == 0 && !e.HasPending() {
-			// Nothing active can make progress: force one center.
-			for u := 0; u < n; u++ {
-				if !e.Settled(graph.NodeID(u)) {
-					addCenter(graph.NodeID(u))
-					selected++
-					break
-				}
-			}
-		}
-		batch++
-		target := (uncovered + 1) / 2
-		base := e.SettledCount() - selected // fresh centers cover themselves
-		for e.SettledCount()-base < target {
-			ok, err := e.ProcessBucket()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-		}
+	gr := &weightedGrowth{e: e, n: n}
+	if _, err := opt.Schedule(gr, n, tau, 0x3e19_77ed); err != nil {
+		return nil, err
 	}
 	// Drain: let the active clusters grow to their Voronoi fixpoint, so
 	// every reachable node's distance is exact and every claim chain is
 	// consistent. Whatever remains (other components) becomes singletons.
 	for {
-		ok, err := e.ProcessBucket()
+		_, live, err := gr.Step()
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if !live {
 			break
 		}
 	}
-	for u := 0; u < n; u++ {
-		if !e.Settled(graph.NodeID(u)) {
-			addCenter(graph.NodeID(u))
+	for u := graph.NodeID(0); int(u) < n; u++ {
+		if !gr.Covered(u) {
+			gr.AddCenter(u)
 		}
 	}
+	centers := gr.centers
 
 	owner := make([]graph.NodeID, n)
 	wdist := make([]int64, n)
@@ -244,14 +182,45 @@ func WeightedClusterContext(ctx context.Context, wg *graph.Weighted, tau int, op
 	}
 	for u := 0; u < n; u++ {
 		o := owner[u]
-		if wdist[u] > wc.WRadii[o] {
-			wc.WRadii[o] = wdist[u]
-		}
-		if hop[u] > wc.HopRadii[o] {
-			wc.HopRadii[o] = hop[u]
-		}
+		wc.WRadii[o] = max(wc.WRadii[o], wdist[u])
+		wc.HopRadii[o] = max(wc.HopRadii[o], hop[u])
 	}
 	return wc, nil
+}
+
+// weightedGrowth is the delta-stepping engine's multi-source growth as the
+// batch schedule sees it. Coverage is settled coverage — tentative claims
+// sitting in unprocessed buckets do not count, and such nodes remain
+// eligible as centers (a fresh center's distance-zero claim overrides any
+// tentative one) — and one Step settles one bucket.
+type weightedGrowth struct {
+	e       *bsp.WeightedEngine
+	n       int
+	centers []graph.NodeID
+}
+
+func (gr *weightedGrowth) Uncovered() int              { return gr.n - gr.e.SettledCount() }
+func (gr *weightedGrowth) Covered(u graph.NodeID) bool { return gr.e.Settled(u) }
+func (gr *weightedGrowth) Idle() bool                  { return !gr.e.HasPending() }
+
+func (gr *weightedGrowth) AddCenter(u graph.NodeID) {
+	gr.e.AddSource(u, graph.NodeID(len(gr.centers)))
+	gr.centers = append(gr.centers, u)
+}
+
+func (gr *weightedGrowth) SelectUncovered(dst []graph.NodeID, pick func(graph.NodeID) bool) ([]graph.NodeID, error) {
+	for u := graph.NodeID(0); int(u) < gr.n; u++ {
+		if !gr.e.Settled(u) && pick(u) {
+			dst = append(dst, u)
+		}
+	}
+	return dst, nil
+}
+
+func (gr *weightedGrowth) Step() (claimed int, live bool, err error) {
+	before := gr.e.SettledCount()
+	live, err = gr.e.ProcessBucket()
+	return gr.e.SettledCount() - before, live, err
 }
 
 // hopDistances recovers per-node hop distances along the shortest-path
@@ -324,48 +293,17 @@ func ApproxDiameterWeighted(wg *graph.Weighted, tau int, opt Options) (*Weighted
 	if err != nil {
 		return nil, err
 	}
-	k := wc.NumClusters()
 	// Weighted quotient: min over crossing edges of WDist[a]+w+WDist[b].
-	minW := make(map[uint64]int64)
+	acc := quotient.NewAccumulator(wc.NumClusters())
 	for u := graph.NodeID(0); int(u) < wg.NumNodes(); u++ {
 		nbrs, ws := wg.Neighbors(u)
 		for i, v := range nbrs {
-			if u >= v || wc.Owner[u] == wc.Owner[v] {
-				continue
-			}
-			a, b := wc.Owner[u], wc.Owner[v]
-			if a > b {
-				a, b = b, a
-			}
-			key := uint64(uint32(a))<<32 | uint64(uint32(b))
-			w := wc.WDist[u] + int64(ws[i]) + wc.WDist[v]
-			if cur, ok := minW[key]; !ok || w < cur {
-				minW[key] = w
+			if u < v {
+				acc.Offer(wc.Owner[u], wc.Owner[v], wc.WDist[u]+int64(ws[i])+wc.WDist[v])
 			}
 		}
 	}
-	// Emit the quotient edges in sorted key order: adjacency order feeds
-	// graph.NewWeighted, so map iteration here would leak nondeterminism
-	// into the quotient traversal.
-	keys := make([]uint64, 0, len(minW))
-	//lint:allow mapiter keys are sorted immediately below
-	for key := range minW {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	edges := make([][2]graph.NodeID, 0, len(minW))
-	weights := make([]int32, 0, len(minW))
-	for _, key := range keys {
-		w := minW[key]
-		a := graph.NodeID(key >> 32)
-		b := graph.NodeID(uint32(key))
-		edges = append(edges, [2]graph.NodeID{a, b})
-		if w > int64(1<<30) {
-			w = 1 << 30 // clamp pathological weights to keep int32 edges
-		}
-		weights = append(weights, int32(w))
-	}
-	q, err := graph.NewWeighted(k, edges, weights)
+	q, err := acc.Weighted()
 	if err != nil {
 		return nil, err
 	}

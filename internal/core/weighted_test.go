@@ -230,3 +230,20 @@ func TestApproxDiameterWeightedUnitMatchesUnweightedPipeline(t *testing.T) {
 		t.Fatalf("unit-weight upper %d too loose vs %d", res.Upper, truth)
 	}
 }
+
+// Quotient edge weights are int32. A crossing that fits must be carried at
+// its true length — the 3-node path below was once clamped DOWN to 2³⁰ per
+// edge, which shortened the quotient path and put the "certified" Upper
+// below the true diameter. (A crossing that does not fit is an error, never
+// a shorter edge: quotient's TestAccumulatorRejectsWeightBeyondInt32.)
+func TestApproxDiameterWeightedNeverShortensQuotientEdges(t *testing.T) {
+	const w = 1<<30 + 5
+	path := graph.MustWeighted(3, [][2]graph.NodeID{{0, 1}, {1, 2}}, []int32{w, w})
+	res, err := ApproxDiameterWeighted(path, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if truth := path.DiameterExhaustiveWeighted(); truth != 2*w || res.Upper < truth {
+		t.Fatalf("Upper %d below the true diameter %d", res.Upper, truth)
+	}
+}

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces an immutable CSR Graph.
@@ -48,56 +48,44 @@ func (b *Builder) AddEdge(u, v NodeID) {
 // Build produces the CSR graph. The builder remains usable afterwards
 // (further edges may be added and Build called again).
 func (b *Builder) Build() *Graph {
-	pairs := make([]uint64, len(b.pairs))
-	copy(pairs, b.pairs)
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	// Deduplicate.
-	uniq := pairs[:0]
-	var last uint64
-	for i, p := range pairs {
-		if i == 0 || p != last {
-			uniq = append(uniq, p)
-			last = p
-		}
-	}
-	pairs = uniq
+	pairs := slices.Clone(b.pairs)
+	slices.Sort(pairs)
+	xadj, adj, _ := fillCSR(b.n, slices.Compact(pairs), nil)
+	return &Graph{xadj: xadj, adj: adj}
+}
 
-	n := b.n
-	deg := make([]int64, n+1)
+// fillCSR lays out sorted, duplicate-free packed pairs as symmetric CSR
+// arrays; ws, if non-nil, holds one weight per pair and is laid out in
+// parallel with adj. packPair orders by (min, max) endpoint, so node u
+// receives first its smaller neighbors (from the pairs (w, u), in
+// increasing w) and then its larger ones (from the pairs (u, v), in
+// increasing v): every adjacency list comes out strictly increasing, the
+// canonical layout of both Graph and Weighted.
+func fillCSR(n int, pairs []uint64, ws []int32) (xadj []int64, adj []NodeID, w []int32) {
+	xadj = make([]int64, n+1)
 	for _, p := range pairs {
 		u, v := unpackPair(p)
-		deg[u+1]++
-		deg[v+1]++
+		xadj[u+1]++
+		xadj[v+1]++
 	}
 	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
+		xadj[i+1] += xadj[i]
 	}
-	xadj := deg
-	adj := make([]NodeID, 2*len(pairs))
-	cursor := make([]int64, n)
-	for i := range cursor {
-		cursor[i] = xadj[i]
+	adj = make([]NodeID, 2*len(pairs))
+	if ws != nil {
+		w = make([]int32, 2*len(pairs))
 	}
-	for _, p := range pairs {
+	cursor := slices.Clone(xadj[:n])
+	for i, p := range pairs {
 		u, v := unpackPair(p)
-		adj[cursor[u]] = v
-		cursor[u]++
-		adj[cursor[v]] = u
-		cursor[v]++
-	}
-	// Each adjacency list must be sorted. Arcs (u, v) with fixed u were
-	// appended in increasing v order only for the "min" endpoints; the
-	// reverse arcs interleave, so sort each list (cheap: lists are short on
-	// average and already mostly ordered).
-	g := &Graph{xadj: xadj, adj: adj}
-	for u := 0; u < n; u++ {
-		lo, hi := xadj[u], xadj[u+1]
-		list := adj[lo:hi]
-		if !sort.SliceIsSorted(list, func(i, j int) bool { return list[i] < list[j] }) {
-			sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		cu, cv := cursor[u], cursor[v]
+		adj[cu], adj[cv] = v, u
+		if ws != nil {
+			w[cu], w[cv] = ws[i], ws[i]
 		}
+		cursor[u], cursor[v] = cu+1, cv+1
 	}
-	return g
+	return xadj, adj, w
 }
 
 // FromEdges builds a graph with n nodes from the given undirected edge list.

@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Weighted is an undirected graph with positive integer edge weights in CSR
@@ -24,7 +25,11 @@ func NewWeighted(n int, edges [][2]NodeID, weights []int32) (*Weighted, error) {
 	if len(edges) != len(weights) {
 		return nil, fmt.Errorf("graph: NewWeighted: %d edges with %d weights", len(edges), len(weights))
 	}
-	min := make(map[uint64]int32, len(edges))
+	type arc struct {
+		pair uint64
+		w    int32
+	}
+	arcs := make([]arc, 0, len(edges))
 	for i, e := range edges {
 		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
 			return nil, fmt.Errorf("graph: NewWeighted: edge (%d,%d) out of range for %d nodes", e[0], e[1], n)
@@ -35,47 +40,19 @@ func NewWeighted(n int, edges [][2]NodeID, weights []int32) (*Weighted, error) {
 		if weights[i] <= 0 {
 			return nil, fmt.Errorf("graph: NewWeighted: non-positive weight %d on edge (%d,%d)", weights[i], e[0], e[1])
 		}
-		key := packPair(e[0], e[1])
-		if cur, ok := min[key]; !ok || weights[i] < cur {
-			min[key] = weights[i]
-		}
+		arcs = append(arcs, arc{packPair(e[0], e[1]), weights[i]})
 	}
-	// Fill adjacency in sorted key order: packPair orders by (min, max)
-	// endpoint, which yields strictly increasing per-node lists — the same
-	// canonical layout Builder produces for unweighted graphs. This keeps
-	// construction deterministic (map iteration order is randomized) so
-	// tie-breaking in downstream algorithms is reproducible.
-	keys := make([]uint64, 0, len(min))
-	for key := range min {
-		keys = append(keys, key)
+	// Sort by (pair, weight) and keep the first arc of every pair: the
+	// minimum weight survives, and the input order never shows in the
+	// layout, so tie-breaking in downstream algorithms is reproducible.
+	slices.SortFunc(arcs, func(a, b arc) int { return cmp.Or(cmp.Compare(a.pair, b.pair), cmp.Compare(a.w, b.w)) })
+	arcs = slices.CompactFunc(arcs, func(a, b arc) bool { return a.pair == b.pair })
+	pairs, ws := make([]uint64, len(arcs)), make([]int32, len(arcs))
+	for i, a := range arcs {
+		pairs[i], ws[i] = a.pair, a.w
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	deg := make([]int64, n+1)
-	for _, key := range keys {
-		u, v := unpackPair(key)
-		deg[u+1]++
-		deg[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
-	}
-	wg := &Weighted{
-		xadj: deg,
-		adj:  make([]NodeID, 2*len(keys)),
-		w:    make([]int32, 2*len(keys)),
-	}
-	cursor := make([]int64, n)
-	for i := range cursor {
-		cursor[i] = wg.xadj[i]
-	}
-	for _, key := range keys {
-		u, v := unpackPair(key)
-		wt := min[key]
-		wg.adj[cursor[u]], wg.w[cursor[u]] = v, wt
-		cursor[u]++
-		wg.adj[cursor[v]], wg.w[cursor[v]] = u, wt
-		cursor[v]++
-	}
+	wg := &Weighted{}
+	wg.xadj, wg.adj, wg.w = fillCSR(n, pairs, ws)
 	return wg, nil
 }
 
@@ -88,10 +65,6 @@ func MustWeighted(n int, edges [][2]NodeID, weights []int32) *Weighted {
 	}
 	return wg
 }
-
-// MaxDegree returns the maximum degree and one node attaining it.
-// On the empty graph it returns (0, None).
-func (g *Weighted) MaxDegree() (int, NodeID) { return maxDegree(g) }
 
 // NumNodes returns the number of nodes.
 func (g *Weighted) NumNodes() int {
@@ -113,19 +86,9 @@ func (g *Weighted) Neighbors(u NodeID) ([]NodeID, []int32) {
 	return g.adj[g.xadj[u]:g.xadj[u+1]], g.w[g.xadj[u]:g.xadj[u+1]]
 }
 
-// Unweighted returns the same topology with all weights discarded.
-func (g *Weighted) Unweighted() *Graph {
-	b := NewBuilder(g.NumNodes())
-	for u := NodeID(0); u < NodeID(g.NumNodes()); u++ {
-		nbrs, _ := g.Neighbors(u)
-		for _, v := range nbrs {
-			if u < v {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Build()
-}
+// Topology returns the same graph with the weights discarded: a view
+// sharing this graph's CSR arrays, not a copy.
+func (g *Weighted) Topology() *Graph { return &Graph{xadj: g.xadj, adj: g.adj} }
 
 // InfDist marks unreachable nodes in weighted distance arrays.
 const InfDist int64 = 1 << 62
@@ -156,17 +119,17 @@ func (h *distHeap) Pop() interface{} {
 // distances are tested to match this one bit for bit.
 func (g *Weighted) Dijkstra(src NodeID) []int64 {
 	dist := make([]int64, g.NumNodes())
-	for i := range dist {
-		dist[i] = InfDist
-	}
 	g.DijkstraInto(src, dist)
 	return dist
 }
 
-// DijkstraInto runs Dijkstra from src into caller storage (pre-filled with
-// InfDist) and returns the weighted eccentricity of src within its
-// component (0 if src is isolated).
+// DijkstraInto runs Dijkstra from src, overwriting the caller's dist (len
+// NumNodes; unreachable nodes get InfDist), and returns the weighted
+// eccentricity of src within its component (0 if src is isolated).
 func (g *Weighted) DijkstraInto(src NodeID, dist []int64) int64 {
+	for i := range dist {
+		dist[i] = InfDist
+	}
 	h := make(distHeap, 0, 64)
 	dist[src] = 0
 	heap.Push(&h, heapItem{src, 0})
@@ -194,11 +157,7 @@ func (g *Weighted) DijkstraInto(src NodeID, dist []int64) int64 {
 // WeightedEccentricity returns the maximum weighted distance from src to
 // any reachable node.
 func (g *Weighted) WeightedEccentricity(src NodeID) int64 {
-	dist := make([]int64, g.NumNodes())
-	for i := range dist {
-		dist[i] = InfDist
-	}
-	return g.DijkstraInto(src, dist)
+	return g.DijkstraInto(src, make([]int64, g.NumNodes()))
 }
 
 // DiameterExhaustiveWeighted computes the exact weighted diameter by
@@ -209,9 +168,6 @@ func (g *Weighted) DiameterExhaustiveWeighted() int64 {
 	dist := make([]int64, n)
 	var diam int64
 	for u := 0; u < n; u++ {
-		for i := range dist {
-			dist[i] = InfDist
-		}
 		if e := g.DijkstraInto(NodeID(u), dist); e > diam {
 			diam = e
 		}

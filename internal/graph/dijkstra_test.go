@@ -95,7 +95,7 @@ func TestNewWeightedRejectsBadInput(t *testing.T) {
 func TestWeightedUnweightedRoundTrip(t *testing.T) {
 	g := Mesh(6, 6)
 	wg := unitWeighted(g)
-	g2 := wg.Unweighted()
+	g2 := wg.Topology()
 	if g2.NumEdges() != g.NumEdges() || g2.NumNodes() != g.NumNodes() {
 		t.Fatal("round trip changed graph size")
 	}

@@ -3,58 +3,30 @@ package graph
 import (
 	"context"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/bsp"
 )
 
 // Exact diameter computation via the iFUB (iterative Fringe Upper Bound)
 // method of Crescenzi et al. [10 in the paper]. iFUB computes the exact
-// diameter of an unweighted connected graph using, in practice, far fewer
-// BFS runs than full APSP: pick a root r (here via a double sweep), and
-// scan nodes in decreasing distance from r; the eccentricity of the nodes
-// at level i, plus the bound 2i for everything below, pinch the diameter.
+// diameter of a connected graph using, in practice, far fewer searches
+// than full APSP: pick a root r (here via the 4-sweep), and scan nodes in
+// decreasing distance from r; the eccentricity of the nodes at level i,
+// plus the bound 2i for everything below, pinch the diameter.
 //
-// Each BFS runs on one shared direction-optimizing bsp.Engine (persistent
-// worker pool, push/pull switching), which matters because the repeated
-// full BFS here is the dominant cost of exact ground truth. The weighted
-// analogue (ExactDiameterWeighted, used for weighted quotient graphs) rides
-// the engine layer too: Dijkstra's strict priority order does not map onto
-// unit-step frontier supersteps, but delta-stepping's bucketed relaxation
-// schedule does, so its searches run on one shared bsp.WeightedEngine and
-// only graph.Dijkstra remains as the sequential reference.
+// The method is written once, generic in the distance type, against two
+// closures: a full single-source search and a walk-back-one-step along a
+// shortest path. ExactDiameter plugs in BFS on one shared
+// direction-optimizing bsp.Engine; ExactDiameterWeighted plugs in
+// delta-stepping SSSP on one shared bsp.WeightedEngine (Dijkstra's strict
+// priority order does not map onto supersteps, the bucketed relaxation
+// schedule does), leaving graph.Dijkstra as the sequential reference only.
 
-// engineBFSInto runs one BFS from src on the shared engine, filling dist
-// (which must be pre-filled with -1) and returning the eccentricity of src
-// within its component. Push claims race through CAS; pull adoptions write
-// plainly, since each candidate belongs to exactly one worker.
-func engineBFSInto(e *bsp.Engine, src NodeID, dist []int32) int32 {
-	e.Reset()
-	e.Seed(src)
-	dist[src] = 0
-	ecc := int32(0)
-	for depth := int32(1); e.FrontierLen() > 0; depth++ {
-		d := depth
-		rs := e.Step(bsp.StepSpec{
-			Push: func(_ int, u, v NodeID) bool {
-				return atomic.CompareAndSwapInt32(&dist[v], -1, d)
-			},
-			Pull: func(_ int, v, u NodeID) bool {
-				dist[v] = d
-				return true
-			},
-		})
-		if rs.Claimed > 0 {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
-// ExactDiameter computes the exact diameter of the graph. On a
-// disconnected graph it returns the maximum diameter over components.
-// maxBFS bounds the number of BFS runs (0 means unlimited); if the bound is
-// hit, the result is the best lower bound found and exact is false.
+// ExactDiameter computes the exact diameter of the graph; on a
+// disconnected graph, the maximum diameter over its components. maxBFS
+// bounds the total number of BFS runs, shared by all components (0 means
+// unlimited); if the bound is hit, the result is the best lower bound
+// found and exact is false.
 func (g *Graph) ExactDiameter(maxBFS int) (diam int32, exact bool) {
 	// A background context never cancels, so the error is unreachable.
 	//lint:allow background public non-cancellable wrapper; ExactDiameterContext is the cancellable form
@@ -68,238 +40,31 @@ func (g *Graph) ExactDiameter(maxBFS int) (diam int32, exact bool) {
 // the bounds discarded. The serving layer uses it so an abandoned diameter
 // build does not keep burning Θ(n) BFS runs.
 func (g *Graph) ExactDiameterContext(ctx context.Context, maxBFS int) (diam int32, exact bool, err error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0, true, nil
-	}
-	labels, k := g.ConnectedComponents()
-	if k > 1 {
-		// Handle each component independently.
-		exact = true
-		for c := 0; c < k; c++ {
-			cc := int32(c)
-			sub, _ := g.inducedSubgraph(func(u NodeID) bool { return labels[u] == cc }, 0)
-			d, ex, err := sub.ExactDiameterContext(ctx, maxBFS)
-			if err != nil {
-				return 0, false, err
-			}
-			if d > diam {
-				diam = d
-			}
-			exact = exact && ex
-		}
-		return diam, exact, nil
-	}
-	return g.ifub(ctx, maxBFS)
-}
-
-func (g *Graph) ifub(ctx context.Context, maxBFS int) (int32, bool, error) {
-	n := g.NumNodes()
-	budget := maxBFS
-	// spend gates each search: false on a cancelled context or an exhausted
-	// budget. Every `if !spend()` return passes ctx.Err() through, so the
-	// cancelled case surfaces as an error and the budget case as an inexact
-	// (lower-bound) result.
-	spend := func() bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		if maxBFS == 0 {
-			return true
-		}
-		if budget == 0 {
-			return false
-		}
-		budget--
-		return true
-	}
-
 	e := bsp.NewEngine(g, 0)
 	e.SetContext(ctx)
 	defer e.Close()
-	dist := make([]int32, n)
-	reset := func() {
-		for i := range dist {
-			dist[i] = -1
-		}
-	}
-
-	// Root selection by the 4-sweep scheme (Crescenzi et al.): two double
-	// sweeps yield two far-apart extremes a and c; the root minimizing
-	// max(dist_a, dist_c) sits "between" them, which keeps the level
-	// distribution shallow. A naive midpoint walk can land on a corner of a
-	// grid-like graph (e.g. walking the boundary of a mesh), leaving half
-	// the nodes above the pruning level; the argmin-of-max root avoids
-	// exactly that failure mode.
-	_, start := g.MaxDegree()
-	if !spend() {
-		return 0, false, ctx.Err()
-	}
-	reset()
-	engineBFSInto(e, start, dist)
-	a := argMax32(dist)
-	if !spend() {
-		return 0, false, ctx.Err()
-	}
-	distA := make([]int32, n)
-	for i := range distA {
-		distA[i] = -1
-	}
-	eccA := engineBFSInto(e, a, distA)
-	b := argMax32(distA)
-	lower := eccA
-
-	// First midpoint: walk back from b toward a.
-	r1 := b
-	for step := int32(0); step < eccA/2; step++ {
-		for _, w := range g.Neighbors(r1) {
-			if distA[w] == distA[r1]-1 {
-				r1 = w
-				break
-			}
-		}
-	}
-	if !spend() {
-		return lower, false, ctx.Err()
-	}
-	reset()
-	eccR1 := engineBFSInto(e, r1, dist)
-	if eccR1 > lower {
-		lower = eccR1
-	}
-	c := argMax32(dist)
-	if !spend() {
-		return lower, false, ctx.Err()
-	}
-	distC := make([]int32, n)
-	for i := range distC {
-		distC[i] = -1
-	}
-	eccC := engineBFSInto(e, c, distC)
-	if eccC > lower {
-		lower = eccC
-	}
-
-	// Third reference: b itself (one more BFS). On grid-like graphs a and c
-	// can end up on the same side (two corners of one row), in which case
-	// argmin-max over just the two still lands on the boundary; adding b
-	// pins the root to the true center.
-	if !spend() {
-		return lower, false, ctx.Err()
-	}
-	distB := make([]int32, n)
-	for i := range distB {
-		distB[i] = -1
-	}
-	if ecc := engineBFSInto(e, b, distB); ecc > lower {
-		lower = ecc
-	}
-
-	// Root: the node minimizing max(dist_a, dist_b, dist_c).
-	r := NodeID(0)
-	best := int32(1<<31 - 1)
-	for u := 0; u < n; u++ {
-		da, db, dc := distA[u], distB[u], distC[u]
-		if da < 0 || db < 0 || dc < 0 {
-			continue
-		}
-		m := da
-		if db > m {
-			m = db
-		}
-		if dc > m {
-			m = dc
-		}
-		if m < best {
-			best, r = m, NodeID(u)
-		}
-	}
-
-	if !spend() {
-		return lower, false, ctx.Err()
-	}
-	reset()
-	eccR := engineBFSInto(e, r, dist)
-	if err := e.Err(); err != nil {
-		// The root BFS orders the whole scan: truncated distances would
-		// leave unreached nodes at -1, which the decreasing sort places at
-		// pruning levels they have not earned. Bail before using them.
-		return lower, false, err
-	}
-	if eccR > lower {
-		lower = eccR
-	}
-
-	// Order nodes by decreasing distance from r.
-	order := make([]NodeID, n)
-	for i := range order {
-		order[i] = NodeID(i)
-	}
-	distR := make([]int32, n)
-	copy(distR, dist)
-	sort.Slice(order, func(i, j int) bool { return distR[order[i]] > distR[order[j]] })
-
-	// iFUB main loop: while 2*level > lower bound, sweep the level.
-	i := 0
-	for i < n {
-		level := distR[order[i]]
-		if 2*level <= lower {
-			return lower, true, nil
-		}
-		for i < n && distR[order[i]] == level {
-			u := order[i]
-			i++
-			if !spend() {
-				return lower, false, ctx.Err()
-			}
-			reset()
-			ecc := engineBFSInto(e, u, dist)
-			if err := e.Err(); err != nil {
-				// Truncated BFS: its partial eccentricity is a valid lower
-				// bound, but this vertex now counts as scanned without its
-				// true eccentricity, so exactness can no longer be
-				// certified — neither by the early exits nor the final
-				// return.
-				return lower, false, err
-			}
-			if ecc > lower {
-				lower = ecc
-				if 2*level <= lower {
-					return lower, true, nil
+	r := ifub[int32]{
+		ctx: ctx, g: g, left: maxBFS, none: -1,
+		search: func(src NodeID, dist []int32) (int32, error) { return e.BFS(src, dist), e.Err() },
+		prev: func(u NodeID, dist []int32) NodeID {
+			for _, w := range g.Neighbors(u) {
+				if dist[w] == dist[u]-1 {
+					return w
 				}
 			}
-		}
+			return u
+		},
 	}
-	return lower, true, nil
+	return r.run()
 }
 
-func argMax32(dist []int32) NodeID {
-	best, arg := int32(-1), NodeID(0)
-	for u, d := range dist {
-		if d > best {
-			best, arg = d, NodeID(u)
-		}
-	}
-	return arg
-}
-
-func argMax64(dist []int64) NodeID {
-	best, arg := int64(-1), NodeID(0)
-	for u, d := range dist {
-		if d != InfDist && d > best {
-			best, arg = d, NodeID(u)
-		}
-	}
-	return arg
-}
-
-// ExactDiameterWeighted computes the exact weighted diameter of a connected
-// weighted graph via the iFUB scheme with shortest-path searches. Every
-// search runs on one shared delta-stepping bsp.WeightedEngine (parallel
-// bucketed relaxations, distances identical to Dijkstra's). maxSearches
-// bounds the number of searches (0 = unlimited); if exhausted, the
-// returned value is a lower bound and exact is false. Disconnected graphs
-// return the max over components (unreachable pairs are ignored).
+// ExactDiameterWeighted computes the exact weighted diameter via iFUB with
+// shortest-path searches, every one on one shared delta-stepping
+// bsp.WeightedEngine (parallel bucketed relaxations, distances identical
+// to Dijkstra's). Disconnected graphs return the maximum over components
+// (unreachable pairs are ignored). maxSearches bounds the total number of
+// searches, shared by all components (0 = unlimited); if exhausted, the
+// returned value is a lower bound and exact is false.
 func (g *Weighted) ExactDiameterWeighted(maxSearches int) (diam int64, exact bool) {
 	// A background context never cancels, so the error is unreachable.
 	//lint:allow background public non-cancellable wrapper; ExactDiameterWeightedContext is the cancellable form
@@ -312,191 +77,199 @@ func (g *Weighted) ExactDiameterWeighted(maxSearches int) (diam int64, exact boo
 // shared engine, at bucket barriers within a search); a cancelled run
 // returns ctx.Err() with the bounds discarded.
 func (g *Weighted) ExactDiameterWeightedContext(ctx context.Context, maxSearches int) (diam int64, exact bool, err error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0, true, nil
-	}
 	e := bsp.NewWeightedEngine(g, 0, 0)
 	e.SetContext(ctx)
 	defer e.Close()
-	budget := maxSearches
-	// As in ifub: false on cancellation or budget exhaustion; the returns
-	// pass ctx.Err() through to tell the two apart.
-	spend := func() bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		if maxSearches == 0 {
-			return true
-		}
-		if budget == 0 {
-			return false
-		}
-		budget--
-		return true
-	}
-	dist := make([]int64, n)
-	argMax := func() NodeID {
-		best, arg := int64(-1), NodeID(0)
-		for u, d := range dist {
-			if d != InfDist && d > best {
-				best, arg = d, NodeID(u)
+	r := ifub[int64]{
+		ctx: ctx, g: g.Topology(), left: maxSearches, none: InfDist,
+		search: func(src NodeID, dist []int64) (int64, error) { return e.SSSP(src, dist), e.Err() },
+		prev: func(u NodeID, dist []int64) NodeID {
+			nbrs, ws := g.Neighbors(u)
+			for i, w := range nbrs {
+				if dist[w] != InfDist && dist[w]+int64(ws[i]) == dist[u] {
+					return w
+				}
 			}
-		}
-		return arg
+			return u
+		},
 	}
-	// search runs one SSSP and fails if the engine was cancelled mid-run.
-	// Unlike a truncated BFS, a truncated delta-stepping search is not a
-	// safe underestimate: its claimed slots may hold tentative (unsettled)
-	// distances that OVERESTIMATE the true ones, so folding its
-	// eccentricity into the lower bound could certify a wrong diameter.
-	// Every call site must discard the result on error.
-	search := func(src NodeID, d []int64) (int64, error) {
-		ecc := e.SSSP(src, d)
-		return ecc, e.Err()
-	}
+	return r.run()
+}
 
-	// 4-sweep root selection, mirroring the unweighted variant: two double
-	// sweeps yield far extremes a and c; the root minimizes max(d_a, d_c),
-	// avoiding the grid-corner failure of a naive midpoint walk. The first
-	// sweep starts from a max-degree node (as in the unweighted path): on
-	// grid-like graphs that keeps the first extreme off degenerate boundary
-	// geodesics that a corner start can produce.
-	_, start := g.MaxDegree()
-	if !spend() {
-		return 0, false, ctx.Err()
+// ifub is one exact-diameter computation: the metric's two closures, the
+// search budget, and the best lower bound found so far.
+type ifub[D int32 | int64] struct {
+	ctx context.Context
+	g   *Graph // topology: components, degrees
+	// left is the number of searches the budget still allows; 0 on entry
+	// means unlimited (held as -1).
+	left int
+	// none marks unreached nodes in the arrays search fills.
+	none D
+	// search fills dist (len n) with the distances from src and returns the
+	// eccentricity of src within its component.
+	search func(src NodeID, dist []D) (D, error)
+	// prev returns a neighbor of u one step closer to the source of dist
+	// along a shortest path (u itself if there is none).
+	prev func(u NodeID, dist []D) NodeID
+
+	lower D
+	err   error
+}
+
+// run walks the components — each from its maximum-degree node, lowest id
+// among ties, exactly MaxDegree's choice on a connected graph — and returns
+// the largest diameter. The budget and the lower bound are shared: a level
+// whose bound 2i cannot beat a diameter already found in another component
+// is pruned like any other.
+func (r *ifub[D]) run() (D, bool, error) {
+	if r.left == 0 {
+		r.left = -1
 	}
-	if _, err := search(start, dist); err != nil {
-		return 0, false, err
+	labels, k := r.g.ConnectedComponents()
+	starts := make([]NodeID, k)
+	for i := range starts {
+		starts[i] = None
 	}
-	a := argMax()
-	if !spend() {
-		return 0, false, ctx.Err()
+	for u, c := range labels {
+		if s := starts[c]; s == None || r.g.Degree(NodeID(u)) > r.g.Degree(s) {
+			starts[c] = NodeID(u)
+		}
 	}
-	distA := make([]int64, n)
-	lower, err := search(a, distA)
+	var dist [4][]D
+	for i := range dist {
+		dist[i] = make([]D, len(labels))
+	}
+	for _, s := range starts {
+		if r.g.Degree(s) == 0 {
+			continue // an isolated node: diameter 0, nothing to search
+		}
+		if !r.component(s, dist) {
+			return r.lower, false, r.err
+		}
+	}
+	return r.lower, true, nil
+}
+
+// spend gates each search: false on a cancelled context (recorded in err,
+// so it surfaces as an error) or an exhausted budget (err stays nil, so it
+// surfaces as an inexact lower bound).
+func (r *ifub[D]) spend() bool {
+	if r.err = r.ctx.Err(); r.err != nil || r.left == 0 {
+		return false
+	}
+	if r.left > 0 {
+		r.left--
+	}
+	return true
+}
+
+// sweep spends one search from src and folds its eccentricity into the
+// lower bound. A search that fails contributes nothing: a truncated BFS
+// would still underestimate, but a truncated delta-stepping search may hold
+// tentative (unsettled) distances that OVERESTIMATE the true ones, and
+// folding those in could certify a wrong diameter — so one rule for both.
+func (r *ifub[D]) sweep(src NodeID, dist []D) bool {
+	if !r.spend() {
+		return false
+	}
+	ecc, err := r.search(src, dist)
 	if err != nil {
-		return 0, false, err
+		r.err = err
+		return false
 	}
-	b := argMax64(distA)
+	r.lower = max(r.lower, ecc)
+	return true
+}
 
-	// First midpoint: walk back from b toward a along the shortest path.
-	r1 := b
-	half := distA[b] / 2
-	for distA[r1] > half {
-		moved := false
-		nbrs, ws := g.Neighbors(r1)
-		for i, w := range nbrs {
-			if distA[w] != InfDist && distA[w]+int64(ws[i]) == distA[r1] {
-				r1 = w
-				moved = true
-				break
-			}
+// farthest returns the lowest-id node at maximum distance in dist.
+func (r *ifub[D]) farthest(dist []D) NodeID {
+	best, arg := D(-1), NodeID(0)
+	for u, d := range dist {
+		if d != r.none && d > best {
+			best, arg = d, NodeID(u)
 		}
-		if !moved {
+	}
+	return arg
+}
+
+// root selects the iFUB root of start's component by the 4-sweep scheme
+// (Crescenzi et al.): two double sweeps yield far-apart extremes a and c,
+// and the root minimizing the largest distance to a, b and c sits "between"
+// them, which keeps the level distribution shallow. A naive midpoint walk
+// can land on a corner of a grid-like graph (walking the boundary of a
+// mesh), leaving half the nodes above the pruning level; and a and c alone
+// can end up on one side (two corners of one row), so b — the far end of
+// the first double sweep — is the third reference that pins the root to
+// the true center. Starting from a maximum-degree node keeps the first
+// extreme off the degenerate boundary geodesics a corner start produces.
+func (r *ifub[D]) root(start NodeID, dist [4][]D) (NodeID, bool) {
+	tmp, distA, distB, distC := dist[0], dist[1], dist[2], dist[3]
+	if !r.sweep(start, tmp) {
+		return 0, false
+	}
+	a := r.farthest(tmp)
+	if !r.sweep(a, distA) {
+		return 0, false
+	}
+	b := r.farthest(distA)
+	// Midpoint of the first double sweep: walk back from b halfway to a.
+	mid, eccA := b, distA[b]
+	for 2*distA[mid] > eccA+1 {
+		w := r.prev(mid, distA)
+		if w == mid {
 			break
 		}
+		mid = w
 	}
-	if !spend() {
-		return lower, false, ctx.Err()
+	if !r.sweep(mid, tmp) {
+		return 0, false
 	}
-	if ecc, err := search(r1, dist); err != nil {
-		return lower, false, err
-	} else if ecc > lower {
-		lower = ecc
+	c := r.farthest(tmp)
+	if !r.sweep(c, distC) || !r.sweep(b, distB) {
+		return 0, false
 	}
-	c := argMax()
-	if !spend() {
-		return lower, false, ctx.Err()
-	}
-	distC := make([]int64, n)
-	if ecc, err := search(c, distC); err != nil {
-		return lower, false, err
-	} else if ecc > lower {
-		lower = ecc
-	}
-
-	if !spend() {
-		return lower, false, ctx.Err()
-	}
-	distB := make([]int64, n)
-	if ecc, err := search(b, distB); err != nil {
-		return lower, false, err
-	} else if ecc > lower {
-		lower = ecc
-	}
-
-	r := NodeID(0)
-	best := InfDist
-	for u := 0; u < n; u++ {
-		da, db, dc := distA[u], distB[u], distC[u]
-		if da == InfDist || db == InfDist || dc == InfDist {
+	root, best := start, D(-1)
+	for u := range tmp {
+		if distA[u] == r.none || distB[u] == r.none || distC[u] == r.none {
 			continue
 		}
-		m := da
-		if db > m {
-			m = db
-		}
-		if dc > m {
-			m = dc
-		}
-		if m < best {
-			best, r = m, NodeID(u)
+		if m := max(distA[u], distB[u], distC[u]); best < 0 || m < best {
+			best, root = m, NodeID(u)
 		}
 	}
+	return root, true
+}
 
-	if !spend() {
-		return lower, false, ctx.Err()
+// component runs iFUB on start's component and reports whether its
+// diameter is now certified to be at most lower.
+func (r *ifub[D]) component(start NodeID, dist [4][]D) bool {
+	root, ok := r.root(start, dist)
+	tmp, distR := dist[0], dist[1]
+	if !ok || !r.sweep(root, distR) {
+		return false
 	}
-	if ecc, err := search(r, dist); err != nil {
-		return lower, false, err
-	} else if ecc > lower {
-		lower = ecc
-	}
-	distR := make([]int64, n)
-	copy(distR, dist)
-	order := make([]NodeID, n)
-	for i := range order {
-		order[i] = NodeID(i)
+	// Order the component's nodes by decreasing distance from the root.
+	var order []NodeID
+	for u, d := range distR {
+		if d != r.none {
+			order = append(order, NodeID(u))
+		}
 	}
 	sort.Slice(order, func(i, j int) bool { return distR[order[i]] > distR[order[j]] })
 
-	i := 0
-	for i < n {
+	// Fringe loop: every node below level i has eccentricity at most 2i, so
+	// once 2i cannot beat the lower bound the diameter is certified.
+	for i := 0; i < len(order); {
 		level := distR[order[i]]
-		if level == InfDist {
-			// Node unreachable from r (other component): compute its
-			// eccentricity directly, it cannot be pruned by the bound.
-			u := order[i]
-			i++
-			if !spend() {
-				return lower, false, ctx.Err()
+		for ; i < len(order) && distR[order[i]] == level; i++ {
+			if 2*level <= r.lower {
+				return true
 			}
-			if ecc, err := search(u, dist); err != nil {
-				return lower, false, err
-			} else if ecc > lower {
-				lower = ecc
-			}
-			continue
-		}
-		if 2*level <= lower {
-			return lower, true, nil
-		}
-		for i < n && distR[order[i]] == level {
-			u := order[i]
-			i++
-			if !spend() {
-				return lower, false, ctx.Err()
-			}
-			if ecc, err := search(u, dist); err != nil {
-				return lower, false, err
-			} else if ecc > lower {
-				lower = ecc
-				if 2*level <= lower {
-					return lower, true, nil
-				}
+			if !r.sweep(order[i], tmp) {
+				return false
 			}
 		}
 	}
-	return lower, true, nil
+	return true
 }

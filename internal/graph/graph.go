@@ -67,17 +67,9 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return false
 }
 
-// MaxDegree returns the maximum degree and one node attaining it.
+// MaxDegree returns the maximum degree and the lowest-id node attaining it.
 // On the empty graph it returns (0, None).
-func (g *Graph) MaxDegree() (int, NodeID) { return maxDegree(g) }
-
-// maxDegree backs the MaxDegree methods of Graph and Weighted, so the
-// tie-breaking (lowest id wins) stays identical for both — the 4-sweep
-// root selection in exact.go relies on the two paths agreeing.
-func maxDegree(g interface {
-	NumNodes() int
-	Degree(NodeID) int
-}) (int, NodeID) {
+func (g *Graph) MaxDegree() (int, NodeID) {
 	best, arg := 0, None
 	for u := NodeID(0); u < NodeID(g.NumNodes()); u++ {
 		if d := g.Degree(u); d > best || arg == None {

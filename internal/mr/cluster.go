@@ -2,10 +2,9 @@ package mr
 
 import (
 	"errors"
-	"math"
 
+	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // Cluster runs the complete CLUSTER(τ) algorithm on the MR simulator,
@@ -16,92 +15,77 @@ import (
 // rounds when ML = Ω(nᵋ): the engine's round counter reports exactly the
 // R growth rounds plus one selection round per batch.
 //
-// The coin flips match core.Cluster's (same seed derivation), so the batch
-// structure is comparable across the shared-memory, distributed-memory and
-// MR implementations. The selection reducer is a pure hash-based coin flip
-// per node key, so selection rounds parallelize across reducer shards with
-// a batch structure independent of the shard count. Cluster returns the
-// final state and the number of batches.
+// The batches are core.Options.Schedule's — the same driver, coin tag and
+// seed derivation as core.Cluster — so the shared-memory, distributed-memory and
+// MR implementations activate the same centers in the same order. The
+// selection reducer is a pure hash-based coin flip per node key, so
+// selection rounds parallelize across reducer shards with a batch
+// structure independent of the shard count. Cluster returns the final
+// state and the number of batches.
 func (e *Engine) Cluster(g *graph.Graph, tau int, seed uint64) (*GrowState, int, error) {
 	if tau < 1 {
 		return nil, 0, errors.New("mr: Cluster requires tau >= 1")
 	}
-	n := g.NumNodes()
-	s := NewGrowState(n, nil)
-	logn := 1.0
-	if n >= 2 {
-		logn = math.Log2(float64(n))
+	gr := &growth{e: e, g: g, s: NewGrowState(g.NumNodes(), nil)}
+	batches, err := core.Options{Seed: seed}.Schedule(gr, g.NumNodes(), tau, core.ClusterTag)
+	if err != nil {
+		return nil, 0, err
 	}
-	threshold := 8 * float64(tau) * logn
-	coinSeed := rng.Mix64(seed, 0xc105_7e12, uint64(tau))
+	// Remaining uncovered nodes become singleton clusters (and, growth
+	// being over, stay off the frontier).
+	for u, o := range gr.s.Owner {
+		if o == -1 {
+			gr.s.Owner[u], gr.s.Dist[u] = gr.centers, 0
+			gr.centers++
+		}
+	}
+	return gr.s, batches, nil
+}
 
-	covered := 0
-	centers := int64(0)
-	addCenter := func(u graph.NodeID) {
-		s.Owner[u] = centers
-		s.Dist[u] = 0
-		s.Frontier = append(s.Frontier, u)
-		centers++
-		covered++
-	}
+// growth is the MR execution of cluster growing as the batch schedule sees
+// it: selection is a round over the uncovered node set, a growing step is a
+// GrowStep round over the edge set.
+type growth struct {
+	e       *Engine
+	g       *graph.Graph
+	s       *GrowState
+	covered int
+	centers int64
+}
 
-	batches := 0
-	for float64(n-covered) >= threshold {
-		uncovered := n - covered
-		p := 4 * float64(tau) * logn / float64(uncovered)
-		// Selection round: each uncovered node is its own key group and
-		// emits itself if its coin wins.
-		in := make([]Pair, 0, uncovered)
-		for u := 0; u < n; u++ {
-			if s.Owner[u] == -1 {
-				in = append(in, Pair{Key: uint64(u)})
-			}
-		}
-		batch := uint64(batches)
-		out, err := e.Round(in, func(key uint64, _ []Pair, emit Emitter) {
-			if rng.Coin(p, coinSeed, batch, key) {
-				emit(Pair{Key: key})
-			}
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		selected := len(out)
-		for _, pr := range out {
-			addCenter(graph.NodeID(pr.Key))
-		}
-		if selected == 0 && len(s.Frontier) == 0 {
-			for u := 0; u < n; u++ {
-				if s.Owner[u] == -1 {
-					addCenter(graph.NodeID(u))
-					selected++
-					break
-				}
-			}
-		}
-		batches++
+func (gr *growth) Uncovered() int              { return len(gr.s.Owner) - gr.covered }
+func (gr *growth) Covered(u graph.NodeID) bool { return gr.s.Owner[u] != -1 }
+func (gr *growth) Idle() bool                  { return len(gr.s.Frontier) == 0 }
 
-		target := (uncovered + 1) / 2
-		claimed := selected
-		for claimed < target {
-			got, err := e.GrowStep(g, s)
-			if err != nil {
-				return nil, 0, err
-			}
-			if got == 0 {
-				break
-			}
-			claimed += got
-			covered += got
+func (gr *growth) AddCenter(u graph.NodeID) {
+	gr.s.Owner[u], gr.s.Dist[u] = gr.centers, 0
+	gr.s.Frontier = append(gr.s.Frontier, u)
+	gr.centers++
+	gr.covered++
+}
+
+// SelectUncovered is one MR round: each uncovered node is its own key
+// group and emits itself if pick accepts it.
+func (gr *growth) SelectUncovered(dst []graph.NodeID, pick func(graph.NodeID) bool) ([]graph.NodeID, error) {
+	in := make([]Pair, 0, gr.Uncovered())
+	for u, o := range gr.s.Owner {
+		if o == -1 {
+			in = append(in, Pair{Key: uint64(u)})
 		}
 	}
-	for u := 0; u < n; u++ {
-		if s.Owner[u] == -1 {
-			s.Owner[u] = centers
-			s.Dist[u] = 0
-			centers++
-			covered++
+	out, err := gr.e.Round(in, func(key uint64, _ []Pair, emit Emitter) {
+		if pick(graph.NodeID(key)) {
+			emit(Pair{Key: key})
 		}
+	})
+	for _, pr := range out {
+		dst = append(dst, graph.NodeID(pr.Key))
 	}
-	return s, batches, nil
+	return dst, err
+}
+
+func (gr *growth) Step() (claimed int, live bool, err error) {
+	claimed, err = gr.e.GrowStep(gr.g, gr.s)
+	gr.covered += claimed
+	return claimed, claimed > 0, err
 }

@@ -1,39 +1,65 @@
 package mr
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 )
 
+// The MR execution of CLUSTER(τ) runs the same schedule with the same coins
+// as core.ClusterContext, and coverage per round does not depend on which
+// contender wins a node — so the two must activate the same centers in the
+// same order, not merely the same number of them. The accounting columns
+// pin the selection and growth rounds the schedule charges to the engine.
 func TestMRClusterMatchesCoreStructure(t *testing.T) {
-	g := graph.Mesh(25, 25)
-	seed := uint64(11)
-	ref, err := core.Cluster(g, 4, core.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(Config{})
-	s, batches, err := e.Cluster(g, 4, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batches != ref.Batches {
-		t.Fatalf("MR batches %d vs core %d", batches, ref.Batches)
-	}
-	// Count clusters.
-	max := int64(-1)
-	for _, o := range s.Owner {
-		if o < 0 {
-			t.Fatal("uncovered node after MR CLUSTER")
+	mesh, road := graph.Mesh(60, 60), graph.RoadLike(50, 50, 0.4, 3)
+	for _, tc := range []struct {
+		name            string
+		g               *graph.Graph
+		tau             int
+		seed            uint64
+		batches, rounds int
+		shuffled        int64
+	}{
+		{"mesh/11", mesh, 1, 11, 4, 13, 11821},
+		{"mesh/12", mesh, 2, 12, 3, 9, 11019},
+		{"road/5", road, 2, 5, 3, 9, 6652},
+		{"road/6", road, 1, 6, 4, 13, 7483},
+	} {
+		ref, err := core.ClusterContext(context.Background(), tc.g, tc.tau, core.Options{Seed: tc.seed, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if o > max {
-			max = o
+		e := NewEngine(Config{})
+		s, batches, err := e.Cluster(tc.g, tc.tau, tc.seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if int(max+1) != ref.NumClusters() {
-		t.Fatalf("MR clusters %d vs core %d", max+1, ref.NumClusters())
+		if batches != ref.Batches {
+			t.Errorf("%s: MR batches %d vs core %d", tc.name, batches, ref.Batches)
+		}
+		centers := make([]graph.NodeID, ref.NumClusters())
+		for i := range centers {
+			centers[i] = graph.None
+		}
+		for u, o := range s.Owner {
+			if o < 0 || int(o) >= len(centers) {
+				t.Fatalf("%s: node %d in cluster %d of %d", tc.name, u, o, len(centers))
+			}
+			if s.Dist[u] == 0 {
+				centers[o] = graph.NodeID(u)
+			}
+		}
+		if !slices.Equal(centers, ref.Centers) {
+			t.Errorf("%s: MR centers differ from core's\n mr   %v\n core %v", tc.name, centers, ref.Centers)
+		}
+		if batches != tc.batches || e.Rounds() != tc.rounds || e.TotalShuffled() != tc.shuffled {
+			t.Errorf("%s: batches/rounds/shuffled %d/%d/%d, pinned %d/%d/%d", tc.name,
+				batches, e.Rounds(), e.TotalShuffled(), tc.batches, tc.rounds, tc.shuffled)
+		}
 	}
 }
 

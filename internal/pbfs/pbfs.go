@@ -15,7 +15,6 @@ package pbfs
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bsp"
@@ -58,9 +57,10 @@ func RunDirection(g *graph.Graph, src graph.NodeID, workers int, dir bsp.Directi
 }
 
 // RunDirectionContext is RunDirection with cooperative cancellation: the
-// depth loop checks ctx at the superstep barriers and returns ctx.Err()
-// within one round of a cancel. An uncancelled run executes exactly the
-// same rounds, so the distances stay deterministic across worker counts.
+// engine checks ctx at its superstep barriers (Engine.SetContext) and the
+// run returns ctx.Err() within one round of a cancel. An uncancelled run
+// executes exactly the same rounds, so the distances stay deterministic
+// across worker counts.
 func RunDirectionContext(ctx context.Context, g *graph.Graph, src graph.NodeID, workers int, dir bsp.Direction) (*Result, error) {
 	start := time.Now()
 	n := g.NumNodes()
@@ -70,34 +70,14 @@ func RunDirectionContext(ctx context.Context, g *graph.Graph, src graph.NodeID, 
 	if src < 0 || int(src) >= n {
 		return nil, errors.New("pbfs: source out of range")
 	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
 	e := bsp.NewEngine(g, workers)
 	defer e.Close()
 	e.SetDirection(dir)
-	e.Seed(src)
-	ecc := int32(0)
-	for depth := int32(1); e.FrontierLen() > 0; depth++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		d := depth
-		rs := e.Step(bsp.StepSpec{
-			Push: func(_ int, u, v graph.NodeID) bool {
-				return atomic.CompareAndSwapInt32(&dist[v], -1, d)
-			},
-			Pull: func(_ int, v, u graph.NodeID) bool {
-				// v belongs to this worker alone in a pull round.
-				dist[v] = d
-				return true
-			},
-		})
-		if rs.Claimed > 0 {
-			ecc = depth
-		}
+	e.SetContext(ctx)
+	dist := make([]int32, n)
+	ecc := e.BFS(src, dist)
+	if err := e.Err(); err != nil {
+		return nil, err
 	}
 	return &Result{
 		Source:  src,

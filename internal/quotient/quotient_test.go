@@ -1,6 +1,9 @@
 package quotient_test
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -136,5 +139,65 @@ func TestBuildWeightedUnweightedTopologiesAgree(t *testing.T) {
 	}
 	if q1.NumEdges() != q2.NumEdges() || q1.NumEdges() != wq.NumEdges() {
 		t.Fatalf("edge counts disagree: %d %d %d", q1.NumEdges(), q2.NumEdges(), wq.NumEdges())
+	}
+}
+
+// q is wq's topology viewed without the weights — the same CSR arrays, not
+// a second copy — and it is exactly the graph a Builder fed every crossing
+// edge would produce, so sharing loses nothing.
+func TestBuildWeightedSharesOneCSR(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"mesh": graph.Mesh(40, 40),
+		"rmat": graph.RMAT(10, 8, 3),
+		"road": graph.RoadLike(30, 30, 0.4, 9),
+	} {
+		cl := clusterOf(t, g, 4)
+		k := cl.NumClusters()
+		q, wq, err := quotient.BuildWeighted(g, cl.Owner, cl.Dist, k)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		xadj, adj := q.CSR()
+		wx, wa := wq.Topology().CSR()
+		if len(adj) > 0 && (&xadj[0] != &wx[0] || &adj[0] != &wa[0]) {
+			t.Errorf("%s: q holds its own CSR arrays", name)
+		}
+		b := graph.NewBuilder(k)
+		g.Edges(func(u, v graph.NodeID) bool {
+			b.AddEdge(cl.Owner[u], cl.Owner[v])
+			return true
+		})
+		rx, ra := b.Build().CSR()
+		if !slices.Equal(xadj, rx) || !slices.Equal(adj, ra) {
+			t.Errorf("%s: shared topology differs from the Builder's", name)
+		}
+		q1, err := quotient.Build(g, cl.Owner, k)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if x1, a1 := q1.CSR(); !slices.Equal(x1, rx) || !slices.Equal(a1, ra) {
+			t.Errorf("%s: Build differs from the Builder's", name)
+		}
+	}
+}
+
+// A minimum that fits int32 is carried exactly; one that does not is an
+// error naming the weight — never a clamp, which would shorten quotient
+// paths and void the upper bounds derived from them.
+func TestAccumulatorRejectsWeightBeyondInt32(t *testing.T) {
+	acc := quotient.NewAccumulator(3)
+	acc.Offer(0, 1, math.MaxInt32+9)
+	acc.Offer(1, 0, math.MaxInt32)
+	acc.Offer(2, 2, 1<<40) // same cluster: no crossing
+	wq, err := acc.Weighted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ws := wq.Neighbors(0); wq.NumEdges() != 1 || ws[0] != math.MaxInt32 {
+		t.Fatalf("edges %d weights %v, want the single minimum %d", wq.NumEdges(), ws, math.MaxInt32)
+	}
+	acc.Offer(1, 2, math.MaxInt32+1)
+	if _, err := acc.Weighted(); err == nil || !strings.Contains(err.Error(), "2147483648") {
+		t.Fatalf("err = %v, want one naming the weight 2147483648", err)
 	}
 }
