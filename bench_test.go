@@ -1,33 +1,25 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's Section 6 evaluation, plus ablation benches for the design knobs
-// (τ granularity, worker scaling, CLUSTER vs CLUSTER2) and a serving-layer
-// bench for the query daemon's hot path (see README.md).
-//
-// The benches run the same code paths as cmd/tables at a reduced scale so
-// `go test -bench=. -benchmem` finishes in minutes; run cmd/tables with
-// -scale 1 (or higher) for the full-scale numbers.
+// Residual benches: what benchmark/layers.go does not already time. That
+// module measures every serving, oracle, k-center, BFS, growth and MR
+// operation against a paired reference; what is left here is the paper's
+// Section 6 table and figure harness (internal/expt, the code cmd/tables
+// runs at full scale), the competitors the benchmark has no workload for
+// (MPX, HADI/ANF, CLUSTER2, weighted growth) and the engine's pinned
+// directions and observer seam. CI runs each once as a rot check.
 package repro_test
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro"
 	"repro/internal/anf"
 	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/graph"
 	"repro/internal/mpx"
-	"repro/internal/mr"
 	"repro/internal/pbfs"
-	"repro/internal/quotient"
 	"repro/internal/rng"
 )
 
@@ -81,28 +73,8 @@ func BenchmarkTable3DiameterQuality(b *testing.B) {
 	}
 }
 
-// --- Table 4: estimator comparison, one bench per competitor so their
-// costs are individually visible (the table's whole point) ---
-
-func BenchmarkTable4Cluster(b *testing.B) {
-	mesh, _, _ := benchGraphs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.ClusterCost(benchCfg, mesh, 128); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4BFS(b *testing.B) {
-	mesh, _, _ := benchGraphs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.BFSCost(benchCfg, mesh); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Table 4: estimator comparison; HADI is the one competitor the
+// benchmark module does not time on its own ---
 
 func BenchmarkTable4HADI(b *testing.B) {
 	mesh, _, _ := benchGraphs()
@@ -122,32 +94,7 @@ func BenchmarkTable4FullTable(b *testing.B) {
 	}
 }
 
-// --- Figure 1: tail experiment, separate benches for the flat (CLUSTER)
-// and linear (BFS) curves at the largest tail factor ---
-
-func BenchmarkFigure1TailCluster(b *testing.B) {
-	_, social, _ := benchGraphs()
-	_, diam := social.TwoSweep(0)
-	g := graph.AppendTail(social, 0, 10*int(diam))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.ClusterCost(benchCfg, g, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure1TailBFS(b *testing.B) {
-	_, social, _ := benchGraphs()
-	_, diam := social.TwoSweep(0)
-	g := graph.AppendTail(social, 0, 10*int(diam))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := expt.BFSCost(benchCfg, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Figure 1: tail experiment ---
 
 func BenchmarkFigure1Series(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -168,89 +115,7 @@ func BenchmarkMRGrowStep(b *testing.B) {
 	}
 }
 
-// BenchmarkMRCluster sweeps the sharded MR runtime across reducer shard
-// counts on the full CLUSTER(τ) pipeline (selection rounds + growth
-// rounds). Results are bit-identical across shards — the sweep measures
-// pure runtime scaling — and pairs-shuffled/op reports the shuffle volume
-// the model charges, which the determinism guarantee keeps constant.
-func BenchmarkMRCluster(b *testing.B) {
-	g := graph.Mesh(60, 60)
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(benchName("shards", shards), func(b *testing.B) {
-			var shuffled int64
-			for i := 0; i < b.N; i++ {
-				e := mr.NewEngine(mr.Config{Shards: shards})
-				if _, _, err := e.Cluster(g, 16, 1); err != nil {
-					b.Fatal(err)
-				}
-				shuffled = e.TotalShuffled()
-				e.Close()
-			}
-			b.ReportMetric(float64(shuffled), "pairs-shuffled")
-		})
-	}
-}
-
-// BenchmarkMRSquaring sweeps shard counts on the Theorem 4 path: repeated
-// min-plus squaring of a weighted quotient-sized matrix, whose Θ(ℓ³)-pair
-// join rounds are the heaviest shuffles the engine runs.
-func BenchmarkMRSquaring(b *testing.B) {
-	g := graph.RoadLike(8, 8, 0.5, 4)
-	edges := g.EdgeList()
-	r := rng.New(9)
-	ws := make([]int32, len(edges))
-	for i := range ws {
-		ws[i] = int32(1 + r.Intn(50))
-	}
-	w := graph.MustWeighted(g.NumNodes(), edges, ws)
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(benchName("shards", shards), func(b *testing.B) {
-			var shuffled int64
-			for i := 0; i < b.N; i++ {
-				e := mr.NewEngine(mr.Config{Shards: shards})
-				if _, err := e.DiameterByRepeatedSquaring(w); err != nil {
-					b.Fatal(err)
-				}
-				shuffled = e.TotalShuffled()
-				e.Close()
-			}
-			b.ReportMetric(float64(shuffled), "pairs-shuffled")
-		})
-	}
-}
-
 // --- Ablations ---
-
-// Granularity: radius/rounds trade-off of τ (Lemma 1's ∆/τ^(1/b) behavior).
-func BenchmarkAblationClusterTau(b *testing.B) {
-	mesh, _, _ := benchGraphs()
-	for _, tau := range []int{1, 4, 16, 64} {
-		b.Run(benchName("tau", tau), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cl, err := core.Cluster(mesh, tau, core.Options{Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(cl.MaxRadius()), "radius")
-				b.ReportMetric(float64(cl.GrowthSteps), "rounds")
-			}
-		})
-	}
-}
-
-// Worker scaling of the BSP substrate.
-func BenchmarkAblationClusterWorkers(b *testing.B) {
-	_, social, _ := benchGraphs()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Cluster(social, 16, core.Options{Seed: 1, Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // CLUSTER vs CLUSTER2: the cost of the theory-faithful variant.
 func BenchmarkAblationCluster2(b *testing.B) {
@@ -371,29 +236,7 @@ func BenchmarkEngineObserver(b *testing.B) {
 	}
 }
 
-// --- Weighted layer: parallel delta-stepping vs the sequential seed path ---
-
-// Shared weighted instance at the acceptance scale: G(20k, 100k) with
-// weights uniform in [1, 100].
-var (
-	benchWeightedOnce sync.Once
-	benchWeightedGnp  *graph.Weighted
-	benchWeightedBase *graph.Graph
-)
-
-func benchWeighted() (*graph.Graph, *graph.Weighted) {
-	benchWeightedOnce.Do(func() {
-		benchWeightedBase = graph.ErdosRenyi(20000, 100000, 11)
-		edges := benchWeightedBase.EdgeList()
-		r := rng.New(13)
-		ws := make([]int32, len(edges))
-		for i := range ws {
-			ws[i] = int32(1 + r.Intn(100))
-		}
-		benchWeightedGnp = graph.MustWeighted(benchWeightedBase.NumNodes(), edges, ws)
-	})
-	return benchWeightedBase, benchWeightedGnp
-}
+// --- Weighted layer ---
 
 // BenchmarkWeightedClusterModes scales the delta-stepping growth across
 // worker counts (workers=1 is the sequential baseline — the same bucketed
@@ -401,7 +244,15 @@ func benchWeighted() (*graph.Graph, *graph.Weighted) {
 // Relaxations/op and buckets/op report the honest weighted work alongside
 // ns/op, the way arcs does for the unweighted engine benches.
 func BenchmarkWeightedClusterModes(b *testing.B) {
-	_, wg := benchWeighted()
+	// G(20k, 100k) with weights uniform in [1, 100].
+	base := graph.ErdosRenyi(20000, 100000, 11)
+	edges := base.EdgeList()
+	r := rng.New(13)
+	ws := make([]int32, len(edges))
+	for i := range ws {
+		ws[i] = int32(1 + r.Intn(100))
+	}
+	wg := graph.MustWeighted(base.NumNodes(), edges, ws)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchName("workers", w), func(b *testing.B) {
 			var st bsp.Stats
@@ -418,56 +269,7 @@ func BenchmarkWeightedClusterModes(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleBuild compares the oracle's quotient APSP stage: the seed
-// path (one sequential binary-heap Dijkstra plus one BFS per cluster, run
-// back to back) against the delta-stepping build with source-level fan-out.
-// The decomposition is shared and built outside the timer, so the numbers
-// isolate exactly the stage this PR parallelizes.
-func BenchmarkOracleBuild(b *testing.B) {
-	g, _ := benchWeighted()
-	cl, err := core.Cluster(g, 8, core.Options{Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := cl.NumClusters()
-	b.Run("dijkstra-seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for c := 0; c < k; c++ {
-				_ = wq.Dijkstra(graph.NodeID(c))
-				_ = q.BFS(graph.NodeID(c))
-			}
-		}
-	})
-	for _, w := range []int{1, 8} {
-		b.Run("delta/"+benchName("workers", w), func(b *testing.B) {
-			var st bsp.Stats
-			for i := 0; i < b.N; i++ {
-				o, err := core.OracleFromClustering(context.Background(), cl, core.Options{Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st = o.APSPStats()
-			}
-			b.ReportMetric(float64(st.Relaxations), "relaxations")
-		})
-	}
-}
-
-// Baseline estimator kernels in isolation.
-func BenchmarkKernelPBFS(b *testing.B) {
-	mesh, _, _ := benchGraphs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pbfs.Run(mesh, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// Baseline estimator kernel in isolation.
 func BenchmarkKernelANF(b *testing.B) {
 	_, social, _ := benchGraphs()
 	b.ResetTimer()
@@ -475,88 +277,6 @@ func BenchmarkKernelANF(b *testing.B) {
 		if _, err := anf.Run(social, anf.Options{K: 32, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Public facade end-to-end.
-func BenchmarkFacadeApproxDiameter(b *testing.B) {
-	_, _, road := benchGraphs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.ApproxDiameter(road, repro.DiameterOptions{
-			Options: repro.Options{Seed: 4},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFacadeKCenter(b *testing.B) {
-	_, _, road := benchGraphs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.KCenter(road, 40, repro.Options{Seed: 5}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Serving layer: the query daemon's hot path ---
-
-// BenchmarkServeDistance measures end-to-end /distance latency — HTTP,
-// JSON, worker pool, cache hit, O(1) oracle lookup — under parallel
-// clients, the production shape of cmd/reprod.
-func BenchmarkServeDistance(b *testing.B) {
-	_, _, road := benchGraphs()
-	s := repro.NewServer(repro.ServeConfig{Workers: 64})
-	if err := s.RegisterGraph("road", road); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	// Build the oracle outside the timed region.
-	if _, err := s.Oracle(context.Background(), "road", 4, 1, ""); err != nil {
-		b.Fatal(err)
-	}
-	n := road.NumNodes()
-	var clientID atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Distinct per-goroutine seeds: identical streams would make the
-		// parallel clients replay the same queries in lockstep.
-		r := rng.New(clientID.Add(1))
-		client := ts.Client()
-		for pb.Next() {
-			u := r.Intn(n)
-			v := r.Intn(n)
-			resp, err := client.Get(fmt.Sprintf("%s/distance?graph=road&tau=4&seed=1&u=%d&v=%d", ts.URL, u, v))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("status %d", resp.StatusCode)
-			}
-		}
-	})
-}
-
-// BenchmarkServeOracleQuery isolates the oracle lookup the endpoint wraps,
-// for comparison with the full HTTP round trip above.
-func BenchmarkServeOracleQuery(b *testing.B) {
-	_, _, road := benchGraphs()
-	o, err := core.BuildOracle(context.Background(), road, 4, false, core.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := road.NumNodes()
-	r := rng.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := graph.NodeID(r.Intn(n))
-		v := graph.NodeID(r.Intn(n))
-		_ = o.Query(u, v)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command reprolint is the repository's analyzer suite as a vettool:
-// eight go/analysis-style checkers enforcing the determinism, atomics,
-// locking, context, metric-naming, hot-path allocation, goroutine-
-// lifecycle, and lock-order invariants (see internal/lint), plus the
-// stale-suppression audit over //lint:allow annotations.
+// five go/analysis-style checkers enforcing the determinism, atomics,
+// *Locked-call, context and lock-order invariants — the ones no test can
+// observe (see internal/lint) — plus the stale-suppression audit over
+// //lint:allow annotations.
 //
 // Usage:
 //

@@ -14,17 +14,13 @@ import (
 // and Get must be confined to word-disjoint ranges (the engine aligns its
 // worker chunks to 64-node boundaries for exactly this reason).
 type Bitmap struct {
-	n     int
 	words []uint64
 }
 
 // NewBitmap returns an empty bitmap over [0, n).
 func NewBitmap(n int) *Bitmap {
-	return &Bitmap{n: n, words: make([]uint64, (n+63)/64)}
+	return &Bitmap{words: make([]uint64, (n+63)/64)}
 }
-
-// Len returns the domain size n.
-func (b *Bitmap) Len() int { return b.n }
 
 // Get reports whether u is in the set.
 //

@@ -164,9 +164,6 @@ func NewEngine(t Topology, workers int) *Engine {
 // NumWorkers returns the worker count.
 func (e *Engine) NumWorkers() int { return e.workers }
 
-// Topology returns the traversed topology.
-func (e *Engine) Topology() Topology { return e.t }
-
 // SetDirection pins the traversal direction (DirAuto restores the hybrid
 // heuristic). Benchmarks use DirPush to measure the pure top-down baseline.
 func (e *Engine) SetDirection(d Direction) { e.mode = d }

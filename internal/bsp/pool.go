@@ -24,22 +24,24 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: Workers(workers)}
 }
 
-// Workers returns the pool's parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run executes fn(worker) on every worker (0 = the caller) and waits.
+// Run executes fn(worker) on every worker (0 = the caller) and waits. It
+// panics on a closed pool: respawning the goroutines there would leak
+// them, since a second Close is a no-op.
 func (p *Pool) Run(fn func(worker int)) {
+	if p.closed {
+		panic("bsp: Pool.Run called after Close")
+	}
 	if p.workers == 1 {
-		fn(0) //lint:allow alloc dynamic dispatch only: what fn does is the caller's contract; hot callers pass pre-built closures that are themselves analyzed
+		fn(0)
 		return
 	}
 	if p.work == nil {
-		//lint:allow alloc lazy spin-up: the first Run pays for the channels and goroutines once; every later Run only sends on them
+		// Lazy spin-up: the first Run pays for the channels and goroutines
+		// once; every later Run only sends on them.
 		p.work = make([]chan func(worker int), p.workers-1)
 		for i := range p.work {
-			ch := make(chan func(worker int)) //lint:allow alloc lazy spin-up, first Run only
+			ch := make(chan func(worker int))
 			p.work[i] = ch
-			//lint:allow alloc lazy spin-up, first Run only
 			go func(w int, ch chan func(worker int)) {
 				for f := range ch {
 					f(w)
@@ -52,11 +54,13 @@ func (p *Pool) Run(fn func(worker int)) {
 	for _, ch := range p.work {
 		ch <- fn
 	}
-	fn(0) //lint:allow alloc dynamic dispatch only: what fn does is the caller's contract; hot callers pass pre-built closures that are themselves analyzed
+	fn(0)
 	p.wg.Wait()
 }
 
-// Close stops the pool goroutines. The pool must not be used afterwards.
+// Close stops the pool goroutines: idle between Runs, they exit as soon as
+// their channel closes, shortly after Close returns. Run panics afterwards;
+// a second Close is a no-op.
 func (p *Pool) Close() {
 	if p.closed {
 		return

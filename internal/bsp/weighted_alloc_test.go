@@ -1,11 +1,11 @@
 package bsp
 
-// Internal test: relaxPhase is //lint:hotpath (the static hotalloc
-// contract), and this pins the runtime half — a steady-state relaxation
-// phase performs zero heap allocations once the pooled claim buffers have
-// reached their high-water mark. Before PR 10 every phase allocated two
-// closures (the chunk body handed to forChunks and forChunks's own
-// clearFrom); the phase-field restructuring is what this test protects.
+// Internal test: the enforcer of relaxPhase's zero-allocation contract —
+// a steady-state relaxation phase performs zero heap allocations once the
+// pooled claim buffers have reached their high-water mark. Before PR 10
+// every phase allocated two closures (the chunk body handed to forChunks
+// and forChunks's own clearFrom); the phase-field restructuring is what
+// this test protects.
 
 import "testing"
 

@@ -7,9 +7,11 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/bsp"
 	"repro/internal/graph"
 )
 
@@ -84,6 +86,40 @@ func TestBuildOracleCancelledMidBuildReturnsPromptly(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("BuildOracle did not return within 30s of cancellation")
 	}
+}
+
+// OracleFromClustering's APSP fan-out is the one go site in this package.
+// Its goroutines must be gone when it returns, whether the build completes
+// or is cancelled at a barrier mid-search; this count is their enforcer.
+func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
+	cl, err := Cluster(graph.Mesh(40, 40), 2, Options{Seed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	settled := func(when string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want the baseline %d: leaked", when, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	if _, err := OracleFromClustering(context.Background(), cl, Options{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	settled("completed build")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := Options{Workers: 4, Observer: func(bsp.Stats) { cancel() }} // first barrier of the first search
+	if _, err := OracleFromClustering(ctx, cl, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
+	}
+	settled("cancelled build")
 }
 
 // ClusterContext with a background context must produce exactly what the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 
 	"repro/internal/graph"
@@ -35,16 +34,7 @@ func Cluster2Context(ctx context.Context, g *graph.Graph, tau int, opt Options) 
 	return cluster2With(ctx, g, pre.MaxRadius(), opt)
 }
 
-// Cluster2WithRadius runs the second phase of CLUSTER2 with a caller-
-// supplied radius bound (e.g. a cached R_ALG from a previous run).
-func Cluster2WithRadius(g *graph.Graph, rAlg int32, opt Options) (*Clustering, error) {
-	if rAlg < 0 {
-		return nil, errors.New("core: negative radius bound")
-	}
-	//lint:allow background public non-cancellable wrapper over cluster2With
-	return cluster2With(context.Background(), g, rAlg, opt)
-}
-
+// cluster2With is CLUSTER2's second phase for a given radius bound rAlg.
 func cluster2With(ctx context.Context, g *graph.Graph, rAlg int32, opt Options) (*Clustering, error) {
 	opt = opt.withDefaults()
 	n := g.NumNodes()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestCluster2RadiusBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	rAlg := pre.MaxRadius()
-	cl2, err := Cluster2WithRadius(g, rAlg, Options{Seed: 2})
+	cl2, err := cluster2With(context.Background(), g, rAlg, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestCluster2WithRadiusZero(t *testing.T) {
 	// Degenerate radius bound: no growth at all, every node ends up a
 	// singleton by the final all-select iteration.
 	g := graph.Path(40)
-	cl, err := Cluster2WithRadius(g, 0, Options{Seed: 4})
+	cl, err := cluster2With(context.Background(), g, 0, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,6 @@ func TestCluster2WithRadiusZero(t *testing.T) {
 	}
 	if err := cl.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCluster2RejectsNegativeRadius(t *testing.T) {
-	if _, err := Cluster2WithRadius(graph.Path(5), -1, Options{}); err == nil {
-		t.Fatal("negative radius should fail")
 	}
 }
 

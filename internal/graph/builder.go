@@ -30,9 +30,6 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// NumNodes returns the current node count.
-func (b *Builder) NumNodes() int { return b.n }
-
 // AddEdge records the undirected edge {u, v}. Self-loops are ignored.
 // Endpoints must be in [0, n).
 func (b *Builder) AddEdge(u, v NodeID) {
@@ -93,18 +90,6 @@ func FromEdges(n int, edges [][2]NodeID) *Graph {
 	b := NewBuilder(n)
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
-}
-
-// FromAdjacency builds a graph from an adjacency-list description,
-// symmetrizing as needed (an arc in either direction yields the edge).
-func FromAdjacency(lists [][]NodeID) *Graph {
-	b := NewBuilder(len(lists))
-	for u, list := range lists {
-		for _, v := range list {
-			b.AddEdge(NodeID(u), v)
-		}
 	}
 	return b.Build()
 }

@@ -65,18 +65,8 @@ func (g *Graph) LargestComponent() (*Graph, []NodeID) {
 	return g.inducedSubgraph(keep, sizes[best])
 }
 
-// InducedSubgraph returns the subgraph induced by the nodes for which keep
-// is true, together with a mapping from new ids to original ids.
-func (g *Graph) InducedSubgraph(keep func(NodeID) bool) (*Graph, []NodeID) {
-	count := 0
-	for u := NodeID(0); u < NodeID(g.NumNodes()); u++ {
-		if keep(u) {
-			count++
-		}
-	}
-	return g.inducedSubgraph(keep, count)
-}
-
+// inducedSubgraph returns the subgraph induced by the count nodes for
+// which keep is true, together with a mapping from new ids to original ids.
 func (g *Graph) inducedSubgraph(keep func(NodeID) bool, count int) (*Graph, []NodeID) {
 	n := g.NumNodes()
 	newID := make([]NodeID, n)

@@ -88,7 +88,7 @@ func TestLargestComponentAlreadyConnected(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := Complete(6)
-	sub, ids := g.InducedSubgraph(func(u NodeID) bool { return u%2 == 0 })
+	sub, ids := g.inducedSubgraph(func(u NodeID) bool { return u%2 == 0 }, 3)
 	if sub.NumNodes() != 3 {
 		t.Fatalf("n=%d want 3", sub.NumNodes())
 	}

@@ -103,16 +103,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromAdjacencySymmetrizes(t *testing.T) {
-	g := FromAdjacency([][]NodeID{{1, 2}, {}, {}})
-	if !g.HasEdge(1, 0) || !g.HasEdge(2, 0) {
-		t.Fatal("adjacency not symmetrized")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMaxDegree(t *testing.T) {
 	g := Star(10)
 	d, u := g.MaxDegree()

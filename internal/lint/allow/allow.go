@@ -7,7 +7,7 @@
 //	//lint:allow <check> <justification>
 //
 // where <check> names the specific rule being waived (walltime, mapiter,
-// rand, plainatomic, locked, background, alloc, goroutine, lockorder).
+// rand, plainatomic, locked, background, lockorder).
 // An annotation applies to:
 //
 //   - every violation on the same source line as the comment,

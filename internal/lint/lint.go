@@ -5,40 +5,37 @@
 // read of a CAS word silently voids guarantees the acceptance tests
 // depend on.
 //
-// The eight analyzers, and the PR that introduced each convention:
+// The five analyzers each guard an invariant no test can see, because the
+// violation changes no output on the machine that runs the suite:
 //
 //	determinism   engine packages (bsp, mr, core, mpx, anf) must not
 //	              range over maps, use math/rand, or read time.Now
-//	              un-annotated (bit-for-bit determinism, PRs 2-4).
+//	              un-annotated (bit-for-bit determinism, PRs 2-4). A
+//	              map range that leaks order fails only on some runs.
 //	atomicfield   a struct field accessed via sync/atomic anywhere in a
 //	              package must never be accessed plainly outside tests
 //	              and annotated single-writer fast paths (claim words,
-//	              PRs 2-3).
+//	              PRs 2-3). The race detector does not pair an atomic
+//	              with a plain access reliably.
 //	lockedsuffix  functions named *Locked may only be called with the
 //	              guarding mutex held (serve cache conventions, PR 1+5).
+//	              -race sees a bare call only where a test drives that
+//	              call site concurrently (two of four seeded bare calls
+//	              escaped it).
 //	ctxflow       no context.Background/TODO in internal non-test code;
 //	              exported superstep-looping free functions must accept
-//	              a context.Context (cancellation contract, PR 5).
-//	metricname    metric families must be reprod_-prefixed, constant,
-//	              registered exactly once, and covered by
-//	              requiredFamilies (observability surface, PR 6).
-//	hotalloc      //lint:hotpath functions and their transitive callees
-//	              must contain no allocation sites, checked over the
-//	              function CFG with cold error paths excused and
-//	              cross-package verdicts carried by facts (the PR 7
-//	              zero-allocation batch path, made a build-time
-//	              contract in PR 10).
-//	goleak        every go statement needs a provable termination path:
-//	              escapable loops, a close() for ranged channels,
-//	              WaitGroup Add/Done matched on all CFG paths (the
-//	              PR 5/8 goroutine discipline, PR 10).
+//	              a context.Context (cancellation contract, PR 5). A
+//	              dropped context still computes the right answer.
 //	lockorder     per-package mutex-acquisition edges are exported as
 //	              facts and the union — the repo-wide lock graph — must
-//	              be acyclic; any cycle is a potential deadlock (PR 10).
+//	              be acyclic; any cycle is a potential deadlock that
+//	              needs one particular interleaving to fire (PR 10).
 //
-// The last three ride internal/lint/cfg, a lightweight intra-procedural
-// CFG/dataflow layer over go/ast (branch, loop, defer, and panic edges;
-// reachability and all-paths-hit queries).
+// Invariants a tier-1 test pins exactly have no analyzer: zero-allocation
+// hot paths (the AllocsPerRun ZeroAlloc tests), goroutine lifetime (the
+// settle-to-baseline tests in bsp, core and serve/chaos) and the metric
+// surface (serve's TestMetricsExpositionWellFormed). See the README's
+// "Correctness tooling" table.
 //
 // Violations that are deliberate carry a //lint:allow annotation (see
 // internal/lint/allow for the grammar); the annotation forces the
@@ -66,11 +63,8 @@ import (
 	"repro/internal/lint/atomicfield"
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/determinism"
-	"repro/internal/lint/goleak"
-	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/lockedsuffix"
 	"repro/internal/lint/lockorder"
-	"repro/internal/lint/metricname"
 )
 
 // Analyzers returns the full reprolint suite in deterministic order.
@@ -79,11 +73,8 @@ func Analyzers() []*analysis.Analyzer {
 		atomicfield.Analyzer,
 		ctxflow.Analyzer,
 		determinism.Analyzer,
-		goleak.Analyzer,
-		hotalloc.Analyzer,
 		lockedsuffix.Analyzer,
 		lockorder.Analyzer,
-		metricname.Analyzer,
 	}
 }
 
@@ -97,8 +88,6 @@ func KnownChecks() map[string]bool {
 		"plainatomic": true, // atomicfield
 		"locked":      true, // lockedsuffix
 		"background":  true, // ctxflow
-		"alloc":       true, // hotalloc
-		"goroutine":   true, // goleak
 		"lockorder":   true, // lockorder
 	}
 }

@@ -28,8 +28,8 @@
 //
 // The MR(MG, ML) accounting is unchanged by parallel execution: MG bounds a
 // round's input and output multiset sizes, ML bounds a single key group,
-// and the counters (Rounds, TotalShuffled, MaxReducerInput, MaxGlobalPairs)
-// are shard-count independent. Accounting is all-or-nothing: a round that
+// and the counters (Rounds, TotalShuffled, MaxReducerInput) are
+// shard-count independent. Accounting is all-or-nothing: a round that
 // fails either memory check leaves every counter and the RoundStats log
 // exactly as they were, so a failed probe cannot pollute a resource report.
 //
@@ -102,7 +102,6 @@ type Engine struct {
 
 	rounds       int
 	maxGroup     int
-	maxGlobal    int64
 	totalShuffle int64
 	roundStats   []RoundStat
 }
@@ -151,14 +150,8 @@ func (e *Engine) Rounds() int { return e.rounds }
 // MaxReducerInput returns the largest group any reducer received.
 func (e *Engine) MaxReducerInput() int { return e.maxGroup }
 
-// MaxGlobalPairs returns the largest round input or output observed.
-func (e *Engine) MaxGlobalPairs() int64 { return e.maxGlobal }
-
 // TotalShuffled returns the total number of pairs moved across all rounds.
 func (e *Engine) TotalShuffled() int64 { return e.totalShuffle }
-
-// ML returns the configured local memory (0 = unlimited).
-func (e *Engine) ML() int64 { return e.cfg.ML }
 
 // Shards returns the configured shard count.
 func (e *Engine) Shards() int { return e.shards }
@@ -392,12 +385,6 @@ func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
 		if results[s].maxGroup > e.maxGroup {
 			e.maxGroup = results[s].maxGroup
 		}
-	}
-	if int64(len(input)) > e.maxGlobal {
-		e.maxGlobal = int64(len(input))
-	}
-	if int64(len(out)) > e.maxGlobal {
-		e.maxGlobal = int64(len(out))
 	}
 	rs := RoundStat{
 		PairsIn:  int64(len(input)),

@@ -2,11 +2,7 @@ package mr
 
 import (
 	"errors"
-	"sort"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/rng"
 )
 
 func TestRoundGroupsByKey(t *testing.T) {
@@ -71,187 +67,6 @@ func TestRoundGroupsSortedDeterministically(t *testing.T) {
 	}
 }
 
-func TestSortSmallSingleRound(t *testing.T) {
-	e := NewEngine(Config{ML: 100})
-	vals := []int64{5, 3, 8, 1, 9, 2}
-	out, err := e.Sort(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]int64(nil), vals...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("sorted[%d]=%d want %d", i, out[i], want[i])
-		}
-	}
-	if e.Rounds() != 1 {
-		t.Fatalf("small sort took %d rounds, want 1", e.Rounds())
-	}
-}
-
-func TestSortSampleSortPath(t *testing.T) {
-	// n = 4000 with ML = 400 forces the multi-round sample sort.
-	r := rng.New(1)
-	vals := make([]int64, 4000)
-	for i := range vals {
-		vals[i] = int64(r.Intn(1_000_000))
-	}
-	e := NewEngine(Config{ML: 400})
-	out, err := e.Sort(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(vals) {
-		t.Fatalf("lost elements: %d of %d", len(out), len(vals))
-	}
-	want := append([]int64(nil), vals...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("sorted[%d]=%d want %d", i, out[i], want[i])
-		}
-	}
-	if e.Rounds() != 3 {
-		t.Fatalf("sample sort took %d rounds, want 3", e.Rounds())
-	}
-	if int64(e.MaxReducerInput()) > 400 {
-		t.Fatalf("reducer saw %d pairs, ML=400", e.MaxReducerInput())
-	}
-}
-
-func TestSortTooLargeForOneLevel(t *testing.T) {
-	e := NewEngine(Config{ML: 4})
-	vals := make([]int64, 1000)
-	if _, err := e.Sort(vals); err == nil {
-		t.Fatal("expected capacity error for n >> ML^1.5")
-	}
-}
-
-func TestSortEmpty(t *testing.T) {
-	e := NewEngine(Config{ML: 10})
-	out, err := e.Sort(nil)
-	if err != nil || out != nil {
-		t.Fatalf("empty sort: %v %v", out, err)
-	}
-}
-
-func TestSortProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 50 + r.Intn(2000)
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(r.Intn(500)) // duplicates likely
-		}
-		e := NewEngine(Config{ML: 256})
-		out, err := e.Sort(vals)
-		if err != nil {
-			// Heavy duplicate skew can overflow a bucket; that is a
-			// documented limitation, not a correctness bug.
-			return errors.Is(err, ErrLocalMemory)
-		}
-		if len(out) != n {
-			return false
-		}
-		want := append([]int64(nil), vals...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := range want {
-			if out[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrefixSum(t *testing.T) {
-	e := NewEngine(Config{ML: 64})
-	vals := make([]int64, 500)
-	for i := range vals {
-		vals[i] = int64(i % 7)
-	}
-	out, err := e.PrefixSum(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc int64
-	for i, v := range vals {
-		acc += v
-		if out[i] != acc {
-			t.Fatalf("prefix[%d]=%d want %d", i, out[i], acc)
-		}
-	}
-	if e.Rounds() != 2 {
-		t.Fatalf("prefix sum took %d rounds, want 2", e.Rounds())
-	}
-}
-
-func TestScanMax(t *testing.T) {
-	e := NewEngine(Config{ML: 32})
-	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4,
-		6, 2, 6, 4, 3, 3, 8, 3, 2, 7, 9, 5, 0, 2, 8, 8, 4, 1, 9, 7}
-	out, err := e.Scan(vals, func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := int64(-1)
-	for i, v := range vals {
-		if v > best {
-			best = v
-		}
-		if out[i] != best {
-			t.Fatalf("scanmax[%d]=%d want %d", i, out[i], best)
-		}
-	}
-}
-
-func TestSegmentedPrefixSum(t *testing.T) {
-	e := NewEngine(Config{ML: 16})
-	vals := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	segs := []int64{0, 0, 0, 1, 1, 2, 2, 2, 2, 3}
-	out, err := e.SegmentedPrefixSum(vals, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 3, 6, 4, 9, 6, 13, 21, 30, 10}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("segprefix[%d]=%d want %d", i, out[i], want[i])
-		}
-	}
-}
-
-func TestSegmentedPrefixSumSingleSegment(t *testing.T) {
-	e := NewEngine(Config{ML: 8})
-	vals := []int64{2, 2, 2, 2, 2, 2}
-	segs := []int64{5, 5, 5, 5, 5, 5}
-	out, err := e.SegmentedPrefixSum(vals, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if out[i] != int64(2*(i+1)) {
-			t.Fatalf("segprefix[%d]=%d", i, out[i])
-		}
-	}
-}
-
-func TestSegmentedPrefixSumMismatch(t *testing.T) {
-	e := NewEngine(Config{})
-	if _, err := e.SegmentedPrefixSum([]int64{1}, []int64{1, 2}); err == nil {
-		t.Fatal("length mismatch should fail")
-	}
-}
-
 func TestAccountingCounters(t *testing.T) {
 	e := NewEngine(Config{ML: 100})
 	in := []Pair{{Key: 1}, {Key: 1}, {Key: 2}}
@@ -263,8 +78,5 @@ func TestAccountingCounters(t *testing.T) {
 	}
 	if e.TotalShuffled() != 3 {
 		t.Fatalf("shuffled %d want 3", e.TotalShuffled())
-	}
-	if e.MaxGlobalPairs() != 3 {
-		t.Fatalf("max global %d want 3", e.MaxGlobalPairs())
 	}
 }

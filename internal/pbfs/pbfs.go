@@ -3,13 +3,11 @@
 //
 // A BFS from any node u yields ecc(u), and 2·ecc(u) is an upper bound on
 // the diameter within a factor two; that single-BFS bound is what the
-// paper's BFS competitor reports. The two-sweep refinement (BFS from the
-// farthest node found) gives the classical lower bound as well. Either way
-// the computation takes Θ(∆) BSP rounds — exactly the cost profile the
-// CLUSTER-based estimator improves on for long-diameter graphs. The BFS
-// itself runs on the direction-optimizing engine, so on low-diameter
-// graphs its aggregate communication drops well below the 2m arcs of the
-// pure top-down execution.
+// paper's BFS competitor reports. The computation takes Θ(∆) BSP rounds —
+// exactly the cost profile the CLUSTER-based estimator improves on for
+// long-diameter graphs. The BFS itself runs on the direction-optimizing
+// engine, so on low-diameter graphs its aggregate communication drops well
+// below the 2m arcs of the pure top-down execution.
 package pbfs
 
 import (
@@ -30,8 +28,7 @@ type Result struct {
 	// Upper is 2·Ecc, the certified upper bound reported as the estimate in
 	// the paper's Table 4.
 	Upper int32
-	// Lower is the best known lower bound: Ecc for a single sweep, the
-	// second sweep's eccentricity after TwoSweep.
+	// Lower is the best known lower bound: Ecc.
 	Lower int32
 	// Dist holds the hop distances from Source (-1 = unreachable).
 	Dist []int32
@@ -94,32 +91,4 @@ func RunDirectionContext(ctx context.Context, g *graph.Graph, src graph.NodeID, 
 // from src, reporting 2·ecc(src) as the diameter estimate.
 func EstimateDiameter(g *graph.Graph, src graph.NodeID, workers int) (*Result, error) {
 	return Run(g, src, workers)
-}
-
-// TwoSweep runs the double-sweep heuristic on the BSP substrate: BFS from
-// src finds a far node a; BFS from a yields ecc(a), improving the lower
-// bound (the upper bound remains 2·ecc(a) ≥ ∆ ≥ ecc(a)). The returned
-// Result is the second sweep's, with Lower = ecc(a) and accumulated stats.
-func TwoSweep(g *graph.Graph, src graph.NodeID, workers int) (*Result, error) {
-	start := time.Now()
-	first, err := Run(g, src, workers)
-	if err != nil {
-		return nil, err
-	}
-	// Farthest node from src (smallest id among ties, for determinism).
-	far := src
-	best := int32(-1)
-	for u, d := range first.Dist {
-		if d > best {
-			best = d
-			far = graph.NodeID(u)
-		}
-	}
-	second, err := Run(g, far, workers)
-	if err != nil {
-		return nil, err
-	}
-	second.Stats.Add(first.Stats)
-	second.Elapsed = time.Since(start)
-	return second, nil
 }

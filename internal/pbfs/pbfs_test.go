@@ -94,52 +94,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestTwoSweepImprovesLowerBound(t *testing.T) {
-	// Start a sweep from the middle of a path: single-sweep lower bound is
-	// n/2, two-sweep finds the full diameter.
-	g := graph.Path(101)
-	single, err := Run(g, 50, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	double, err := TwoSweep(g, 50, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Lower != 50 {
-		t.Fatalf("single sweep lower %d want 50", single.Lower)
-	}
-	if double.Lower != 100 {
-		t.Fatalf("two-sweep lower %d want 100", double.Lower)
-	}
-	truth := int32(100)
-	if double.Lower > truth || double.Upper < truth {
-		t.Fatal("two-sweep bounds do not bracket the diameter")
-	}
-}
-
-func TestTwoSweepAccumulatesStats(t *testing.T) {
-	g := graph.Mesh(15, 15)
-	single, _ := Run(g, 0, 0)
-	double, err := TwoSweep(g, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if double.Stats.Rounds <= single.Stats.Rounds {
-		t.Fatal("two-sweep should count both sweeps' rounds")
-	}
-	// Both sweeps' messages accumulate; each sweep is bounded by the
-	// top-down cost 2m (the hybrid engine can only undercut it).
-	if double.Stats.Messages <= single.Stats.Messages {
-		t.Fatalf("two-sweep messages %d should exceed single sweep's %d",
-			double.Stats.Messages, single.Stats.Messages)
-	}
-	if double.Stats.Messages > 2*int64(g.NumArcs()) {
-		t.Fatalf("two-sweep messages %d exceed two full top-down BFS (%d)",
-			double.Stats.Messages, 2*g.NumArcs())
-	}
-}
-
 func TestRunDisconnectedLeavesUnreached(t *testing.T) {
 	b := graph.NewBuilder(6)
 	b.AddEdge(0, 1)

@@ -1,5 +1,5 @@
-// Package rng provides deterministic, splittable pseudo-random number
-// generation for the randomized algorithms in this repository.
+// Package rng provides deterministic pseudo-random number generation for
+// the randomized algorithms in this repository.
 //
 // All algorithms in the paper (CLUSTER, CLUSTER2, MPX, HADI) are randomized.
 // To make experiments reproducible regardless of goroutine scheduling, the
@@ -7,7 +7,7 @@
 //
 //   - A sequential generator (RNG, xoshiro256**) seeded via SplitMix64, for
 //     places where a single goroutine draws a stream of values.
-//   - Stateless hash-based coins (Coin, Uniform, Exp) keyed by
+//   - Stateless hash-based coins (Coin, Uniform, ExpAt) keyed by
 //     (seed, round, node), so that per-node random decisions made
 //     concurrently by many workers are identical across runs and across
 //     worker counts.
@@ -37,8 +37,7 @@ func Mix64(words ...uint64) uint64 {
 }
 
 // RNG is a xoshiro256** generator. The zero value is invalid; construct with
-// New. RNG is not safe for concurrent use; give each worker its own stream
-// via Split.
+// New. RNG is not safe for concurrent use.
 type RNG struct {
 	s [4]uint64
 }
@@ -56,13 +55,6 @@ func New(seed uint64) *RNG {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
-}
-
-// Split derives an independent generator from this one, keyed by id. The
-// parent's state is not advanced, so Split(i) is stable for a given parent
-// seed: workers can be re-created with the same ids across runs.
-func (r *RNG) Split(id uint64) *RNG {
-	return New(Mix64(r.s[0], r.s[1], r.s[2], r.s[3], id))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -112,20 +104,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Exp returns an exponentially distributed value with rate beta
-// (mean 1/beta), as used by the MPX decomposition.
-func (r *RNG) Exp(beta float64) float64 {
-	if beta <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / beta
-		}
-	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

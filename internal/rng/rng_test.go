@@ -28,19 +28,6 @@ func TestNewDifferentSeeds(t *testing.T) {
 	}
 }
 
-func TestSplitIndependentAndStable(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Split(1)
-	c2 := parent.Split(2)
-	c1again := parent.Split(1)
-	if c1.Uint64() != c1again.Uint64() {
-		t.Fatal("Split not stable for the same id")
-	}
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("Split streams for different ids collide immediately")
-	}
-}
-
 func TestZeroSeedValid(t *testing.T) {
 	r := New(0)
 	seen := map[uint64]bool{}
@@ -120,31 +107,6 @@ func TestBernoulliRate(t *testing.T) {
 	rate := float64(hits) / trials
 	if math.Abs(rate-0.3) > 0.01 {
 		t.Fatalf("Bernoulli(0.3) empirical rate %v", rate)
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(8)
-	for _, beta := range []float64{0.5, 1, 4} {
-		sum := 0.0
-		const trials = 200000
-		for i := 0; i < trials; i++ {
-			sum += r.Exp(beta)
-		}
-		mean := sum / trials
-		want := 1 / beta
-		if math.Abs(mean-want) > 0.05*want {
-			t.Fatalf("Exp(%v) mean %v want %v", beta, mean, want)
-		}
-	}
-}
-
-func TestExpPositive(t *testing.T) {
-	r := New(12)
-	for i := 0; i < 10000; i++ {
-		if v := r.Exp(2); v < 0 {
-			t.Fatalf("Exp returned negative %v", v)
-		}
 	}
 }
 

@@ -357,9 +357,26 @@ func TestDistanceBatchZeroAllocPerPair(t *testing.T) {
 	}
 }
 
+// TestBatchCodecZeroAllocs pins the two frame codecs at exactly zero: the
+// request test above tolerates the HTTP stack's per-request constant, so
+// one stray allocation per call inside a codec would hide in it.
+// AllocsPerRun's own warm-up call charges the reused buffers.
+func TestBatchCodecZeroAllocs(t *testing.T) {
+	frame := encodePairsFrame(make([][2]graph.NodeID, 1024))
+	dists := make([]int64, 1024)
+	var pairs [][2]graph.NodeID
+	var out []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		pairs, _, _ = decodePairsBinary(pairs, frame)
+		out = encodeDistsFrame(out, dists)
+	})
+	if allocs != 0 {
+		t.Fatalf("decodePairsBinary + encodeDistsFrame allocated %.1f times per warm call, want 0", allocs)
+	}
+}
+
 // BenchmarkDistanceBatch reports the batch path's pairs/sec and B/pair
-// through the full handler stack (no network), the number BENCH_10.json
-// tracks over HTTP.
+// through the full handler stack (no network).
 func BenchmarkDistanceBatch(b *testing.B) {
 	g := graph.RoadLike(60, 60, 0.4, 17)
 	s := New(Config{Workers: 8})

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -250,8 +251,12 @@ func scrapeMetrics(t *testing.T, url string) string {
 	return string(body)
 }
 
-// requiredFamilies is the metric surface the README documents; the smoke
-// test in CI greps for the same names.
+// familyName is the naming rule for every exposed family.
+var familyName = regexp.MustCompile(`^reprod_[a-z0-9_]+$`)
+
+// requiredFamilies is the metric surface the README documents — exactly
+// what /metrics exposes, which TestMetricsExpositionWellFormed checks in
+// both directions. CI's smoke job greps a live daemon for the same names.
 var requiredFamilies = []string{
 	"reprod_http_requests_total",
 	"reprod_http_request_duration_seconds",
@@ -321,9 +326,22 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 
 	first := parseExposition(t, scrapeMetrics(t, ts.URL))
 	checkHistograms(t, first)
+	// Two-way: the scrape and requiredFamilies name the same families,
+	// so a renamed, dropped or unlisted registration fails here. (A
+	// duplicate registration panics obs.Registry in every serve test.)
+	required := map[string]bool{}
 	for _, fam := range requiredFamilies {
+		required[fam] = true
 		if _, ok := first.typ[fam]; !ok {
 			t.Errorf("required family %s missing from exposition", fam)
+		}
+	}
+	for fam := range first.typ {
+		if !required[fam] {
+			t.Errorf("family %s is exposed but not in requiredFamilies (and the README's metric table)", fam)
+		}
+		if !familyName.MatchString(fam) {
+			t.Errorf("family %s does not match %s", fam, familyName)
 		}
 	}
 
