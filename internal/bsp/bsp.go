@@ -91,9 +91,9 @@ type RoundStat struct {
 // high-water candidate to be max-merged.
 //
 // An Observer must be safe for concurrent use when one function is
-// installed on several engines running in parallel (the oracle's APSP
-// fan-out does exactly that), and must be cheap: it runs on the engine's
-// driving goroutine, between barriers. A nil observer (the default) costs
+// called from several goroutines (the oracle's APSP fan-out reports every
+// completed block of sources from the worker that ran it), and must be
+// cheap: it runs on the engine's driving goroutine, between barriers. A nil observer (the default) costs
 // one predictable branch per round — nothing on the arc-scanning hot
 // path, which BenchmarkEngineObserver pins down.
 type Observer func(delta Stats)

@@ -1,13 +1,16 @@
 package core
 
 // Cancellation semantics of the build entry points: a cancelled context
-// aborts at the next superstep/bucket barrier and surfaces ctx.Err(), and
+// aborts at the next superstep/bucket barrier (the oracle's APSP: before
+// the next source) and surfaces ctx.Err(), and
 // the checks never change what an uncancelled run computes.
 
 import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,12 +93,12 @@ func TestBuildOracleCancelledMidBuildReturnsPromptly(t *testing.T) {
 
 // OracleFromClustering's APSP fan-out is the one go site in this package.
 // Its goroutines must be gone when it returns, whether the build completes
-// or is cancelled at a barrier mid-search; this count is their enforcer.
+// or is cancelled; this count is their enforcer. The cancel is fired from
+// the first block's delta on a quotient of 18 blocks: the workers must see
+// it before their next source, so all but a few blocks never report.
 func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
-	cl, err := Cluster(graph.Mesh(40, 40), 2, Options{Seed: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := voronoi(graph.Mesh(40, 40), 17*graph.APSPBlock+1, 1)
+	const blocks = 18
 	base := runtime.NumGoroutine()
 	settled := func(when string) {
 		t.Helper()
@@ -115,11 +118,43 @@ func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt := Options{Workers: 4, Observer: func(bsp.Stats) { cancel() }} // first barrier of the first search
+	var deltas atomic.Int64
+	opt := Options{Workers: 4, Observer: func(bsp.Stats) { deltas.Add(1); cancel() }}
 	if _, err := OracleFromClustering(ctx, cl, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
 	}
+	if got := deltas.Load(); got >= blocks {
+		t.Fatalf("cancelled at the first delta, yet %d of %d blocks completed: the workers ran on", got, blocks)
+	}
 	settled("cancelled build")
+}
+
+// The observer sees one delta per completed block, and the deltas add up to
+// exactly the build's APSPStats — so the live counters behind /builds end
+// at the cost line /stats reports.
+func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
+	cl := voronoi(graph.RoadLike(30, 30, 0.4, 5), 5*graph.APSPBlock+7, 2)
+	var (
+		mu     sync.Mutex
+		sum    bsp.Stats
+		deltas int
+	)
+	observe := func(d bsp.Stats) {
+		mu.Lock()
+		defer mu.Unlock()
+		sum.Add(d)
+		deltas++
+	}
+	o, err := OracleFromClustering(context.Background(), cl, Options{Workers: 3, Observer: observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deltas != 6 {
+		t.Fatalf("%d deltas for 6 blocks", deltas)
+	}
+	if got := o.APSPStats(); sum != got || got.Relaxations == 0 || got.Messages != got.Relaxations || got.Buckets == 0 || got.Rounds == 0 {
+		t.Fatalf("deltas sum to %+v, APSPStats is %+v", sum, got)
+	}
 }
 
 // ClusterContext with a background context must produce exactly what the

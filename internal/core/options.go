@@ -33,20 +33,21 @@ type Options struct {
 	// benchmarks), DirPull forces bottom-up.
 	Direction bsp.Direction
 
-	// Delta overrides the delta-stepping bucket width of the weighted
-	// algorithms (WeightedCluster, the oracle's quotient APSP).
-	// Non-positive selects the engine's automatic choice, the mean edge
-	// weight. The final distances are identical for every delta; only the
-	// bucket/phase schedule — and with it the wall-clock — changes.
+	// Delta overrides the delta-stepping bucket width of weighted cluster
+	// growth (WeightedCluster). Non-positive selects the engine's
+	// automatic choice, the mean edge weight. The final distances are
+	// identical for every delta; only the bucket/phase schedule — and with
+	// it the wall-clock — changes.
 	Delta int64
 
 	// Observer, when non-nil, is installed on every engine the build
 	// creates and receives live progress deltas at superstep/bucket
 	// barriers (see bsp.Observer) — the serving layer's window into a
-	// running multi-second build. The oracle's APSP fan-out installs it
-	// on one engine per worker goroutine, so it MUST be safe for
-	// concurrent use. It observes progress only: it has no effect on the
-	// computation, and nil (the default) costs one branch per round.
+	// running multi-second build. The oracle's APSP fan-out calls it from
+	// every worker goroutine, once per completed block of sources, so it
+	// MUST be safe for concurrent use. It observes progress only: it has
+	// no effect on the computation, and nil (the default) costs one
+	// branch per round.
 	Observer bsp.Observer
 }
 

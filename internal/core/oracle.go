@@ -71,8 +71,8 @@ const maxOracleClusters = 8192
 // BuildOracle constructs a distance oracle over g. If tau <= 0,
 // DefaultOracleTau is used. useCluster2 selects the theory-faithful
 // decomposition (slower; plain CLUSTER matches the experimental pipeline).
-// Cancelling ctx aborts the build at the next superstep (or, in the APSP
-// phase, bucket) barrier and returns ctx.Err().
+// Cancelling ctx aborts the build at the next superstep barrier (or, in the
+// APSP phase, before the next source) and returns ctx.Err().
 func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool, opt Options) (*Oracle, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -97,30 +97,31 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 }
 
 // OracleFromClustering builds the oracle tables from an existing
-// decomposition. The k per-cluster searches of the quotient APSP are
-// independent, so they fan out across opt.Workers goroutines, each running
-// its own delta-stepping engine for the weighted rows — source-level
-// parallelism on top of (and compounding with) the parallel relaxation
-// inside each search. The row contents are identical to the sequential
-// Dijkstra+BFS build for every worker count. Cancelling ctx stops every
-// worker at its next source (or mid-search bucket) boundary and returns
-// ctx.Err().
+// decomposition. The quotient has at most maxOracleClusters nodes, so — as
+// in the paper, which solves it inside one reducer's local memory — every
+// search is sequential and cache-resident: a Dial bucket-queue SSSP per
+// source for the weighted rows, one bit-parallel BFS per block of
+// graph.APSPBlock consecutive sources for the hop rows (see
+// graph.APSPScratch). The parallelism is across blocks: opt.Workers
+// goroutines, each with its own scratch, claim them from a shared counter.
+// The tables are identical to a Dijkstra+BFS build at every worker count.
+// Cancelling ctx stops every worker before its next source and returns
+// ctx.Err(); opt.Observer receives one delta per completed block, and the
+// deltas sum to APSPStats.
 func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Oracle, error) {
 	k := cl.NumClusters()
 	if k > maxOracleClusters {
 		return nil, fmt.Errorf("core: %d clusters exceed the oracle cap %d; lower tau", k, maxOracleClusters)
 	}
-	q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
+	_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
 	if err != nil {
 		return nil, err
 	}
-	workers := bsp.Workers(opt.Workers)
-	if workers > k {
-		workers = k
-	}
-	// The tables are row-major flat arrays; each worker owns the disjoint
-	// row apsp[c*k:(c+1)*k] of the source it claimed, so the writes need no
-	// synchronization and the engines fill the final storage directly.
+	blocks := (k + graph.APSPBlock - 1) / graph.APSPBlock
+	workers := min(bsp.Workers(opt.Workers), blocks)
+	// The tables are row-major flat arrays; a worker owns the disjoint rows
+	// [lo*k, hi*k) of the block it claimed, so the writes need no
+	// synchronization and the kernels fill the final storage directly.
 	apsp := make([]int64, k*k)
 	hops := make([]int64, k*k)
 	var (
@@ -133,36 +134,31 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One sequential engine per goroutine: the parallelism budget
-			// is already spent on the source fan-out.
-			e := bsp.NewWeightedEngine(wq, 1, opt.Delta)
-			e.SetContext(ctx)
-			e.SetObserver(opt.Observer) // concurrent across workers; Observer contract requires thread safety
-			defer e.Close()
-			for ctx.Err() == nil {
-				c := int(next.Add(1)) - 1
-				if c >= k {
-					break
+			scratch := wq.NewAPSPScratch()
+			for {
+				b := int(next.Add(1)) - 1
+				if b >= blocks {
+					return
 				}
-				e.SSSP(graph.NodeID(c), apsp[c*k:(c+1)*k])
-				if e.Err() != nil {
-					// Cancelled mid-search: the row is partial, and the
-					// whole build is about to be discarded.
-					break
-				}
-				hop := q.BFS(graph.NodeID(c))
-				hrow := hops[c*k : (c+1)*k]
-				for i, h := range hop {
-					if h < 0 {
-						hrow[i] = graph.InfDist
-					} else {
-						hrow[i] = int64(h)
+				lo, hi := b*graph.APSPBlock, min((b+1)*graph.APSPBlock, k)
+				var delta bsp.Stats
+				for c := lo; c < hi; c++ {
+					if ctx.Err() != nil {
+						return // the build is about to be discarded
 					}
+					arcs, buckets := scratch.SSSP(graph.NodeID(c), apsp[c*k:(c+1)*k])
+					delta.Relaxations += arcs
+					delta.Buckets += buckets
+				}
+				delta.Messages = delta.Relaxations
+				delta.Rounds = scratch.HopRows(graph.NodeID(lo), hops[lo*k:hi*k])
+				statsMu.Lock()
+				stats.Add(delta)
+				statsMu.Unlock()
+				if opt.Observer != nil {
+					opt.Observer(delta) // concurrent across workers; the Observer contract requires thread safety
 				}
 			}
-			statsMu.Lock()
-			stats.Add(e.Stats())
-			statsMu.Unlock()
 		}()
 	}
 	wg.Wait()
@@ -216,9 +212,14 @@ func (o *Oracle) HopsFlat() []int64 { return o.hops }
 // table).
 func (o *Oracle) NumClusters() int { return o.k }
 
-// APSPStats returns the aggregate substrate cost of the quotient APSP
-// build (delta-stepping relaxations, buckets, phases summed over the k
-// per-cluster searches). Zero for oracles reassembled from snapshots.
+// APSPStats returns the cost of the quotient APSP build, in counters that
+// depend on the quotient alone — not on the worker count or any schedule:
+// Relaxations = Messages = arcs scanned by the bucket-queue searches (the
+// degrees of the nodes each source reaches, summed over sources), Buckets =
+// non-empty unit-width buckets settled (distinct finite distances, summed
+// over sources), Rounds = bit-parallel BFS sweeps (the largest hop
+// eccentricity in each block of graph.APSPBlock sources, summed over
+// blocks). Zero for oracles reassembled from snapshots.
 func (o *Oracle) APSPStats() bsp.Stats { return o.apspStats }
 
 // LowerQuery returns a certified lower bound on the distance between u and
@@ -234,11 +235,7 @@ func (o *Oracle) LowerQuery(u, v graph.NodeID) int64 {
 	if cu == cv {
 		return 0
 	}
-	h := o.hops[int(cu)*o.k+int(cv)]
-	if h == graph.InfDist {
-		return graph.InfDist
-	}
-	return h
+	return o.hops[int(cu)*o.k+int(cv)]
 }
 
 // Query returns an upper bound on the distance between u and v, or

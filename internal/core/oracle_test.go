@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/graph"
+	"repro/internal/quotient"
 	"repro/internal/rng"
 )
 
@@ -126,31 +130,85 @@ func TestOracleCapEnforced(t *testing.T) {
 	}
 }
 
+// voronoi is the decomposition of connected g around k random centers, each
+// node owned by its nearest: a clustering with exactly k clusters, which no
+// choice of τ and seed promises.
+func voronoi(g *graph.Graph, k int, seed uint64) *Clustering {
+	cl := &Clustering{G: g, Owner: make([]graph.NodeID, g.NumNodes()), Radii: make([]int32, k)}
+	index := make(map[graph.NodeID]graph.NodeID, k)
+	for i, u := range rng.New(seed).Perm(g.NumNodes())[:k] {
+		cl.Centers = append(cl.Centers, graph.NodeID(u))
+		index[graph.NodeID(u)] = graph.NodeID(i)
+	}
+	var nearest []graph.NodeID
+	cl.Dist, nearest = g.MultiSourceBFS(cl.Centers)
+	for u, center := range nearest {
+		c := index[center]
+		cl.Owner[u] = c
+		cl.Radii[c] = max(cl.Radii[c], cl.Dist[u])
+	}
+	return cl
+}
+
 func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
-	// The fan-out of the per-cluster APSP searches must not change a single
-	// table entry: every row is identical to the sequential Dijkstra+BFS
-	// build at every worker count.
-	g := graph.RoadLike(25, 25, 0.4, 13)
-	cl, err := Cluster(g, 2, Options{Seed: 6})
+	// The block fan-out and its two kernels must not change a single table
+	// entry: every row is identical to an independent Dijkstra + BFS build
+	// of the same quotient, at every worker count, for cluster counts on
+	// both sides of every block edge and across components. The APSP cost
+	// counters are schedule-free, so they too agree at every worker count.
+	road, err := Cluster(graph.RoadLike(25, 25, 0.4, 13), 2, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := OracleFromClustering(context.Background(), cl, Options{Workers: 1})
+	union, err := Cluster(goldenGraphs()["union"], 2, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := ref.NumClusters()
-	for _, workers := range []int{4, 8} {
-		o, err := OracleFromClustering(context.Background(), cl, Options{Workers: workers})
+	cases := map[string]*Clustering{"road": road, "union": union}
+	for _, k := range []int{40, 64, 65, 127, 129} {
+		cases[fmt.Sprintf("k=%d", k)] = voronoi(graph.RoadLike(20, 20, 0.4, uint64(k)), k, 1)
+	}
+	for name, cl := range cases {
+		k := cl.NumClusters()
+		q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.APSPStats() != ref.APSPStats() {
-			t.Fatalf("workers=%d: APSP stats %+v diverge from %+v", workers, o.APSPStats(), ref.APSPStats())
+		wantAPSP, wantHops := make([]int64, k*k), make([]int64, k*k)
+		for c := 0; c < k; c++ {
+			wq.DijkstraInto(graph.NodeID(c), wantAPSP[c*k:(c+1)*k])
+			for d, h := range q.BFS(graph.NodeID(c)) {
+				wantHops[c*k+d] = int64(h)
+				if h < 0 {
+					wantHops[c*k+d] = graph.InfDist
+				}
+			}
 		}
-		for i := 0; i < k*k; i++ {
-			if o.APSPFlat()[i] != ref.APSPFlat()[i] || o.HopsFlat()[i] != ref.HopsFlat()[i] {
-				t.Fatalf("workers=%d: table entry (%d,%d) diverged", workers, i/k, i%k)
+		// Exactly the cross-component cells are InfDist, in both tables.
+		comp, _ := cl.G.ConnectedComponents()
+		for c, u := range cl.Centers {
+			for d, v := range cl.Centers {
+				if inf := comp[u] != comp[v]; inf != (wantAPSP[c*k+d] == graph.InfDist) || inf != (wantHops[c*k+d] == graph.InfDist) {
+					t.Fatalf("%s: reference cell (%d,%d) = %d / %d, cross-component = %v", name, c, d, wantAPSP[c*k+d], wantHops[c*k+d], inf)
+				}
+			}
+		}
+		var stats bsp.Stats
+		for _, workers := range []int{1, 2, 4, 8} {
+			o, err := OracleFromClustering(context.Background(), cl, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				stats = o.APSPStats()
+			} else if o.APSPStats() != stats {
+				t.Fatalf("%s workers=%d: APSP stats %+v diverge from one worker's %+v", name, workers, o.APSPStats(), stats)
+			}
+			for i := 0; i < k*k; i++ {
+				if o.APSPFlat()[i] != wantAPSP[i] || o.HopsFlat()[i] != wantHops[i] {
+					t.Fatalf("%s (k=%d) workers=%d: entry (%d,%d) = %d / %d hops, Dijkstra + BFS say %d / %d",
+						name, k, workers, i/k, i%k, o.APSPFlat()[i], o.HopsFlat()[i], wantAPSP[i], wantHops[i])
+				}
 			}
 		}
 	}
@@ -304,5 +362,28 @@ func TestDefaultOracleTau(t *testing.T) {
 	// sqrt(n)/log⁴n only exceeds 1 for astronomically large n.
 	if DefaultOracleTau(1<<60) < 2 {
 		t.Fatal("tau should grow for huge n")
+	}
+}
+
+// BenchmarkOracleFromClusteringFine is the benchmark's `fine` oracle build
+// without its 40 s harness: RoadLike(400,400) cut at τ = 8 into ≈ 3,500
+// clusters, so the quotient APSP is the whole build. For paired runs build
+// it once per side with `go test -c` and alternate the binaries.
+func BenchmarkOracleFromClusteringFine(b *testing.B) {
+	cl, err := Cluster(graph.RoadLike(400, 400, 0.4, 1), 8, Options{Seed: 1, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var o *Oracle
+			for b.Loop() {
+				if o, err = OracleFromClustering(context.Background(), cl, Options{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*o.NumClusters()), "ns/source")
+			b.ReportMetric(float64(o.APSPStats().Relaxations), "relaxations/op")
+		})
 	}
 }

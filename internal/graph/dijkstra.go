@@ -114,9 +114,10 @@ func (h *distHeap) Pop() interface{} {
 
 // Dijkstra computes single-source shortest path distances from src.
 // Unreachable nodes get InfDist. It is the sequential binary-heap reference
-// implementation: the hot paths (weighted iFUB, quotient APSP, weighted
-// cluster growth) run the parallel delta-stepping bsp.WeightedEngine, whose
-// distances are tested to match this one bit for bit.
+// implementation: weighted iFUB and weighted cluster growth run the
+// parallel delta-stepping bsp.WeightedEngine and the oracle's quotient APSP
+// the bucket-queue APSPScratch.SSSP, and both are tested to match this one
+// bit for bit.
 func (g *Weighted) Dijkstra(src NodeID) []int64 {
 	dist := make([]int64, g.NumNodes())
 	g.DijkstraInto(src, dist)

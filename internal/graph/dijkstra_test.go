@@ -7,14 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-func unitWeighted(g *Graph) *Weighted {
-	edges := g.EdgeList()
-	w := make([]int32, len(edges))
-	for i := range w {
-		w[i] = 1
-	}
-	return MustWeighted(g.NumNodes(), edges, w)
-}
+func unitWeighted(g *Graph) *Weighted { return weightedBy(g, func() int32 { return 1 }) }
 
 func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 	f := func(seed uint64) bool {

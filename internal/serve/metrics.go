@@ -122,9 +122,9 @@ func newMetrics() *metrics {
 	m.engArcs = reg.Counter("reprod_engine_arcs_scanned_total",
 		"Arcs scanned by artifact builds, the paper's message-volume unit.")
 	m.engRelaxations = reg.Counter("reprod_engine_relaxations_total",
-		"Weighted edge relaxations offered by delta-stepping builds.")
+		"Weighted edge relaxations offered by artifact builds (delta-stepping growth, the oracle's bucket-queue APSP).")
 	m.engBuckets = reg.Counter("reprod_engine_buckets_total",
-		"Delta-stepping buckets settled by artifact builds.")
+		"Distance buckets settled by artifact builds: delta-width in weighted growth, unit-width in the oracle's quotient APSP.")
 	m.mrRounds = reg.Counter("reprod_mr_rounds_total",
 		"MR(MG, ML) rounds committed by mr-diameter builds.")
 	m.mrPairs = reg.Counter("reprod_mr_pairs_shuffled_total",

@@ -698,9 +698,9 @@ func (s *Server) Oracle(ctx context.Context, name string, tau int, seed uint64, 
 }
 
 // oracleArtifact wraps an oracle — built here or loaded from a snapshot —
-// with its cost: the decomposition's traversal stats plus the
-// delta-stepping cost of the quotient APSP build, so the weighted work is
-// reported as honestly as the unweighted rounds.
+// with its cost: the decomposition's traversal stats plus the quotient APSP
+// build's (core.Oracle.APSPStats defines its counters), so the weighted
+// work is reported as honestly as the unweighted rounds.
 func oracleArtifact(o *core.Oracle) artifact {
 	st := o.Clustering().Stats
 	st.Add(o.APSPStats())

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -357,6 +358,70 @@ func TestRegisterGraphInvalidatesArtifacts(t *testing.T) {
 	}
 	if n := o.Clustering().G.NumNodes(); n != 900 {
 		t.Fatalf("oracle over %d nodes, want 900 (new graph)", n)
+	}
+}
+
+// The graph registry under concurrent writers and readers (run under -race
+// in CI): every listing is sorted, duplicate-free and only names graphs
+// that resolve; a name being re-registered always resolves to one of its
+// versions; and nothing registered is lost.
+func TestGraphRegistryConcurrentRegisterListLookup(t *testing.T) {
+	s := New(Config{Workers: 2})
+	versions := []*graph.Graph{graph.Mesh(3, 3), graph.Mesh(4, 4), graph.Mesh(5, 5)}
+	if err := s.RegisterGraph("shared", versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 25
+	var writing, reading sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := s.RegisterGraph(fmt.Sprintf("w%d-%02d", w, i), versions[i%len(versions)]); err != nil {
+					t.Error(err)
+				}
+				if err := s.RegisterGraph("shared", versions[(w+i)%len(versions)]); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for r := 0; r < 4; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				names := s.GraphNames()
+				if !sort.StringsAreSorted(names) {
+					t.Errorf("listing not sorted: %v", names)
+				}
+				for i, name := range names {
+					if i > 0 && name == names[i-1] {
+						t.Errorf("listing repeats %q", name)
+					}
+					if _, err := s.Graph(name); err != nil {
+						t.Errorf("listed graph does not resolve: %v", err)
+					}
+				}
+				g, err := s.Graph("shared")
+				if err != nil || !slices.Contains(versions, g) {
+					t.Errorf("shared resolved to %p, %v: not one of its versions", g, err)
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	if got, want := len(s.GraphNames()), writers*perWriter+1; got != want {
+		t.Fatalf("%d graphs registered, want %d", got, want)
 	}
 }
 

@@ -29,7 +29,7 @@ const recentBuilds = 64
 // the enqueue → slot-acquired → engine-rounds → terminal-state timeline,
 // the waiter high-water mark, and the live engine counters fed by the
 // build's observers. The counter fields are atomics because the oracle's
-// APSP fan-out runs one observing engine per worker goroutine; the
+// APSP fan-out reports from every worker goroutine; the
 // timeline fields are guarded by mu and change a handful of times per
 // build.
 type buildTrace struct {
