@@ -57,10 +57,29 @@ func (d Direction) String() string {
 // input is independent of the goroutine schedule, the direction sequence —
 // and therefore RoundLog — is identical across worker counts.
 
-// seqThreshold is the work size below which a step runs inline on the
-// calling goroutine; dispatching to the pool for tiny rounds costs more
-// than it saves.
+// seqThreshold is the range length (nodes, or candidates) below which
+// For, ParallelFor and the pull and gather steps run inline on the calling
+// goroutine; dispatching to the pool for tiny rounds costs more than it
+// saves. Push steps are sized in arcs instead — see pushArcThreshold.
 const seqThreshold = 2048
+
+// pushArcThreshold is the frontier arc count (mf) below which a push step
+// runs inline, and pushBlockArcs the arcs one claim of a pooled push step
+// aims for. 6 k arcs is the 2,048-node rule this replaces on a road-like
+// graph, whose frontiers carry 2.8 arcs a node: of the 150 push rounds of a
+// CLUSTER run on the benchmark's road graph, 135 went to the pool by nodes
+// and 134 go by arcs (139 at 4 k, 129 at 8 k, 101 at 16 k). What changes
+// is the frontier of a thousand hubs: the round that claims half of the
+// benchmark's social graph offers 1 M arcs from 1.2 k nodes and ran inline
+// at every worker count. Dynamic blocks were measured against static
+// per-worker bounds from a degree prefix of the frontier (growth at two
+// workers, beside a sequential BFS of the same graph): road 2.5 against
+// 2.8 sweeps, social 0.57–0.66 against 0.63–0.72 — and the prefix is one
+// more sequential pass over the frontier.
+const (
+	pushArcThreshold = 6 << 10
+	pushBlockArcs    = 4 << 10
+)
 
 // StepSpec is the two-sided superstep contract of a claim-style traversal.
 //
@@ -110,10 +129,11 @@ type Engine struct {
 	visited      *Bitmap
 	frontier     []NodeID
 	frontierBits *Bitmap
-	bitsFor      []NodeID // sparse list frontierBits currently encodes
-	frontierArcs int64    // mf: sum of degrees over the current frontier
-	unvisArcs    int64    // mu: sum of degrees over unvisited nodes
-	unvisNodes   int64    // nu: number of unvisited nodes
+	bitsFor      []NodeID     // sparse list frontierBits currently encodes
+	frontierArcs int64        // mf: sum of degrees over the current frontier
+	pushCursor   atomic.Int64 // next unclaimed frontier index of a push step
+	unvisArcs    int64        // mu: sum of degrees over unvisited nodes
+	unvisNodes   int64        // nu: number of unvisited nodes
 
 	stats Stats
 	log   []RoundStat
@@ -355,6 +375,14 @@ func (e *Engine) Step(spec StepSpec) RoundStat {
 		arcs, claimedDeg = e.stepPull(spec)
 	}
 	next := e.gatherBufs()
+	if dir == DirPush {
+		// A node is claimed once per traversal, so this is O(n) plain ORs
+		// in total where a mark per claim inside the round was a locked
+		// instruction each; pull rounds mark as they go, word-confined.
+		for _, v := range next {
+			e.visited.Set(v)
+		}
+	}
 	e.frontier = next
 	e.frontierArcs = claimedDeg
 	e.unvisArcs -= claimedDeg
@@ -386,7 +414,11 @@ func (e *Engine) BFS(src NodeID, dist []int32) (ecc int32) {
 	dist[src] = 0
 	for d := int32(1); e.FrontierLen() > 0; d++ {
 		rs := e.Step(StepSpec{
-			Push: func(_ int, _, v NodeID) bool { return atomic.CompareAndSwapInt32(&dist[v], -1, d) },
+			// Test before the locked instruction: most scanned arcs lead
+			// to a node that is already claimed.
+			Push: func(_ int, _, v NodeID) bool {
+				return atomic.LoadInt32(&dist[v]) == -1 && atomic.CompareAndSwapInt32(&dist[v], -1, d)
+			},
 			Pull: func(_ int, v, _ NodeID) bool {
 				dist[v] = d
 				return true
@@ -417,22 +449,42 @@ func (e *Engine) gatherBufs() []NodeID {
 }
 
 // stepPush expands the frontier top-down: every frontier node offers its
-// arcs to Push. Claims mark the visited bitmap atomically (arbitrary nodes
-// may collide on a word).
+// arcs to Push. The round is sized in arcs, as Beamer et al. size the
+// top-down step (mf), not in frontier nodes: under pushArcThreshold arcs it
+// runs on the caller; otherwise the workers claim blocks of frontier nodes
+// from a shared cursor, each block about pushBlockArcs arcs at the
+// frontier's mean degree, so a thousand hubs are spread over the pool and a
+// hub-heavy stretch of the frontier delays one worker by one block. Which
+// worker scans which block affects only the order of the next frontier;
+// the set claimed and the arcs scanned are the same at every worker count.
+// No push round reads the visited bitmap, so claims do not touch it here:
+// Step marks the gathered claims at the barrier.
 func (e *Engine) stepPush(push func(worker int, u, v NodeID) bool) (arcs, claimedDeg int64) {
 	frontier := e.frontier
 	t := e.t
-	body := func(w, lo, hi int) {
+	inline := e.workers == 1 || e.frontierArcs < pushArcThreshold
+	block := len(frontier)
+	if !inline {
+		block = max(1, int(int64(len(frontier))*pushBlockArcs/e.frontierArcs))
+	}
+	e.pushCursor.Store(0)
+	body := func(w int) {
 		buf := e.bufs[w][:0]
 		var scanned, deg int64
-		for _, u := range frontier[lo:hi] {
-			nbrs := t.Neighbors(u)
-			scanned += int64(len(nbrs))
-			for _, v := range nbrs {
-				if push(w, u, v) {
-					e.visited.SetAtomic(v)
-					buf = append(buf, v)
-					deg += int64(t.Degree(v))
+		for {
+			hi := int(e.pushCursor.Add(int64(block)))
+			lo := hi - block
+			if lo >= len(frontier) {
+				break
+			}
+			for _, u := range frontier[lo:min(hi, len(frontier))] {
+				nbrs := t.Neighbors(u)
+				scanned += int64(len(nbrs))
+				for _, v := range nbrs {
+					if push(w, u, v) {
+						buf = append(buf, v)
+						deg += int64(t.Degree(v))
+					}
 				}
 			}
 		}
@@ -440,7 +492,14 @@ func (e *Engine) stepPush(push func(worker int, u, v NodeID) bool) (arcs, claime
 		e.arcs[w] = scanned
 		e.degs[w] = deg
 	}
-	e.forChunks(len(frontier), false, body)
+	if inline {
+		body(0)
+		for w := 1; w < e.workers; w++ {
+			e.idle(w)
+		}
+	} else {
+		e.pool.Run(body)
+	}
 	return e.sumScratch()
 }
 
@@ -501,8 +560,7 @@ func (e *Engine) forChunks(n int, aligned bool, body func(w, lo, hi int)) {
 	if n < seqThreshold || e.workers == 1 {
 		body(0, 0, n)
 		for w := 1; w < e.workers; w++ {
-			e.bufs[w] = e.bufs[w][:0]
-			e.arcs[w], e.degs[w] = 0, 0
+			e.idle(w)
 		}
 		return
 	}
@@ -513,8 +571,7 @@ func (e *Engine) forChunks(n int, aligned bool, body func(w, lo, hi int)) {
 	e.pool.Run(func(w int) {
 		lo := w * chunk
 		if lo >= n {
-			e.bufs[w] = e.bufs[w][:0]
-			e.arcs[w], e.degs[w] = 0, 0
+			e.idle(w)
 			return
 		}
 		hi := lo + chunk
@@ -523,6 +580,13 @@ func (e *Engine) forChunks(n int, aligned bool, body func(w, lo, hi int)) {
 		}
 		body(w, lo, hi)
 	})
+}
+
+// idle clears the scratch of a worker that took no part in a round, so
+// gatherBufs and sumScratch do not pick up what it did in an earlier one.
+func (e *Engine) idle(w int) {
+	e.bufs[w] = e.bufs[w][:0]
+	e.arcs[w], e.degs[w] = 0, 0
 }
 
 func (e *Engine) sumScratch() (arcs, deg int64) {

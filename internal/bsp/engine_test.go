@@ -1,8 +1,11 @@
 package bsp_test
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -114,6 +117,98 @@ func TestHybridDirectionScheduleIsWorkerIndependent(t *testing.T) {
 				t.Fatalf("workers=%d round %d: %+v vs reference %+v", workers, i, log[i], ref[i])
 			}
 		}
+	}
+}
+
+// A push round is sized and split by frontier arcs, not frontier nodes:
+// eight hubs carrying 40,000 arcs between them go to the pool (eight nodes
+// never did), one hub a claim, and what is claimed does not depend on who
+// scanned what. A two-node tail behind one leaf adds a pooled round with a
+// single claim and then an inline one, so scratch left over in a worker that
+// claimed nothing would resurface as a phantom frontier.
+func TestPushRoundSplitsHubFrontierByArcs(t *testing.T) {
+	const hubs, leaves = 8, 5000
+	b := graph.NewBuilder(hubs + hubs*leaves + 2)
+	for h := 0; h < hubs; h++ {
+		for l := 0; l < leaves; l++ {
+			b.AddEdge(graph.NodeID(h), graph.NodeID(hubs+h*leaves+l))
+		}
+	}
+	tail := graph.NodeID(hubs + hubs*leaves)
+	b.AddEdge(tail-1, tail)
+	b.AddEdge(tail, tail+1)
+	g := b.Build()
+
+	// run drives a forced-push traversal from the hubs and returns the
+	// sorted frontier after every round.
+	run := func(workers int, push func(worker int)) ([][]graph.NodeID, []bsp.RoundStat) {
+		e := bsp.NewEngine(g, workers)
+		defer e.Close()
+		e.SetDirection(bsp.DirPush)
+		owner := make([]int32, g.NumNodes())
+		for i := range owner {
+			owner[i] = -1
+		}
+		for h := graph.NodeID(0); h < hubs; h++ {
+			owner[h] = h
+			e.Seed(h)
+		}
+		var fronts [][]graph.NodeID
+		for e.FrontierLen() > 0 {
+			e.Step(bsp.StepSpec{Push: func(w int, u, v graph.NodeID) bool {
+				push(w)
+				return atomicCAS32(owner, v, -1, atomic.LoadInt32(&owner[u]))
+			}})
+			front := slices.Clone(e.Frontier())
+			slices.Sort(front)
+			fronts = append(fronts, front)
+		}
+		return fronts, slices.Clone(e.RoundLog())
+	}
+
+	want, wantLog := run(1, func(int) {})
+
+	// Whichever worker calls Push first holds its hub until a second worker
+	// has shown up, so the test does not depend on the pool waking before
+	// the caller has scanned everything on a box with one core to spare.
+	var (
+		mu       sync.Mutex
+		seen     = map[int]bool{}
+		second   = make(chan struct{})
+		release  sync.Once
+		timedOut atomic.Bool
+	)
+	got, gotLog := run(4, func(w int) {
+		select {
+		case <-second:
+			return
+		default:
+		}
+		mu.Lock()
+		seen[w] = true
+		distinct := len(seen)
+		mu.Unlock()
+		if distinct >= 2 {
+			release.Do(func() { close(second) })
+		}
+		select {
+		case <-second:
+		case <-time.After(10 * time.Second):
+			timedOut.Store(true)
+			release.Do(func() { close(second) })
+		}
+	})
+	if timedOut.Load() {
+		t.Fatal("every Push of an 8-hub, 40,000-arc frontier came from one worker at workers=4")
+	}
+	if !slices.EqualFunc(got, want, func(a, b []graph.NodeID) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("claimed sets differ between workers=4 and workers=1 (%d vs %d rounds)", len(got), len(want))
+	}
+	if !slices.Equal(gotLog, wantLog) {
+		t.Fatalf("round log at workers=4 %+v, at workers=1 %+v", gotLog, wantLog)
+	}
+	if len(want) != 4 || len(want[0]) != hubs*leaves || len(want[1]) != 1 || len(want[2]) != 1 || len(want[3]) != 0 {
+		t.Fatalf("fixture: %d rounds, want 4 claiming %d, 1, 1, 0", len(want), hubs*leaves)
 	}
 }
 

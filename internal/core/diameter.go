@@ -110,7 +110,7 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := diameterFromClustering(ctx, cl, opt.ExactBudget, opt.SparsifyThreshold, opt.Seed)
+	res, err := diameterFromClustering(ctx, cl, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -123,22 +123,25 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*
 // lets experiments reuse one clustering for several analyses).
 func DiameterFromClustering(cl *Clustering, exactBudget int) (*DiameterResult, error) {
 	//lint:allow background public non-cancellable wrapper over diameterFromClustering
-	return diameterFromClustering(context.Background(), cl, exactBudget, 0, 0)
+	return diameterFromClustering(context.Background(), cl, DiameterOptions{ExactBudget: exactBudget})
 }
 
-func diameterFromClustering(ctx context.Context, cl *Clustering, exactBudget, sparsifyThreshold int, seed uint64) (*DiameterResult, error) {
-	q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
+// diameterFromClustering reads ExactBudget, SparsifyThreshold, Seed and
+// Workers (the quotient contraction's) from opt; Tau and UseCluster2 chose
+// cl and are not consulted.
+func diameterFromClustering(ctx context.Context, cl *Clustering, opt DiameterOptions) (*DiameterResult, error) {
+	q, wq, err := quotient.Contract(cl.G, cl.Owner, cl.Dist, cl.NumClusters(), opt.Workers)
 	if err != nil {
 		return nil, err
 	}
 	sparsified := false
-	if sparsifyThreshold > 0 && wq.NumEdges() > sparsifyThreshold {
+	if opt.SparsifyThreshold > 0 && wq.NumEdges() > opt.SparsifyThreshold {
 		// Only the upper-bound path may use the spanner: spanner distances
 		// dominate the original quotient distances, so 2R + ∆'C(spanner)
 		// is still a certified upper bound (at most a constant looser).
 		// The lower bound ∆C needs the full quotient topology — a spanner
 		// hop count can exceed the corresponding G-distance.
-		sp, err := spanner.BaswanaSen(wq, 2, seed)
+		sp, err := spanner.BaswanaSen(wq, 2, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -147,11 +150,11 @@ func diameterFromClustering(ctx context.Context, cl *Clustering, exactBudget, sp
 	}
 	rMax := cl.MaxRadius()
 
-	deltaC, exact1, err := q.ExactDiameterContext(ctx, exactBudget)
+	deltaC, exact1, err := q.ExactDiameterContext(ctx, opt.ExactBudget)
 	if err != nil {
 		return nil, err
 	}
-	deltaCW, exact2, err := wq.ExactDiameterWeightedContext(ctx, exactBudget)
+	deltaCW, exact2, err := wq.ExactDiameterWeightedContext(ctx, opt.ExactBudget)
 	if err != nil {
 		return nil, err
 	}

@@ -77,12 +77,17 @@ func (gr *grower) Step() (claimed int, live bool, err error) {
 	owner, dist := gr.owner, gr.dist
 	rs := gr.e.Step(bsp.StepSpec{
 		Push: func(_ int, u, v graph.NodeID) bool {
-			// owner[u] is stable (set in an earlier round), but read it
-			// atomically: other workers issue CAS attempts on arbitrary
+			// Test, then test-and-set: most scanned arcs lead to a node
+			// that is already covered (road offers 2.8 arcs per claim), and
+			// a load is not a locked instruction. Both reads are atomic —
+			// owner[u] is stable (set in an earlier round) and a stale -1
+			// only sends us on to the CAS, but other workers CAS arbitrary
 			// elements of the array, and mixed atomic/non-atomic access to
-			// the same address would trip the race detector.
-			o := atomic.LoadInt32(&owner[u])
-			if atomic.CompareAndSwapInt32(&owner[v], -1, o) {
+			// one address would trip the race detector.
+			if atomic.LoadInt32(&owner[v]) != -1 {
+				return false
+			}
+			if atomic.CompareAndSwapInt32(&owner[v], -1, atomic.LoadInt32(&owner[u])) {
 				dist[v] = dist[u] + 1
 				return true
 			}
@@ -133,14 +138,14 @@ func (gr *grower) SelectUncovered(dst []graph.NodeID, pick func(u graph.NodeID) 
 func (gr *grower) abort() { gr.e.Close() }
 
 // finish freezes the grower into a Clustering, computing per-cluster radii,
-// and releases the engine's worker pool.
+// and releases the engine's worker pool. The Clustering takes over the
+// grower's ownership array (graph.NodeID is int32).
 //
 //lint:allow plainatomic growth complete and pool closed, ownership final
 func (gr *grower) finish(batches int) *Clustering {
-	n := gr.g.NumNodes()
 	c := &Clustering{
 		G:           gr.g,
-		Owner:       make([]graph.NodeID, n),
+		Owner:       gr.owner,
 		Dist:        gr.dist,
 		Centers:     gr.centers,
 		Radii:       make([]int32, len(gr.centers)),
@@ -149,10 +154,9 @@ func (gr *grower) finish(batches int) *Clustering {
 		Stats:       gr.e.Stats(),
 	}
 	gr.e.Close()
-	for u := 0; u < n; u++ {
-		c.Owner[u] = graph.NodeID(gr.owner[u])
-		if gr.owner[u] >= 0 && gr.dist[u] > c.Radii[gr.owner[u]] {
-			c.Radii[gr.owner[u]] = gr.dist[u]
+	for u, o := range gr.owner {
+		if o >= 0 && gr.dist[u] > c.Radii[o] {
+			c.Radii[o] = gr.dist[u]
 		}
 	}
 	return c

@@ -60,7 +60,7 @@ func KCenter(ctx context.Context, g *graph.Graph, k int, opt Options) (*KCenterR
 		res.Centers = append([]graph.NodeID(nil), cl.Centers...)
 	} else {
 		res.Merged = true
-		res.Centers, err = mergeClustersToK(cl, k)
+		res.Centers, err = mergeClustersToK(cl, k, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -101,9 +101,9 @@ func EvalCenters(g *graph.Graph, centers []graph.NodeID) (int32, error) {
 // connected groups of clusters and keeping one center per group. The group
 // size quota is found by doubling-then-binary search, since the number of
 // groups is monotonically non-increasing in the quota.
-func mergeClustersToK(cl *Clustering, k int) ([]graph.NodeID, error) {
+func mergeClustersToK(cl *Clustering, k, workers int) ([]graph.NodeID, error) {
 	w := cl.NumClusters()
-	q, err := quotient.Build(cl.G, cl.Owner, w)
+	q, _, err := quotient.Contract(cl.G, cl.Owner, nil, w, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	if k > maxOracleClusters {
 		return nil, fmt.Errorf("core: %d clusters exceed the oracle cap %d; lower tau", k, maxOracleClusters)
 	}
-	_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
+	_, wq, err := quotient.Contract(cl.G, cl.Owner, cl.Dist, k, opt.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -284,7 +284,10 @@ type WeightedDiameterResult struct {
 // weighted graph through a WeightedCluster decomposition and its quotient,
 // extending the Section 4 pipeline to weighted graphs. Both stages — the
 // multi-source growth and the quotient's iFUB Dijkstra replacement — run
-// on the parallel delta-stepping engine.
+// on the parallel delta-stepping engine. The contraction between them is
+// one sequential pass into one quotient.Accumulator: its crossings carry the
+// input's own edge weights, which quotient.Contract does not read, and the
+// function is on no benchmark path that would pay for a second contraction.
 func ApproxDiameterWeighted(wg *graph.Weighted, tau int, opt Options) (*WeightedDiameterResult, error) {
 	if tau <= 0 {
 		tau = DefaultDiameterTau(wg.NumNodes())

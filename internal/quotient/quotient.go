@@ -12,24 +12,53 @@
 //
 // Every quotient graph in the repository — unweighted, hop-weighted, and
 // the weighted-input one of core.ApproxDiameterWeighted — comes out of the
-// one Accumulator below, and graph.NewWeighted is the one place its edge
-// set is put into canonical CSR form.
+// Accumulator below, and graph.NewWeighted is the one place its edge set is
+// put into canonical CSR form. Contract is the data-parallel contraction of
+// Section 5 (proof of Theorem 4): workers scan disjoint node ranges of G,
+// each into an Accumulator of its own, and Contract min-merges them into
+// the first before the CSR is laid out — min is commutative and
+// associative, so the result does not depend on who scanned what.
+// core.ApproxDiameterWeighted offers its (weighted-input) crossings to a
+// single Accumulator itself and merges nothing.
 package quotient
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
+	"repro/internal/bsp"
 	"repro/internal/graph"
 )
 
 // Accumulator keeps the minimum weight offered for every unordered pair of
-// distinct clusters.
+// distinct clusters. It is not safe for concurrent use: Contract gives each
+// of its workers one and merges them itself once the workers are done;
+// anyone else (core.ApproxDiameterWeighted) offers from one goroutine.
 type Accumulator struct {
 	k   int
 	min map[uint64]int64
 	err error
+	// recent is a direct-mapped cache of min, consulted first: crossings
+	// outnumber quotient edges several hundred to one where they are common
+	// (1.4 M to 2.2 k on the benchmark's social graph), so nearly every
+	// offer is a repeat that does not lower its pair's minimum, and this
+	// turns it away for one multiplication and one cache line where the map
+	// hashes and probes. A slot with key 0 is empty: no pair packs to 0.
+	recent [recentSlots]struct {
+		key uint64
+		min int64
+	}
 }
+
+// recentBits sizes Accumulator.recent: 2^recentBits slots, indexed by the
+// top bits of a multiplicative hash of the key.
+const (
+	recentBits  = 12
+	recentSlots = 1 << recentBits
+)
 
 // NewAccumulator returns an empty accumulator over clusters [0, k).
 func NewAccumulator(k int) *Accumulator {
@@ -40,21 +69,55 @@ func NewAccumulator(k int) *Accumulator {
 // same-cluster edge is no crossing and is ignored). An out-of-range
 // cluster poisons the accumulator: Weighted reports the first one.
 func (a *Accumulator) Offer(cu, cv graph.NodeID, w int64) {
-	if cu < 0 || cv < 0 || int(cu) >= a.k || int(cv) >= a.k {
-		if a.err == nil {
-			a.err = fmt.Errorf("quotient: node with invalid cluster (%d or %d of %d)", cu, cv, a.k)
-		}
-		return
+	if !a.valid(cu) || !a.valid(cv) {
+		a.poison(cu, cv)
+	} else if cu != cv {
+		a.lower(pairKey(cu, cv), w)
 	}
-	if cu == cv {
-		return
+}
+
+func (a *Accumulator) valid(c graph.NodeID) bool { return c >= 0 && int(c) < a.k }
+
+func (a *Accumulator) poison(cu, cv graph.NodeID) {
+	if a.err == nil {
+		a.err = fmt.Errorf("quotient: node with invalid cluster (%d or %d of %d)", cu, cv, a.k)
 	}
+}
+
+// pairKey packs the unordered pair of distinct clusters {cu, cv}, smaller
+// first, so that keys sort the way graph.NewWeighted lays edges out.
+func pairKey(cu, cv graph.NodeID) uint64 {
 	if cu > cv {
 		cu, cv = cv, cu
 	}
-	key := uint64(uint32(cu))<<32 | uint64(uint32(cv))
-	if cur, ok := a.min[key]; !ok || w < cur {
+	return uint64(uint32(cu))<<32 | uint64(uint32(cv))
+}
+
+// lower brings the minimum kept under key down to w.
+func (a *Accumulator) lower(key uint64, w int64) {
+	slot := &a.recent[key*0x9e3779b97f4a7c15>>(64-recentBits)]
+	if slot.key == key {
+		if w < slot.min {
+			slot.min = w
+			a.min[key] = w
+		}
+		return
+	}
+	if cur, ok := a.min[key]; ok && cur <= w {
+		w = cur
+	} else {
 		a.min[key] = w
+	}
+	slot.key, slot.min = key, w
+}
+
+// merge folds b's minima, and b's poison if a has none, into a.
+func (a *Accumulator) merge(b *Accumulator) {
+	if a.err == nil {
+		a.err = b.err
+	}
+	for key, w := range b.min {
+		a.lower(key, w)
 	}
 }
 
@@ -86,10 +149,7 @@ func (a *Accumulator) Weighted() (*graph.Weighted, error) {
 // Build returns the unweighted quotient graph for the clustering described
 // by owner (cluster index per node, all in [0, k)).
 func Build(g *graph.Graph, owner []graph.NodeID, k int) (*graph.Graph, error) {
-	if len(owner) != g.NumNodes() {
-		return nil, fmt.Errorf("quotient: owner length %d, graph has %d nodes", len(owner), g.NumNodes())
-	}
-	q, _, err := build(g, owner, nil, k)
+	q, _, err := Contract(g, owner, nil, k, 0)
 	return q, err
 }
 
@@ -98,27 +158,123 @@ func Build(g *graph.Graph, owner []graph.NodeID, k int) (*graph.Graph, error) {
 // min over crossing edges (a,b) of Dist[a]+1+Dist[b]. The two share one set
 // of CSR arrays: q is wq's topology viewed without the weights.
 func BuildWeighted(g *graph.Graph, owner []graph.NodeID, dist []int32, k int) (*graph.Graph, *graph.Weighted, error) {
-	if len(owner) != g.NumNodes() || len(dist) != g.NumNodes() {
-		return nil, nil, fmt.Errorf("quotient: owner/dist length mismatch (n=%d)", g.NumNodes())
+	if dist == nil {
+		dist = []int32{} // nil would ask Contract for unit weights
 	}
-	return build(g, owner, dist, k)
+	return Contract(g, owner, dist, k, 0)
 }
 
-// build accumulates every edge of g as a crossing of weight
-// dist[u]+1+dist[v] (of weight 1 when dist is nil).
-func build(g *graph.Graph, owner []graph.NodeID, dist []int32, k int) (*graph.Graph, *graph.Weighted, error) {
-	acc := NewAccumulator(k)
-	g.Edges(func(u, v graph.NodeID) bool {
-		w := int64(1)
-		if dist != nil {
-			w += int64(dist[u]) + int64(dist[v])
+// chunkArcs is how many arcs (CSR entries, so each edge counts twice) the
+// node range of one claim holds, give or take the degree of its last node.
+// The size hardly matters as long as claims outnumber workers severalfold:
+// at two workers the contraction read 24–26 ms on the benchmark's social
+// graph (8 M arcs; 47 ms at one worker) and 7.7–7.9 ms on its road graph
+// (2.8 M arcs; 13.7 ms) for every size from 4 k to 256 k, and 9.0 ms on road
+// at 1 M, where three claims no longer split evenly between two workers.
+// 64 k keeps the MR side graphs, the fixtures and most cmd/ inputs, which are
+// smaller than that, on the caller.
+const chunkArcs = 64 << 10
+
+// Contract contracts every cluster of g to one node: it returns the
+// quotient graph q and its weighted variant wq (see BuildWeighted; q is
+// wq's topology), every edge of g offered as a crossing of weight
+// dist[u]+1+dist[v] — of weight 1 when dist is nil. owner gives each node's
+// cluster in [0, k).
+//
+// The work is split by arcs, not nodes: node ranges of about chunkArcs arcs
+// (boundaries found by binary search in the offset array, so a run of hubs
+// cannot land in one range) are claimed from a shared counter by workers
+// goroutines (non-positive selects GOMAXPROCS, and never more than there
+// are ranges), the caller being one of them — a graph of at most one range
+// is contracted on the caller with no goroutine started. Claims are dynamic
+// because an edge is offered from its lower endpoint, which puts most of
+// the work on low node ids; a static split would leave it with the first
+// worker. Each worker keeps its minima in an Accumulator of its own; they
+// are merged afterwards and graph.NewWeighted sorts what is left, so the
+// CSR arrays are bit-identical for every worker count and claim order.
+func Contract(g *graph.Graph, owner []graph.NodeID, dist []int32, k, workers int) (*graph.Graph, *graph.Weighted, error) {
+	n := g.NumNodes()
+	if len(owner) != n || (dist != nil && len(dist) != n) {
+		return nil, nil, fmt.Errorf("quotient: owner/dist length mismatch (n=%d)", n)
+	}
+	xadj, adj := g.CSR()
+	chunks := (len(adj) + chunkArcs - 1) / chunkArcs
+	workers = max(1, min(bsp.Workers(workers), chunks))
+	var next atomic.Int64 // first unclaimed chunk
+	work := func(acc *Accumulator) {
+		for acc.err == nil {
+			c := next.Add(1) - 1
+			if c >= int64(chunks) {
+				return
+			}
+			lo, _ := slices.BinarySearch(xadj[:n], c*chunkArcs)
+			hi, _ := slices.BinarySearch(xadj[:n], (c+1)*chunkArcs)
+			acc.scan(xadj, adj, owner, dist, lo, hi)
 		}
-		acc.Offer(owner[u], owner[v], w)
-		return acc.err == nil
-	})
-	wq, err := acc.Weighted()
+		next.Store(int64(chunks)) // poisoned: the result is an error, stop everyone
+	}
+	accs := make([]*Accumulator, workers)
+	var wg sync.WaitGroup
+	for w := range accs {
+		accs[w] = NewAccumulator(k)
+		if w > 0 {
+			wg.Add(1)
+			go func(acc *Accumulator) {
+				defer wg.Done()
+				work(acc)
+			}(accs[w])
+		}
+	}
+	work(accs[0])
+	wg.Wait()
+	for _, acc := range accs[1:] {
+		accs[0].merge(acc)
+	}
+	wq, err := accs[0].Weighted()
 	if err != nil {
 		return nil, nil, err
 	}
 	return wq.Topology(), wq, nil
+}
+
+// scan offers the edges of g whose lower endpoint lies in [lo, hi).
+// Adjacency lists are strictly increasing (graph.FromCSR verifies it), so
+// the higher neighbors of u are a suffix of its list and the walk stops at
+// the first lower one. An edge inside one cluster — from half of them to
+// nearly all, depending on the granularity — is dropped on the comparison
+// of the two owners, before any call; what Offer would have checked for it,
+// that the cluster is in range, is checked once per node of positive degree
+// instead.
+func (a *Accumulator) scan(xadj []int64, adj, owner []graph.NodeID, dist []int32, lo, hi int) {
+	for u := lo; u < hi; u++ {
+		nbrs := adj[xadj[u]:xadj[u+1]]
+		if len(nbrs) == 0 {
+			continue
+		}
+		cu := owner[u]
+		if !a.valid(cu) {
+			a.poison(cu, cu)
+			return
+		}
+		wu := int64(1)
+		if dist != nil {
+			wu += int64(dist[u])
+		}
+		for i := len(nbrs) - 1; i >= 0 && int(nbrs[i]) > u; i-- {
+			v := nbrs[i]
+			cv := owner[v]
+			if cv == cu {
+				continue
+			}
+			if !a.valid(cv) {
+				a.poison(cu, cv)
+				return
+			}
+			w := wu
+			if dist != nil {
+				w += int64(dist[v])
+			}
+			a.lower(pairKey(cu, cv), w)
+		}
+	}
 }

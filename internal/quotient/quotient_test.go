@@ -53,6 +53,11 @@ func TestBuildInvalidOwner(t *testing.T) {
 	if _, err := quotient.Build(g, []graph.NodeID{0, 0}, 1); err == nil {
 		t.Fatal("short owner slice should fail")
 	}
+	// BuildWeighted promises weights: a nil dist is a length mismatch there,
+	// not Contract's request for unit weights.
+	if _, _, err := quotient.BuildWeighted(g, []graph.NodeID{0, 0, 1}, nil, 2); err == nil {
+		t.Fatal("nil dist should fail")
+	}
 }
 
 func TestBuildWeightedWeights(t *testing.T) {
