@@ -191,10 +191,6 @@ func NewWeightedEngine(t WeightedTopology, workers int, delta int64) *WeightedEn
 		e.relaxChunk(w, lo, hi)
 	}
 	e.splitEdges()
-	//lint:allow plainatomic construction: pool workers have no work yet
-	for i := range e.slot {
-		e.slot[i] = unclaimed //lint:allow plainatomic construction
-	}
 	return e
 }
 

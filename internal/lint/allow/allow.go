@@ -20,11 +20,12 @@
 // The justification is mandatory: an annotation with no text after the
 // check name is itself a finding. So is a stale annotation — one whose
 // check never fires on the waived line. Every Allowed/AllowedFunc match
-// is recorded in a process-wide registry; after the full suite has run,
-// Audit reports any annotation that no analyzer consumed, in the spirit
-// of staticcheck's unused-suppression check. The registry spans analyzer
-// instances (each builds its own Index over the same files), which is
-// exactly what makes the audit sound: consumption by any analyzer counts.
+// is recorded in a process-wide registry; once the full suite has run
+// over a package, Audit reports any annotation in it that no analyzer
+// consumed, in the spirit of staticcheck's unused-suppression check. The
+// registry spans analyzer instances (each builds its own Index over the
+// same files), which is exactly what makes the audit sound: consumption
+// by any analyzer counts.
 package allow
 
 import (
@@ -52,10 +53,9 @@ type regKey struct {
 	check string
 }
 
-// registry is the process-wide consumption ledger. go vet runs one unit
-// per process, so the ledger never mixes packages; in-process harnesses
-// (analysistest) share it across runs, which is harmless because keys
-// carry absolute file paths.
+// registry is the process-wide consumption ledger. Every package one test
+// process loads shares it, which is harmless because keys carry absolute
+// file paths.
 var registry = struct {
 	sync.Mutex
 	consumed map[regKey]bool
@@ -145,11 +145,11 @@ type Finding struct {
 // Audit returns the stale-suppression findings for the given files: every
 // //lint:allow annotation that names an unknown check, lacks a
 // justification, or was never consumed by any analyzer this process ran.
-// Call it only after the full analyzer suite has executed — a partial run
-// would report annotations whose analyzer simply never ran. Annotations in
-// _test.go files are audited for grammar (unknown check, missing
-// justification) but not for staleness, because most analyzers skip test
-// files entirely.
+// Call it only after the full analyzer suite has run over those files — a
+// partial run would report annotations whose analyzer never ran.
+// Annotations in _test.go files are audited for grammar (unknown check,
+// missing justification) but not for staleness, because every analyzer
+// exempts test files and the loader does not even hand them over.
 func Audit(fset *token.FileSet, files []*ast.File, known map[string]bool) []Finding {
 	idx := NewIndex(fset, files)
 	var out []Finding
@@ -178,7 +178,7 @@ func Audit(fset *token.FileSet, files []*ast.File, known map[string]bool) []Find
 }
 
 // ResetConsumptionForTest clears the process-wide consumption ledger so
-// audit tests are order-independent. Production drivers never call it.
+// audit tests are order-independent.
 func ResetConsumptionForTest() {
 	registry.Lock()
 	registry.consumed = make(map[regKey]bool)

@@ -1,12 +1,13 @@
 // Package analysis is a self-contained, stdlib-only re-implementation of
 // the core of golang.org/x/tools/go/analysis — just enough surface for the
-// reprolint analyzers, the vettool driver, and the analysistest harness.
+// reprolint analyzers and the analysistest loader that drives them.
 //
 // The repository deliberately has no third-party dependencies, so the
 // x/tools module is off the table; this package mirrors its shapes
 // (Analyzer, Pass, Diagnostic, Fact) closely enough that the analyzers in
 // internal/lint/... could be ported to the real framework by changing one
-// import path.
+// import path (and listing each fact type in Analyzer.FactTypes, which
+// only a driver that serializes facts needs).
 package analysis
 
 import (
@@ -19,23 +20,17 @@ import (
 // An Analyzer describes one analysis: a named invariant plus the function
 // that checks a single package for violations of it.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, flags, and fact files.
+	// Name identifies the analyzer in error messages and keys its facts.
 	// It must be a valid Go identifier.
 	Name string
 
-	// Doc is the help text. The first line is used as the one-sentence
-	// summary in flag usage.
+	// Doc is the help text; the first line is a one-sentence summary.
 	Doc string
 
 	// Run applies the analyzer to a package. It returns an optional
 	// result (unused by the reprolint suite) and an error; errors abort
 	// the whole run, they are NOT diagnostics.
 	Run func(*Pass) (any, error)
-
-	// FactTypes lists prototype values of each Fact type this analyzer
-	// exports or imports. Every fact type must be registered here or the
-	// drivers will refuse to serialize it.
-	FactTypes []Fact
 }
 
 // A Pass provides one analyzer with the type-checked syntax of a single
@@ -48,7 +43,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report delivers one diagnostic. Drivers install it.
+	// Report delivers one diagnostic. Run installs it.
 	Report func(Diagnostic)
 
 	// ImportPackageFact copies the fact of fact's concrete type exported
@@ -72,9 +67,9 @@ type Diagnostic struct {
 	Message string
 }
 
-// A Fact is a serializable observation about a package that analyzers in
-// downstream packages can import. Implementations must be pointers to
-// gob-encodable structs; the AFact method is only a marker.
+// A Fact is an observation about a package that analyzers in downstream
+// packages can import. Implementations must be pointers to structs (the
+// FactStore copies them by value); the AFact method is only a marker.
 type Fact interface {
 	AFact()
 }

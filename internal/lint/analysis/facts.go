@@ -1,18 +1,15 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 )
 
-// A FactStore holds the package facts visible while analyzing one unit:
-// facts decoded from the vetx files of dependencies plus facts exported by
-// the current run. One fact per (package, analyzer, concrete type), like
-// x/tools: a second export of the same type overwrites the first.
+// A FactStore holds the package facts of one load: the loader analyzes
+// dependencies first and hands every unit the same store, so a package
+// sees what its whole dependency cone exported. One fact per (package,
+// analyzer, concrete type), like x/tools: a second export of the same
+// type overwrites the first.
 type FactStore struct {
 	mu sync.Mutex
 	m  map[factKey]Fact
@@ -54,67 +51,4 @@ func (s *FactStore) Get(pkgPath, analyzer string, fact Fact) bool {
 	}
 	rv.Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// factBlob is the wire form of one fact inside a vetx file.
-type factBlob struct {
-	PkgPath  string
-	Analyzer string
-	Fact     Fact
-}
-
-// RegisterFactTypes registers the fact types of every analyzer with gob
-// under a stable name, so vetx files encode/decode identically across
-// binaries. Call once per process before Encode/Decode.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.RegisterName("reprolint:"+a.Name+":"+typeName(f), f)
-		}
-	}
-}
-
-// Encode serializes every fact in the store. The output is deterministic:
-// blobs are sorted by (package, analyzer, type).
-func (s *FactStore) Encode() ([]byte, error) {
-	s.mu.Lock()
-	blobs := make([]factBlob, 0, len(s.m))
-	for k, f := range s.m {
-		blobs = append(blobs, factBlob{PkgPath: k.pkgPath, Analyzer: k.analyzer, Fact: f})
-	}
-	s.mu.Unlock()
-	sort.Slice(blobs, func(i, j int) bool {
-		a, b := blobs[i], blobs[j]
-		if a.PkgPath != b.PkgPath {
-			return a.PkgPath < b.PkgPath
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return typeName(a.Fact) < typeName(b.Fact)
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(blobs); err != nil {
-		return nil, fmt.Errorf("encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges the facts serialized in data (a previous Encode output)
-// into the store. An empty input is valid and decodes to nothing.
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var blobs []factBlob
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&blobs); err != nil {
-		return fmt.Errorf("decoding facts: %w", err)
-	}
-	for _, b := range blobs {
-		if b.Fact == nil {
-			continue
-		}
-		s.Set(b.PkgPath, b.Analyzer, b.Fact)
-	}
-	return nil
 }

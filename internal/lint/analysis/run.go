@@ -8,9 +8,8 @@ import (
 	"sort"
 )
 
-// A Unit is one type-checked package ready for analysis — the common
-// currency between the unitchecker driver (which builds it from a vet.cfg)
-// and the analysistest harness (which builds it from a testdata tree).
+// A Unit is one type-checked package ready for analysis, as the
+// analysistest loader builds it from source.
 type Unit struct {
 	Fset  *token.FileSet
 	Files []*ast.File

@@ -1,12 +1,20 @@
-// Package analysistest runs an analyzer over GOPATH-style test packages
-// and checks its diagnostics against // want comments, mirroring
-// golang.org/x/tools/go/analysis/analysistest on the stdlib only.
+// Package analysistest is the one package loader under internal/lint: it
+// parses, type-checks and analyzes Go packages from source, dependencies
+// first, in process. Two callers share it. Run points it at an analyzer's
+// GOPATH-style testdata tree and checks the diagnostics against // want
+// comments, mirroring golang.org/x/tools/go/analysis/analysistest on the
+// stdlib only; internal/lint's TestRepo points it at the module root, so
+// "go test ./..." holds every package of the repository to the suite.
 //
-// Layout: <testdata>/src/<import/path>/*.go. A package may import other
-// packages under the same testdata tree (they are loaded, analyzed first,
-// and their facts made available) or the standard library (type-checked
+// A Loader maps an import path to a directory through a callback
+// (<testdata>/src/<import/path> for Run). Files are picked by go/build, so
+// build constraints are honoured; _test.go files are parsed but neither
+// type-checked nor analyzed (every analyzer exempts them; they are kept
+// for // want comments and the //lint:allow grammar audit). Import paths
+// the callback does not own resolve to the standard library, type-checked
 // from $GOROOT source via go/importer's "source" mode, so no compiled
-// artifacts are needed).
+// artifacts are needed. Facts travel between packages in one in-memory
+// analysis.FactStore.
 //
 // Expectations are comments of the form
 //
@@ -18,13 +26,17 @@
 package analysistest
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -50,89 +62,109 @@ func TestData() string {
 // diagnostics with the packages' // want expectations.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	analysis.RegisterFactTypes([]*analysis.Analyzer{a})
-	ld := &loader{
-		t:        t,
-		testdata: testdata,
-		analyzer: a,
-		fset:     token.NewFileSet(),
-		pkgs:     make(map[string]*loadedPkg),
-		facts:    analysis.NewFactStore(),
-	}
-	ld.source = importer.ForCompiler(ld.fset, "source", nil)
+	ld := NewLoader([]*analysis.Analyzer{a}, func(importPath string) string {
+		dir := filepath.Join(testdata, "src", filepath.FromSlash(importPath))
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			return ""
+		}
+		return dir
+	})
 	for _, path := range pkgpaths {
-		lp := ld.load(path)
-		if lp == nil {
+		pkg, err := ld.Load(path)
+		if err != nil {
+			t.Errorf("analysistest: %v", err)
 			continue
 		}
-		check(t, ld.fset, lp)
+		check(t, ld.Fset, pkg)
 	}
 }
 
-type loadedPkg struct {
-	path  string
-	files []*ast.File
-	pkg   *types.Package
-	diags []analysis.Diagnostic
+// A Package is one loaded and analyzed package.
+type Package struct {
+	Files     []*ast.File // buildable non-test files: type-checked and analyzed
+	TestFiles []*ast.File // _test.go files: parsed only
+	Types     *types.Package
+	Diags     []analysis.Diagnostic // every analyzer's, sorted by position
 }
 
-type loader struct {
-	t        *testing.T
-	testdata string
-	analyzer *analysis.Analyzer
-	fset     *token.FileSet
-	source   types.Importer
-	pkgs     map[string]*loadedPkg
-	facts    *analysis.FactStore
+// A Loader loads packages from source, each one once, sharing one FileSet
+// and one fact store across everything it loads.
+type Loader struct {
+	Fset *token.FileSet
+
+	analyzers []*analysis.Analyzer
+	dir       func(importPath string) string
+	std       types.Importer
+	facts     *analysis.FactStore
+	pkgs      map[string]*loaded
 }
 
-// load parses, type-checks, and analyzes one testdata package (memoized).
-func (ld *loader) load(path string) *loadedPkg {
-	ld.t.Helper()
-	if lp, ok := ld.pkgs[path]; ok {
-		return lp
+type loaded struct {
+	pkg *Package
+	err error
+}
+
+// NewLoader returns a Loader that runs analyzers over every package it
+// loads. dir maps an import path to the directory holding its source, or
+// returns "" for a path that is not the caller's; those are resolved as
+// standard-library packages.
+func NewLoader(analyzers []*analysis.Analyzer, dir func(importPath string) string) *Loader {
+	// go/importer's "source" mode reads build.Default and nothing else.
+	// With cgo off, net and os/user resolve to their pure-Go files, so
+	// the standard library type-checks the same with or without a C
+	// compiler on the box and no cgo tool is run.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	return &Loader{
+		Fset:      fset,
+		analyzers: analyzers,
+		dir:       dir,
+		std:       importer.ForCompiler(fset, "source", nil),
+		facts:     analysis.NewFactStore(),
+		pkgs:      make(map[string]*loaded),
 	}
-	dir := filepath.Join(ld.testdata, "src", filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
+}
+
+// Load parses, type-checks and analyzes the package at importPath, after
+// every package it imports that dir resolves. Results, errors included,
+// are memoized.
+func (ld *Loader) Load(importPath string) (*Package, error) {
+	if l, ok := ld.pkgs[importPath]; ok {
+		return l.pkg, l.err
+	}
+	l := &loaded{err: fmt.Errorf("import cycle through %s", importPath)}
+	ld.pkgs[importPath] = l
+	l.pkg, l.err = ld.load(importPath)
+	return l.pkg, l.err
+}
+
+func (ld *Loader) load(importPath string) (*Package, error) {
+	dir := ld.dir(importPath)
+	if dir == "" {
+		return nil, fmt.Errorf("no source directory for package %s", importPath)
+	}
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
-		ld.t.Errorf("analysistest: %v", err)
-		return nil
+		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
+	pkg := new(Package)
+	if pkg.Files, err = ld.parse(dir, bp.GoFiles); err != nil {
+		return nil, err
+	}
+	if pkg.TestFiles, err = ld.parse(dir, append(bp.TestGoFiles, bp.XTestGoFiles...)); err != nil {
+		return nil, err
+	}
+
+	imp := importerFunc(func(dep string) (*types.Package, error) {
+		if ld.dir(dep) == "" {
+			return ld.std.Import(dep)
 		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		ld.t.Errorf("analysistest: no Go files in %s", dir)
-		return nil
-	}
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		p, err := ld.Load(dep)
 		if err != nil {
-			ld.t.Errorf("analysistest: %v", err)
-			return nil
+			return nil, err
 		}
-		files = append(files, f)
-	}
-
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		if importPath == "unsafe" {
-			return types.Unsafe, nil
-		}
-		if dirExists(filepath.Join(ld.testdata, "src", filepath.FromSlash(importPath))) {
-			dep := ld.load(importPath)
-			if dep == nil {
-				return nil, fmt.Errorf("loading testdata package %q failed", importPath)
-			}
-			return dep.pkg, nil
-		}
-		return ld.source.Import(importPath)
+		return p.Types, nil
 	})
-
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -143,21 +175,61 @@ func (ld *loader) load(path string) *loadedPkg {
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	tc := &types.Config{Importer: imp}
-	pkg, err := tc.Check(path, ld.fset, files, info)
-	if err != nil {
-		ld.t.Errorf("analysistest: type-checking %s: %v", path, err)
-		return nil
+	if pkg.Types, err = tc.Check(importPath, ld.Fset, pkg.Files, info); err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
 	}
 
-	unit := &analysis.Unit{Fset: ld.fset, Files: files, Pkg: pkg, Info: info}
-	diags, err := analysis.Run(unit, []*analysis.Analyzer{ld.analyzer}, ld.facts)
-	if err != nil {
-		ld.t.Errorf("analysistest: %v", err)
-		return nil
+	unit := &analysis.Unit{Fset: ld.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: info}
+	if pkg.Diags, err = analysis.Run(unit, ld.analyzers, ld.facts); err != nil {
+		return nil, err
 	}
-	lp := &loadedPkg{path: path, files: files, pkg: pkg, diags: diags}
-	ld.pkgs[path] = lp
-	return lp
+	return pkg, nil
+}
+
+func (ld *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(ld.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// ModulePackages returns the import paths of the packages of the module
+// modpath rooted at root, the set "./..." names: every directory holding
+// Go files the build would use, except testdata, dot and underscore
+// directories and nested modules.
+func ModulePackages(root, modpath string) ([]string, error) {
+	var paths []string
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != root {
+			if name := d.Name(); name == "testdata" || name[0] == '.' || name[0] == '_' {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		var noGo *build.NoGoError
+		if _, err := build.ImportDir(dir, 0); errors.As(err, &noGo) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		paths = append(paths, path.Join(modpath, filepath.ToSlash(rel)))
+		return nil
+	})
+	return paths, err
 }
 
 // expectation is one unconsumed "want" regexp at a file:line.
@@ -167,14 +239,14 @@ type expectation struct {
 	consumed bool
 }
 
-func check(t *testing.T, fset *token.FileSet, lp *loadedPkg) {
+func check(t *testing.T, fset *token.FileSet, pkg *Package) {
 	t.Helper()
 	type lineKey struct {
 		file string
 		line int
 	}
 	wants := make(map[lineKey][]*expectation)
-	for _, f := range lp.files {
+	for _, f := range append(pkg.Files, pkg.TestFiles...) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
@@ -208,7 +280,7 @@ func check(t *testing.T, fset *token.FileSet, lp *loadedPkg) {
 		}
 	}
 
-	for _, d := range lp.diags {
+	for _, d := range pkg.Diags {
 		pos := fset.Position(d.Pos)
 		k := lineKey{pos.Filename, pos.Line}
 		matched := false
@@ -240,11 +312,6 @@ func check(t *testing.T, fset *token.FileSet, lp *loadedPkg) {
 			}
 		}
 	}
-}
-
-func dirExists(dir string) bool {
-	st, err := os.Stat(dir)
-	return err == nil && st.IsDir()
 }
 
 type importerFunc func(string) (*types.Package, error)

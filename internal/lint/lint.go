@@ -40,22 +40,23 @@
 // Violations that are deliberate carry a //lint:allow annotation (see
 // internal/lint/allow for the grammar); the annotation forces the
 // justification to live next to the exception, and the justification is
-// mandatory. Suppressions are themselves audited: after the full suite
-// runs, any //lint:allow whose check never fired on its line is reported
-// as stale (internal/lint/allow.Audit), so waived exceptions cannot
-// outlive the code that needed them.
+// mandatory. Suppressions are themselves audited: once the suite has run
+// over a package, any //lint:allow in it whose check never fired on its
+// line is reported as stale (internal/lint/allow.Audit), so waived
+// exceptions cannot outlive the code that needed them.
 //
-// The suite runs as a standard vettool:
+// Enforcement is tier-1: TestRepo in this package loads every package of
+// the module from source with analysistest.Loader (the same loader the
+// analyzers' testdata suites use), runs Analyzers and then the audit over
+// each, and fails with one file:line:col: message line per finding, so
 //
-//	go build -o bin/reprolint ./cmd/reprolint
-//	go vet -vettool=bin/reprolint ./...
+//	go test ./...
 //
-// or directly via "bin/reprolint ./...", which re-execs go vet and maps
-// the outcome onto diagnosable exit codes: 0 clean, 2 findings, 1
-// internal analyzer error. The framework underneath
-// (internal/lint/analysis, .../unitchecker, .../analysistest) is a
-// stdlib-only re-implementation of the x/tools go/analysis core, because
-// this repository vendors nothing.
+// holds every change to the five invariants; go test ./internal/lint -run
+// 'TestRepo/internal/serve$' shows one package's findings. The framework
+// underneath (internal/lint/analysis, .../analysistest) is a stdlib-only
+// re-implementation of the x/tools go/analysis core, because this
+// repository vendors nothing.
 package lint
 
 import (

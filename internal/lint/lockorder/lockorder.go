@@ -15,10 +15,10 @@
 //
 // Each package exports its edge list as the lockorder.Edges fact; a
 // package's check then runs over the union of its own edges and every
-// dependency's (facts propagate transitively through the vetx files the
-// unitchecker writes), so the repo-wide lock graph is assembled as
-// cmd/reprolint sweeps the import DAG and any cross-package cycle is
-// reported at the package that closes it. A cycle containing a local
+// dependency's (the loader analyzes dependencies first and keeps every
+// fact in one store), so the repo-wide lock graph is assembled as the
+// load walks the import DAG and any cross-package cycle is reported at
+// the package that closes it. A cycle containing a local
 // edge u -> v is reported at v's acquisition site, including the path
 // back from v to u. The degenerate self-edge — re-acquiring a lock
 // already held — is reported the same way.
@@ -58,8 +58,7 @@ var Analyzer = &analysis.Analyzer{
 		"Records held->acquired edges per package as the lockorder.Edges fact,\n" +
 		"unions them with all dependencies' edges, and reports any cycle in the\n" +
 		"combined lock graph as a potential deadlock.",
-	Run:       run,
-	FactTypes: []analysis.Fact{(*Edges)(nil)},
+	Run: run,
 }
 
 // localEdge is an edge observed in this package, with its report anchor.

@@ -25,8 +25,11 @@ package serve
 // the AllocsPerRun regression tests in batch_test.go.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -208,11 +211,12 @@ func decodePairsBinary(dst [][2]graph.NodeID, body []byte) ([][2]graph.NodeID, g
 	return dst, maxID, nil
 }
 
-// decodePairsJSON parses {"pairs":[[u,v],...]} into dst (encoding/json
-// reuses dst's backing array, so the warm path does not grow it).
+// decodePairsJSON parses {"pairs":[[u,v],...]} into dst, reusing its
+// backing array. The outer object is encoding/json's (unknown members
+// ignored, the last "pairs" wins); the pairs themselves are pairList's.
 func decodePairsJSON(dst [][2]graph.NodeID, body []byte) ([][2]graph.NodeID, graph.NodeID, error) {
 	var req struct {
-		Pairs [][2]graph.NodeID `json:"pairs"`
+		Pairs pairList `json:"pairs"`
 	}
 	req.Pairs = dst
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -237,6 +241,74 @@ func decodePairsJSON(dst [][2]graph.NodeID, body []byte) ([][2]graph.NodeID, gra
 		return dst, 0, firstNegativePair(dst)
 	}
 	return dst, maxID, nil
+}
+
+// pairList is the "pairs" member of a JSON batch. Left to encoding/json a
+// [2]NodeID element zero-fills when the array is short and drops what is
+// beyond two, so [[5]] would be answered as (5,0) and [[1,2,3]] as (1,2);
+// UnmarshalJSON scans the inner arrays itself, straight into the backing
+// array it was handed, and rejects any pair that is not exactly two
+// integers that fit a NodeID. data is a complete JSON value (encoding/json
+// validates the whole body first), so on anything else the scan only has
+// to stay in bounds, not diagnose it.
+type pairList [][2]graph.NodeID
+
+func (p *pairList) UnmarshalJSON(data []byte) error {
+	dst := (*p)[:0]
+	*p = dst
+	if string(data) == "null" {
+		return nil
+	}
+	rest, ok := eatJSON(data, '[')
+	if !ok {
+		return errors.New(`"pairs" must be an array of [u,v] pairs`)
+	}
+	for {
+		if rest, ok = eatJSON(rest, ']'); ok || len(rest) == 0 {
+			break
+		}
+		if rest, ok = eatJSON(rest, '['); !ok {
+			return fmt.Errorf("pair %d: want a [u,v] array", len(dst))
+		}
+		var pair [2]graph.NodeID
+		arity := 0
+		for {
+			if rest, ok = eatJSON(rest, ']'); ok || len(rest) == 0 {
+				break
+			}
+			if arity == len(pair) {
+				return fmt.Errorf("pair %d: want 2 node ids, got more", len(dst))
+			}
+			// The element runs to the next delimiter; a string or a
+			// nested value that holds one is cut short and fails to parse.
+			n := max(bytes.IndexAny(rest, jsonSpace+",]"), 0)
+			id, err := strconv.ParseInt(string(rest[:n]), 10, 32)
+			if err != nil {
+				return fmt.Errorf("pair %d: want integer node ids that fit 32 bits", len(dst))
+			}
+			pair[arity] = graph.NodeID(id)
+			arity++
+			rest, _ = eatJSON(bytes.TrimLeft(rest[n:], jsonSpace), ',')
+		}
+		if arity != len(pair) {
+			return fmt.Errorf("pair %d: want 2 node ids, got %d", len(dst), arity)
+		}
+		dst = append(dst, pair)
+		rest, _ = eatJSON(rest, ',')
+	}
+	*p = dst
+	return nil
+}
+
+const jsonSpace = " \t\r\n"
+
+// eatJSON reports whether data starts with the delimiter c and, if so,
+// returns what follows it and the whitespace after it.
+func eatJSON(data []byte, c byte) ([]byte, bool) {
+	if len(data) == 0 || data[0] != c {
+		return data, false
+	}
+	return bytes.TrimLeft(data[1:], jsonSpace), true
 }
 
 // firstNegativePair names the first pair with a negative id — the slow

@@ -229,20 +229,24 @@ func TestDistanceBatchValidation(t *testing.T) {
 		contentType string
 		body        []byte
 		wantStatus  int
+		wantError   string // substring of the error body; "" = status only
 	}{
-		{"get method", url, "", nil, http.StatusMethodNotAllowed},
-		{"unknown graph", ts.URL + "/distance-batch?graph=nope", "application/json", mustJSON(t, okPairs), http.StatusNotFound},
-		{"missing graph", ts.URL + "/distance-batch", "application/json", mustJSON(t, okPairs), http.StatusBadRequest},
-		{"unsupported content type", url, "text/csv", []byte("0,1"), http.StatusUnsupportedMediaType},
-		{"malformed json", url, "application/json", []byte(`{"pairs":[[0`), http.StatusBadRequest},
-		{"empty batch json", url, "application/json", []byte(`{"pairs":[]}`), http.StatusBadRequest},
-		{"bad magic", url, "application/x-reprod-pairs", []byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"), http.StatusBadRequest},
-		{"frame length mismatch", url, "application/x-reprod-pairs", encodePairsFrame(okPairs)[:12], http.StatusBadRequest},
-		{"negative id json", url, "application/json", []byte(`{"pairs":[[0,1],[-3,2]]}`), http.StatusBadRequest},
-		{"out of range json", url, "application/json", []byte(`{"pairs":[[0,1],[5,100]]}`), http.StatusBadRequest},
-		{"out of range binary", url, "application/x-reprod-pairs", encodePairsFrame([][2]graph.NodeID{{0, 1}, {100, 5}}), http.StatusBadRequest},
+		{"get method", url, "", nil, http.StatusMethodNotAllowed, ""},
+		{"unknown graph", ts.URL + "/distance-batch?graph=nope", "application/json", mustJSON(t, okPairs), http.StatusNotFound, ""},
+		{"missing graph", ts.URL + "/distance-batch", "application/json", mustJSON(t, okPairs), http.StatusBadRequest, ""},
+		{"unsupported content type", url, "text/csv", []byte("0,1"), http.StatusUnsupportedMediaType, ""},
+		{"malformed json", url, "application/json", []byte(`{"pairs":[[0`), http.StatusBadRequest, ""},
+		{"empty batch json", url, "application/json", []byte(`{"pairs":[]}`), http.StatusBadRequest, ""},
+		{"bad magic", url, "application/x-reprod-pairs", []byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"), http.StatusBadRequest, ""},
+		{"frame length mismatch", url, "application/x-reprod-pairs", encodePairsFrame(okPairs)[:12], http.StatusBadRequest, ""},
+		{"short pair json", url, "application/json", []byte(`{"pairs":[[5]]}`), http.StatusBadRequest, "pair 0"},
+		{"long pair json", url, "application/json", []byte(`{"pairs":[[1,2,3]]}`), http.StatusBadRequest, "pair 0"},
+		{"empty pair json", url, "application/json", []byte(`{"pairs":[[]]}`), http.StatusBadRequest, "pair 0"},
+		{"negative id json", url, "application/json", []byte(`{"pairs":[[0,1],[-3,2]]}`), http.StatusBadRequest, ""},
+		{"out of range json", url, "application/json", []byte(`{"pairs":[[0,1],[5,100]]}`), http.StatusBadRequest, ""},
+		{"out of range binary", url, "application/x-reprod-pairs", encodePairsFrame([][2]graph.NodeID{{0, 1}, {100, 5}}), http.StatusBadRequest, ""},
 		{"overflowing count", url, "application/x-reprod-pairs",
-			append([]byte("RPB1\xff\xff\xff\xff"), make([]byte, 16)...), http.StatusRequestEntityTooLarge},
+			append([]byte("RPB1\xff\xff\xff\xff"), make([]byte, 16)...), http.StatusRequestEntityTooLarge, ""},
 	}
 	for _, tc := range cases {
 		var (
@@ -260,8 +264,8 @@ func TestDistanceBatchValidation(t *testing.T) {
 		} else {
 			resp, raw = postBatch(t, tc.url, tc.contentType, "", tc.body)
 		}
-		if resp.StatusCode != tc.wantStatus {
-			t.Errorf("%s: status %d (want %d): %s", tc.name, resp.StatusCode, tc.wantStatus, raw)
+		if resp.StatusCode != tc.wantStatus || !bytes.Contains(raw, []byte(tc.wantError)) {
+			t.Errorf("%s: status %d (want %d, naming %q): %s", tc.name, resp.StatusCode, tc.wantStatus, tc.wantError, raw)
 		}
 	}
 

@@ -1,9 +1,9 @@
-//go:build fuzz
-
 package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,8 +15,9 @@ import (
 // with an error, never panic, and never return out-of-contract data
 // (negative ids, a count disagreeing with the header, a wrong max id).
 //
-// Guarded by the fuzz build tag; CI smokes it with
-// go test -tags fuzz -fuzz FuzzDecodePairsBinary -fuzztime 30s ./internal/serve.
+// Ordinary test runs replay the seeds below and the committed corpus under
+// testdata/fuzz; CI adds 30 s of fresh coverage-guided input with
+// go test -run '^$' -fuzz FuzzDecodePairsBinary -fuzztime 30s ./internal/serve.
 func FuzzDecodePairsBinary(f *testing.F) {
 	// A valid 3-pair frame, plus shallow corruptions of it.
 	frame := make([]byte, 8+8*3)
@@ -27,8 +28,8 @@ func FuzzDecodePairsBinary(f *testing.F) {
 		binary.LittleEndian.PutUint32(frame[8+8*i+4:], p[1])
 	}
 	f.Add(frame)
-	f.Add(frame[:11])   // truncated mid-header
-	f.Add([]byte{})     // empty body
+	f.Add(frame[:11])     // truncated mid-header
+	f.Add([]byte{})       // empty body
 	f.Add([]byte("RPB1")) // magic only
 
 	huge := make([]byte, 8)
@@ -61,6 +62,51 @@ func FuzzDecodePairsBinary(f *testing.F) {
 			}
 			if p[1] > want {
 				want = p[1]
+			}
+		}
+		if maxID != want {
+			t.Fatalf("maxID %d, recomputed %d", maxID, want)
+		}
+	})
+}
+
+// FuzzDecodePairsJSON drives arbitrary bytes through the JSON batch-body
+// decoder. Contract: never panic, and anything accepted must be what a
+// strict reference decode sees — every inner array of length exactly 2,
+// every value a non-negative int32 — with the same pairs and the same
+// max id. The first three seeds are the malformed-arity bodies the
+// reflective decoder used to answer as (5,0), (1,2) and (0,0).
+func FuzzDecodePairsJSON(f *testing.F) {
+	f.Add([]byte(`{"pairs":[[5]]}`))
+	f.Add([]byte(`{"pairs":[[1,2,3]]}`))
+	f.Add([]byte(`{"pairs":[[]]}`))
+	f.Add([]byte(`{"pairs":[[0,1],[7,2],[3,3]]}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		pairs, maxID, err := decodePairsJSON(nil, body)
+		if err != nil {
+			return // rejected cleanly
+		}
+		var ref struct {
+			Pairs [][]json.Number `json:"pairs"`
+		}
+		if err := json.Unmarshal(body, &ref); err != nil {
+			t.Fatalf("accepted %q, reference decode fails: %v", body, err)
+		}
+		if len(pairs) != len(ref.Pairs) {
+			t.Fatalf("decoded %d pairs from %q, reference sees %d", len(pairs), body, len(ref.Pairs))
+		}
+		var want graph.NodeID
+		for i, rp := range ref.Pairs {
+			if len(rp) != 2 {
+				t.Fatalf("accepted %q: pair %d has %d elements", body, i, len(rp))
+			}
+			for j, num := range rp {
+				id, err := strconv.ParseInt(string(num), 10, 32)
+				if err != nil || id < 0 || graph.NodeID(id) != pairs[i][j] {
+					t.Fatalf("accepted %q: pair %d id %d is %q, decoded %d (%v)", body, i, j, num, pairs[i][j], err)
+				}
+				want = max(want, graph.NodeID(id))
 			}
 		}
 		if maxID != want {

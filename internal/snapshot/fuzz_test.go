@@ -1,5 +1,3 @@
-//go:build fuzz
-
 package snapshot
 
 import (
@@ -18,9 +16,9 @@ import (
 // artifact. Anything Load accepts must round-trip through Write/Read
 // unchanged in its structural identity.
 //
-// Guarded by the fuzz build tag so the heavyweight corpus machinery stays
-// out of ordinary test runs; CI smokes it with
-// go test -tags fuzz -fuzz FuzzSnapshotLoad -fuzztime 30s ./internal/snapshot.
+// Ordinary test runs replay the seeds below and the committed corpus under
+// testdata/fuzz; CI adds 30 s of fresh coverage-guided input with
+// go test -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 30s ./internal/snapshot.
 func FuzzSnapshotLoad(f *testing.F) {
 	// Seed with a wholly valid graph-only snapshot so mutations explore the
 	// deep decoder paths (sections, checksum) rather than dying at the
@@ -32,9 +30,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])        // truncated checksum
-	f.Add([]byte{})                    // empty file
-	f.Add([]byte("RPSN"))              // magic only
+	f.Add(valid[:len(valid)-1])           // truncated checksum
+	f.Add([]byte{})                       // empty file
+	f.Add([]byte("RPSN"))                 // magic only
 	f.Add([]byte("RPSN\x02\x00\x00\x00")) // magic + version, no payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
