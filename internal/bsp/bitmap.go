@@ -29,6 +29,12 @@ func (b *Bitmap) Get(u NodeID) bool {
 	return b.words[uint32(u)>>6]&(1<<(uint32(u)&63)) != 0
 }
 
+// Absent returns word wi of the complement: a bit for every id of
+// [64·wi, 64·wi+64) that is not a member, pad bits past n included.
+//
+//lint:allow plainatomic word-disjoint confinement: bottom-up workers walk chunks aligned to 64-node boundaries (see type doc)
+func (b *Bitmap) Absent(wi int) uint64 { return ^b.words[wi] }
+
 // Set adds u to the set. Not safe for concurrent writers sharing a word.
 //
 //lint:allow plainatomic single-writer by contract: callers confine writes to word-disjoint chunks

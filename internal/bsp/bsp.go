@@ -16,12 +16,11 @@
 // quantities the paper's cost analysis and Section 6 experiments are
 // phrased in.
 //
-// Concurrent push claims of the same node are resolved by atomic
-// compare-and-swap in the callbacks supplied by the algorithms; the paper
-// explicitly allows an arbitrary winner ("only one of them, arbitrarily
-// chosen, succeeds"). Pull adoptions are deterministic first-match in
-// adjacency order. Either way the set of nodes claimed in a round is
-// schedule-independent.
+// When several frontier nodes reach the same node in one round the paper
+// lets "only one of them, arbitrarily chosen" succeed. The Engine makes the
+// choice itself and makes it the same way every time — see StepSpec — so
+// the nodes claimed in a round, and who claimed each, do not depend on the
+// direction, the worker count or the goroutine schedule.
 //
 // The weighted algorithms (WeightedCluster growth, weighted iFUB, the
 // oracle's quotient APSP) run on a second engine in this package,

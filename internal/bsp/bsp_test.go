@@ -9,9 +9,7 @@ import (
 )
 
 // engineBFS runs Engine.BFS — the canonical claim-style traversal — in the
-// given direction mode and returns the distance array. Push claims race
-// through CAS; pull adoptions are deterministic first-match, and both
-// assign the same depth values.
+// given direction mode and returns the distance array.
 func engineBFS(g *graph.Graph, src graph.NodeID, workers int, dir bsp.Direction) ([]int32, bsp.Stats) {
 	dist := make([]int32, g.NumNodes())
 	e := bsp.NewEngine(g, workers)
@@ -75,34 +73,41 @@ func TestEngineEmptyFrontierStepIsNoop(t *testing.T) {
 	g := graph.Path(5)
 	e := bsp.NewEngine(g, 2)
 	defer e.Close()
-	rs := e.Step(bsp.StepSpec{Push: func(_ int, _, _ graph.NodeID) bool { return true }})
+	rs := e.Step(bsp.StepSpec{Adopt: func(int, graph.NodeID, graph.NodeID) { t.Error("Adopt called") }})
 	if rs.Arcs != 0 || rs.Claimed != 0 || e.Stats().Rounds != 0 {
 		t.Fatal("empty frontier should be a no-op")
 	}
 }
 
 func TestEngineNoDuplicateClaims(t *testing.T) {
-	// Maximal contention: every leaf of a large star claims the hub in the
-	// same superstep. The frontier exceeds the sequential threshold, so the
-	// parallel path runs, and exactly one claim must win.
-	const leaves = 5000
+	// Maximal contention: every leaf of a large star offers itself to the
+	// hub in the same superstep, largest id first, so the hub's parent word
+	// is lowered again and again after the first offer has gathered it. The
+	// frontier's 20,000 arcs exceed the push threshold, so the workers take
+	// it in five blocks and contend for the word. The hub must be gathered
+	// and adopted exactly once, by the smallest leaf.
+	const leaves = 20000
 	g := graph.Star(leaves + 1)
-	claimed := make([]int32, g.NumNodes())
-	e := bsp.NewEngine(g, 8)
-	defer e.Close()
-	e.SetDirection(bsp.DirPush)
-	for i := 1; i <= leaves; i++ {
-		claimed[i] = 1
-		e.Seed(graph.NodeID(i))
-	}
-	rs := e.Step(bsp.StepSpec{Push: func(_ int, u, v graph.NodeID) bool {
-		return atomic.CompareAndSwapInt32(&claimed[v], 0, 1)
-	}})
-	if rs.Claimed != 1 || e.FrontierLen() != 1 || e.Frontier()[0] != 0 {
-		t.Fatalf("hub should be claimed exactly once, got %v", e.Frontier())
-	}
-	if rs.Arcs != leaves {
-		t.Fatalf("arcs=%d want %d", rs.Arcs, leaves)
+	for _, dir := range []bsp.Direction{bsp.DirPush, bsp.DirPull} {
+		e := bsp.NewEngine(g, 8)
+		e.SetDirection(dir)
+		for i := leaves; i >= 1; i-- {
+			e.Seed(graph.NodeID(i))
+		}
+		var adopted []graph.NodeID
+		rs := e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) {
+			adopted = append(adopted, v, parent) // one claim, so one call
+		}})
+		if rs.Claimed != 1 || e.FrontierLen() != 1 || e.Frontier()[0] != 0 {
+			t.Fatalf("%v: hub should be claimed exactly once, got %v", dir, e.Frontier())
+		}
+		if len(adopted) != 2 || adopted[0] != 0 || adopted[1] != 1 {
+			t.Fatalf("%v: Adopt calls (v, parent) = %v, want one (0, 1)", dir, adopted)
+		}
+		if dir == bsp.DirPush && rs.Arcs != leaves {
+			t.Fatalf("arcs=%d want %d", rs.Arcs, leaves)
+		}
+		e.Close()
 	}
 }
 

@@ -9,7 +9,6 @@ package bsp_test
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bsp"
@@ -30,13 +29,7 @@ func TestEngineStepHonorsCancelledContext(t *testing.T) {
 	}
 	dist[0] = 0
 	e.Seed(0)
-	var depth atomic.Int32
-	spec := bsp.StepSpec{
-		Push: func(_ int, u, v graph.NodeID) bool {
-			return atomic.CompareAndSwapInt32(&dist[v], -1, depth.Load())
-		},
-	}
-	depth.Store(1)
+	spec := bsp.StepSpec{Adopt: func(_ int, v, _ graph.NodeID) { dist[v] = 1 }}
 
 	// One live round works normally.
 	if rs := e.Step(spec); rs.Claimed == 0 {

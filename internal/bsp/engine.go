@@ -2,19 +2,20 @@ package bsp
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
 
-// Topology is the adjacency access the engine needs. *graph.Graph satisfies
-// it; the interface (rather than a concrete graph type) keeps this package
-// dependency-free so that internal/graph itself can run its exact-diameter
-// searches on the engine.
+// Topology is the adjacency the engine traverses: the offset array xadj
+// (len n+1, or empty for the empty graph) and the concatenated adjacency
+// lists adj (len 2m), each list strictly increasing. The engine's loops
+// index the two arrays directly. *graph.Graph satisfies it; the interface
+// (rather than a concrete graph type) keeps this package dependency-free so
+// that internal/graph itself can run its exact-diameter searches on the
+// engine.
 type Topology interface {
-	NumNodes() int
-	NumArcs() int
-	Degree(u NodeID) int
-	Neighbors(u NodeID) []NodeID
+	CSR() (xadj []int64, adj []NodeID)
 }
 
 // Direction selects how a superstep traverses the frontier boundary.
@@ -57,10 +58,12 @@ func (d Direction) String() string {
 // input is independent of the goroutine schedule, the direction sequence —
 // and therefore RoundLog — is identical across worker counts.
 
-// seqThreshold is the range length (nodes, or candidates) below which
-// For, ParallelFor and the pull and gather steps run inline on the calling
-// goroutine; dispatching to the pool for tiny rounds costs more than it
-// saves. Push steps are sized in arcs instead — see pushArcThreshold.
+// seqThreshold is the range length (nodes) below which For, ParallelFor and
+// with them the bottom-up steps run inline on the calling goroutine;
+// dispatching to the pool for tiny rounds costs more than it saves. It is
+// also the block of claimed nodes a worker takes at a time in a claim
+// step's barrier pass. Top-down steps, claim and gather alike, are sized in
+// arcs instead — see pushArcThreshold.
 const seqThreshold = 2048
 
 // pushArcThreshold is the frontier arc count (mf) below which a push step
@@ -81,30 +84,32 @@ const (
 	pushBlockArcs    = 4 << 10
 )
 
-// StepSpec is the two-sided superstep contract of a claim-style traversal.
+// StepSpec is what a claim-style traversal supplies to a superstep. The
+// claim itself is the engine's: a node reached by several frontier nodes in
+// one round goes to the one with the smallest id, in either direction and
+// under any worker count or schedule (the paper lets "only one of them,
+// arbitrarily chosen" succeed; fixing the choice is what makes every client's
+// output a function of its inputs alone). A push round settles the
+// contention by atomic-min on the engine's parent word of the node, a pull
+// round by adopting the first frontier neighbor in adjacency order, which
+// is the same node because adjacency lists are sorted.
 //
-// Push is the top-down form: for frontier node u and arc (u, v), return
-// true iff this call claims v (the caller resolves write conflicts, e.g.
-// with an atomic CAS on an ownership array; at most one call may return
-// true for a given v over the whole traversal).
-//
-// Pull is the bottom-up form: unvisited node v found frontier neighbor u
-// and asks to adopt it; return true iff v is now claimed. Each candidate v
-// is owned by exactly one worker, and its frontier neighbors are offered in
-// adjacency order, so Pull may use plain (non-atomic) writes to v's state
-// and its outcome is deterministic — first-match adoption strengthens the
-// schedule-independence of the push path rather than weakening it. A nil
-// Pull pins the traversal to push.
-//
-// ExhaustivePull makes the engine offer every frontier neighbor of v
-// instead of stopping at the first accepted adoption — for algorithms whose
-// claim is a min-reduction over all in-round offers (MPX), where stopping
-// early would break their determinism guarantee.
+// Adopt is called at the barrier, once per node claimed in the round, with
+// the winning frontier neighbor: the client copies whatever state a claimed
+// node inherits (cluster and distance, BFS level). Calls for distinct nodes
+// run concurrently; parent's state is stable, having been written at an
+// earlier barrier, and v is passed to exactly one call over the traversal.
 type StepSpec struct {
-	Push           func(worker int, u, v NodeID) bool
-	Pull           func(worker int, v, u NodeID) bool
-	ExhaustivePull bool
+	Adopt func(worker int, v, parent NodeID)
 }
+
+// Values of a parent word outside a round's claims. Offers are node ids, so
+// one comparison in the push kernel serves both: any offer lowers
+// parentFree, none lowers parentSettled.
+const (
+	parentFree    NodeID = math.MaxInt32 // never reached
+	parentSettled NodeID = -1            // claimed in an earlier round, or seeded
+)
 
 // Engine is the direction-optimizing traversal engine under every frontier
 // algorithm in the repository (CLUSTER/CLUSTER2 growth, MPX, parallel BFS,
@@ -120,18 +125,24 @@ type StepSpec struct {
 // An Engine may be reused across traversals (Reset) but is not safe for
 // concurrent use by multiple goroutines. Close releases the worker pool.
 type Engine struct {
-	t       Topology
+	xadj    []int64
+	adj     []NodeID
 	n       int
 	arcsTot int64
 	workers int
 	mode    Direction
 
-	visited      *Bitmap
+	// parent is the claim word of every node: parentFree until a round
+	// reaches it, the smallest frontier id that has offered so far while
+	// that round runs, parentSettled from the round's barrier on. A 32-bit
+	// word on purpose: at 1 M nodes the array is 4 MB beside a 78 MB build.
+	parent       []NodeID
+	visited      *Bitmap // parent != parentFree, densely: what a pull round skips by the word
 	frontier     []NodeID
 	frontierBits *Bitmap
 	bitsFor      []NodeID     // sparse list frontierBits currently encodes
 	frontierArcs int64        // mf: sum of degrees over the current frontier
-	pushCursor   atomic.Int64 // next unclaimed frontier index of a push step
+	cursor       atomic.Int64 // next unclaimed index of a claimBlocks pass
 	unvisArcs    int64        // mu: sum of degrees over unvisited nodes
 	unvisNodes   int64        // nu: number of unvisited nodes
 
@@ -149,10 +160,8 @@ type Engine struct {
 	bufs     [][]NodeID
 	arcs     []int64
 	degs     []int64
-	marks    []int64    // gatherPush per-worker marking-arc counters
-	cand     []NodeID   // gatherPush concatenated candidate list
-	candBits *Bitmap    // gatherPush scratch, allocated on first use
-	candBufs [][]NodeID // gatherPush per-worker candidate lists
+	candBits *Bitmap    // gatherPush marks, allocated on first use
+	candBufs [][]NodeID // gatherPush per-worker lists of the nodes marked
 
 	// Persistent pool: workers-1 goroutines fed per-round closures.
 	pool *Pool
@@ -163,21 +172,23 @@ type Engine struct {
 // lazily, on the first superstep large enough to parallelize.
 func NewEngine(t Topology, workers int) *Engine {
 	w := Workers(workers)
-	n := t.NumNodes()
+	xadj, adj := t.CSR()
+	n := max(len(xadj)-1, 0)
 	e := &Engine{
-		t:            t,
+		xadj:         xadj,
+		adj:          adj,
 		n:            n,
-		arcsTot:      int64(t.NumArcs()),
+		arcsTot:      int64(len(adj)),
 		workers:      w,
 		pool:         NewPool(w),
+		parent:       make([]NodeID, n),
 		visited:      NewBitmap(n),
 		frontierBits: NewBitmap(n),
-		unvisArcs:    int64(t.NumArcs()),
-		unvisNodes:   int64(n),
 		bufs:         make([][]NodeID, w),
 		arcs:         make([]int64, w),
 		degs:         make([]int64, w),
 	}
+	e.Reset() // every parent word free, every node and arc unvisited
 	return e
 }
 
@@ -248,6 +259,15 @@ func (e *Engine) Frontier() []NodeID { return e.frontier }
 // VisitedCount returns the number of nodes visited since the last Reset.
 func (e *Engine) VisitedCount() int { return e.visited.Count() }
 
+// setParent stores v's claim word plainly. Only the push kernel shares a
+// word between goroutines, and it uses atomics throughout; every caller
+// here is either the driver between rounds or the one worker that can
+// reach v (pull chunks are disjoint, a claimed node is in the new frontier
+// once), with the pool's barrier ordering it against the rounds around it.
+//
+//lint:allow plainatomic single writer per word outside push rounds (see comment)
+func (e *Engine) setParent(v, p NodeID) { e.parent[v] = p }
+
 // Reset clears the visited set, frontier, and round log for a fresh
 // traversal over the same topology, keeping the pool and the accumulated
 // Stats. (The log must not outlive the traversal: multi-search users like
@@ -255,6 +275,9 @@ func (e *Engine) VisitedCount() int { return e.visited.Count() }
 // retain O(total rounds) memory nothing reads.)
 func (e *Engine) Reset() {
 	e.log = e.log[:0]
+	for v := NodeID(0); int(v) < e.n; v++ {
+		e.setParent(v, parentFree)
+	}
 	e.visited.ClearAll()
 	e.frontierBits.ClearAll()
 	e.bitsFor = nil
@@ -264,6 +287,9 @@ func (e *Engine) Reset() {
 	e.unvisNodes = int64(e.n)
 }
 
+// degree returns the number of arcs leaving u.
+func (e *Engine) degree(u NodeID) int64 { return e.xadj[u+1] - e.xadj[u] }
+
 // Seed marks u visited and adds it to the current frontier; it reports
 // whether u was added (false if already visited). Claim-style traversals
 // use it for roots and for centers activated between rounds.
@@ -272,8 +298,9 @@ func (e *Engine) Seed(u NodeID) bool {
 		return false
 	}
 	e.visited.Set(u)
+	e.setParent(u, parentSettled)
 	e.frontier = append(e.frontier, u)
-	d := int64(e.t.Degree(u))
+	d := e.degree(u)
 	e.frontierArcs += d
 	e.unvisArcs -= d
 	e.unvisNodes--
@@ -288,73 +315,63 @@ func (e *Engine) SetFrontier(us []NodeID) {
 	e.frontier = append(e.frontier[:0], us...)
 	e.frontierArcs = 0
 	for _, u := range us {
-		e.frontierArcs += int64(e.t.Degree(u))
+		e.frontierArcs += e.degree(u)
 	}
 }
 
 // Close stops the pool goroutines. The engine must not be used afterwards.
 func (e *Engine) Close() { e.pool.Close() }
 
-// chunk64 returns the 64-aligned chunk size splitting n across the pool.
-func (e *Engine) chunk64(n int) int {
-	c := (n + e.workers - 1) / e.workers
-	return (c + 63) &^ 63
-}
-
 // For splits [0, n) into contiguous chunks (64-aligned, so chunk-confined
 // bitmap writes need no atomics) and runs fn(worker, lo, hi) on each from
-// the persistent pool. Small n runs inline.
+// the persistent pool. Small n runs inline. The engine's bottom-up rounds
+// run on it as well, which is why a worker left without a chunk has its
+// scratch cleared.
 func (e *Engine) For(n int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if n < seqThreshold || e.workers == 1 {
 		fn(0, 0, n)
+		for w := 1; w < e.workers; w++ {
+			e.idle(w)
+		}
 		return
 	}
-	chunk := e.chunk64(n)
+	chunk := ((n+e.workers-1)/e.workers + 63) &^ 63
 	e.pool.Run(func(w int) {
-		lo := w * chunk
-		if lo >= n {
-			return
+		if lo := w * chunk; lo < n {
+			fn(w, lo, min(lo+chunk, n))
+		} else {
+			e.idle(w)
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(w, lo, hi)
 	})
 }
 
-// chooseDirection applies the hybrid cost comparison (or the pinned mode).
-// probers is the number of nodes that would scan for a frontier neighbor in
-// a bottom-up round (nu for claim steps, n for gather steps) and arcCap the
-// total arcs such a round could possibly touch (mu, respectively 2m).
-func (e *Engine) chooseDirection(havePull bool, probers, arcCap int64) Direction {
-	if !havePull {
-		return DirPush
-	}
+// chooseDirection applies the hybrid cost comparison (or the pinned mode)
+// to the unvisited nodes, the ones that would scan for a frontier neighbor
+// in a bottom-up round, and their arcs — in a gather-style traversal that
+// visits nothing, every node and all 2m arcs.
+func (e *Engine) chooseDirection() Direction {
 	if e.mode != DirAuto {
 		return e.mode
 	}
 	nf := int64(len(e.frontier))
-	if nf == 0 || probers == 0 {
+	if nf == 0 || e.unvisNodes == 0 {
 		return DirPush
 	}
-	pullCost := probers * int64(e.n) / nf // < 2^62 for n < 2^31
-	if pullCost > arcCap {
-		pullCost = arcCap
-	}
+	pullCost := min(e.unvisNodes*int64(e.n)/nf, e.unvisArcs) // the product < 2^62 for n < 2^31
 	if pullCost < e.frontierArcs {
 		return DirPull
 	}
 	return DirPush
 }
 
-// Step performs one claim-style superstep in the chosen direction, replaces
-// the frontier with the newly claimed nodes, and returns the round record.
-// An empty frontier — or a cancelled context (see SetContext) — is a no-op
-// returning a zero RoundStat.
+// Step performs one claim-style superstep in the chosen direction: every
+// unclaimed node with a frontier neighbor is claimed by the smallest of
+// them (see StepSpec), the barrier hands each claim to spec.Adopt, and the
+// claimed nodes replace the frontier. An empty frontier — or a cancelled
+// context (see SetContext) — is a no-op returning a zero RoundStat.
 func (e *Engine) Step(spec StepSpec) RoundStat {
 	if e.Err() != nil {
 		e.frontier = e.frontier[:0]
@@ -367,12 +384,12 @@ func (e *Engine) Step(spec StepSpec) RoundStat {
 	if nf > e.stats.MaxFrontier {
 		e.stats.MaxFrontier = nf
 	}
-	dir := e.chooseDirection(spec.Pull != nil, e.unvisNodes, e.unvisArcs)
+	dir := e.chooseDirection()
 	var arcs, claimedDeg int64
 	if dir == DirPush {
-		arcs, claimedDeg = e.stepPush(spec.Push)
+		arcs, claimedDeg = e.stepPush()
 	} else {
-		arcs, claimedDeg = e.stepPull(spec)
+		arcs, claimedDeg = e.stepPull()
 	}
 	next := e.gatherBufs()
 	if dir == DirPush {
@@ -383,6 +400,7 @@ func (e *Engine) Step(spec StepSpec) RoundStat {
 			e.visited.Set(v)
 		}
 	}
+	e.settle(next, spec.Adopt)
 	e.frontier = next
 	e.frontierArcs = claimedDeg
 	e.unvisArcs -= claimedDeg
@@ -400,11 +418,9 @@ func (e *Engine) Step(spec StepSpec) RoundStat {
 
 // BFS runs one breadth-first search from src on a freshly Reset engine:
 // dist (len NumNodes) is overwritten with hop distances, -1 for unreached
-// nodes, and the eccentricity of src within its component is returned.
-// Push claims race through CAS; pull adoptions write plainly, since each
-// candidate belongs to exactly one worker. If the engine's context is
-// cancelled the search stops at the next barrier, dist is partial and Err
-// reports the cause.
+// nodes, and the eccentricity of src within its component is returned. If
+// the engine's context is cancelled the search stops at the next barrier,
+// dist is partial and Err reports the cause.
 func (e *Engine) BFS(src NodeID, dist []int32) (ecc int32) {
 	for i := range dist {
 		dist[i] = -1
@@ -413,17 +429,7 @@ func (e *Engine) BFS(src NodeID, dist []int32) (ecc int32) {
 	e.Seed(src)
 	dist[src] = 0
 	for d := int32(1); e.FrontierLen() > 0; d++ {
-		rs := e.Step(StepSpec{
-			// Test before the locked instruction: most scanned arcs lead
-			// to a node that is already claimed.
-			Push: func(_ int, _, v NodeID) bool {
-				return atomic.LoadInt32(&dist[v]) == -1 && atomic.CompareAndSwapInt32(&dist[v], -1, d)
-			},
-			Pull: func(_ int, v, _ NodeID) bool {
-				dist[v] = d
-				return true
-			},
-		})
+		rs := e.Step(StepSpec{Adopt: func(_ int, v, _ NodeID) { dist[v] = d }})
 		if rs.Claimed > 0 {
 			ecc = d
 		}
@@ -448,137 +454,133 @@ func (e *Engine) gatherBufs() []NodeID {
 	return next
 }
 
-// stepPush expands the frontier top-down: every frontier node offers its
-// arcs to Push. The round is sized in arcs, as Beamer et al. size the
-// top-down step (mf), not in frontier nodes: under pushArcThreshold arcs it
-// runs on the caller; otherwise the workers claim blocks of frontier nodes
-// from a shared cursor, each block about pushBlockArcs arcs at the
-// frontier's mean degree, so a thousand hubs are spread over the pool and a
-// hub-heavy stretch of the frontier delays one worker by one block. Which
-// worker scans which block affects only the order of the next frontier;
-// the set claimed and the arcs scanned are the same at every worker count.
-// No push round reads the visited bitmap, so claims do not touch it here:
-// Step marks the gathered claims at the barrier.
-func (e *Engine) stepPush(push func(worker int, u, v NodeID) bool) (arcs, claimedDeg int64) {
-	frontier := e.frontier
-	t := e.t
-	inline := e.workers == 1 || e.frontierArcs < pushArcThreshold
-	block := len(frontier)
-	if !inline {
-		block = max(1, int(int64(len(frontier))*pushBlockArcs/e.frontierArcs))
-	}
-	e.pushCursor.Store(0)
-	body := func(w int) {
-		buf := e.bufs[w][:0]
+// stepPush expands the frontier top-down: every frontier node u offers its
+// id to each neighbor's parent word, which keeps the minimum. The worker
+// whose CAS moves a word off parentFree gathers the node, so each is
+// gathered once however many smaller ids follow; a word that is
+// parentSettled fails the same comparison, so an arc into an already
+// claimed node costs one load. The round is sized in arcs, as Beamer et al.
+// size the top-down step (mf), not in frontier nodes: under
+// pushArcThreshold arcs it is one block, on the caller; otherwise the
+// workers claim blocks of frontier nodes (claimBlocks), each about
+// pushBlockArcs arcs at the frontier's mean degree, so a thousand hubs are
+// spread over the pool and a hub-heavy stretch of the frontier delays one
+// worker by one block. Which worker scans which block affects only the
+// order of the next frontier; the set claimed, every winner and the arcs
+// scanned are the same at every worker count.
+func (e *Engine) stepPush() (arcs, claimedDeg int64) {
+	frontier, xadj, adj, parent := e.frontier, e.xadj, e.adj, e.parent
+	e.claimBlocks(len(frontier), e.pushBlock(), func(w, lo, hi int) {
+		buf := e.bufs[w]
 		var scanned, deg int64
-		for {
-			hi := int(e.pushCursor.Add(int64(block)))
-			lo := hi - block
-			if lo >= len(frontier) {
-				break
-			}
-			for _, u := range frontier[lo:min(hi, len(frontier))] {
-				nbrs := t.Neighbors(u)
-				scanned += int64(len(nbrs))
-				for _, v := range nbrs {
-					if push(w, u, v) {
-						buf = append(buf, v)
-						deg += int64(t.Degree(v))
+		for _, u := range frontier[lo:hi] {
+			nbrs := adj[xadj[u]:xadj[u+1]]
+			scanned += int64(len(nbrs))
+			for _, v := range nbrs {
+				word := &parent[v]
+				for cur := atomic.LoadInt32(word); u < cur; cur = atomic.LoadInt32(word) {
+					if atomic.CompareAndSwapInt32(word, cur, u) {
+						if cur == parentFree {
+							buf = append(buf, v)
+							deg += xadj[v+1] - xadj[v]
+						}
+						break
 					}
 				}
 			}
 		}
 		e.bufs[w] = buf
-		e.arcs[w] = scanned
-		e.degs[w] = deg
-	}
-	if inline {
-		body(0)
-		for w := 1; w < e.workers; w++ {
-			e.idle(w)
-		}
-	} else {
-		e.pool.Run(body)
-	}
+		e.arcs[w] += scanned
+		e.degs[w] += deg
+	})
 	return e.sumScratch()
 }
 
+// pushBlock is the number of frontier nodes one claim of a push round takes:
+// all of them under pushArcThreshold arcs, else about pushBlockArcs arcs'
+// worth at the frontier's mean degree.
+func (e *Engine) pushBlock() int {
+	if e.frontierArcs < pushArcThreshold {
+		return len(e.frontier)
+	}
+	return max(1, int(int64(len(e.frontier))*pushBlockArcs/e.frontierArcs))
+}
+
+// claimBlocks clears the per-worker scratch and runs scan over [0, n) in
+// blocks that the workers claim from a shared cursor, so a worker that
+// wakes late costs the round nothing — the others take its blocks. A range
+// of one block runs on the caller. scan accumulates into its worker's
+// scratch.
+func (e *Engine) claimBlocks(n, block int, scan func(w, lo, hi int)) {
+	for w := 0; w < e.workers; w++ {
+		e.idle(w)
+	}
+	if e.workers == 1 || block >= n {
+		scan(0, 0, n)
+		return
+	}
+	e.cursor.Store(0)
+	e.pool.Run(func(w int) {
+		for {
+			hi := int(e.cursor.Add(int64(block)))
+			lo := hi - block
+			if lo >= n {
+				return
+			}
+			scan(w, lo, min(hi, n))
+		}
+	})
+}
+
 // stepPull expands the frontier bottom-up: every unvisited node scans its
-// adjacency for frontier members and adopts per spec.Pull. Worker chunks
-// are 64-aligned so visited-bitmap writes stay word-confined and the next
-// frontier comes out in ascending node order — fully deterministic.
-//
-//lint:allow plainatomic 64-aligned chunks: each worker owns its visited words exclusively
-func (e *Engine) stepPull(spec StepSpec) (arcs, claimedDeg int64) {
+// adjacency and takes the first frontier member as its parent — the
+// smallest, the list being sorted. Worker chunks are 64-aligned so
+// visited-bitmap writes stay word-confined and the next frontier comes out
+// in ascending node order.
+func (e *Engine) stepPull() (arcs, claimedDeg int64) {
 	e.syncFrontierBits()
-	t := e.t
+	xadj, adj := e.xadj, e.adj
 	inFrontier := e.frontierBits
 	visited := e.visited
-	body := func(w, lo, hi int) {
+	e.For(e.n, func(w, lo, hi int) {
 		buf := e.bufs[w][:0]
 		var scanned, deg int64
 		for wi := lo >> 6; wi<<6 < hi; wi++ {
-			unvis := ^visited.words[wi]
 			base := NodeID(wi << 6)
-			for m := unvis; m != 0; m &= m - 1 {
+			for m := visited.Absent(wi); m != 0; m &= m - 1 {
 				v := base + NodeID(bits.TrailingZeros64(m))
 				if int(v) >= hi { // hi is clamped to n, so this also skips pad bits
 					break
 				}
-				nbrs := t.Neighbors(v)
-				adopted := false
+				nbrs := adj[xadj[v]:xadj[v+1]]
 				for _, u := range nbrs {
 					scanned++
-					if !inFrontier.Get(u) {
-						continue
+					if inFrontier.Get(u) {
+						e.setParent(v, u)
+						visited.Set(v) // word-confined: chunks are 64-aligned
+						buf = append(buf, v)
+						deg += int64(len(nbrs))
+						break
 					}
-					if spec.Pull(w, v, u) {
-						adopted = true
-						if !spec.ExhaustivePull {
-							break
-						}
-					}
-				}
-				if adopted {
-					visited.Set(v) // word-confined: chunks are 64-aligned
-					buf = append(buf, v)
-					deg += int64(len(nbrs))
 				}
 			}
 		}
 		e.bufs[w] = buf
 		e.arcs[w] = scanned
 		e.degs[w] = deg
-	}
-	e.forChunks(e.n, true, body)
+	})
 	return e.sumScratch()
 }
 
-// forChunks runs body over chunks of [0, n) — 64-aligned when aligned is
-// set — clearing the scratch of idle workers. Small n runs inline.
-func (e *Engine) forChunks(n int, aligned bool, body func(w, lo, hi int)) {
-	if n < seqThreshold || e.workers == 1 {
-		body(0, 0, n)
-		for w := 1; w < e.workers; w++ {
-			e.idle(w)
+// settle is the barrier pass of a claim step: for every node the round
+// claimed it reports the winner to adopt and closes the parent word to
+// later offers.
+func (e *Engine) settle(claimed []NodeID, adopt func(worker int, v, parent NodeID)) {
+	e.claimBlocks(len(claimed), seqThreshold, func(w, lo, hi int) {
+		for _, v := range claimed[lo:hi] {
+			adopt(w, v, atomic.LoadInt32(&e.parent[v]))
+			e.setParent(v, parentSettled)
 		}
-		return
-	}
-	chunk := (n + e.workers - 1) / e.workers
-	if aligned {
-		chunk = (chunk + 63) &^ 63
-	}
-	e.pool.Run(func(w int) {
-		lo := w * chunk
-		if lo >= n {
-			e.idle(w)
-			return
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		body(w, lo, hi)
 	})
 }
 
@@ -604,16 +606,18 @@ func (e *Engine) syncFrontierBits() {
 }
 
 // GatherStep performs one gather-style superstep: the candidate set is
-// every node with at least one neighbor in the current frontier, gather is
-// invoked exactly once per candidate (from the worker that owns it), and
-// candidates for which it returns true form the next frontier. The visited
-// set is not consulted — nodes re-enter the frontier whenever they change —
-// which is the superstep shape of the ANF/HADI and HyperANF sketch rounds
-// (frontier = "nodes whose sketch changed last round").
+// every unvisited node with at least one neighbor in the current frontier,
+// gather is invoked exactly once per candidate (from the worker that owns
+// it), and candidates for which it returns true form the next frontier. The
+// step visits nothing itself. Where no node is ever visited, nodes re-enter
+// the frontier whenever they change: the superstep shape of the ANF/HADI
+// and HyperANF sketch rounds (frontier = "nodes whose sketch changed last
+// round"). Where a gathered node is settled for good (MPX), the client
+// calls VisitFrontier after the step and no later one offers it again.
 //
 // Direction: with a large frontier the candidates are found bottom-up (scan
-// every node, stop at its first frontier neighbor); with a small one they
-// are found top-down (mark neighbors of the frontier in a bitmap). Arcs
+// every unvisited node, stop at its first frontier neighbor); with a small
+// one they are found top-down (mark neighbors of the frontier in a bitmap). Arcs
 // counts the membership probes plus the full degree of every gathered
 // candidate (the gather callback's own adjacency scan).
 func (e *Engine) GatherStep(gather func(worker int, v NodeID) bool) RoundStat {
@@ -628,7 +632,7 @@ func (e *Engine) GatherStep(gather func(worker int, v NodeID) bool) RoundStat {
 	if nf > e.stats.MaxFrontier {
 		e.stats.MaxFrontier = nf
 	}
-	dir := e.chooseDirection(true, int64(e.n), e.arcsTot)
+	dir := e.chooseDirection()
 	var arcs, nextDeg int64
 	if dir == DirPull {
 		arcs, nextDeg = e.gatherPull(gather)
@@ -649,98 +653,99 @@ func (e *Engine) GatherStep(gather func(worker int, v NodeID) bool) RoundStat {
 	return rs
 }
 
-// gatherPull finds candidates bottom-up: every node probes its adjacency
-// for a frontier member, early-exiting on the first hit.
+// VisitFrontier marks every frontier node visited, as Seed does for one. It
+// is for the frontier a GatherStep has just returned, whose nodes were all
+// unvisited.
+func (e *Engine) VisitFrontier() {
+	for _, v := range e.frontier {
+		e.visited.Set(v)
+	}
+	e.unvisNodes -= int64(len(e.frontier))
+	e.unvisArcs -= e.frontierArcs
+}
+
+// gatherPull finds candidates bottom-up: every unvisited node probes its
+// adjacency for a frontier member, early-exiting on the first hit. Worker
+// chunks are 64-aligned so that each walks whole words of the visited set.
 func (e *Engine) gatherPull(gather func(worker int, v NodeID) bool) (arcs, nextDeg int64) {
 	e.syncFrontierBits()
-	t := e.t
+	xadj, adj := e.xadj, e.adj
 	inFrontier := e.frontierBits
-	body := func(w, lo, hi int) {
+	e.For(e.n, func(w, lo, hi int) {
 		buf := e.bufs[w][:0]
 		var scanned, deg int64
-		for v := NodeID(lo); int(v) < hi; v++ {
-			nbrs := t.Neighbors(v)
-			hit := false
-			for _, u := range nbrs {
-				scanned++
-				if inFrontier.Get(u) {
-					hit = true
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			base := NodeID(wi << 6)
+			for m := e.visited.Absent(wi); m != 0; m &= m - 1 {
+				v := base + NodeID(bits.TrailingZeros64(m))
+				if int(v) >= hi { // hi is clamped to n, so this also skips pad bits
 					break
 				}
-			}
-			if !hit {
-				continue
-			}
-			scanned += int64(len(nbrs)) // gather's own adjacency scan
-			if gather(w, v) {
-				buf = append(buf, v)
-				deg += int64(len(nbrs))
+				nbrs := adj[xadj[v]:xadj[v+1]]
+				hit := false
+				for _, u := range nbrs {
+					scanned++
+					if inFrontier.Get(u) {
+						hit = true
+						break
+					}
+				}
+				if !hit {
+					continue
+				}
+				scanned += int64(len(nbrs)) // gather's own adjacency scan
+				if gather(w, v) {
+					buf = append(buf, v)
+					deg += int64(len(nbrs))
+				}
 			}
 		}
 		e.bufs[w] = buf
 		e.arcs[w] = scanned
 		e.degs[w] = deg
-	}
-	e.forChunks(e.n, false, body)
+	})
 	return e.sumScratch()
 }
 
-// gatherPush finds candidates top-down: frontier nodes mark their neighbors
-// in a reusable scratch bitmap (the first marker collects the candidate),
-// then gather runs over the collected candidates.
+// gatherPush finds candidates top-down, on the blocks of a push step: the
+// worker whose mark is the first on an unvisited neighbor of the frontier
+// owns that candidate and gathers it there and then. The marks go into a
+// scratch bitmap that is cleared, by the candidates, before returning.
 func (e *Engine) gatherPush(gather func(worker int, v NodeID) bool) (arcs, nextDeg int64) {
-	t := e.t
-	frontier := e.frontier
+	xadj, adj, frontier := e.xadj, e.adj, e.frontier
 	if e.candBits == nil {
 		e.candBits = NewBitmap(e.n)
 		e.candBufs = make([][]NodeID, e.workers)
-		e.marks = make([]int64, e.workers)
 	}
 	cand := e.candBits
 	for w := range e.candBufs {
 		e.candBufs[w] = e.candBufs[w][:0]
-		e.marks[w] = 0
 	}
-	e.For(len(frontier), func(w, lo, hi int) {
-		local := e.candBufs[w][:0]
-		var scanned int64
+	e.claimBlocks(len(frontier), e.pushBlock(), func(w, lo, hi int) {
+		buf, marked := e.bufs[w], e.candBufs[w]
+		var scanned, deg int64
 		for _, u := range frontier[lo:hi] {
-			nbrs := t.Neighbors(u)
+			nbrs := adj[xadj[u]:xadj[u+1]]
 			scanned += int64(len(nbrs))
 			for _, v := range nbrs {
-				if cand.SetAtomic(v) {
-					local = append(local, v)
+				if e.visited.Get(v) || !cand.SetAtomic(v) {
+					continue
+				}
+				marked = append(marked, v)
+				d := xadj[v+1] - xadj[v]
+				scanned += d // gather's own adjacency scan
+				if gather(w, v) {
+					buf = append(buf, v)
+					deg += d
 				}
 			}
 		}
-		e.candBufs[w] = local
-		e.marks[w] = scanned
+		e.bufs[w], e.candBufs[w] = buf, marked
+		e.arcs[w] += scanned
+		e.degs[w] += deg
 	})
-	candidates := e.cand[:0]
-	for _, b := range e.candBufs {
-		candidates = append(candidates, b...)
+	for _, marked := range e.candBufs {
+		cand.ClearSparse(marked)
 	}
-	e.cand = candidates
-	cand.ClearSparse(candidates)
-	body := func(w, lo, hi int) {
-		buf := e.bufs[w][:0]
-		var scanned, deg int64
-		for _, v := range candidates[lo:hi] {
-			d := int64(t.Degree(v))
-			scanned += d
-			if gather(w, v) {
-				buf = append(buf, v)
-				deg += d
-			}
-		}
-		e.bufs[w] = buf
-		e.arcs[w] = scanned
-		e.degs[w] = deg
-	}
-	e.forChunks(len(candidates), false, body)
-	arcs, nextDeg = e.sumScratch()
-	for _, a := range e.marks {
-		arcs += a
-	}
-	return arcs, nextDeg
+	return e.sumScratch()
 }

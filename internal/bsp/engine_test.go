@@ -66,66 +66,26 @@ func TestHybridDirectionScheduleIsWorkerIndependent(t *testing.T) {
 	// degree sums, which are schedule-independent; the round log must be
 	// identical whatever the worker count.
 	g := lowDiameterGraph()
-	ref := func() []bsp.RoundStat {
-		e := bsp.NewEngine(g, 1)
-		defer e.Close()
-		dist := make([]int32, g.NumNodes())
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[0] = 0
-		e.Seed(0)
-		for d := int32(1); e.FrontierLen() > 0; d++ {
-			dd := d
-			e.Step(bsp.StepSpec{
-				Push: func(_ int, u, v graph.NodeID) bool {
-					if dist[v] == -1 {
-						dist[v] = dd
-						return true
-					}
-					return false
-				},
-				Pull: func(_ int, v, u graph.NodeID) bool { dist[v] = dd; return true },
-			})
-		}
-		return e.RoundLog()
-	}()
-	for _, workers := range []int{2, 5} {
-		dist := make([]int32, g.NumNodes())
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[0] = 0
+	roundLog := func(workers int) []bsp.RoundStat {
 		e := bsp.NewEngine(g, workers)
-		e.Seed(0)
-		for d := int32(1); e.FrontierLen() > 0; d++ {
-			dd := d
-			e.Step(bsp.StepSpec{
-				Push: func(_ int, u, v graph.NodeID) bool {
-					return atomicCAS32(dist, v, -1, dd)
-				},
-				Pull: func(_ int, v, u graph.NodeID) bool { dist[v] = dd; return true },
-			})
-		}
-		log := e.RoundLog()
-		e.Close()
-		if len(log) != len(ref) {
-			t.Fatalf("workers=%d: %d rounds vs %d", workers, len(log), len(ref))
-		}
-		for i := range log {
-			if log[i].Dir != ref[i].Dir || log[i].Frontier != ref[i].Frontier || log[i].Claimed != ref[i].Claimed {
-				t.Fatalf("workers=%d round %d: %+v vs reference %+v", workers, i, log[i], ref[i])
-			}
+		defer e.Close()
+		e.BFS(0, make([]int32, g.NumNodes()))
+		return slices.Clone(e.RoundLog())
+	}
+	ref := roundLog(1)
+	for _, workers := range []int{2, 5} {
+		if log := roundLog(workers); !slices.Equal(log, ref) {
+			t.Fatalf("workers=%d: round log %+v, at one worker %+v", workers, log, ref)
 		}
 	}
 }
 
 // A push round is sized and split by frontier arcs, not frontier nodes:
 // eight hubs carrying 40,000 arcs between them go to the pool (eight nodes
-// never did), one hub a claim, and what is claimed does not depend on who
-// scanned what. A two-node tail behind one leaf adds a pooled round with a
-// single claim and then an inline one, so scratch left over in a worker that
-// claimed nothing would resurface as a phantom frontier.
+// never did), one hub a claim, at least two workers taking claims, and what
+// is claimed — and by whom — does not depend on who scanned what. A two-node tail behind one leaf adds a pooled
+// round with a single claim and then an inline one, so scratch left over in
+// a worker that claimed nothing would resurface as a phantom frontier.
 func TestPushRoundSplitsHubFrontierByArcs(t *testing.T) {
 	const hubs, leaves = 8, 5000
 	b := graph.NewBuilder(hubs + hubs*leaves + 2)
@@ -140,49 +100,51 @@ func TestPushRoundSplitsHubFrontierByArcs(t *testing.T) {
 	g := b.Build()
 
 	// run drives a forced-push traversal from the hubs and returns the
-	// sorted frontier after every round.
-	run := func(workers int, push func(worker int)) ([][]graph.NodeID, []bsp.RoundStat) {
+	// sorted frontier after every round and every node's parent.
+	run := func(workers int) ([][]graph.NodeID, []graph.NodeID, []bsp.RoundStat) {
 		e := bsp.NewEngine(g, workers)
 		defer e.Close()
 		e.SetDirection(bsp.DirPush)
-		owner := make([]int32, g.NumNodes())
-		for i := range owner {
-			owner[i] = -1
-		}
+		parents := make([]graph.NodeID, g.NumNodes())
 		for h := graph.NodeID(0); h < hubs; h++ {
-			owner[h] = h
+			parents[h] = h
 			e.Seed(h)
 		}
 		var fronts [][]graph.NodeID
 		for e.FrontierLen() > 0 {
-			e.Step(bsp.StepSpec{Push: func(w int, u, v graph.NodeID) bool {
-				push(w)
-				return atomicCAS32(owner, v, -1, atomic.LoadInt32(&owner[u]))
-			}})
+			e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) { parents[v] = parent }})
 			front := slices.Clone(e.Frontier())
 			slices.Sort(front)
 			fronts = append(fronts, front)
 		}
-		return fronts, slices.Clone(e.RoundLog())
+		return fronts, parents, slices.Clone(e.RoundLog())
 	}
 
-	want, wantLog := run(1, func(int) {})
-
-	// Whichever worker calls Push first holds its hub until a second worker
-	// has shown up, so the test does not depend on the pool waking before
-	// the caller has scanned everything on a box with one core to spare.
+	// The hubs' round: 40,000 arcs, so a claim is one hub, and the claims
+	// reach a second worker. Whichever worker scans first holds its block
+	// until another has shown up, so the test does not depend on the pool
+	// waking before the caller has taken every block on a box with one core
+	// to spare.
+	e := bsp.NewEngine(g, 4)
+	defer e.Close()
+	for h := graph.NodeID(0); h < hubs; h++ {
+		e.Seed(h)
+	}
+	block := e.PushBlock()
+	if block != 1 {
+		t.Fatalf("a claim of the hubs' push round is %d of the %d hubs, want 1", block, hubs)
+	}
 	var (
 		mu       sync.Mutex
 		seen     = map[int]bool{}
 		second   = make(chan struct{})
 		release  sync.Once
 		timedOut atomic.Bool
+		scanned  [hubs]atomic.Int32
 	)
-	got, gotLog := run(4, func(w int) {
-		select {
-		case <-second:
-			return
-		default:
+	e.ClaimBlocks(hubs, block, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			scanned[i].Add(1)
 		}
 		mu.Lock()
 		seen[w] = true
@@ -199,10 +161,21 @@ func TestPushRoundSplitsHubFrontierByArcs(t *testing.T) {
 		}
 	})
 	if timedOut.Load() {
-		t.Fatal("every Push of an 8-hub, 40,000-arc frontier came from one worker at workers=4")
+		t.Fatal("every block of an 8-hub, 40,000-arc frontier went to one worker at workers=4")
 	}
+	for h := range scanned {
+		if c := scanned[h].Load(); c != 1 {
+			t.Fatalf("hub %d was handed out %d times", h, c)
+		}
+	}
+
+	want, wantParents, wantLog := run(1)
+	got, gotParents, gotLog := run(4)
 	if !slices.EqualFunc(got, want, func(a, b []graph.NodeID) bool { return slices.Equal(a, b) }) {
 		t.Fatalf("claimed sets differ between workers=4 and workers=1 (%d vs %d rounds)", len(got), len(want))
+	}
+	if !slices.Equal(gotParents, wantParents) {
+		t.Fatal("parents differ between workers=4 and workers=1")
 	}
 	if !slices.Equal(gotLog, wantLog) {
 		t.Fatalf("round log at workers=4 %+v, at workers=1 %+v", gotLog, wantLog)
@@ -216,19 +189,7 @@ func TestRoundLogRecordsDirections(t *testing.T) {
 	g := lowDiameterGraph()
 	e := bsp.NewEngine(g, 4)
 	defer e.Close()
-	dist := make([]int32, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[0] = 0
-	e.Seed(0)
-	for d := int32(1); e.FrontierLen() > 0; d++ {
-		dd := d
-		e.Step(bsp.StepSpec{
-			Push: func(_ int, u, v graph.NodeID) bool { return atomicCAS32(dist, v, -1, dd) },
-			Pull: func(_ int, v, u graph.NodeID) bool { dist[v] = dd; return true },
-		})
-	}
+	e.BFS(0, make([]int32, g.NumNodes()))
 	stats := e.Stats()
 	if stats.PullRounds == 0 || stats.PullRounds == stats.Rounds {
 		t.Fatalf("hybrid on G(n,p) should mix directions: %d pull of %d rounds",
@@ -307,6 +268,76 @@ func TestEngineGatherStepCandidates(t *testing.T) {
 	}
 }
 
+func TestEngineGatherStepPooledPush(t *testing.T) {
+	// Two hubs share 8,000 leaves: 16,000 frontier arcs, so the top-down
+	// round is taken in blocks by the pool, and a leaf is gathered once
+	// though both hubs mark it. The rounds back to the hubs and out again
+	// find the marks of the first one cleared.
+	const leaves = 8000
+	b := graph.NewBuilder(2 + leaves)
+	for l := graph.NodeID(2); l < 2+leaves; l++ {
+		b.AddEdge(0, l)
+		b.AddEdge(1, l)
+	}
+	g := b.Build()
+	e := bsp.NewEngine(g, 4)
+	defer e.Close()
+	e.SetDirection(bsp.DirPush)
+	e.SetFrontier([]graph.NodeID{0, 1})
+	round := func(wantHubs, wantLeaves int32, wantArcs int64) {
+		t.Helper()
+		counts := make([]int32, g.NumNodes())
+		rs := e.GatherStep(func(_ int, v graph.NodeID) bool {
+			atomicAdd32(counts, v)
+			return v < 2 || v%2 == 0
+		})
+		for v, c := range counts {
+			want := wantLeaves
+			if v < 2 {
+				want = wantHubs
+			}
+			if c != want {
+				t.Fatalf("node %d gathered %d times, want %d", v, c, want)
+			}
+		}
+		if rs.Arcs != wantArcs {
+			t.Fatalf("%d arcs, want %d", rs.Arcs, wantArcs)
+		}
+	}
+	round(0, 1, 4*leaves) // hubs mark twice 8,000 leaves, each leaf scans 2 arcs
+	round(1, 0, 3*leaves) // the 4,000 even leaves mark the hubs, each hub scans 8,000
+	round(0, 1, 4*leaves)
+}
+
+func TestEngineGatherStepSkipsVisited(t *testing.T) {
+	// A gather-style traversal whose nodes settle once gathered: the seed and
+	// every frontier handed to VisitFrontier stay out of the later rounds'
+	// candidates, top-down and bottom-up, so the rounds on a path walk
+	// outwards from the seed, two nodes at a time.
+	g := graph.Path(7)
+	for _, dir := range []bsp.Direction{bsp.DirPush, bsp.DirPull} {
+		e := bsp.NewEngine(g, 2)
+		e.SetDirection(dir)
+		e.Seed(3)
+		for _, want := range [][]graph.NodeID{{2, 4}, {1, 5}, {0, 6}, nil} {
+			var offered []graph.NodeID
+			e.GatherStep(func(_ int, v graph.NodeID) bool {
+				offered = append(offered, v)
+				return true
+			})
+			e.VisitFrontier()
+			slices.Sort(offered)
+			if !slices.Equal(offered, want) {
+				t.Fatalf("%v: gather offered %v, want %v", dir, offered, want)
+			}
+		}
+		if e.VisitedCount() != g.NumNodes() {
+			t.Fatalf("%v: %d nodes visited, want all %d", dir, e.VisitedCount(), g.NumNodes())
+		}
+		e.Close()
+	}
+}
+
 func TestEngineGatherStepDenseFrontierUsesPull(t *testing.T) {
 	// With the whole node set in the frontier the gather step must run
 	// bottom-up and still offer every non-isolated node exactly once.
@@ -378,12 +409,6 @@ func TestBitmapSparseRoundTrip(t *testing.T) {
 	if !b.SetAtomic(8) || b.SetAtomic(8) {
 		t.Fatal("SetAtomic first-set detection wrong")
 	}
-}
-
-// Small helpers keeping the closures above terse.
-
-func atomicCAS32(a []int32, i graph.NodeID, old, new int32) bool {
-	return atomic.CompareAndSwapInt32(&a[i], old, new)
 }
 
 func atomicAdd32(a []int32, i graph.NodeID) {

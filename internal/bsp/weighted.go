@@ -18,7 +18,7 @@ import (
 // shape the rest of this repository's frontier algorithms run in.
 //
 // Determinism. All relaxations funnel through an atomic min-reduction on a
-// per-node claim word (the MPX casMin idiom): in multi-source mode the word
+// per-node claim word (casLower): in multi-source mode the word
 // packs (distance, owner) so ties break toward the smaller cluster id, in
 // single-source mode it is the raw distance. Each phase relaxes from a
 // distance snapshot taken at the preceding barrier, so the offer multiset

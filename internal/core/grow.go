@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"repro/internal/bsp"
 	"repro/internal/graph"
 )
@@ -23,7 +21,6 @@ type grower struct {
 	steps   int
 }
 
-//lint:allow plainatomic construction: worker pool has no work yet
 func newGrower(g *graph.Graph, opt Options) *grower {
 	n := g.NumNodes()
 	gr := &grower{
@@ -46,14 +43,11 @@ func (gr *grower) Uncovered() int { return gr.g.NumNodes() - gr.covered }
 
 func (gr *grower) Idle() bool { return gr.e.FrontierLen() == 0 }
 
-//lint:allow plainatomic between-rounds barrier, no writers live
 func (gr *grower) Covered(u graph.NodeID) bool { return gr.owner[u] != -1 }
 
 // AddCenter makes u the center of a fresh singleton cluster. u must be
 // uncovered. Not safe for concurrent use: centers are added between growth
 // rounds, matching the algorithm structure.
-//
-//lint:allow plainatomic between-rounds barrier phase, no concurrent writers
 func (gr *grower) AddCenter(u graph.NodeID) {
 	if gr.owner[u] != -1 {
 		panic("core: AddCenter on covered node")
@@ -67,40 +61,17 @@ func (gr *grower) AddCenter(u graph.NodeID) {
 
 // Step grows every active cluster by one round and returns the number of
 // newly covered nodes; a round that covers nothing means every frontier is
-// exhausted, and a cancelled engine context surfaces as the error.
-// Top-down rounds have each frontier node claim its uncovered neighbors
-// (CAS, arbitrary winner under contention, as the paper allows); bottom-up
-// rounds have each uncovered node adopt its first frontier neighbor in
-// adjacency order — deterministic, so the pull direction strengthens the
-// schedule-independence of the round.
+// exhausted, and a cancelled engine context surfaces as the error. Which
+// cluster takes a node that several reach in the same round is the engine's
+// rule (bsp.StepSpec: the smallest-id frontier neighbor, in either
+// direction); the grower only copies that neighbor's cluster and depth at
+// the barrier.
 func (gr *grower) Step() (claimed int, live bool, err error) {
 	owner, dist := gr.owner, gr.dist
-	rs := gr.e.Step(bsp.StepSpec{
-		Push: func(_ int, u, v graph.NodeID) bool {
-			// Test, then test-and-set: most scanned arcs lead to a node
-			// that is already covered (road offers 2.8 arcs per claim), and
-			// a load is not a locked instruction. Both reads are atomic —
-			// owner[u] is stable (set in an earlier round) and a stale -1
-			// only sends us on to the CAS, but other workers CAS arbitrary
-			// elements of the array, and mixed atomic/non-atomic access to
-			// one address would trip the race detector.
-			if atomic.LoadInt32(&owner[v]) != -1 {
-				return false
-			}
-			if atomic.CompareAndSwapInt32(&owner[v], -1, atomic.LoadInt32(&owner[u])) {
-				dist[v] = dist[u] + 1
-				return true
-			}
-			return false
-		},
-		Pull: func(_ int, v, u graph.NodeID) bool {
-			// v is owned by exactly this worker and u's state is stable, so
-			// plain writes suffice in the pull direction.
-			owner[v] = owner[u] //lint:allow plainatomic pull direction: v is worker-owned, u stable (see comment)
-			dist[v] = dist[u] + 1
-			return true
-		},
-	})
+	rs := gr.e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) {
+		owner[v] = owner[parent]
+		dist[v] = dist[parent] + 1
+	}})
 	if rs.Frontier > 0 {
 		gr.steps++
 		gr.covered += rs.Claimed
@@ -112,8 +83,6 @@ func (gr *grower) Step() (claimed int, live bool, err error) {
 // is true, scanning in parallel (on the engine's persistent pool) but
 // returning nodes in ascending id order so center numbering is
 // deterministic. It never fails.
-//
-//lint:allow plainatomic read-only scan between growth rounds, no writers live
 func (gr *grower) SelectUncovered(dst []graph.NodeID, pick func(u graph.NodeID) bool) ([]graph.NodeID, error) {
 	n := gr.g.NumNodes()
 	w := gr.e.NumWorkers()
@@ -140,8 +109,6 @@ func (gr *grower) abort() { gr.e.Close() }
 // finish freezes the grower into a Clustering, computing per-cluster radii,
 // and releases the engine's worker pool. The Clustering takes over the
 // grower's ownership array (graph.NodeID is int32).
-//
-//lint:allow plainatomic growth complete and pool closed, ownership final
 func (gr *grower) finish(batches int) *Clustering {
 	c := &Clustering{
 		G:           gr.g,

@@ -78,10 +78,16 @@ func KCenter(ctx context.Context, g *graph.Graph, k int, opt Options) (*KCenterR
 
 // EvalCenters returns the exact k-center objective value of the given
 // center set: the maximum distance of any node to the nearest center. It
-// fails if some node is unreachable from every center.
+// fails if a center is not a node of g or some node is unreachable from
+// every center.
 func EvalCenters(g *graph.Graph, centers []graph.NodeID) (int32, error) {
 	if len(centers) == 0 {
 		return 0, errors.New("core: empty center set")
+	}
+	for _, c := range centers {
+		if c < 0 || int(c) >= g.NumNodes() {
+			return 0, fmt.Errorf("core: center %d out of range [0, %d)", c, g.NumNodes())
+		}
 	}
 	dist, _ := g.MultiSourceBFS(centers)
 	var radius int32

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/gonzalez"
@@ -125,6 +126,11 @@ func TestEvalCentersErrors(t *testing.T) {
 	g := graph.Path(5)
 	if _, err := EvalCenters(g, nil); err == nil {
 		t.Fatal("empty center set should fail")
+	}
+	for _, c := range []graph.NodeID{-1, 5} {
+		if _, err := EvalCenters(g, []graph.NodeID{0, c}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("center %d on a 5-node path: err = %v, want out of range", c, err)
+		}
 	}
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1) // 2, 3 isolated

@@ -10,9 +10,10 @@ import (
 // The zero value selects paper-faithful defaults.
 type Options struct {
 	// Seed drives every random choice. Runs with equal seeds produce
-	// identical clusterings regardless of the worker count (per-node coins
-	// are hash-based, and concurrent claim ties — which the paper allows to
-	// be arbitrary — only affect cluster ownership, not coverage rounds).
+	// identical clusterings — centers, owners and distances — regardless
+	// of Workers and Direction: per-node coins are hash-based, and a node
+	// that several clusters reach in the same round goes to the engine's
+	// one deterministic winner (bsp.StepSpec).
 	Seed uint64
 
 	// Workers is the parallelism of the BSP substrate; non-positive selects

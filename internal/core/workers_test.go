@@ -9,26 +9,33 @@ import (
 	"repro/internal/graph"
 )
 
-// Everything after growth is worker-invariant: on one fixed clustering
-// (growth's arbitrary push winners stay out of it) the three pipelines that
-// contract it — oracle, diameter, k-center merge — return the same tables,
-// bounds and centers with Workers 1 and 8. Both inputs span several of the
-// contraction's 64 k-arc claims, so Workers reaches it.
+// workerSweepGraphs are two inputs large enough for Workers to matter: both
+// span several of the contraction's 64 k-arc claims, and their growth
+// frontiers carry enough arcs for pooled push rounds.
+func workerSweepGraphs() map[string]*graph.Graph {
+	rmat, _ := graph.RMAT(14, 8, 3).LargestComponent()
+	return map[string]*graph.Graph{"rmat": rmat, "mesh": graph.Mesh(220, 220)}
+}
+
+// The three pipelines that grow a clustering and contract it — oracle,
+// diameter, k-center merge — return the same tables, bounds and centers
+// with Workers 1 and 8, growth included: each run clusters the graph itself
+// at its own worker count.
 func TestPostGrowthStagesAreWorkerInvariant(t *testing.T) {
 	ctx := context.Background()
-	rmat, _ := graph.RMAT(14, 8, 3).LargestComponent()
-	for name, g := range map[string]*graph.Graph{"rmat": rmat, "mesh": graph.Mesh(220, 220)} {
-		cl, err := ClusterContext(ctx, g, 4, Options{Seed: 5, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := cl.NumClusters() / 3
+	for name, g := range workerSweepGraphs() {
+		var k int
 		type out struct {
 			apsp, hops []int64
 			diam       *DiameterResult
 			centers    []graph.NodeID
 		}
 		run := func(workers int) out {
+			cl, err := ClusterContext(ctx, g, 4, Options{Seed: 5, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k = cl.NumClusters() / 3
 			o, err := OracleFromClustering(ctx, cl, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)

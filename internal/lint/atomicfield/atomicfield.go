@@ -3,10 +3,10 @@
 //
 // The engines claim work with sync/atomic on raw words — bsp.Bitmap's CAS
 // words, the weighted engine's packed (dist,owner) claim words, the
-// grower's owner array. A struct field that is EVER accessed through
-// sync/atomic in a package must never be read or written plainly in that
-// package's non-test code: a plain load next to a CAS is exactly the kind
-// of race the -race job only catches when a scheduler cooperates.
+// traversal engine's parent words. A struct field that is EVER accessed
+// through sync/atomic in a package must never be read or written plainly
+// in that package's non-test code: a plain load next to a CAS is exactly
+// the kind of race the -race job only catches when a scheduler cooperates.
 //
 // The analyzer follows the package's actual idioms, not just the direct
 // atomic.Op(&x.f, ...) shape:
@@ -14,7 +14,7 @@
 //   - address-through-local: word := &b.words[i]; atomic.LoadUint64(word)
 //   - slice-copy-then-index: slot := e.slot; casLower(&slot[v], w)
 //   - atomic helpers: a package function whose pointer parameter reaches
-//     a sync/atomic call (casLower, casMin) transmits atomicity to its
+//     a sync/atomic call (casLower) transmits atomicity to its
 //     call sites, found by fixpoint.
 //
 // A field marked atomic is then checked for plain access everywhere in

@@ -10,17 +10,19 @@
 // inter-cluster edges is O(β·m).
 //
 // The implementation runs on the BSP substrate with unit time steps:
-// fractional arrival times are resolved inside each round with an atomic
-// min-claim on a packed (arrival, cluster) word, which makes the outcome
-// deterministic (ties break toward the smaller cluster id) and independent
-// of the goroutine schedule.
+// fractional arrival times are resolved inside each round by a min over
+// packed (arrival, cluster) words, which makes the outcome deterministic
+// (ties break toward the smaller cluster id) and independent of the
+// goroutine schedule. The claim is a min over keys, not over node ids, so
+// the rounds are the engine's gather steps rather than its claim steps: an
+// uncovered node reads its neighbors' words, which the round leaves alone,
+// and its own new word is committed at the barrier.
 package mpx
 
 import (
 	"context"
 	"errors"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/bsp"
 	"repro/internal/core"
@@ -47,21 +49,6 @@ func pack(arrival float32, cluster int32) uint64 {
 
 func unpack(word uint64) (float32, int32) {
 	return rng.FromSortableFloat32Bits(uint32(word >> 32)), int32(uint32(word))
-}
-
-// casMin atomically lowers *slot to val if val is smaller; it reports
-// whether the slot transitioned from the unclaimed sentinel (i.e. this call
-// claimed the node for the first time).
-func casMin(slot *uint64, val uint64) bool {
-	for {
-		cur := atomic.LoadUint64(slot)
-		if val >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(slot, cur, val) {
-			return cur == slotSentinel
-		}
-	}
 }
 
 // Decompose partitions g with the MPX random-shift process and returns the
@@ -125,25 +112,23 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, opt Options) (*core.C
 
 	e := bsp.NewEngine(g, workers)
 	defer e.Close()
-	// The two-sided step: a push offers (arrival+1, owner) to a neighbor, a
-	// pull has an uncovered node collect the same offer from a frontier
-	// neighbor. Both funnel through casMin, and ExhaustivePull makes the
-	// engine present every frontier neighbor (not just the first match), so
-	// the claimed word is the minimum over all in-round offers — exactly
-	// the push-mode outcome, keeping MPX bit-for-bit deterministic across
-	// directions and worker counts.
-	spec := bsp.StepSpec{
-		Push: func(_ int, u, v graph.NodeID) bool {
-			word := atomic.LoadUint64(&slot[u])
-			arr, owner := unpack(word)
-			return casMin(&slot[v], pack(arr+1, owner))
-		},
-		Pull: func(_ int, v, u graph.NodeID) bool {
-			word := atomic.LoadUint64(&slot[u])
-			arr, owner := unpack(word)
-			return casMin(&slot[v], pack(arr+1, owner))
-		},
-		ExhaustivePull: true,
+	// One unit step: every uncovered node next to the frontier takes the
+	// least (arrival+1, cluster) its covered neighbors offer. All of those
+	// are in the frontier — a neighbor covered any earlier would have
+	// covered the node in the round after its own — so the min needs no
+	// membership test, and it reads only words this round does not write:
+	// the winner waits in pending until the barrier commits it.
+	pending := make([]uint64, n)
+	claim := func(_ int, v graph.NodeID) bool {
+		best := slotSentinel
+		for _, u := range g.Neighbors(v) {
+			if word := slot[u]; word != slotSentinel {
+				arr, owner := unpack(word)
+				best = min(best, pack(arr+1, owner))
+			}
+		}
+		pending[v] = best
+		return true
 	}
 	covered := 0
 	for t := 0; covered < n || e.FrontierLen() > 0; t++ {
@@ -155,7 +140,7 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, opt Options) (*core.C
 		// earlier than its own start time.
 		if t < len(buckets) {
 			for _, u := range buckets[t] {
-				cur := atomic.LoadUint64(&slot[u])
+				cur := slot[u]
 				arr, _ := unpack(cur)
 				if cur != slotSentinel && float64(arr) <= start[u] {
 					continue // covered before (or exactly at) its start
@@ -163,7 +148,7 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, opt Options) (*core.C
 				id := int32(len(centers))
 				centers = append(centers, u)
 				centerStart = append(centerStart, start[u])
-				atomic.StoreUint64(&slot[u], pack(float32(start[u]), id))
+				slot[u] = pack(float32(start[u]), id)
 				if cur == slotSentinel {
 					// First claim: join the frontier (an already-covered
 					// node taking over as its own center is still in the
@@ -176,9 +161,16 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, opt Options) (*core.C
 		if e.FrontierLen() == 0 {
 			continue // wait for the next activation bucket
 		}
-		// Phase 2: expand all active clusters by one unit step; fractional
-		// arrival ties inside the round resolve via atomic min.
-		rs := e.Step(spec)
+		// Phase 2: expand all active clusters by one unit step, then commit
+		// the round's claims.
+		rs := e.GatherStep(claim)
+		claimed := e.Frontier()
+		e.For(len(claimed), func(_, lo, hi int) {
+			for _, v := range claimed[lo:hi] {
+				slot[v] = pending[v]
+			}
+		})
+		e.VisitFrontier() // covered for good: no later round offers them
 		covered += rs.Claimed
 		if t > 2*n+int(deltaMax)+4 {
 			return nil, errors.New("mpx: failed to converge (internal error)")

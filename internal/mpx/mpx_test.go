@@ -1,6 +1,8 @@
 package mpx
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -36,8 +38,8 @@ func TestDecomposeErrors(t *testing.T) {
 }
 
 func TestDecomposeDeterministicAcrossWorkers(t *testing.T) {
-	// The atomic min-claim makes MPX fully deterministic: same seed means
-	// identical owners and distances regardless of worker count.
+	// The min over (arrival, cluster) makes MPX fully deterministic: same
+	// seed means identical owners and distances regardless of worker count.
 	g := graph.Mesh(40, 40)
 	ref, err := Decompose(g, Options{Beta: 0.2, Seed: 7, Workers: 1})
 	if err != nil {
@@ -175,5 +177,54 @@ func TestPackOrdering(t *testing.T) {
 	}
 	if pack(1.0, 1) >= pack(1.0, 2) {
 		t.Fatal("id tie-break broken")
+	}
+}
+
+// Fingerprints of (Centers, Owner, Dist), computed at the commit before the
+// rounds moved from the engine's claim step (push and exhaustive-pull
+// closures around an atomic min) to its gather step, at β = 0.3. Every run
+// had rounds in both directions. A decomposition that differs in one owner
+// or one distance, at any worker count, changes a fingerprint.
+func TestDecomposePinned(t *testing.T) {
+	b := graph.NewBuilder(0)
+	off := graph.NodeID(0)
+	for _, part := range []*graph.Graph{graph.Mesh(40, 40), graph.Cycle(600), graph.Star(100)} {
+		b.Grow(int(off) + part.NumNodes())
+		part.Edges(func(u, v graph.NodeID) bool { b.AddEdge(off+u, off+v); return true })
+		off += graph.NodeID(part.NumNodes())
+	}
+	b.Grow(int(off) + 5) // five isolated nodes
+	graphs := map[string]*graph.Graph{
+		"mesh":  graph.Mesh(50, 50),
+		"gnp":   graph.ErdosRenyi(3000, 9000, 3),
+		"union": b.Build(),
+	}
+	want := map[string][2]uint64{ // seeds 1 and 2
+		"mesh":  {0x183e52bb544fbef5, 0xf26416d175f690ad},
+		"gnp":   {0x5a13b51565598567, 0x9eebf1a491cce00d},
+		"union": {0x4217ed8a55bb2cd9, 0x5467a759f70a0cf9},
+	}
+	for name, g := range graphs {
+		for i, seed := range []uint64{1, 2} {
+			for _, workers := range []int{1, 2, 8} {
+				cl, err := Decompose(g, Options{Beta: 0.3, Seed: seed, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				var buf [8]byte
+				for _, xs := range [][]int32{cl.Centers, cl.Owner, cl.Dist} {
+					binary.LittleEndian.PutUint64(buf[:], uint64(len(xs)))
+					h.Write(buf[:])
+					for _, x := range xs {
+						binary.LittleEndian.PutUint64(buf[:], uint64(int64(x)))
+						h.Write(buf[:])
+					}
+				}
+				if got := h.Sum64(); got != want[name][i] {
+					t.Errorf("%s seed %d workers %d: fingerprint %#x, pinned %#x", name, seed, workers, got, want[name][i])
+				}
+			}
+		}
 	}
 }

@@ -225,6 +225,43 @@ func TestSnapshotRestartSkipsBuild(t *testing.T) {
 	}
 }
 
+// The daemon's oracle is the in-process oracle, byte for byte: a server
+// building on two workers writes the same snapshot as core.BuildOracle on
+// one, for both decompositions. The graph's growth frontiers carry far more
+// than the 6 k arcs that send a push round to the engine's pool, so the two
+// builds claim contended nodes under different schedules.
+func TestDaemonSnapshotMatchesInProcessBuild(t *testing.T) {
+	ctx := context.Background()
+	g, _ := graph.RMAT(14, 8, 3).LargestComponent()
+	s := New(Config{Workers: 2, BuildWorkers: 2})
+	if err := s.RegisterGraph("rmat", g); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"cluster", "cluster2"} {
+		for _, seed := range []uint64{1, 2} {
+			art, err := s.SnapshotArtifact(ctx, "rmat", 4, seed, algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := core.BuildOracle(ctx, g, 4, algo == "cluster2", core.Options{Seed: seed, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var daemon, direct bytes.Buffer
+			if err := snapshot.Write(&daemon, art); err != nil {
+				t.Fatal(err)
+			}
+			if err := snapshot.Write(&direct, &snapshot.Artifact{Meta: art.Meta, Graph: g, Oracle: o}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(daemon.Bytes(), direct.Bytes()) {
+				t.Errorf("%s seed %d: daemon snapshot (%d bytes) differs from the in-process build's (%d bytes)",
+					algo, seed, daemon.Len(), direct.Len())
+			}
+		}
+	}
+}
+
 func TestClusterOfConsistentWithDistance(t *testing.T) {
 	g := graph.Mesh(40, 40)
 	s, ts := newTestServer(t, "mesh", g)
