@@ -29,11 +29,17 @@ import (
 // and one table index with zero pointer chasing: no [][]row indirection,
 // no per-row cache miss. QueryBatchInto answers whole pair slices against
 // the same layout without allocating.
+//
+// A cell is as wide as its values, six bytes a cluster pair: a quotient
+// distance is at most 2·ΣRadii + k − 1 (narrowCellsFit), a hop count is
+// below k <= maxOracleClusters. The APSP kernels write these cells, the
+// queries widen one on read, and the snapshot codec stores them as they are;
+// there is no other layout.
 type Oracle struct {
 	clustering *Clustering
 	k          int            // quotient size; the stride of apsp/hops
-	apsp       []int64        // weighted quotient APSP, row-major k×k; InfDist when unreachable
-	hops       []int64        // unweighted quotient APSP (certified lower bounds), row-major k×k
+	apsp       []uint32       // weighted quotient APSP, row-major k×k; graph.InfDist32 when unreachable
+	hops       []uint16       // unweighted quotient APSP (certified lower bounds), row-major k×k; graph.InfHops when unreachable
 	owner      []graph.NodeID // flat cluster-of lookup, aliases clustering.Owner
 	dist       []int32        // flat distance-to-center lookup, aliases clustering.Dist
 	apspStats  bsp.Stats      // aggregate cost of the quotient APSP build
@@ -41,7 +47,7 @@ type Oracle struct {
 
 // newOracle wires the flat lookup aliases; every constructor funnels
 // through it so the hot path never reaches back through the clustering.
-func newOracle(cl *Clustering, k int, apsp, hops []int64, stats bsp.Stats) *Oracle {
+func newOracle(cl *Clustering, k int, apsp []uint32, hops []uint16, stats bsp.Stats) *Oracle {
 	return &Oracle{
 		clustering: cl,
 		k:          k,
@@ -67,6 +73,21 @@ func DefaultOracleTau(n int) int {
 // maxOracleClusters caps the quadratic APSP table; beyond this the
 // "linear space" promise is clearly broken for the intended scales.
 const maxOracleClusters = 8192
+
+// narrowCellsFit reports whether the quotient of a decomposition with these
+// cluster radii and heaviest quotient arc maxW can be searched and stored in
+// uint32 cells. A finite quotient distance runs along a simple path over
+// distinct clusters whose every arc weighs at most the two radii it joins
+// plus one, so it is at most 2·Σradii + k − 1; the SSSP kernel adds one more
+// arc to a settled distance before it compares, and needs that sum below
+// 2³¹ (see graph/apsp.go).
+func narrowCellsFit(radii []int32, maxW int32) bool {
+	bound := int64(len(radii)) + int64(maxW)
+	for _, r := range radii {
+		bound += 2 * int64(r)
+	}
+	return bound < 1<<31
+}
 
 // BuildOracle constructs a distance oracle over g. If tau <= 0,
 // DefaultOracleTau is used. useCluster2 selects the theory-faithful
@@ -104,7 +125,10 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 // graph.APSPBlock consecutive sources for the hop rows (see
 // graph.APSPScratch). The parallelism is across blocks: opt.Workers
 // goroutines, each with its own scratch, claim them from a shared counter.
-// The tables are identical to a Dijkstra+BFS build at every worker count.
+// The tables are identical to a Dijkstra+BFS build at every worker count,
+// and the kernels write them in place: the build allocates the 6·k² bytes it
+// returns and O(k) scratch per worker, never a wider table (a decomposition
+// whose distances could overflow a cell is refused first — narrowCellsFit).
 // Cancelling ctx stops every worker before its next source and returns
 // ctx.Err(); opt.Observer receives one delta per completed block, and the
 // deltas sum to APSPStats.
@@ -117,13 +141,16 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	if err != nil {
 		return nil, err
 	}
+	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) {
+		return nil, errors.New("core: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)")
+	}
 	blocks := (k + graph.APSPBlock - 1) / graph.APSPBlock
 	workers := min(bsp.Workers(opt.Workers), blocks)
 	// The tables are row-major flat arrays; a worker owns the disjoint rows
 	// [lo*k, hi*k) of the block it claimed, so the writes need no
 	// synchronization and the kernels fill the final storage directly.
-	apsp := make([]int64, k*k)
-	hops := make([]int64, k*k)
+	apsp := make([]uint32, k*k)
+	hops := make([]uint16, k*k)
 	var (
 		next    atomic.Int64
 		wg      sync.WaitGroup
@@ -170,11 +197,11 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 
 // OracleFromParts reassembles an oracle from its persisted parts: the
 // decomposition plus the two quotient APSP tables, row-major flat with
-// stride k = cl.NumClusters() (weighted distances and hop counts — the
-// same layout APSPFlat/HopsFlat expose and the snapshot codec writes). It
-// validates that the table dimensions are mutually consistent so a
-// corrupted snapshot cannot produce an oracle that panics on query.
-func OracleFromParts(cl *Clustering, apsp, hops []int64) (*Oracle, error) {
+// stride k = cl.NumClusters() (weighted distances and hop counts — what
+// Tables returns and the snapshot codec writes). It validates that the
+// table dimensions are mutually consistent so a corrupted snapshot cannot
+// produce an oracle that panics on query.
+func OracleFromParts(cl *Clustering, apsp []uint32, hops []uint16) (*Oracle, error) {
 	if cl == nil || cl.G == nil {
 		return nil, errors.New("core: OracleFromParts: nil clustering")
 	}
@@ -198,15 +225,33 @@ func OracleFromParts(cl *Clustering, apsp, hops []int64) (*Oracle, error) {
 // Clustering exposes the oracle's underlying decomposition.
 func (o *Oracle) Clustering() *Clustering { return o.clustering }
 
-// APSPFlat returns the weighted quotient all-pairs table in its native
-// row-major flat layout: entry (c, d) is at index c*NumClusters()+d. It
-// aliases internal storage and must not be modified; it exists for the
-// snapshot codec and zero-copy batch consumers.
-func (o *Oracle) APSPFlat() []int64 { return o.apsp }
+// Tables returns the two quotient tables as stored, row-major flat: entry
+// (c, d) is at index c*NumClusters()+d, graph.InfDist32 / graph.InfHops
+// when d is unreachable from c. They alias internal storage and must not be
+// modified; the snapshot codec writes them out with no copy.
+func (o *Oracle) Tables() (apsp []uint32, hops []uint16) { return o.apsp, o.hops }
 
-// HopsFlat returns the hop table in its native row-major flat layout (see
-// APSPFlat). It aliases internal storage and must not be modified.
-func (o *Oracle) HopsFlat() []int64 { return o.hops }
+// APSPFlat returns the weighted quotient all-pairs table widened to int64
+// (graph.InfDist when unreachable), row-major flat as in Tables. It is an
+// O(k²) copy for diagnostics and tests — call it once, outside any loop —
+// and is on no build, serving or snapshot path.
+func (o *Oracle) APSPFlat() []int64 { return widen(o.apsp) }
+
+// HopsFlat returns the hop table widened to int64; see APSPFlat.
+func (o *Oracle) HopsFlat() []int64 { return widen(o.hops) }
+
+// widen copies narrow cells to int64; the all-ones cell of either width is
+// the unreachable mark and becomes graph.InfDist.
+func widen[T uint32 | uint16](cells []T) []int64 {
+	out := make([]int64, len(cells))
+	for i, c := range cells {
+		out[i] = int64(c)
+		if c == ^T(0) {
+			out[i] = graph.InfDist
+		}
+	}
+	return out
+}
 
 // NumClusters returns the size of the quotient graph (rows of the APSP
 // table).
@@ -235,7 +280,10 @@ func (o *Oracle) LowerQuery(u, v graph.NodeID) int64 {
 	if cu == cv {
 		return 0
 	}
-	return o.hops[int(cu)*o.k+int(cv)]
+	if h := o.hops[int(cu)*o.k+int(cv)]; h != graph.InfHops {
+		return int64(h)
+	}
+	return graph.InfDist
 }
 
 // Query returns an upper bound on the distance between u and v, or
@@ -250,10 +298,10 @@ func (o *Oracle) Query(u, v graph.NodeID) int64 {
 		return int64(o.dist[u]) + int64(o.dist[v])
 	}
 	mid := o.apsp[int(cu)*o.k+int(cv)]
-	if mid == graph.InfDist {
+	if mid == graph.InfDist32 {
 		return graph.InfDist
 	}
-	return int64(o.dist[u]) + mid + int64(o.dist[v])
+	return int64(o.dist[u]) + int64(mid) + int64(o.dist[v])
 }
 
 // QueryBatchInto answers pairs[i] = (u, v) into out[i], exactly as Query
@@ -277,10 +325,10 @@ func (o *Oracle) QueryBatchInto(pairs [][2]graph.NodeID, out []int64) {
 			continue
 		}
 		mid := apsp[int(cu)*k+int(cv)]
-		if mid == graph.InfDist {
+		if mid == graph.InfDist32 {
 			out[i] = graph.InfDist
 			continue
 		}
-		out[i] = int64(dist[u]) + mid + int64(dist[v])
+		out[i] = int64(dist[u]) + int64(mid) + int64(dist[v])
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bsp"
@@ -22,6 +24,7 @@ func TestOracleUpperBoundsTrueDistance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		assertCellsWithinBound(t, o)
 		r := rng.New(42)
 		n := g.NumNodes()
 		for trial := 0; trial < 30; trial++ {
@@ -44,6 +47,7 @@ func TestOracleApproximationQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	rMax := int64(o.Clustering().MaxRadius())
 	r := rng.New(7)
 	n := g.NumNodes()
@@ -64,6 +68,7 @@ func TestOracleIdentityAndSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	r := rng.New(9)
 	for trial := 0; trial < 50; trial++ {
 		u := graph.NodeID(r.Intn(g.NumNodes()))
@@ -90,6 +95,7 @@ func TestOracleDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	if o.Query(0, 15) != graph.InfDist {
 		t.Fatal("cross-component query should be InfDist")
 	}
@@ -104,6 +110,7 @@ func TestOracleCluster2Variant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	d := int64(g.BFS(0)[g.NumNodes()-1])
 	if est := o.Query(0, graph.NodeID(g.NumNodes()-1)); est < d {
 		t.Fatalf("cluster2 oracle below true distance: %d < %d", est, d)
@@ -127,6 +134,109 @@ func TestOracleCapEnforced(t *testing.T) {
 	}
 	if _, err := OracleFromClustering(context.Background(), cl, Options{}); err == nil {
 		t.Fatal("oracle cap should reject huge quotient graphs")
+	}
+}
+
+// assertCellsWithinBound checks the range argument behind the narrow cells
+// on a built oracle: a finite quotient distance is a simple path over
+// distinct clusters, so at most 2·ΣRadii + k − 1, and a finite hop count is
+// below k.
+func assertCellsWithinBound(t *testing.T, o *Oracle) {
+	t.Helper()
+	k := o.NumClusters()
+	bound := int64(k) - 1
+	for _, r := range o.Clustering().Radii {
+		bound += 2 * int64(r)
+	}
+	for i, d := range o.apsp {
+		if h := o.hops[i]; (d == graph.InfDist32) != (h == graph.InfHops) {
+			t.Fatalf("cell (%d,%d): distance %d and hops %d disagree on reachability", i/k, i%k, d, h)
+		} else if d != graph.InfDist32 && (int64(d) > bound || int(h) >= k) {
+			t.Fatalf("cell (%d,%d): distance %d, %d hops; the bounds are %d and %d", i/k, i%k, d, h, bound, k-1)
+		}
+	}
+}
+
+// The range guard, at both sides of 2³¹, and the build refusing — before it
+// allocates a table — a decomposition that fails it.
+func TestNarrowCellsFit(t *testing.T) {
+	radii := []int32{1 << 29, 1<<29 - 2} // 2·Σ + k = 2³¹ − 2
+	if !narrowCellsFit(radii, 1) {
+		t.Fatal("bound 2³¹ − 1 refused")
+	}
+	if narrowCellsFit(radii, 2) {
+		t.Fatal("bound 2³¹ accepted")
+	}
+	if !narrowCellsFit(nil, 0) || narrowCellsFit(make([]int32, 3), math.MaxInt32-2) {
+		t.Fatal("the cluster count and the heaviest arc are part of the bound")
+	}
+	cl, err := Cluster(graph.Path(12), 2, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Radii[0] = 1 << 30
+	if _, err := OracleFromClustering(context.Background(), cl, Options{}); err == nil || !strings.Contains(err.Error(), "32-bit cells") {
+		t.Fatalf("OracleFromClustering with a 2³⁰ radius: err = %v, want the cell-range error", err)
+	}
+}
+
+// The kernels write the tables in place: a build allocates the 6·k² bytes of
+// its result plus the quotient and per-worker scratch, which on this input
+// (k = 900) are under a tenth of the tables. A wide intermediate — even one
+// int64 table — would add 8·k² and fail this by a factor.
+func TestOracleBuildAllocatesOnlyNarrowTables(t *testing.T) {
+	cl := voronoi(graph.RoadLike(40, 40, 0.4, 5), 900, 2)
+	k := int64(cl.NumClusters())
+	for _, workers := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o, err := OracleFromClustering(context.Background(), cl, Options{Workers: workers})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Slack: the contraction's O(n + quotient arcs) and, per worker, one
+		// APSPScratch (40 bytes a cluster) and a goroutine — 1 KiB per
+		// cluster per worker covers them several times over at this size.
+		slack := k * 1024 * int64(workers)
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("workers=%d: %d bytes allocated, tables %d, slack %d", workers, got, 6*k*k, slack)
+		if got > 6*k*k+slack {
+			t.Fatalf("workers=%d: build of %d clusters allocated %d bytes, want <= 6·k² + %d = %d",
+				workers, k, got, slack, 6*k*k+slack)
+		}
+		runtime.KeepAlive(o)
+	}
+}
+
+// Both sentinels surface as graph.InfDist from every accessor.
+func TestOracleUnreachableCellsSurfaceAsInfDist(t *testing.T) {
+	g := graph.FromEdges(7, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}})
+	o, err := BuildOracle(context.Background(), g, 1, false, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCellsWithinBound(t, o)
+	out := make([]int64, 2)
+	o.QueryBatchInto([][2]graph.NodeID{{0, 6}, {0, 3}}, out)
+	if o.Query(0, 6) != graph.InfDist || o.LowerQuery(0, 6) != graph.InfDist || out[0] != graph.InfDist {
+		t.Fatalf("cross-component pair: Query %d, LowerQuery %d, batch %d, want InfDist from all three",
+			o.Query(0, 6), o.LowerQuery(0, 6), out[0])
+	}
+	if out[1] != o.Query(0, 3) || out[1] == graph.InfDist || o.LowerQuery(0, 3) == graph.InfDist {
+		t.Fatalf("same-component pair: Query %d, LowerQuery %d, batch %d", o.Query(0, 3), o.LowerQuery(0, 3), out[1])
+	}
+	k := o.NumClusters()
+	owner := o.Clustering().Owner
+	flatA, flatH := o.APSPFlat(), o.HopsFlat()
+	comp, _ := g.ConnectedComponents()
+	for u := range owner {
+		for v := range owner {
+			cell := int(owner[u])*k + int(owner[v])
+			if inf := comp[u] != comp[v]; inf != (flatA[cell] == graph.InfDist) || inf != (flatH[cell] == graph.InfDist) {
+				t.Fatalf("flat cell of (%d,%d) = %d / %d hops, cross-component = %v", u, v, flatA[cell], flatH[cell], inf)
+			}
+		}
 	}
 }
 
@@ -204,12 +314,14 @@ func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
 			} else if o.APSPStats() != stats {
 				t.Fatalf("%s workers=%d: APSP stats %+v diverge from one worker's %+v", name, workers, o.APSPStats(), stats)
 			}
+			gotAPSP, gotHops := o.APSPFlat(), o.HopsFlat() // widened copies: once, not per cell
 			for i := 0; i < k*k; i++ {
-				if o.APSPFlat()[i] != wantAPSP[i] || o.HopsFlat()[i] != wantHops[i] {
+				if gotAPSP[i] != wantAPSP[i] || gotHops[i] != wantHops[i] {
 					t.Fatalf("%s (k=%d) workers=%d: entry (%d,%d) = %d / %d hops, Dijkstra + BFS say %d / %d",
-						name, k, workers, i/k, i%k, o.APSPFlat()[i], o.HopsFlat()[i], wantAPSP[i], wantHops[i])
+						name, k, workers, i/k, i%k, gotAPSP[i], gotHops[i], wantAPSP[i], wantHops[i])
 				}
 			}
+			assertCellsWithinBound(t, o)
 		}
 	}
 }
@@ -220,6 +332,7 @@ func TestOracleLowerQueryBoundsTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	r := rng.New(31)
 	n := g.NumNodes()
 	for trial := 0; trial < 30; trial++ {
@@ -252,6 +365,7 @@ func TestOracleLowerQueryDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	if o.LowerQuery(0, 8) != graph.InfDist {
 		t.Fatal("cross-component lower bound should be InfDist")
 	}
@@ -266,6 +380,7 @@ func TestOracleFlatAccessorsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	k := o.NumClusters()
 	flatA, flatH := o.APSPFlat(), o.HopsFlat()
 	if len(flatA) != k*k || len(flatH) != k*k {
@@ -309,6 +424,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	r := rng.New(17)
 	n := g.NumNodes()
 	pairs := make([][2]graph.NodeID, 0, 512)
@@ -337,6 +453,7 @@ func TestQueryBatchZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertCellsWithinBound(t, o)
 	r := rng.New(23)
 	n := g.NumNodes()
 	pairs := make([][2]graph.NodeID, 4096)

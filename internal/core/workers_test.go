@@ -26,9 +26,10 @@ func TestPostGrowthStagesAreWorkerInvariant(t *testing.T) {
 	for name, g := range workerSweepGraphs() {
 		var k int
 		type out struct {
-			apsp, hops []int64
-			diam       *DiameterResult
-			centers    []graph.NodeID
+			apsp    []uint32
+			hops    []uint16
+			diam    *DiameterResult
+			centers []graph.NodeID
 		}
 		run := func(workers int) out {
 			cl, err := ClusterContext(ctx, g, 4, Options{Seed: 5, Workers: workers})
@@ -48,7 +49,7 @@ func TestPostGrowthStagesAreWorkerInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return out{o.APSPFlat(), o.HopsFlat(), d, centers}
+			return out{o.apsp, o.hops, d, centers}
 		}
 		one, eight := run(1), run(8)
 		if !slices.Equal(one.apsp, eight.apsp) || !slices.Equal(one.hops, eight.hops) {

@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Sequential all-pairs kernels for graphs small enough to stay in cache —
 // the weighted quotient graphs of Section 4, which the paper too processes
@@ -10,10 +13,26 @@ import "math/bits"
 // bit-parallel multi-source BFS (Then et al., VLDB 2014) that fills up to
 // 64 hop rows per pass. DijkstraInto and BFS stay as the references the
 // tests diff them against.
+//
+// Both write the narrow cells the oracle stores and the snapshot persists,
+// so a row is filled in its final place. Precondition, not checked here:
+// every finite distance plus the heaviest arc is below 2³¹ (SSSP adds a
+// weight to a settled distance in uint32 and reads "newly reached" off bit
+// 31 of the old cell), and the graph has at most 2¹⁶ − 1 nodes (a hop count
+// is below the node count). core.OracleFromClustering, the only non-test
+// caller, checks both before it allocates a table: narrowCellsFit and the
+// maxOracleClusters cap.
 
 // APSPBlock is how many sources one HopRows pass serves: one bit of a
 // machine word each.
 const APSPBlock = 64
+
+// InfDist32 and InfHops mark the unreachable cells of an SSSP row and of a
+// HopRows row: InfDist at the rows' own widths.
+const (
+	InfDist32 uint32 = math.MaxUint32
+	InfHops   uint16 = math.MaxUint16
+)
 
 // APSPScratch is the reusable state of the two kernels over one graph:
 // O(n + max edge weight) words, allocated once, after which neither kernel
@@ -48,11 +67,7 @@ type bucketLink struct{ next, prev uint32 }
 // the ring is a few cache lines.
 func (g *Weighted) NewAPSPScratch() *APSPScratch {
 	n := g.NumNodes()
-	var maxW int32
-	for _, w := range g.w {
-		maxW = max(maxW, w)
-	}
-	ring := max(64, 1<<bits.Len32(uint32(maxW)))
+	ring := max(64, 1<<bits.Len32(uint32(g.MaxWeight())))
 	s := &APSPScratch{
 		g:        g,
 		mask:     ring - 1,
@@ -69,16 +84,17 @@ func (g *Weighted) NewAPSPScratch() *APSPScratch {
 }
 
 // SSSP overwrites dist (len NumNodes) with the shortest-path distances from
-// src, InfDist for unreachable nodes — exactly what DijkstraInto computes.
+// src, InfDist32 for unreachable nodes — what DijkstraInto computes, cell
+// for cell, under the precondition in this file's header.
 // It returns the arcs scanned (the degrees of the reached nodes: every node
 // is settled once, so the count does not depend on any schedule) and the
 // number of non-empty buckets settled (the distinct finite distances).
-func (s *APSPScratch) SSSP(src NodeID, dist []int64) (arcs int64, buckets int) {
+func (s *APSPScratch) SSSP(src NodeID, dist []uint32) (arcs int64, buckets int) {
 	xadj, adj, w := s.g.xadj, s.g.adj, s.g.w
 	links, occ, mask := s.links, s.occ, s.mask
 	n := uint32(len(dist))
 	for i := range dist {
-		dist[i] = InfDist
+		dist[i] = InfDist32
 		links[i] = bucketLink{uint32(i), uint32(i)}
 	}
 	dist[src] = 0
@@ -86,10 +102,10 @@ func (s *APSPScratch) SSSP(src NodeID, dist []int64) (arcs int64, buckets int) {
 	links[n] = bucketLink{uint32(src), uint32(src)}
 	occ[0] = 1
 	queued := 1
-	var cur int64 // distance of the bucket being settled; only ever grows
+	var cur uint32 // distance of the bucket being settled; only ever grows
 	for queued > 0 {
 		slot := s.nextOccupied(int(cur) & mask)
-		cur += int64((slot - int(cur)) & mask)
+		cur += uint32((slot - int(cur)) & mask)
 		occ[slot>>6] &^= 1 << (slot & 63)
 		head := n + uint32(slot)
 		if links[head].next == head {
@@ -104,13 +120,13 @@ func (s *APSPScratch) SSSP(src NodeID, dist []int64) (arcs int64, buckets int) {
 			lo, hi := xadj[u], xadj[u+1]
 			arcs += hi - lo
 			for j := lo; j < hi; j++ {
-				v, nd := uint32(adj[j]), cur+int64(w[j])
+				v, nd := uint32(adj[j]), cur+uint32(w[j])
 				old := dist[v]
 				if nd >= old {
 					continue
 				}
 				dist[v] = nd
-				queued += int(old >> 62) // InfDist = 1<<62: v is newly reached
+				queued += int(old >> 31) // only InfDist32 has bit 31 set: v is newly reached
 				l := links[v]
 				links[l.next].prev, links[l.prev].next = l.prev, l.next
 				to := int(nd) & mask
@@ -145,10 +161,10 @@ func (s *APSPScratch) nextOccupied(from int) int {
 // HopRows runs one breadth-first search from each of the len(rows)/n
 // consecutive sources first, first+1, … (at most APSPBlock of them) in a
 // single bit-parallel pass, and writes source first+i's hop distances to
-// rows[i*n:(i+1)*n] — what BFS computes, with InfDist where BFS says -1.
+// rows[i*n:(i+1)*n] — what BFS computes, with InfHops where BFS says -1.
 // Every cell is written exactly once. It returns the number of sweeps that
 // discovered a node: the largest hop eccentricity among the sources.
-func (s *APSPScratch) HopRows(first NodeID, rows []int64) (sweeps int) {
+func (s *APSPScratch) HopRows(first NodeID, rows []uint16) (sweeps int) {
 	xadj, adj := s.g.xadj, s.g.adj
 	seen, frontier, reached := s.seen, s.frontier, s.reached
 	n := len(seen)
@@ -160,7 +176,7 @@ func (s *APSPScratch) HopRows(first NodeID, rows []int64) (sweeps int) {
 		seen[src], frontier[src] = 1<<i, 1<<i
 		rows[i*n+src] = 0
 	}
-	for level := int64(1); ; level++ {
+	for level := uint16(1); ; level++ {
 		for v, f := range frontier {
 			if f == 0 {
 				continue
@@ -190,7 +206,7 @@ func (s *APSPScratch) HopRows(first NodeID, rows []int64) (sweeps int) {
 	all := ^uint64(0) >> (64 - count)
 	for u, sn := range seen {
 		for miss := all &^ sn; miss != 0; miss &= miss - 1 {
-			rows[bits.TrailingZeros64(miss)*n+u] = InfDist
+			rows[bits.TrailingZeros64(miss)*n+u] = InfHops
 		}
 	}
 	return sweeps

@@ -90,6 +90,15 @@ func (g *Weighted) Neighbors(u NodeID) ([]NodeID, []int32) {
 // sharing this graph's CSR arrays, not a copy.
 func (g *Weighted) Topology() *Graph { return &Graph{xadj: g.xadj, adj: g.adj} }
 
+// MaxWeight returns the heaviest edge weight, 0 for an edgeless graph.
+func (g *Weighted) MaxWeight() int32 {
+	var maxW int32
+	for _, w := range g.w {
+		maxW = max(maxW, w)
+	}
+	return maxW
+}
+
 // InfDist marks unreachable nodes in weighted distance arrays.
 const InfDist int64 = 1 << 62
 

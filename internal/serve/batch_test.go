@@ -95,6 +95,20 @@ func disconnectedGraph() *graph.Graph {
 	return b.Build()
 }
 
+// The oracle's unreachable marks (one per table, at the tables' own cell
+// widths) never reach the wire: a cross-component pair answers -1 / -1.
+func TestDistanceUnreachableAnswersMinusOne(t *testing.T) {
+	g := disconnectedGraph()
+	_, ts := newTestServer(t, "mesh", g)
+	var dr DistanceResponse
+	if code := getJSON(t, fmt.Sprintf("%s/distance?graph=mesh&tau=2&seed=1&u=0&v=%d", ts.URL, g.NumNodes()-1), &dr); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if dr.Reachable || dr.Distance != -1 || dr.Lower != -1 {
+		t.Fatalf("cross-component /distance = %+v, want unreachable with distance -1 and lower -1", dr)
+	}
+}
+
 func TestDistanceBatchMatchesPointQueries(t *testing.T) {
 	g := disconnectedGraph()
 	_, ts := newTestServer(t, "mesh", g)

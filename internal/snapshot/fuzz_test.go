@@ -2,10 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -16,24 +19,13 @@ import (
 // artifact. Anything Load accepts must round-trip through Write/Read
 // unchanged in its structural identity.
 //
-// Ordinary test runs replay the seeds below and the committed corpus under
+// Ordinary test runs replay fuzzSeeds and the committed corpus under
 // testdata/fuzz; CI adds 30 s of fresh coverage-guided input with
 // go test -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 30s ./internal/snapshot.
 func FuzzSnapshotLoad(f *testing.F) {
-	// Seed with a wholly valid graph-only snapshot so mutations explore the
-	// deep decoder paths (sections, checksum) rather than dying at the
-	// magic check, plus the classic shallow corruptions.
-	g := graph.FromEdges(5, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	var buf bytes.Buffer
-	if err := Write(&buf, &Artifact{Meta: Meta{GraphName: "fuzz", Algorithm: "cluster", Tau: 2, Seed: 7}, Graph: g}); err != nil {
-		f.Fatalf("seed snapshot: %v", err)
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed.data)
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-1])           // truncated checksum
-	f.Add([]byte{})                       // empty file
-	f.Add([]byte("RPSN"))                 // magic only
-	f.Add([]byte("RPSN\x02\x00\x00\x00")) // magic + version, no payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.snap")
@@ -67,5 +59,65 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if (b.Oracle == nil) != (a.Oracle == nil) {
 			t.Fatalf("round-trip changed oracle presence")
 		}
+		if a.Oracle != nil && b.Oracle.NumClusters() != a.Oracle.NumClusters() {
+			t.Fatalf("round-trip changed the cluster count: %d vs %d", a.Oracle.NumClusters(), b.Oracle.NumClusters())
+		}
 	})
+}
+
+type fuzzSeed struct {
+	name string // the committed corpus file carrying the same bytes
+	data []byte
+}
+
+// fuzzSeeds are FuzzSnapshotLoad's starting points, all in the current
+// format version so mutations start inside the decoder rather than die at
+// the version check: a wholly valid graph-only snapshot and a wholly valid
+// oracle-bearing one (two components, so its tables hold both unreachable
+// marks), the second also cut in the middle of its distance table, plus the
+// classic shallow corruptions.
+func fuzzSeeds(t testing.TB) []fuzzSeed {
+	meta := Meta{GraphName: "seed", Algorithm: "cluster", Tau: 2, Seed: 7}
+	valid := encode(t, &Artifact{Meta: meta, Graph: graph.FromEdges(5, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})})
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x40
+
+	g := graph.FromEdges(9, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {6, 7}, {7, 8}})
+	o, err := core.BuildOracle(context.Background(), g, meta.Tau, false, core.Options{Seed: meta.Seed})
+	if err != nil {
+		t.Fatalf("seed oracle: %v", err)
+	}
+	oracle := encode(t, &Artifact{Meta: meta, Graph: g, Oracle: o})
+	k := o.NumClusters()
+	midTable := len(oracle) - 4 - 2*k*k - 2*k*k // trailer, hops, half of apsp
+	return []fuzzSeed{
+		{"valid-graph", valid},
+		{"truncated-checksum", valid[:len(valid)-1]},
+		{"empty", []byte{}},
+		{"magic-only", []byte("RPSN")},
+		{"magic-version", valid[:8]}, // "RPSN\x03\x00" and empty flags, no payload
+		{"bitflip-mid", flipped},
+		{"valid-oracle", oracle},
+		{"oracle-truncated-mid-table", oracle[:midTable]},
+	}
+}
+
+// The committed corpus under testdata/fuzz is these seeds, byte for byte: a
+// format change that forgets to regenerate it (UPDATE_FUZZ_CORPUS=1 go test
+// -run CorpusIsCurrent ./internal/snapshot) would leave the corpus replaying
+// the version check and nothing else, which is what this test refuses.
+func TestFuzzCorpusIsCurrent(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotLoad")
+	for _, seed := range fuzzSeeds(t) {
+		path := filepath.Join(dir, seed.name)
+		want := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.data))
+		if os.Getenv("UPDATE_FUZZ_CORPUS") != "" {
+			if err := os.WriteFile(path, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s is not the current encoding of its seed (err = %v)", path, err)
+		}
+	}
 }

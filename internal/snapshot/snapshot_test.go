@@ -3,10 +3,14 @@ package snapshot
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -27,13 +31,18 @@ func buildArtifact(t *testing.T, g *graph.Graph, tau int, seed uint64) *Artifact
 	}
 }
 
-func roundTrip(t *testing.T, a *Artifact) *Artifact {
+func encode(t testing.TB, a *Artifact) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	return buf.Bytes()
+}
+
+func roundTrip(t *testing.T, a *Artifact) *Artifact {
+	t.Helper()
+	got, err := Read(bytes.NewReader(encode(t, a)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +64,7 @@ func TestGraphRoundTrip(t *testing.T) {
 		}
 		wantX, wantA := g.CSR()
 		gotX, gotA := got.Graph.CSR()
-		if !equalI64(wantX, gotX) || !equalI32(wantA, gotA) {
+		if !slices.Equal(wantX, gotX) || !slices.Equal(wantA, gotA) {
 			t.Fatalf("CSR mismatch after round trip (n=%d)", g.NumNodes())
 		}
 		if err := got.Graph.Validate(); err != nil {
@@ -64,13 +73,18 @@ func TestGraphRoundTrip(t *testing.T) {
 	}
 }
 
-// Oracle round-trip: the decoded oracle must answer exactly like the
-// original on sampled pairs (both the upper-bound and lower-bound query),
-// and the metadata must survive.
+// Oracle round-trip: the decoded oracle must hold the original's tables
+// cell for cell — the file stores the cells the oracle serves from —
+// answer exactly like it on sampled pairs (both the upper-bound and
+// lower-bound query), and re-encode to the very same bytes; the metadata
+// must survive.
 func TestOracleRoundTrip(t *testing.T) {
 	g := graph.RoadLike(40, 40, 0.4, 11)
 	a := buildArtifact(t, g, 3, 99)
 	got := roundTrip(t, a)
+	if !bytes.Equal(encode(t, got), encode(t, a)) {
+		t.Fatal("decoded artifact re-encodes to different bytes")
+	}
 
 	if got.Meta != a.Meta {
 		t.Fatalf("meta %+v want %+v", got.Meta, a.Meta)
@@ -80,6 +94,11 @@ func TestOracleRoundTrip(t *testing.T) {
 	}
 	if got.Oracle.NumClusters() != a.Oracle.NumClusters() {
 		t.Fatalf("clusters %d want %d", got.Oracle.NumClusters(), a.Oracle.NumClusters())
+	}
+	wantAPSP, wantHops := a.Oracle.Tables()
+	gotAPSP, gotHops := got.Oracle.Tables()
+	if !slices.Equal(gotAPSP, wantAPSP) || !slices.Equal(gotHops, wantHops) {
+		t.Fatal("oracle tables differ after round trip")
 	}
 	r := rng.New(5)
 	n := g.NumNodes()
@@ -196,10 +215,15 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	bad = append([]byte(nil), buf.Bytes()...)
-	bad[4] = 0xFF // version
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("future version accepted")
+	// Any other version — a future one, or the v2 this build's predecessor
+	// wrote (wide table cells; there is no reader for it) — is refused by
+	// the version check itself, before a byte of payload is interpreted.
+	for _, version := range []byte{0xFF, 2} {
+		bad = append([]byte(nil), buf.Bytes()...)
+		bad[4] = version
+		if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: err = %v, want the version error", version, err)
+		}
 	}
 	if _, err := Read(bytes.NewReader(nil)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("empty input: err = %v, want ErrUnexpectedEOF", err)
@@ -254,28 +278,51 @@ func TestSaveLoad(t *testing.T) {
 	}
 }
 
-func equalI64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
+// Load knows how many bytes the file has left, so a count they cannot hold is
+// refused before anything is allocated for it: here a header claiming 2³¹
+// clusters (the largest count the field's own bound admits), which on a
+// stream of unknown length would cost a first chunk of 4 MiB before the
+// input ran dry. The same file with its true count loads, into tables equal
+// to the ones Read decodes by chunked growth.
+func TestLoadRefusesCountBeyondFileSize(t *testing.T) {
+	g := graph.Mesh(12, 12)
+	a := buildArtifact(t, g, 1, 2)
+	full := encode(t, a)
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	if err := os.WriteFile(path, full, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return true
-}
+	wantAPSP, wantHops := roundTrip(t, a).Oracle.Tables()
+	if gotAPSP, gotHops := loaded.Oracle.Tables(); !slices.Equal(gotAPSP, wantAPSP) || !slices.Equal(gotHops, wantHops) {
+		t.Fatal("Load and Read decode different tables from the same bytes")
+	}
 
-func equalI32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+	// magic, version, flags; two length-prefixed strings; tau, seed, n,
+	// arcs; xadj, adj; owner, dist — then the cluster count.
+	n, arcs := g.NumNodes(), g.NumArcs()
+	kAt := 8 + 4 + len(a.Meta.GraphName) + 4 + len(a.Meta.Algorithm) + 8 + 8 + 8 + 8 + 8*(n+1) + 4*arcs + 4*n + 4*n
+	if got := binary.LittleEndian.Uint64(full[kAt:]); got != uint64(a.Oracle.NumClusters()) {
+		t.Fatalf("cluster count expected at byte %d, found %d there", kAt, got)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	binary.LittleEndian.PutUint64(full[kAt:], 1<<31)
+	if err := os.WriteFile(path, full, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return true
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Load(path)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "announced") {
+		t.Fatalf("Load of a header claiming 2³¹ clusters: err = %v, want the implausible-count error", err)
+	}
+	// The 1 MiB read buffer and the graph's own arrays are all it may cost.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Fatalf("refusing the count allocated %d bytes", got)
+	}
 }
 
 // listTempFiles returns the .snapshot-* temp files in dir — Save's
