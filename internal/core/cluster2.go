@@ -36,7 +36,6 @@ func Cluster2Context(ctx context.Context, g *graph.Graph, tau int, opt Options) 
 
 // cluster2With is CLUSTER2's second phase for a given radius bound rAlg.
 func cluster2With(ctx context.Context, g *graph.Graph, rAlg int32, opt Options) (*Clustering, error) {
-	opt = opt.withDefaults()
 	n := g.NumNodes()
 	gr := newGrower(g, opt)
 	gr.e.SetContext(ctx)

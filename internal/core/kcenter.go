@@ -93,7 +93,7 @@ func EvalCenters(g *graph.Graph, centers []graph.NodeID) (int32, error) {
 	var radius int32
 	for u, d := range dist {
 		if d < 0 {
-			return 0, fmt.Errorf("core: node %d unreachable from all centers (k below the number of components?)", u)
+			return 0, fmt.Errorf("%w: node %d unreachable from all centers (k below the number of components?)", ErrInfeasible, u)
 		}
 		if d > radius {
 			radius = d
@@ -115,7 +115,7 @@ func mergeClustersToK(cl *Clustering, k, workers int) ([]graph.NodeID, error) {
 	}
 	parent, order, roots := spanningForest(q)
 	if roots > k {
-		return nil, fmt.Errorf("core: graph has %d components but k=%d", roots, k)
+		return nil, fmt.Errorf("%w: graph has %d components but k=%d", ErrInfeasible, roots, k)
 	}
 	lo, hi := 1, w // smallest quota with numParts <= k lies in [1, w]
 	for lo < hi {
@@ -225,10 +225,9 @@ func TauForTargetClusters(g *graph.Graph, target int, tolerance float64, opt Opt
 	}
 	n := g.NumNodes()
 	logn := log2n(n)
-	// Expected clusters per batch ≈ CenterFactor·τ·log n and about log n
-	// batches, so start from target / (CenterFactor·log n·loglog-ish).
-	o := opt.withDefaults()
-	tau = int(float64(target) / (o.CenterFactor * logn))
+	// Expected clusters per batch ≈ centerFactor·τ·log n and about log n
+	// batches, so start from target / (centerFactor·log n·loglog-ish).
+	tau = int(float64(target) / (centerFactor * logn))
 	if tau < 1 {
 		tau = 1
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 
 	"repro/internal/bsp"
@@ -19,14 +20,6 @@ type Options struct {
 	// Workers is the parallelism of the BSP substrate; non-positive selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-
-	// CenterFactor is the constant in the per-batch center selection
-	// probability CenterFactor*τ*log n / |uncovered| (the paper uses 4).
-	CenterFactor float64
-
-	// ThresholdFactor is the constant in the loop guard
-	// |uncovered| >= ThresholdFactor*τ*log n (the paper uses 8).
-	ThresholdFactor float64
 
 	// Direction pins the traversal engine's superstep direction. The zero
 	// value (bsp.DirAuto) selects the hybrid push/pull switching; DirPush
@@ -52,15 +45,13 @@ type Options struct {
 	Observer bsp.Observer
 }
 
-func (o Options) withDefaults() Options {
-	if o.CenterFactor <= 0 {
-		o.CenterFactor = 4
-	}
-	if o.ThresholdFactor <= 0 {
-		o.ThresholdFactor = 8
-	}
-	return o
-}
+// ErrInfeasible is wrapped by every build rejection that is a property of
+// the graph and the requested parameters, so that no retry can cure it: k
+// below the number of components (KCenter, EvalCenters), a decomposition
+// finer than the oracle's cluster cap or wider than its table cells
+// (OracleFromClustering). Callers that retry or count failures — the serving
+// tier's circuit breaker — treat it as the client's error, not the build's.
+var ErrInfeasible = errors.New("core: infeasible parameters")
 
 // log2n returns log2(n) clamped below at 1, the "log n" of the paper's
 // pseudocode (base-2 logarithms per its footnote).

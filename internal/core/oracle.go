@@ -135,14 +135,14 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Oracle, error) {
 	k := cl.NumClusters()
 	if k > maxOracleClusters {
-		return nil, fmt.Errorf("core: %d clusters exceed the oracle cap %d; lower tau", k, maxOracleClusters)
+		return nil, fmt.Errorf("%w: %d clusters exceed the oracle cap %d; lower tau", ErrInfeasible, k, maxOracleClusters)
 	}
 	_, wq, err := quotient.Contract(cl.G, cl.Owner, cl.Dist, k, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
 	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) {
-		return nil, errors.New("core: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)")
+		return nil, fmt.Errorf("%w: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)", ErrInfeasible)
 	}
 	blocks := (k + graph.APSPBlock - 1) / graph.APSPBlock
 	workers := min(bsp.Workers(opt.Workers), blocks)

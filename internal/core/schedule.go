@@ -34,10 +34,16 @@ type Growth interface {
 	Step() (claimed int, live bool, err error)
 }
 
+// The paper's constants in Algorithm 1's batch policy.
+const (
+	centerFactor    = 4.0 // selection probability centerFactor·τ·log n / |uncovered|
+	thresholdFactor = 8.0 // loop guard |uncovered| ≥ thresholdFactor·τ·log n
+)
+
 // Schedule drives gr through the batches of the paper's Algorithm 1 over an
 // n-node graph and returns their number: while at least
-// ThresholdFactor·τ·log n nodes are uncovered, every uncovered node becomes
-// a center with probability CenterFactor·τ·log n / |uncovered| — its coin is
+// thresholdFactor·τ·log n nodes are uncovered, every uncovered node becomes
+// a center with probability centerFactor·τ·log n / |uncovered| — its coin is
 // a hash of (Seed, tag, τ, batch, node), so each caller's tag keeps its
 // coins apart and the flips do not depend on the grower — and all clusters,
 // old and new, grow until the batch has covered half of what was uncovered
@@ -50,14 +56,13 @@ type Growth interface {
 // (SetContext) and Step returns the error at the next barrier, which ends
 // the schedule.
 func (opt Options) Schedule(gr Growth, n, tau int, tag uint64) (batches int, err error) {
-	opt = opt.withDefaults()
 	logn := log2n(n)
-	threshold := opt.ThresholdFactor * float64(tau) * logn
+	threshold := thresholdFactor * float64(tau) * logn
 	coins := rng.Mix64(opt.Seed, tag, uint64(tau))
 	var centers []graph.NodeID
 	for float64(gr.Uncovered()) >= threshold {
 		uncovered := gr.Uncovered()
-		p := opt.CenterFactor * float64(tau) * logn / float64(uncovered)
+		p := centerFactor * float64(tau) * logn / float64(uncovered)
 		batch := uint64(batches)
 		centers, err = gr.SelectUncovered(centers[:0], func(u graph.NodeID) bool {
 			return rng.Coin(p, coins, batch, uint64(u))

@@ -230,13 +230,3 @@ func TestPathCycleStarCompleteSmall(t *testing.T) {
 		t.Fatal("Cycle(3)")
 	}
 }
-
-func TestEstimateDoublingDimensionMesh(t *testing.T) {
-	g := Mesh(40, 40)
-	b := EstimateDoublingDimension(g, 10, 3)
-	// A 2D mesh has doubling dimension 2; the empirical estimate should be
-	// in a plausible band around that (greedy covers overshoot a little).
-	if b < 1 || b > 4.5 {
-		t.Fatalf("mesh doubling dimension estimate %.2f outside [1, 4.5]", b)
-	}
-}

@@ -137,11 +137,3 @@ func TestSummarize(t *testing.T) {
 		t.Fatal("String() missing node count")
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := Star(5) // one hub of degree 4, four leaves of degree 1
-	deg, cnt := DegreeHistogram(g)
-	if len(deg) != 2 || deg[0] != 1 || deg[1] != 4 || cnt[0] != 4 || cnt[1] != 1 {
-		t.Fatalf("histogram deg=%v cnt=%v", deg, cnt)
-	}
-}

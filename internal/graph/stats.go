@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes a graph for experiment reports (Table 1 of the paper).
 type Stats struct {
@@ -41,95 +37,4 @@ func Summarize(g *Graph) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("n=%d m=%d deg[min=%d avg=%.2f max=%d] components=%d",
 		s.Nodes, s.Edges, s.MinDegree, s.AvgDegree, s.MaxDegree, s.Components)
-}
-
-// DegreeHistogram returns the sorted distinct degrees and their counts.
-func DegreeHistogram(g *Graph) (degrees []int, counts []int) {
-	hist := map[int]int{}
-	for u := NodeID(0); u < NodeID(g.NumNodes()); u++ {
-		hist[g.Degree(u)]++
-	}
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
-}
-
-// EstimateDoublingDimension empirically estimates the doubling dimension b
-// of g (Definition 2 of the paper): the smallest b such that every ball of
-// radius 2R is covered by at most 2^b balls of radius R. It samples
-// `samples` (center, R) pairs, greedily covers each ball B(c, 2R) with
-// radius-R balls, and returns log2 of the worst cover size found. This is a
-// heuristic lower estimate (exact computation is infeasible), adequate for
-// characterizing datasets as "low doubling dimension".
-func EstimateDoublingDimension(g *Graph, samples int, seed uint64) float64 {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	worst := 1
-	dist := make([]int32, n)
-	queue := make([]NodeID, 0, n)
-	for s := 0; s < samples; s++ {
-		center := NodeID(hashMod(seed, uint64(s), n))
-		for i := range dist {
-			dist[i] = -1
-		}
-		ecc := g.BFSInto(center, dist, queue)
-		if ecc < 2 {
-			continue
-		}
-		r := 1 + int32(hashMod(seed, uint64(s)*2654435761+1, int(ecc/2)))
-		// Nodes in B(center, 2r).
-		var ball []NodeID
-		for u, d := range dist {
-			if d >= 0 && d <= 2*r {
-				ball = append(ball, NodeID(u))
-			}
-		}
-		// Greedy cover with radius-r balls centered in the ball.
-		covered := make(map[NodeID]bool, len(ball))
-		centers := 0
-		d2 := make([]int32, n)
-		for len(covered) < len(ball) {
-			// Pick the first uncovered node as the next center.
-			var c NodeID = -1
-			for _, u := range ball {
-				if !covered[u] {
-					c = u
-					break
-				}
-			}
-			for i := range d2 {
-				d2[i] = -1
-			}
-			g.BFSInto(c, d2, queue)
-			for _, u := range ball {
-				if d2[u] >= 0 && d2[u] <= r {
-					covered[u] = true
-				}
-			}
-			centers++
-		}
-		if centers > worst {
-			worst = centers
-		}
-	}
-	return math.Log2(float64(worst))
-}
-
-func hashMod(seed, x uint64, m int) int {
-	if m <= 0 {
-		return 0
-	}
-	h := seed*0x9e3779b97f4a7c15 + x
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % uint64(m))
 }

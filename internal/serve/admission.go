@@ -27,7 +27,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -43,8 +42,8 @@ const (
 
 // ShedError is the load-shedding rejection: the lane's bounded wait
 // queue is full, so the request is refused immediately instead of
-// queueing past saturation. The HTTP layer maps it to 503 with a
-// Retry-After header carrying the estimate.
+// queueing past saturation. classify maps it to 503 with a Retry-After
+// header carrying the estimate.
 type ShedError struct {
 	Lane       string
 	RetryAfter time.Duration
@@ -52,22 +51,6 @@ type ShedError struct {
 
 func (e *ShedError) Error() string {
 	return fmt.Sprintf("serve: %s lane saturated, retry in %s", e.Lane, e.RetryAfter.Round(time.Second))
-}
-
-// retryAfterHint lets the HTTP error path surface one Retry-After header
-// for every shed-like rejection (lane shed, open breaker) without
-// enumerating the types.
-type retryAfterHint interface{ retryAfterHint() time.Duration }
-
-func (e *ShedError) retryAfterHint() time.Duration { return e.RetryAfter }
-
-// retryAfterOf extracts the Retry-After hint from an error chain, or 0.
-func retryAfterOf(err error) time.Duration {
-	var h retryAfterHint
-	if errors.As(err, &h) {
-		return h.retryAfterHint()
-	}
-	return 0
 }
 
 // retryAfterSeconds renders a hint as the integer seconds form of the
@@ -131,48 +114,41 @@ func (l *lane) release() { <-l.slots }
 // feeding the reprod_fast_lane_queue_depth gauge.
 func (l *lane) queueDepth() int64 { return l.queued.Load() }
 
-// laneSlot is one request's handle on its fast-lane slot. It is owned by
-// the request goroutine (never shared), which makes release idempotent
-// and lets the artifact cache park the slot mid-request: a request
-// blocked on a build releases its slot for the duration of the wait and
-// re-acquires it to run the (microsecond) query after. wrapRaw's
-// deferred release then frees exactly what is held, whether the request
-// completed normally, parked and resumed, or died parked.
-type laneSlot struct {
-	l    *lane
-	held bool
-}
+// A request's handle on its fast-lane slot is the request record itself
+// (middleware.go): it is owned by the request goroutine, never shared, which
+// makes release idempotent and lets Server.get park the slot mid-request.
 
-// acquire admits the request, shedding when the lane is saturated.
-func (s *laneSlot) acquire(ctx context.Context) error {
-	if err := s.l.acquire(ctx); err != nil {
+// acquire admits the request to the fast lane, shedding when it is
+// saturated.
+func (rq *request) acquire(ctx context.Context) error {
+	if err := rq.lane.acquire(ctx); err != nil {
 		return err
 	}
-	s.held = true
+	rq.held = true
 	return nil
 }
 
 // park releases the slot while the request blocks on a build.
-func (s *laneSlot) park() { s.release() }
+func (rq *request) park() { rq.release() }
 
 // unpark re-acquires the slot after the build completes. On failure
 // (request cancelled) the slot stays unheld, so release stays balanced.
-func (s *laneSlot) unpark(ctx context.Context) error {
-	if s.held {
+func (rq *request) unpark(ctx context.Context) error {
+	if rq.held {
 		return nil
 	}
-	if err := s.l.reacquire(ctx); err != nil {
+	if err := rq.lane.reacquire(ctx); err != nil {
 		return err
 	}
-	s.held = true
+	rq.held = true
 	return nil
 }
 
 // release frees the slot if held; safe to call in every terminal path.
-func (s *laneSlot) release() {
-	if s.held {
-		s.l.release()
-		s.held = false
+func (rq *request) release() {
+	if rq.held {
+		rq.lane.release()
+		rq.held = false
 	}
 }
 

@@ -61,12 +61,12 @@ func TestLaneAcquireHonoursContext(t *testing.T) {
 }
 
 // TestLaneSlotParkUnparkIdempotent pins the slot-juggling contract the
-// park/unpark path and wrapRaw's deferred release rely on: release frees
-// exactly what is held, never double-frees, and a failed unpark leaves
-// the slot unheld.
+// park/unpark path and endpoint's deferred release rely on, on the request
+// record that carries the slot: release frees exactly what is held, never
+// double-frees, and a failed unpark leaves the slot unheld.
 func TestLaneSlotParkUnparkIdempotent(t *testing.T) {
 	l := newLane(laneFast, 1, 0)
-	s := &laneSlot{l: l}
+	s := &request{lane: l}
 	ctx := context.Background()
 	if err := s.acquire(ctx); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestLaneSlotParkUnparkIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.park()
-	other := &laneSlot{l: l}
+	other := &request{lane: l}
 	if err := other.acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestBreakerClearGraph(t *testing.T) {
 }
 
 // TestRetryAfterHelpers pins the header rendering (ceil, floor of 1) and
-// the unwrap-chain extraction.
+// the error table's unwrap-chain extraction of the hint.
 func TestRetryAfterHelpers(t *testing.T) {
 	if got := retryAfterSeconds(0); got != "1" {
 		t.Fatalf("retryAfterSeconds(0) = %s", got)
@@ -212,15 +212,15 @@ func TestRetryAfterHelpers(t *testing.T) {
 		t.Fatalf("retryAfterSeconds(1.5s) = %s, want ceil 2", got)
 	}
 	err := &ShedError{Lane: laneSlow, RetryAfter: 3 * time.Second}
-	if got := retryAfterOf(err); got != 3*time.Second {
-		t.Fatalf("retryAfterOf(shed) = %v", got)
+	if got := classify(err).retryAfter; got != 3*time.Second {
+		t.Fatalf("classify(shed).retryAfter = %v", got)
 	}
 	wrapped := &wrapErr{err}
-	if got := retryAfterOf(wrapped); got != 3*time.Second {
-		t.Fatalf("retryAfterOf(wrapped shed) = %v", got)
+	if got := classify(wrapped).retryAfter; got != 3*time.Second {
+		t.Fatalf("classify(wrapped shed).retryAfter = %v", got)
 	}
-	if got := retryAfterOf(context.Canceled); got != 0 {
-		t.Fatalf("retryAfterOf(plain error) = %v", got)
+	if got := classify(context.Canceled).retryAfter; got != 0 {
+		t.Fatalf("classify(plain error).retryAfter = %v", got)
 	}
 }
 

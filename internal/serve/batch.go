@@ -16,9 +16,9 @@ package serve
 //     encoding): one {"u":U,"v":V,"distance":D} object per line, flushed
 //     in bounded chunks, for result sets too big to buffer.
 //
-// Every id is validated before the artifact lookup — the same
-// reject-before-build rule the point endpoints follow, so a garbage batch
-// can never trigger (or churn a cache slot on) a multi-second
+// Every id is validated before the artifact lookup — queryPairs, the one
+// pipeline the point endpoints run through as batches of one, so a garbage
+// batch can never trigger (or churn a cache slot on) a multi-second
 // decomposition. All request-lifetime scratch (body buffer, decoded
 // pairs, distances, encode buffer) lives in a sync.Pool and is reused
 // across requests: the warm path allocates nothing per pair, pinned by
@@ -36,6 +36,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -64,65 +65,91 @@ var (
 )
 
 // batchScratch is the per-request working set, pooled and reused: the
-// warm batch path reads the body, decodes pairs, answers, and encodes the
-// response entirely inside these four buffers.
+// warm path reads the body, decodes pairs, answers, and encodes the
+// response entirely inside these four buffers. A point query is a batch of
+// one and uses the pairs buffer alone.
 type batchScratch struct {
-	body  []byte            // raw request body
-	pairs [][2]graph.NodeID // decoded (u, v) pairs
-	dists []int64           // per-pair answers
-	out   []byte            // encoded response
+	body   []byte            // raw request body
+	pairs  [][2]graph.NodeID // decoded (u, v) pairs
+	dists  []int64           // per-pair answers
+	out    []byte            // encoded response
+	binary bool              // the request arrived as a dense binary frame
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// handleDistanceBatch is the endpoint body, run under wrapRaw (worker
-// slot, error mapping) and the instrumentation middleware (request id,
-// status counting, latency). It returns an error only before anything has
-// been written, so the error mapper always produces a clean JSON body.
-func (s *Server) handleDistanceBatch(w http.ResponseWriter, r *http.Request) error {
-	if r.Method != http.MethodPost {
-		return &httpError{http.StatusMethodNotAllowed, "distance-batch requires POST"}
+// queryPairs is the one pipeline of the oracle-backed endpoints: /distance,
+// /cluster-of and /distance-batch in its three encodings are a decoder and
+// an answer around it. decode fills sc.pairs from the request and returns
+// the largest id among them, every id non-negative; answer runs the kernel
+// for the decoded pairs on the oracle and returns the response (or writes
+// it, in the batch encodings). Between them the pipeline takes the pooled
+// scratch and resolves the graph and the oracle once, range-checking the ids
+// on both sides of the artifact lookup: first against the registered graph,
+// BEFORE the lookup, so an out-of-range id is a cheap 400 instead of the
+// trigger for (and a cache slot spent on) a multi-second decomposition; then
+// against the oracle's own graph, because RegisterGraph may swap the
+// topology between the two. Each check is one comparison against the
+// maximum; only the failure path scans to name the offending pair.
+func (s *Server) queryPairs(
+	decode func(rq *request, r *http.Request, sc *batchScratch) (maxID graph.NodeID, err error),
+	answer func(s *Server, rq *request, r *http.Request, sc *batchScratch, o *core.Oracle) any,
+) func(*request, *http.Request) (any, error) {
+	return func(rq *request, r *http.Request) (any, error) {
+		sc := batchPool.Get().(*batchScratch)
+		defer batchPool.Put(sc)
+		maxID, err := decode(rq, r, sc)
+		if err != nil {
+			return nil, err
+		}
+		g, err := s.Graph(rq.p.graph)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkBatchRange(sc.pairs, maxID, g); err != nil {
+			return nil, err
+		}
+		a, err := s.get(r.Context(), rq, s.key("oracle", g, rq.p), buildOracle)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkBatchRange(sc.pairs, maxID, a.oracle.Clustering().G); err != nil {
+			return nil, err
+		}
+		return answer(s, rq, r, sc, a.oracle), nil
 	}
-	p, err := s.parseBuildParams(r)
-	if err != nil {
-		return err
-	}
+}
+
+// decodeBatch is /distance-batch's decoder: the body, in either request
+// encoding, read and decoded inside the scratch.
+func decodeBatch(_ *request, r *http.Request, sc *batchScratch) (maxID graph.NodeID, err error) {
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = strings.TrimSpace(ct[:i])
 	}
-	binaryReq := ct == ctBatchPairs
-	if !binaryReq && ct != "" && ct != "application/json" {
-		return &httpError{http.StatusUnsupportedMediaType,
+	sc.binary = ct == ctBatchPairs
+	if !sc.binary && ct != "" && ct != "application/json" {
+		return 0, &httpError{http.StatusUnsupportedMediaType,
 			"distance-batch accepts application/json or " + ctBatchPairs}
 	}
-
-	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
-	sc.body, err = readBodyInto(sc.body, r.Body, maxBatchBody)
-	if err != nil {
-		return err
+	if sc.body, err = readBodyInto(sc.body, r.Body, maxBatchBody); err != nil {
+		return 0, err
 	}
-	var maxID graph.NodeID
-	if binaryReq {
+	if sc.binary {
 		sc.pairs, maxID, err = decodePairsBinary(sc.pairs[:0], sc.body)
 	} else {
 		sc.pairs, maxID, err = decodePairsJSON(sc.pairs[:0], sc.body)
 	}
-	if err != nil {
-		return err
+	if err == nil && len(sc.pairs) == 0 {
+		err = badRequest("empty batch")
 	}
+	return maxID, err
+}
+
+// answerBatch answers the decoded pairs in the request's encoding, writing
+// the response itself out of the pooled buffers.
+func answerBatch(s *Server, rq *request, r *http.Request, sc *batchScratch, o *core.Oracle) any {
 	pairs := sc.pairs
-	if len(pairs) == 0 {
-		return badRequest("empty batch")
-	}
-
-	// Validate every id before the artifact lookup (and possible build).
-	o, err := s.oracleFor(r, p, pairs, maxID)
-	if err != nil {
-		return err
-	}
-
 	if cap(sc.dists) < len(pairs) {
 		sc.dists = make([]int64, len(pairs))
 	}
@@ -133,11 +160,11 @@ func (s *Server) handleDistanceBatch(w http.ResponseWriter, r *http.Request) err
 
 	switch {
 	case strings.Contains(r.Header.Get("Accept"), ctNDJSON):
-		writeBatchNDJSON(w, sc, pairs, dists)
-	case binaryReq:
-		writeBatchBinary(w, sc, dists)
+		writeBatchNDJSON(rq, sc, pairs, dists)
+	case sc.binary:
+		writeBatchBinary(rq, sc, dists)
 	default:
-		writeBatchJSON(w, sc, p.graph, dists)
+		writeBatchJSON(rq, sc, rq.p.graph, dists)
 	}
 	return nil
 }
@@ -197,12 +224,7 @@ func decodePairsBinary(dst [][2]graph.NodeID, body []byte) ([][2]graph.NodeID, g
 		u := graph.NodeID(binary.LittleEndian.Uint32(payload[8*i:]))
 		v := graph.NodeID(binary.LittleEndian.Uint32(payload[8*i+4:]))
 		orAcc |= u | v
-		if u > maxID {
-			maxID = u
-		}
-		if v > maxID {
-			maxID = v
-		}
+		maxID = max(maxID, u, v)
 		dst[i] = [2]graph.NodeID{u, v}
 	}
 	if orAcc < 0 {
@@ -230,12 +252,7 @@ func decodePairsJSON(dst [][2]graph.NodeID, body []byte) ([][2]graph.NodeID, gra
 	var maxID, orAcc graph.NodeID
 	for _, p := range dst {
 		orAcc |= p[0] | p[1]
-		if p[0] > maxID {
-			maxID = p[0]
-		}
-		if p[1] > maxID {
-			maxID = p[1]
-		}
+		maxID = max(maxID, p[0], p[1])
 	}
 	if orAcc < 0 {
 		return dst, 0, firstNegativePair(dst)

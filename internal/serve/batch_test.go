@@ -15,6 +15,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -372,6 +374,41 @@ func TestDistanceBatchZeroAllocPerPair(t *testing.T) {
 	// above this.
 	if allocs > 80 {
 		t.Fatalf("%.0f allocs per warm batch request, want a small constant", allocs)
+	}
+}
+
+// TestPointQueryAllocsPinned pins the warm point endpoints' allocation
+// counts exactly, through Server.Handler() into a reused sink writer: the
+// request record, its id and the id's header slot, the one url.Values parse
+// (a map and one slice per parameter), the status counter's label lookup,
+// and encoding/json's share (the Content-Type slot, the boxed response).
+// Before the request path was written once the same requests cost 29 and 22
+// — the query string was parsed three times and the record was three
+// structs and a context copy. A new allocation here is a regression to
+// explain, not to absorb. Under the race detector the count cannot be exact
+// — sync.Pool.Put drops a quarter of its items there on purpose, and the
+// request scratch and encoding/json's encoder state are pooled — so there
+// the pin is a ceiling with that much slack.
+func TestPointQueryAllocsPinned(t *testing.T) {
+	slack := 0.0
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		slack = 3
+	}
+	s, _ := newTestServer(t, "mesh", graph.Mesh(30, 30))
+	h := s.Handler()
+	w := discardResponseWriter{h: make(http.Header)}
+	for _, tc := range []struct {
+		url  string
+		want float64
+	}{
+		{"/distance?graph=mesh&u=17&v=880", 12},
+		{"/cluster-of?graph=mesh&u=17", 11},
+	} {
+		req := httptest.NewRequest(http.MethodGet, tc.url, nil)
+		h.ServeHTTP(w, req) // warm: build the oracle, charge the pools
+		if got := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); got < tc.want || got > tc.want+slack {
+			t.Errorf("%s: %.0f allocs per warm request, pinned at %.0f (+%.0f)", tc.url, got, tc.want, slack)
+		}
 	}
 }
 

@@ -42,8 +42,6 @@ func (e *BreakerOpenError) Error() string {
 		e.State, e.Key, e.RetryAfter.Round(time.Second))
 }
 
-func (e *BreakerOpenError) retryAfterHint() time.Duration { return e.RetryAfter }
-
 // breakerEntry is one key's failure record. Guarded by breaker.mu.
 type breakerEntry struct {
 	failures int           // consecutive terminal failures

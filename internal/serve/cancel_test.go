@@ -68,7 +68,7 @@ func TestCancelSoleWaiterCancelsDetachedBuild(t *testing.T) {
 
 	started := make(chan struct{})
 	buildErr := make(chan error, 1)
-	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+	build := func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-bctx.Done() // a stand-in for engines parked at a barrier
 		buildErr <- bctx.Err()
@@ -78,7 +78,7 @@ func TestCancelSoleWaiterCancelsDetachedBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := s.get(ctx, key, build)
+		_, err := s.get(ctx, nil, key, build)
 		waiter <- err
 	}()
 
@@ -111,7 +111,7 @@ func TestCancelSoleWaiterCancelsDetachedBuild(t *testing.T) {
 	waitUntil(t, "cancelled-build counter", func() bool { return s.Stats().CancelledBuilds == 1 })
 
 	// Retry rebuilds cleanly.
-	v, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+	v, err := s.get(context.Background(), nil, key, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
 		return fakeArtifact(42), nil
 	})
 	if err != nil || tagOf(v) != 42 {
@@ -128,7 +128,7 @@ func TestSurvivingWaiterKeepsBuildAlive(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	cancelledEarly := make(chan struct{}, 1)
-	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+	build := func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		select {
 		case <-bctx.Done():
@@ -142,7 +142,7 @@ func TestSurvivingWaiterKeepsBuildAlive(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	w1 := make(chan error, 1)
 	go func() {
-		_, err := s.get(ctx1, key, build)
+		_, err := s.get(ctx1, nil, key, build)
 		w1 <- err
 	}()
 	<-started
@@ -150,7 +150,7 @@ func TestSurvivingWaiterKeepsBuildAlive(t *testing.T) {
 	// Second waiter joins the in-flight build.
 	w2 := make(chan any, 1)
 	go func() {
-		v, err := s.get(context.Background(), key, build)
+		v, err := s.get(context.Background(), nil, key, build)
 		if err != nil {
 			w2 <- err
 		} else {
@@ -245,15 +245,16 @@ func TestCancelledDiameterAndMRDiameterRetryable(t *testing.T) {
 }
 
 // A departing waiter frees its worker slot immediately — while the build
-// it abandoned is still running for someone else. This mirrors the wrap()
-// pipeline: slot acquisition wraps the artifact call.
+// it abandoned is still running for someone else. This mirrors the
+// endpoint wrapper: the request record acquires the slot around the
+// artifact call, and get parks it for the wait.
 func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
 	s := newBuildServer(t, Config{Workers: 1}, "g") // a single slot makes leakage observable
 	key := Key{Graph: "g", Kind: "oracle", Tau: 3, Seed: 1, Algorithm: "cluster"}
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+	build := func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		select {
 		case <-bctx.Done():
@@ -263,17 +264,18 @@ func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
 		}
 	}
 
-	// Waiter A: holds the only slot, as wrap() would, then disconnects.
+	// Waiter A: holds the only slot, as endpoint would, then disconnects.
 	ctx, cancel := context.WithCancel(context.Background())
 	aDone := make(chan struct{})
 	go func() {
 		defer close(aDone)
-		if err := s.fast.acquire(ctx); err != nil {
+		rq := &request{lane: s.fast}
+		if err := rq.acquire(ctx); err != nil {
 			t.Errorf("acquire: %v", err)
 			return
 		}
-		defer s.fast.release()
-		_, _ = s.get(ctx, key, build)
+		defer rq.release()
+		_, _ = s.get(ctx, rq, key, build)
 	}()
 	<-started
 	cancel()
@@ -303,7 +305,7 @@ func TestDetachedBuildsBoundedByBuildPool(t *testing.T) {
 	release1 := make(chan struct{})
 	w1 := make(chan error, 1)
 	go func() {
-		_, err := s.get(context.Background(), key1, func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+		_, err := s.get(context.Background(), nil, key1, func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 			close(started1)
 			select {
 			case <-release1:
@@ -319,7 +321,7 @@ func TestDetachedBuildsBoundedByBuildPool(t *testing.T) {
 	started2 := make(chan struct{}, 1)
 	w2 := make(chan error, 1)
 	go func() {
-		_, err := s.get(context.Background(), key2, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+		_, err := s.get(context.Background(), nil, key2, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
 			started2 <- struct{}{}
 			return fakeArtifact(2), nil
 		})
@@ -335,7 +337,7 @@ func TestDetachedBuildsBoundedByBuildPool(t *testing.T) {
 	ctx3, cancel3 := context.WithCancel(context.Background())
 	w3 := make(chan error, 1)
 	go func() {
-		_, err := s.get(ctx3, key3, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+		_, err := s.get(ctx3, nil, key3, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
 			t.Error("queued build ran despite cancellation")
 			return artifact{}, nil
 		})
@@ -373,7 +375,7 @@ func TestRegisterGraphCancelsPrunedBuilds(t *testing.T) {
 	started := make(chan struct{})
 	w := make(chan error, 1)
 	go func() {
-		_, err := s.get(context.Background(), key, func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+		_, err := s.get(context.Background(), nil, key, func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 			close(started)
 			<-bctx.Done()
 			return artifact{}, bctx.Err()
@@ -402,7 +404,7 @@ func TestPanickingBuildIsContainedAndRetryable(t *testing.T) {
 	s := newBuildServer(t, Config{Workers: 2}, "g")
 	key := Key{Graph: "g", Kind: "oracle", Tau: 9, Seed: 1, Algorithm: "cluster"}
 
-	_, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+	_, err := s.get(context.Background(), nil, key, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
 		panic("boom")
 	})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -411,7 +413,7 @@ func TestPanickingBuildIsContainedAndRetryable(t *testing.T) {
 	waitUntil(t, "panicked entry removal", func() bool { return s.cachedEntries() == 0 })
 
 	// The key is retryable and the server is still alive.
-	v, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+	v, err := s.get(context.Background(), nil, key, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
 		return fakeArtifact(3), nil
 	})
 	if err != nil || tagOf(v) != 3 {
@@ -426,14 +428,14 @@ func TestServerShutdownCancelsInFlightBuilds(t *testing.T) {
 	key := Key{Graph: "g", Kind: "oracle", Tau: 4, Seed: 1, Algorithm: "cluster"}
 
 	started := make(chan struct{})
-	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+	build := func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-bctx.Done()
 		return artifact{}, bctx.Err()
 	}
 	w := make(chan error, 1)
 	go func() {
-		_, err := s.get(context.Background(), key, build)
+		_, err := s.get(context.Background(), nil, key, build)
 		w <- err
 	}()
 	<-started
@@ -452,7 +454,7 @@ func TestServerShutdownCancelsInFlightBuilds(t *testing.T) {
 
 	// Builds requested after Shutdown are rejected fast, so late traffic
 	// cannot extend the drain.
-	_, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+	_, err := s.get(context.Background(), nil, key, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
 		t.Error("build ran after Shutdown")
 		return artifact{}, nil
 	})
@@ -521,7 +523,7 @@ func TestInstallSnapshotHonorsCacheCap(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _ = s.get(context.Background(), key, func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+		_, _ = s.get(context.Background(), nil, key, func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 			close(started)
 			select {
 			case <-release:

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"net/url"
 	"strconv"
 	"testing"
 
@@ -111,6 +113,69 @@ func FuzzDecodePairsJSON(f *testing.F) {
 		}
 		if maxID != want {
 			t.Fatalf("maxID %d, recomputed %d", maxID, want)
+		}
+	})
+}
+
+// FuzzRequestParams drives raw query strings through the single parser of
+// the request path — url.Values once, then parseBuildParams, parseNodeID
+// and parseK over it — the last untrusted input that was not fuzzed.
+// Contract: never panic; whatever is accepted is in range (a graph name, a
+// canonical algorithm, tau >= 0, node ids in [0, 2³¹), k >= 1) and is what
+// the query string says; whatever is rejected is a 4xx httpError.
+func FuzzRequestParams(f *testing.F) {
+	for _, raw := range []string{
+		"graph=mesh&u=0&v=99",
+		"graph=mesh&u=5&v=77&tau=3&seed=9&algo=cluster2",
+		"graph=mesh&k=4&seed=18446744073709551615",
+		"graph=mesh&u=-1&v=1",
+		"graph=mesh&u=999999999999",
+		"graph=mesh&u=2147483648&v=2147483647",
+		"graph=mesh&tau=-4",
+		"graph=mesh&tau=9223372036854775808",
+		"graph=mesh&seed=-1",
+		"graph=mesh&algo=bogus",
+		"graph=mesh&k=0",
+		"u=0&v=1",
+		"graph=mesh&u=1&u=2&v=3",
+		"graph=mesh&u=0&v=1;x=2",
+		"graph=%6desh&u=%31&v=%zz",
+		"graph=&u=+1&v=0x10&k=1e3",
+		"graph=mesh&u=-0&v=007&k=%2B3",
+		"",
+	} {
+		f.Add(raw)
+	}
+	s := New(Config{DefaultSeed: 7})
+	rejected := func(t *testing.T, raw string, err error) {
+		var he *httpError
+		if !errors.As(err, &he) || he.status < 400 || he.status >= 500 {
+			t.Fatalf("%q rejected with %v, want a 4xx httpError", raw, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // what (*url.URL).Query does
+		if p, err := s.parseBuildParams(q); err != nil {
+			rejected(t, raw, err)
+		} else {
+			if p.graph == "" || p.graph != q.Get("graph") || (p.algo != "cluster" && p.algo != "cluster2") || p.tau < 0 {
+				t.Fatalf("%q accepted as %+v", raw, p)
+			}
+			if want, err := strconv.ParseUint(q.Get("seed"), 10, 64); (q.Get("seed") == "" && p.seed != 7) || (err == nil && p.seed != want) {
+				t.Fatalf("%q: seed %d", raw, p.seed)
+			}
+		}
+		for _, name := range []string{"u", "v"} {
+			if id, err := parseNodeID(q, name); err != nil {
+				rejected(t, raw, err)
+			} else if want, _ := strconv.ParseInt(q.Get(name), 10, 64); id < 0 || int64(id) != want {
+				t.Fatalf("%q: %s accepted as %d", raw, name, id)
+			}
+		}
+		if k, err := parseK(q); err != nil {
+			rejected(t, raw, err)
+		} else if want, _ := strconv.ParseInt(q.Get("k"), 10, 64); k < 1 || int64(k) != want {
+			t.Fatalf("%q: k accepted as %d", raw, k)
 		}
 	})
 }

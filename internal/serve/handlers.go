@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -41,27 +43,27 @@ import (
 // histogram /metrics exports.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(path string, h http.HandlerFunc) {
+	handle := func(path string, h func(*request, *http.Request)) {
 		mux.Handle(path, s.instrument(path, h))
 	}
-	handle("/distance", s.wrap(s.handleDistance))
-	handle("/distance-batch", s.wrapRaw(s.handleDistanceBatch))
-	handle("/cluster-of", s.wrap(s.handleClusterOf))
-	handle("/diameter", s.wrap(s.handleDiameter))
-	handle("/mr-diameter", s.wrap(s.handleMRDiameter))
-	handle("/kcenter", s.wrap(s.handleKCenter))
-	handle("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+	handle("/distance", s.endpoint("", s.queryPairs(decodeDistance, answerDistance)))
+	handle("/distance-batch", s.endpoint(http.MethodPost, s.queryPairs(decodeBatch, answerBatch)))
+	handle("/cluster-of", s.endpoint("", s.queryPairs(decodeClusterOf, answerClusterOf)))
+	handle("/diameter", s.endpoint("", s.handleDiameter))
+	handle("/mr-diameter", s.endpoint("", s.handleMRDiameter))
+	handle("/kcenter", s.endpoint("", s.handleKCenter))
+	handle("/stats", func(rq *request, _ *http.Request) {
+		writeJSON(rq, http.StatusOK, s.Stats())
 	})
-	handle("/builds", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.BuildTraces())
+	handle("/builds", func(rq *request, _ *http.Request) {
+		writeJSON(rq, http.StatusOK, s.BuildTraces())
 	})
-	handle("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		_ = s.met.reg.WritePrometheus(w)
+	handle("/metrics", func(rq *request, _ *http.Request) {
+		rq.Header().Set("Content-Type", obs.ContentType)
+		_ = s.met.reg.WritePrometheus(rq)
 	})
-	handle("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "graphs": s.GraphNames()})
+	handle("/healthz", func(rq *request, _ *http.Request) {
+		writeJSON(rq, http.StatusOK, map[string]any{"ok": true, "graphs": s.GraphNames()})
 	})
 	return mux
 }
@@ -78,104 +80,122 @@ func badRequest(format string, args ...any) error {
 	return &httpError{http.StatusBadRequest, fmt.Sprintf(format, args...)}
 }
 
-// errStatus maps a handler error to its HTTP status. Deadline expiry —
-// a build that outran Config.BuildTimeout — is 504 (the server gave up),
-// distinct from the 503 family (the server refused: shed, breaker-open,
-// cache full, draining, client-abandoned), so clients can tell "retry
-// later" from "this build is too slow".
-func errStatus(err error) int {
+// verdict is what the way a build ended tells its key's circuit breaker.
+type verdict int
+
+const (
+	neutral verdict = iota // nothing about the key's health: cancellations, refusals, the client's own errors
+	success                // closes the key's breaker
+	failure                // counts toward tripping it
+)
+
+// errClass is one row of the error table.
+type errClass struct {
+	status     int           // HTTP status the error answers with
+	retryAfter time.Duration // when positive, the Retry-After header
+	verdict    verdict       // breaker verdict of a build that ended with it
+	state      string        // terminal trace state of such a build
+}
+
+// classify is the one error table: what an error means to the client and
+// what a build that ended with it means to its key's breaker — writeErr
+// and finishBuild both read it, so the two cannot disagree. Deadline
+// expiry — a build that outran Config.BuildTimeout — is 504 (the server
+// gave up), distinct from the 503 family (the server refused: shed,
+// breaker-open, cache full, draining, client-abandoned), so clients can
+// tell "retry later" from "this build is too slow". A rejection no retry
+// can turn into a success — a 4xx from the build, core.ErrInfeasible — is
+// the client's error and breaker-neutral: tripping on it would only turn
+// an honest 400 into a 503 that invites retries.
+func classify(err error) errClass {
 	var (
 		he   *httpError
 		shed *ShedError
 		open *BreakerOpenError
 	)
 	switch {
-	case errors.As(err, &he):
-		return he.status
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.As(err, &shed), errors.As(err, &open),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, ErrCacheFull), errors.Is(err, ErrShuttingDown):
-		return http.StatusServiceUnavailable
+	case err == nil:
+		return errClass{http.StatusOK, 0, success, BuildDone}
+	case errors.As(err, &he): // every httpError is a 4xx
+		return errClass{he.status, 0, neutral, BuildFailed}
+	case errors.Is(err, core.ErrInfeasible):
+		return errClass{http.StatusBadRequest, 0, neutral, BuildFailed}
 	case errors.Is(err, ErrUnknownGraph):
-		return http.StatusNotFound
+		return errClass{http.StatusNotFound, 0, neutral, BuildFailed}
+	case errors.Is(err, context.DeadlineExceeded):
+		return errClass{http.StatusGatewayTimeout, 0, failure, BuildTimedOut}
+	case errors.Is(err, context.Canceled):
+		return errClass{http.StatusServiceUnavailable, 0, neutral, BuildCancelled}
+	case errors.As(err, &shed):
+		return errClass{http.StatusServiceUnavailable, shed.RetryAfter, neutral, BuildFailed}
+	case errors.As(err, &open):
+		return errClass{http.StatusServiceUnavailable, open.RetryAfter, neutral, BuildFailed}
+	case errors.Is(err, ErrCacheFull), errors.Is(err, ErrShuttingDown):
+		return errClass{http.StatusServiceUnavailable, 0, neutral, BuildFailed}
 	}
-	return http.StatusInternalServerError
+	return errClass{http.StatusInternalServerError, 0, failure, BuildFailed}
 }
 
-// wrap is the shared request pipeline of the JSON endpoints: take a
-// bounded worker slot (honouring client disconnect while queued), parse
-// the artifact-selecting parameters, run the handler, and map errors to
-// JSON error bodies. Request counting and latency live in the instrument
-// middleware wrapped around it.
-func (s *Server) wrap(h func(r *http.Request, p buildParams) (any, error)) http.HandlerFunc {
-	return s.wrapRaw(func(w http.ResponseWriter, r *http.Request) error {
-		p, err := s.parseBuildParams(r)
-		if err != nil {
-			return err
+// endpoint is the one wrapper of the artifact-backed endpoints: admit the
+// request to the fast lane (honouring client disconnect while queued),
+// check the method when the endpoint names one, parse the query string —
+// once, into the record — run the handler, and write what it returns: the
+// JSON response value, or the error mapped to a JSON error body. A handler
+// that encodes (or streams) its own success response — the batch path,
+// whose pooled buffers bypass the generic JSON encoder — returns nil, nil;
+// it may return an error only before writing anything, so the mapper can
+// still produce a clean body. Request counting and latency live in the
+// instrument middleware wrapped around it.
+func (s *Server) endpoint(method string, h func(*request, *http.Request) (any, error)) func(*request, *http.Request) {
+	run := func(rq *request, r *http.Request) (resp any, err error) {
+		if method != "" && r.Method != method {
+			return nil, &httpError{http.StatusMethodNotAllowed, strings.TrimPrefix(r.URL.Path, "/") + " requires " + method}
 		}
-		v, err := h(r, p)
-		if err != nil {
-			return err
+		rq.q = r.URL.Query()
+		if rq.p, err = s.parseBuildParams(rq.q); err != nil {
+			return nil, err
 		}
-		writeJSON(w, http.StatusOK, v)
-		return nil
-	})
-}
-
-// wrapRaw is wrap for handlers that encode (or stream) their own success
-// responses — the batch path, whose pooled buffers bypass the generic
-// JSON encoder. The handler contract: return an error only before writing
-// anything, so the mapper can still produce a clean JSON error body.
-//
-// Admission runs through a per-request laneSlot rather than a bare
-// acquire/release pair: the slot rides the request context (requestInfo)
-// so the artifact cache can park it while the request blocks on a cold
-// build, and its release is idempotent, so the deferred release frees
-// exactly what is held whether the request completed, parked and
-// resumed, or died parked.
-func (s *Server) wrapRaw(h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		slot := &laneSlot{l: s.fast}
-		if err := slot.acquire(r.Context()); err != nil {
+		return h(rq, r)
+	}
+	return func(rq *request, r *http.Request) {
+		if err := rq.acquire(r.Context()); err != nil {
 			var shed *ShedError
 			if errors.As(err, &shed) {
 				s.met.shed.With(shed.Lane).Inc()
 			} else {
 				s.met.rejected.Add(1)
 			}
-			s.writeErr(w, r, err)
+			s.writeErr(rq, r, err)
 			return
-		}
-		if ri := requestInfoFrom(r.Context()); ri != nil {
-			ri.slot = slot
 		}
 		s.met.inFlight.Add(1)
 		defer func() {
 			s.met.inFlight.Add(-1)
-			slot.release()
+			rq.release()
 		}()
-		if err := h(w, r); err != nil {
-			s.writeErr(w, r, err)
+		if resp, err := run(rq, r); err != nil {
+			s.writeErr(rq, r, err)
+		} else if resp != nil {
+			writeJSON(rq, http.StatusOK, resp)
 		}
 	}
 }
 
-// writeErr maps a handler error to its JSON body, attaching the
-// Retry-After header any shed-like rejection (lane shed, open breaker)
-// carries and counting client-abandoned requests — cancellations whose
-// cause was the request's own context, not a server-side refusal — into
-// reprod_requests_client_gone_total, so shed-vs-abandoned traffic stays
-// distinguishable in /metrics.
-func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, err error) {
-	if ra := retryAfterOf(err); ra > 0 {
-		w.Header().Set("Retry-After", retryAfterSeconds(ra))
+// writeErr maps a handler error to its JSON body through classify,
+// attaching the Retry-After header any shed-like rejection (lane shed, open
+// breaker) carries and counting client-abandoned requests — cancellations
+// whose cause was the request's own context, not a server-side refusal —
+// into reprod_requests_client_gone_total, so shed-vs-abandoned traffic
+// stays distinguishable in /metrics.
+func (s *Server) writeErr(rq *request, r *http.Request, err error) {
+	c := classify(err)
+	if c.retryAfter > 0 {
+		rq.Header().Set("Retry-After", retryAfterSeconds(c.retryAfter))
 	}
 	if errors.Is(err, context.Canceled) && r.Context().Err() != nil {
 		s.met.clientGone.Inc()
 	}
-	writeJSON(w, errStatus(err), map[string]string{"error": err.Error()})
+	writeJSON(rq, c.status, map[string]string{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -188,6 +208,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // --- request parameter parsing ---
 
+// buildParams are the artifact-selecting parameters of a request; the
+// algorithm is canonical once parseBuildParams or Server.resolve returned
+// them.
 type buildParams struct {
 	graph string
 	tau   int
@@ -199,8 +222,7 @@ type buildParams struct {
 // back to the server's configured defaults for any the client omitted, so
 // parameter-less clients share the artifact the daemon prebuilt at
 // startup.
-func (s *Server) parseBuildParams(r *http.Request) (buildParams, error) {
-	q := r.URL.Query()
+func (s *Server) parseBuildParams(q url.Values) (buildParams, error) {
 	p := buildParams{graph: q.Get("graph"), algo: q.Get("algo"), seed: s.cfg.DefaultSeed}
 	if p.graph == "" {
 		return p, badRequest("missing graph parameter")
@@ -208,7 +230,8 @@ func (s *Server) parseBuildParams(r *http.Request) (buildParams, error) {
 	if p.algo == "" {
 		p.algo = s.cfg.DefaultAlgorithm
 	}
-	if _, err := parseAlgorithm(p.algo); err != nil {
+	var err error
+	if p.algo, err = parseAlgorithm(p.algo); err != nil {
 		return p, badRequest("%v", err)
 	}
 	if v := q.Get("tau"); v != "" {
@@ -231,8 +254,8 @@ func (s *Server) parseBuildParams(r *http.Request) (buildParams, error) {
 // parseNodeID is the syntactic half of node validation, run before any
 // artifact build so malformed requests fail fast without costing (or
 // cache-churning) a multi-second decomposition.
-func parseNodeID(r *http.Request, name string) (graph.NodeID, error) {
-	v := r.URL.Query().Get(name)
+func parseNodeID(q url.Values, name string) (graph.NodeID, error) {
+	v := q.Get(name)
 	if v == "" {
 		return 0, badRequest("missing %s parameter", name)
 	}
@@ -243,31 +266,17 @@ func parseNodeID(r *http.Request, name string) (graph.NodeID, error) {
 	return graph.NodeID(id), nil
 }
 
-// oracleFor is the shared preamble of the oracle-backed endpoints
-// (/distance, /cluster-of, /distance-batch) — the semantic half of node
-// validation. Ids are range-checked twice: first against the registered
-// graph, BEFORE the artifact lookup, so an out-of-range id is a cheap 400
-// instead of the trigger for (and a cache slot spent on) a multi-second
-// decomposition; then against the oracle's own graph, because
-// RegisterGraph may swap the topology between the two. All ids are known
-// non-negative after parsing, so each check is one comparison against the
-// maximum; only the failure path scans to name the offending pair.
-func (s *Server) oracleFor(r *http.Request, p buildParams, pairs [][2]graph.NodeID, maxID graph.NodeID) (*core.Oracle, error) {
-	g, err := s.Graph(p.graph)
-	if err != nil {
-		return nil, err
+// parseK is /kcenter's own parameter.
+func parseK(q url.Values) (int, error) {
+	v := q.Get("k")
+	if v == "" {
+		return 0, badRequest("missing k parameter")
 	}
-	if err := checkBatchRange(pairs, maxID, g); err != nil {
-		return nil, err
+	k, err := strconv.Atoi(v)
+	if err != nil || k < 1 {
+		return 0, badRequest("bad k %q", v)
 	}
-	o, err := s.Oracle(r.Context(), p.graph, p.tau, p.seed, p.algo)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkBatchRange(pairs, maxID, o.Clustering().G); err != nil {
-		return nil, err
-	}
-	return o, nil
+	return k, nil
 }
 
 // --- endpoint handlers ---
@@ -287,25 +296,28 @@ type DistanceResponse struct {
 	ClusterV  int32  `json:"cluster_v"`
 }
 
-func (s *Server) handleDistance(r *http.Request, p buildParams) (any, error) {
-	u, err := parseNodeID(r, "u")
+// decodeDistance is /distance's decoder: the pair (u, v) from the query.
+func decodeDistance(rq *request, _ *http.Request, sc *batchScratch) (graph.NodeID, error) {
+	u, err := parseNodeID(rq.q, "u")
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	v, err := parseNodeID(r, "v")
+	v, err := parseNodeID(rq.q, "v")
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	o, err := s.oracleFor(r, p, [][2]graph.NodeID{{u, v}}, max(u, v))
-	if err != nil {
-		return nil, err
-	}
+	sc.pairs = append(sc.pairs[:0], [2]graph.NodeID{u, v})
+	return max(u, v), nil
+}
+
+func answerDistance(s *Server, rq *request, _ *http.Request, sc *batchScratch, o *core.Oracle) any {
+	u, v := sc.pairs[0][0], sc.pairs[0][1]
 	start := time.Now()
 	d := o.Query(u, v)
 	lower := o.LowerQuery(u, v)
 	s.met.queryLatency.Observe(time.Since(start).Seconds())
 	resp := DistanceResponse{
-		Graph:     p.graph,
+		Graph:     rq.p.graph,
 		U:         u,
 		V:         v,
 		Reachable: d != graph.InfDist,
@@ -317,7 +329,7 @@ func (s *Server) handleDistance(r *http.Request, p buildParams) (any, error) {
 	if !resp.Reachable {
 		resp.Distance, resp.Lower = -1, -1
 	}
-	return resp, nil
+	return resp
 }
 
 // ClusterOfResponse answers /cluster-of: the decomposition coordinates of
@@ -333,20 +345,23 @@ type ClusterOfResponse struct {
 	NumClusters   int    `json:"num_clusters"`
 }
 
-func (s *Server) handleClusterOf(r *http.Request, p buildParams) (any, error) {
-	u, err := parseNodeID(r, "u")
+// decodeClusterOf is /cluster-of's decoder: the node u, as the pair (u, u).
+func decodeClusterOf(rq *request, _ *http.Request, sc *batchScratch) (graph.NodeID, error) {
+	u, err := parseNodeID(rq.q, "u")
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	o, err := s.oracleFor(r, p, [][2]graph.NodeID{{u, u}}, u)
-	if err != nil {
-		return nil, err
-	}
+	sc.pairs = append(sc.pairs[:0], [2]graph.NodeID{u, u})
+	return u, nil
+}
+
+func answerClusterOf(s *Server, rq *request, _ *http.Request, sc *batchScratch, o *core.Oracle) any {
+	u := sc.pairs[0][0]
 	start := time.Now()
 	cl := o.Clustering()
 	c := cl.Owner[u]
 	resp := ClusterOfResponse{
-		Graph:         p.graph,
+		Graph:         rq.p.graph,
 		U:             u,
 		Cluster:       c,
 		Center:        cl.Centers[c],
@@ -355,7 +370,7 @@ func (s *Server) handleClusterOf(r *http.Request, p buildParams) (any, error) {
 		NumClusters:   cl.NumClusters(),
 	}
 	s.met.queryLatency.Observe(time.Since(start).Seconds())
-	return resp, nil
+	return resp
 }
 
 // DiameterResponse answers /diameter with the certified bounds of
@@ -369,13 +384,14 @@ type DiameterResponse struct {
 	Exact       bool   `json:"quotient_exact"`
 }
 
-func (s *Server) handleDiameter(r *http.Request, p buildParams) (any, error) {
-	res, err := s.Diameter(r.Context(), p.graph, p.tau, p.seed, p.algo)
+func (s *Server) handleDiameter(rq *request, r *http.Request) (any, error) {
+	a, err := s.artifact(r.Context(), rq, "diameter", rq.p)
 	if err != nil {
 		return nil, err
 	}
+	res := a.diameter
 	return DiameterResponse{
-		Graph:       p.graph,
+		Graph:       rq.p.graph,
 		Lower:       res.DeltaC,
 		Upper:       res.Upper,
 		RMax:        res.RMax,
@@ -392,17 +408,17 @@ type MRDiameterResponse struct {
 	*MRDiameterResult
 }
 
-func (s *Server) handleMRDiameter(r *http.Request, p buildParams) (any, error) {
+func (s *Server) handleMRDiameter(rq *request, r *http.Request) (any, error) {
 	// The MR pipeline only implements CLUSTER; an explicit algo=cluster2
 	// must be rejected rather than silently answered with CLUSTER results.
-	if a := r.URL.Query().Get("algo"); a != "" && a != "cluster" {
+	if a := rq.q.Get("algo"); a != "" && a != "cluster" {
 		return nil, badRequest("mr-diameter runs the CLUSTER pipeline only (got algo=%q)", a)
 	}
-	res, err := s.MRDiameter(r.Context(), p.graph, p.tau, p.seed)
+	a, err := s.artifact(r.Context(), rq, "mrdiameter", buildParams{rq.p.graph, rq.p.tau, rq.p.seed, "cluster"})
 	if err != nil {
 		return nil, err
 	}
-	return MRDiameterResponse{Graph: p.graph, MRDiameterResult: res}, nil
+	return MRDiameterResponse{Graph: rq.p.graph, MRDiameterResult: a.mrdiameter}, nil
 }
 
 // KCenterResponse answers /kcenter: the selected centers and the exact
@@ -415,21 +431,18 @@ type KCenterResponse struct {
 	Merged  bool    `json:"merged"`
 }
 
-func (s *Server) handleKCenter(r *http.Request, p buildParams) (any, error) {
-	kStr := r.URL.Query().Get("k")
-	if kStr == "" {
-		return nil, badRequest("missing k parameter")
-	}
-	k, err := strconv.Atoi(kStr)
-	if err != nil || k < 1 {
-		return nil, badRequest("bad k %q", kStr)
-	}
-	res, err := s.KCenter(r.Context(), p.graph, k, p.seed)
+func (s *Server) handleKCenter(rq *request, r *http.Request) (any, error) {
+	k, err := parseK(rq.q)
 	if err != nil {
 		return nil, err
 	}
+	a, err := s.artifact(r.Context(), rq, "kcenter", buildParams{rq.p.graph, k, rq.p.seed, "cluster"})
+	if err != nil {
+		return nil, err
+	}
+	res := a.kcenter
 	return KCenterResponse{
-		Graph:   p.graph,
+		Graph:   rq.p.graph,
 		K:       k,
 		Centers: res.Centers,
 		Radius:  res.Radius,

@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"context"
-	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 )
@@ -23,84 +22,83 @@ type RequestLogEntry struct {
 	Cache       string
 }
 
-// requestInfo rides the request context so the artifact cache can
-// annotate the request that reached it; the handler goroutine writes and
-// reads it, so plain fields suffice.
-type requestInfo struct {
-	id    string
-	key   Key // zero until the request reaches the artifact cache
-	cache string
-
-	// slot is the request's fast-lane admission handle, set by wrapRaw so
-	// the artifact cache can park it while the request blocks on a build.
-	// Nil for direct API callers that never took a slot.
-	slot *laneSlot
-}
-
-type requestInfoKey struct{}
-
-func requestInfoFrom(ctx context.Context) *requestInfo {
-	ri, _ := ctx.Value(requestInfoKey{}).(*requestInfo)
-	return ri
-}
-
-// statusRecorder captures the status a handler writes. The default is 200:
-// a handler that writes the body without calling WriteHeader implicitly
-// answered OK.
-type statusRecorder struct {
+// request is the one per-request record, minted by instrument and handed
+// down the request path as an argument: endpoint admits it and parses its
+// query string, the handlers read the parameters off it, Server.get
+// annotates it and parks its slot. It is also the ResponseWriter the
+// handler writes through, so the status is captured where it is written
+// (200 when the handler never calls WriteHeader). Only the request
+// goroutine touches it, so plain fields suffice. Direct API callers have
+// no record and pass nil where one is expected.
+type request struct {
 	http.ResponseWriter
 	status int
+	id     string
+
+	// lane is the fast lane, held whether the request owns one of its slots
+	// right now (only endpoint ever acquires one): release is idempotent,
+	// so the deferred release frees exactly what is held whether the
+	// request completed, parked and resumed, or died parked.
+	lane *lane
+	held bool
+
+	q url.Values // the query string, parsed once
+	p buildParams
+
+	key   Key    // zero until the request reaches the artifact cache
+	cache string // how it met the cache: cacheHit, cacheMiss or cacheJoin
 }
 
-func (w *statusRecorder) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
+func (rq *request) WriteHeader(code int) {
+	rq.status = code
+	rq.ResponseWriter.WriteHeader(code)
 }
 
 // nextRequestID mints a request id unique within (and tagged by) this
 // server process: a per-process base from the start time plus a sequence
-// number, cheap enough for the per-request hot path.
+// number zero-padded to six digits.
 func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("%s-%06d", s.idBase, s.reqSeq.Add(1))
+	var digits [20]byte
+	n := strconv.AppendInt(digits[:0], s.reqSeq.Add(1), 10)
+	return s.idBase + "-" + "000000"[min(len(n), 6):] + string(n)
 }
 
 // instrument is the observability middleware wrapped around every
-// endpoint: it stamps a request id (echoed as X-Request-ID), counts the
-// request into the per-path/status counter, times it into the per-path
-// latency histogram, tracks the in-flight gauge, and — when
-// Config.RequestLog is set — emits one structured log entry per request,
-// annotated with the artifact key and cache outcome if the request reached
-// the artifact cache.
-func (s *Server) instrument(path string, next http.Handler) http.Handler {
+// endpoint: it mints the request record with its id (echoed as
+// X-Request-ID), counts the request into the per-path/status counter,
+// times it into the per-path latency histogram, tracks the in-flight
+// gauge, and — when Config.RequestLog is set — emits one structured log
+// entry per request, annotated with the artifact key and cache outcome if
+// the request reached the artifact cache.
+func (s *Server) instrument(path string, next func(*request, *http.Request)) http.Handler {
 	lat := s.met.httpLatency.With(path) // resolve the series once, not per request
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ri := &requestInfo{id: s.nextRequestID()}
-		w.Header().Set("X-Request-ID", ri.id)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rq := &request{ResponseWriter: w, status: http.StatusOK, id: s.nextRequestID(), lane: s.fast}
+		w.Header().Set("X-Request-Id", rq.id) // X-Request-ID, spelled canonically so that Set does not allocate the respelling
 		s.met.requests.Add(1)
 		s.met.httpInFlight.Add(1)
-		next.ServeHTTP(rec, r.WithContext(context.WithValue(r.Context(), requestInfoKey{}, ri)))
+		next(rq, r)
 		s.met.httpInFlight.Add(-1)
 		elapsed := time.Since(start)
-		s.met.httpRequests.With(path, strconv.Itoa(rec.status)).Inc()
+		s.met.httpRequests.With(path, strconv.Itoa(rq.status)).Inc()
 		lat.Observe(elapsed.Seconds())
-		if rec.status >= 400 {
+		if rq.status >= 400 {
 			s.met.errors.Inc()
 		}
 		if s.cfg.RequestLog != nil {
 			entry := RequestLogEntry{
-				ID:      ri.id,
+				ID:      rq.id,
 				Method:  r.Method,
 				Path:    path,
-				Status:  rec.status,
+				Status:  rq.status,
 				Latency: elapsed,
-				Cache:   ri.cache,
+				Cache:   rq.cache,
 			}
 			// Formatted only here, so requests that are not logged — the
 			// warm cache hits above all — never pay for the Sprintf.
-			if ri.key != (Key{}) {
-				entry.ArtifactKey = ri.key.String()
+			if rq.key != (Key{}) {
+				entry.ArtifactKey = rq.key.String()
 			}
 			s.cfg.RequestLog(entry)
 		}

@@ -40,46 +40,43 @@ type MRDiameterResult struct {
 
 // MRDiameter returns the cached MR-runtime diameter artifact for the
 // graph, building it on first use. tau <= 0 resolves like the oracle
-// default (via the shared artifactKey helper, so the resolved value is what
-// gets keyed and reported). The MR round accounting is surfaced per
-// artifact in /stats.
+// default (the resolved value is what gets keyed and reported). The MR
+// round accounting is surfaced per artifact in /stats.
 func (s *Server) MRDiameter(ctx context.Context, name string, tau int, seed uint64) (*MRDiameterResult, error) {
-	key, err := s.artifactKey("mrdiameter", name, tau, seed, "cluster", core.DefaultOracleTau)
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
-		cl, err := core.ClusterContext(bctx, g, key.Tau, s.buildOptions(tr, seed))
-		if err != nil {
-			return artifact{}, err
-		}
-		_, wq, err := quotient.BuildWeighted(g, cl.Owner, cl.Dist, cl.NumClusters())
-		if err != nil {
-			return artifact{}, err
-		}
-		if wq.NumNodes() > maxMRQuotient {
-			return artifact{}, badRequest("quotient has %d clusters, above the %d-cluster cap for MR repeated squaring (decrease tau, or use /diameter)",
-				wq.NumNodes(), maxMRQuotient)
-		}
-		eng := mr.NewEngine(mr.Config{Shards: s.cfg.BuildWorkers})
-		eng.SetContext(bctx)
-		eng.SetObserver(s.mrObserver(tr))
-		defer eng.Close()
-		diam, err := eng.DiameterByRepeatedSquaring(wq)
-		if err != nil {
-			return artifact{}, err
-		}
-		return artifact{stats: cl.Stats, mrdiameter: &MRDiameterResult{
-			QuotientDiameter: diam,
-			Upper:            2*int64(cl.MaxRadius()) + diam,
-			RMax:             cl.MaxRadius(),
-			NumClusters:      cl.NumClusters(),
-			Rounds:           eng.Rounds(),
-			Shards:           eng.Shards(),
-			PairsShuffled:    eng.TotalShuffled(),
-			MaxReducerInput:  eng.MaxReducerInput(),
-			RoundStats:       eng.RoundStats(),
-		}}, nil
-	})
+	a, err := s.artifact(ctx, nil, "mrdiameter", buildParams{name, tau, seed, "cluster"})
 	return a.mrdiameter, err
+}
+
+func buildMRDiameter(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *buildTrace) (artifact, error) {
+	cl, err := core.ClusterContext(ctx, g, key.Tau, s.buildOptions(tr, key.Seed))
+	if err != nil {
+		return artifact{}, err
+	}
+	_, wq, err := quotient.BuildWeighted(g, cl.Owner, cl.Dist, cl.NumClusters())
+	if err != nil {
+		return artifact{}, err
+	}
+	if wq.NumNodes() > maxMRQuotient {
+		return artifact{}, badRequest("quotient has %d clusters, above the %d-cluster cap for MR repeated squaring (decrease tau, or use /diameter)",
+			wq.NumNodes(), maxMRQuotient)
+	}
+	eng := mr.NewEngine(mr.Config{Shards: s.cfg.BuildWorkers})
+	eng.SetContext(ctx)
+	eng.SetObserver(s.mrObserver(tr))
+	defer eng.Close()
+	diam, err := eng.DiameterByRepeatedSquaring(wq)
+	if err != nil {
+		return artifact{}, err
+	}
+	return artifact{stats: cl.Stats, mrdiameter: &MRDiameterResult{
+		QuotientDiameter: diam,
+		Upper:            2*int64(cl.MaxRadius()) + diam,
+		RMax:             cl.MaxRadius(),
+		NumClusters:      cl.NumClusters(),
+		Rounds:           eng.Rounds(),
+		Shards:           eng.Shards(),
+		PairsShuffled:    eng.TotalShuffled(),
+		MaxReducerInput:  eng.MaxReducerInput(),
+		RoundStats:       eng.RoundStats(),
+	}}, nil
 }

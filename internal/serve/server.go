@@ -73,7 +73,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -196,7 +195,7 @@ func (k Key) String() string {
 }
 
 // ErrCacheFull is returned when a new artifact key arrives while every
-// cache slot holds an in-flight build; the HTTP layer maps it to 503.
+// cache slot holds an in-flight build; classify maps it to 503.
 var ErrCacheFull = errors.New("serve: artifact cache full of in-flight builds")
 
 // ErrShuttingDown is returned for build requests arriving after Shutdown
@@ -374,8 +373,8 @@ func (s *Server) InstallSnapshot(a *snapshot.Artifact) error {
 	return nil
 }
 
-// ErrUnknownGraph is wrapped by Graph for unregistered names; the HTTP
-// layer maps it to 404.
+// ErrUnknownGraph is wrapped by Graph for unregistered names; classify
+// maps it to 404.
 var ErrUnknownGraph = errors.New("serve: unknown graph")
 
 // Graph returns the registered graph, or an error (wrapping
@@ -405,11 +404,13 @@ func (s *Server) graphNamesLocked() []string {
 	return names
 }
 
-// buildFunc builds the artifact for one key on the graph currently
-// registered under Key.Graph, reporting engine progress to the build's
+// buildFunc builds the artifact for key on g, the graph currently
+// registered under key.Graph, reporting engine progress to the build's
 // trace. It runs on the detached build goroutine, under the build's own
-// context.
-type buildFunc func(ctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error)
+// context. The four production builders (artifactKinds) are plain functions
+// of their arguments, so a request that hits the cache allocates no closure
+// for the build it does not need.
+type buildFunc func(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *buildTrace) (artifact, error)
 
 // get returns the cached artifact for key, building it with build on
 // first use. Exactly one build runs per key however many requests race;
@@ -418,18 +419,16 @@ type buildFunc func(ctx context.Context, g *graph.Graph, tr *buildTrace) (artifa
 // frees immediately); the cache cancels the build when the LAST waiter
 // leaves, and never caches a failed one.
 //
-// A request that has to wait holds a fast-lane slot (when it came through
-// the HTTP layer) and is about to block for seconds: it PARKS the slot —
-// releases it for the duration of the wait and re-acquires it before
-// touching the value — so warm traffic keeps flowing through the fast
-// lane however many requests are camped on cold builds, even at
-// Workers=1. Direct API callers (tests, the daemon's bootstrap) have no
-// slot and skip the juggling.
-func (s *Server) get(ctx context.Context, key Key, build buildFunc) (artifact, error) {
-	var slot *laneSlot
-	ri := requestInfoFrom(ctx)
-	if ri != nil {
-		ri.key, slot = key, ri.slot
+// rq is the request's record, nil for direct API callers (tests, the
+// daemon's bootstrap): get notes the key and the cache outcome on it for
+// the request log, and — because a request that has to wait holds a
+// fast-lane slot and is about to block for seconds — PARKS the slot for the
+// duration of the wait and re-acquires it before touching the value, so
+// warm traffic keeps flowing through the fast lane however many requests
+// are camped on cold builds, even at Workers=1.
+func (s *Server) get(ctx context.Context, rq *request, key Key, build buildFunc) (artifact, error) {
+	if rq != nil {
+		rq.key = key
 	}
 	// Completed entries — the steady state of the query workload — only
 	// take the cache's read lock, and return before the closures below are
@@ -445,21 +444,21 @@ func (s *Server) get(ctx context.Context, key Key, build buildFunc) (artifact, e
 			return artifact{}, err
 		}
 	}
-	if ri != nil {
-		ri.cache = how
+	if rq != nil {
+		rq.cache = how
 	}
 	if how == cacheHit {
 		s.met.hits.Add(1)
 		return e.val, nil
 	}
-	if slot != nil {
-		slot.park()
+	if rq != nil {
+		rq.park()
 	}
 	if err := s.cache.wait(ctx, key, e); err != nil {
 		return artifact{}, err // client gone: the slot stays parked
 	}
-	if slot != nil {
-		if err := slot.unpark(ctx); err != nil {
+	if rq != nil {
+		if err := rq.unpark(ctx); err != nil {
 			// Client gone while re-entering the fast lane: the slot stays
 			// unheld, so the deferred release up the stack no-ops.
 			return artifact{}, err
@@ -520,7 +519,8 @@ func costFor(key Key, source string, millis float64, a artifact) *ArtifactCost {
 	return c
 }
 
-// runBuild executes one detached build and classifies how it ended.
+// runBuild executes one detached build and hands how it ended to
+// finishBuild.
 func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFunc) {
 	s.met.misses.Add(1)
 
@@ -530,7 +530,7 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 	select {
 	case s.buildSem <- struct{}{}:
 	case <-ctx.Done():
-		s.finishBuild(key, e, BuildCancelled, artifact{}, ctx.Err(), 0)
+		s.finishBuild(key, e, false, artifact{}, ctx.Err(), 0)
 		return
 	}
 	e.trace.markRunning()
@@ -543,7 +543,7 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 	}
 	defer cancelRun()
 	start := time.Now()
-	state := BuildDone
+	panicked := false
 	val, err := func() (val artifact, err error) {
 		// On the old request-goroutine builds, net/http's per-connection
 		// recover contained a panicking build to one failed request; a
@@ -553,7 +553,7 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 		// injected panic exercises exactly this containment.
 		defer func() {
 			if r := recover(); r != nil {
-				state = BuildPanicked
+				panicked = true
 				val, err = artifact{}, fmt.Errorf("serve: build %v panicked: %v", key, r)
 			}
 		}()
@@ -569,63 +569,54 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 		if err != nil {
 			return artifact{}, err
 		}
-		return build(runCtx, g, e.trace)
+		return build(runCtx, s, key, g, e.trace)
 	}()
 	elapsed := time.Since(start)
 	s.met.builds.Inc()
 	s.met.buildNs.Add(elapsed.Nanoseconds())
 	s.met.buildLatency.With(key.Kind).Observe(elapsed.Seconds())
 	<-s.buildSem
-	switch {
-	case err == nil || state == BuildPanicked:
-	case errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil:
+	if err != nil && !panicked && errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
 		// The server-side build deadline fired — distinguishable from a
 		// waiter cancellation because the outer (waiter-driven) context is
-		// still live. Normalize the error so waiters see DeadlineExceeded
-		// (mapped to 504) however the engines dressed the cancellation up.
-		state = BuildTimedOut
+		// still live. Normalize the error so classify reads DeadlineExceeded
+		// (504, a failure) however the engines dressed the cancellation up.
 		err = fmt.Errorf("serve: build %v exceeded build timeout %s: %w",
 			key, s.cfg.BuildTimeout, context.DeadlineExceeded)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		state = BuildCancelled
-	default:
-		state = BuildFailed
 	}
-	s.finishBuild(key, e, state, val, err, elapsed)
+	s.finishBuild(key, e, panicked, val, err, elapsed)
 }
 
-// finishBuild settles a build that ended in state: the trace, the slow
-// lane and the breaker first, then the outcome is published to the cache.
-func (s *Server) finishBuild(key Key, e *entry, state string, val artifact, err error, elapsed time.Duration) {
+// finishBuild settles a build that ended with err (by a contained panic,
+// if panicked): the trace, the slow lane and the breaker first — what the
+// ending means is classify's row for err — then the outcome is published
+// to the cache.
+func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err error, elapsed time.Duration) {
 	// Stamp the terminal trace state before publishing, so a waiter that
 	// wakes on ready and immediately scrapes /builds sees the final state.
-	errMsg := ""
-	if err != nil {
-		errMsg = err.Error()
+	c := classify(err)
+	if panicked {
+		c.state = BuildPanicked
 	}
-	e.trace.finish(state, errMsg)
+	e.trace.finish(c.state, err)
+	switch c.state {
+	case BuildCancelled:
+		s.met.cancelled.Add(1)
+	case BuildTimedOut:
+		s.met.timedOut.Inc()
+	}
 
 	// Repay the slow lane (every admitted build reaches here exactly once)
-	// and feed the breaker: a good build closes the key's breaker; a
-	// cancellation says nothing about its health, and neither does a
-	// deterministic client-side rejection (a 4xx from the build, which no
-	// retry can turn into a success — tripping on it would only turn an
-	// honest 400 into a 503 that invites retries); every other terminal
-	// state counts toward tripping it.
+	// and feed the breaker: a good build closes the key's breaker, a
+	// neutral ending only releases a pending probe, a failure counts
+	// toward tripping it.
 	s.slowPending.Add(-1)
-	var he *httpError
-	switch {
-	case state == BuildDone:
+	switch c.verdict {
+	case success:
 		s.breaker.success(key)
-	case state == BuildCancelled:
-		s.met.cancelled.Add(1)
+	case neutral:
 		s.breaker.cancelled(key)
-	case state == BuildFailed && errors.As(err, &he) && he.status < http.StatusInternalServerError:
-		s.breaker.cancelled(key)
-	default:
-		if state == BuildTimedOut {
-			s.met.timedOut.Inc()
-		}
+	case failure:
 		if s.breaker.failure(key, time.Now()) {
 			s.met.breakerTrips.Inc()
 		}
@@ -649,52 +640,76 @@ func (s *Server) finishBuild(key Key, e *entry, state string, val artifact, err 
 // starting builds nobody will wait out.
 func (s *Server) Shutdown(ctx context.Context) error { return s.cache.shutdown(ctx) }
 
-// artifactKey mints the cache key of a tau-parameterised artifact family.
-// Non-positive tau falls back to Config.DefaultTau, then to the family's
-// paper default for the graph's size, and the algorithm name is
-// canonicalized. Every such family (oracle, diameter, mr-diameter) keys on
-// the resolved values, so a parameter-less request and an explicit request
-// for the defaults share one cache slot, /stats reports the parameters the
-// build actually used, and a persisted snapshot Meta round-trips to the key
-// parameter-less requests hit after a warm restart.
-func (s *Server) artifactKey(kind, name string, tau int, seed uint64, algorithm string, paperDefault func(n int) int) (Key, error) {
-	g, err := s.Graph(name)
-	if err != nil {
-		return Key{}, err
-	}
-	algorithm, err = parseAlgorithm(algorithm)
-	if err != nil {
-		return Key{}, err
-	}
-	if tau <= 0 {
-		tau = s.cfg.DefaultTau
-	}
-	if tau <= 0 {
-		tau = paperDefault(g.NumNodes())
-	}
-	return Key{Graph: name, Kind: kind, Tau: tau, Seed: seed, Algorithm: algorithm}, nil
+// artifactKinds is what distinguishes the artifact families: the paper's
+// default τ for a graph of n nodes, and the builder.
+var artifactKinds = map[string]struct {
+	paperTau func(n int) int
+	build    buildFunc
+}{
+	"oracle":     {core.DefaultOracleTau, buildOracle},
+	"diameter":   {core.DefaultDiameterTau, buildDiameter},
+	"mrdiameter": {core.DefaultOracleTau, buildMRDiameter},
+	"kcenter":    {nil, buildKCenter}, // keyed on k, which is never defaulted
 }
 
-func (s *Server) oracleKey(name string, tau int, seed uint64, algorithm string) (Key, error) {
-	return s.artifactKey("oracle", name, tau, seed, algorithm, core.DefaultOracleTau)
+// key mints the cache key of kind for p on the resolved graph g.
+// Non-positive tau falls back to Config.DefaultTau, then to the family's
+// paper default for the graph's size. Every family keys on the resolved
+// values, so a parameter-less request and an explicit request for the
+// defaults share one cache slot, /stats reports the parameters the build
+// actually used, and a persisted snapshot Meta round-trips to the key
+// parameter-less requests hit after a warm restart.
+func (s *Server) key(kind string, g *graph.Graph, p buildParams) Key {
+	if p.tau <= 0 {
+		p.tau = s.cfg.DefaultTau
+	}
+	if p.tau <= 0 {
+		p.tau = artifactKinds[kind].paperTau(g.NumNodes())
+	}
+	return Key{Graph: p.graph, Kind: kind, Tau: p.tau, Seed: p.seed, Algorithm: p.algo}
+}
+
+// resolve maps a graph name and build parameters to kind's cache key, for
+// every caller that has not resolved the graph itself: the direct API,
+// whose algorithm name is validated here, and the handlers of the cold
+// endpoints (the oracle pipeline needs the graph for its range check and
+// mints its key from the parsed parameters, queryPairs).
+func (s *Server) resolve(kind string, p buildParams) (Key, error) {
+	var err error
+	if p.algo, err = parseAlgorithm(p.algo); err != nil {
+		return Key{}, err
+	}
+	g, err := s.Graph(p.graph)
+	if err != nil {
+		return Key{}, err
+	}
+	return s.key(kind, g, p), nil
+}
+
+// artifact returns kind's artifact for p, building and caching it on first
+// use. rq is nil for the direct API.
+func (s *Server) artifact(ctx context.Context, rq *request, kind string, p buildParams) (artifact, error) {
+	key, err := s.resolve(kind, p)
+	if err != nil {
+		return artifact{}, err
+	}
+	return s.get(ctx, rq, key, artifactKinds[kind].build)
 }
 
 // Oracle returns the distance oracle for the key's graph and build
 // parameters, building and caching it on first use. tau <= 0 selects
 // Config.DefaultTau, then the paper default.
 func (s *Server) Oracle(ctx context.Context, name string, tau int, seed uint64, algorithm string) (*core.Oracle, error) {
-	key, err := s.oracleKey(name, tau, seed, algorithm)
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
-		o, err := core.BuildOracle(bctx, g, key.Tau, key.Algorithm == "cluster2", s.buildOptions(tr, seed))
-		if err != nil {
-			return artifact{}, err
-		}
-		return oracleArtifact(o), nil
-	})
+	a, err := s.artifact(ctx, nil, "oracle", buildParams{name, tau, seed, algorithm})
 	return a.oracle, err
+}
+
+func buildOracle(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *buildTrace) (artifact, error) {
+	o, err := core.BuildOracle(ctx, g, key.Tau, key.Algorithm == "cluster2", s.buildOptions(tr, key.Seed))
+	if err != nil {
+		return artifact{}, err
+	}
+	return oracleArtifact(o), nil
 }
 
 // oracleArtifact wraps an oracle — built here or loaded from a snapshot —
@@ -711,41 +726,37 @@ func oracleArtifact(o *core.Oracle) artifact {
 // resolved (Config.DefaultTau, then core.DefaultDiameterTau) before the
 // key is minted, exactly like the oracle path.
 func (s *Server) Diameter(ctx context.Context, name string, tau int, seed uint64, algorithm string) (*core.DiameterResult, error) {
-	key, err := s.artifactKey("diameter", name, tau, seed, algorithm, core.DefaultDiameterTau)
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
-		res, err := core.ApproxDiameter(bctx, g, core.DiameterOptions{
-			Options:     s.buildOptions(tr, seed),
-			Tau:         key.Tau,
-			UseCluster2: key.Algorithm == "cluster2",
-		})
-		if err != nil {
-			return artifact{}, err
-		}
-		return artifact{diameter: res, stats: res.Clustering.Stats}, nil
-	})
+	a, err := s.artifact(ctx, nil, "diameter", buildParams{name, tau, seed, algorithm})
 	return a.diameter, err
+}
+
+func buildDiameter(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *buildTrace) (artifact, error) {
+	res, err := core.ApproxDiameter(ctx, g, core.DiameterOptions{
+		Options:     s.buildOptions(tr, key.Seed),
+		Tau:         key.Tau,
+		UseCluster2: key.Algorithm == "cluster2",
+	})
+	if err != nil {
+		return artifact{}, err
+	}
+	return artifact{diameter: res, stats: res.Clustering.Stats}, nil
 }
 
 // KCenter returns the cached k-center solution for the key's graph.
 func (s *Server) KCenter(ctx context.Context, name string, k int, seed uint64) (*core.KCenterResult, error) {
-	if _, err := s.Graph(name); err != nil {
-		return nil, err
-	}
 	if k < 1 {
 		return nil, errors.New("serve: k must be >= 1")
 	}
-	key := Key{Graph: name, Kind: "kcenter", Tau: k, Seed: seed, Algorithm: "cluster"}
-	a, err := s.get(ctx, key, func(bctx context.Context, g *graph.Graph, tr *buildTrace) (artifact, error) {
-		res, err := core.KCenter(bctx, g, k, s.buildOptions(tr, seed))
-		if err != nil {
-			return artifact{}, err
-		}
-		return artifact{kcenter: res, stats: res.Clustering.Stats}, nil
-	})
+	a, err := s.artifact(ctx, nil, "kcenter", buildParams{name, k, seed, "cluster"})
 	return a.kcenter, err
+}
+
+func buildKCenter(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *buildTrace) (artifact, error) {
+	res, err := core.KCenter(ctx, g, key.Tau, s.buildOptions(tr, key.Seed))
+	if err != nil {
+		return artifact{}, err
+	}
+	return artifact{kcenter: res, stats: res.Clustering.Stats}, nil
 }
 
 // CachedOracleArtifact assembles the persistable artifact for the resolved
@@ -753,7 +764,7 @@ func (s *Server) KCenter(ctx context.Context, name string, k int, seed uint64) (
 // false otherwise. The daemon's shutdown path uses it to persist a lazily
 // built oracle without triggering a build while draining.
 func (s *Server) CachedOracleArtifact(name string, tau int, seed uint64, algorithm string) (art *snapshot.Artifact, ok bool, err error) {
-	key, err := s.oracleKey(name, tau, seed, algorithm)
+	key, err := s.resolve("oracle", buildParams{name, tau, seed, algorithm})
 	if err != nil {
 		return nil, false, err
 	}
@@ -785,15 +796,15 @@ func oracleSnapshot(key Key, o *core.Oracle) *snapshot.Artifact {
 // write its snapshot after the first build; Meta carries the resolved key
 // so InstallSnapshot re-seeds exactly the slot future requests look up.
 func (s *Server) SnapshotArtifact(ctx context.Context, name string, tau int, seed uint64, algorithm string) (*snapshot.Artifact, error) {
-	key, err := s.oracleKey(name, tau, seed, algorithm)
+	key, err := s.resolve("oracle", buildParams{name, tau, seed, algorithm})
 	if err != nil {
 		return nil, err
 	}
-	o, err := s.Oracle(ctx, name, key.Tau, seed, key.Algorithm)
+	a, err := s.get(ctx, nil, key, buildOracle)
 	if err != nil {
 		return nil, err
 	}
-	return oracleSnapshot(key, o), nil
+	return oracleSnapshot(key, a.oracle), nil
 }
 
 // buildOptions assembles the core.Options for the build traced by tr: the

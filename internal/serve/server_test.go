@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -636,19 +638,64 @@ func TestMRDiameterQuotientCap(t *testing.T) {
 	}
 }
 
-// A build that fails with a deterministic client-side rejection (4xx) says
+// A build that fails with a deterministic client-side rejection says
 // nothing about the key's health: repeating the request must keep
 // answering the honest 400, never trip the breaker into a 503 +
-// Retry-After that invites retries which cannot succeed.
+// Retry-After that invites retries which cannot succeed. The first row is
+// serve's own 4xx; the other two are core.ErrInfeasible, which used to
+// read 500, 500, 500, 503, 503 with one trip.
 func TestClientErrorBuildDoesNotTripBreaker(t *testing.T) {
-	s, ts := newTestServer(t, "mesh", graph.Mesh(40, 40))
-	for i := 1; i <= 5; i++ {
-		if code := getStatus(t, ts.URL+"/mr-diameter?graph=mesh&tau=1600&seed=1"); code != http.StatusBadRequest {
-			t.Fatalf("request %d: status %d want 400", i, code)
+	for _, tc := range []struct {
+		name, url string
+		g         *graph.Graph
+	}{
+		{"mr quotient cap", "/mr-diameter?graph=g&tau=1600&seed=1", graph.Mesh(40, 40)},
+		{"k below components", "/kcenter?graph=g&k=1", disconnectedGraph()},
+		{"oracle cluster cap", "/distance?graph=g&u=0&v=1&tau=100000", graph.Mesh(120, 120)},
+	} {
+		s, ts := newTestServer(t, "g", tc.g)
+		for i := 1; i <= 5; i++ {
+			if code := getStatus(t, ts.URL+tc.url); code != http.StatusBadRequest {
+				t.Fatalf("%s: request %d: status %d want 400", tc.name, i, code)
+			}
+		}
+		if st := s.Stats(); st.BreakerOpenKeys != 0 || st.BreakerTrips != 0 {
+			t.Fatalf("%s: client errors tripped the breaker: open_keys=%d trips=%d", tc.name, st.BreakerOpenKeys, st.BreakerTrips)
 		}
 	}
-	if st := s.Stats(); st.BreakerOpenKeys != 0 || st.BreakerTrips != 0 {
-		t.Fatalf("client errors tripped the breaker: open_keys=%d trips=%d", st.BreakerOpenKeys, st.BreakerTrips)
+}
+
+// TestClassify drives every error class through the one error table and
+// asserts, in one place, what each means to the client (status,
+// Retry-After) and to the key's breaker and trace if a build ends with it.
+func TestClassify(t *testing.T) {
+	key := Key{Graph: "g", Kind: "oracle", Tau: 1, Seed: 1, Algorithm: "cluster"}
+	for _, tc := range []struct {
+		name       string
+		err        error
+		status     int
+		retryAfter bool
+		verdict    verdict
+		state      string
+	}{
+		{"success", nil, 200, false, success, BuildDone},
+		{"bad request", badRequest("bad tau"), 400, false, neutral, BuildFailed},
+		{"wrapped 4xx", &wrapErr{&httpError{http.StatusRequestEntityTooLarge, "big"}}, 413, false, neutral, BuildFailed},
+		{"infeasible", fmt.Errorf("%w: k=1", core.ErrInfeasible), 400, false, neutral, BuildFailed},
+		{"unknown graph", fmt.Errorf("%w %q", ErrUnknownGraph, "nope"), 404, false, neutral, BuildFailed},
+		{"build timeout", fmt.Errorf("build: %w", context.DeadlineExceeded), 504, false, failure, BuildTimedOut},
+		{"cancelled", fmt.Errorf("bsp: %w", context.Canceled), 503, false, neutral, BuildCancelled},
+		{"shed", &ShedError{Lane: laneSlow, RetryAfter: 3 * time.Second}, 503, true, neutral, BuildFailed},
+		{"breaker open", &wrapErr{&BreakerOpenError{Key: key, State: breakerOpen, RetryAfter: time.Second}}, 503, true, neutral, BuildFailed},
+		{"cache full", fmt.Errorf("%w: cannot install", ErrCacheFull), 503, false, neutral, BuildFailed},
+		{"shutting down", ErrShuttingDown, 503, false, neutral, BuildFailed},
+		{"panic or engine failure", errors.New("serve: build panicked"), 500, false, failure, BuildFailed},
+	} {
+		c := classify(tc.err)
+		if c.status != tc.status || (c.retryAfter > 0) != tc.retryAfter || c.verdict != tc.verdict || c.state != tc.state {
+			t.Errorf("%s: classify = %+v, want status %d, Retry-After %v, verdict %d, state %q",
+				tc.name, c, tc.status, tc.retryAfter, tc.verdict, tc.state)
+		}
 	}
 }
 

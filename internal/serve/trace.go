@@ -82,11 +82,13 @@ func (t *buildTrace) markRunning() {
 	t.mu.Unlock()
 }
 
-// finish stamps the terminal state. errMsg is empty for BuildDone.
-func (t *buildTrace) finish(state, errMsg string) {
+// finish stamps the terminal state; err is nil for BuildDone.
+func (t *buildTrace) finish(state string, err error) {
 	t.mu.Lock()
 	t.state = state
-	t.errMsg = errMsg
+	if err != nil {
+		t.errMsg = err.Error()
+	}
 	t.finishedAt = time.Now()
 	t.mu.Unlock()
 }

@@ -32,7 +32,7 @@ func TestBuildTraceLifecycle(t *testing.T) {
 
 	started := make(chan struct{})
 	unblock := make(chan struct{})
-	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+	build := func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-unblock
 		return fakeArtifact(42), nil
@@ -40,7 +40,7 @@ func TestBuildTraceLifecycle(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.get(context.Background(), key, build)
+		_, err := s.get(context.Background(), nil, key, build)
 		first <- err
 	}()
 	<-started
@@ -67,7 +67,7 @@ func TestBuildTraceLifecycle(t *testing.T) {
 	// A second waiter joins the same key: high-water rises to 2.
 	second := make(chan error, 1)
 	go func() {
-		_, err := s.get(context.Background(), key, build)
+		_, err := s.get(context.Background(), nil, key, build)
 		second <- err
 	}()
 	waitUntil(t, "waiter high-water of 2", func() bool {
@@ -117,7 +117,7 @@ func TestBuildTraceCancelled(t *testing.T) {
 	key := Key{Graph: "g", Kind: "oracle", Tau: 1, Seed: 9, Algorithm: "cluster"}
 
 	started := make(chan struct{})
-	build := func(bctx context.Context, _ *graph.Graph, _ *buildTrace) (artifact, error) {
+	build := func(bctx context.Context, _ *Server, _ Key, _ *graph.Graph, _ *buildTrace) (artifact, error) {
 		close(started)
 		<-bctx.Done()
 		return artifact{}, bctx.Err()
@@ -126,7 +126,7 @@ func TestBuildTraceCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := s.get(ctx, key, build)
+		_, err := s.get(ctx, nil, key, build)
 		waiter <- err
 	}()
 	<-started
@@ -224,7 +224,7 @@ func TestBuildTraceRecentRingBounded(t *testing.T) {
 	s := newBuildServer(t, Config{Workers: 2}, "g")
 	for i := 0; i < recentBuilds+8; i++ {
 		key := Key{Graph: "g", Kind: "oracle", Tau: 1, Seed: uint64(i), Algorithm: "cluster"}
-		if _, err := s.get(context.Background(), key, func(context.Context, *graph.Graph, *buildTrace) (artifact, error) {
+		if _, err := s.get(context.Background(), nil, key, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
 			return fakeArtifact(int32(i)), nil
 		}); err != nil {
 			t.Fatal(err)
