@@ -1,7 +1,7 @@
 // Command reprod is the long-running query daemon: it loads a graph (from
 // an edge list, a generator spec, or a binary snapshot), builds the
 // paper's distance oracle once, and serves distance / cluster-of /
-// diameter / mr-diameter / k-center queries over HTTP/JSON until stopped.
+// diameter / k-center queries over HTTP/JSON until stopped.
 //
 // Cold start, building the oracle and persisting it for next time:
 //
@@ -19,7 +19,6 @@
 //
 //	curl 'localhost:8080/distance?graph=road&u=17&v=90210'
 //	curl 'localhost:8080/diameter?graph=road'
-//	curl 'localhost:8080/mr-diameter?graph=road'
 //	curl 'localhost:8080/kcenter?graph=road&k=32'
 //	curl 'localhost:8080/stats'
 //	curl 'localhost:8080/metrics'   # Prometheus text exposition

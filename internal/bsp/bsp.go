@@ -73,7 +73,7 @@ func (s *Stats) Add(other Stats) {
 	}
 }
 
-// RoundStat records one superstep for detailed traces.
+// RoundStat records one superstep; Engine.Step and GatherStep return it.
 type RoundStat struct {
 	Frontier int       // frontier size entering the round
 	Claimed  int       // nodes claimed during the round

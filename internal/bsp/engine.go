@@ -56,7 +56,8 @@ func (d Direction) String() string {
 //
 // The round runs bottom-up iff the pull estimate is cheaper. Because every
 // input is independent of the goroutine schedule, the direction sequence —
-// and therefore RoundLog — is identical across worker counts.
+// and with it every RoundStat a traversal returns or observes — is
+// identical across worker counts.
 
 // seqThreshold is the range length (nodes) below which For, ParallelFor and
 // with them the bottom-up steps run inline on the calling goroutine;
@@ -147,7 +148,6 @@ type Engine struct {
 	unvisNodes   int64        // nu: number of unvisited nodes
 
 	stats Stats
-	log   []RoundStat
 
 	// obs, when non-nil, receives a Stats delta after every executed
 	// superstep (SetObserver); nil costs one branch per round.
@@ -218,12 +218,12 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 func (e *Engine) SetObserver(fn Observer) { e.obs = fn }
 
 // observe emits one round's delta to the observer, if any.
-func (e *Engine) observe(rs RoundStat, dir Direction) {
+func (e *Engine) observe(rs RoundStat) {
 	if e.obs == nil {
 		return
 	}
 	d := Stats{Rounds: 1, Messages: rs.Arcs, MaxFrontier: rs.Frontier}
-	if dir == DirPull {
+	if rs.Dir == DirPull {
 		d.PullRounds = 1
 	}
 	e.obs(d)
@@ -245,10 +245,6 @@ func (e *Engine) Err() error {
 // aggregate cost here.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// RoundLog returns one RoundStat per executed superstep, recording which
-// direction each ran.
-func (e *Engine) RoundLog() []RoundStat { return e.log }
-
 // FrontierLen returns the size of the current frontier.
 func (e *Engine) FrontierLen() int { return len(e.frontier) }
 
@@ -268,13 +264,9 @@ func (e *Engine) VisitedCount() int { return e.visited.Count() }
 //lint:allow plainatomic single writer per word outside push rounds (see comment)
 func (e *Engine) setParent(v, p NodeID) { e.parent[v] = p }
 
-// Reset clears the visited set, frontier, and round log for a fresh
-// traversal over the same topology, keeping the pool and the accumulated
-// Stats. (The log must not outlive the traversal: multi-search users like
-// iFUB run up to Θ(n) BFS on one engine, and an ever-growing trace would
-// retain O(total rounds) memory nothing reads.)
+// Reset clears the visited set and frontier for a fresh traversal over the
+// same topology, keeping the pool and the accumulated Stats.
 func (e *Engine) Reset() {
-	e.log = e.log[:0]
 	for v := NodeID(0); int(v) < e.n; v++ {
 		e.setParent(v, parentFree)
 	}
@@ -411,8 +403,7 @@ func (e *Engine) Step(spec StepSpec) RoundStat {
 		e.stats.PullRounds++
 	}
 	rs := RoundStat{Frontier: nf, Claimed: len(next), Arcs: arcs, Dir: dir}
-	e.log = append(e.log, rs)
-	e.observe(rs, dir)
+	e.observe(rs)
 	return rs
 }
 
@@ -648,8 +639,7 @@ func (e *Engine) GatherStep(gather func(worker int, v NodeID) bool) RoundStat {
 		e.stats.PullRounds++
 	}
 	rs := RoundStat{Frontier: nf, Claimed: len(next), Arcs: arcs, Dir: dir}
-	e.log = append(e.log, rs)
-	e.observe(rs, dir)
+	e.observe(rs)
 	return rs
 }
 

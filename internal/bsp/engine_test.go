@@ -63,19 +63,22 @@ func TestHybridScansAtLeastTwiceFewerArcs(t *testing.T) {
 
 func TestHybridDirectionScheduleIsWorkerIndependent(t *testing.T) {
 	// The per-round direction decision depends only on frontier sizes and
-	// degree sums, which are schedule-independent; the round log must be
-	// identical whatever the worker count.
+	// degree sums, which are schedule-independent; the observer's per-round
+	// deltas (direction, arcs, frontier) must be identical whatever the
+	// worker count.
 	g := lowDiameterGraph()
-	roundLog := func(workers int) []bsp.RoundStat {
+	deltas := func(workers int) []bsp.Stats {
 		e := bsp.NewEngine(g, workers)
 		defer e.Close()
+		var log []bsp.Stats
+		e.SetObserver(func(d bsp.Stats) { log = append(log, d) })
 		e.BFS(0, make([]int32, g.NumNodes()))
-		return slices.Clone(e.RoundLog())
+		return log
 	}
-	ref := roundLog(1)
+	ref := deltas(1)
 	for _, workers := range []int{2, 5} {
-		if log := roundLog(workers); !slices.Equal(log, ref) {
-			t.Fatalf("workers=%d: round log %+v, at one worker %+v", workers, log, ref)
+		if got := deltas(workers); !slices.Equal(got, ref) {
+			t.Fatalf("workers=%d: per-round deltas %+v, at one worker %+v", workers, got, ref)
 		}
 	}
 }
@@ -110,14 +113,17 @@ func TestPushRoundSplitsHubFrontierByArcs(t *testing.T) {
 			parents[h] = h
 			e.Seed(h)
 		}
-		var fronts [][]graph.NodeID
+		var (
+			fronts [][]graph.NodeID
+			log    []bsp.RoundStat
+		)
 		for e.FrontierLen() > 0 {
-			e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) { parents[v] = parent }})
+			log = append(log, e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) { parents[v] = parent }}))
 			front := slices.Clone(e.Frontier())
 			slices.Sort(front)
 			fronts = append(fronts, front)
 		}
-		return fronts, parents, slices.Clone(e.RoundLog())
+		return fronts, parents, log
 	}
 
 	// The hubs' round: 40,000 arcs, so a claim is one hub, and the claims
@@ -178,44 +184,35 @@ func TestPushRoundSplitsHubFrontierByArcs(t *testing.T) {
 		t.Fatal("parents differ between workers=4 and workers=1")
 	}
 	if !slices.Equal(gotLog, wantLog) {
-		t.Fatalf("round log at workers=4 %+v, at workers=1 %+v", gotLog, wantLog)
+		t.Fatalf("round stats at workers=4 %+v, at workers=1 %+v", gotLog, wantLog)
 	}
 	if len(want) != 4 || len(want[0]) != hubs*leaves || len(want[1]) != 1 || len(want[2]) != 1 || len(want[3]) != 0 {
 		t.Fatalf("fixture: %d rounds, want 4 claiming %d, 1, 1, 0", len(want), hubs*leaves)
 	}
 }
 
+// The observer is the engine's round log: every superstep reaches it as one
+// round, the bottom-up ones flagged, and the flags add up to the Stats.
 func TestRoundLogRecordsDirections(t *testing.T) {
 	g := lowDiameterGraph()
 	e := bsp.NewEngine(g, 4)
 	defer e.Close()
+	rounds, pulls := 0, 0
+	e.SetObserver(func(d bsp.Stats) {
+		rounds += d.Rounds
+		pulls += d.PullRounds
+		if d.Rounds != 1 || d.PullRounds > 1 {
+			t.Fatalf("observer delta is not one round: %+v", d)
+		}
+	})
 	e.BFS(0, make([]int32, g.NumNodes()))
 	stats := e.Stats()
 	if stats.PullRounds == 0 || stats.PullRounds == stats.Rounds {
 		t.Fatalf("hybrid on G(n,p) should mix directions: %d pull of %d rounds",
 			stats.PullRounds, stats.Rounds)
 	}
-	log := e.RoundLog()
-	if len(log) != stats.Rounds {
-		t.Fatalf("round log has %d entries for %d rounds", len(log), stats.Rounds)
-	}
-	pulls := 0
-	for _, rs := range log {
-		switch rs.Dir {
-		case bsp.DirPull:
-			pulls++
-		case bsp.DirPush:
-		default:
-			t.Fatalf("round has unset direction: %+v", rs)
-		}
-	}
-	if pulls != stats.PullRounds {
-		t.Fatalf("log records %d pull rounds, stats %d", pulls, stats.PullRounds)
-	}
-	// Reset must drop the trace along with the traversal state.
-	e.Reset()
-	if len(e.RoundLog()) != 0 {
-		t.Fatal("Reset must clear the round log")
+	if rounds != stats.Rounds || pulls != stats.PullRounds {
+		t.Fatalf("observer saw %d rounds, %d pull; stats %d, %d", rounds, pulls, stats.Rounds, stats.PullRounds)
 	}
 }
 

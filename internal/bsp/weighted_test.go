@@ -113,7 +113,9 @@ func TestDeltaSSSPStatsDeterministic(t *testing.T) {
 // TestWeightedEngineGrowVoronoi: a fully drained multi-source growth is the
 // weighted Voronoi partition of its sources — every node ends with its true
 // shortest distance to the nearest source, ties broken to the smaller
-// owner id — regardless of delta or worker count.
+// owner id — regardless of delta or worker count. The bucket width is pure
+// scheduling: from the automatic choice (0) through unit buckets to one
+// bucket holding everything (2⁴⁰), only the cost counters move.
 func TestWeightedEngineGrowVoronoi(t *testing.T) {
 	wg := randomWeightedGraph(t, graph.Mesh(15, 15), 19, 9)
 	n := wg.NumNodes()
@@ -122,7 +124,7 @@ func TestWeightedEngineGrowVoronoi(t *testing.T) {
 	for i, s := range sources {
 		refDist[i] = wg.Dijkstra(s)
 	}
-	for _, delta := range []int64{0, 1, 5} {
+	for _, delta := range []int64{0, 1, 2, 5, 16, 1 << 40} {
 		for _, workers := range []int{1, 4} {
 			e := bsp.NewWeightedEngine(wg, workers, delta)
 			e.GrowInit()
@@ -152,6 +154,9 @@ func TestWeightedEngineGrowVoronoi(t *testing.T) {
 					t.Fatalf("delta=%d workers=%d node %d: got (%d,%d) want (%d,%d)",
 						delta, workers, u, dist[u], owner[u], bestD, bestO)
 				}
+			}
+			if st := e.Stats(); st.Relaxations == 0 || st.Buckets == 0 {
+				t.Fatalf("delta=%d workers=%d: missing weighted cost counters %+v", delta, workers, st)
 			}
 			e.Close()
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bsp"
 	"repro/internal/graph"
 	"repro/internal/quotient"
-	"repro/internal/spanner"
 )
 
 // DiameterOptions configures the decomposition-based diameter estimator of
@@ -28,21 +27,6 @@ type DiameterOptions struct {
 	// The default false uses plain CLUSTER, the simplification the paper's
 	// own experiments adopt (Section 6.2).
 	UseCluster2 bool
-
-	// ExactBudget caps the number of BFS/Dijkstra searches used to compute
-	// the quotient graph diameters exactly (0 = unlimited). If the budget
-	// is exhausted, the reported quotient diameters are lower bounds and
-	// DiameterResult.Exact is false.
-	ExactBudget int
-
-	// SparsifyThreshold, when positive, triggers the Theorem 4
-	// sparsification: if the weighted quotient graph has more edges than
-	// this (i.e. exceeds the reducers' local memory in the MR reading), it
-	// is replaced by a Baswana–Sen 3-spanner before its diameter is
-	// computed. The spanner only lengthens quotient distances (it is a
-	// subgraph), so the reported upper bound remains certified; it loosens
-	// by at most the constant stretch factor.
-	SparsifyThreshold int
 }
 
 // DiameterResult carries the diameter estimate and everything the paper's
@@ -64,16 +48,11 @@ type DiameterResult struct {
 	// UpperLoose is ∆′ = 2·RMax·(∆C + 1) + ∆C, the upper bound of
 	// Corollary 1 (unweighted variant).
 	UpperLoose int64
-	// Upper is ∆″ = 2·RMax + ∆′C ≤ ∆′, the tighter weighted-variant upper
-	// bound that the paper's experiments report as the estimate ∆′.
+	// Upper is ∆″ = 2·RMax + ∆′C, the tighter weighted-variant upper bound
+	// that the paper's experiments report as the estimate ∆′. It never
+	// exceeds UpperLoose: a quotient arc weighs at most 2·RMax + 1, so
+	// ∆′C ≤ (2·RMax + 1)·∆C.
 	Upper int64
-	// Exact reports whether the quotient diameters were certified exact
-	// (see DiameterOptions.ExactBudget).
-	Exact bool
-	// Sparsified reports whether the weighted quotient was replaced by a
-	// Baswana–Sen spanner before the upper bound was computed
-	// (DiameterOptions.SparsifyThreshold).
-	Sparsified bool
 	// Stats aggregates the BSP cost of the clustering phase.
 	Stats bsp.Stats
 	// Elapsed is the wall-clock time of the whole estimation.
@@ -110,7 +89,7 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := diameterFromClustering(ctx, cl, opt)
+	res, err := diameterFromClustering(ctx, cl, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -121,45 +100,28 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*
 // DiameterFromClustering derives the diameter bounds from an existing
 // decomposition (the clustering phase dominates the cost; this entry point
 // lets experiments reuse one clustering for several analyses).
-func DiameterFromClustering(cl *Clustering, exactBudget int) (*DiameterResult, error) {
+func DiameterFromClustering(cl *Clustering) (*DiameterResult, error) {
 	//lint:allow background public non-cancellable wrapper over diameterFromClustering
-	return diameterFromClustering(context.Background(), cl, DiameterOptions{ExactBudget: exactBudget})
+	return diameterFromClustering(context.Background(), cl, 0)
 }
 
-// diameterFromClustering reads ExactBudget, SparsifyThreshold, Seed and
-// Workers (the quotient contraction's) from opt; Tau and UseCluster2 chose
-// cl and are not consulted.
-func diameterFromClustering(ctx context.Context, cl *Clustering, opt DiameterOptions) (*DiameterResult, error) {
-	q, wq, err := quotient.Contract(cl.G, cl.Owner, cl.Dist, cl.NumClusters(), opt.Workers)
+// diameterFromClustering contracts cl with the given parallelism and runs
+// exact iFUB on both quotients.
+func diameterFromClustering(ctx context.Context, cl *Clustering, workers int) (*DiameterResult, error) {
+	q, wq, err := quotient.Contract(cl.G, cl.Owner, cl.Dist, cl.NumClusters(), workers)
 	if err != nil {
 		return nil, err
 	}
-	sparsified := false
-	if opt.SparsifyThreshold > 0 && wq.NumEdges() > opt.SparsifyThreshold {
-		// Only the upper-bound path may use the spanner: spanner distances
-		// dominate the original quotient distances, so 2R + ∆'C(spanner)
-		// is still a certified upper bound (at most a constant looser).
-		// The lower bound ∆C needs the full quotient topology — a spanner
-		// hop count can exceed the corresponding G-distance.
-		sp, err := spanner.BaswanaSen(wq, 2, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		wq = sp
-		sparsified = true
+	deltaC, _, err := q.ExactDiameterContext(ctx, 0)
+	if err != nil {
+		return nil, err
+	}
+	deltaCW, _, err := wq.ExactDiameterWeightedContext(ctx, 0)
+	if err != nil {
+		return nil, err
 	}
 	rMax := cl.MaxRadius()
-
-	deltaC, exact1, err := q.ExactDiameterContext(ctx, opt.ExactBudget)
-	if err != nil {
-		return nil, err
-	}
-	deltaCW, exact2, err := wq.ExactDiameterWeightedContext(ctx, opt.ExactBudget)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &DiameterResult{
+	return &DiameterResult{
 		Clustering:       cl,
 		Quotient:         q,
 		WeightedQuotient: wq,
@@ -168,17 +130,8 @@ func diameterFromClustering(ctx context.Context, cl *Clustering, opt DiameterOpt
 		DeltaCWeighted:   deltaCW,
 		UpperLoose:       2*int64(rMax)*(int64(deltaC)+1) + int64(deltaC),
 		Upper:            2*int64(rMax) + deltaCW,
-		Exact:            exact1 && exact2,
-		Sparsified:       sparsified,
 		Stats:            cl.Stats,
-	}
-	if res.Upper > res.UpperLoose {
-		// ∆″ ≤ ∆′ holds when the quotient diameters are exact; under a
-		// truncated search both are still valid upper bounds, keep the
-		// smaller.
-		res.Upper = res.UpperLoose
-	}
-	return res, nil
+	}, nil
 }
 
 // DefaultDiameterTau returns the paper default granularity for diameter

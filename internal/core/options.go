@@ -27,13 +27,6 @@ type Options struct {
 	// benchmarks), DirPull forces bottom-up.
 	Direction bsp.Direction
 
-	// Delta overrides the delta-stepping bucket width of weighted cluster
-	// growth (WeightedCluster). Non-positive selects the engine's
-	// automatic choice, the mean edge weight. The final distances are
-	// identical for every delta; only the bucket/phase schedule — and with
-	// it the wall-clock — changes.
-	Delta int64
-
 	// Observer, when non-nil, is installed on every engine the build
 	// creates and receives live progress deltas at superstep/bucket
 	// barriers (see bsp.Observer) — the serving layer's window into a

@@ -132,7 +132,7 @@ func WeightedClusterContext(ctx context.Context, wg *graph.Weighted, tau int, op
 	if n == 0 {
 		return nil, errors.New("core: WeightedCluster on empty graph")
 	}
-	e := bsp.NewWeightedEngine(wg, opt.Workers, opt.Delta)
+	e := bsp.NewWeightedEngine(wg, opt.Workers, 0)
 	defer e.Close()
 	e.SetContext(ctx)
 	e.SetObserver(opt.Observer)
@@ -276,7 +276,6 @@ type WeightedDiameterResult struct {
 	// lower bound on ∆ (unlike the unweighted ∆C); it is reported for
 	// inspection.
 	LowerHint int64
-	Exact     bool
 	Stats     bsp.Stats
 }
 
@@ -310,13 +309,12 @@ func ApproxDiameterWeighted(wg *graph.Weighted, tau int, opt Options) (*Weighted
 	if err != nil {
 		return nil, err
 	}
-	diamQ, exact := q.ExactDiameterWeighted(0)
+	diamQ, _ := q.ExactDiameterWeighted(0)
 	return &WeightedDiameterResult{
 		Clustering: wc,
 		Quotient:   q,
 		Upper:      2*wc.MaxWeightedRadius() + diamQ,
 		LowerHint:  diamQ,
-		Exact:      exact,
 		Stats:      wc.Stats,
 	}, nil
 }

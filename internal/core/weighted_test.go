@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -135,21 +136,50 @@ func TestWeightedClusterDeterministic(t *testing.T) {
 }
 
 func TestWeightedClusterDeltaSweep(t *testing.T) {
-	// The bucket width is a pure scheduling knob: any delta must yield a
-	// valid partition, and the distances are exact (Voronoi) for each, so
-	// per-node WDist agrees across deltas whenever the owner agrees.
+	// WeightedCluster always takes the engine's automatic bucket width. The
+	// width is a pure scheduling knob, so regrowing from the clustering's
+	// centers at any explicit delta must land on the same per-node WDist
+	// (the Voronoi distance is unique even where owner ties break apart).
 	g := graph.RoadLike(20, 20, 0.4, 3)
 	wg := randomWeighted(t, g, 21, 8)
+	wc, err := WeightedCluster(wg, 4, Options{Seed: 8, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if wc.Stats.Relaxations == 0 || wc.Stats.Buckets == 0 {
+		t.Fatalf("missing weighted cost counters %+v", wc.Stats)
+	}
+	n := wg.NumNodes()
+	dist := make([]int64, n)
+	owner := make([]graph.NodeID, n)
 	for _, delta := range []int64{1, 2, 16, 1 << 40} {
-		wc, err := WeightedCluster(wg, 4, Options{Seed: 8, Delta: delta, Workers: 4})
-		if err != nil {
-			t.Fatalf("delta=%d: %v", delta, err)
+		e := bsp.NewWeightedEngine(wg, 4, delta)
+		e.GrowInit()
+		for c, center := range wc.Centers {
+			e.AddSource(center, graph.NodeID(c))
 		}
-		if err := wc.Validate(); err != nil {
-			t.Fatalf("delta=%d: %v", delta, err)
+		for {
+			ok, err := e.ProcessBucket()
+			if err != nil {
+				t.Fatalf("delta=%d: %v", delta, err)
+			}
+			if !ok {
+				break
+			}
 		}
-		if wc.Stats.Relaxations == 0 || wc.Stats.Buckets == 0 {
-			t.Fatalf("delta=%d: missing weighted cost counters %+v", delta, wc.Stats)
+		e.Extract(dist, owner)
+		if st := e.Stats(); st.Relaxations == 0 || st.Buckets == 0 {
+			t.Fatalf("delta=%d: missing weighted cost counters %+v", delta, st)
+		}
+		e.Close()
+		for u := 0; u < n; u++ {
+			if dist[u] != wc.WDist[u] {
+				t.Fatalf("delta=%d node %d: regrown distance %d, WeightedCluster WDist %d",
+					delta, u, dist[u], wc.WDist[u])
+			}
 		}
 	}
 }
@@ -199,9 +229,6 @@ func TestApproxDiameterWeightedUpperBound(t *testing.T) {
 		}
 		if res.Upper < truth {
 			t.Errorf("%s: upper %d below true weighted diameter %d", name, res.Upper, truth)
-		}
-		if !res.Exact {
-			t.Errorf("%s: quotient diameter not exact", name)
 		}
 		// Sanity on looseness: within a generous constant at this scale.
 		if res.Upper > 6*truth {

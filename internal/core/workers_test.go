@@ -41,7 +41,7 @@ func TestPostGrowthStagesAreWorkerInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := diameterFromClustering(ctx, cl, DiameterOptions{Options: Options{Workers: workers}})
+			d, err := diameterFromClustering(ctx, cl, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,7 +54,7 @@ func Table3ForGraph(cfg Config, name string, g *graph.Graph, fineTarget int) (*T
 		if err != nil {
 			return GranularityResult{}, err
 		}
-		res, err := core.DiameterFromClustering(cl, 0)
+		res, err := core.DiameterFromClustering(cl)
 		if err != nil {
 			return GranularityResult{}, err
 		}

@@ -1,9 +1,12 @@
 package mr
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/quotient"
 	"repro/internal/rng"
 )
 
@@ -145,6 +148,27 @@ func TestDiameterByRepeatedSquaring(t *testing.T) {
 	// log2(20) squarings ~ 5, each 2 rounds.
 	if e.Rounds() < 8 || e.Rounds() > 12 {
 		t.Fatalf("repeated squaring rounds %d outside expected band", e.Rounds())
+	}
+
+	// The Section 5 input: the weighted quotient of a CLUSTER decomposition,
+	// whose arc weights are real crossing lengths, not ones.
+	road := graph.RoadLike(15, 15, 0.4, 2)
+	cl, err := core.ClusterContext(context.Background(), road, 1, core.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wq, err := quotient.BuildWeighted(road, cl.Owner, cl.Dist, cl.NumClusters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, exact := wq.ExactDiameterWeighted(0)
+	if !exact {
+		t.Fatal("reference quotient diameter not certified")
+	}
+	e = NewEngine(Config{})
+	defer e.Close()
+	if d, err := e.DiameterByRepeatedSquaring(wq); err != nil || d != want {
+		t.Fatalf("quotient of %d clusters: squaring %d (%v), exact %d", wq.NumNodes(), d, err, want)
 	}
 }
 

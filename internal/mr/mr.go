@@ -96,10 +96,6 @@ type Engine struct {
 	// ctx arms cooperative cancellation (SetContext); nil never cancels.
 	ctx context.Context
 
-	// obs, when non-nil, receives each committed round's RoundStat
-	// (SetObserver); nil costs one branch per round.
-	obs func(RoundStat)
-
 	rounds       int
 	maxGroup     int
 	totalShuffle int64
@@ -128,14 +124,6 @@ func (e *Engine) Close() {
 // repeated squaring) stops within one round of a cancel. A nil ctx (the
 // default) never cancels.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// SetObserver installs fn to receive every committed round's RoundStat,
-// right after the round's accounting commits — live MR(MG, ML) progress
-// for a serving layer tracing a multi-round build. Failed or cancelled
-// rounds emit nothing, mirroring the all-or-nothing accounting. fn runs
-// on the goroutine driving the rounds; a nil fn (the default) disables
-// observation at the cost of one branch per round.
-func (e *Engine) SetObserver(fn func(RoundStat)) { e.obs = fn }
 
 func (e *Engine) ctxErr() error {
 	if e.ctx == nil {
@@ -386,15 +374,11 @@ func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
 			e.maxGroup = results[s].maxGroup
 		}
 	}
-	rs := RoundStat{
+	e.roundStats = append(e.roundStats, RoundStat{
 		PairsIn:  int64(len(input)),
 		PairsOut: int64(len(out)),
 		Shards:   shards,
 		Millis:   float64(time.Since(start).Nanoseconds()) / 1e6,
-	}
-	e.roundStats = append(e.roundStats, rs)
-	if e.obs != nil {
-		e.obs(rs)
-	}
+	})
 	return out, nil
 }

@@ -22,11 +22,10 @@ import (
 // Key.Kind) plus the BSP cost of the decomposition behind it, so cost
 // reporting never has to dig the numbers back out of the result.
 type artifact struct {
-	oracle     *core.Oracle
-	diameter   *core.DiameterResult
-	kcenter    *core.KCenterResult
-	mrdiameter *MRDiameterResult
-	stats      bsp.Stats
+	oracle   *core.Oracle
+	diameter *core.DiameterResult
+	kcenter  *core.KCenterResult
+	stats    bsp.Stats
 }
 
 // How a request met the cache, as reported in RequestLogEntry.Cache.
@@ -40,7 +39,7 @@ const (
 // requests for an in-flight key block on it instead of duplicating the
 // build (single flight). waiters counts the requests currently blocked on
 // ready: when the last of them leaves before the build completes, cancel
-// stops the build at its next round/bucket/shard barrier instead of
+// stops the build at its next round/bucket/source barrier instead of
 // letting it burn cores for nobody. lastUsed is the cache's logical clock
 // at the entry's most recent touch, driving LRU eviction. val/err/cost are
 // written under the cache lock before ready closes and read only after.

@@ -221,7 +221,8 @@ func TestCancelledOracleBuildStopsEngineAndRetries(t *testing.T) {
 	}
 }
 
-// The same contract holds for the other build families.
+// The same contract holds for the diameter family. (The name predates the
+// removal of the MR diameter artifact, which this test covered as well.)
 func TestCancelledDiameterAndMRDiameterRetryable(t *testing.T) {
 	s := New(Config{Workers: 2})
 	if err := s.RegisterGraph("mesh", graph.Mesh(30, 30)); err != nil {
@@ -232,15 +233,9 @@ func TestCancelledDiameterAndMRDiameterRetryable(t *testing.T) {
 	if _, err := s.Diameter(ctx, "mesh", 1, 1, ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Diameter err = %v, want context.Canceled", err)
 	}
-	if _, err := s.MRDiameter(ctx, "mesh", 1, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MRDiameter err = %v, want context.Canceled", err)
-	}
-	waitUntil(t, "cancelled entries removal", func() bool { return s.cachedEntries() == 0 })
+	waitUntil(t, "cancelled entry removal", func() bool { return s.cachedEntries() == 0 })
 	if _, err := s.Diameter(context.Background(), "mesh", 1, 1, ""); err != nil {
 		t.Fatalf("diameter retry: %v", err)
-	}
-	if _, err := s.MRDiameter(context.Background(), "mesh", 1, 1); err != nil {
-		t.Fatalf("mr-diameter retry: %v", err)
 	}
 }
 
@@ -488,18 +483,6 @@ func TestDiameterDefaultTauResolvedIntoKey(t *testing.T) {
 	}
 	if k := st.ArtifactDetails[0].Key; strings.Contains(k, "tau=0") {
 		t.Fatalf("stats still report an unresolved key %q", k)
-	}
-
-	// The mr-diameter path resolves through the same helper.
-	if _, err := s.MRDiameter(context.Background(), "mesh", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	oracleDef := core.DefaultOracleTau(g.NumNodes())
-	if _, err := s.MRDiameter(context.Background(), "mesh", oracleDef, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Builds != 2 {
-		t.Fatalf("mr-diameter default/explicit split the cache: %d builds, want 2", st.Builds)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 //	POST /distance-batch?graph=G[&tau=T][&seed=S][&algo=...]  (body: pairs)
 //	GET  /cluster-of?graph=G&u=U[&tau=T][&seed=S][&algo=...]
 //	GET  /diameter?graph=G[&tau=T][&seed=S][&algo=...]
-//	GET  /mr-diameter?graph=G[&tau=T][&seed=S]
 //	GET  /kcenter?graph=G&k=K[&seed=S]
 //	GET  /stats
 //	GET  /builds
@@ -50,7 +49,6 @@ func (s *Server) Handler() http.Handler {
 	handle("/distance-batch", s.endpoint(http.MethodPost, s.queryPairs(decodeBatch, answerBatch)))
 	handle("/cluster-of", s.endpoint("", s.queryPairs(decodeClusterOf, answerClusterOf)))
 	handle("/diameter", s.endpoint("", s.handleDiameter))
-	handle("/mr-diameter", s.endpoint("", s.handleMRDiameter))
 	handle("/kcenter", s.endpoint("", s.handleKCenter))
 	handle("/stats", func(rq *request, _ *http.Request) {
 		writeJSON(rq, http.StatusOK, s.Stats())
@@ -381,7 +379,6 @@ type DiameterResponse struct {
 	Upper       int64  `json:"upper"`
 	RMax        int32  `json:"r_max"`
 	NumClusters int    `json:"num_clusters"`
-	Exact       bool   `json:"quotient_exact"`
 }
 
 func (s *Server) handleDiameter(rq *request, r *http.Request) (any, error) {
@@ -396,29 +393,7 @@ func (s *Server) handleDiameter(rq *request, r *http.Request) (any, error) {
 		Upper:       res.Upper,
 		RMax:        res.RMax,
 		NumClusters: res.Clustering.NumClusters(),
-		Exact:       res.Exact,
 	}, nil
-}
-
-// MRDiameterResponse answers /mr-diameter: the Section 5 diameter path
-// executed on the sharded MR runtime, with the round accounting the model
-// charges for it. Upper = 2R + quotient_diameter is the certified bound.
-type MRDiameterResponse struct {
-	Graph string `json:"graph"`
-	*MRDiameterResult
-}
-
-func (s *Server) handleMRDiameter(rq *request, r *http.Request) (any, error) {
-	// The MR pipeline only implements CLUSTER; an explicit algo=cluster2
-	// must be rejected rather than silently answered with CLUSTER results.
-	if a := rq.q.Get("algo"); a != "" && a != "cluster" {
-		return nil, badRequest("mr-diameter runs the CLUSTER pipeline only (got algo=%q)", a)
-	}
-	a, err := s.artifact(r.Context(), rq, "mrdiameter", buildParams{rq.p.graph, rq.p.tau, rq.p.seed, "cluster"})
-	if err != nil {
-		return nil, err
-	}
-	return MRDiameterResponse{Graph: rq.p.graph, MRDiameterResult: a.mrdiameter}, nil
 }
 
 // KCenterResponse answers /kcenter: the selected centers and the exact

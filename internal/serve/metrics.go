@@ -53,15 +53,13 @@ type metrics struct {
 	buildNs      atomic.Int64      // cumulative build time, for /stats' average
 
 	// Engine progress totals, fed by the build observers: the paper's cost
-	// units (rounds, arcs-scanned messages, relaxations, buckets, MR
-	// shuffle volume) as live server-wide counters.
+	// units (rounds, arcs-scanned messages, relaxations, buckets) as live
+	// server-wide counters.
 	engRounds      *obs.Counter
 	engPullRounds  *obs.Counter
 	engArcs        *obs.Counter
 	engRelaxations *obs.Counter
 	engBuckets     *obs.Counter
-	mrRounds       *obs.Counter
-	mrPairs        *obs.Counter
 }
 
 func newMetrics() *metrics {
@@ -113,7 +111,7 @@ func newMetrics() *metrics {
 	m.timedOut = reg.Counter("reprod_builds_timed_out_total",
 		"Builds killed by the server-side build deadline (Config.BuildTimeout); their waiters answer 504.")
 	m.buildLatency = reg.HistogramVec("reprod_build_duration_seconds",
-		"Wall-clock build duration by artifact kind (oracle, diameter, mrdiameter, kcenter).",
+		"Wall-clock build duration by artifact kind (oracle, diameter, kcenter).",
 		obs.BuildBuckets, "kind")
 	m.engRounds = reg.Counter("reprod_engine_bsp_rounds_total",
 		"BSP supersteps executed by artifact builds.")
@@ -125,10 +123,6 @@ func newMetrics() *metrics {
 		"Weighted edge relaxations offered by artifact builds (delta-stepping growth, the oracle's bucket-queue APSP).")
 	m.engBuckets = reg.Counter("reprod_engine_buckets_total",
 		"Distance buckets settled by artifact builds: delta-width in weighted growth, unit-width in the oracle's quotient APSP.")
-	m.mrRounds = reg.Counter("reprod_mr_rounds_total",
-		"MR(MG, ML) rounds committed by mr-diameter builds.")
-	m.mrPairs = reg.Counter("reprod_mr_pairs_shuffled_total",
-		"Pairs moved by the MR shuffle across all committed rounds.")
 	return m
 }
 

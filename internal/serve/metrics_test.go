@@ -286,8 +286,6 @@ var requiredFamilies = []string{
 	"reprod_engine_arcs_scanned_total",
 	"reprod_engine_relaxations_total",
 	"reprod_engine_buckets_total",
-	"reprod_mr_rounds_total",
-	"reprod_mr_pairs_shuffled_total",
 	"reprod_requests_shed_total",
 	"reprod_requests_client_gone_total",
 	"reprod_fast_lane_queue_depth",
@@ -303,10 +301,9 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	_, ts := newTestServer(t, "mesh", g)
 
 	// Drive every metric family: a build + point queries (hit and miss),
-	// a 400, a 404, an MR build, /stats and /builds themselves.
+	// a 400, a 404, /stats and /builds themselves.
 	getJSON(t, ts.URL+"/distance?graph=mesh&tau=2&seed=1&u=0&v=899", nil)
 	getJSON(t, ts.URL+"/distance?graph=mesh&tau=2&seed=1&u=1&v=2", nil)
-	getJSON(t, ts.URL+"/mr-diameter?graph=mesh&tau=2&seed=1", nil)
 	// A batch request, so the batch pair counter and size histogram carry
 	// samples (not just TYPE lines) in the scrape below.
 	resp, err := http.Post(ts.URL+"/distance-batch?graph=mesh&tau=2&seed=1",

@@ -34,7 +34,7 @@
 // for the key counted as waiters: a request that disconnects frees its
 // worker slot immediately, and when the last waiter for an in-flight
 // build leaves, the build's context is cancelled and the engines stop at
-// their next round/bucket/shard barrier — a dropped request never leaves
+// their next round/bucket/source barrier — a dropped request never leaves
 // a multi-second decomposition burning cores for nobody. A cancelled
 // build's cache entry is removed, so the key is immediately retryable; so
 // is a failed one, and only failures that say something about the key's
@@ -50,7 +50,7 @@
 // surface (cache, build pool, engine work counters) as Prometheus text
 // exposition via internal/obs. Each detached build accumulates a
 // structured lifecycle trace — enqueue, slot acquisition, live engine
-// counters streamed from the BSP/MR observer hooks at their barriers,
+// counters streamed from the engines' observer hooks at their barriers,
 // waiter high-water mark, terminal state — served by GET /builds
 // (in-flight plus a ring of recent builds) and attached to the artifact's
 // cost line in /stats. See README.md's Observability section for the
@@ -81,7 +81,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/mr"
 	"repro/internal/snapshot"
 )
 
@@ -220,16 +219,6 @@ type ArtifactCost struct {
 	MaxFrontier int     `json:"max_frontier"`
 	Relaxations int64   `json:"bsp_relaxations"`
 	Buckets     int     `json:"bsp_buckets"`
-
-	// MR(MG, ML) accounting, for artifacts whose build ran on the sharded
-	// MR runtime (/mr-diameter): rounds, pairs moved by the shuffle, the
-	// largest single reducer input, and the per-round execution profile.
-	// Zero/absent for purely BSP-built artifacts.
-	MRRounds        int            `json:"mr_rounds,omitempty"`
-	MRShards        int            `json:"mr_shards,omitempty"`
-	MRPairsShuffled int64          `json:"mr_pairs_shuffled,omitempty"`
-	MRMaxReducer    int            `json:"mr_max_reducer_input,omitempty"`
-	MRRoundStats    []mr.RoundStat `json:"mr_round_stats,omitempty"`
 
 	// Trace is the build's full lifecycle trace (enqueue → slot → engine
 	// rounds → completion, with the waiter high-water mark). Absent for
@@ -407,7 +396,7 @@ func (s *Server) graphNamesLocked() []string {
 // buildFunc builds the artifact for key on g, the graph currently
 // registered under key.Graph, reporting engine progress to the build's
 // trace. It runs on the detached build goroutine, under the build's own
-// context. The four production builders (artifactKinds) are plain functions
+// context. The three production builders (artifactKinds) are plain functions
 // of their arguments, so a request that hits the cache allocates no closure
 // for the build it does not need.
 type buildFunc func(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *buildTrace) (artifact, error)
@@ -498,7 +487,7 @@ func (s *Server) startBuild(key Key) (*buildTrace, error) {
 }
 
 func costFor(key Key, source string, millis float64, a artifact) *ArtifactCost {
-	c := &ArtifactCost{
+	return &ArtifactCost{
 		Key:         key.String(),
 		Source:      source,
 		BuildMillis: millis,
@@ -509,14 +498,6 @@ func costFor(key Key, source string, millis float64, a artifact) *ArtifactCost {
 		Relaxations: a.stats.Relaxations,
 		Buckets:     a.stats.Buckets,
 	}
-	if m := a.mrdiameter; m != nil {
-		c.MRRounds = m.Rounds
-		c.MRShards = m.Shards
-		c.MRPairsShuffled = m.PairsShuffled
-		c.MRMaxReducer = m.MaxReducerInput
-		c.MRRoundStats = m.RoundStats
-	}
-	return c
 }
 
 // runBuild executes one detached build and hands how it ended to
@@ -646,10 +627,9 @@ var artifactKinds = map[string]struct {
 	paperTau func(n int) int
 	build    buildFunc
 }{
-	"oracle":     {core.DefaultOracleTau, buildOracle},
-	"diameter":   {core.DefaultDiameterTau, buildDiameter},
-	"mrdiameter": {core.DefaultOracleTau, buildMRDiameter},
-	"kcenter":    {nil, buildKCenter}, // keyed on k, which is never defaulted
+	"oracle":   {core.DefaultOracleTau, buildOracle},
+	"diameter": {core.DefaultDiameterTau, buildDiameter},
+	"kcenter":  {nil, buildKCenter}, // keyed on k, which is never defaulted
 }
 
 // key mints the cache key of kind for p on the resolved graph g.

@@ -340,8 +340,6 @@ func TestErrorPaths(t *testing.T) {
 		{"/cluster-of?graph=mesh&u=999999999999", http.StatusBadRequest}, // int32 overflow
 		{"/kcenter?graph=mesh", http.StatusBadRequest},                   // missing k
 		{"/kcenter?graph=mesh&k=0", http.StatusBadRequest},
-		{"/mr-diameter?graph=mesh&algo=cluster2", http.StatusBadRequest}, // CLUSTER only
-		{"/mr-diameter?graph=nope", http.StatusNotFound},
 	}
 	for _, c := range cases {
 		if code := getStatus(t, ts.URL+c.url); code != c.code {
@@ -559,97 +557,17 @@ func TestStatsSurfacesArtifactBuildCost(t *testing.T) {
 	}
 }
 
-// /mr-diameter runs the Section 5 pipeline on the sharded MR runtime; its
-// certified bound must bracket the true diameter, its result must be
-// shard-count invariant, and /stats must carry the MR round accounting.
-func TestMRDiameterEndpoint(t *testing.T) {
-	g := graph.Mesh(30, 30)
-	s, ts := newTestServer(t, "mesh", g)
-	var resp MRDiameterResponse
-	if code := getJSON(t, ts.URL+"/mr-diameter?graph=mesh&tau=1&seed=2", &resp); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	truth := int64(58) // 29+29 on a 30x30 mesh
-	if resp.Upper < truth {
-		t.Fatalf("MR upper bound %d below true diameter %d", resp.Upper, truth)
-	}
-	if resp.Upper != 2*int64(resp.RMax)+resp.QuotientDiameter {
-		t.Fatalf("upper %d != 2·%d + %d", resp.Upper, resp.RMax, resp.QuotientDiameter)
-	}
-	if resp.Rounds <= 0 || resp.PairsShuffled <= 0 || resp.MaxReducerInput <= 0 || resp.Shards < 1 {
-		t.Fatalf("empty MR accounting: %+v", resp)
-	}
-
-	// Same build on a single-shard server: bit-identical result.
-	s1 := New(Config{Workers: 4, BuildWorkers: 1})
-	if err := s1.RegisterGraph("mesh", g); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := s1.MRDiameter(context.Background(), "mesh", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.QuotientDiameter != resp.QuotientDiameter || ref.Rounds != resp.Rounds ||
-		ref.PairsShuffled != resp.PairsShuffled || ref.MaxReducerInput != resp.MaxReducerInput {
-		t.Fatalf("single-shard build differs: %+v vs %+v", ref, resp)
-	}
-
-	// /stats surfaces the MR cost on the artifact line.
-	var st Stats
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	found := false
-	for _, d := range st.ArtifactDetails {
-		if d.MRRounds > 0 {
-			found = true
-			if d.MRPairsShuffled != resp.PairsShuffled || d.MRMaxReducer != resp.MaxReducerInput {
-				t.Fatalf("stats MR cost %+v inconsistent with response %+v", d, resp)
-			}
-			if len(d.MRRoundStats) != d.MRRounds {
-				t.Fatalf("%d round stats for %d MR rounds", len(d.MRRoundStats), d.MRRounds)
-			}
-			var shuffled int64
-			for _, rs := range d.MRRoundStats {
-				shuffled += rs.PairsIn
-			}
-			if shuffled != d.MRPairsShuffled {
-				t.Fatalf("round stats sum %d != shuffled %d", shuffled, d.MRPairsShuffled)
-			}
-			if d.Rounds <= 0 || d.Messages <= 0 {
-				t.Fatalf("MR artifact is missing its decomposition BSP cost: %+v", d)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no MR cost line in /stats: %+v", st.ArtifactDetails)
-	}
-	_ = s
-}
-
-// A tau so coarse that the quotient exceeds the squaring cap must be a 400,
-// not an OOM.
-func TestMRDiameterQuotientCap(t *testing.T) {
-	g := graph.Mesh(40, 40)
-	_, ts := newTestServer(t, "mesh", g)
-	// tau=1600 ≥ n makes every node a center: 1600 clusters > 256 cap.
-	if code := getStatus(t, ts.URL+"/mr-diameter?graph=mesh&tau=1600&seed=1"); code != http.StatusBadRequest {
-		t.Fatalf("oversized quotient: status %d want 400", code)
-	}
-}
-
 // A build that fails with a deterministic client-side rejection says
 // nothing about the key's health: repeating the request must keep
 // answering the honest 400, never trip the breaker into a 503 +
-// Retry-After that invites retries which cannot succeed. The first row is
-// serve's own 4xx; the other two are core.ErrInfeasible, which used to
-// read 500, 500, 500, 503, 503 with one trip.
+// Retry-After that invites retries which cannot succeed. Both rows are
+// core.ErrInfeasible, which used to read 500, 500, 500, 503, 503 with one
+// trip.
 func TestClientErrorBuildDoesNotTripBreaker(t *testing.T) {
 	for _, tc := range []struct {
 		name, url string
 		g         *graph.Graph
 	}{
-		{"mr quotient cap", "/mr-diameter?graph=g&tau=1600&seed=1", graph.Mesh(40, 40)},
 		{"k below components", "/kcenter?graph=g&k=1", disconnectedGraph()},
 		{"oracle cluster cap", "/distance?graph=g&u=0&v=1&tau=100000", graph.Mesh(120, 120)},
 	} {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bsp"
-	"repro/internal/mr"
 )
 
 // Build lifecycle states, in the order a build moves through them. Every
@@ -43,8 +42,6 @@ type buildTrace struct {
 	relaxations atomic.Int64
 	buckets     atomic.Int64
 	maxFrontier atomic.Int64
-	mrRounds    atomic.Int64
-	mrPairs     atomic.Int64
 
 	// Waiter bookkeeping, written under the cache lock alongside entry.waiters.
 	waiters    atomic.Int64
@@ -116,9 +113,6 @@ type BuildTraceInfo struct {
 	BucketsSettled int64 `json:"buckets_settled"`
 	MaxFrontier    int64 `json:"max_frontier"`
 
-	MRRounds        int64 `json:"mr_rounds,omitempty"`
-	MRPairsShuffled int64 `json:"mr_pairs_shuffled,omitempty"`
-
 	Error string `json:"error,omitempty"`
 }
 
@@ -156,8 +150,6 @@ func (t *buildTrace) info() BuildTraceInfo {
 	inf.Relaxations = t.relaxations.Load()
 	inf.BucketsSettled = t.buckets.Load()
 	inf.MaxFrontier = t.maxFrontier.Load()
-	inf.MRRounds = t.mrRounds.Load()
-	inf.MRPairsShuffled = t.mrPairs.Load()
 	return inf
 }
 
@@ -229,17 +221,5 @@ func (s *Server) buildObserver(tr *buildTrace) bsp.Observer {
 		tr.relaxations.Add(d.Relaxations)
 		tr.buckets.Add(int64(d.Buckets))
 		maxStore(&tr.maxFrontier, int64(d.MaxFrontier))
-	}
-}
-
-// mrObserver is the MR counterpart, installed on the engine behind
-// /mr-diameter builds.
-func (s *Server) mrObserver(tr *buildTrace) func(mr.RoundStat) {
-	m := s.met
-	return func(rs mr.RoundStat) {
-		m.mrRounds.Inc()
-		m.mrPairs.Add(rs.PairsIn)
-		tr.mrRounds.Add(1)
-		tr.mrPairs.Add(rs.PairsIn)
 	}
 }
