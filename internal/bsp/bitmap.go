@@ -24,7 +24,8 @@ func NewBitmap(n int) *Bitmap {
 
 // Get reports whether u is in the set.
 //
-//lint:allow plainatomic word-disjoint confinement: workers read chunks aligned to 64-node boundaries (see type doc)
+// Word-disjoint confinement: workers read chunks aligned to 64-node
+// boundaries (see type doc).
 func (b *Bitmap) Get(u NodeID) bool {
 	return b.words[uint32(u)>>6]&(1<<(uint32(u)&63)) != 0
 }
@@ -32,12 +33,11 @@ func (b *Bitmap) Get(u NodeID) bool {
 // Absent returns word wi of the complement: a bit for every id of
 // [64·wi, 64·wi+64) that is not a member, pad bits past n included.
 //
-//lint:allow plainatomic word-disjoint confinement: bottom-up workers walk chunks aligned to 64-node boundaries (see type doc)
+// Word-disjoint confinement: bottom-up workers walk chunks aligned to
+// 64-node boundaries (see type doc).
 func (b *Bitmap) Absent(wi int) uint64 { return ^b.words[wi] }
 
 // Set adds u to the set. Not safe for concurrent writers sharing a word.
-//
-//lint:allow plainatomic single-writer by contract: callers confine writes to word-disjoint chunks
 func (b *Bitmap) Set(u NodeID) {
 	b.words[uint32(u)>>6] |= 1 << (uint32(u) & 63)
 }
@@ -64,17 +64,15 @@ func (b *Bitmap) SetAtomic(u NodeID) bool {
 	}
 }
 
-// ClearAll empties the set in O(n/64).
-//
-//lint:allow plainatomic barrier phase: clears run between supersteps with no concurrent writers
+// ClearAll empties the set in O(n/64). Clears run between supersteps, with
+// no concurrent writers.
 func (b *Bitmap) ClearAll() {
 	clear(b.words)
 }
 
 // ClearSparse empties the set given a superset of its members, zeroing only
 // the words those members touch — O(len(members)) instead of O(n/64).
-//
-//lint:allow plainatomic barrier phase: clears run between supersteps with no concurrent writers
+// Clears run between supersteps, with no concurrent writers.
 func (b *Bitmap) ClearSparse(members []NodeID) {
 	for _, u := range members {
 		b.words[uint32(u)>>6] = 0
@@ -96,8 +94,7 @@ func (b *Bitmap) FromSparse(members, prev []NodeID) {
 }
 
 // ToSparse appends the members of the set to dst in ascending order.
-//
-//lint:allow plainatomic barrier phase: conversions run between supersteps with no concurrent writers
+// Conversions run between supersteps, with no concurrent writers.
 func (b *Bitmap) ToSparse(dst []NodeID) []NodeID {
 	for wi, w := range b.words {
 		base := NodeID(wi << 6)
@@ -109,9 +106,8 @@ func (b *Bitmap) ToSparse(dst []NodeID) []NodeID {
 	return dst
 }
 
-// Count returns the number of members.
-//
-//lint:allow plainatomic barrier phase: counting runs between supersteps with no concurrent writers
+// Count returns the number of members. Counting runs between supersteps,
+// with no concurrent writers.
 func (b *Bitmap) Count() int {
 	total := 0
 	for _, w := range b.words {

@@ -260,8 +260,6 @@ func (e *Engine) VisitedCount() int { return e.visited.Count() }
 // here is either the driver between rounds or the one worker that can
 // reach v (pull chunks are disjoint, a claimed node is in the new frontier
 // once), with the pool's barrier ordering it against the rounds around it.
-//
-//lint:allow plainatomic single writer per word outside push rounds (see comment)
 func (e *Engine) setParent(v, p NodeID) { e.parent[v] = p }
 
 // Reset clears the visited set and frontier for a fresh traversal over the

@@ -8,3 +8,6 @@ func (e *Engine) PushBlock() int { return e.pushBlock() }
 func (e *Engine) ClaimBlocks(n, block int, scan func(w, lo, hi int)) {
 	e.claimBlocks(n, block, scan)
 }
+
+// SeqThreshold is the smallest phase the pools fan out.
+const SeqThreshold = seqThreshold

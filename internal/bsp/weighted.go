@@ -273,8 +273,6 @@ func (e *WeightedEngine) Close() { e.pool.Close() }
 
 // reset clears the claim and bucket state for a fresh run. Runs on the
 // driving goroutine between searches: workers are parked at the barrier.
-//
-//lint:allow plainatomic driver-only barrier phase, no concurrent writers
 func (e *WeightedEngine) reset(grow bool) {
 	for i := range e.slot {
 		e.slot[i] = unclaimed
@@ -358,8 +356,6 @@ func (e *WeightedEngine) heapPop() int64 {
 
 // addSource claims u at distance zero for owner and queues it in bucket 0.
 // Must not be called while a bucket is being processed.
-//
-//lint:allow plainatomic driver-only barrier phase, no concurrent writers
 func (e *WeightedEngine) addSource(u, owner NodeID) {
 	e.slot[u] = uint64(owner) & e.ownerMask // dist 0 in the high bits
 	e.insert(u, 0)
@@ -395,7 +391,7 @@ func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 		if words != nil {
 			word = words[i]
 		} else {
-			word = slot[u] //lint:allow plainatomic nil words: heavy phase of a settled bucket, slots stable (see doc)
+			word = slot[u] // nil words: heavy phase of a settled bucket, slots stable (see relaxPhase)
 		}
 		du := int64(word >> shift)
 		base := word & mask
@@ -411,8 +407,8 @@ func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 			nw := uint64(nd)<<shift | base
 			if seq {
 				// Single worker: same min-reduction, no atomics.
-				if nw < slot[v] { //lint:allow plainatomic workers==1 fast path
-					slot[v] = nw //lint:allow plainatomic workers==1 fast path
+				if nw < slot[v] {
+					slot[v] = nw
 					if !updBits.Get(v) {
 						updBits.Set(v)
 						buf = append(buf, v) // pooled: grows to its high-water mark, then reuses
@@ -470,9 +466,8 @@ func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64, heavy bool) 
 }
 
 // admit appends v to the current bucket's frontier (and settlement set R)
-// with its now-stable distance word.
-//
-//lint:allow plainatomic driver-only barrier phase, no concurrent writers
+// with its now-stable distance word. It runs on the driving goroutine
+// between relaxation phases, with no concurrent writers.
 func (e *WeightedEngine) admit(v NodeID) {
 	e.frontier = append(e.frontier, v)
 	e.fwords = append(e.fwords, e.slot[v])
@@ -488,8 +483,6 @@ func (e *WeightedEngine) admit(v NodeID) {
 // work (stale entries are consumed either way). Slot reads here happen on
 // the driving goroutine between relaxation phases, when the claim words
 // are quiescent.
-//
-//lint:allow plainatomic driver-only barrier phases, workers parked between relaxations
 func (e *WeightedEngine) processBucket() bool {
 	before := e.stats
 	for len(e.bheap) > 0 {
@@ -579,7 +572,7 @@ func (e *WeightedEngine) SSSP(src NodeID, dist []int64) int64 {
 	}
 	var ecc int64
 	for i := range dist {
-		if w := e.slot[i]; w != unclaimed { //lint:allow plainatomic search complete, claim words final
+		if w := e.slot[i]; w != unclaimed { // search complete, claim words final
 			dist[i] = int64(w)
 			if dist[i] > ecc {
 				ecc = dist[i]
@@ -634,8 +627,6 @@ func (e *WeightedEngine) SettledCount() int { return e.settledN }
 // Extract writes the settled claims into dist and owner (len NumNodes).
 // Unsettled nodes get WInf and owner -1. Called between ProcessBucket
 // calls, when the claim words are quiescent.
-//
-//lint:allow plainatomic driver-only barrier phase, no concurrent writers
 func (e *WeightedEngine) Extract(dist []int64, owner []NodeID) {
 	for u := 0; u < e.n; u++ {
 		if e.settled.Get(NodeID(u)) {

@@ -163,6 +163,69 @@ func TestWeightedEngineGrowVoronoi(t *testing.T) {
 	}
 }
 
+// TestWeightedEngineParallelRelax drives the relaxation phases where they
+// fan out over the pool and lower claim words concurrently: the graph is
+// wide enough that its phases pass seqThreshold, at four workers. The
+// smaller graphs above relax inline, so this is the test that gives the
+// race detector relaxChunk's casLower and updBits.SetAtomic, and that
+// checks the parallel path against its references: Dijkstra for SSSP at
+// the automatic and the one-bucket width, and the workers = 1 twin, node
+// for node and counter for counter, for a drained multi-source growth
+// whose sources arrive between buckets.
+func TestWeightedEngineParallelRelax(t *testing.T) {
+	wg := randomWeightedGraph(t, graph.ErdosRenyi(20000, 80000, 9), 5, 20)
+	n := wg.NumNodes()
+	ref := wg.Dijkstra(0)
+	dist := make([]int64, n)
+	for _, delta := range []int64{0, 1 << 40} {
+		e := bsp.NewWeightedEngine(wg, 4, delta)
+		e.SSSP(0, dist)
+		e.Close()
+		for u := range ref {
+			if dist[u] != ref[u] {
+				t.Fatalf("delta=%d: dist[%d]=%d want %d", delta, u, dist[u], ref[u])
+			}
+		}
+	}
+
+	grow := func(workers int) ([]int64, []graph.NodeID, bsp.Stats) {
+		e := bsp.NewWeightedEngine(wg, workers, 0)
+		defer e.Close()
+		e.GrowInit()
+		for i := 0; i < 8; i++ {
+			e.AddSource(graph.NodeID(i*n/8), graph.NodeID(i))
+			if _, err := e.ProcessBucket(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for {
+			ok, err := e.ProcessBucket()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		dist, owner := make([]int64, n), make([]graph.NodeID, n)
+		e.Extract(dist, owner)
+		return dist, owner, e.Stats()
+	}
+	d1, o1, s1 := grow(1)
+	d4, o4, s4 := grow(4)
+	for u := 0; u < n; u++ {
+		if d4[u] != d1[u] || o4[u] != o1[u] {
+			t.Fatalf("node %d: workers=4 (%d,%d), workers=1 (%d,%d)", u, d4[u], o4[u], d1[u], o1[u])
+		}
+	}
+	if s4 != s1 {
+		t.Fatalf("stats diverge: workers=4 %+v, workers=1 %+v", s4, s1)
+	}
+	if s1.MaxFrontier < bsp.SeqThreshold {
+		t.Fatalf("largest phase %d nodes: the relaxation never fanned out", s1.MaxFrontier)
+	}
+}
+
 // TestWeightedEngineGrowOverflow: packed 31-bit distances must fail loudly,
 // not wrap around.
 func TestWeightedEngineGrowOverflow(t *testing.T) {

@@ -101,10 +101,13 @@ func TestWeightedClusterUnitWeightsMatchShape(t *testing.T) {
 
 func TestWeightedClusterDeterministic(t *testing.T) {
 	// The delta-stepping growth must be bit-for-bit identical across worker
-	// counts: same centers, same owners, same distances, same radii.
+	// counts: same centers, same owners, same distances, same radii. Only
+	// "wide" has buckets past the engine's sequential threshold, so only it
+	// compares the pooled relaxation path with the inline one.
 	for name, g := range map[string]*graph.Graph{
 		"mesh":   graph.Mesh(20, 20),
 		"social": graph.BarabasiAlbert(1200, 4, 17),
+		"wide":   graph.BarabasiAlbert(20000, 4, 17),
 	} {
 		wg := randomWeighted(t, g, 13, 6)
 		a, err := WeightedCluster(wg, 4, Options{Seed: 5, Workers: 1})

@@ -7,22 +7,19 @@
 //	//lint:allow <check> <justification>
 //
 // where <check> names the specific rule being waived (walltime, mapiter,
-// rand, plainatomic, locked, background, lockorder).
+// rand, locked, background, lockorder).
 // An annotation applies to:
 //
-//   - every violation on the same source line as the comment,
+//   - every violation on the same source line as the comment, and
 //   - every violation on the line immediately below a comment that stands
-//     alone on its line (annotation-above style), and
-//   - for function-scoped waivers, every violation inside a function whose
-//     declaration line or doc comment carries the annotation (only
-//     analyzers that opt in consult this form; see AllowedFunc).
+//     alone on its line (annotation-above style).
 //
 // The justification is mandatory: an annotation with no text after the
 // check name is itself a finding. So is a stale annotation — one whose
-// check never fires on the waived line. Every Allowed/AllowedFunc match
-// is recorded in a process-wide registry; once the full suite has run
-// over a package, Audit reports any annotation in it that no analyzer
-// consumed, in the spirit of staticcheck's unused-suppression check. The
+// check never fires on the waived line. Every Allowed match is recorded
+// in a process-wide registry; once the full suite has run over a package,
+// Audit reports any annotation in it that no analyzer consumed, in the
+// spirit of staticcheck's unused-suppression check. The
 // registry spans analyzer instances (each builds its own Index over the
 // same files), which is exactly what makes the audit sound: consumption
 // by any analyzer counts.
@@ -123,16 +120,6 @@ func (idx *Index) Allowed(pos token.Pos, check string) bool {
 		}
 	}
 	return false
-}
-
-// AllowedFunc reports whether check is waived for the whole of fn: an
-// annotation on (or immediately above) the func keyword, which covers the
-// doc-comment form since doc comments end on the preceding line.
-func (idx *Index) AllowedFunc(fn *ast.FuncDecl, check string) bool {
-	if fn == nil {
-		return false
-	}
-	return idx.Allowed(fn.Pos(), check)
 }
 
 // A Finding is one audit diagnostic against an annotation.

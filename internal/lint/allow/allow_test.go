@@ -142,40 +142,3 @@ func f() {
 		t.Errorf("want missing-justification, got %+v", got[0])
 	}
 }
-
-func TestAllowedFunc(t *testing.T) {
-	ResetConsumptionForTest()
-	fset := token.NewFileSet()
-	src := `package p
-
-//lint:allow rand whole function is fixture setup
-func f() {
-	a()
-}
-
-func g() {
-	b()
-}
-`
-	f := parse(t, fset, "/x/a.go", src)
-	idx := NewIndex(fset, []*ast.File{f})
-	var fd, gd *ast.FuncDecl
-	for _, d := range f.Decls {
-		if d, ok := d.(*ast.FuncDecl); ok {
-			if d.Name.Name == "f" {
-				fd = d
-			} else {
-				gd = d
-			}
-		}
-	}
-	if !idx.AllowedFunc(fd, "rand") {
-		t.Error("doc-comment annotation must waive the whole function")
-	}
-	if idx.AllowedFunc(gd, "rand") {
-		t.Error("unannotated function must not be waived")
-	}
-	if idx.AllowedFunc(nil, "rand") {
-		t.Error("nil func decl is never waived")
-	}
-}

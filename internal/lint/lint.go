@@ -1,22 +1,17 @@
 // Package lint is reprolint: a go/analysis-style suite that machine-
 // enforces the repository's reproducibility and concurrency conventions.
 // Until this package existed those conventions were enforced by code
-// review and spot tests only; a single map range in a reducer or a plain
-// read of a CAS word silently voids guarantees the acceptance tests
+// review and spot tests only; a single map range in a reducer or a lock
+// taken out of order silently voids guarantees the acceptance tests
 // depend on.
 //
-// The five analyzers each guard an invariant no test can see, because the
+// The four analyzers each guard an invariant no test can see, because the
 // violation changes no output on the machine that runs the suite:
 //
 //	determinism   engine packages (bsp, mr, core, mpx, anf) must not
 //	              range over maps, use math/rand, or read time.Now
 //	              un-annotated (bit-for-bit determinism, PRs 2-4). A
 //	              map range that leaks order fails only on some runs.
-//	atomicfield   a struct field accessed via sync/atomic anywhere in a
-//	              package must never be accessed plainly outside tests
-//	              and annotated single-writer fast paths (claim words,
-//	              PRs 2-3). The race detector does not pair an atomic
-//	              with a plain access reliably.
 //	lockedsuffix  functions named *Locked may only be called with the
 //	              guarding mutex held (serve cache conventions, PR 1+5).
 //	              -race sees a bare call only where a test drives that
@@ -31,11 +26,13 @@
 //	              be acyclic; any cycle is a potential deadlock that
 //	              needs one particular interleaving to fire (PR 10).
 //
-// Invariants a tier-1 test pins exactly have no analyzer: zero-allocation
-// hot paths (the AllocsPerRun ZeroAlloc tests), goroutine lifetime (the
-// settle-to-baseline tests in bsp, core and serve/chaos) and the metric
-// surface (serve's TestMetricsExpositionWellFormed). See the README's
-// "Correctness tooling" table.
+// Invariants a test pins exactly have no analyzer: zero-allocation hot
+// paths (the AllocsPerRun ZeroAlloc tests), goroutine lifetime (the
+// settle-to-baseline tests in bsp, core and serve/chaos), the metric
+// surface (serve's TestMetricsExpositionWellFormed) and ordered access to
+// the engines' claim words (the race job, whose worker-count >= 2 tests
+// drive every concurrent phase of bsp). See the README's "Correctness
+// tooling" table.
 //
 // Violations that are deliberate carry a //lint:allow annotation (see
 // internal/lint/allow for the grammar); the annotation forces the
@@ -52,7 +49,7 @@
 //
 //	go test ./...
 //
-// holds every change to the five invariants; go test ./internal/lint -run
+// holds every change to the four invariants; go test ./internal/lint -run
 // 'TestRepo/internal/serve$' shows one package's findings. The framework
 // underneath (internal/lint/analysis, .../analysistest) is a stdlib-only
 // re-implementation of the x/tools go/analysis core, because this
@@ -61,7 +58,6 @@ package lint
 
 import (
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/atomicfield"
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/determinism"
 	"repro/internal/lint/lockedsuffix"
@@ -71,7 +67,6 @@ import (
 // Analyzers returns the full reprolint suite in deterministic order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicfield.Analyzer,
 		ctxflow.Analyzer,
 		determinism.Analyzer,
 		lockedsuffix.Analyzer,
@@ -83,12 +78,11 @@ func Analyzers() []*analysis.Analyzer {
 // the allow.Audit stale-suppression sweep keys off it.
 func KnownChecks() map[string]bool {
 	return map[string]bool{
-		"walltime":    true, // determinism
-		"mapiter":     true, // determinism
-		"rand":        true, // determinism
-		"plainatomic": true, // atomicfield
-		"locked":      true, // lockedsuffix
-		"background":  true, // ctxflow
-		"lockorder":   true, // lockorder
+		"walltime":   true, // determinism
+		"mapiter":    true, // determinism
+		"rand":       true, // determinism
+		"locked":     true, // lockedsuffix
+		"background": true, // ctxflow
+		"lockorder":  true, // lockorder
 	}
 }
