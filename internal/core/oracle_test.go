@@ -260,12 +260,9 @@ func voronoi(g *graph.Graph, k int, seed uint64) *Clustering {
 	return cl
 }
 
-func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
-	// The block fan-out and its two kernels must not change a single table
-	// entry: every row is identical to an independent Dijkstra + BFS build
-	// of the same quotient, at every worker count, for cluster counts on
-	// both sides of every block edge and across components. The APSP cost
-	// counters are schedule-free, so they too agree at every worker count.
+// oracleFixtures are clusterings whose cluster counts fall on both sides of
+// every APSP block edge, one of them across components.
+func oracleFixtures(t *testing.T) map[string]*Clustering {
 	road, err := Cluster(graph.RoadLike(25, 25, 0.4, 13), 2, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +275,38 @@ func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
 	for _, k := range []int{40, 64, 65, 127, 129} {
 		cases[fmt.Sprintf("k=%d", k)] = voronoi(graph.RoadLike(20, 20, 0.4, uint64(k)), k, 1)
 	}
-	for name, cl := range cases {
+	return cases
+}
+
+// TestOracleTablesSymmetric checks the precondition of storing each table
+// once as a triangle: the quotient is undirected, so both square tables
+// must read the same from either end of every pair.
+func TestOracleTablesSymmetric(t *testing.T) {
+	for name, cl := range oracleFixtures(t) {
+		o, err := OracleFromClustering(context.Background(), cl, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := o.NumClusters()
+		apsp, hops := o.APSPFlat(), o.HopsFlat()
+		for c := 0; c < k; c++ {
+			for d := c + 1; d < k; d++ {
+				if apsp[c*k+d] != apsp[d*k+c] || hops[c*k+d] != hops[d*k+c] {
+					t.Fatalf("%s (k=%d): cell (%d,%d) = %d / %d hops, (%d,%d) = %d / %d hops",
+						name, k, c, d, apsp[c*k+d], hops[c*k+d], d, c, apsp[d*k+c], hops[d*k+c])
+				}
+			}
+		}
+	}
+}
+
+func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
+	// The block fan-out and its two kernels must not change a single table
+	// entry: every row is identical to an independent Dijkstra + BFS build
+	// of the same quotient, at every worker count, for cluster counts on
+	// both sides of every block edge and across components. The APSP cost
+	// counters are schedule-free, so they too agree at every worker count.
+	for name, cl := range oracleFixtures(t) {
 		k := cl.NumClusters()
 		q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
 		if err != nil {

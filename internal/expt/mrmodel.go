@@ -43,7 +43,8 @@ func MRModel(cfg Config) (*MRReport, error) {
 
 	// Cluster on the shared-memory engine (the MR growth demo below uses
 	// the same step structure), then derive the quotient. The quotient is
-	// kept small: repeated squaring emits Θ(ℓ³) pairs per multiplication,
+	// kept small: the blocked min-plus product still shuffles Θ(ℓ³/b)
+	// pairs per multiplication for b×b blocks (b = ⌊√ℓ⌋ without an ML),
 	// which is exactly why Theorem 4 sizes it against MG·√ML.
 	opt := core.Options{Seed: cfg.Seed, Workers: cfg.Workers}
 	_, cl, err := core.TauForTargetClusters(g, 40, 0.5, opt)

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -9,99 +10,194 @@ import (
 // Fact 2: two ℓ×ℓ matrices can be multiplied in O(log_ML n + ℓ³/(MG·√ML))
 // rounds. The paper uses min-plus ("tropical") products to square the
 // quotient graph's distance matrix O(log ℓ) times, obtaining its diameter
-// within the memory budget of Theorem 4. Here we implement the min-plus
-// product with the classical 2-round MR scheme (join on the inner index,
-// then reduce by output cell), which realizes the bound for
-// ℓ ≤ √ML-per-row workloads; the engine's accounting verifies the resource
-// usage rather than assuming it. The join and min reducers are pure, so
-// both rounds — the Θ(ℓ³)-pair candidate generation in particular — run
-// concurrently across the engine's reducer shards.
+// within the memory budget of Theorem 4. The product here is Fact 2's
+// blocked scheme.
+//
+// Blocking. Both matrices are cut into b×b blocks, ⌈ℓ/b⌉ to a side. Round 1
+// keys every finite entry by a block triple (I, J, K): an A entry (i, k)
+// goes to every J whose B block (K, J) holds a finite entry, a B entry
+// (k, j) to every I whose A block (I, K) does. The driver holds both
+// matrices, so it computes that O((ℓ/b)²) occupancy table itself. Each
+// reducer multiplies its A block by its B block locally and emits at most
+// b² partial minima, one per output cell; the following rounds take the
+// minimum per cell, at most 2b² partials a reducer (one round whenever
+// ⌈ℓ/b⌉ ≤ 2b², the log_ML term of Fact 2 otherwise). With one min round a
+// product shuffles at most 2·⌈ℓ/b⌉·ℓ² + ⌈ℓ/b⌉·ℓ² pairs, against ℓ³ for an
+// unblocked product that emits one pair per (i, k, j).
+//
+// Block side. b = ⌊√(ML/2)⌋ capped at ℓ when Config.ML > 0, so that a
+// round-1 group — two b×b blocks — fits the local memory; b = ⌊√ℓ⌋
+// otherwise, which keeps every reducer of the product at ≤ 2b² ≤ 2ℓ pairs.
+// Every b is at least 1.
+//
+// Changed-row frontier. APSPByRepeatedSquaring feeds the A side of a
+// squaring only the rows the previous squaring lowered. A row left
+// unchanged is closed, and it stays closed: if A′ = A ⊗ A and
+// A′[i][·] = A[i][·], then for every k and j
+//
+//	A′[i][k] + A′[k][j] = A[i][k] + min_m (A[k][m] + A[m][j])
+//	                    ≥ min_m (A[i][m] + A[m][j]) = A′[i][j],
+//
+// so row i of A′ ⊗ A′ is row i of A′ again. Each squaring's matrix is thus
+// still the exact square of the last one.
+//
+// Stop rule. The squarings stop when one lowers no row (every later one
+// would repeat the matrix), or after ⌈log₂ ℓ⌉ of them, which cover every
+// shortest path of at most ℓ − 1 arcs. The result is cell for cell the
+// matrix of ⌈log₂ ℓ⌉ full squarings, in no more squarings.
+//
+// Every reducer is pure, so all rounds run concurrently across the
+// engine's reducer shards.
 
 // Inf is the "no path" value in distance matrices. It is large enough that
 // Inf + Inf does not overflow int64.
 const Inf int64 = 1 << 40
 
-// MinPlusSquare returns the min-plus square C = A ⊗ A of the ℓ×ℓ matrix a
-// (row-major), i.e. C[i][j] = min_k (A[i][k] + A[k][j]).
-func (e *Engine) MinPlusSquare(a []int64, l int) ([]int64, error) {
-	return e.MinPlusProduct(a, a, l)
+// MinPlusProduct computes C[i][j] = min_k (A[i][k] + B[k][j]) of two ℓ×ℓ
+// row-major matrices with the blocked scheme above. Cells with no finite
+// sum are Inf.
+func (e *Engine) MinPlusProduct(a, b []int64, l int) ([]int64, error) {
+	return e.minPlus(a, b, l, nil)
 }
 
-// MinPlusProduct computes C[i][j] = min_k (A[i][k] + B[k][j]) in two MR
-// rounds: round 1 joins row slices of A with column slices of B on the
-// inner index k and emits candidate sums; round 2 takes the min per output
-// cell.
-func (e *Engine) MinPlusProduct(a, b []int64, l int) ([]int64, error) {
+// blockSide returns the side b of the product's square blocks for ℓ×ℓ
+// matrices.
+func (e *Engine) blockSide(l int) int {
+	x := int64(l)
+	if e.cfg.ML > 0 {
+		x = e.cfg.ML / 2
+	}
+	b := 1
+	for b < l && int64(b+1)*int64(b+1) <= x {
+		b++
+	}
+	return b
+}
+
+// minPlus is MinPlusProduct restricted to the rows i of A with open[i]
+// (every row when open is nil); the other rows of C are Inf.
+func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 	if len(a) != l*l || len(b) != l*l {
 		return nil, errors.New("mr: matrix size mismatch")
 	}
 	if l == 0 {
 		return nil, nil
 	}
-	// Round 1 input: one pair per finite matrix entry, keyed by the inner
-	// index. A-entries: (k) -> (i, A[i][k]) tagged by sign trick: store
-	// matrix id in the key's high bit? Keys must group A row-k with B
-	// column-k together, so tag inside the value instead: A entries carry
-	// A = i, B entries carry A = i + l (reducer splits by range).
-	in := make([]Pair, 0, 2*l*l)
+	bs := e.blockSide(l)
+	nb := (l + bs - 1) / bs
+	// occA[I*nb+K] / occB[K*nb+J]: the block holds a finite entry.
+	occA, occB := make([]bool, nb*nb), make([]bool, nb*nb)
 	for i := 0; i < l; i++ {
 		for k := 0; k < l; k++ {
-			if a[i*l+k] < Inf {
-				in = append(in, Pair{Key: uint64(k), A: int64(i), B: a[i*l+k]})
+			if (open == nil || open[i]) && a[i*l+k] < Inf {
+				occA[i/bs*nb+k/bs] = true
+			}
+			if b[i*l+k] < Inf {
+				occB[i/bs*nb+k/bs] = true
+			}
+		}
+	}
+	// Round 1 input, keyed by block triple (I·nb + J)·nb + K. A carries the
+	// entry's offset inside its block: A entries in [0, b²), B entries in
+	// [b², 2b²), so a sorted group lists its A block first.
+	sq := int64(bs * bs)
+	in := make([]Pair, 0, 2*l*l)
+	for i := 0; i < l; i++ {
+		if open != nil && !open[i] {
+			continue
+		}
+		for k := 0; k < l; k++ {
+			if v := a[i*l+k]; v < Inf {
+				I, K := i/bs, k/bs
+				for J := 0; J < nb; J++ {
+					if occB[K*nb+J] {
+						in = append(in, Pair{Key: uint64((I*nb+J)*nb + K), A: int64(i%bs*bs + k%bs), B: v})
+					}
+				}
 			}
 		}
 	}
 	for k := 0; k < l; k++ {
 		for j := 0; j < l; j++ {
-			if b[k*l+j] < Inf {
-				in = append(in, Pair{Key: uint64(k), A: int64(j) + int64(l), B: b[k*l+j]})
+			if v := b[k*l+j]; v < Inf {
+				K, J := k/bs, j/bs
+				for I := 0; I < nb; I++ {
+					if occA[I*nb+K] {
+						in = append(in, Pair{Key: uint64((I*nb+J)*nb + K), A: sq + int64(k%bs*bs+j%bs), B: v})
+					}
+				}
 			}
 		}
 	}
-	mid, err := e.Round(in, func(_ uint64, pairs []Pair, emit Emitter) {
-		// pairs sorted by A: A-side rows first (A < l), then B-side
-		// columns.
+	parts, err := e.Round(in, func(key uint64, pairs []Pair, emit Emitter) {
+		ij, K := int(key/uint64(nb)), int64(key%uint64(nb))
+		I, J := ij/nb, ij%nb
+		blk := make([]int64, 2*sq) // B block, then the C block
+		for i := range blk {
+			blk[i] = Inf
+		}
 		split := 0
-		for split < len(pairs) && pairs[split].A < int64(l) {
+		for split < len(pairs) && pairs[split].A < sq {
 			split++
 		}
-		for _, pa := range pairs[:split] {
-			i := pa.A
-			for _, pb := range pairs[split:] {
-				j := pb.A - int64(l)
-				emit(Pair{Key: uint64(i)*uint64(l) + uint64(j), A: 0, B: pa.B + pb.B})
+		for _, p := range pairs[split:] {
+			blk[p.A-sq] = p.B
+		}
+		bBlk, cBlk := blk[:sq], blk[sq:]
+		for _, p := range pairs[:split] {
+			il, kl := int(p.A)/bs, int(p.A)%bs
+			row, src := cBlk[il*bs:(il+1)*bs], bBlk[kl*bs:(kl+1)*bs]
+			for jl, v := range src {
+				if v < Inf && p.B+v < row[jl] {
+					row[jl] = p.B + v
+				}
+			}
+		}
+		for c, v := range cBlk {
+			if v < Inf {
+				cell := (I*bs+c/bs)*l + J*bs + c%bs
+				emit(Pair{Key: uint64(cell), A: K, B: v})
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.Round(mid, func(key uint64, pairs []Pair, emit Emitter) {
-		min := Inf
-		for _, p := range pairs {
-			if p.B < min {
-				min = p.B
-			}
+	// Min per cell over its ≤ nb partials (A = the partial's slot), at
+	// most 2b² partials a reducer: a tree of fan-in 2b² when nb exceeds it.
+	for span := nb; span > 1; {
+		fan := min(span, 2*bs*bs)
+		next := (span + fan - 1) / fan
+		for i := range parts {
+			parts[i].Key = parts[i].Key*uint64(next) + uint64(parts[i].A)/uint64(fan)
 		}
-		emit(Pair{Key: key, B: min})
-	})
-	if err != nil {
-		return nil, err
+		parts, err = e.Round(parts, func(key uint64, pairs []Pair, emit Emitter) {
+			m := pairs[0].B
+			for _, p := range pairs[1:] {
+				m = min(m, p.B)
+			}
+			emit(Pair{Key: key / uint64(next), A: int64(key % uint64(next)), B: m})
+		})
+		if err != nil {
+			return nil, err
+		}
+		span = next
 	}
 	c := make([]int64, l*l)
 	for i := range c {
 		c[i] = Inf
 	}
-	for _, p := range out {
+	for _, p := range parts {
 		c[p.Key] = p.B
 	}
 	return c, nil
 }
 
 // APSPByRepeatedSquaring computes all-pairs shortest paths of a weighted
-// graph by ⌈log₂ ℓ⌉ min-plus squarings of its adjacency matrix, the
-// strategy Theorem 4 uses for the quotient graph. Unreachable pairs stay
-// at Inf.
+// graph by min-plus squarings of its adjacency matrix, the strategy
+// Theorem 4 uses for the quotient graph: at most ⌈log₂ ℓ⌉ of them, each
+// over the rows the last one changed, stopping at the fixpoint (see the
+// frontier and stop rule above). Unreachable pairs stay at Inf.
 func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 	l := w.NumNodes()
 	if l == 0 {
@@ -120,11 +216,26 @@ func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 			}
 		}
 	}
-	for span := 1; span < l; span *= 2 {
-		var err error
-		mat, err = e.MinPlusSquare(mat, l)
+	open := make([]bool, l)
+	for i := range open {
+		open[i] = true
+	}
+	for span, changed := 1, true; span < l && changed; span *= 2 {
+		sq, err := e.minPlus(mat, mat, l, open)
 		if err != nil {
 			return nil, err
+		}
+		changed = false
+		for i, ok := range open {
+			if !ok {
+				continue
+			}
+			row, old := sq[i*l:(i+1)*l], mat[i*l:(i+1)*l]
+			open[i] = !slices.Equal(row, old)
+			if open[i] {
+				copy(old, row)
+				changed = true
+			}
 		}
 	}
 	return mat, nil

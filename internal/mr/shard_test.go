@@ -123,23 +123,23 @@ func TestSquaringDeterministicAcrossShards(t *testing.T) {
 		ws[i] = int32(1 + r.Intn(9))
 	}
 	w := graph.MustWeighted(g.NumNodes(), edges, ws)
-	var wantDiam int64
+	var want []int64
 	var wantC counters
 	for i, shards := range sweepShards {
 		e := NewEngine(Config{Shards: shards})
-		diam, err := e.DiameterByRepeatedSquaring(w)
+		mat, err := e.APSPByRepeatedSquaring(w)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		c := snap(e)
 		e.Close()
 		if i == 0 {
-			wantDiam, wantC = diam, c
+			want, wantC = mat, c
 			continue
 		}
-		if diam != wantDiam || c != wantC {
-			t.Fatalf("shards=%d: diameter %d (counters %+v), want %d (%+v)",
-				shards, diam, c, wantDiam, wantC)
+		if !reflect.DeepEqual(mat, want) || c != wantC {
+			t.Fatalf("shards=%d: matrix or counters %+v differ from shards=%d's (%+v)",
+				shards, c, sweepShards[0], wantC)
 		}
 	}
 }
