@@ -23,23 +23,26 @@ import (
 // an upper bound on d(u, v) within O(d(u,v)·log³n + R_ALG2) with high
 // probability — polylogarithmic for far-apart pairs.
 //
-// The tables are stored row-major in flat slices (stride k = NumClusters),
-// and the per-node cluster/offset lookups alias the clustering's own flat
-// arrays, so a warm Query is two array reads (owner, dist — per endpoint)
-// and one table index with zero pointer chasing: no [][]row indirection,
-// no per-row cache miss. QueryBatchInto answers whole pair slices against
-// the same layout without allocating.
+// The quotient is undirected, so each table is stored once, as a strict
+// lower triangle in a flat slice: row d holds the cells (d, 0 … d−1), so the
+// pair c < d sits at d(d−1)/2 + c whatever k is, and the diagonal is implied
+// (a same-cluster pair never reads a table). The per-node cluster/offset
+// lookups alias the clustering's own flat arrays, so a warm Query is two
+// array reads (owner, dist — per endpoint) and one table index with zero
+// pointer chasing. QueryBatchInto answers whole pair slices against the same
+// layout without allocating.
 //
-// A cell is as wide as its values, six bytes a cluster pair: a quotient
-// distance is at most 2·ΣRadii + k − 1 (narrowCellsFit), a hop count is
-// below k <= maxOracleClusters. The APSP kernels write these cells, the
-// queries widen one on read, and the snapshot codec stores them as they are;
-// there is no other layout.
+// A cell is as wide as its values, six bytes an unordered cluster pair (a
+// u32 distance, a u16 hop count): a quotient distance is at most
+// 2·ΣRadii + k − 1 (narrowCellsFit), a hop count is below
+// k <= maxOracleClusters. The build copies each row's prefix out of the
+// kernels' own rows, the queries widen one cell on read, and the snapshot
+// codec stores the triangles as they are; there is no other layout.
 type Oracle struct {
 	clustering *Clustering
-	k          int            // quotient size; the stride of apsp/hops
-	apsp       []uint32       // weighted quotient APSP, row-major k×k; graph.InfDist32 when unreachable
-	hops       []uint16       // unweighted quotient APSP (certified lower bounds), row-major k×k; graph.InfHops when unreachable
+	k          int            // quotient size
+	apsp       []uint32       // weighted quotient APSP, strict lower triangle; graph.InfDist32 when unreachable
+	hops       []uint16       // unweighted quotient APSP (certified lower bounds), strict lower triangle; graph.InfHops when unreachable
 	owner      []graph.NodeID // flat cluster-of lookup, aliases clustering.Owner
 	dist       []int32        // flat distance-to-center lookup, aliases clustering.Dist
 	apspStats  bsp.Stats      // aggregate cost of the quotient APSP build
@@ -125,10 +128,12 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 // graph.APSPBlock consecutive sources for the hop rows (see
 // graph.APSPScratch). The parallelism is across blocks: opt.Workers
 // goroutines, each with its own scratch, claim them from a shared counter.
-// The tables are identical to a Dijkstra+BFS build at every worker count,
-// and the kernels write them in place: the build allocates the 6·k² bytes it
-// returns and O(k) scratch per worker, never a wider table (a decomposition
-// whose distances could overflow a cell is refused first — narrowCellsFit).
+// The tables are identical to a Dijkstra+BFS build at every worker count.
+// Each worker's kernels fill one scratch row (SSSP) and one block of hop rows
+// (HopRows), and row c's prefix (c, 0 … c−1) is copied into the triangles:
+// the build allocates the 3·k(k−1) bytes it returns and O(k) scratch per
+// worker, never a square or wider table (a decomposition whose distances
+// could overflow a cell is refused first — narrowCellsFit).
 // Cancelling ctx stops every worker before its next source and returns
 // ctx.Err(); opt.Observer receives one delta per completed block, and the
 // deltas sum to APSPStats.
@@ -146,11 +151,10 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	}
 	blocks := (k + graph.APSPBlock - 1) / graph.APSPBlock
 	workers := min(bsp.Workers(opt.Workers), blocks)
-	// The tables are row-major flat arrays; a worker owns the disjoint rows
-	// [lo*k, hi*k) of the block it claimed, so the writes need no
-	// synchronization and the kernels fill the final storage directly.
-	apsp := make([]uint32, k*k)
-	hops := make([]uint16, k*k)
+	// A worker owns the disjoint triangle rows lo … hi−1 of the block it
+	// claimed, so the copies need no synchronization.
+	apsp := make([]uint32, triangle(k))
+	hops := make([]uint16, triangle(k))
 	var (
 		next    atomic.Int64
 		wg      sync.WaitGroup
@@ -162,6 +166,7 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 		go func() {
 			defer wg.Done()
 			scratch := wq.NewAPSPScratch()
+			row, block := make([]uint32, k), make([]uint16, graph.APSPBlock*k)
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= blocks {
@@ -173,12 +178,16 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 					if ctx.Err() != nil {
 						return // the build is about to be discarded
 					}
-					arcs, buckets := scratch.SSSP(graph.NodeID(c), apsp[c*k:(c+1)*k])
+					arcs, buckets := scratch.SSSP(graph.NodeID(c), row)
+					copy(apsp[triangle(c):], row[:c])
 					delta.Relaxations += arcs
 					delta.Buckets += buckets
 				}
 				delta.Messages = delta.Relaxations
-				delta.Rounds = scratch.HopRows(graph.NodeID(lo), hops[lo*k:hi*k])
+				delta.Rounds = scratch.HopRows(graph.NodeID(lo), block[:(hi-lo)*k])
+				for c := lo; c < hi; c++ {
+					copy(hops[triangle(c):], block[(c-lo)*k:][:c])
+				}
 				statsMu.Lock()
 				stats.Add(delta)
 				statsMu.Unlock()
@@ -196,11 +205,12 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 }
 
 // OracleFromParts reassembles an oracle from its persisted parts: the
-// decomposition plus the two quotient APSP tables, row-major flat with
-// stride k = cl.NumClusters() (weighted distances and hop counts — what
-// Tables returns and the snapshot codec writes). It validates that the
-// table dimensions are mutually consistent so a corrupted snapshot cannot
-// produce an oracle that panics on query.
+// decomposition plus the two quotient APSP tables as strict lower triangles
+// of k = cl.NumClusters() rows, k(k−1)/2 cells each (weighted distances and
+// hop counts — what Tables returns and the snapshot codec writes). It
+// validates that the table dimensions are mutually consistent so a corrupted
+// snapshot cannot produce an oracle that panics on query; a square table is
+// refused like any other length.
 func OracleFromParts(cl *Clustering, apsp []uint32, hops []uint16) (*Oracle, error) {
 	if cl == nil || cl.G == nil {
 		return nil, errors.New("core: OracleFromParts: nil clustering")
@@ -210,9 +220,9 @@ func OracleFromParts(cl *Clustering, apsp []uint32, hops []uint16) (*Oracle, err
 		return nil, fmt.Errorf("core: OracleFromParts: owner/dist length %d/%d, want %d",
 			len(cl.Owner), len(cl.Dist), n)
 	}
-	if len(apsp) != k*k || len(hops) != k*k {
+	if len(apsp) != triangle(k) || len(hops) != triangle(k) {
 		return nil, fmt.Errorf("core: OracleFromParts: %d apsp / %d hop entries for %d clusters (want %d)",
-			len(apsp), len(hops), k, k*k)
+			len(apsp), len(hops), k, triangle(k))
 	}
 	for u := 0; u < n; u++ {
 		if cl.Owner[u] < 0 || int(cl.Owner[u]) >= k {
@@ -225,32 +235,54 @@ func OracleFromParts(cl *Clustering, apsp []uint32, hops []uint16) (*Oracle, err
 // Clustering exposes the oracle's underlying decomposition.
 func (o *Oracle) Clustering() *Clustering { return o.clustering }
 
-// Tables returns the two quotient tables as stored, row-major flat: entry
-// (c, d) is at index c*NumClusters()+d, graph.InfDist32 / graph.InfHops
-// when d is unreachable from c. They alias internal storage and must not be
-// modified; the snapshot codec writes them out with no copy.
+// Tables returns the two quotient tables as stored: strict lower triangles
+// of k = NumClusters() rows, k(k−1)/2 cells each, row d holding the cells
+// (d, 0 … d−1) — so the pair c < d, in either order, is at index
+// d(d−1)/2 + c — with graph.InfDist32 / graph.InfHops when the pair is
+// unreachable. They alias internal storage and must not be modified; the
+// snapshot codec writes them out with no copy.
 func (o *Oracle) Tables() (apsp []uint32, hops []uint16) { return o.apsp, o.hops }
 
-// APSPFlat returns the weighted quotient all-pairs table widened to int64
-// (graph.InfDist when unreachable), row-major flat as in Tables. It is an
-// O(k²) copy for diagnostics and tests — call it once, outside any loop —
-// and is on no build, serving or snapshot path.
-func (o *Oracle) APSPFlat() []int64 { return widen(o.apsp) }
+// APSPFlat returns the weighted quotient all-pairs table as a square
+// row-major k×k copy widened to int64: entry (c, d) at c*k+d, zero on the
+// diagonal, graph.InfDist when unreachable. It is an O(k²) copy for
+// diagnostics and tests — call it once, outside any loop — and is on no
+// build, serving or snapshot path.
+func (o *Oracle) APSPFlat() []int64 { return square(o.apsp, o.k) }
 
-// HopsFlat returns the hop table widened to int64; see APSPFlat.
-func (o *Oracle) HopsFlat() []int64 { return widen(o.hops) }
+// HopsFlat returns the hop table as a widened square copy; see APSPFlat.
+func (o *Oracle) HopsFlat() []int64 { return square(o.hops, o.k) }
 
-// widen copies narrow cells to int64; the all-ones cell of either width is
-// the unreachable mark and becomes graph.InfDist.
-func widen[T uint32 | uint16](cells []T) []int64 {
-	out := make([]int64, len(cells))
-	for i, c := range cells {
-		out[i] = int64(c)
-		if c == ^T(0) {
-			out[i] = graph.InfDist
+// square unfolds a triangle of k rows into a k×k int64 table; the all-ones
+// cell of either width is the unreachable mark and becomes graph.InfDist.
+func square[T uint32 | uint16](cells []T, k int) []int64 {
+	out := make([]int64, k*k)
+	for d := 1; d < k; d++ {
+		for c, v := range cells[triangle(d):triangle(d+1)] {
+			w := int64(v)
+			if v == ^T(0) {
+				w = graph.InfDist
+			}
+			out[c*k+d], out[d*k+c] = w, w
 		}
 	}
 	return out
+}
+
+// triangle is the number of cells in a strict lower triangle of n rows, and
+// so the offset of row n.
+func triangle(n int) int { return n * (n - 1) / 2 }
+
+// cell is the triangle index hi(hi−1)/2 + lo of the cluster pair (c, d),
+// c ≠ d, in either order, hi and lo being the larger and the smaller id. It
+// needs no k, and its unsigned arithmetic halves without a sign fix-up. The
+// pair is ordered by a sign mask rather than by min/max, which compile to a
+// branch here: random pairs mispredict it half the time, and that doubled
+// the cost of a lookup into a cache-resident triangle.
+func cell(c, d graph.NodeID) uint {
+	t := uint(c^d) & uint((c-d)>>31) // c^d when c < d, else 0; ids are non-negative, so c−d cannot overflow
+	hi, lo := uint(c)^t, uint(d)^t
+	return hi*(hi-1)/2 + lo
 }
 
 // NumClusters returns the size of the quotient graph (rows of the APSP
@@ -270,8 +302,8 @@ func (o *Oracle) APSPStats() bsp.Stats { return o.apspStats }
 // LowerQuery returns a certified lower bound on the distance between u and
 // v: the hop distance between their clusters in the quotient graph (every
 // G-path from u to v crosses at least that many inter-cluster edges).
-// Same-cluster pairs get 0. The bound is stored as part of the APSP table's
-// companion hop matrix.
+// Same-cluster pairs get 0. The bound is stored in the APSP table's
+// companion hop triangle.
 func (o *Oracle) LowerQuery(u, v graph.NodeID) int64 {
 	if u == v {
 		return 0
@@ -280,7 +312,7 @@ func (o *Oracle) LowerQuery(u, v graph.NodeID) int64 {
 	if cu == cv {
 		return 0
 	}
-	if h := o.hops[int(cu)*o.k+int(cv)]; h != graph.InfHops {
+	if h := o.hops[cell(cu, cv)]; h != graph.InfHops {
 		return int64(h)
 	}
 	return graph.InfDist
@@ -297,7 +329,7 @@ func (o *Oracle) Query(u, v graph.NodeID) int64 {
 		// Same cluster: go through the center.
 		return int64(o.dist[u]) + int64(o.dist[v])
 	}
-	mid := o.apsp[int(cu)*o.k+int(cv)]
+	mid := o.apsp[cell(cu, cv)]
 	if mid == graph.InfDist32 {
 		return graph.InfDist
 	}
@@ -306,13 +338,13 @@ func (o *Oracle) Query(u, v graph.NodeID) int64 {
 
 // QueryBatchInto answers pairs[i] = (u, v) into out[i], exactly as Query
 // would pair by pair (graph.InfDist for cross-component pairs). It is the
-// oracle's batch hot path: a single pass over the flat tables with zero
+// oracle's batch hot path: a single pass over the triangle with zero
 // allocation, so callers can pool and reuse both slices across requests.
 // Every id must already be validated in [0, n); out must have len(pairs).
 // Zero allocations, pinned by TestQueryBatchZeroAllocs.
 func (o *Oracle) QueryBatchInto(pairs [][2]graph.NodeID, out []int64) {
 	_ = out[:len(pairs)] // one bounds check, not one per pair
-	owner, dist, apsp, k := o.owner, o.dist, o.apsp, o.k
+	owner, dist, apsp := o.owner, o.dist, o.apsp
 	for i, p := range pairs {
 		u, v := p[0], p[1]
 		if u == v {
@@ -324,7 +356,7 @@ func (o *Oracle) QueryBatchInto(pairs [][2]graph.NodeID, out []int64) {
 			out[i] = int64(dist[u]) + int64(dist[v])
 			continue
 		}
-		mid := apsp[int(cu)*k+int(cv)]
+		mid := apsp[cell(cu, cv)]
 		if mid == graph.InfDist32 {
 			out[i] = graph.InfDist
 			continue

@@ -140,7 +140,8 @@ func TestOracleCapEnforced(t *testing.T) {
 // assertCellsWithinBound checks the range argument behind the narrow cells
 // on a built oracle: a finite quotient distance is a simple path over
 // distinct clusters, so at most 2·ΣRadii + k − 1, and a finite hop count is
-// below k.
+// below k. Both tables are strict lower triangles of k(k−1)/2 cells, row d
+// holding the cells (d, 0 … d−1).
 func assertCellsWithinBound(t *testing.T, o *Oracle) {
 	t.Helper()
 	k := o.NumClusters()
@@ -148,11 +149,18 @@ func assertCellsWithinBound(t *testing.T, o *Oracle) {
 	for _, r := range o.Clustering().Radii {
 		bound += 2 * int64(r)
 	}
-	for i, d := range o.apsp {
-		if h := o.hops[i]; (d == graph.InfDist32) != (h == graph.InfHops) {
-			t.Fatalf("cell (%d,%d): distance %d and hops %d disagree on reachability", i/k, i%k, d, h)
-		} else if d != graph.InfDist32 && (int64(d) > bound || int(h) >= k) {
-			t.Fatalf("cell (%d,%d): distance %d, %d hops; the bounds are %d and %d", i/k, i%k, d, h, bound, k-1)
+	apsp, hops := o.Tables()
+	if len(apsp) != k*(k-1)/2 || len(hops) != k*(k-1)/2 {
+		t.Fatalf("%d clusters: %d distance and %d hop cells, want %d each", k, len(apsp), len(hops), k*(k-1)/2)
+	}
+	for d := 1; d < k; d++ {
+		for c := 0; c < d; c++ {
+			i := d*(d-1)/2 + c
+			if dist, h := apsp[i], hops[i]; (dist == graph.InfDist32) != (h == graph.InfHops) {
+				t.Fatalf("cell (%d,%d): distance %d and hops %d disagree on reachability", d, c, dist, h)
+			} else if dist != graph.InfDist32 && (int64(dist) > bound || int(h) >= k) {
+				t.Fatalf("cell (%d,%d): distance %d, %d hops; the bounds are %d and %d", d, c, dist, h, bound, k-1)
+			}
 		}
 	}
 }
@@ -180,10 +188,11 @@ func TestNarrowCellsFit(t *testing.T) {
 	}
 }
 
-// The kernels write the tables in place: a build allocates the 6·k² bytes of
-// its result plus the quotient and per-worker scratch, which on this input
-// (k = 900) are under a tenth of the tables. A wide intermediate — even one
-// int64 table — would add 8·k² and fail this by a factor.
+// Each table is stored once: a build allocates the 3·k(k−1) bytes of its two
+// triangles plus the quotient and per-worker scratch, which on this input
+// (k = 900) are well under the triangles. Square tables — even narrow ones,
+// 6·k² bytes for the two — fail it: they alone exceed 3·k(k−1) plus the
+// slack of either worker count, and a wide intermediate does by more.
 func TestOracleBuildAllocatesOnlyNarrowTables(t *testing.T) {
 	cl := voronoi(graph.RoadLike(40, 40, 0.4, 5), 900, 2)
 	k := int64(cl.NumClusters())
@@ -196,14 +205,16 @@ func TestOracleBuildAllocatesOnlyNarrowTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Slack: the contraction's O(n + quotient arcs) and, per worker, one
-		// APSPScratch (40 bytes a cluster) and a goroutine — 1 KiB per
+		// APSPScratch (40 bytes a cluster), the kernels' scratch row and hop
+		// block (4 + 2·64 = 132 bytes a cluster) and a goroutine — 1 KiB per
 		// cluster per worker covers them several times over at this size.
 		slack := k * 1024 * int64(workers)
+		tables := 3 * k * (k - 1)
 		got := int64(after.TotalAlloc - before.TotalAlloc)
-		t.Logf("workers=%d: %d bytes allocated, tables %d, slack %d", workers, got, 6*k*k, slack)
-		if got > 6*k*k+slack {
-			t.Fatalf("workers=%d: build of %d clusters allocated %d bytes, want <= 6·k² + %d = %d",
-				workers, k, got, slack, 6*k*k+slack)
+		t.Logf("workers=%d: %d bytes allocated, tables %d, slack %d", workers, got, tables, slack)
+		if got > tables+slack {
+			t.Fatalf("workers=%d: build of %d clusters allocated %d bytes, want <= 3·k(k−1) + %d = %d",
+				workers, k, got, slack, tables+slack)
 		}
 		runtime.KeepAlive(o)
 	}
@@ -261,7 +272,8 @@ func voronoi(g *graph.Graph, k int, seed uint64) *Clustering {
 }
 
 // oracleFixtures are clusterings whose cluster counts fall on both sides of
-// every APSP block edge, one of them across components.
+// every APSP block edge, one of them across components, plus the one- and
+// two-cluster quotients whose triangles hold no cell and one.
 func oracleFixtures(t *testing.T) map[string]*Clustering {
 	road, err := Cluster(graph.RoadLike(25, 25, 0.4, 13), 2, Options{Seed: 6})
 	if err != nil {
@@ -272,29 +284,33 @@ func oracleFixtures(t *testing.T) map[string]*Clustering {
 		t.Fatal(err)
 	}
 	cases := map[string]*Clustering{"road": road, "union": union}
-	for _, k := range []int{40, 64, 65, 127, 129} {
+	for _, k := range []int{1, 2, 40, 64, 65, 127, 129} {
 		cases[fmt.Sprintf("k=%d", k)] = voronoi(graph.RoadLike(20, 20, 0.4, uint64(k)), k, 1)
 	}
 	return cases
 }
 
-// TestOracleTablesSymmetric checks the precondition of storing each table
-// once as a triangle: the quotient is undirected, so both square tables
-// must read the same from either end of every pair.
-func TestOracleTablesSymmetric(t *testing.T) {
-	for name, cl := range oracleFixtures(t) {
-		o, err := OracleFromClustering(context.Background(), cl, Options{Workers: 2})
+// OracleFromParts takes triangles and no other shape: a built oracle's own
+// tables are accepted, while a square table — what a version-3 snapshot
+// held — is refused, for one cluster as for many.
+func TestOracleFromPartsTakesOnlyTriangles(t *testing.T) {
+	for _, k := range []int{1, 2, 7} {
+		cl := voronoi(graph.RoadLike(10, 10, 0.4, 2), k, 3)
+		o, err := OracleFromClustering(context.Background(), cl, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := o.NumClusters()
-		apsp, hops := o.APSPFlat(), o.HopsFlat()
-		for c := 0; c < k; c++ {
-			for d := c + 1; d < k; d++ {
-				if apsp[c*k+d] != apsp[d*k+c] || hops[c*k+d] != hops[d*k+c] {
-					t.Fatalf("%s (k=%d): cell (%d,%d) = %d / %d hops, (%d,%d) = %d / %d hops",
-						name, k, c, d, apsp[c*k+d], hops[c*k+d], d, c, apsp[d*k+c], hops[d*k+c])
-				}
+		apsp, hops := o.Tables()
+		if _, err := OracleFromParts(cl, apsp, hops); err != nil {
+			t.Fatalf("k=%d: the oracle's own tables refused: %v", k, err)
+		}
+		squareA, squareH := make([]uint32, k*k), make([]uint16, k*k)
+		for _, parts := range []struct {
+			apsp []uint32
+			hops []uint16
+		}{{squareA, hops}, {apsp, squareH}, {squareA, squareH}} {
+			if _, err := OracleFromParts(cl, parts.apsp, parts.hops); err == nil {
+				t.Fatalf("k=%d: %d distance and %d hop cells accepted, want %d each", k, len(parts.apsp), len(parts.hops), k*(k-1)/2)
 			}
 		}
 	}
@@ -510,15 +526,23 @@ func TestDefaultOracleTau(t *testing.T) {
 	}
 }
 
-// BenchmarkOracleFromClusteringFine is the benchmark's `fine` oracle build
-// without its 40 s harness: RoadLike(400,400) cut at τ = 8 into ≈ 3,500
-// clusters, so the quotient APSP is the whole build. For paired runs build
-// it once per side with `go test -c` and alternate the binaries.
-func BenchmarkOracleFromClusteringFine(b *testing.B) {
+// fineClustering is the benchmark's `fine` decomposition: RoadLike(400,400)
+// cut at τ = 8 into ≈ 3,500 clusters.
+func fineClustering(b *testing.B) *Clustering {
 	cl, err := Cluster(graph.RoadLike(400, 400, 0.4, 1), 8, Options{Seed: 1, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return cl
+}
+
+// BenchmarkOracleFromClusteringFine is the benchmark's `fine` oracle build
+// without its 40 s harness: the quotient APSP is the whole build. For paired
+// runs build it once per side with `go test -c` and alternate the binaries;
+// BenchmarkQueryBatchIntoFine pairs the same way.
+func BenchmarkOracleFromClusteringFine(b *testing.B) {
+	cl := fineClustering(b)
+	var err error
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var o *Oracle
@@ -531,4 +555,32 @@ func BenchmarkOracleFromClusteringFine(b *testing.B) {
 			b.ReportMetric(float64(o.APSPStats().Relaxations), "relaxations/op")
 		})
 	}
+}
+
+// BenchmarkQueryBatchIntoFine is the benchmark's `fine` batch lookup without
+// its harness: the τ = 8 oracle answers frames of 4,096 random pairs, cycling
+// through 64 of them (2 MiB of pairs over ≈ 35 MB of tables), so lookups miss
+// cache as the daemon's do.
+func BenchmarkQueryBatchIntoFine(b *testing.B) {
+	o, err := OracleFromClustering(context.Background(), fineClustering(b), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const frameSize = 4096
+	r := rng.New(1)
+	n := o.Clustering().G.NumNodes()
+	frames := make([][][2]graph.NodeID, 64)
+	for i := range frames {
+		frames[i] = make([][2]graph.NodeID, frameSize)
+		for j := range frames[i] {
+			frames[i][j] = [2]graph.NodeID{graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))}
+		}
+	}
+	out := make([]int64, frameSize)
+	i := 0
+	for b.Loop() {
+		o.QueryBatchInto(frames[i%len(frames)], out)
+		i++
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frameSize), "ns/pair")
 }

@@ -108,6 +108,45 @@ func checkAPSPKernels(t *testing.T, wg *Weighted) {
 	}
 }
 
+// The oracle stores each quotient table once, as a lower triangle copied out
+// of these kernels' rows, and answers (c, d) and (d, c) from the same cell.
+// That is sound because both kernels are symmetric on an undirected graph:
+// SSSP row c at d equals row d at c, and HopRows' rows likewise, unreachable
+// marks included — on seeded weighted road-like, G(n,p) and disconnected
+// union graphs, with ragged last blocks.
+func TestAPSPKernelsSymmetric(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := rng.New(seed)
+		for _, shape := range []struct {
+			name string
+			g    *Graph
+		}{
+			{"road", RoadLike(13, 10, 0.4, seed)},
+			{"gnp", ErdosRenyi(130, 200, seed)},
+			{"union", disjointUnion(3, Mesh(5, 5), ErdosRenyi(30, 45, seed), Path(9))},
+		} {
+			wg := weightedBy(shape.g, func() int32 { return int32(1 + r.Intn(40)) })
+			n := wg.NumNodes()
+			s := wg.NewAPSPScratch()
+			dist, hops := make([]uint32, n*n), make([]uint16, n*n)
+			for src := 0; src < n; src++ {
+				s.SSSP(NodeID(src), dist[src*n:(src+1)*n])
+			}
+			for lo := 0; lo < n; lo += APSPBlock {
+				s.HopRows(NodeID(lo), hops[lo*n:min(lo+APSPBlock, n)*n])
+			}
+			for c := 0; c < n; c++ {
+				for d := c + 1; d < n; d++ {
+					if dist[c*n+d] != dist[d*n+c] || hops[c*n+d] != hops[d*n+c] {
+						t.Fatalf("%s seed %d: (%d,%d) = %d / %d hops, (%d,%d) = %d / %d hops", shape.name, seed,
+							c, d, dist[c*n+d], hops[c*n+d], d, c, dist[d*n+c], hops[d*n+c])
+					}
+				}
+			}
+		}
+	}
+}
+
 // The occupancy bitmap is what keeps a source's cost at O(arcs + n + D/64)
 // for weighted eccentricity D: probing the ring slot by slot is Θ(D), which
 // on this input — a sparse road-like graph whose edges weigh up to 2²⁰ — is

@@ -88,14 +88,21 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 		t.Fatalf("seed oracle: %v", err)
 	}
 	oracle := encode(t, &Artifact{Meta: meta, Graph: g, Oracle: o})
+	// The file ends with apsp (4·T bytes), hops (2·T) and the trailer (4), T
+	// the k(k−1)/2 cells of a triangle; the cut must land inside apsp.
 	k := o.NumClusters()
-	midTable := len(oracle) - 4 - 2*k*k - 2*k*k // trailer, hops, half of apsp
+	cells := k * (k - 1) / 2
+	apspEnd := len(oracle) - 4 - 2*cells
+	midTable := apspEnd - 2*cells // half of apsp
+	if apspStart := apspEnd - 4*cells; midTable <= apspStart || midTable >= apspEnd {
+		t.Fatalf("seed oracle of %d clusters: cut at byte %d is outside its apsp section [%d, %d)", k, midTable, apspStart, apspEnd)
+	}
 	return []fuzzSeed{
 		{"valid-graph", valid},
 		{"truncated-checksum", valid[:len(valid)-1]},
 		{"empty", []byte{}},
 		{"magic-only", []byte("RPSN")},
-		{"magic-version", valid[:8]}, // "RPSN\x03\x00" and empty flags, no payload
+		{"magic-version", valid[:8]}, // "RPSN\x04\x00" and empty flags, no payload
 		{"bitflip-mid", flipped},
 		{"valid-oracle", oracle},
 		{"oracle-truncated-mid-table", oracle[:midTable]},

@@ -215,10 +215,11 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	// Any other version — a future one, or the v2 this build's predecessor
-	// wrote (wide table cells; there is no reader for it) — is refused by
-	// the version check itself, before a byte of payload is interpreted.
-	for _, version := range []byte{0xFF, 2} {
+	// Any other version — a future one, the v3 this build's predecessor wrote
+	// (square tables) or the v2 before it (wide cells); there is no reader for
+	// either — is refused by the version check itself, before a byte of
+	// payload is interpreted.
+	for _, version := range []byte{0xFF, 2, 3} {
 		bad = append([]byte(nil), buf.Bytes()...)
 		bad[4] = version
 		if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
