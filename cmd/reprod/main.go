@@ -20,7 +20,6 @@
 //	curl 'localhost:8080/distance?graph=road&u=17&v=90210'
 //	curl 'localhost:8080/diameter?graph=road'
 //	curl 'localhost:8080/kcenter?graph=road&k=32'
-//	curl 'localhost:8080/stats'
 //	curl 'localhost:8080/metrics'   # Prometheus text exposition
 //	curl 'localhost:8080/builds'    # build traces: in-flight + recent
 //

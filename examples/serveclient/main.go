@@ -1,7 +1,7 @@
 // Query-service client: start a repro.Server in-process over a road-like
 // graph, then drive it with many concurrent HTTP clients the way a
 // production deployment of cmd/reprod would be driven, reporting
-// throughput, latency, and the server's own /stats counters.
+// throughput and latency of the point and batch query paths.
 //
 // Run with:
 //
@@ -115,18 +115,6 @@ func main() {
 	// /distance-batch requests in both encodings. The effective pairs/sec
 	// is what a bulk consumer (all-pairs sampling, evaluation sweeps) sees.
 	runBatches(base, *graphName, *nodes)
-
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		log.Fatal(err)
-	}
-	out, _ := json.MarshalIndent(stats, "", "  ")
-	fmt.Printf("\nserver /stats:\n%s\n", out)
 }
 
 // runBatches posts the same random pairs through /distance-batch with the

@@ -131,7 +131,7 @@ func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
 
 // The observer sees one delta per completed block, and the deltas add up to
 // exactly the build's APSPStats — so the live counters behind /builds end
-// at the cost line /stats reports.
+// at the oracle's own cost.
 func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
 	cl := voronoi(graph.RoadLike(30, 30, 0.4, 5), 5*graph.APSPBlock+7, 2)
 	var (

@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,6 +15,9 @@ import (
 // comment lines permitted (the format used by the SNAP datasets the paper
 // draws from). Node ids must be non-negative integers; the node count is
 // max id + 1 unless a larger count is given via a "# nodes: N" header.
+
+// maxNodes is the most nodes a graph can hold: NodeID is an int32.
+const maxNodes = 1 << 31
 
 // WriteEdgeList writes g in text edge-list format.
 func WriteEdgeList(w io.Writer, g *Graph) error {
@@ -36,7 +40,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 }
 
 // ReadEdgeList parses a text edge list. Lines starting with '#' are
-// comments, except that a "# nodes: N ..." header fixes the node count.
+// comments, except that a "# nodes: N" header fixes the node count,
+// whatever follows N. A count above 2³¹, more nodes than NodeIDs can
+// address, is an error.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -49,9 +55,13 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			var n, m int
-			if _, err := fmt.Sscanf(line, "# nodes: %d edges: %d", &n, &m); err == nil {
-				b.Grow(n)
+			var n int64
+			_, err := fmt.Sscanf(line, "# nodes: %d", &n)
+			if (err == nil && n > maxNodes) || errors.Is(err, strconv.ErrRange) {
+				return nil, fmt.Errorf("graph: line %d: node count out of range (at most %d)", lineNo, maxNodes)
+			}
+			if err == nil {
+				b.Grow(int(n))
 			}
 			continue
 		}

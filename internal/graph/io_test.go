@@ -41,21 +41,42 @@ func TestReadEdgeListComments(t *testing.T) {
 	}
 }
 
+// The "# nodes: N" header fixes the node count whatever follows N, so
+// isolated nodes past the largest id are preserved.
 func TestReadEdgeListHeaderFixesNodeCount(t *testing.T) {
-	in := "# nodes: 10 edges: 1\n0 1\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 10 {
-		t.Fatalf("n=%d want 10 (isolated nodes preserved)", g.NumNodes())
+	for _, tc := range []struct {
+		in string
+		n  int
+	}{
+		{"# nodes: 10 edges: 1\n0 1\n", 10},
+		{"# nodes: 5\n0 1\n", 5},
+		{"# nodes: 7, undirected\n0 1\n", 7},
+		{"# nodes: 1 edges: 1\n0 3\n", 4}, // a smaller count never drops an id
+	} {
+		g, err := ReadEdgeList(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("%q: %v", tc.in, err)
+		}
+		if g.NumNodes() != tc.n {
+			t.Fatalf("%q: n=%d want %d", tc.in, g.NumNodes(), tc.n)
+		}
 	}
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	for _, in := range []string{"0\n", "a b\n", "-1 2\n"} {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
-			t.Fatalf("input %q should fail", in)
+	for _, tc := range []struct{ in, msg string }{
+		{"0\n", "line 1"},
+		{"a b\n", "line 1"},
+		{"-1 2\n", "line 1"},
+		// A count NodeIDs cannot address is refused before anything is
+		// sized by it (2³¹ + 1, 3·10⁹, and past int64).
+		{"# c\n# nodes: 2147483649\n", "line 2"},
+		{"# nodes: 3000000000 edges: 0\n", "line 1"},
+		{"0 1\n# nodes: 99999999999999999999\n", "line 2"},
+	} {
+		_, err := ReadEdgeList(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("input %q: err = %v, want an error naming %s", tc.in, err, tc.msg)
 		}
 	}
 }

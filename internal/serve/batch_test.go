@@ -301,8 +301,8 @@ func TestDistanceBatchValidation(t *testing.T) {
 
 	// None of the invalid batches above may have started a build: the
 	// validation runs before the artifact lookup.
-	if st := s.Stats(); st.Builds != 0 || st.CacheMisses != 0 {
-		t.Fatalf("invalid batches triggered builds: %+v", st)
+	if builds, misses := s.met.builds.Value(), s.met.misses.Value(); builds != 0 || misses != 0 {
+		t.Fatalf("invalid batches triggered builds: %d builds, %d misses", builds, misses)
 	}
 
 	// A valid batch then builds exactly once.
@@ -310,11 +310,11 @@ func TestDistanceBatchValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid batch after errors: status %d: %s", resp.StatusCode, raw)
 	}
-	if st := s.Stats(); st.Builds != 1 {
-		t.Fatalf("valid batch should have built once: %+v", st)
+	if n := s.met.builds.Value(); n != 1 {
+		t.Fatalf("valid batch should have built once, built %d times", n)
 	}
-	if st := s.Stats(); st.BatchPairs != int64(len(okPairs)) {
-		t.Fatalf("batch pairs counter: %+v", st)
+	if n := s.met.batchPairs.Value(); n != int64(len(okPairs)) {
+		t.Fatalf("batch pairs counter %d, want %d", n, len(okPairs))
 	}
 }
 

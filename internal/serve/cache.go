@@ -14,18 +14,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bsp"
 	"repro/internal/core"
 )
 
-// artifact is what a build produces: exactly one kind pointer (selected by
-// Key.Kind) plus the BSP cost of the decomposition behind it, so cost
-// reporting never has to dig the numbers back out of the result.
+// artifact is what a build produces: exactly one kind pointer, selected by
+// Key.Kind. What the build cost is its trace's business (trace.go).
 type artifact struct {
 	oracle   *core.Oracle
 	diameter *core.DiameterResult
 	kcenter  *core.KCenterResult
-	stats    bsp.Stats
 }
 
 // How a request met the cache, as reported in RequestLogEntry.Cache.
@@ -35,19 +32,18 @@ const (
 	cacheJoin = "join" // attached to a build already in flight
 )
 
-// entry is a cache slot. ready is closed once val/err/cost are final;
+// entry is a cache slot. ready is closed once val and err are final;
 // requests for an in-flight key block on it instead of duplicating the
 // build (single flight). waiters counts the requests currently blocked on
 // ready: when the last of them leaves before the build completes, cancel
 // stops the build at its next round/bucket/source barrier instead of
 // letting it burn cores for nobody. lastUsed is the cache's logical clock
-// at the entry's most recent touch, driving LRU eviction. val/err/cost are
+// at the entry's most recent touch, driving LRU eviction. val and err are
 // written under the cache lock before ready closes and read only after.
 type entry struct {
 	ready    chan struct{}
 	val      artifact
 	err      error
-	cost     *ArtifactCost
 	lastUsed atomic.Int64
 
 	// trace is the build's lifecycle trace; nil for entries that were never
@@ -191,9 +187,9 @@ func (c *artifactCache) wait(ctx context.Context, key Key, e *entry) error {
 // happen in one critical section, so waiter bookkeeping never sees a
 // half-published entry. A failed build is not cached: its entry is removed
 // before ready closes, so the key is immediately retryable.
-func (c *artifactCache) finish(key Key, e *entry, val artifact, cost *ArtifactCost, err error) {
+func (c *artifactCache) finish(key Key, e *entry, val artifact, err error) {
 	c.mu.Lock()
-	e.val, e.cost, e.err = val, cost, err
+	e.val, e.err = val, err
 	if err != nil {
 		c.removeLocked(key, e)
 	}
@@ -239,8 +235,8 @@ func (c *artifactCache) evictLocked(victim *Key) {
 // put installs a completed artifact that was never built here (a snapshot),
 // honouring the bound exactly like a build does: replacing an existing key
 // needs no room, a new key must find or evict a slot.
-func (c *artifactCache) put(key Key, val artifact, cost *ArtifactCost) error {
-	e := &entry{ready: make(chan struct{}), val: val, cost: cost, cancel: func() {}}
+func (c *artifactCache) put(key Key, val artifact) error {
+	e := &entry{ready: make(chan struct{}), val: val, cancel: func() {}}
 	close(e.ready)
 	c.touch(e)
 	c.mu.Lock()
@@ -300,16 +296,4 @@ func (c *artifactCache) len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.entries)
-}
-
-// costs returns the cost line of every completed artifact.
-func (c *artifactCache) costs() (costs []ArtifactCost) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, e := range c.entries {
-		if e.completed() && e.cost != nil {
-			costs = append(costs, *e.cost)
-		}
-	}
-	return costs
 }

@@ -59,10 +59,10 @@ func (r *cacheRig) acquire(key Key, tag int32) (*entry, string, error) {
 				err = ctx.Err()
 			}
 			if err != nil {
-				r.c.finish(key, e, artifact{}, nil, err)
+				r.c.finish(key, e, artifact{}, err)
 				return
 			}
-			r.c.finish(key, e, fakeArtifact(tag), nil, nil)
+			r.c.finish(key, e, fakeArtifact(tag), nil)
 		})
 	if e != nil {
 		r.entries = append(r.entries, e)
@@ -253,7 +253,7 @@ func TestArtifactCacheInterleavings(t *testing.T) {
 				func() (*buildTrace, error) { return &buildTrace{}, nil },
 				func(_ context.Context, e *entry) {
 					defer func() {
-						r.c.finish(k1, e, artifact{}, nil, fmt.Errorf("panicked: %v", recover()))
+						r.c.finish(k1, e, artifact{}, fmt.Errorf("panicked: %v", recover()))
 					}()
 					panic("boom")
 				})
@@ -283,7 +283,7 @@ func TestArtifactCacheInterleavings(t *testing.T) {
 			r.complete(k1, 1)
 			r.complete(k2, 2)
 			r.mustAcquire(k1, 0, cacheHit) // k2 is now the least recently used
-			if err := r.c.put(k3, fakeArtifact(3), nil); err != nil {
+			if err := r.c.put(k3, fakeArtifact(3)); err != nil {
 				t.Fatalf("put at capacity: %v", err)
 			}
 			if r.evictions != 1 || r.c.waitersOf(k2) != -1 || r.c.waitersOf(k1) != 0 {
@@ -291,7 +291,7 @@ func TestArtifactCacheInterleavings(t *testing.T) {
 					r.evictions, r.c.waitersOf(k1), r.c.waitersOf(k2))
 			}
 			// Replacing a cached key needs no room.
-			if err := r.c.put(k3, fakeArtifact(4), nil); err != nil || r.evictions != 1 {
+			if err := r.c.put(k3, fakeArtifact(4)); err != nil || r.evictions != 1 {
 				t.Fatalf("replace in place: err %v, evictions %d", err, r.evictions)
 			}
 		}},
@@ -312,7 +312,7 @@ func TestArtifactCacheInterleavings(t *testing.T) {
 			if _, _, err := r.acquire(k2, 2); !errors.Is(err, ErrCacheFull) {
 				t.Fatalf("acquire into a cache full of in-flight builds = %v, want ErrCacheFull", err)
 			}
-			if err := r.c.put(k2, fakeArtifact(2), nil); !errors.Is(err, ErrCacheFull) {
+			if err := r.c.put(k2, fakeArtifact(2)); !errors.Is(err, ErrCacheFull) {
 				t.Fatalf("put into a cache full of in-flight builds = %v, want ErrCacheFull", err)
 			}
 			r.refuse = nil
@@ -321,7 +321,7 @@ func TestArtifactCacheInterleavings(t *testing.T) {
 			if err := r.c.wait(bg, k1, e1); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.c.put(k2, fakeArtifact(2), nil); err != nil {
+			if err := r.c.put(k2, fakeArtifact(2)); err != nil {
 				t.Fatalf("put after a completion: %v", err)
 			}
 			f3.outcome <- nil
@@ -401,7 +401,7 @@ func TestArtifactCacheShutdownDeadline(t *testing.T) {
 		func() (*buildTrace, error) { return &buildTrace{}, nil },
 		func(_ context.Context, e *entry) {
 			<-release // deaf to its context
-			c.finish(key, e, artifact{}, nil, errors.New("late"))
+			c.finish(key, e, artifact{}, errors.New("late"))
 		})
 	if err != nil {
 		t.Fatal(err)

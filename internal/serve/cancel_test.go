@@ -108,7 +108,7 @@ func TestCancelSoleWaiterCancelsDetachedBuild(t *testing.T) {
 	// The entry is removed, so the key is retryable; the cancellation is
 	// counted.
 	waitUntil(t, "cancelled entry removal", func() bool { return s.cachedEntries() == 0 })
-	waitUntil(t, "cancelled-build counter", func() bool { return s.Stats().CancelledBuilds == 1 })
+	waitUntil(t, "cancelled-build counter", func() bool { return s.met.cancelled.Value() == 1 })
 
 	// Retry rebuilds cleanly.
 	v, err := s.get(context.Background(), nil, key, func(context.Context, *Server, Key, *graph.Graph, *buildTrace) (artifact, error) {
@@ -206,7 +206,7 @@ func TestCancelledOracleBuildStopsEngineAndRetries(t *testing.T) {
 	// The abandoned build is counted whether it was cancelled mid-engines
 	// or while still queued for a build slot (in the latter case it never
 	// executed, so Builds may stay 0 here).
-	waitUntil(t, "cancelled build accounting", func() bool { return s.Stats().CancelledBuilds == 1 })
+	waitUntil(t, "cancelled build accounting", func() bool { return s.met.cancelled.Value() == 1 })
 
 	// Retry with a live context: clean rebuild, same key.
 	o, err := s.Oracle(context.Background(), "mesh", 3, 1, "")
@@ -216,8 +216,8 @@ func TestCancelledOracleBuildStopsEngineAndRetries(t *testing.T) {
 	if o.NumClusters() == 0 {
 		t.Fatal("retry produced an empty oracle")
 	}
-	if st := s.Stats(); st.Builds < 1 || st.Artifacts != 1 {
-		t.Fatalf("builds=%d artifacts=%d after retry, want >=1 executed build and 1 artifact", st.Builds, st.Artifacts)
+	if builds, artifacts := s.met.builds.Value(), s.cachedEntries(); builds < 1 || artifacts != 1 {
+		t.Fatalf("builds=%d artifacts=%d after retry, want >=1 executed build and 1 artifact", builds, artifacts)
 	}
 }
 
@@ -460,7 +460,7 @@ func TestServerShutdownCancelsInFlightBuilds(t *testing.T) {
 
 // Satellite: /diameter must key on the RESOLVED tau — a parameter-less
 // request and an explicit request for the resolved default share one cache
-// slot, and /stats reports the real parameter instead of tau=0.
+// slot, and /builds reports the real parameter instead of tau=0.
 func TestDiameterDefaultTauResolvedIntoKey(t *testing.T) {
 	g := graph.Mesh(40, 40)
 	s := New(Config{Workers: 2})
@@ -474,15 +474,13 @@ func TestDiameterDefaultTauResolvedIntoKey(t *testing.T) {
 	if _, err := s.Diameter(context.Background(), "mesh", def, 1, ""); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Builds != 1 {
-		t.Fatalf("default and explicit-default diameter requests built %d artifacts, want 1", st.Builds)
+	if n := s.met.builds.Value(); n != 1 {
+		t.Fatalf("default and explicit-default diameter requests built %d artifacts, want 1", n)
 	}
-	if len(st.ArtifactDetails) != 1 {
-		t.Fatalf("want 1 artifact line, got %+v", st.ArtifactDetails)
-	}
-	if k := st.ArtifactDetails[0].Key; strings.Contains(k, "tau=0") {
-		t.Fatalf("stats still report an unresolved key %q", k)
+	waitUntil(t, "the build's trace in the recent ring", func() bool { return len(s.BuildTraces().Recent) == 1 })
+	want := Key{Graph: "mesh", Kind: "diameter", Tau: def, Seed: 1, Algorithm: "cluster"}.String()
+	if k := s.BuildTraces().Recent[0].Key; k != want {
+		t.Fatalf("/builds reports key %q, want the resolved %q", k, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -69,17 +68,30 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 	return resp.StatusCode, string(body), resp.Header
 }
 
-func serverStats(t *testing.T, base string) serve.Stats {
+// metric scrapes /metrics and returns one series' value, the series named
+// as the exposition spells it (`reprod_requests_shed_total{lane="slow"}`).
+// A labelled series nothing has touched yet reads 0; a family the
+// exposition does not declare fails the test.
+func metric(t *testing.T, base, series string) float64 {
 	t.Helper()
-	status, body, _ := get(t, base+"/stats")
+	status, body, _ := get(t, base+"/metrics")
 	if status != http.StatusOK {
-		t.Fatalf("/stats status %d", status)
+		t.Fatalf("/metrics status %d", status)
 	}
-	var st serve.Stats
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatalf("decode /stats: %v", err)
+	family, _, _ := strings.Cut(series, "{")
+	if !strings.Contains(body, "# TYPE "+family+" ") {
+		t.Fatalf("/metrics declares no family %s", family)
 	}
-	return st
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics: malformed sample %q", line)
+			}
+			return f
+		}
+	}
+	return 0
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -187,8 +199,8 @@ func TestSlowLaneShedsWithRetryAfter(t *testing.T) {
 	if !strings.Contains(body, "slow lane") {
 		t.Fatalf("shed body %q does not name the slow lane", body)
 	}
-	if st := serverStats(t, ts.URL); st.ShedSlow < 1 {
-		t.Fatalf("ShedSlow = %d after a slow-lane shed", st.ShedSlow)
+	if n := metric(t, ts.URL, `reprod_requests_shed_total{lane="slow"}`); n < 1 {
+		t.Fatalf("slow-lane sheds = %v after a slow-lane shed", n)
 	}
 
 	// Warm traffic is untouched by slow-lane saturation.
@@ -241,10 +253,11 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if n := inj.Starts(key); n != 3 {
 		t.Fatalf("open breaker still admitted a build (starts=%d)", n)
 	}
-	st := serverStats(t, ts.URL)
-	if st.BreakerTrips < 1 || st.BreakerRejected < 1 || st.BreakerOpenKeys != 1 {
-		t.Fatalf("breaker stats after trip: trips=%d rejected=%d open=%d",
-			st.BreakerTrips, st.BreakerRejected, st.BreakerOpenKeys)
+	trips := metric(t, ts.URL, "reprod_breaker_trips_total")
+	rejected := metric(t, ts.URL, "reprod_breaker_rejected_total")
+	open := metric(t, ts.URL, "reprod_breaker_open_keys")
+	if trips < 1 || rejected < 1 || open != 1 {
+		t.Fatalf("breaker metrics after trip: trips=%v rejected=%v open=%v", trips, rejected, open)
 	}
 
 	// Heal the key and wait out the cooldown: the next request is the
@@ -257,8 +270,8 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if n := inj.Starts(key); n != 4 {
 		t.Fatalf("probe should be exactly one build (starts=%d, want 4)", n)
 	}
-	if st := serverStats(t, ts.URL); st.BreakerOpenKeys != 0 {
-		t.Fatalf("breaker still open after successful probe (open=%d)", st.BreakerOpenKeys)
+	if open := metric(t, ts.URL, "reprod_breaker_open_keys"); open != 0 {
+		t.Fatalf("breaker still open after successful probe (open=%v)", open)
 	}
 	// And the artifact is cached like any other.
 	if status, _, _ := get(t, poisoned); status != http.StatusOK || inj.Starts(key) != 4 {
@@ -333,8 +346,8 @@ func TestBuildTimeoutAnswers504(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out build: status %d (%s), want 504", status, body)
 	}
-	if st := serverStats(t, ts.URL); st.TimedOutBuilds != 1 {
-		t.Fatalf("TimedOutBuilds = %d, want 1", st.TimedOutBuilds)
+	if n := metric(t, ts.URL, "reprod_builds_timed_out_total"); n != 1 {
+		t.Fatalf("timed-out builds = %v, want 1", n)
 	}
 	inj.Clear(key)
 	if status, body, _ := get(t, url); status != http.StatusOK {
@@ -363,7 +376,7 @@ func TestSlowClientDoesNotStallOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "slow client to occupy the fast lane", func() bool {
-		return serverStats(t, ts.URL).InFlight == 1
+		return metric(t, ts.URL, "reprod_request_slots_in_use") == 1
 	})
 
 	status, body, header := get(t, ts.URL+warmDistance)
@@ -374,8 +387,8 @@ func TestSlowClientDoesNotStallOthers(t *testing.T) {
 	if !strings.Contains(body, "fast lane") {
 		t.Fatalf("shed body %q does not name the fast lane", body)
 	}
-	if st := serverStats(t, ts.URL); st.ShedFast < 1 {
-		t.Fatalf("ShedFast = %d after a fast-lane shed", st.ShedFast)
+	if n := metric(t, ts.URL, `reprod_requests_shed_total{lane="fast"}`); n < 1 {
+		t.Fatalf("fast-lane sheds = %v after a fast-lane shed", n)
 	}
 
 	conn.Close()
@@ -517,15 +530,14 @@ func TestSoakMixedTrafficNoLeaks(t *testing.T) {
 
 	// Audit: every slot repaid, every lane drained, nothing left running.
 	waitFor(t, 10*time.Second, "in-flight requests and builds to drain", func() bool {
-		st := serverStats(t, ts.URL)
-		return st.InFlight == 0
+		return metric(t, ts.URL, "reprod_request_slots_in_use") == 0
 	})
 	scrape := func() string {
 		_, body, _ := get(t, ts.URL+"/metrics")
 		return body
 	}
 	waitFor(t, 10*time.Second, "slow lane to drain", func() bool {
-		return strings.Contains(scrape(), "reprod_slow_lane_pending_builds 0")
+		return strings.Contains(scrape(), "reprod_builds_in_flight 0")
 	})
 	exposition := scrape()
 	for _, want := range []string{
@@ -537,11 +549,10 @@ func TestSoakMixedTrafficNoLeaks(t *testing.T) {
 			t.Errorf("post-soak exposition missing %q", want)
 		}
 	}
-	st := serverStats(t, ts.URL)
-	if int64(st.ShedSlow) < sheds.Load() {
-		t.Errorf("ShedSlow=%d but clients saw %d shed cold requests", st.ShedSlow, sheds.Load())
+	if n := metric(t, ts.URL, `reprod_requests_shed_total{lane="slow"}`); n < float64(sheds.Load()) {
+		t.Errorf("slow-lane sheds = %v but clients saw %d shed cold requests", n, sheds.Load())
 	}
-	if st.ClientGone == 0 {
+	if metric(t, ts.URL, "reprod_requests_client_gone_total") == 0 {
 		t.Error("disconnect worker left no reprod_requests_client_gone_total trace")
 	}
 

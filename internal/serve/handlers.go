@@ -23,7 +23,6 @@ import (
 //	GET  /cluster-of?graph=G&u=U[&tau=T][&seed=S][&algo=...]
 //	GET  /diameter?graph=G[&tau=T][&seed=S][&algo=...]
 //	GET  /kcenter?graph=G&k=K[&seed=S]
-//	GET  /stats
 //	GET  /builds
 //	GET  /metrics
 //	GET  /healthz
@@ -50,9 +49,6 @@ func (s *Server) Handler() http.Handler {
 	handle("/cluster-of", s.endpoint("", s.queryPairs(decodeClusterOf, answerClusterOf)))
 	handle("/diameter", s.endpoint("", s.handleDiameter))
 	handle("/kcenter", s.endpoint("", s.handleKCenter))
-	handle("/stats", func(rq *request, _ *http.Request) {
-		writeJSON(rq, http.StatusOK, s.Stats())
-	})
 	handle("/builds", func(rq *request, _ *http.Request) {
 		writeJSON(rq, http.StatusOK, s.BuildTraces())
 	})

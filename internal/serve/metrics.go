@@ -1,18 +1,12 @@
 package serve
 
-import (
-	"sort"
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // metrics is the server's instrument set, backed by the obs registry that
 // /metrics renders. The hot paths (queries, observer callbacks) touch only
-// lock-free instruments; /stats reads the same instruments, so the two
-// surfaces can never disagree. A few aggregates that exist only for
-// /stats' derived averages (total request count, cumulative build time)
-// stay plain atomics beside the registry.
+// lock-free instruments. Together with the build traces /builds serves
+// (trace.go), this registry is the daemon's whole inside view: every number
+// is exported once, under one name.
 type metrics struct {
 	reg *obs.Registry
 
@@ -20,7 +14,6 @@ type metrics struct {
 	httpRequests *obs.CounterVec   // {path, code}
 	httpLatency  *obs.HistogramVec // {path}
 	httpInFlight *obs.Gauge        // requests between middleware entry and exit
-	requests     atomic.Int64      // aggregate across paths, for /stats
 	errors       *obs.Counter      // responses with status >= 400
 	rejected     *obs.Counter      // requests cancelled while queued for a worker slot
 	inFlight     *obs.Gauge        // requests holding a worker slot
@@ -50,7 +43,6 @@ type metrics struct {
 	cancelled    *obs.Counter
 	timedOut     *obs.Counter
 	buildLatency *obs.HistogramVec // {kind}
-	buildNs      atomic.Int64      // cumulative build time, for /stats' average
 
 	// Engine progress totals, fed by the build observers: the paper's cost
 	// units (rounds, arcs-scanned messages, relaxations, buckets) as live
@@ -141,7 +133,7 @@ func (s *Server) registerServerGauges() {
 			return float64(s.cfg.MaxArtifacts)
 		})
 	reg.GaugeFunc("reprod_builds_in_flight",
-		"Detached builds currently queued or running.", func() float64 {
+		"Detached builds admitted to the slow lane and not yet finished (queued plus running).", func() float64 {
 			return float64(s.slowPending.Load()) // every in-flight build holds a slow-lane admission
 		})
 	reg.GaugeFunc("reprod_build_pool_occupancy",
@@ -160,95 +152,8 @@ func (s *Server) registerServerGauges() {
 		"Requests waiting for a fast-lane slot.", func() float64 {
 			return float64(s.fast.queueDepth())
 		})
-	reg.GaugeFunc("reprod_slow_lane_pending_builds",
-		"Builds admitted to the slow lane and not yet finished (queued plus running).", func() float64 {
-			return float64(s.slowPending.Load())
-		})
 	reg.GaugeFunc("reprod_breaker_open_keys",
 		"Artifact keys whose circuit breaker is currently open or half-open.", func() float64 {
 			return float64(s.breaker.openKeys())
 		})
-}
-
-// Stats is the JSON shape of the /stats endpoint.
-type Stats struct {
-	Requests       int64   `json:"requests"`
-	Errors         int64   `json:"errors"`
-	Queries        int64   `json:"queries"`
-	BatchPairs     int64   `json:"batch_pairs"`
-	AvgQueryMicros float64 `json:"avg_query_micros"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	HitRate        float64 `json:"hit_rate"`
-	Builds         int64   `json:"builds"`
-	AvgBuildMillis float64 `json:"avg_build_millis"`
-	Installs       int64   `json:"snapshot_installs"`
-	Evictions      int64   `json:"evictions"`
-	Rejected       int64   `json:"rejected"`
-	InFlight       int64   `json:"in_flight"`
-	// CancelledBuilds counts detached builds stopped mid-flight because
-	// their last waiter disconnected (or the server shut down).
-	CancelledBuilds int64 `json:"cancelled_builds"`
-	// TimedOutBuilds counts builds killed by the server-side build
-	// deadline (Config.BuildTimeout).
-	TimedOutBuilds int64 `json:"timed_out_builds"`
-	// Overload surface: load-shed requests by lane, client-abandoned
-	// requests, and the per-key circuit breaker.
-	ShedFast        int64 `json:"shed_fast"`
-	ShedSlow        int64 `json:"shed_slow"`
-	ClientGone      int64 `json:"client_gone"`
-	BreakerTrips    int64 `json:"breaker_trips"`
-	BreakerRejected int64 `json:"breaker_rejected"`
-	BreakerOpenKeys int   `json:"breaker_open_keys"`
-	Workers         int   `json:"workers"`
-	Graphs          int   `json:"graphs"`
-	Artifacts       int   `json:"artifacts"`
-	// ArtifactDetails lists the build cost of every completed cached
-	// artifact (BSP rounds with the bottom-up share, messages, max
-	// frontier, build wall-clock), sorted by key for stable output. Each
-	// entry built by this process (rather than installed from a snapshot)
-	// carries its build trace.
-	ArtifactDetails []ArtifactCost `json:"artifact_details"`
-}
-
-// Stats returns a point-in-time view of the server's counters.
-func (s *Server) Stats() Stats {
-	m := s.met
-	st := Stats{
-		Requests:        m.requests.Load(),
-		Errors:          m.errors.Value(),
-		Queries:         m.queryLatency.Count(),
-		BatchPairs:      m.batchPairs.Value(),
-		CacheHits:       m.hits.Value(),
-		CacheMisses:     m.misses.Value(),
-		Builds:          m.builds.Value(),
-		Installs:        m.installs.Value(),
-		Evictions:       m.evictions.Value(),
-		Rejected:        m.rejected.Value(),
-		InFlight:        m.inFlight.Value(),
-		CancelledBuilds: m.cancelled.Value(),
-		TimedOutBuilds:  m.timedOut.Value(),
-		ShedFast:        m.shed.With(laneFast).Value(),
-		ShedSlow:        m.shed.With(laneSlow).Value(),
-		ClientGone:      m.clientGone.Value(),
-		BreakerTrips:    m.breakerTrips.Value(),
-		BreakerRejected: m.breakerRejected.Value(),
-		BreakerOpenKeys: s.breaker.openKeys(),
-		Workers:         s.cfg.Workers,
-	}
-	if st.Queries > 0 {
-		st.AvgQueryMicros = m.queryLatency.Sum() / float64(st.Queries) * 1e6
-	}
-	if st.Builds > 0 {
-		st.AvgBuildMillis = float64(m.buildNs.Load()) / float64(st.Builds) / 1e6
-	}
-	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
-		st.HitRate = float64(st.CacheHits) / float64(lookups)
-	}
-	st.Graphs = len(s.GraphNames())
-	st.Artifacts, st.ArtifactDetails = s.cache.len(), s.cache.costs()
-	sort.Slice(st.ArtifactDetails, func(i, j int) bool {
-		return st.ArtifactDetails[i].Key < st.ArtifactDetails[j].Key
-	})
-	return st
 }

@@ -289,7 +289,6 @@ var requiredFamilies = []string{
 	"reprod_requests_shed_total",
 	"reprod_requests_client_gone_total",
 	"reprod_fast_lane_queue_depth",
-	"reprod_slow_lane_pending_builds",
 	"reprod_breaker_trips_total",
 	"reprod_breaker_rejected_total",
 	"reprod_breaker_probes_total",
@@ -301,7 +300,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	_, ts := newTestServer(t, "mesh", g)
 
 	// Drive every metric family: a build + point queries (hit and miss),
-	// a 400, a 404, /stats and /builds themselves.
+	// a 400, a 404, and /builds itself.
 	getJSON(t, ts.URL+"/distance?graph=mesh&tau=2&seed=1&u=0&v=899", nil)
 	getJSON(t, ts.URL+"/distance?graph=mesh&tau=2&seed=1&u=1&v=2", nil)
 	// A batch request, so the batch pair counter and size histogram carry
@@ -318,7 +317,6 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	getJSON(t, ts.URL+"/distance?graph=mesh&u=bad&v=2", nil)
 	getJSON(t, ts.URL+"/distance?graph=nope&u=0&v=1", nil)
-	getJSON(t, ts.URL+"/stats", nil)
 	getJSON(t, ts.URL+"/builds", nil)
 
 	first := parseExposition(t, scrapeMetrics(t, ts.URL))

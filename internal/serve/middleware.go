@@ -76,7 +76,6 @@ func (s *Server) instrument(path string, next func(*request, *http.Request)) htt
 		start := time.Now()
 		rq := &request{ResponseWriter: w, status: http.StatusOK, id: s.nextRequestID(), lane: s.fast}
 		w.Header().Set("X-Request-Id", rq.id) // X-Request-ID, spelled canonically so that Set does not allocate the respelling
-		s.met.requests.Add(1)
 		s.met.httpInFlight.Add(1)
 		next(rq, r)
 		s.met.httpInFlight.Add(-1)

@@ -52,9 +52,9 @@
 // structured lifecycle trace — enqueue, slot acquisition, live engine
 // counters streamed from the engines' observer hooks at their barriers,
 // waiter high-water mark, terminal state — served by GET /builds
-// (in-flight plus a ring of recent builds) and attached to the artifact's
-// cost line in /stats. See README.md's Observability section for the
-// metric and trace schema.
+// (in-flight plus a ring of recent builds). /metrics and /builds are the
+// whole inside view: a completed build's trace is its cost line. See
+// README.md's Observability section for the metric and trace schema.
 //
 // Bulk consumers use POST /distance-batch, which answers up to
 // MaxBatchPairs (u, v) pairs per request straight off the oracle's flat
@@ -202,30 +202,6 @@ var ErrCacheFull = errors.New("serve: artifact cache full of in-flight builds")
 // rejected, so the drain cannot be extended indefinitely by fresh traffic.
 var ErrShuttingDown = errors.New("serve: server shutting down")
 
-// ArtifactCost is the per-artifact build cost surfaced by /stats: what the
-// decomposition behind a cached artifact spent, in the paper's own cost
-// units (BSP rounds and arcs-scanned messages) plus wall-clock. PullRounds
-// says how many supersteps the direction-optimizing engine ran bottom-up —
-// the serving-layer view of the hybrid traversal win. Relaxations and
-// Buckets are the delta-stepping counters: the weighted counterpart of
-// Messages/Rounds, zero for purely unweighted builds.
-type ArtifactCost struct {
-	Key         string  `json:"key"`
-	Source      string  `json:"source"` // "build" or "snapshot"
-	BuildMillis float64 `json:"build_millis"`
-	Rounds      int     `json:"bsp_rounds"`
-	PullRounds  int     `json:"bsp_pull_rounds"`
-	Messages    int64   `json:"bsp_messages"`
-	MaxFrontier int     `json:"max_frontier"`
-	Relaxations int64   `json:"bsp_relaxations"`
-	Buckets     int     `json:"bsp_buckets"`
-
-	// Trace is the build's full lifecycle trace (enqueue → slot → engine
-	// rounds → completion, with the waiter high-water mark). Absent for
-	// artifacts installed from snapshots, which were never built here.
-	Trace *BuildTraceInfo `json:"trace,omitempty"`
-}
-
 // Server is the query service. Create with New, register graphs (and
 // optionally snapshot artifacts), then serve via Handler. It is the thin
 // layer around the artifact cache: the graph registry, the mapping from
@@ -354,8 +330,7 @@ func (s *Server) InstallSnapshot(a *snapshot.Artifact) error {
 		algo = "cluster"
 	}
 	key := Key{Graph: name, Kind: "oracle", Tau: a.Meta.Tau, Seed: a.Meta.Seed, Algorithm: algo}
-	val := oracleArtifact(a.Oracle)
-	if err := s.cache.put(key, val, costFor(key, "snapshot", 0, val)); err != nil {
+	if err := s.cache.put(key, artifact{oracle: a.Oracle}); err != nil {
 		return err
 	}
 	s.met.installs.Add(1)
@@ -486,20 +461,6 @@ func (s *Server) startBuild(key Key) (*buildTrace, error) {
 	return s.startTrace(key), nil
 }
 
-func costFor(key Key, source string, millis float64, a artifact) *ArtifactCost {
-	return &ArtifactCost{
-		Key:         key.String(),
-		Source:      source,
-		BuildMillis: millis,
-		Rounds:      a.stats.Rounds,
-		PullRounds:  a.stats.PullRounds,
-		Messages:    a.stats.Messages,
-		MaxFrontier: a.stats.MaxFrontier,
-		Relaxations: a.stats.Relaxations,
-		Buckets:     a.stats.Buckets,
-	}
-}
-
 // runBuild executes one detached build and hands how it ended to
 // finishBuild.
 func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFunc) {
@@ -511,7 +472,7 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 	select {
 	case s.buildSem <- struct{}{}:
 	case <-ctx.Done():
-		s.finishBuild(key, e, false, artifact{}, ctx.Err(), 0)
+		s.finishBuild(key, e, false, artifact{}, ctx.Err())
 		return
 	}
 	e.trace.markRunning()
@@ -552,10 +513,8 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 		}
 		return build(runCtx, s, key, g, e.trace)
 	}()
-	elapsed := time.Since(start)
 	s.met.builds.Inc()
-	s.met.buildNs.Add(elapsed.Nanoseconds())
-	s.met.buildLatency.With(key.Kind).Observe(elapsed.Seconds())
+	s.met.buildLatency.With(key.Kind).Observe(time.Since(start).Seconds())
 	<-s.buildSem
 	if err != nil && !panicked && errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
 		// The server-side build deadline fired — distinguishable from a
@@ -565,14 +524,14 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 		err = fmt.Errorf("serve: build %v exceeded build timeout %s: %w",
 			key, s.cfg.BuildTimeout, context.DeadlineExceeded)
 	}
-	s.finishBuild(key, e, panicked, val, err, elapsed)
+	s.finishBuild(key, e, panicked, val, err)
 }
 
 // finishBuild settles a build that ended with err (by a contained panic,
 // if panicked): the trace, the slow lane and the breaker first — what the
 // ending means is classify's row for err — then the outcome is published
 // to the cache.
-func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err error, elapsed time.Duration) {
+func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err error) {
 	// Stamp the terminal trace state before publishing, so a waiter that
 	// wakes on ready and immediately scrapes /builds sees the final state.
 	c := classify(err)
@@ -603,13 +562,7 @@ func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err
 		}
 	}
 
-	var cost *ArtifactCost
-	if err == nil {
-		cost = costFor(key, "build", float64(elapsed.Nanoseconds())/1e6, val)
-		tr := e.trace.info()
-		cost.Trace = &tr
-	}
-	s.cache.finish(key, e, val, cost, err)
+	s.cache.finish(key, e, val, err)
 	s.endTrace(e.trace)
 }
 
@@ -636,7 +589,7 @@ var artifactKinds = map[string]struct {
 // Non-positive tau falls back to Config.DefaultTau, then to the family's
 // paper default for the graph's size. Every family keys on the resolved
 // values, so a parameter-less request and an explicit request for the
-// defaults share one cache slot, /stats reports the parameters the build
+// defaults share one cache slot, /builds reports the parameters the build
 // actually used, and a persisted snapshot Meta round-trips to the key
 // parameter-less requests hit after a warm restart.
 func (s *Server) key(kind string, g *graph.Graph, p buildParams) Key {
@@ -689,17 +642,7 @@ func buildOracle(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *bu
 	if err != nil {
 		return artifact{}, err
 	}
-	return oracleArtifact(o), nil
-}
-
-// oracleArtifact wraps an oracle — built here or loaded from a snapshot —
-// with its cost: the decomposition's traversal stats plus the quotient APSP
-// build's (core.Oracle.APSPStats defines its counters), so the weighted
-// work is reported as honestly as the unweighted rounds.
-func oracleArtifact(o *core.Oracle) artifact {
-	st := o.Clustering().Stats
-	st.Add(o.APSPStats())
-	return artifact{oracle: o, stats: st}
+	return artifact{oracle: o}, nil
 }
 
 // Diameter returns the cached diameter bounds for the key's graph. tau is
@@ -719,7 +662,7 @@ func buildDiameter(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *
 	if err != nil {
 		return artifact{}, err
 	}
-	return artifact{diameter: res, stats: res.Clustering.Stats}, nil
+	return artifact{diameter: res}, nil
 }
 
 // KCenter returns the cached k-center solution for the key's graph.
@@ -736,7 +679,7 @@ func buildKCenter(ctx context.Context, s *Server, key Key, g *graph.Graph, tr *b
 	if err != nil {
 		return artifact{}, err
 	}
-	return artifact{kcenter: res, stats: res.Clustering.Stats}, nil
+	return artifact{kcenter: res}, nil
 }
 
 // CachedOracleArtifact assembles the persistable artifact for the resolved

@@ -141,20 +141,19 @@ func TestSingleFlightBuild(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := s.Stats()
-	if st.Builds != 1 {
-		t.Fatalf("%d builds for one key under %d concurrent clients, want 1", st.Builds, clients)
+	if n := s.met.builds.Value(); n != 1 {
+		t.Fatalf("%d builds for one key under %d concurrent clients, want 1", n, clients)
 	}
-	if st.CacheMisses != 1 || st.CacheHits != clients-1 {
-		t.Fatalf("hits/misses = %d/%d, want %d/1", st.CacheHits, st.CacheMisses, clients-1)
+	if hits, misses := s.met.hits.Value(), s.met.misses.Value(); misses != 1 || hits != clients-1 {
+		t.Fatalf("hits/misses = %d/%d, want %d/1", hits, misses, clients-1)
 	}
 
 	// A different key must trigger its own build.
 	if code := getStatus(t, ts.URL+"/distance?graph=mesh&tau=2&seed=6&u=0&v=1"); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st := s.Stats(); st.Builds != 2 {
-		t.Fatalf("builds = %d after second key, want 2", st.Builds)
+	if n := s.met.builds.Value(); n != 2 {
+		t.Fatalf("builds = %d after second key, want 2", n)
 	}
 }
 
@@ -218,12 +217,11 @@ func TestSnapshotRestartSkipsBuild(t *testing.T) {
 			t.Fatalf("(%d,%d) = %d want %d", u, v, resp.Distance, want)
 		}
 	}
-	st := s2.Stats()
-	if st.Builds != 0 {
-		t.Fatalf("snapshot-seeded server ran %d builds, want 0", st.Builds)
+	if n := s2.met.builds.Value(); n != 0 {
+		t.Fatalf("snapshot-seeded server ran %d builds, want 0", n)
 	}
-	if st.Installs != 1 {
-		t.Fatalf("installs = %d, want 1", st.Installs)
+	if n := s2.met.installs.Value(); n != 1 {
+		t.Fatalf("installs = %d, want 1", n)
 	}
 }
 
@@ -321,7 +319,7 @@ func TestKCenterEndpoint(t *testing.T) {
 
 func TestErrorPaths(t *testing.T) {
 	g := graph.Mesh(10, 10)
-	_, ts := newTestServer(t, "mesh", g)
+	s, ts := newTestServer(t, "mesh", g)
 	cases := []struct {
 		url  string
 		code int
@@ -346,17 +344,17 @@ func TestErrorPaths(t *testing.T) {
 			t.Errorf("%s: status %d want %d", c.url, code, c.code)
 		}
 	}
-	var st Stats
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if st.Errors != int64(len(cases)) {
-		t.Errorf("errors = %d want %d", st.Errors, len(cases))
+	if n := s.met.errors.Value(); n != int64(len(cases)) {
+		t.Errorf("errors = %d want %d", n, len(cases))
 	}
 	// Out-of-range ids must be rejected before the artifact build: garbage
 	// requests may not cost (or cache-churn) a decomposition.
-	if st.Builds != 0 {
-		t.Errorf("malformed requests triggered %d artifact builds, want 0", st.Builds)
+	if n := s.met.builds.Value(); n != 0 {
+		t.Errorf("malformed requests triggered %d artifact builds, want 0", n)
+	}
+	// The inside view is /metrics and /builds; there is no /stats.
+	if code := getStatus(t, ts.URL+"/stats"); code != http.StatusNotFound {
+		t.Errorf("/stats: status %d want 404", code)
 	}
 	// The rejection must carry a usable message.
 	resp, err := http.Get(ts.URL + "/cluster-of?graph=mesh&u=100")
@@ -380,14 +378,14 @@ func TestRegisterGraphInvalidatesArtifacts(t *testing.T) {
 	if _, err := s.Oracle(context.Background(), "g", 2, 1, ""); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Artifacts != 1 {
-		t.Fatalf("artifacts = %d want 1", st.Artifacts)
+	if n := s.cachedEntries(); n != 1 {
+		t.Fatalf("artifacts = %d want 1", n)
 	}
 	if err := s.RegisterGraph("g", graph.Mesh(30, 30)); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Artifacts != 0 {
-		t.Fatalf("artifacts = %d after re-register, want 0", st.Artifacts)
+	if n := s.cachedEntries(); n != 0 {
+		t.Fatalf("artifacts = %d after re-register, want 0", n)
 	}
 	o, err := s.Oracle(context.Background(), "g", 2, 1, "")
 	if err != nil {
@@ -474,27 +472,26 @@ func TestArtifactCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.Artifacts != 3 {
-		t.Fatalf("artifacts = %d, want cap 3", st.Artifacts)
+	if n := s.cachedEntries(); n != 3 {
+		t.Fatalf("artifacts = %d, want cap 3", n)
 	}
-	if st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
+	if n := s.met.evictions.Value(); n != 2 {
+		t.Fatalf("evictions = %d, want 2", n)
 	}
 	// The most recent key must still be cached (no build on re-request).
-	builds := st.Builds
+	builds := s.met.builds.Value()
 	if _, err := s.Oracle(context.Background(), "g", 2, 5, ""); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Builds != builds {
-		t.Fatalf("re-request of recent key rebuilt (builds %d -> %d)", builds, st.Builds)
+	if n := s.met.builds.Value(); n != builds {
+		t.Fatalf("re-request of recent key rebuilt (builds %d -> %d)", builds, n)
 	}
 	// The evicted oldest key rebuilds.
 	if _, err := s.Oracle(context.Background(), "g", 2, 1, ""); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Builds != builds+1 {
-		t.Fatalf("evicted key did not rebuild (builds %d -> %d)", builds, st.Builds)
+	if n := s.met.builds.Value(); n != builds+1 {
+		t.Fatalf("evicted key did not rebuild (builds %d -> %d)", builds, n)
 	}
 }
 
@@ -514,46 +511,8 @@ func TestFailedBuildRetries(t *testing.T) {
 	if _, err := s.Oracle(context.Background(), "g", 10000, 1, ""); err == nil {
 		t.Fatal("second attempt unexpectedly succeeded")
 	}
-	if st := s.Stats(); st.Builds != 2 {
-		t.Fatalf("builds = %d, want 2 (failed builds are not cached)", st.Builds)
-	}
-}
-
-func TestStatsSurfacesArtifactBuildCost(t *testing.T) {
-	g := graph.RoadLike(40, 40, 0.4, 5)
-	s, ts := newTestServer(t, "road", g)
-	if _, err := s.Oracle(context.Background(), "road", 4, 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Diameter(context.Background(), "road", 4, 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if len(st.ArtifactDetails) != 2 {
-		t.Fatalf("want 2 artifact cost lines, got %+v", st.ArtifactDetails)
-	}
-	for _, d := range st.ArtifactDetails {
-		if d.Source != "build" {
-			t.Fatalf("artifact %q source %q want build", d.Key, d.Source)
-		}
-		if d.Rounds <= 0 || d.Messages <= 0 || d.MaxFrontier <= 0 {
-			t.Fatalf("artifact %q has empty BSP cost: %+v", d.Key, d)
-		}
-		if d.BuildMillis <= 0 {
-			t.Fatalf("artifact %q has no build wall-clock: %+v", d.Key, d)
-		}
-		if d.PullRounds < 0 || d.PullRounds > d.Rounds {
-			t.Fatalf("artifact %q pull rounds inconsistent: %+v", d.Key, d)
-		}
-	}
-	// Deterministic ordering by key.
-	if !sort.SliceIsSorted(st.ArtifactDetails, func(i, j int) bool {
-		return st.ArtifactDetails[i].Key < st.ArtifactDetails[j].Key
-	}) {
-		t.Fatal("artifact details not sorted by key")
+	if n := s.met.builds.Value(); n != 2 {
+		t.Fatalf("builds = %d, want 2 (failed builds are not cached)", n)
 	}
 }
 
@@ -577,8 +536,8 @@ func TestClientErrorBuildDoesNotTripBreaker(t *testing.T) {
 				t.Fatalf("%s: request %d: status %d want 400", tc.name, i, code)
 			}
 		}
-		if st := s.Stats(); st.BreakerOpenKeys != 0 || st.BreakerTrips != 0 {
-			t.Fatalf("%s: client errors tripped the breaker: open_keys=%d trips=%d", tc.name, st.BreakerOpenKeys, st.BreakerTrips)
+		if open, trips := s.breaker.openKeys(), s.met.breakerTrips.Value(); open != 0 || trips != 0 {
+			t.Fatalf("%s: client errors tripped the breaker: open_keys=%d trips=%d", tc.name, open, trips)
 		}
 	}
 }
@@ -617,6 +576,8 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// A snapshot install is counted by reprod_snapshot_installs_total and is
+// not a build: it runs no engine and mints no build trace.
 func TestInstallSnapshotReportsSnapshotCost(t *testing.T) {
 	g := graph.Mesh(15, 15)
 	s := New(Config{Workers: 4})
@@ -631,15 +592,16 @@ func TestInstallSnapshotReportsSnapshotCost(t *testing.T) {
 	if err := s2.InstallSnapshot(art); err != nil {
 		t.Fatal(err)
 	}
-	st := s2.Stats()
-	if len(st.ArtifactDetails) != 1 {
-		t.Fatalf("want 1 artifact cost line, got %+v", st.ArtifactDetails)
+	if n := s2.met.installs.Value(); n != 1 {
+		t.Fatalf("installs = %d, want 1", n)
 	}
-	d := st.ArtifactDetails[0]
-	if d.Source != "snapshot" || d.BuildMillis != 0 {
-		t.Fatalf("snapshot-installed artifact misreported: %+v", d)
+	if n := s2.met.builds.Value(); n != 0 {
+		t.Fatalf("an install ran %d builds", n)
 	}
-	if d.Rounds <= 0 || d.Messages <= 0 {
-		t.Fatalf("snapshot cost should carry the persisted BSP stats: %+v", d)
+	if bt := s2.BuildTraces(); len(bt.InFlight)+len(bt.Recent) != 0 {
+		t.Fatalf("an install minted build traces: %+v", bt)
+	}
+	if n := s2.cachedEntries(); n != 1 {
+		t.Fatalf("%d cached artifacts after one install, want 1", n)
 	}
 }

@@ -91,9 +91,13 @@ func (t *buildTrace) finish(state string, err error) {
 }
 
 // BuildTraceInfo is the JSON snapshot of one build's trace, served by
-// /builds and attached to the artifact's cost line in /stats. For an
-// in-flight build RunMillis is the time spent so far and the engine
-// counters are live — two scrapes of the same running build see them grow.
+// /builds. For an in-flight build RunMillis is the time spent so far and
+// the engine counters are live — two scrapes of the same running build see
+// them grow. A completed build's trace is its artifact's cost line: the
+// counters sum every engine the build ran, so they equal the artifact's own
+// bsp.Stats (for an oracle, its clustering's plus APSPStats), and CLUSTER2
+// builds also count the preliminary CLUSTER pass their result's Stats
+// leave out.
 type BuildTraceInfo struct {
 	ID    int64  `json:"id"`
 	Key   string `json:"key"`

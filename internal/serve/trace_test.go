@@ -3,13 +3,14 @@ package serve
 // Tests for the build-lifecycle traces behind /builds: a controlled build
 // walked through queued → running → done (with waiter high-water), a
 // cancelled build landing in the recent ring with its error, a live oracle
-// build observed mid-flight with nonzero engine counters, and the trace
-// attached to the artifact's /stats cost entry.
+// build observed mid-flight with nonzero engine counters, and every
+// completed trace counting exactly its artifact's own cost.
 
 import (
 	"context"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -145,8 +146,7 @@ func TestBuildTraceCancelled(t *testing.T) {
 
 // A real oracle build observed mid-flight: the engine observer streams
 // superstep deltas into the live trace, so /builds shows nonzero
-// bsp_rounds and arcs_scanned while the build is still running; the
-// finished artifact carries the full trace in its /stats cost entry.
+// bsp_rounds and arcs_scanned while the build is still running.
 func TestBuildTraceLiveEngineProgress(t *testing.T) {
 	g := graph.Mesh(120, 120) // ~240 BFS rounds: plenty of observer barriers
 	s := New(Config{Workers: 2})
@@ -204,18 +204,82 @@ func TestBuildTraceLiveEngineProgress(t *testing.T) {
 	if tr.BSPRounds == 0 || tr.ArcsScanned == 0 || tr.MaxFrontier == 0 {
 		t.Fatalf("terminal trace missing engine counters: %+v", tr)
 	}
+}
 
-	// The trace also rides the artifact's cost entry in /stats.
-	stats := s.Stats()
-	if len(stats.ArtifactDetails) != 1 {
-		t.Fatalf("%d artifact details, want 1", len(stats.ArtifactDetails))
+// traceCost reads a trace's engine counters back as the bsp.Stats they sum.
+func traceCost(tr BuildTraceInfo) bsp.Stats {
+	return bsp.Stats{
+		Rounds:      int(tr.BSPRounds),
+		PullRounds:  int(tr.BSPPullRounds),
+		Messages:    tr.ArcsScanned,
+		Relaxations: tr.Relaxations,
+		Buckets:     int(tr.BucketsSettled),
+		MaxFrontier: int(tr.MaxFrontier),
 	}
-	cost := stats.ArtifactDetails[0]
-	if cost.Trace == nil {
-		t.Fatal("artifact cost has no attached trace")
-	}
-	if cost.Trace.BSPRounds != tr.BSPRounds {
-		t.Fatalf("attached trace rounds %d != recent-ring rounds %d", cost.Trace.BSPRounds, tr.BSPRounds)
+}
+
+// A completed build's trace is its artifact's cost line: for each artifact
+// kind, the counters the observer streamed into the trace equal the cost
+// the artifact itself records — an oracle's clustering Stats plus its
+// APSPStats, a diameter's or k-center's clustering Stats. CLUSTER2 runs a
+// preliminary CLUSTER pass for its radius bound whose Stats
+// core.Cluster2Context drops, while the observer sees both passes, so a
+// cluster2 trace reads exactly that pass's cost higher.
+func TestBuildTraceCountsArtifactCost(t *testing.T) {
+	ctx := context.Background()
+	g := graph.RoadLike(40, 40, 0.4, 5)
+	const tau, seed, k = 4, 1, 8
+	for _, algo := range []string{"cluster", "cluster2"} {
+		s := New(Config{Workers: 2})
+		if err := s.RegisterGraph("road", g); err != nil {
+			t.Fatal(err)
+		}
+		o, err := s.Oracle(ctx, "road", tau, seed, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := s.Diameter(ctx, "road", tau, seed, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kc, err := s.KCenter(ctx, "road", k, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pre bsp.Stats // the preliminary CLUSTER pass, for cluster2 only
+		if algo == "cluster2" {
+			p, err := core.ClusterContext(ctx, g, tau, core.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pre = p.Stats; pre.Rounds == 0 || pre.Messages == 0 {
+				t.Fatalf("preliminary CLUSTER pass has no cost: %+v", pre)
+			}
+		}
+		oracleCost := o.Clustering().Stats
+		oracleCost.Add(o.APSPStats())
+		oracleCost.Add(pre)
+		diameterCost := d.Clustering.Stats
+		diameterCost.Add(pre)
+		want := map[string]bsp.Stats{
+			Key{"road", "oracle", tau, seed, algo}.String():     oracleCost,
+			Key{"road", "diameter", tau, seed, algo}.String():   diameterCost,
+			Key{"road", "kcenter", k, seed, "cluster"}.String(): kc.Clustering.Stats,
+		}
+
+		waitUntil(t, "three traces in the recent ring", func() bool { return len(s.BuildTraces().Recent) == 3 })
+		for _, tr := range s.BuildTraces().Recent {
+			w, ok := want[tr.Key]
+			if !ok {
+				t.Fatalf("%s: unexpected trace %q", algo, tr.Key)
+			}
+			if tr.State != BuildDone || tr.RunMillis <= 0 {
+				t.Fatalf("%s: %q is not a completed build: %+v", algo, tr.Key, tr)
+			}
+			if got := traceCost(tr); got != w {
+				t.Errorf("%s: trace %q counts %+v, artifact cost %+v", algo, tr.Key, got, w)
+			}
+		}
 	}
 }
 

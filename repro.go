@@ -244,8 +244,6 @@ type (
 	ServeConfig = serve.Config
 	// ArtifactKey identifies a cached build artifact.
 	ArtifactKey = serve.Key
-	// ServeStats is the /stats counter snapshot.
-	ServeStats = serve.Stats
 	// SnapshotArtifact is the unit of snapshot persistence: a graph,
 	// optionally its oracle, and the build metadata.
 	SnapshotArtifact = snapshot.Artifact
