@@ -57,7 +57,7 @@ func BenchmarkTable1Datasets(b *testing.B) {
 
 func BenchmarkTable2ClusterVsMPX(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.Table2(benchCfg); err != nil {
+		if _, err := expt.Table2(b.Context(), benchCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkTable2ClusterVsMPX(b *testing.B) {
 
 func BenchmarkTable3DiameterQuality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.Table3(benchCfg); err != nil {
+		if _, err := expt.Table3(b.Context(), benchCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkTable4HADI(b *testing.B) {
 
 func BenchmarkTable4FullTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.Table4(benchCfg); err != nil {
+		if _, err := expt.Table4(b.Context(), benchCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func BenchmarkTable4FullTable(b *testing.B) {
 
 func BenchmarkFigure1Series(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.Figure1(benchCfg, []int{0, 4, 10}); err != nil {
+		if _, err := expt.Figure1(b.Context(), benchCfg, []int{0, 4, 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +109,7 @@ func BenchmarkFigure1Series(b *testing.B) {
 
 func BenchmarkMRGrowStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.MRModel(expt.Config{Scale: 0.4, Seed: 7}); err != nil {
+		if _, err := expt.MRModel(b.Context(), expt.Config{Scale: 0.4, Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,14 +122,14 @@ func BenchmarkAblationCluster2(b *testing.B) {
 	_, _, road := benchGraphs()
 	b.Run("cluster", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Cluster(road, 8, core.Options{Seed: 2}); err != nil {
+			if _, err := core.ClusterContext(b.Context(), road, 8, core.Options{Seed: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cluster2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Cluster2(road, 8, core.Options{Seed: 2}); err != nil {
+			if _, err := core.Cluster2(b.Context(), road, 8, core.Options{Seed: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -141,14 +141,14 @@ func BenchmarkAblationDecomposers(b *testing.B) {
 	mesh, _, _ := benchGraphs()
 	b.Run("cluster", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Cluster(mesh, 16, core.Options{Seed: 3}); err != nil {
+			if _, err := core.ClusterContext(b.Context(), mesh, 16, core.Options{Seed: 3}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("mpx", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mpx.Decompose(mesh, mpx.Options{Beta: 0.3, Seed: 3}); err != nil {
+			if _, err := mpx.Decompose(b.Context(), mesh, mpx.Options{Beta: 0.3, Seed: 3}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -199,7 +199,7 @@ func BenchmarkEngineModesCluster(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var arcs int64
 			for i := 0; i < b.N; i++ {
-				cl, err := core.Cluster(gnp, 16, core.Options{Seed: 1, Direction: mode.dir})
+				cl, err := core.ClusterContext(b.Context(), gnp, 16, core.Options{Seed: 1, Direction: mode.dir})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -228,7 +228,7 @@ func BenchmarkEngineObserver(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Cluster(mesh, 16, core.Options{Seed: 1, Observer: tc.obs}); err != nil {
+				if _, err := core.ClusterContext(b.Context(), mesh, 16, core.Options{Seed: 1, Observer: tc.obs}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -257,7 +257,7 @@ func BenchmarkWeightedClusterModes(b *testing.B) {
 		b.Run(benchName("workers", w), func(b *testing.B) {
 			var st bsp.Stats
 			for i := 0; i < b.N; i++ {
-				wc, err := core.WeightedCluster(wg, 16, core.Options{Seed: 1, Workers: w})
+				wc, err := core.WeightedCluster(b.Context(), wg, 16, core.Options{Seed: 1, Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,9 +10,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"sort"
 
 	"repro/internal/core"
@@ -37,7 +40,22 @@ func main() {
 	}
 	g, err := graph.LoadEdgeList(*in)
 	fail(err)
+	if g.NumNodes() == 0 {
+		// An empty file parses as a 0-node graph; there is nothing to
+		// decompose and no largest cluster to report.
+		fail(errors.New("decomp: empty graph"))
+	}
 	fmt.Println("graph:", graph.Summarize(g))
+
+	// Ctrl-C cancels the decomposition (or the parameter search) at its
+	// next round barrier; after the context fires, default handling
+	// returns, so a second Ctrl-C kills immediately.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
 
 	var cl *core.Clustering
 	switch *algo {
@@ -45,26 +63,26 @@ func main() {
 		opt := core.Options{Seed: *seed, Workers: *workers}
 		if *target > 0 {
 			var t int
-			t, cl, err = core.TauForTargetClusters(g, *target, 0.2, opt)
+			t, cl, err = core.TauForTargetClusters(ctx, g, *target, 0.2, opt)
 			fail(err)
 			fmt.Printf("searched tau=%d for target %d clusters\n", t, *target)
 			*tau = t
 		}
 		if *algo == "cluster2" {
-			cl, err = core.Cluster2(g, *tau, opt)
+			cl, err = core.Cluster2(ctx, g, *tau, opt)
 		} else if cl == nil {
-			cl, err = core.Cluster(g, *tau, opt)
+			cl, err = core.ClusterContext(ctx, g, *tau, opt)
 		}
 		fail(err)
 	case "mpx":
 		opt := mpx.Options{Beta: *beta, Seed: *seed, Workers: *workers}
 		if *target > 0 {
 			var b float64
-			b, cl, err = mpx.BetaForTargetClusters(g, *target, 0.2, opt)
+			b, cl, err = mpx.BetaForTargetClusters(ctx, g, *target, 0.2, opt)
 			fail(err)
 			fmt.Printf("searched beta=%.4f for target %d clusters\n", b, *target)
 		} else {
-			cl, err = mpx.Decompose(g, opt)
+			cl, err = mpx.Decompose(ctx, g, opt)
 			fail(err)
 		}
 	default:

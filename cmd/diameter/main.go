@@ -77,7 +77,7 @@ func main() {
 	}
 	if want("bfs") {
 		_, src := g.MaxDegree()
-		res, err := pbfs.EstimateDiameter(g, src, *workers)
+		res, err := pbfs.Run(g, src, *workers)
 		fail(err)
 		fmt.Printf("BFS:     %d <= diameter <= %d  (rounds=%d (%d pull), arcs=%d, %v)\n",
 			res.Lower, res.Upper, res.Stats.Rounds, res.Stats.PullRounds,

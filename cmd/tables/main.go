@@ -11,9 +11,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 
 	"repro/internal/expt"
@@ -28,6 +30,17 @@ func main() {
 	flag.Parse()
 
 	cfg := expt.Config{Scale: *scale, Seed: *seed, Workers: *workers}
+
+	// Ctrl-C cancels the running experiment at its next round barrier;
+	// after the context fires, default handling returns, so a second
+	// Ctrl-C kills immediately (covering the baselines and exact-diameter
+	// references that are not context-aware).
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
 	want := func(name string) bool {
 		return *experiment == "all" || strings.EqualFold(*experiment, name)
 	}
@@ -41,43 +54,43 @@ func main() {
 	}
 	if want("table2") {
 		ran = true
-		rows, err := expt.Table2(cfg)
+		rows, err := expt.Table2(ctx, cfg)
 		fail(err)
 		fmt.Println(expt.FormatTable2(rows))
 	}
 	if want("table3") {
 		ran = true
-		rows, err := expt.Table3(cfg)
+		rows, err := expt.Table3(ctx, cfg)
 		fail(err)
 		fmt.Println(expt.FormatTable3(rows))
 	}
 	if want("table4") {
 		ran = true
-		rows, err := expt.Table4(cfg)
+		rows, err := expt.Table4(ctx, cfg)
 		fail(err)
 		fmt.Println(expt.FormatTable4(rows))
 	}
 	if want("figure1") {
 		ran = true
-		points, err := expt.Figure1(cfg, nil)
+		points, err := expt.Figure1(ctx, cfg, nil)
 		fail(err)
 		fmt.Println(expt.FormatFigure1(points))
 	}
 	if want("mrmodel") {
 		ran = true
-		rep, err := expt.MRModel(cfg)
+		rep, err := expt.MRModel(ctx, cfg)
 		fail(err)
 		fmt.Println(expt.FormatMRReport(rep))
 	}
 	if want("lemma1") {
 		ran = true
-		points, slope, err := expt.Lemma1Sweep(cfg, 0, nil)
+		points, slope, err := expt.Lemma1Sweep(ctx, cfg, 0, nil)
 		fail(err)
 		fmt.Println(expt.FormatLemma1(points, slope))
 	}
 	if want("pipeline") {
 		ran = true
-		rows, err := expt.PipelineAblation(cfg)
+		rows, err := expt.PipelineAblation(ctx, cfg)
 		fail(err)
 		fmt.Println(expt.FormatPipelineAblation(rows))
 	}

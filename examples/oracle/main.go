@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,13 +17,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g := repro.RoadLike(250, 250, 0.4, 5)
 	fmt.Printf("graph: n=%d m=%d\n", g.NumNodes(), g.NumEdges())
 
 	// τ controls the space/accuracy trade-off: the oracle stores the APSP
 	// matrix of the quotient graph, so the number of clusters (O(τ·log²n))
 	// squared must stay manageable.
-	oracle, err := repro.BuildOracle(g, 2, false, repro.Options{Seed: 9})
+	oracle, err := repro.BuildOracle(ctx, g, 2, false, repro.Options{Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}

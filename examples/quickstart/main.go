@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A 200x200 mesh: 40,000 nodes, diameter 398, doubling dimension 2 —
 	// the regime where the paper's algorithm provably shines.
 	g := repro.Mesh(200, 200)
@@ -21,7 +24,7 @@ func main() {
 
 	// Decompose into clusters with granularity parameter τ = 16. More τ
 	// means more clusters with smaller radii.
-	cl, err := repro.Cluster(g, 16, repro.Options{Seed: 1})
+	cl, err := repro.Cluster(ctx, g, 16, repro.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func main() {
 
 	// Diameter estimation: certified bounds from the quotient graph. Note
 	// how few rounds this takes compared to the ~400 a BFS would need.
-	res, err := repro.ApproxDiameter(g, repro.DiameterOptions{
+	res, err := repro.ApproxDiameter(ctx, g, repro.DiameterOptions{
 		Options: repro.Options{Seed: 1},
 	})
 	if err != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A perturbed 400x400 grid standing in for a road network: 160,000
 	// nodes, bounded degree, diameter around a thousand.
 	g := repro.RoadLike(400, 400, 0.4, 11)
@@ -24,7 +27,7 @@ func main() {
 	// Decompose at increasing granularity: the max radius shrinks roughly
 	// like ∆/τ^(1/2) on a 2-dimensional network (Lemma 1 with b=2).
 	for _, tau := range []int{1, 4, 16, 64} {
-		cl, err := repro.Cluster(g, tau, repro.Options{Seed: 3})
+		cl, err := repro.Cluster(ctx, g, tau, repro.Options{Seed: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -35,13 +38,13 @@ func main() {
 	// MPX comparison at matched granularity: sweep beta until MPX returns
 	// a comparable cluster count (the fair comparison the paper's Table 2
 	// makes — more clusters trivially means smaller radii).
-	cl, err := repro.Cluster(g, 16, repro.Options{Seed: 3})
+	cl, err := repro.Cluster(ctx, g, 16, repro.Options{Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
 	beta, m := 0.02, (*repro.Clustering)(nil)
 	for ; beta < 64; beta *= 2 {
-		m, err = repro.MPXDecompose(g, repro.MPXOptions{Beta: beta, Seed: 3})
+		m, err = repro.MPXDecompose(ctx, g, repro.MPXOptions{Beta: beta, Seed: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +58,7 @@ func main() {
 
 	// k-center: place 50 facility centers so the farthest intersection is
 	// as close as possible; compare with the sequential 2-approximation.
-	res, err := repro.KCenter(g, 50, repro.Options{Seed: 3})
+	res, err := repro.KCenter(ctx, g, 50, repro.Options{Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

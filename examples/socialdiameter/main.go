@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,13 +20,15 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A preferential-attachment graph standing in for the paper's Twitter
 	// snapshot: heavy-tailed degrees, small diameter.
 	g := repro.BarabasiAlbert(100_000, 8, 7)
 	fmt.Printf("social graph: n=%d m=%d\n", g.NumNodes(), g.NumEdges())
 
 	// Paper's estimator.
-	res, err := repro.ApproxDiameter(g, repro.DiameterOptions{
+	res, err := repro.ApproxDiameter(ctx, g, repro.DiameterOptions{
 		Options: repro.Options{Seed: 7},
 	})
 	if err != nil {
@@ -61,7 +64,7 @@ func main() {
 	tail := 10 * int(bfs.Lower)
 	gt := repro.AppendTail(g, 0, tail)
 	start := time.Now()
-	res2, err := repro.ApproxDiameter(gt, repro.DiameterOptions{Options: repro.Options{Seed: 7}})
+	res2, err := repro.ApproxDiameter(ctx, gt, repro.DiameterOptions{Options: repro.Options{Seed: 7}})
 	if err != nil {
 		log.Fatal(err)
 	}

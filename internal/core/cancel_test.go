@@ -21,6 +21,10 @@ import (
 func TestBuildEntryPointsHonorCancelledContext(t *testing.T) {
 	g := graph.Mesh(40, 40)
 	wg := weightedFixture(t, g)
+	cl, err := ClusterContext(t.Context(), g, 4, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -29,15 +33,21 @@ func TestBuildEntryPointsHonorCancelledContext(t *testing.T) {
 		run  func() error
 	}{
 		{"ClusterContext", func() error { _, err := ClusterContext(ctx, g, 4, Options{Seed: 1}); return err }},
-		{"Cluster2Context", func() error { _, err := Cluster2Context(ctx, g, 4, Options{Seed: 1}); return err }},
+		{"Cluster2", func() error { _, err := Cluster2(ctx, g, 4, Options{Seed: 1}); return err }},
 		{"BuildOracle", func() error { _, err := BuildOracle(ctx, g, 2, false, Options{Seed: 1}); return err }},
 		{"ApproxDiameter", func() error {
 			_, err := ApproxDiameter(ctx, g, DiameterOptions{Options: Options{Seed: 1}})
 			return err
 		}},
 		{"KCenter", func() error { _, err := KCenter(ctx, g, 8, Options{Seed: 1}); return err }},
-		{"WeightedClusterContext", func() error {
-			_, err := WeightedClusterContext(ctx, wg, 4, Options{Seed: 1})
+		{"WeightedCluster", func() error { _, err := WeightedCluster(ctx, wg, 4, Options{Seed: 1}); return err }},
+		{"TauForTargetClusters", func() error {
+			_, _, err := TauForTargetClusters(ctx, g, 40, 0.2, Options{Seed: 1})
+			return err
+		}},
+		{"DiameterFromClustering", func() error { _, err := DiameterFromClustering(ctx, cl, 0); return err }},
+		{"ApproxDiameterWeighted", func() error {
+			_, err := ApproxDiameterWeighted(ctx, wg, 4, Options{Seed: 1})
 			return err
 		}},
 	}
@@ -157,16 +167,16 @@ func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
 	}
 }
 
-// ClusterContext with a background context must produce exactly what the
-// ctx-less entry point produces: the cancellation plumbing sits at
-// existing barriers and never alters the deterministic schedule.
+// A live but never-cancelled context must produce exactly what a context
+// that can never fire produces: the cancellation checks sit at existing
+// barriers and never alter the deterministic schedule.
 func TestClusterContextMatchesCluster(t *testing.T) {
 	g := graph.RoadLike(40, 40, 0.4, 9)
-	a, err := Cluster(g, 6, Options{Seed: 11, Workers: 1})
+	a, err := ClusterContext(context.Background(), g, 6, Options{Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ClusterContext(context.Background(), g, 6, Options{Seed: 11, Workers: 4})
+	b, err := ClusterContext(t.Context(), g, 6, Options{Seed: 11, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,13 @@ import (
 	"repro/internal/graph"
 )
 
-// Cluster runs the paper's Algorithm 1, CLUSTER(τ): it partitions the nodes
-// of g into disjoint connected clusters by growing clusters around batches
-// of randomly selected centers. A new batch of roughly 4τ·log n centers is
-// activated from the uncovered nodes every time the set of uncovered nodes
-// halves; previously activated clusters keep growing throughout. When fewer
-// than 8τ·log n nodes remain uncovered, they become singleton clusters.
+// ClusterContext runs the paper's Algorithm 1, CLUSTER(τ): it partitions
+// the nodes of g into disjoint connected clusters by growing clusters around
+// batches of randomly selected centers. A new batch of roughly 4τ·log n
+// centers is activated from the uncovered nodes every time the set of
+// uncovered nodes halves; previously activated clusters keep growing
+// throughout. When fewer than 8τ·log n nodes remain uncovered, they become
+// singleton clusters.
 //
 // With high probability the result has O(τ·log²n) clusters whose maximum
 // radius is within an O(log n) factor of the best achievable with τ
@@ -23,15 +24,10 @@ import (
 // any input regardless: a batch ends early if every cluster frontier is
 // exhausted, and if a batch samples no centers while no cluster can grow,
 // the lowest-id uncovered node is forcibly selected.
-func Cluster(g *graph.Graph, tau int, opt Options) (*Clustering, error) {
-	//lint:allow background public non-cancellable wrapper; ClusterContext is the cancellable form
-	return ClusterContext(context.Background(), g, tau, opt)
-}
-
-// ClusterContext is Cluster with cooperative cancellation: the growth
-// checks ctx at the existing superstep barriers (between rounds and
-// between batches, never inside a round) and returns ctx.Err() within one
-// round of a cancel. Cancellation checks never influence the rounds an
+//
+// The growth checks ctx at the existing superstep barriers (between rounds
+// and between batches, never inside a round) and returns ctx.Err() within
+// one round of a cancel. Cancellation checks never influence the rounds an
 // uncancelled run executes, so the result stays bit-for-bit deterministic
 // in (seed, tau) across worker counts.
 func ClusterContext(ctx context.Context, g *graph.Graph, tau int, opt Options) (*Clustering, error) {

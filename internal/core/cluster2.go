@@ -19,14 +19,9 @@ import (
 // quotient-graph diameter approximation factor independent of the number of
 // clusters. With high probability the result has O(τ·log⁴n) clusters of
 // maximum radius at most 2·R_ALG·log n (Lemma 2).
-func Cluster2(g *graph.Graph, tau int, opt Options) (*Clustering, error) {
-	//lint:allow background public non-cancellable wrapper; Cluster2Context is the cancellable form
-	return Cluster2Context(context.Background(), g, tau, opt)
-}
-
-// Cluster2Context is Cluster2 with cooperative cancellation, checking ctx
-// at the same superstep barriers as ClusterContext in both phases.
-func Cluster2Context(ctx context.Context, g *graph.Graph, tau int, opt Options) (*Clustering, error) {
+//
+// Both phases check ctx at the same superstep barriers as ClusterContext.
+func Cluster2(ctx context.Context, g *graph.Graph, tau int, opt Options) (*Clustering, error) {
 	pre, err := ClusterContext(ctx, g, tau, opt)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,7 @@ import (
 
 func TestCluster2PartitionValid(t *testing.T) {
 	for name, g := range testGraphs() {
-		cl, err := Cluster2(g, 4, Options{Seed: 1})
+		cl, err := Cluster2(t.Context(), g, 4, Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -25,7 +25,7 @@ func TestCluster2RadiusBound(t *testing.T) {
 	// remaining iterations, so R_ALG2 <= 2·R_ALG·ceil(log n) always holds
 	// structurally (Lemma 2 gives the sharper whp bound).
 	g := graph.Mesh(50, 50)
-	pre, err := Cluster(g, 4, Options{Seed: 2})
+	pre, err := ClusterContext(t.Context(), g, 4, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCluster2RadiusBound(t *testing.T) {
 
 func TestCluster2CoversEverything(t *testing.T) {
 	g := graph.RoadLike(30, 30, 0.35, 4)
-	cl, err := Cluster2(g, 2, Options{Seed: 3})
+	cl, err := Cluster2(t.Context(), g, 2, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCluster2ClusterCountWithinLemma2Bound(t *testing.T) {
 	// often returns far fewer clusters than CLUSTER does.)
 	g := graph.Mesh(45, 45)
 	tau := 4
-	c2, err := Cluster2(g, tau, Options{Seed: 5})
+	c2, err := Cluster2(t.Context(), g, tau, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func testGraphs() map[string]*graph.Graph {
 func TestClusterPartitionValid(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, tau := range []int{1, 4, 16} {
-			cl, err := Cluster(g, tau, Options{Seed: 1})
+			cl, err := ClusterContext(t.Context(), g, tau, Options{Seed: 1})
 			if err != nil {
 				t.Fatalf("%s tau=%d: %v", name, tau, err)
 			}
@@ -35,10 +35,10 @@ func TestClusterPartitionValid(t *testing.T) {
 
 func TestClusterRejectsBadTau(t *testing.T) {
 	g := graph.Path(10)
-	if _, err := Cluster(g, 0, Options{}); err == nil {
+	if _, err := ClusterContext(t.Context(), g, 0, Options{}); err == nil {
 		t.Fatal("tau=0 should fail")
 	}
-	if _, err := Cluster(g, -3, Options{}); err == nil {
+	if _, err := ClusterContext(t.Context(), g, -3, Options{}); err == nil {
 		t.Fatal("negative tau should fail")
 	}
 }
@@ -47,7 +47,7 @@ func TestClusterCountGrowsWithTau(t *testing.T) {
 	g := graph.Mesh(60, 60)
 	var prev int
 	for i, tau := range []int{1, 8, 64} {
-		cl, err := Cluster(g, tau, Options{Seed: 2})
+		cl, err := ClusterContext(t.Context(), g, tau, Options{Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func TestClusterCountGrowsWithTau(t *testing.T) {
 
 func TestClusterRadiusShrinksWithTau(t *testing.T) {
 	g := graph.Mesh(60, 60) // diameter 118
-	coarse, err := Cluster(g, 1, Options{Seed: 3})
+	coarse, err := ClusterContext(t.Context(), g, 1, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := Cluster(g, 32, Options{Seed: 3})
+	fine, err := ClusterContext(t.Context(), g, 32, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestClusterRadiusShrinksWithTau(t *testing.T) {
 
 func TestClusterDeterministicSingleWorker(t *testing.T) {
 	g := graph.RoadLike(25, 25, 0.4, 9)
-	a, err := Cluster(g, 4, Options{Seed: 11, Workers: 1})
+	a, err := ClusterContext(t.Context(), g, 4, Options{Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(g, 4, Options{Seed: 11, Workers: 1})
+	b, err := ClusterContext(t.Context(), g, 4, Options{Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestClusterDeterministicSingleWorker(t *testing.T) {
 
 func TestClusterSeedSensitivity(t *testing.T) {
 	g := graph.BarabasiAlbert(2000, 3, 1)
-	a, _ := Cluster(g, 8, Options{Seed: 1, Workers: 1})
-	b, _ := Cluster(g, 8, Options{Seed: 2, Workers: 1})
+	a, _ := ClusterContext(t.Context(), g, 8, Options{Seed: 1, Workers: 1})
+	b, _ := ClusterContext(t.Context(), g, 8, Options{Seed: 2, Workers: 1})
 	if a.NumClusters() == b.NumClusters() {
 		same := true
 		for c := range a.Centers {
@@ -125,7 +125,7 @@ func TestClusterCenterCountMatchesTheory(t *testing.T) {
 	n := float64(g.NumNodes())
 	logn := log2n(int(n))
 	for _, tau := range []int{2, 8} {
-		cl, err := Cluster(g, tau, Options{Seed: 4})
+		cl, err := ClusterContext(t.Context(), g, tau, Options{Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,12 +144,12 @@ func TestClusterScheduleIndependentCoverageStructure(t *testing.T) {
 	// the worker count. (Per-node owners and radii may legitimately differ
 	// under contention; the paper allows arbitrary tie-breaks.)
 	g := graph.Mesh(50, 50)
-	ref, err := Cluster(g, 8, Options{Seed: 21, Workers: 1})
+	ref, err := ClusterContext(t.Context(), g, 8, Options{Seed: 21, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		cl, err := Cluster(g, 8, Options{Seed: 21, Workers: workers})
+		cl, err := ClusterContext(t.Context(), g, 8, Options{Seed: 21, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestClusterDisconnectedGraph(t *testing.T) {
 	addMesh(0)
 	addMesh(100)
 	g := b.Build()
-	cl, err := Cluster(g, 4, Options{Seed: 6})
+	cl, err := ClusterContext(t.Context(), g, 4, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestClusterDisconnectedGraph(t *testing.T) {
 func TestClusterTinyGraphAllSingletons(t *testing.T) {
 	// n << 8·τ·log n: the main loop never runs; everything is a singleton.
 	g := graph.Path(5)
-	cl, err := Cluster(g, 3, Options{Seed: 1})
+	cl, err := ClusterContext(t.Context(), g, 3, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestClusterTinyGraphAllSingletons(t *testing.T) {
 
 func TestClusterSingleNode(t *testing.T) {
 	g := graph.Path(1)
-	cl, err := Cluster(g, 1, Options{Seed: 1})
+	cl, err := ClusterContext(t.Context(), g, 1, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestClusterExpanderPathRadiusMuchSmallerThanDiameter(t *testing.T) {
 	// length.
 	g := graph.ExpanderPath(4000, 0, 13)
 	_, diamLB := g.TwoSweep(0)
-	cl, err := Cluster(g, 32, Options{Seed: 7})
+	cl, err := ClusterContext(t.Context(), g, 32, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestClusterExpanderPathRadiusMuchSmallerThanDiameter(t *testing.T) {
 
 func TestClusterSizesSumToN(t *testing.T) {
 	g := graph.Mesh(20, 20)
-	cl, err := Cluster(g, 4, Options{Seed: 8})
+	cl, err := ClusterContext(t.Context(), g, 4, Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestClusterSizesSumToN(t *testing.T) {
 
 func TestClusterGrowthStepsRecorded(t *testing.T) {
 	g := graph.Mesh(40, 40)
-	cl, err := Cluster(g, 2, Options{Seed: 9})
+	cl, err := ClusterContext(t.Context(), g, 2, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,14 +82,14 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*
 		err error
 	)
 	if opt.UseCluster2 {
-		cl, err = Cluster2Context(ctx, g, tau, opt.Options)
+		cl, err = Cluster2(ctx, g, tau, opt.Options)
 	} else {
 		cl, err = ClusterContext(ctx, g, tau, opt.Options)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res, err := diameterFromClustering(ctx, cl, opt.Workers)
+	res, err := DiameterFromClustering(ctx, cl, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -98,16 +98,12 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*
 }
 
 // DiameterFromClustering derives the diameter bounds from an existing
-// decomposition (the clustering phase dominates the cost; this entry point
-// lets experiments reuse one clustering for several analyses).
-func DiameterFromClustering(cl *Clustering) (*DiameterResult, error) {
-	//lint:allow background public non-cancellable wrapper over diameterFromClustering
-	return diameterFromClustering(context.Background(), cl, 0)
-}
-
-// diameterFromClustering contracts cl with the given parallelism and runs
-// exact iFUB on both quotients.
-func diameterFromClustering(ctx context.Context, cl *Clustering, workers int) (*DiameterResult, error) {
+// decomposition: it contracts cl with the given parallelism (non-positive =
+// GOMAXPROCS) and runs exact iFUB on both quotients. The clustering phase
+// dominates the cost; this entry point lets experiments reuse one
+// clustering for several analyses. Cancelling ctx aborts the quotient
+// diameter searches and returns ctx.Err().
+func DiameterFromClustering(ctx context.Context, cl *Clustering, workers int) (*DiameterResult, error) {
 	q, wq, err := quotient.Contract(cl.G, cl.Owner, cl.Dist, cl.NumClusters(), workers)
 	if err != nil {
 		return nil, err

@@ -129,11 +129,11 @@ func TestApproxDiameterSingleNode(t *testing.T) {
 
 func TestDiameterFromClusteringReuse(t *testing.T) {
 	g := graph.Mesh(30, 30)
-	cl, err := Cluster(g, 4, Options{Seed: 8})
+	cl, err := ClusterContext(t.Context(), g, 4, Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DiameterFromClustering(cl)
+	res, err := DiameterFromClustering(t.Context(), cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

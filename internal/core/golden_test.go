@@ -69,7 +69,7 @@ func goldenGraphs() map[string]*graph.Graph {
 	}
 }
 
-// growthSweep runs grow (ClusterContext or Cluster2Context) at every
+// growthSweep runs grow (ClusterContext or Cluster2) at every
 // (workers, direction) combination and returns the one fingerprint all of
 // them must share.
 func growthSweep(t *testing.T, key string, g *graph.Graph, tau int, seed uint64, workers []int,
@@ -107,10 +107,10 @@ func TestGoldenFingerprints(t *testing.T) {
 			key := name + "/" + string(rune('0'+seed))
 			got := [3]uint64{
 				growthSweep(t, key+" Cluster", g, 2, seed, []int{1, 2, 8}, ClusterContext),
-				growthSweep(t, key+" Cluster2", g, 2, seed, []int{1, 2, 8}, Cluster2Context),
+				growthSweep(t, key+" Cluster2", g, 2, seed, []int{1, 2, 8}, Cluster2),
 			}
 			for _, workers := range []int{1, 2, 8} {
-				wc, err := WeightedClusterContext(ctx, wg, 2, Options{Seed: seed, Workers: workers})
+				wc, err := WeightedCluster(ctx, wg, 2, Options{Seed: seed, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +137,7 @@ func TestGrowthIsWorkerInvariant(t *testing.T) {
 		for _, seed := range []uint64{1, 2} {
 			key := name + "/" + string(rune('0'+seed))
 			growthSweep(t, key+" Cluster", g, 4, seed, []int{1, 2, 3, 8}, ClusterContext)
-			growthSweep(t, key+" Cluster2", g, 4, seed, []int{1, 2, 3, 8}, Cluster2Context)
+			growthSweep(t, key+" Cluster2", g, 4, seed, []int{1, 2, 3, 8}, Cluster2)
 		}
 	}
 }

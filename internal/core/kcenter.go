@@ -213,13 +213,15 @@ func partHeads(parent []graph.NodeID, order []graph.NodeID, quota int) []graph.N
 	return out
 }
 
-// TauForTargetClusters searches for a τ that makes Cluster return roughly
-// target clusters on g (the number of clusters grows monotonically with τ
-// in expectation, but is random; the search accepts within tolerance·target
-// or returns the best found). It is the knob the experiments use to match
-// decomposition granularities between algorithms, as the paper does when
-// comparing against MPX.
-func TauForTargetClusters(g *graph.Graph, target int, tolerance float64, opt Options) (tau int, got *Clustering, err error) {
+// TauForTargetClusters searches for a τ that makes ClusterContext return
+// roughly target clusters on g (the number of clusters grows monotonically
+// with τ in expectation, but is random; the search accepts within
+// tolerance·target or returns the best found). It is the knob the
+// experiments use to match decomposition granularities between algorithms,
+// as the paper does when comparing against MPX. Every trial decomposition
+// runs under ctx, so a cancel stops the search within one growth round and
+// returns ctx.Err().
+func TauForTargetClusters(ctx context.Context, g *graph.Graph, target int, tolerance float64, opt Options) (tau int, got *Clustering, err error) {
 	if target < 1 {
 		return 0, nil, errors.New("core: target clusters must be >= 1")
 	}
@@ -236,7 +238,7 @@ func TauForTargetClusters(g *graph.Graph, target int, tolerance float64, opt Opt
 	bestGap := math.Inf(1)
 	lo, hi := 1, 0 // hi=0 means unbounded above
 	for iter := 0; iter < 24; iter++ {
-		cl, cerr := Cluster(g, tau, opt)
+		cl, cerr := ClusterContext(ctx, g, tau, opt)
 		if cerr != nil {
 			return 0, nil, cerr
 		}

@@ -159,7 +159,7 @@ func TestEvalCentersExact(t *testing.T) {
 
 func TestTauForTargetClusters(t *testing.T) {
 	g := graph.Mesh(50, 50)
-	tau, cl, err := TauForTargetClusters(g, 150, 0.3, Options{Seed: 5})
+	tau, cl, err := TauForTargetClusters(t.Context(), g, 150, 0.3, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTauForTargetClusters(t *testing.T) {
 }
 
 func TestTauForTargetClustersErrors(t *testing.T) {
-	if _, _, err := TauForTargetClusters(graph.Path(10), 0, 0.1, Options{}); err == nil {
+	if _, _, err := TauForTargetClusters(t.Context(), graph.Path(10), 0, 0.1, Options{}); err == nil {
 		t.Fatal("target 0 should fail")
 	}
 }

@@ -110,7 +110,7 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 		err error
 	)
 	if useCluster2 {
-		cl, err = Cluster2Context(ctx, g, tau, opt)
+		cl, err = Cluster2(ctx, g, tau, opt)
 	} else {
 		cl, err = ClusterContext(ctx, g, tau, opt)
 	}

@@ -178,7 +178,7 @@ func TestNarrowCellsFit(t *testing.T) {
 	if !narrowCellsFit(nil, 0) || narrowCellsFit(make([]int32, 3), math.MaxInt32-2) {
 		t.Fatal("the cluster count and the heaviest arc are part of the bound")
 	}
-	cl, err := Cluster(graph.Path(12), 2, Options{Seed: 1})
+	cl, err := ClusterContext(t.Context(), graph.Path(12), 2, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +275,11 @@ func voronoi(g *graph.Graph, k int, seed uint64) *Clustering {
 // every APSP block edge, one of them across components, plus the one- and
 // two-cluster quotients whose triangles hold no cell and one.
 func oracleFixtures(t *testing.T) map[string]*Clustering {
-	road, err := Cluster(graph.RoadLike(25, 25, 0.4, 13), 2, Options{Seed: 6})
+	road, err := ClusterContext(t.Context(), graph.RoadLike(25, 25, 0.4, 13), 2, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	union, err := Cluster(goldenGraphs()["union"], 2, Options{Seed: 6})
+	union, err := ClusterContext(t.Context(), goldenGraphs()["union"], 2, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestDefaultOracleTau(t *testing.T) {
 // fineClustering is the benchmark's `fine` decomposition: RoadLike(400,400)
 // cut at τ = 8 into ≈ 3,500 clusters.
 func fineClustering(b *testing.B) *Clustering {
-	cl, err := Cluster(graph.RoadLike(400, 400, 0.4, 1), 8, Options{Seed: 1, Workers: 1})
+	cl, err := ClusterContext(b.Context(), graph.RoadLike(400, 400, 0.4, 1), 8, Options{Seed: 1, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestPropertyClusterAlwaysValidPartition(t *testing.T) {
 	f := func(seed uint64, tauRaw uint8) bool {
 		tau := 1 + int(tauRaw%8)
 		g := randomConnected(seed)
-		cl, err := Cluster(g, tau, Options{Seed: seed})
+		cl, err := ClusterContext(t.Context(), g, tau, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -46,7 +46,7 @@ func TestPropertyClusterAlwaysValidPartition(t *testing.T) {
 func TestPropertyCluster2AlwaysValidPartition(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomConnected(seed)
-		cl, err := Cluster2(g, 2, Options{Seed: seed})
+		cl, err := Cluster2(t.Context(), g, 2, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -79,7 +79,7 @@ func TestPropertyDiameterBoundsAlwaysBracket(t *testing.T) {
 func TestPropertyQuotientDiameterNeverExceedsGraphDiameter(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomConnected(seed)
-		cl, err := Cluster(g, 2, Options{Seed: seed})
+		cl, err := ClusterContext(t.Context(), g, 2, Options{Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -148,7 +148,7 @@ func TestPropertyWeightedClusterValid(t *testing.T) {
 			ws[i] = int32(1 + r.Intn(9))
 		}
 		wg := graph.MustWeighted(g.NumNodes(), edges, ws)
-		wc, err := WeightedCluster(wg, 2, Options{Seed: seed})
+		wc, err := WeightedCluster(t.Context(), wg, 2, Options{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -5,7 +5,7 @@ import (
 	"repro/internal/rng"
 )
 
-// ClusterTag is the coin tag of CLUSTER(τ) proper: core.Cluster and
+// ClusterTag is the coin tag of CLUSTER(τ) proper: core.ClusterContext and
 // mr.Engine.Cluster pass the same one, which is why they flip the same
 // coins and activate the same centers.
 const ClusterTag uint64 = 0xc105_7e12

@@ -113,18 +113,10 @@ func (c *WeightedClustering) Validate() error {
 // concurrently via parallel delta-stepping; contended nodes resolve to the
 // minimum (weighted distance, cluster id) claim. The result is
 // deterministic for a given seed: identical centers, owners, and radii at
-// every worker count.
-func WeightedCluster(wg *graph.Weighted, tau int, opt Options) (*WeightedClustering, error) {
-	//lint:allow background public non-cancellable wrapper; WeightedClusterContext is the cancellable form
-	return WeightedClusterContext(context.Background(), wg, tau, opt)
-}
-
-// WeightedClusterContext is WeightedCluster with cooperative cancellation:
-// the growth checks ctx at the existing bucket barriers and returns
-// ctx.Err() within one relaxation phase of a cancel. The checks never
-// influence the bucket schedule of an uncancelled run, preserving the
-// bit-for-bit worker-count determinism.
-func WeightedClusterContext(ctx context.Context, wg *graph.Weighted, tau int, opt Options) (*WeightedClustering, error) {
+// every worker count. The growth checks ctx at the existing bucket barriers
+// and returns ctx.Err() within one relaxation phase of a cancel; the checks
+// never influence the bucket schedule of an uncancelled run.
+func WeightedCluster(ctx context.Context, wg *graph.Weighted, tau int, opt Options) (*WeightedClustering, error) {
 	if tau < 1 {
 		return nil, errors.New("core: WeightedCluster requires tau >= 1")
 	}
@@ -287,11 +279,13 @@ type WeightedDiameterResult struct {
 // one sequential pass into one quotient.Accumulator: its crossings carry the
 // input's own edge weights, which quotient.Contract does not read, and the
 // function is on no benchmark path that would pay for a second contraction.
-func ApproxDiameterWeighted(wg *graph.Weighted, tau int, opt Options) (*WeightedDiameterResult, error) {
+// Cancelling ctx aborts the growth or the quotient's iFUB and returns
+// ctx.Err().
+func ApproxDiameterWeighted(ctx context.Context, wg *graph.Weighted, tau int, opt Options) (*WeightedDiameterResult, error) {
 	if tau <= 0 {
 		tau = DefaultDiameterTau(wg.NumNodes())
 	}
-	wc, err := WeightedCluster(wg, tau, opt)
+	wc, err := WeightedCluster(ctx, wg, tau, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +303,10 @@ func ApproxDiameterWeighted(wg *graph.Weighted, tau int, opt Options) (*Weighted
 	if err != nil {
 		return nil, err
 	}
-	diamQ, _ := q.ExactDiameterWeighted(0)
+	diamQ, _, err := q.ExactDiameterWeightedContext(ctx, 0)
+	if err != nil {
+		return nil, err
+	}
 	return &WeightedDiameterResult{
 		Clustering: wc,
 		Quotient:   q,

@@ -26,7 +26,7 @@ func TestWeightedClusterPartitionValid(t *testing.T) {
 		"social": graph.BarabasiAlbert(1500, 4, 3),
 	} {
 		wg := randomWeighted(t, g, 7, 9)
-		wc, err := WeightedCluster(wg, 4, Options{Seed: 1})
+		wc, err := WeightedCluster(t.Context(), wg, 4, Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -38,10 +38,10 @@ func TestWeightedClusterPartitionValid(t *testing.T) {
 
 func TestWeightedClusterErrors(t *testing.T) {
 	wg := randomWeighted(t, graph.Path(5), 1, 3)
-	if _, err := WeightedCluster(wg, 0, Options{}); err == nil {
+	if _, err := WeightedCluster(t.Context(), wg, 0, Options{}); err == nil {
 		t.Fatal("tau=0 should fail")
 	}
-	if _, err := WeightedCluster(graph.MustWeighted(0, nil, nil), 1, Options{}); err == nil {
+	if _, err := WeightedCluster(t.Context(), graph.MustWeighted(0, nil, nil), 1, Options{}); err == nil {
 		t.Fatal("empty graph should fail")
 	}
 }
@@ -49,7 +49,7 @@ func TestWeightedClusterErrors(t *testing.T) {
 func TestWeightedClusterWDistUpperBoundsTrueDistance(t *testing.T) {
 	g := graph.Mesh(20, 20)
 	wg := randomWeighted(t, g, 9, 5)
-	wc, err := WeightedCluster(wg, 4, Options{Seed: 2})
+	wc, err := WeightedCluster(t.Context(), wg, 4, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWeightedClusterWDistUpperBoundsTrueDistance(t *testing.T) {
 func TestWeightedClusterHopRadiusBoundsDepth(t *testing.T) {
 	g := graph.RoadLike(25, 25, 0.4, 5)
 	wg := randomWeighted(t, g, 11, 4)
-	wc, err := WeightedCluster(wg, 8, Options{Seed: 3})
+	wc, err := WeightedCluster(t.Context(), wg, 8, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestWeightedClusterUnitWeightsMatchShape(t *testing.T) {
 		ws[i] = 1
 	}
 	wg := graph.MustWeighted(g.NumNodes(), edges, ws)
-	wc, err := WeightedCluster(wg, 4, Options{Seed: 4})
+	wc, err := WeightedCluster(t.Context(), wg, 4, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +110,12 @@ func TestWeightedClusterDeterministic(t *testing.T) {
 		"wide":   graph.BarabasiAlbert(20000, 4, 17),
 	} {
 		wg := randomWeighted(t, g, 13, 6)
-		a, err := WeightedCluster(wg, 4, Options{Seed: 5, Workers: 1})
+		a, err := WeightedCluster(t.Context(), wg, 4, Options{Seed: 5, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, 8} {
-			b, err := WeightedCluster(wg, 4, Options{Seed: 5, Workers: workers})
+			b, err := WeightedCluster(t.Context(), wg, 4, Options{Seed: 5, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestWeightedClusterDeltaSweep(t *testing.T) {
 	// (the Voronoi distance is unique even where owner ties break apart).
 	g := graph.RoadLike(20, 20, 0.4, 3)
 	wg := randomWeighted(t, g, 21, 8)
-	wc, err := WeightedCluster(wg, 4, Options{Seed: 8, Workers: 4})
+	wc, err := WeightedCluster(t.Context(), wg, 4, Options{Seed: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestWeightedClusterWDistIsExactVoronoi(t *testing.T) {
 	// the center that owns it, and no other center is strictly closer.
 	g := graph.Mesh(18, 18)
 	wg := randomWeighted(t, g, 23, 7)
-	wc, err := WeightedCluster(wg, 4, Options{Seed: 9})
+	wc, err := WeightedCluster(t.Context(), wg, 4, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestApproxDiameterWeightedUpperBound(t *testing.T) {
 		"road": graph.RoadLike(20, 20, 0.4, 6),
 	} {
 		wg := randomWeighted(t, g, 15, 7)
-		res, err := ApproxDiameterWeighted(wg, 4, Options{Seed: 6})
+		res, err := ApproxDiameterWeighted(t.Context(), wg, 4, Options{Seed: 6})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -248,7 +248,7 @@ func TestApproxDiameterWeightedUnitMatchesUnweightedPipeline(t *testing.T) {
 		ws[i] = 1
 	}
 	wg := graph.MustWeighted(g.NumNodes(), edges, ws)
-	res, err := ApproxDiameterWeighted(wg, 4, Options{Seed: 7})
+	res, err := ApproxDiameterWeighted(t.Context(), wg, 4, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestApproxDiameterWeightedUnitMatchesUnweightedPipeline(t *testing.T) {
 func TestApproxDiameterWeightedNeverShortensQuotientEdges(t *testing.T) {
 	const w = 1<<30 + 5
 	path := graph.MustWeighted(3, [][2]graph.NodeID{{0, 1}, {1, 2}}, []int32{w, w})
-	res, err := ApproxDiameterWeighted(path, 1, Options{})
+	res, err := ApproxDiameterWeighted(t.Context(), path, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

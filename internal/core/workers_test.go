@@ -41,7 +41,7 @@ func TestPostGrowthStagesAreWorkerInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := diameterFromClustering(ctx, cl, workers)
+			d, err := DiameterFromClustering(ctx, cl, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

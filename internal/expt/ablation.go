@@ -26,7 +26,7 @@ type Lemma1Point struct {
 // log-log slope. Lemma 1 predicts R_ALG = O((∆/τ^(1/b))·log n), i.e. a
 // slope near -1/2 on a mesh; the harness exposes the fit so tests and
 // reports can check the law empirically.
-func Lemma1Sweep(cfg Config, side int, taus []int) ([]Lemma1Point, float64, error) {
+func Lemma1Sweep(ctx context.Context, cfg Config, side int, taus []int) ([]Lemma1Point, float64, error) {
 	if side <= 0 {
 		side = dim(180, cfg.scale())
 	}
@@ -37,7 +37,7 @@ func Lemma1Sweep(cfg Config, side int, taus []int) ([]Lemma1Point, float64, erro
 	var points []Lemma1Point
 	var xs, ys []float64
 	for _, tau := range taus {
-		cl, err := core.Cluster(g, tau, core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
+		cl, err := core.ClusterContext(ctx, g, tau, core.Options{Seed: cfg.Seed, Workers: cfg.Workers})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -101,7 +101,7 @@ type PipelineRow struct {
 }
 
 // PipelineAblation runs both pipelines on the long-diameter datasets.
-func PipelineAblation(cfg Config) ([]PipelineRow, error) {
+func PipelineAblation(ctx context.Context, cfg Config) ([]PipelineRow, error) {
 	var rows []PipelineRow
 	for _, d := range Datasets() {
 		if !d.LongDiameter {
@@ -110,15 +110,13 @@ func PipelineAblation(cfg Config) ([]PipelineRow, error) {
 		g := d.Build(cfg.scale())
 		truth, _ := TrueDiameter(d, cfg.scale(), g)
 		tau := 4
-		//lint:allow background batch experiment driver: the cmd/tables process lifetime is the context
-		r1, err := core.ApproxDiameter(context.Background(), g, core.DiameterOptions{
+		r1, err := core.ApproxDiameter(ctx, g, core.DiameterOptions{
 			Options: core.Options{Seed: cfg.Seed, Workers: cfg.Workers}, Tau: tau,
 		})
 		if err != nil {
 			return nil, err
 		}
-		//lint:allow background batch experiment driver: the cmd/tables process lifetime is the context
-		r2, err := core.ApproxDiameter(context.Background(), g, core.DiameterOptions{
+		r2, err := core.ApproxDiameter(ctx, g, core.DiameterOptions{
 			Options: core.Options{Seed: cfg.Seed, Workers: cfg.Workers}, Tau: tau,
 			UseCluster2: true,
 		})

@@ -10,7 +10,7 @@ func TestLemma1SweepSlope(t *testing.T) {
 	// Lemma 1 with b = 2 predicts radius ∝ τ^(-1/2) (up to the log n
 	// factor, which is constant across the sweep). Accept a generous band
 	// around -0.5.
-	points, slope, err := Lemma1Sweep(Config{Seed: 3}, 70, []int{1, 4, 16, 64})
+	points, slope, err := Lemma1Sweep(t.Context(), Config{Seed: 3}, 70, []int{1, 4, 16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFitSlope(t *testing.T) {
 }
 
 func TestPipelineAblation(t *testing.T) {
-	rows, err := PipelineAblation(Config{Scale: 0.15, Seed: 5})
+	rows, err := PipelineAblation(t.Context(), Config{Scale: 0.15, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

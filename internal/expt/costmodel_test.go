@@ -38,7 +38,7 @@ func TestModeledTable4Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := d.Build(0.25)
-	row, err := Table4ForGraph(Config{Scale: 0.25, Seed: 1}, "mesh", g, 128)
+	row, err := Table4ForGraph(t.Context(), Config{Scale: 0.25, Seed: 1}, "mesh", g, 128)
 	if err != nil {
 		t.Fatal(err)
 	}

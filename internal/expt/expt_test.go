@@ -66,7 +66,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2ShapeClusterRadiusWins(t *testing.T) {
-	rows, err := Table2(testCfg)
+	rows, err := Table2(t.Context(), testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTable2ShapeClusterRadiusWins(t *testing.T) {
 }
 
 func TestTable3ShapeApproximationQuality(t *testing.T) {
-	rows, err := Table3(testCfg)
+	rows, err := Table3(t.Context(), testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTable3ShapeApproximationQuality(t *testing.T) {
 }
 
 func TestTable4ShapeRoundAdvantage(t *testing.T) {
-	rows, err := Table4(testCfg)
+	rows, err := Table4(t.Context(), testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTable4ShapeRoundAdvantage(t *testing.T) {
 }
 
 func TestFigure1ShapeFlatVsLinear(t *testing.T) {
-	points, err := Figure1(testCfg, []int{0, 4, 10})
+	points, err := Figure1(t.Context(), testCfg, []int{0, 4, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFigure1ShapeFlatVsLinear(t *testing.T) {
 }
 
 func TestMRModelReport(t *testing.T) {
-	rep, err := MRModel(Config{Scale: 0.4, Seed: 7})
+	rep, err := MRModel(t.Context(), Config{Scale: 0.4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +245,11 @@ func TestMRModelReport(t *testing.T) {
 // The MR pipeline report must be invariant under the Workers knob, which
 // now drives the engine's reducer shard count.
 func TestMRModelShardInvariant(t *testing.T) {
-	base, err := MRModel(Config{Scale: 0.3, Seed: 7, Workers: 1})
+	base, err := MRModel(t.Context(), Config{Scale: 0.3, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := MRModel(Config{Scale: 0.3, Seed: 7, Workers: 8})
+	wide, err := MRModel(t.Context(), Config{Scale: 0.3, Seed: 7, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/graph"
@@ -28,7 +29,7 @@ type Figure1Point struct {
 var DefaultTailFactors = []int{0, 1, 2, 4, 6, 8, 10}
 
 // Figure1 reproduces the tail experiment on the two social datasets.
-func Figure1(cfg Config, factors []int) ([]Figure1Point, error) {
+func Figure1(ctx context.Context, cfg Config, factors []int) ([]Figure1Point, error) {
 	if len(factors) == 0 {
 		factors = DefaultTailFactors
 	}
@@ -39,7 +40,7 @@ func Figure1(cfg Config, factors []int) ([]Figure1Point, error) {
 			return nil, err
 		}
 		base := d.Build(cfg.scale())
-		ps, err := Figure1ForGraph(cfg, name, base, factors)
+		ps, err := Figure1ForGraph(ctx, cfg, name, base, factors)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +50,7 @@ func Figure1(cfg Config, factors []int) ([]Figure1Point, error) {
 }
 
 // Figure1ForGraph runs the tail experiment for one base graph.
-func Figure1ForGraph(cfg Config, name string, base *graph.Graph, factors []int) ([]Figure1Point, error) {
+func Figure1ForGraph(ctx context.Context, cfg Config, name string, base *graph.Graph, factors []int) ([]Figure1Point, error) {
 	// The tail unit is the base diameter, as in the paper; the two-sweep
 	// lower bound is tight on social graphs and cheap.
 	_, baseDiam := base.TwoSweep(0)
@@ -66,7 +67,7 @@ func Figure1ForGraph(cfg Config, name string, base *graph.Graph, factors []int) 
 		if tail > 0 {
 			g = graph.AppendTail(base, anchor, tail)
 		}
-		cc, err := ClusterCost(cfg, g, target)
+		cc, err := ClusterCost(ctx, cfg, g, target)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -37,7 +38,7 @@ type MRReport struct {
 }
 
 // MRModel runs the end-to-end MR pipeline on a mesh dataset scaled by cfg.
-func MRModel(cfg Config) (*MRReport, error) {
+func MRModel(ctx context.Context, cfg Config) (*MRReport, error) {
 	d := dim(64, cfg.scale())
 	g := graph.Mesh(d, d)
 
@@ -47,7 +48,7 @@ func MRModel(cfg Config) (*MRReport, error) {
 	// pairs per multiplication for b×b blocks (b = ⌊√ℓ⌋ without an ML),
 	// which is exactly why Theorem 4 sizes it against MG·√ML.
 	opt := core.Options{Seed: cfg.Seed, Workers: cfg.Workers}
-	_, cl, err := core.TauForTargetClusters(g, 40, 0.5, opt)
+	_, cl, err := core.TauForTargetClusters(ctx, g, 40, 0.5, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mpx"
@@ -27,11 +28,11 @@ type Table2Row struct {
 
 // Table2 reproduces the clustering-quality comparison of the paper's
 // Table 2 on every dataset.
-func Table2(cfg Config) ([]Table2Row, error) {
+func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, d := range Datasets() {
 		g := d.Build(cfg.scale())
-		row, err := Table2ForGraph(cfg, d.Name, g, granularityTarget(d, g.NumNodes()))
+		row, err := Table2ForGraph(ctx, cfg, d.Name, g, granularityTarget(d, g.NumNodes()))
 		if err != nil {
 			return nil, err
 		}
@@ -42,9 +43,9 @@ func Table2(cfg Config) ([]Table2Row, error) {
 
 // Table2ForGraph runs the CLUSTER-vs-MPX comparison on a single graph with
 // the given cluster-count target.
-func Table2ForGraph(cfg Config, name string, g *graph.Graph, target int) (*Table2Row, error) {
+func Table2ForGraph(ctx context.Context, cfg Config, name string, g *graph.Graph, target int) (*Table2Row, error) {
 	opt := core.Options{Seed: cfg.Seed, Workers: cfg.Workers}
-	_, cl, err := core.TauForTargetClusters(g, target, 0.2, opt)
+	_, cl, err := core.TauForTargetClusters(ctx, g, target, 0.2, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +56,7 @@ func Table2ForGraph(cfg Config, name string, g *graph.Graph, target int) (*Table
 
 	// MPX gets a slightly larger cluster budget, as in the paper.
 	mpxTarget := cl.NumClusters() + cl.NumClusters()/20
-	_, mcl, err := mpx.BetaForTargetClusters(g, mpxTarget, 0.2,
+	_, mcl, err := mpx.BetaForTargetClusters(ctx, g, mpxTarget, 0.2,
 		mpx.Options{Seed: cfg.Seed + 1, Workers: cfg.Workers})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -24,11 +25,11 @@ type Table3Row struct {
 }
 
 // Table3 reproduces the diameter-approximation quality experiment.
-func Table3(cfg Config) ([]Table3Row, error) {
+func Table3(ctx context.Context, cfg Config) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, d := range Datasets() {
 		g := d.Build(cfg.scale())
-		row, err := Table3ForGraph(cfg, d.Name, g, granularityTarget(d, g.NumNodes()))
+		row, err := Table3ForGraph(ctx, cfg, d.Name, g, granularityTarget(d, g.NumNodes()))
 		if err != nil {
 			return nil, err
 		}
@@ -43,18 +44,18 @@ func Table3(cfg Config) ([]Table3Row, error) {
 // Table3ForGraph runs the coarser/finer comparison on one graph. fineTarget
 // is the finer granularity's cluster-count target; the coarser granularity
 // uses a quarter of it (mirroring the paper's roughly 3-4x coarser runs).
-func Table3ForGraph(cfg Config, name string, g *graph.Graph, fineTarget int) (*Table3Row, error) {
+func Table3ForGraph(ctx context.Context, cfg Config, name string, g *graph.Graph, fineTarget int) (*Table3Row, error) {
 	coarseTarget := fineTarget / 4
 	if coarseTarget < 12 {
 		coarseTarget = 12
 	}
 	run := func(target int, seedShift uint64) (GranularityResult, error) {
 		opt := core.Options{Seed: cfg.Seed + seedShift, Workers: cfg.Workers}
-		_, cl, err := core.TauForTargetClusters(g, target, 0.25, opt)
+		_, cl, err := core.TauForTargetClusters(ctx, g, target, 0.25, opt)
 		if err != nil {
 			return GranularityResult{}, err
 		}
-		res, err := core.DiameterFromClustering(cl)
+		res, err := core.DiameterFromClustering(ctx, cl, cfg.Workers)
 		if err != nil {
 			return GranularityResult{}, err
 		}

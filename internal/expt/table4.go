@@ -38,11 +38,11 @@ const ANFRegisters = 32
 
 // Table4 reproduces the running-time/estimate comparison of the paper's
 // Table 4: CLUSTER-based estimation vs parallel BFS vs HADI.
-func Table4(cfg Config) ([]Table4Row, error) {
+func Table4(ctx context.Context, cfg Config) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, d := range Datasets() {
 		g := d.Build(cfg.scale())
-		row, err := Table4ForGraph(cfg, d.Name, g, granularityTarget(d, g.NumNodes()))
+		row, err := Table4ForGraph(ctx, cfg, d.Name, g, granularityTarget(d, g.NumNodes()))
 		if err != nil {
 			return nil, err
 		}
@@ -54,12 +54,12 @@ func Table4(cfg Config) ([]Table4Row, error) {
 }
 
 // Table4ForGraph runs all three estimators on one graph.
-func Table4ForGraph(cfg Config, name string, g *graph.Graph, target int) (*Table4Row, error) {
+func Table4ForGraph(ctx context.Context, cfg Config, name string, g *graph.Graph, target int) (*Table4Row, error) {
 	row := &Table4Row{Dataset: name}
 	truth, _ := g.ExactDiameter(4 * 1024)
 	row.TrueDiam = int64(truth)
 
-	cc, err := ClusterCost(cfg, g, target)
+	cc, err := ClusterCost(ctx, cfg, g, target)
 	if err != nil {
 		return nil, err
 	}
@@ -82,14 +82,13 @@ func Table4ForGraph(cfg Config, name string, g *graph.Graph, target int) (*Table
 // ClusterCost runs the decomposition-based estimator at the granularity
 // that yields about `target` clusters (the τ search is excluded from the
 // timing, mirroring the paper's use of pre-tuned parameters).
-func ClusterCost(cfg Config, g *graph.Graph, target int) (*AlgoCost, error) {
+func ClusterCost(ctx context.Context, cfg Config, g *graph.Graph, target int) (*AlgoCost, error) {
 	opt := core.Options{Seed: cfg.Seed, Workers: cfg.Workers}
-	tau, _, err := core.TauForTargetClusters(g, target, 0.25, opt)
+	tau, _, err := core.TauForTargetClusters(ctx, g, target, 0.25, opt)
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow background batch experiment driver: the cmd/tables process lifetime is the context
-	res, err := core.ApproxDiameter(context.Background(), g, core.DiameterOptions{Options: opt, Tau: tau})
+	res, err := core.ApproxDiameter(ctx, g, core.DiameterOptions{Options: opt, Tau: tau})
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +105,7 @@ func ClusterCost(cfg Config, g *graph.Graph, target int) (*AlgoCost, error) {
 // max-degree node reporting 2·ecc, as in the paper's Table 4.
 func BFSCost(cfg Config, g *graph.Graph) (*AlgoCost, error) {
 	_, src := g.MaxDegree()
-	res, err := pbfs.EstimateDiameter(g, src, cfg.Workers)
+	res, err := pbfs.Run(g, src, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -6,10 +6,12 @@
 //
 //   - context.Background() and context.TODO() are forbidden. A build path
 //     that roots its own context cannot be cancelled by a departing
-//     waiter, a draining server, or Ctrl-C. The handful of legitimate
-//     roots (detached builds whose lifecycle the server owns, documented
-//     compatibility wrappers) carry //lint:allow background with a
-//     justification.
+//     waiter, a draining server, or Ctrl-C. Every algorithm entry point
+//     takes its context first, so the legitimate roots are few and each
+//     carries //lint:allow background with a justification: serve's
+//     detached build root, whose lifecycle the server owns, and the two
+//     non-cancellable wrappers internal/graph keeps because the benchmark
+//     module calls ExactDiameter and ExactDiameterWeighted by name.
 //   - An exported free function that loops over engine supersteps,
 //     buckets, or MR rounds (syntactically: a for/range statement whose
 //     body calls a method named Step, GatherStep, ProcessBucket, or

@@ -53,18 +53,12 @@ func unpack(word uint64) (float32, int32) {
 
 // Decompose partitions g with the MPX random-shift process and returns the
 // result in the shared Clustering form (owners, growth distances, centers,
-// radii, BSP stats).
-func Decompose(g *graph.Graph, opt Options) (*core.Clustering, error) {
-	//lint:allow background public non-cancellable wrapper; DecomposeContext is the cancellable form
-	return DecomposeContext(context.Background(), g, opt)
-}
-
-// DecomposeContext is Decompose with cooperative cancellation: the round
-// loop checks ctx at the superstep barriers (never inside a round) and
-// returns ctx.Err() within one round of a cancel. The checks never
-// influence the rounds an uncancelled run executes, so the decomposition
-// stays bit-for-bit deterministic in (seed, beta) across worker counts.
-func DecomposeContext(ctx context.Context, g *graph.Graph, opt Options) (*core.Clustering, error) {
+// radii, BSP stats). The round loop checks ctx at the superstep barriers
+// (never inside a round) and returns ctx.Err() within one round of a
+// cancel. The checks never influence the rounds an uncancelled run
+// executes, so the decomposition stays bit-for-bit deterministic in
+// (seed, beta) across worker counts.
+func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clustering, error) {
 	if opt.Beta <= 0 {
 		return nil, errors.New("mpx: Beta must be positive")
 	}
@@ -209,7 +203,9 @@ func DecomposeContext(ctx context.Context, g *graph.Graph, opt Options) (*core.C
 // roughly target clusters (cluster count increases with β). Mirrors
 // core.TauForTargetClusters so experiments can match granularities, giving
 // MPX "a comparable but larger number of clusters" as the paper does.
-func BetaForTargetClusters(g *graph.Graph, target int, tolerance float64, opt Options) (float64, *core.Clustering, error) {
+// Every trial decomposition runs under ctx, so a cancel stops the search
+// within one round and returns ctx.Err().
+func BetaForTargetClusters(ctx context.Context, g *graph.Graph, target int, tolerance float64, opt Options) (float64, *core.Clustering, error) {
 	if target < 1 {
 		return 0, nil, errors.New("mpx: target clusters must be >= 1")
 	}
@@ -224,7 +220,7 @@ func BetaForTargetClusters(g *graph.Graph, target int, tolerance float64, opt Op
 	for iter := 0; iter < 24; iter++ {
 		o := opt
 		o.Beta = beta
-		cl, err := Decompose(g, o)
+		cl, err := Decompose(ctx, g, o)
 		if err != nil {
 			return 0, nil, err
 		}

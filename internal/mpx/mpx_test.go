@@ -1,7 +1,9 @@
 package mpx
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -17,7 +19,7 @@ func TestDecomposePartitionValid(t *testing.T) {
 		"path":   graph.Path(400),
 	} {
 		for _, beta := range []float64{0.05, 0.3, 1.0} {
-			cl, err := Decompose(g, Options{Beta: beta, Seed: 1})
+			cl, err := Decompose(t.Context(), g, Options{Beta: beta, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s beta=%v: %v", name, beta, err)
 			}
@@ -29,10 +31,10 @@ func TestDecomposePartitionValid(t *testing.T) {
 }
 
 func TestDecomposeErrors(t *testing.T) {
-	if _, err := Decompose(graph.Path(5), Options{Beta: 0}); err == nil {
+	if _, err := Decompose(t.Context(), graph.Path(5), Options{Beta: 0}); err == nil {
 		t.Fatal("beta=0 should fail")
 	}
-	if _, err := Decompose(graph.NewBuilder(0).Build(), Options{Beta: 1}); err == nil {
+	if _, err := Decompose(t.Context(), graph.NewBuilder(0).Build(), Options{Beta: 1}); err == nil {
 		t.Fatal("empty graph should fail")
 	}
 }
@@ -41,12 +43,12 @@ func TestDecomposeDeterministicAcrossWorkers(t *testing.T) {
 	// The min over (arrival, cluster) makes MPX fully deterministic: same
 	// seed means identical owners and distances regardless of worker count.
 	g := graph.Mesh(40, 40)
-	ref, err := Decompose(g, Options{Beta: 0.2, Seed: 7, Workers: 1})
+	ref, err := Decompose(t.Context(), g, Options{Beta: 0.2, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
-		cl, err := Decompose(g, Options{Beta: 0.2, Seed: 7, Workers: workers})
+		cl, err := Decompose(t.Context(), g, Options{Beta: 0.2, Seed: 7, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +65,11 @@ func TestDecomposeDeterministicAcrossWorkers(t *testing.T) {
 
 func TestDecomposeClusterCountGrowsWithBeta(t *testing.T) {
 	g := graph.Mesh(50, 50)
-	small, err := Decompose(g, Options{Beta: 0.05, Seed: 2})
+	small, err := Decompose(t.Context(), g, Options{Beta: 0.05, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Decompose(g, Options{Beta: 1.0, Seed: 2})
+	large, err := Decompose(t.Context(), g, Options{Beta: 1.0, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestDecomposeRadiusBound(t *testing.T) {
 	// generous constant to keep the test stable.
 	g := graph.Mesh(50, 50)
 	beta := 0.3
-	cl, err := Decompose(g, Options{Beta: beta, Seed: 3})
+	cl, err := Decompose(t.Context(), g, Options{Beta: beta, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestDecomposeRadiusBound(t *testing.T) {
 }
 
 func TestDecomposeSingleNode(t *testing.T) {
-	cl, err := Decompose(graph.Path(1), Options{Beta: 1, Seed: 1})
+	cl, err := Decompose(t.Context(), graph.Path(1), Options{Beta: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestDecomposeDisconnected(t *testing.T) {
 		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
 	}
 	g := b.Build()
-	cl, err := Decompose(g, Options{Beta: 0.5, Seed: 4})
+	cl, err := Decompose(t.Context(), g, Options{Beta: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestDecomposeSmallBetaFewClusters(t *testing.T) {
 	// With tiny beta shifts are huge and spread out; the earliest-starting
 	// few centers swallow the graph.
 	g := graph.BarabasiAlbert(3000, 3, 6)
-	cl, err := Decompose(g, Options{Beta: 0.02, Seed: 5})
+	cl, err := Decompose(t.Context(), g, Options{Beta: 0.02, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestDecomposeSmallBetaFewClusters(t *testing.T) {
 
 func TestBetaForTargetClusters(t *testing.T) {
 	g := graph.Mesh(40, 40)
-	beta, cl, err := BetaForTargetClusters(g, 100, 0.35, Options{Seed: 6})
+	beta, cl, err := BetaForTargetClusters(t.Context(), g, 100, 0.35, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +154,24 @@ func TestBetaForTargetClusters(t *testing.T) {
 }
 
 func TestBetaForTargetClustersErrors(t *testing.T) {
-	if _, _, err := BetaForTargetClusters(graph.Path(5), 0, 0.1, Options{}); err == nil {
+	if _, _, err := BetaForTargetClusters(t.Context(), graph.Path(5), 0, 0.1, Options{}); err == nil {
 		t.Fatal("target 0 should fail")
+	}
+}
+
+// A cancelled context stops both entry points at the first round barrier
+// with ctx.Err(), never with a partial clustering.
+func TestDecomposeHonorsCancelledContext(t *testing.T) {
+	g := graph.Mesh(40, 40)
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	cl, err := Decompose(ctx, g, Options{Beta: 0.3, Seed: 1})
+	if !errors.Is(err, context.Canceled) || cl != nil {
+		t.Errorf("Decompose with cancelled ctx: (%v, %v), want (nil, context.Canceled)", cl, err)
+	}
+	_, cl, err = BetaForTargetClusters(ctx, g, 100, 0.2, Options{Seed: 1})
+	if !errors.Is(err, context.Canceled) || cl != nil {
+		t.Errorf("BetaForTargetClusters with cancelled ctx: (%v, %v), want (nil, context.Canceled)", cl, err)
 	}
 }
 
@@ -207,7 +225,7 @@ func TestDecomposePinned(t *testing.T) {
 	for name, g := range graphs {
 		for i, seed := range []uint64{1, 2} {
 			for _, workers := range []int{1, 2, 8} {
-				cl, err := Decompose(g, Options{Beta: 0.3, Seed: seed, Workers: workers})
+				cl, err := Decompose(t.Context(), g, Options{Beta: 0.3, Seed: seed, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,7 +11,6 @@
 package pbfs
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -40,7 +39,8 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Run performs one parallel BFS from src with the hybrid engine.
+// Run is the paper's BFS competitor: one parallel BFS from src with the
+// hybrid engine, reporting 2·ecc(src) as the diameter estimate.
 func Run(g *graph.Graph, src graph.NodeID, workers int) (*Result, error) {
 	return RunDirection(g, src, workers, bsp.DirAuto)
 }
@@ -48,17 +48,8 @@ func Run(g *graph.Graph, src graph.NodeID, workers int) (*Result, error) {
 // RunDirection performs one parallel BFS from src with the traversal
 // direction pinned (bsp.DirAuto selects the hybrid heuristic; DirPush is
 // the pure top-down baseline the engine-mode benchmarks compare against).
+// The distances are deterministic across worker counts.
 func RunDirection(g *graph.Graph, src graph.NodeID, workers int, dir bsp.Direction) (*Result, error) {
-	//lint:allow background public non-cancellable wrapper; RunDirectionContext is the cancellable form
-	return RunDirectionContext(context.Background(), g, src, workers, dir)
-}
-
-// RunDirectionContext is RunDirection with cooperative cancellation: the
-// engine checks ctx at its superstep barriers (Engine.SetContext) and the
-// run returns ctx.Err() within one round of a cancel. An uncancelled run
-// executes exactly the same rounds, so the distances stay deterministic
-// across worker counts.
-func RunDirectionContext(ctx context.Context, g *graph.Graph, src graph.NodeID, workers int, dir bsp.Direction) (*Result, error) {
 	start := time.Now()
 	n := g.NumNodes()
 	if n == 0 {
@@ -70,12 +61,8 @@ func RunDirectionContext(ctx context.Context, g *graph.Graph, src graph.NodeID, 
 	e := bsp.NewEngine(g, workers)
 	defer e.Close()
 	e.SetDirection(dir)
-	e.SetContext(ctx)
 	dist := make([]int32, n)
 	ecc := e.BFS(src, dist)
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
 	return &Result{
 		Source:  src,
 		Ecc:     ecc,
@@ -85,10 +72,4 @@ func RunDirectionContext(ctx context.Context, g *graph.Graph, src graph.NodeID, 
 		Stats:   e.Stats(),
 		Elapsed: time.Since(start),
 	}, nil
-}
-
-// EstimateDiameter is the paper's BFS competitor: a single parallel BFS
-// from src, reporting 2·ecc(src) as the diameter estimate.
-func EstimateDiameter(g *graph.Graph, src graph.NodeID, workers int) (*Result, error) {
-	return Run(g, src, workers)
 }

@@ -17,7 +17,7 @@ import (
 func BenchmarkBuildWeightedSocial(b *testing.B) {
 	g, _ := graph.RMAT(17, 8, 1).LargestComponent()
 	// Workers: 1 makes the clustering, and so the work, the same every run.
-	cl, err := core.Cluster(g, 1, core.Options{Seed: 1, Workers: 1})
+	cl, err := core.ClusterContext(b.Context(), g, 1, core.Options{Seed: 1, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 func clusterOf(t *testing.T, g *graph.Graph, tau int) *core.Clustering {
 	t.Helper()
-	cl, err := core.Cluster(g, tau, core.Options{Seed: 1})
+	cl, err := core.ClusterContext(t.Context(), g, tau, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@ package serve
 //     count × dist i64, everything little-endian, -1 for unreachable.
 //   - NDJSON streaming (Accept: application/x-ndjson, either request
 //     encoding): one {"u":U,"v":V,"distance":D} object per line, flushed
-//     in bounded chunks, for result sets too big to buffer.
+//     in bounded chunks, so the response is never buffered whole (the
+//     request is still capped at MaxBatchPairs).
 //
 // Every id is validated before the artifact lookup — queryPairs, the one
 // pipeline the point endpoints run through as batches of one, so a garbage
@@ -41,8 +42,10 @@ import (
 )
 
 // MaxBatchPairs bounds one /distance-batch request (~64k pairs: 512 KiB
-// of binary request, 512 KiB of binary response). Bigger workloads split
-// into multiple requests or switch to the NDJSON streaming variant.
+// of binary request, 512 KiB of binary response). Both request decoders
+// reject a larger batch with 413 whatever the Accept header: NDJSON
+// streaming changes only how the response is written, not how many pairs
+// one request may carry. Bigger workloads split into multiple requests.
 const MaxBatchPairs = 1 << 16
 
 // maxBatchBody bounds the raw request body before decoding: the JSON

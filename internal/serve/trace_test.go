@@ -223,7 +223,7 @@ func traceCost(tr BuildTraceInfo) bsp.Stats {
 // the artifact itself records — an oracle's clustering Stats plus its
 // APSPStats, a diameter's or k-center's clustering Stats. CLUSTER2 runs a
 // preliminary CLUSTER pass for its radius bound whose Stats
-// core.Cluster2Context drops, while the observer sees both passes, so a
+// core.Cluster2 drops, while the observer sees both passes, so a
 // cluster2 trace reads exactly that pass's cost higher.
 func TestBuildTraceCountsArtifactCost(t *testing.T) {
 	ctx := context.Background()

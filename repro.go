@@ -23,12 +23,17 @@
 // user needs, since the implementation lives under internal/. A typical
 // session:
 //
+//	ctx := context.Background()
 //	g := repro.Mesh(500, 500)
-//	cl, err := repro.Cluster(g, 64, repro.Options{Seed: 1})
+//	cl, err := repro.Cluster(ctx, g, 64, repro.Options{Seed: 1})
 //	// cl.Owner, cl.Centers, cl.MaxRadius() ...
 //
-//	res, err := repro.ApproxDiameter(g, repro.DiameterOptions{})
+//	res, err := repro.ApproxDiameter(ctx, g, repro.DiameterOptions{})
 //	// res.DeltaC <= true diameter <= res.Upper
+//
+// Every algorithm entry point takes a context first: a build checks it at
+// its superstep barriers and returns ctx.Err() within one round of a
+// cancel.
 package repro
 
 import (
@@ -112,14 +117,14 @@ type WeightedDiameterResult = core.WeightedDiameterResult
 
 // WeightedCluster decomposes a weighted graph with the CLUSTER(τ) batch
 // schedule (the paper's Section 7 extension).
-func WeightedCluster(wg *Weighted, tau int, opt Options) (*WeightedClustering, error) {
-	return core.WeightedCluster(wg, tau, opt)
+func WeightedCluster(ctx context.Context, wg *Weighted, tau int, opt Options) (*WeightedClustering, error) {
+	return core.WeightedCluster(ctx, wg, tau, opt)
 }
 
 // ApproxDiameterWeighted extends the Section 4 diameter pipeline to
 // weighted graphs, returning a certified upper bound.
-func ApproxDiameterWeighted(wg *Weighted, tau int, opt Options) (*WeightedDiameterResult, error) {
-	return core.ApproxDiameterWeighted(wg, tau, opt)
+func ApproxDiameterWeighted(ctx context.Context, wg *Weighted, tau int, opt Options) (*WeightedDiameterResult, error) {
+	return core.ApproxDiameterWeighted(ctx, wg, tau, opt)
 }
 
 // NewWeighted builds a weighted graph from parallel edge/weight lists,
@@ -130,56 +135,29 @@ func NewWeighted(n int, edges [][2]NodeID, weights []int32) (*Weighted, error) {
 }
 
 // Cluster runs the paper's Algorithm 1 (CLUSTER(τ)).
-func Cluster(g *Graph, tau int, opt Options) (*Clustering, error) {
-	return core.Cluster(g, tau, opt)
-}
-
-// ClusterContext is Cluster with cooperative cancellation: the build
-// checks ctx at superstep barriers and returns ctx.Err() within one round
-// of a cancel. Every *Context variant below behaves the same way.
-func ClusterContext(ctx context.Context, g *Graph, tau int, opt Options) (*Clustering, error) {
+func Cluster(ctx context.Context, g *Graph, tau int, opt Options) (*Clustering, error) {
 	return core.ClusterContext(ctx, g, tau, opt)
 }
 
 // Cluster2 runs the paper's Algorithm 2 (CLUSTER2(τ)).
-func Cluster2(g *Graph, tau int, opt Options) (*Clustering, error) {
-	return core.Cluster2(g, tau, opt)
-}
-
-// Cluster2Context is Cluster2 with cooperative cancellation.
-func Cluster2Context(ctx context.Context, g *Graph, tau int, opt Options) (*Clustering, error) {
-	return core.Cluster2Context(ctx, g, tau, opt)
+func Cluster2(ctx context.Context, g *Graph, tau int, opt Options) (*Clustering, error) {
+	return core.Cluster2(ctx, g, tau, opt)
 }
 
 // KCenter computes an O(log³n)-approximate k-center solution (Theorem 2).
-func KCenter(g *Graph, k int, opt Options) (*KCenterResult, error) {
-	return core.KCenter(context.Background(), g, k, opt)
-}
-
-// KCenterContext is KCenter with cooperative cancellation.
-func KCenterContext(ctx context.Context, g *Graph, k int, opt Options) (*KCenterResult, error) {
+func KCenter(ctx context.Context, g *Graph, k int, opt Options) (*KCenterResult, error) {
 	return core.KCenter(ctx, g, k, opt)
 }
 
 // ApproxDiameter estimates the diameter via the quotient graph of a
 // decomposition (Section 4), returning certified bounds
 // DeltaC <= ∆ <= Upper.
-func ApproxDiameter(g *Graph, opt DiameterOptions) (*DiameterResult, error) {
-	return core.ApproxDiameter(context.Background(), g, opt)
-}
-
-// ApproxDiameterContext is ApproxDiameter with cooperative cancellation.
-func ApproxDiameterContext(ctx context.Context, g *Graph, opt DiameterOptions) (*DiameterResult, error) {
+func ApproxDiameter(ctx context.Context, g *Graph, opt DiameterOptions) (*DiameterResult, error) {
 	return core.ApproxDiameter(ctx, g, opt)
 }
 
 // BuildOracle constructs the linear-space approximate distance oracle.
-func BuildOracle(g *Graph, tau int, useCluster2 bool, opt Options) (*Oracle, error) {
-	return core.BuildOracle(context.Background(), g, tau, useCluster2, opt)
-}
-
-// BuildOracleContext is BuildOracle with cooperative cancellation.
-func BuildOracleContext(ctx context.Context, g *Graph, tau int, useCluster2 bool, opt Options) (*Oracle, error) {
+func BuildOracle(ctx context.Context, g *Graph, tau int, useCluster2 bool, opt Options) (*Oracle, error) {
 	return core.BuildOracle(ctx, g, tau, useCluster2, opt)
 }
 
@@ -194,14 +172,14 @@ func QuotientGraph(cl *Clustering) (*Graph, error) {
 type MPXOptions = mpx.Options
 
 // MPXDecompose runs the MPX random-shift decomposition ([22]).
-func MPXDecompose(g *Graph, opt MPXOptions) (*Clustering, error) {
-	return mpx.Decompose(g, opt)
+func MPXDecompose(ctx context.Context, g *Graph, opt MPXOptions) (*Clustering, error) {
+	return mpx.Decompose(ctx, g, opt)
 }
 
 // BFSDiameter runs the parallel-BFS baseline: one BFS from src, reporting
 // 2·ecc(src) as the diameter upper bound.
 func BFSDiameter(g *Graph, src NodeID, workers int) (*pbfs.Result, error) {
-	return pbfs.EstimateDiameter(g, src, workers)
+	return pbfs.Run(g, src, workers)
 }
 
 // ANFOptions configures the HADI/ANF baseline.

@@ -12,7 +12,7 @@ import (
 
 func TestFacadeClusterPipeline(t *testing.T) {
 	g := repro.Mesh(40, 40)
-	cl, err := repro.Cluster(g, 8, repro.Options{Seed: 1})
+	cl, err := repro.Cluster(t.Context(), g, 8, repro.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFacadeClusterPipeline(t *testing.T) {
 
 func TestFacadeDiameterBracketsTruth(t *testing.T) {
 	g := repro.RoadLike(40, 40, 0.4, 3)
-	res, err := repro.ApproxDiameter(g, repro.DiameterOptions{Options: repro.Options{Seed: 2}})
+	res, err := repro.ApproxDiameter(t.Context(), g, repro.DiameterOptions{Options: repro.Options{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFacadeDiameterBracketsTruth(t *testing.T) {
 
 func TestFacadeKCenter(t *testing.T) {
 	g := repro.Mesh(25, 25)
-	res, err := repro.KCenter(g, 12, repro.Options{Seed: 3})
+	res, err := repro.KCenter(t.Context(), g, 12, repro.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFacadeKCenter(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	g := repro.BarabasiAlbert(2000, 4, 4)
-	cl, err := repro.MPXDecompose(g, repro.MPXOptions{Beta: 0.5, Seed: 5})
+	cl, err := repro.MPXDecompose(t.Context(), g, repro.MPXOptions{Beta: 0.5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFacadeBaselines(t *testing.T) {
 
 func TestFacadeOracle(t *testing.T) {
 	g := repro.Mesh(20, 20)
-	o, err := repro.BuildOracle(g, 2, false, repro.Options{Seed: 6})
+	o, err := repro.BuildOracle(t.Context(), g, 2, false, repro.Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFacadeBuilderAndEdges(t *testing.T) {
 
 func TestFacadeCluster2(t *testing.T) {
 	g := repro.Mesh(20, 20)
-	cl, err := repro.Cluster2(g, 4, repro.Options{Seed: 8})
+	cl, err := repro.Cluster2(t.Context(), g, 4, repro.Options{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +150,14 @@ func TestFacadeWeightedExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := repro.WeightedCluster(wg, 4, repro.Options{Seed: 9})
+	wc, err := repro.WeightedCluster(t.Context(), wg, 4, repro.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := wc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.ApproxDiameterWeighted(wg, 4, repro.Options{Seed: 9})
+	res, err := repro.ApproxDiameterWeighted(t.Context(), wg, 4, repro.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
