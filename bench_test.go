@@ -80,7 +80,7 @@ func BenchmarkTable4HADI(b *testing.B) {
 	mesh, _, _ := benchGraphs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.HADICost(benchCfg, mesh); err != nil {
+		if _, err := expt.HADICost(b.Context(), benchCfg, mesh); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func BenchmarkKernelANF(b *testing.B) {
 	_, social, _ := benchGraphs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := anf.Run(social, anf.Options{K: 32, Seed: 1}); err != nil {
+		if _, err := anf.Run(b.Context(), social, anf.Options{K: 32, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

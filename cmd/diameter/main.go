@@ -53,8 +53,8 @@ func main() {
 	// Ctrl-C cancels the in-flight estimation at its next superstep barrier
 	// instead of leaving a multi-second build running to completion. Once
 	// the context fires, stop() restores default signal handling, so a
-	// second Ctrl-C kills immediately — which also covers the bfs/hadi
-	// baselines that are not context-aware.
+	// second Ctrl-C kills immediately — which also covers the bfs
+	// baseline, the one estimator that is not context-aware.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go func() {
@@ -84,7 +84,7 @@ func main() {
 			res.Stats.Messages, res.Elapsed.Round(time.Millisecond))
 	}
 	if want("hadi") {
-		res, err := anf.Run(g, anf.Options{K: *k, Seed: *seed, Workers: *workers})
+		res, err := anf.Run(ctx, g, anf.Options{K: *k, Seed: *seed, Workers: *workers})
 		fail(err)
 		fmt.Printf("HADI:    diameter ~= %d, effective(0.9) = %.1f  (rounds=%d, %v)\n",
 			res.DiameterEstimate, res.EffectiveDiameter, res.Rounds,

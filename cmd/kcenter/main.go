@@ -52,10 +52,10 @@ func main() {
 		len(res.Centers), res.Radius, res.Merged, time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	_, base, err := gonzalez.KCenter(g, *k, 0)
+	centers, base, err := gonzalez.KCenter(g, *k, 0)
 	fail(err)
 	fmt.Printf("Gonzalez baseline: %d centers, radius %d (%v)\n",
-		*k, base, time.Since(start).Round(time.Millisecond))
+		len(centers), base, time.Since(start).Round(time.Millisecond))
 	if base > 0 {
 		fmt.Printf("ratio: %.2f (Gonzalez is a 2-approximation; CLUSTER is O(log^3 n))\n",
 			float64(res.Radius)/float64(base))

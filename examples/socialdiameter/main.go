@@ -49,7 +49,7 @@ func main() {
 		bfs.Elapsed.Round(time.Millisecond))
 
 	// HADI/ANF baseline: accurate but moves K words per edge per round.
-	hadi, err := repro.ANFDiameter(g, repro.ANFOptions{K: 32, Seed: 7})
+	hadi, err := repro.ANFDiameter(ctx, g, repro.ANFOptions{K: 32, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,11 @@
 package anf
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/bsp"
@@ -70,8 +72,16 @@ type Result struct {
 // phi is the Flajolet–Martin bias correction constant.
 const phi = 0.77351
 
-// Run executes ANF on g until the sketches saturate.
-func Run(g *graph.Graph, opt Options) (*Result, error) {
+// Run executes ANF on g until the sketches saturate. The rounds run on
+// the traversal engine as active-set supersteps: the frontier holds the
+// nodes whose sketch changed last round, and a node only recombines when
+// at least one neighbor is in it (everyone else's sketch provably cannot
+// change). That preserves the dense round-by-round semantics, and thus the
+// saturation-round diameter estimate, while skipping the dead arc scans.
+// The loop checks ctx at the superstep barriers and returns ctx.Err(), and
+// no result, once it is cancelled; an uncancelled run is bit-for-bit
+// deterministic in (seed, K) across worker counts.
+func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	start := time.Now() //lint:allow walltime accounting-only: Elapsed never influences sketch updates
 	n := g.NumNodes()
 	if n == 0 {
@@ -88,14 +98,16 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 	if maxRounds <= 0 {
 		maxRounds = 4*n + 4
 	}
-	workers := bsp.Workers(opt.Workers)
 	seed := rng.Mix64(opt.Seed, 0xa7f_0001)
+	e := bsp.NewEngine(g, bsp.Workers(opt.Workers))
+	defer e.Close()
+	e.SetContext(ctx)
 
 	// Initialize sketches: node u sets, in each register, one bit drawn
 	// geometrically (bit b with probability 2^-(b+1)).
 	cur := make([]uint32, n*k)
 	next := make([]uint32, n*k)
-	bsp.ParallelFor(workers, n, func(_, lo, hi int) {
+	e.For(n, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for r := 0; r < k; r++ {
 				h := rng.Mix64(seed, uint64(u), uint64(r))
@@ -104,46 +116,56 @@ func Run(g *graph.Graph, opt Options) (*Result, error) {
 			}
 		}
 	})
+	all := make([]graph.NodeID, n)
+	for i := range all {
+		all[i] = graph.NodeID(i)
+	}
+	e.SetFrontier(all) // round 0: every node's sketch just initialized
 
-	// Active-set rounds on the traversal engine (see runSketchRounds): the
-	// FM combine is a K-word OR of each neighbor's pre-round sketch.
-	neighborhood, rounds, saturatedAt, messages, stats := runSketchRounds(
-		g, workers, maxRounds, int64(k),
-		func(vn graph.NodeID, nbrs []graph.NodeID) bool {
-			base := int(vn) * k
-			// Copy own sketch, then OR in the neighbors'.
-			for r := 0; r < k; r++ {
-				next[base+r] = cur[base+r]
-			}
-			for _, v := range nbrs {
-				nb := int(v) * k
+	res := &Result{Neighborhood: []float64{neighborhoodEstimate(cur, n, k)}}
+	gatherArcs := make([]int64, e.NumWorkers())
+	for res.Rounds < maxRounds && e.FrontierLen() > 0 {
+		// The FM combine: copy v's own sketch, OR in each neighbor's
+		// pre-round sketch, and report whether anything changed.
+		rs := e.GatherStep(func(w int, v graph.NodeID) bool {
+			nbrs := g.Neighbors(v)
+			gatherArcs[w] += int64(len(nbrs))
+			base := int(v) * k
+			copy(next[base:base+k], cur[base:base+k])
+			for _, u := range nbrs {
+				nb := int(u) * k
 				for r := 0; r < k; r++ {
 					next[base+r] |= cur[nb+r]
 				}
 			}
-			for r := 0; r < k; r++ {
-				if next[base+r] != cur[base+r] {
-					return true
-				}
+			return !slices.Equal(next[base:base+k], cur[base:base+k])
+		})
+		res.Rounds++
+		// Commit the changed sketches (the untouched ones are already
+		// identical in cur), then account the registers actually combined.
+		changed := e.Frontier()
+		e.For(len(changed), func(_, lo, hi int) {
+			for _, u := range changed[lo:hi] {
+				base := int(u) * k
+				copy(cur[base:base+k], next[base:base+k])
 			}
-			return false
-		},
-		func(u graph.NodeID) {
-			base := int(u) * k
-			copy(cur[base:base+k], next[base:base+k])
-		},
-		func() float64 { return neighborhoodEstimate(cur, n, k) },
-	)
-
-	res := &Result{
-		DiameterEstimate: saturatedAt,
-		Neighborhood:     neighborhood,
-		Rounds:           rounds,
-		MessagesWords:    messages,
-		Stats:            stats,
-		Elapsed:          time.Since(start),
+		})
+		for w := range gatherArcs {
+			res.MessagesWords += gatherArcs[w] * int64(k)
+			gatherArcs[w] = 0
+		}
+		if rs.Claimed == 0 {
+			break
+		}
+		res.DiameterEstimate = int32(res.Rounds)
+		res.Neighborhood = append(res.Neighborhood, neighborhoodEstimate(cur, n, k))
 	}
-	res.EffectiveDiameter = effectiveDiameter(neighborhood, opt.EffectivePercentile)
+	if err := e.Err(); err != nil {
+		return nil, err
+	}
+	res.Stats = e.Stats()
+	res.EffectiveDiameter = effectiveDiameter(res.Neighborhood, opt.EffectivePercentile)
+	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -1,7 +1,12 @@
 package anf
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -15,7 +20,7 @@ func TestRunDiameterEstimateCloseToTruth(t *testing.T) {
 		"social": graph.BarabasiAlbert(1500, 3, 2),
 	} {
 		truth, _ := g.ExactDiameter(0)
-		res, err := Run(g, Options{K: 32, Seed: 1})
+		res, err := Run(t.Context(), g, Options{K: 32, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -33,7 +38,7 @@ func TestRunDiameterEstimateCloseToTruth(t *testing.T) {
 
 func TestRunRoundsThetaDiameter(t *testing.T) {
 	g := graph.Path(200)
-	res, err := Run(g, Options{K: 16, Seed: 2})
+	res, err := Run(t.Context(), g, Options{K: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +50,7 @@ func TestRunRoundsThetaDiameter(t *testing.T) {
 func TestRunCommunicationVolumeBounded(t *testing.T) {
 	g := graph.Mesh(12, 12)
 	k := 8
-	res, err := Run(g, Options{K: k, Seed: 3})
+	res, err := Run(t.Context(), g, Options{K: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestRunCommunicationVolumeBounded(t *testing.T) {
 
 func TestRunNeighborhoodMonotone(t *testing.T) {
 	g := graph.Mesh(10, 10)
-	res, err := Run(g, Options{K: 32, Seed: 4})
+	res, err := Run(t.Context(), g, Options{K: 32, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +89,7 @@ func TestRunFinalNeighborhoodApproximatesN2(t *testing.T) {
 	// ~35% with 64 registers.
 	g := graph.Mesh(12, 12)
 	n := float64(g.NumNodes())
-	res, err := Run(g, Options{K: 64, Seed: 5})
+	res, err := Run(t.Context(), g, Options{K: 64, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +101,7 @@ func TestRunFinalNeighborhoodApproximatesN2(t *testing.T) {
 
 func TestRunEffectiveDiameterAtMostEstimate(t *testing.T) {
 	g := graph.Path(80)
-	res, err := Run(g, Options{K: 32, Seed: 6})
+	res, err := Run(t.Context(), g, Options{K: 32, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestRunEffectiveDiameterAtMostEstimate(t *testing.T) {
 }
 
 func TestRunSingleNode(t *testing.T) {
-	res, err := Run(graph.Path(1), Options{K: 8, Seed: 7})
+	res, err := Run(t.Context(), graph.Path(1), Options{K: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +125,19 @@ func TestRunSingleNode(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(graph.NewBuilder(0).Build(), Options{}); err == nil {
+	if _, err := Run(t.Context(), graph.NewBuilder(0).Build(), Options{}); err == nil {
 		t.Fatal("empty graph should fail")
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if res, err := Run(ctx, graph.Path(100), Options{K: 8, Seed: 1}); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled run: res %v, err %v; want nil, context.Canceled", res, err)
 	}
 }
 
 func TestRunMaxRoundsCap(t *testing.T) {
 	g := graph.Path(500)
-	res, err := Run(g, Options{K: 8, Seed: 8, MaxRounds: 10})
+	res, err := Run(t.Context(), g, Options{K: 8, Seed: 8, MaxRounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +148,63 @@ func TestRunMaxRoundsCap(t *testing.T) {
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	g := graph.Mesh(12, 12)
-	a, err := Run(g, Options{K: 16, Seed: 9, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	var first *Result
+	for _, workers := range []int{1, 2, 8} {
+		res, err := Run(t.Context(), g, Options{K: 16, Seed: 9, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed = 0
+		if first == nil {
+			first = res
+		} else if !reflect.DeepEqual(first, res) {
+			t.Fatalf("workers %d: result %+v differs from workers 1: %+v", workers, res, first)
+		}
 	}
-	b, err := Run(g, Options{K: 16, Seed: 9, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRunPinned fingerprints every deterministic field of the Result
+// (Elapsed aside) on three graph families and two seeds, at every worker
+// count: a refactor of the sketch rounds must leave every constant as is.
+func TestRunPinned(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"mesh": graph.Mesh(30, 30),
+		"gnp":  graph.ErdosRenyi(3000, 9000, 3),
+		"road": graph.RoadLike(60, 60, 0.4, 1),
 	}
-	if a.DiameterEstimate != b.DiameterEstimate || a.Rounds != b.Rounds {
-		t.Fatal("ANF not deterministic across worker counts")
+	want := map[string][2]uint64{ // seeds 1 and 2
+		"mesh": {0x91be8971cc5b3702, 0x065354a5b7247109},
+		"gnp":  {0xdf710995c4d8b56c, 0x223765a59f53e502},
+		"road": {0x66b319cc341e655b, 0x5ae330bbbc97c22f},
+	}
+	for name, g := range graphs {
+		for i, seed := range []uint64{1, 2} {
+			for _, workers := range []int{1, 2, 8} {
+				res, err := Run(t.Context(), g, Options{Seed: seed, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				var buf [8]byte
+				put := func(x uint64) {
+					binary.LittleEndian.PutUint64(buf[:], x)
+					h.Write(buf[:])
+				}
+				s := res.Stats
+				for _, x := range []int64{int64(res.DiameterEstimate), int64(res.Rounds), res.MessagesWords,
+					int64(s.Rounds), s.Messages, int64(s.MaxFrontier), int64(s.PullRounds), s.Relaxations, int64(s.Buckets),
+					int64(len(res.Neighborhood))} {
+					put(uint64(x))
+				}
+				put(math.Float64bits(res.EffectiveDiameter))
+				for _, x := range res.Neighborhood {
+					put(math.Float64bits(x))
+				}
+				if got := h.Sum64(); got != want[name][i] {
+					t.Errorf("%s seed %d workers %d: fingerprint %#x, pinned %#x", name, seed, workers, got, want[name][i])
+				}
+			}
+		}
 	}
 }
 

@@ -30,10 +30,7 @@
 // weighted counterpart of Messages and Rounds.
 package bsp
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // NodeID identifies a node; it aliases int32 exactly as graph.NodeID does,
 // so the two are interchangeable without this package importing graph.
@@ -104,38 +101,4 @@ func Workers(requested int) int {
 		return requested
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// ParallelFor splits [0, n) into contiguous chunks and runs fn(worker, lo,
-// hi) on each from a throwaway set of goroutines (non-positive workers
-// selects GOMAXPROCS). It blocks until all chunks complete; for small n it
-// runs inline on the calling goroutine. Loops that run inside a traversal
-// should prefer Engine.For, which reuses the engine's persistent pool.
-func ParallelFor(workers, n int, fn func(worker, lo, hi int)) {
-	w := Workers(workers)
-	if n <= 0 {
-		return
-	}
-	if n < seqThreshold || w == 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			fn(i, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
 }

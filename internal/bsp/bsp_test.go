@@ -128,30 +128,35 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestParallelFor(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 5000} {
-		var sum int64
-		hit := make([]int32, n)
-		bsp.ParallelFor(4, n, func(_, lo, hi int) {
-			var local int64
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hit[i], 1)
-				local += int64(i)
+func TestEngineFor(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		e := bsp.NewEngine(graph.Path(2), workers)
+		// 70,001 is not a multiple of the 64-node chunk alignment.
+		for _, n := range []int{0, 1, 100, 5000, 70001} {
+			var sum int64
+			hit := make([]int32, n)
+			e.For(n, func(_, lo, hi int) {
+				var local int64
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hit[i], 1)
+					local += int64(i)
+				}
+				atomic.AddInt64(&sum, local)
+			})
+			want := int64(n) * int64(n-1) / 2
+			if n == 0 {
+				want = 0
 			}
-			atomic.AddInt64(&sum, local)
-		})
-		want := int64(n) * int64(n-1) / 2
-		if n == 0 {
-			want = 0
-		}
-		if sum != want {
-			t.Fatalf("n=%d: sum=%d want %d", n, sum, want)
-		}
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("index %d visited %d times", i, h)
+			if sum != want {
+				t.Fatalf("workers=%d n=%d: sum=%d want %d", workers, n, sum, want)
+			}
+			for i, h := range hit {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+				}
 			}
 		}
+		e.Close()
 	}
 }
 

@@ -59,12 +59,12 @@ func (d Direction) String() string {
 // and with it every RoundStat a traversal returns or observes — is
 // identical across worker counts.
 
-// seqThreshold is the range length (nodes) below which For, ParallelFor and
-// with them the bottom-up steps run inline on the calling goroutine;
-// dispatching to the pool for tiny rounds costs more than it saves. It is
-// also the block of claimed nodes a worker takes at a time in a claim
-// step's barrier pass. Top-down steps, claim and gather alike, are sized in
-// arcs instead — see pushArcThreshold.
+// seqThreshold is the range length (nodes) below which For and with it
+// the bottom-up steps run inline on the calling goroutine; dispatching to
+// the pool for tiny rounds costs more than it saves. It is also the block
+// of claimed nodes a worker takes at a time in a claim step's barrier
+// pass. Top-down steps, claim and gather alike, are sized in arcs instead
+// — see pushArcThreshold.
 const seqThreshold = 2048
 
 // pushArcThreshold is the frontier arc count (mf) below which a push step
@@ -114,7 +114,7 @@ const (
 
 // Engine is the direction-optimizing traversal engine under every frontier
 // algorithm in the repository (CLUSTER/CLUSTER2 growth, MPX, parallel BFS,
-// the ANF/HyperANF neighborhood rounds, and the iFUB exact-diameter loop).
+// the ANF neighborhood rounds, and the iFUB exact-diameter loop).
 //
 // It keeps the frontier in both sparse (node list) and dense (bitmap) form,
 // runs supersteps over a persistent worker pool (goroutines are spawned
@@ -600,8 +600,7 @@ func (e *Engine) syncFrontierBits() {
 // it), and candidates for which it returns true form the next frontier. The
 // step visits nothing itself. Where no node is ever visited, nodes re-enter
 // the frontier whenever they change: the superstep shape of the ANF/HADI
-// and HyperANF sketch rounds (frontier = "nodes whose sketch changed last
-// round"). Where a gathered node is settled for good (MPX), the client
+// sketch rounds (frontier = "nodes whose sketch changed last round"). Where a gathered node is settled for good (MPX), the client
 // calls VisitFrontier after the step and no later one offers it again.
 //
 // Direction: with a large frontier the candidates are found bottom-up (scan

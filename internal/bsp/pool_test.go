@@ -1,9 +1,8 @@
 package bsp_test
 
-// Goroutine lifetime of the two go sites in this package: the pool's
-// workers live from the first Run to Close, ParallelFor's live for one
-// call. Counting goroutines back to the pre-test baseline is the only
-// enforcer of either.
+// Goroutine lifetime of the one go site in this package: the pool's
+// workers live from the first Run to Close. Counting goroutines back to
+// the pre-test baseline is its only enforcer.
 
 import (
 	"runtime"
@@ -28,7 +27,7 @@ func settleToBaseline(t *testing.T, base int) {
 	}
 }
 
-func TestPoolAndParallelForSettleToBaseline(t *testing.T) {
+func TestPoolSettlesToBaseline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const workers = 4
 
@@ -44,12 +43,6 @@ func TestPoolAndParallelForSettleToBaseline(t *testing.T) {
 		t.Fatalf("fn ran %d times, want %d", ran.Load(), 3*workers)
 	}
 
-	var covered atomic.Int64
-	bsp.ParallelFor(workers, 1<<14, func(_, lo, hi int) { covered.Add(int64(hi - lo)) })
-	if covered.Load() != 1<<14 {
-		t.Fatalf("ParallelFor covered %d of %d", covered.Load(), 1<<14)
-	}
-	settleToBaseline(t, base)
 }
 
 // Run after Close used to respawn the workers, and the closed flag then

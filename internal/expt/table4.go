@@ -71,7 +71,7 @@ func Table4ForGraph(ctx context.Context, cfg Config, name string, g *graph.Graph
 	}
 	row.BFS = *bc
 
-	hc, err := HADICost(cfg, g)
+	hc, err := HADICost(ctx, cfg, g)
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +119,8 @@ func BFSCost(cfg Config, g *graph.Graph) (*AlgoCost, error) {
 }
 
 // HADICost runs the ANF/HADI competitor.
-func HADICost(cfg Config, g *graph.Graph) (*AlgoCost, error) {
-	res, err := anf.Run(g, anf.Options{
+func HADICost(ctx context.Context, cfg Config, g *graph.Graph) (*AlgoCost, error) {
+	res, err := anf.Run(ctx, g, anf.Options{
 		K:       ANFRegisters,
 		Seed:    cfg.Seed,
 		Workers: cfg.Workers,

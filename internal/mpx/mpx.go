@@ -67,11 +67,12 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 		return nil, errors.New("mpx: empty graph")
 	}
 	seed := rng.Mix64(opt.Seed, 0x3b9a_ca07)
-	workers := bsp.Workers(opt.Workers)
+	e := bsp.NewEngine(g, bsp.Workers(opt.Workers))
+	defer e.Close()
 
 	// Draw shifts and derive start times start(u) = δmax − δu.
 	delta := make([]float64, n)
-	bsp.ParallelFor(workers, n, func(_, lo, hi int) {
+	e.For(n, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			delta[u] = rng.ExpAt(opt.Beta, seed, uint64(u))
 		}
@@ -104,8 +105,6 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 	var centers []graph.NodeID
 	centerStart := make([]float64, 0, 64)
 
-	e := bsp.NewEngine(g, workers)
-	defer e.Close()
 	// One unit step: every uncovered node next to the frontier takes the
 	// least (arrival+1, cluster) its covered neighbors offer. All of those
 	// are in the frontier — a neighbor covered any earlier would have

@@ -2,8 +2,8 @@ package serve
 
 // batch.go is the zero-allocation, batch-first query path: POST
 // /distance-batch answers up to MaxBatchPairs (u, v) pairs per request
-// straight off the oracle's flat tables. Three encodings share one
-// pipeline:
+// straight off the oracle's flat tables. Two encodings share one
+// pipeline, and the answer is encoded the way the request was:
 //
 //   - JSON (Content-Type: application/json): body {"pairs":[[u,v],...]},
 //     response {"graph":...,"pairs":N,"distances":[...]} with -1 for
@@ -12,10 +12,6 @@ package serve
 //     request "RPB1" | count u32 | count × (u i32, v i32); response
 //     (Content-Type: application/x-reprod-dists) "RPD1" | count u32 |
 //     count × dist i64, everything little-endian, -1 for unreachable.
-//   - NDJSON streaming (Accept: application/x-ndjson, either request
-//     encoding): one {"u":U,"v":V,"distance":D} object per line, flushed
-//     in bounded chunks, so the response is never buffered whole (the
-//     request is still capped at MaxBatchPairs).
 //
 // Every id is validated before the artifact lookup — queryPairs, the one
 // pipeline the point endpoints run through as batches of one, so a garbage
@@ -43,9 +39,8 @@ import (
 
 // MaxBatchPairs bounds one /distance-batch request (~64k pairs: 512 KiB
 // of binary request, 512 KiB of binary response). Both request decoders
-// reject a larger batch with 413 whatever the Accept header: NDJSON
-// streaming changes only how the response is written, not how many pairs
-// one request may carry. Bigger workloads split into multiple requests.
+// reject a larger batch with 413. Bigger workloads split into multiple
+// requests.
 const MaxBatchPairs = 1 << 16
 
 // maxBatchBody bounds the raw request body before decoding: the JSON
@@ -56,7 +51,6 @@ const maxBatchBody = 4 << 20
 const (
 	ctBatchPairs = "application/x-reprod-pairs" // binary request frame
 	ctBatchDists = "application/x-reprod-dists" // binary response frame
-	ctNDJSON     = "application/x-ndjson"       // streaming response
 )
 
 // Binary frame magics: 4 bytes leading the request and response frames,
@@ -96,7 +90,7 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // maximum; only the failure path scans to name the offending pair.
 func (s *Server) queryPairs(
 	decode func(rq *request, r *http.Request, sc *batchScratch) (maxID graph.NodeID, err error),
-	answer func(s *Server, rq *request, r *http.Request, sc *batchScratch, o *core.Oracle) any,
+	answer func(s *Server, rq *request, sc *batchScratch, o *core.Oracle) any,
 ) func(*request, *http.Request) (any, error) {
 	return func(rq *request, r *http.Request) (any, error) {
 		sc := batchPool.Get().(*batchScratch)
@@ -119,7 +113,7 @@ func (s *Server) queryPairs(
 		if err := checkBatchRange(sc.pairs, maxID, a.oracle.Clustering().G); err != nil {
 			return nil, err
 		}
-		return answer(s, rq, r, sc, a.oracle), nil
+		return answer(s, rq, sc, a.oracle), nil
 	}
 }
 
@@ -151,7 +145,7 @@ func decodeBatch(_ *request, r *http.Request, sc *batchScratch) (maxID graph.Nod
 
 // answerBatch answers the decoded pairs in the request's encoding, writing
 // the response itself out of the pooled buffers.
-func answerBatch(s *Server, rq *request, r *http.Request, sc *batchScratch, o *core.Oracle) any {
+func answerBatch(s *Server, rq *request, sc *batchScratch, o *core.Oracle) any {
 	pairs := sc.pairs
 	if cap(sc.dists) < len(pairs) {
 		sc.dists = make([]int64, len(pairs))
@@ -161,12 +155,9 @@ func answerBatch(s *Server, rq *request, r *http.Request, sc *batchScratch, o *c
 	s.met.batchPairs.Add(int64(len(pairs)))
 	s.met.batchSize.Observe(float64(len(pairs)))
 
-	switch {
-	case strings.Contains(r.Header.Get("Accept"), ctNDJSON):
-		writeBatchNDJSON(rq, sc, pairs, dists)
-	case sc.binary:
+	if sc.binary {
 		writeBatchBinary(rq, sc, dists)
-	default:
+	} else {
 		writeBatchJSON(rq, sc, rq.p.graph, dists)
 	}
 	return nil
@@ -416,43 +407,6 @@ func writeBatchJSON(w http.ResponseWriter, sc *batchScratch, graphName string, d
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.Write(out)
-}
-
-// ndjsonFlushBytes bounds the streaming variant's in-memory chunk: rows
-// accumulate in the pooled buffer and flush to the client every ~32 KiB,
-// so a maximal batch never buffers its whole response.
-const ndjsonFlushBytes = 32 << 10
-
-// writeBatchNDJSON streams one {"u":U,"v":V,"distance":D} object per
-// line. A mid-stream write error just stops the stream — the status line
-// is already on the wire, so there is nothing better to tell the client
-// than the broken connection itself.
-func writeBatchNDJSON(w http.ResponseWriter, sc *batchScratch, pairs [][2]graph.NodeID, dists []int64) {
-	w.Header().Set("Content-Type", ctNDJSON)
-	out := sc.out[:0]
-	for i, d := range dists {
-		out = append(out, `{"u":`...)
-		out = strconv.AppendInt(out, int64(pairs[i][0]), 10)
-		out = append(out, `,"v":`...)
-		out = strconv.AppendInt(out, int64(pairs[i][1]), 10)
-		out = append(out, `,"distance":`...)
-		if d == graph.InfDist {
-			d = -1
-		}
-		out = strconv.AppendInt(out, d, 10)
-		out = append(out, "}\n"...)
-		if len(out) >= ndjsonFlushBytes {
-			if _, err := w.Write(out); err != nil {
-				sc.out = out
-				return
-			}
-			out = out[:0]
-		}
-	}
-	if len(out) > 0 {
-		w.Write(out)
-	}
-	sc.out = out
 }
 
 // appendJSONString appends s as a JSON string literal, escaping quotes,

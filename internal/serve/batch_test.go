@@ -7,7 +7,6 @@ package serve
 // that run under the CI -race job.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -184,49 +183,39 @@ func TestDistanceBatchMatchesPointQueries(t *testing.T) {
 	}
 }
 
-func TestDistanceBatchNDJSONStreaming(t *testing.T) {
+// TestDistanceBatchAnswersInRequestEncoding pins that the answer is
+// encoded the way the request was, whatever the Accept header asks for: an
+// RPB1 request gets the same RPD1 bytes with or without one, and a JSON
+// request gets JSON.
+func TestDistanceBatchAnswersInRequestEncoding(t *testing.T) {
 	g := graph.Mesh(20, 20)
 	_, ts := newTestServer(t, "mesh", g)
 	r := rng.New(43)
 	n := g.NumNodes()
-	// Enough rows to cross the flush threshold several times, so the test
-	// exercises the chunked streaming, not just the final flush.
 	pairs := make([][2]graph.NodeID, 4000)
 	for i := range pairs {
 		pairs[i] = [2]graph.NodeID{graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))}
 	}
-	resp, raw := postBatch(t, ts.URL+"/distance-batch?graph=mesh&tau=2&seed=1",
-		"application/x-reprod-pairs", "application/x-ndjson", encodePairsFrame(pairs))
+	url := ts.URL + "/distance-batch?graph=mesh&tau=2&seed=1"
+	const accept = "application/x-ndjson"
+	frame := encodePairsFrame(pairs)
+	plain, want := postBatch(t, url, "application/x-reprod-pairs", "", frame)
+	resp, got := postBatch(t, url, "application/x-reprod-pairs", accept, frame)
+	if plain.StatusCode != http.StatusOK || resp.StatusCode != http.StatusOK {
+		t.Fatalf("binary batch: status %d without Accept, %d with it: %s", plain.StatusCode, resp.StatusCode, got)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-reprod-dists" {
+		t.Fatalf("binary batch with Accept: content type %q", ct)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("binary batch: Accept %q changed the %d-byte answer", accept, len(want))
+	}
+	resp, raw := postBatch(t, url, "application/json", accept, mustJSON(t, pairs))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("NDJSON batch: status %d: %s", resp.StatusCode, raw)
+		t.Fatalf("JSON batch with Accept: status %d: %s", resp.StatusCode, raw)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("NDJSON batch: content type %q", ct)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 1<<16), 1<<16)
-	i := 0
-	for sc.Scan() {
-		var row struct {
-			U, V     graph.NodeID
-			Distance int64
-		}
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("row %d %q: %v", i, sc.Text(), err)
-		}
-		if i >= len(pairs) {
-			t.Fatalf("more rows than pairs (%d)", i)
-		}
-		if row.U != pairs[i][0] || row.V != pairs[i][1] {
-			t.Fatalf("row %d echoes (%d,%d), want %v", i, row.U, row.V, pairs[i])
-		}
-		i++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if i != len(pairs) {
-		t.Fatalf("streamed %d rows for %d pairs", i, len(pairs))
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("JSON batch with Accept: content type %q", ct)
 	}
 }
 

@@ -29,13 +29,12 @@ import (
 //
 // All endpoints answer JSON except /metrics, which answers the Prometheus
 // text exposition format, and /distance-batch, which answers in its
-// request's encoding (JSON, the dense binary frame, or streamed NDJSON —
-// see batch.go). Missing or malformed parameters are 400, unknown graphs
-// 404; load-shed, breaker-rejected, and cancelled requests are 503 (shed
-// and breaker responses carry a Retry-After header), and a build that
-// outruns the server-side build timeout is 504 — README's "Overload &
-// failure semantics" section has the full table. Every endpoint runs
-// under the
+// request's encoding (JSON or the dense binary frame — see batch.go).
+// Missing or malformed parameters are 400, unknown graphs 404; load-shed,
+// breaker-rejected, and cancelled requests are 503 (shed and breaker
+// responses carry a Retry-After header), and a build that outruns the
+// server-side build timeout is 504 — README's "Overload & failure
+// semantics" section has the full table. Every endpoint runs under the
 // instrumentation middleware: responses carry an X-Request-ID header, and
 // each request lands in the per-path request counter and latency
 // histogram /metrics exports.
@@ -304,7 +303,7 @@ func decodeDistance(rq *request, _ *http.Request, sc *batchScratch) (graph.NodeI
 	return max(u, v), nil
 }
 
-func answerDistance(s *Server, rq *request, _ *http.Request, sc *batchScratch, o *core.Oracle) any {
+func answerDistance(s *Server, rq *request, sc *batchScratch, o *core.Oracle) any {
 	u, v := sc.pairs[0][0], sc.pairs[0][1]
 	start := time.Now()
 	d := o.Query(u, v)
@@ -349,7 +348,7 @@ func decodeClusterOf(rq *request, _ *http.Request, sc *batchScratch) (graph.Node
 	return u, nil
 }
 
-func answerClusterOf(s *Server, rq *request, _ *http.Request, sc *batchScratch, o *core.Oracle) any {
+func answerClusterOf(s *Server, rq *request, sc *batchScratch, o *core.Oracle) any {
 	u := sc.pairs[0][0]
 	start := time.Now()
 	cl := o.Clustering()

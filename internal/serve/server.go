@@ -58,8 +58,8 @@
 //
 // Bulk consumers use POST /distance-batch, which answers up to
 // MaxBatchPairs (u, v) pairs per request straight off the oracle's flat
-// tables — JSON, dense binary frames, or streamed NDJSON (batch.go
-// documents the wire formats). Batch inputs follow a strict pre-build
+// tables — JSON or dense binary frames (batch.go documents the wire
+// formats). Batch inputs follow a strict pre-build
 // validation rule: every id in the batch is range-checked against the
 // graph BEFORE the artifact lookup, so a batch containing even one
 // invalid id is rejected with 400 without triggering (or churning a

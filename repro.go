@@ -189,20 +189,8 @@ type ANFOptions = anf.Options
 type ANFResult = anf.Result
 
 // ANFDiameter runs the HADI/ANF neighborhood-function estimator ([16,23]).
-func ANFDiameter(g *Graph, opt ANFOptions) (*ANFResult, error) {
-	return anf.Run(g, opt)
-}
-
-// HyperANFOptions configures the HyperLogLog-based ANF variant ([6]).
-type HyperANFOptions = anf.HyperOptions
-
-// HyperANFResult is the HyperANF output.
-type HyperANFResult = anf.HyperResult
-
-// HyperANFDiameter runs the HyperANF estimator (HyperLogLog registers,
-// lower per-round volume than classic ANF at equal accuracy).
-func HyperANFDiameter(g *Graph, opt HyperANFOptions) (*HyperANFResult, error) {
-	return anf.HyperRun(g, opt)
+func ANFDiameter(ctx context.Context, g *Graph, opt ANFOptions) (*ANFResult, error) {
+	return anf.Run(ctx, g, opt)
 }
 
 // GonzalezKCenter runs the sequential greedy 2-approximation baseline.

@@ -74,7 +74,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hadi, err := repro.ANFDiameter(g, repro.ANFOptions{K: 16, Seed: 5})
+	hadi, err := repro.ANFDiameter(t.Context(), g, repro.ANFOptions{K: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
