@@ -62,8 +62,9 @@ type Result struct {
 	// Rounds·2m·K (the dense HADI volume) and typically far less on
 	// long-diameter graphs, where most sketches are stable most rounds.
 	MessagesWords int64
-	// Stats carries the engine's superstep counters (rounds, arcs scanned
-	// including frontier-membership probes, pull rounds).
+	// Stats carries the engine's superstep counters (rounds, pull rounds,
+	// largest frontier); its Messages are the frontier-membership probes
+	// plus the arcs the combine scans.
 	Stats bsp.Stats
 	// Elapsed is the wall-clock time.
 	Elapsed time.Duration
@@ -74,10 +75,11 @@ const phi = 0.77351
 
 // Run executes ANF on g until the sketches saturate. The rounds run on
 // the traversal engine as active-set supersteps: the frontier holds the
-// nodes whose sketch changed last round, and a node only recombines when
-// at least one neighbor is in it (everyone else's sketch provably cannot
-// change). That preserves the dense round-by-round semantics, and thus the
-// saturation-round diameter estimate, while skipping the dead arc scans.
+// nodes whose sketch changed last round, nothing is visited, and a step's
+// Adopt recombines the nodes with at least one neighbor in it (everyone
+// else's sketch provably cannot change). That preserves the dense
+// round-by-round semantics, and thus the saturation-round diameter
+// estimate, while skipping the dead arc scans.
 // The loop checks ctx at the superstep barriers and returns ctx.Err(), and
 // no result, once it is cancelled; an uncancelled run is bit-for-bit
 // deterministic in (seed, K) across worker counts.
@@ -123,47 +125,66 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	e.SetFrontier(all) // round 0: every node's sketch just initialized
 
 	res := &Result{Neighborhood: []float64{neighborhoodEstimate(cur, n, k)}}
-	gatherArcs := make([]int64, e.NumWorkers())
-	for res.Rounds < maxRounds && e.FrontierLen() > 0 {
-		// The FM combine: copy v's own sketch, OR in each neighbor's
-		// pre-round sketch, and report whether anything changed.
-		rs := e.GatherStep(func(w int, v graph.NodeID) bool {
-			nbrs := g.Neighbors(v)
-			gatherArcs[w] += int64(len(nbrs))
-			base := int(v) * k
-			copy(next[base:base+k], cur[base:base+k])
-			for _, u := range nbrs {
-				nb := int(u) * k
-				for r := 0; r < k; r++ {
-					next[base+r] |= cur[nb+r]
-				}
+	// The FM combine: copy v's own sketch, OR in each neighbor's pre-round
+	// sketch, and list v as changed if anything did. The engine counts its
+	// own probes; combineArcs counts these scans.
+	combineArcs := make([]int64, e.NumWorkers())
+	changedBy := make([][]graph.NodeID, e.NumWorkers())
+	spec := bsp.StepSpec{Adopt: func(w int, v, _ graph.NodeID) {
+		nbrs := g.Neighbors(v)
+		combineArcs[w] += int64(len(nbrs))
+		base := int(v) * k
+		copy(next[base:base+k], cur[base:base+k])
+		for _, u := range nbrs {
+			nb := int(u) * k
+			for r := 0; r < k; r++ {
+				next[base+r] |= cur[nb+r]
 			}
-			return !slices.Equal(next[base:base+k], cur[base:base+k])
-		})
+		}
+		if !slices.Equal(next[base:base+k], cur[base:base+k]) {
+			changedBy[w] = append(changedBy[w], v)
+		}
+	}}
+	var changed []graph.NodeID
+	for res.Rounds < maxRounds && e.FrontierLen() > 0 {
+		for w := range changedBy {
+			changedBy[w] = changedBy[w][:0]
+		}
+		e.Step(spec)
 		res.Rounds++
 		// Commit the changed sketches (the untouched ones are already
-		// identical in cur), then account the registers actually combined.
-		changed := e.Frontier()
+		// identical in cur).
+		changed = changed[:0]
+		for _, c := range changedBy {
+			changed = append(changed, c...)
+		}
 		e.For(len(changed), func(_, lo, hi int) {
 			for _, u := range changed[lo:hi] {
 				base := int(u) * k
 				copy(cur[base:base+k], next[base:base+k])
 			}
 		})
-		for w := range gatherArcs {
-			res.MessagesWords += gatherArcs[w] * int64(k)
-			gatherArcs[w] = 0
-		}
-		if rs.Claimed == 0 {
+		// The step claimed every candidate; only the changed ones go on,
+		// and sketches keep changing, so no node may stay visited.
+		if len(changed) == 0 {
 			break
 		}
+		e.Reset()
+		e.SetFrontier(changed)
 		res.DiameterEstimate = int32(res.Rounds)
 		res.Neighborhood = append(res.Neighborhood, neighborhoodEstimate(cur, n, k))
 	}
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
+	// Account the registers actually combined.
+	var arcs int64
+	for _, a := range combineArcs {
+		arcs += a
+	}
+	res.MessagesWords = arcs * int64(k)
 	res.Stats = e.Stats()
+	res.Stats.Messages += arcs
 	res.EffectiveDiameter = effectiveDiameter(res.Neighborhood, opt.EffectivePercentile)
 	res.Elapsed = time.Since(start)
 	return res, nil

@@ -47,9 +47,10 @@ func (b *Bitmap) Set(u NodeID) {
 //
 // Implemented as a load+CAS loop rather than atomic.OrUint64: with
 // go1.24.0 on amd64, inlining the OrUint64 intrinsic into the engine's
-// gather loop clobbers the live neighbors-slice register and segfaults
-// (reproducible via TestEngineGatherStepCandidates; disappears at -N -l).
-// Revisit once a fixed toolchain is in the image.
+// former gather loop (since retired) clobbered the live neighbors-slice
+// register and segfaulted; the fault disappeared at -N -l. The weighted
+// engine's relax loop is the remaining caller. Revisit on a toolchain
+// newer than go1.24.0.
 func (b *Bitmap) SetAtomic(u NodeID) bool {
 	word := &b.words[uint32(u)>>6]
 	mask := uint64(1) << (uint32(u) & 63)

@@ -70,7 +70,8 @@ func (s *Stats) Add(other Stats) {
 	}
 }
 
-// RoundStat records one superstep; Engine.Step and GatherStep return it.
+// RoundStat records one superstep, as Engine.Step returns it. Arcs are the
+// kernel's own scans, not a client's in Adopt.
 type RoundStat struct {
 	Frontier int       // frontier size entering the round
 	Claimed  int       // nodes claimed during the round

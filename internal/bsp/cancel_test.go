@@ -52,15 +52,6 @@ func TestEngineStepHonorsCancelledContext(t *testing.T) {
 	if !errors.Is(e.Err(), context.Canceled) {
 		t.Fatalf("Err() = %v, want context.Canceled", e.Err())
 	}
-
-	// GatherStep obeys the same contract.
-	e.SetFrontier([]graph.NodeID{0, 1, 2})
-	if rs := e.GatherStep(func(_ int, v graph.NodeID) bool { return true }); rs.Claimed != 0 {
-		t.Fatalf("cancelled GatherStep did work: %+v", rs)
-	}
-	if e.FrontierLen() != 0 {
-		t.Fatal("cancelled GatherStep left a frontier")
-	}
 }
 
 func TestEngineNilContextNeverCancels(t *testing.T) {

@@ -62,44 +62,46 @@ func (d Direction) String() string {
 // seqThreshold is the range length (nodes) below which For and with it
 // the bottom-up steps run inline on the calling goroutine; dispatching to
 // the pool for tiny rounds costs more than it saves. It is also the block
-// of claimed nodes a worker takes at a time in a claim step's barrier
-// pass. Top-down steps, claim and gather alike, are sized in arcs instead
-// — see pushArcThreshold.
+// of claimed nodes a worker takes at a time in a step's barrier pass.
+// Top-down steps are sized in arcs instead — see pushArcThreshold.
 const seqThreshold = 2048
 
 // pushArcThreshold is the frontier arc count (mf) below which a push step
-// runs inline, and pushBlockArcs the arcs one claim of a pooled push step
-// aims for. 6 k arcs is the 2,048-node rule this replaces on a road-like
-// graph, whose frontiers carry 2.8 arcs a node: of the 150 push rounds of a
-// CLUSTER run on the benchmark's road graph, 135 went to the pool by nodes
-// and 134 go by arcs (139 at 4 k, 129 at 8 k, 101 at 16 k). What changes
-// is the frontier of a thousand hubs: the round that claims half of the
-// benchmark's social graph offers 1 M arcs from 1.2 k nodes and ran inline
-// at every worker count. Dynamic blocks were measured against static
-// per-worker bounds from a degree prefix of the frontier (growth at two
-// workers, beside a sequential BFS of the same graph): road 2.5 against
-// 2.8 sweeps, social 0.57–0.66 against 0.63–0.72 — and the prefix is one
-// more sequential pass over the frontier.
+// runs inline, and pushBlockArcs the arcs each block a worker takes in a
+// pooled push step aims for. 6 k arcs is the 2,048-node rule this replaces
+// on a road-like graph, whose frontiers carry 2.8 arcs a node: of the 150
+// push rounds of a CLUSTER run on the benchmark's road graph, 135 went to
+// the pool by nodes and 134 go by arcs (139 at 4 k, 129 at 8 k, 101 at
+// 16 k). What changes is the frontier of a thousand hubs: the round that
+// claims half of the benchmark's social graph offers 1 M arcs from 1.2 k
+// nodes and ran inline at every worker count. Dynamic blocks were measured
+// against static per-worker bounds from a degree prefix of the frontier
+// (growth at two workers, beside a sequential BFS of the same graph): road
+// 2.5 against 2.8 sweeps, social 0.57–0.66 against 0.63–0.72 — and the
+// prefix is one more sequential pass over the frontier.
 const (
 	pushArcThreshold = 6 << 10
 	pushBlockArcs    = 4 << 10
 )
 
-// StepSpec is what a claim-style traversal supplies to a superstep. The
-// claim itself is the engine's: a node reached by several frontier nodes in
-// one round goes to the one with the smallest id, in either direction and
-// under any worker count or schedule (the paper lets "only one of them,
-// arbitrarily chosen" succeed; fixing the choice is what makes every client's
-// output a function of its inputs alone). A push round settles the
-// contention by atomic-min on the engine's parent word of the node, a pull
-// round by adopting the first frontier neighbor in adjacency order, which
-// is the same node because adjacency lists are sorted.
+// StepSpec is what a traversal supplies to a superstep. The claim itself is
+// the engine's: a node reached by several frontier nodes in one round goes
+// to the one with the smallest id, in either direction and under any worker
+// count or schedule (the paper lets "only one of them, arbitrarily chosen"
+// succeed; fixing the choice is what makes every client's output a function
+// of its inputs alone). A push round settles the contention by atomic-min
+// on the engine's parent word of the node, a pull round by adopting the
+// first frontier neighbor in adjacency order, which is the same node
+// because adjacency lists are sorted.
 //
 // Adopt is called at the barrier, once per node claimed in the round, with
 // the winning frontier neighbor: the client copies whatever state a claimed
 // node inherits (cluster and distance, BFS level). Calls for distinct nodes
 // run concurrently; parent's state is stable, having been written at an
-// earlier barrier, and v is passed to exactly one call over the traversal.
+// earlier barrier, and v is passed to exactly one call over the traversal
+// (until Reset). A client whose rule is not the engine's may ignore the
+// winner and read the stable state of all v's neighbors instead: MPX takes
+// a min over (arrival, cluster) keys, ANF ORs the sketches.
 type StepSpec struct {
 	Adopt func(worker int, v, parent NodeID)
 }
@@ -119,9 +121,12 @@ const (
 // It keeps the frontier in both sparse (node list) and dense (bitmap) form,
 // runs supersteps over a persistent worker pool (goroutines are spawned
 // once per engine, not per superstep), and chooses per round between
-// top-down push and bottom-up pull. Stats count arcs scanned in either
-// direction, keeping Messages honest as the aggregate communication volume
-// of the paper's Section 6 cost analysis.
+// top-down push and bottom-up pull. There is one kind of superstep, Step;
+// every client states its round as an Adopt at the barrier. Stats count the
+// arcs the kernels scan in either direction, keeping Messages honest as the
+// aggregate communication volume of the paper's Section 6 cost analysis; a
+// client whose Adopt scans adjacency of its own (MPX, ANF) adds those arcs
+// to the Messages it reports.
 //
 // An Engine may be reused across traversals (Reset) but is not safe for
 // concurrent use by multiple goroutines. Close releases the worker pool.
@@ -157,11 +162,9 @@ type Engine struct {
 	ctx context.Context
 
 	// Per-worker scratch, reused across rounds.
-	bufs     [][]NodeID
-	arcs     []int64
-	degs     []int64
-	candBits *Bitmap    // gatherPush marks, allocated on first use
-	candBufs [][]NodeID // gatherPush per-worker lists of the nodes marked
+	bufs [][]NodeID
+	arcs []int64
+	degs []int64
 
 	// Persistent pool: workers-1 goroutines fed per-round closures.
 	pool *Pool
@@ -199,8 +202,8 @@ func (e *Engine) NumWorkers() int { return e.workers }
 // heuristic). Benchmarks use DirPush to measure the pure top-down baseline.
 func (e *Engine) SetDirection(d Direction) { e.mode = d }
 
-// SetContext arms cooperative cancellation: Step and GatherStep check ctx
-// at the superstep barrier — never inside one — so a cancelled traversal
+// SetContext arms cooperative cancellation: Step checks ctx at the
+// superstep barrier — never inside one — so a cancelled traversal
 // stops within one round while an uncancelled run executes exactly the
 // same deterministic round schedule as before. Once ctx is cancelled the
 // engine drops its frontier, making every driver loop terminate, and Err
@@ -249,7 +252,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) FrontierLen() int { return len(e.frontier) }
 
 // Frontier returns the current sparse frontier. The slice is owned by the
-// engine and valid until the next Step/GatherStep/Reset.
+// engine and valid until the next Step, Reset or SetFrontier.
 func (e *Engine) Frontier() []NodeID { return e.frontier }
 
 // VisitedCount returns the number of nodes visited since the last Reset.
@@ -298,9 +301,10 @@ func (e *Engine) Seed(u NodeID) bool {
 }
 
 // SetFrontier replaces the frontier with the given nodes without touching
-// the visited set — the entry point for gather-style traversals (sketch
-// rounds), where nodes re-enter the frontier every time their state
-// changes.
+// the visited set. After a Reset nothing is visited, so the next Step
+// claims every node with a frontier neighbor, frontier nodes included: the
+// superstep of the ANF sketch rounds, whose frontier is the nodes that
+// changed last round.
 func (e *Engine) SetFrontier(us []NodeID) {
 	e.frontier = append(e.frontier[:0], us...)
 	e.frontierArcs = 0
@@ -340,8 +344,8 @@ func (e *Engine) For(n int, fn func(worker, lo, hi int)) {
 
 // chooseDirection applies the hybrid cost comparison (or the pinned mode)
 // to the unvisited nodes, the ones that would scan for a frontier neighbor
-// in a bottom-up round, and their arcs — in a gather-style traversal that
-// visits nothing, every node and all 2m arcs.
+// in a bottom-up round, and their arcs — right after a Reset, every node
+// and all 2m arcs.
 func (e *Engine) chooseDirection() Direction {
 	if e.mode != DirAuto {
 		return e.mode
@@ -592,147 +596,4 @@ func (e *Engine) sumScratch() (arcs, deg int64) {
 func (e *Engine) syncFrontierBits() {
 	e.frontierBits.FromSparse(e.frontier, e.bitsFor)
 	e.bitsFor = append(e.bitsFor[:0], e.frontier...)
-}
-
-// GatherStep performs one gather-style superstep: the candidate set is
-// every unvisited node with at least one neighbor in the current frontier,
-// gather is invoked exactly once per candidate (from the worker that owns
-// it), and candidates for which it returns true form the next frontier. The
-// step visits nothing itself. Where no node is ever visited, nodes re-enter
-// the frontier whenever they change: the superstep shape of the ANF/HADI
-// sketch rounds (frontier = "nodes whose sketch changed last round"). Where a gathered node is settled for good (MPX), the client
-// calls VisitFrontier after the step and no later one offers it again.
-//
-// Direction: with a large frontier the candidates are found bottom-up (scan
-// every unvisited node, stop at its first frontier neighbor); with a small
-// one they are found top-down (mark neighbors of the frontier in a bitmap). Arcs
-// counts the membership probes plus the full degree of every gathered
-// candidate (the gather callback's own adjacency scan).
-func (e *Engine) GatherStep(gather func(worker int, v NodeID) bool) RoundStat {
-	if e.Err() != nil {
-		e.frontier = e.frontier[:0]
-		return RoundStat{}
-	}
-	nf := len(e.frontier)
-	if nf == 0 {
-		return RoundStat{}
-	}
-	if nf > e.stats.MaxFrontier {
-		e.stats.MaxFrontier = nf
-	}
-	dir := e.chooseDirection()
-	var arcs, nextDeg int64
-	if dir == DirPull {
-		arcs, nextDeg = e.gatherPull(gather)
-	} else {
-		arcs, nextDeg = e.gatherPush(gather)
-	}
-	next := e.gatherBufs()
-	e.frontier = next
-	e.frontierArcs = nextDeg
-	e.stats.Rounds++
-	e.stats.Messages += arcs
-	if dir == DirPull {
-		e.stats.PullRounds++
-	}
-	rs := RoundStat{Frontier: nf, Claimed: len(next), Arcs: arcs, Dir: dir}
-	e.observe(rs)
-	return rs
-}
-
-// VisitFrontier marks every frontier node visited, as Seed does for one. It
-// is for the frontier a GatherStep has just returned, whose nodes were all
-// unvisited.
-func (e *Engine) VisitFrontier() {
-	for _, v := range e.frontier {
-		e.visited.Set(v)
-	}
-	e.unvisNodes -= int64(len(e.frontier))
-	e.unvisArcs -= e.frontierArcs
-}
-
-// gatherPull finds candidates bottom-up: every unvisited node probes its
-// adjacency for a frontier member, early-exiting on the first hit. Worker
-// chunks are 64-aligned so that each walks whole words of the visited set.
-func (e *Engine) gatherPull(gather func(worker int, v NodeID) bool) (arcs, nextDeg int64) {
-	e.syncFrontierBits()
-	xadj, adj := e.xadj, e.adj
-	inFrontier := e.frontierBits
-	e.For(e.n, func(w, lo, hi int) {
-		buf := e.bufs[w][:0]
-		var scanned, deg int64
-		for wi := lo >> 6; wi<<6 < hi; wi++ {
-			base := NodeID(wi << 6)
-			for m := e.visited.Absent(wi); m != 0; m &= m - 1 {
-				v := base + NodeID(bits.TrailingZeros64(m))
-				if int(v) >= hi { // hi is clamped to n, so this also skips pad bits
-					break
-				}
-				nbrs := adj[xadj[v]:xadj[v+1]]
-				hit := false
-				for _, u := range nbrs {
-					scanned++
-					if inFrontier.Get(u) {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					continue
-				}
-				scanned += int64(len(nbrs)) // gather's own adjacency scan
-				if gather(w, v) {
-					buf = append(buf, v)
-					deg += int64(len(nbrs))
-				}
-			}
-		}
-		e.bufs[w] = buf
-		e.arcs[w] = scanned
-		e.degs[w] = deg
-	})
-	return e.sumScratch()
-}
-
-// gatherPush finds candidates top-down, on the blocks of a push step: the
-// worker whose mark is the first on an unvisited neighbor of the frontier
-// owns that candidate and gathers it there and then. The marks go into a
-// scratch bitmap that is cleared, by the candidates, before returning.
-func (e *Engine) gatherPush(gather func(worker int, v NodeID) bool) (arcs, nextDeg int64) {
-	xadj, adj, frontier := e.xadj, e.adj, e.frontier
-	if e.candBits == nil {
-		e.candBits = NewBitmap(e.n)
-		e.candBufs = make([][]NodeID, e.workers)
-	}
-	cand := e.candBits
-	for w := range e.candBufs {
-		e.candBufs[w] = e.candBufs[w][:0]
-	}
-	e.claimBlocks(len(frontier), e.pushBlock(), func(w, lo, hi int) {
-		buf, marked := e.bufs[w], e.candBufs[w]
-		var scanned, deg int64
-		for _, u := range frontier[lo:hi] {
-			nbrs := adj[xadj[u]:xadj[u+1]]
-			scanned += int64(len(nbrs))
-			for _, v := range nbrs {
-				if e.visited.Get(v) || !cand.SetAtomic(v) {
-					continue
-				}
-				marked = append(marked, v)
-				d := xadj[v+1] - xadj[v]
-				scanned += d // gather's own adjacency scan
-				if gather(w, v) {
-					buf = append(buf, v)
-					deg += d
-				}
-			}
-		}
-		e.bufs[w], e.candBufs[w] = buf, marked
-		e.arcs[w] += scanned
-		e.degs[w] += deg
-	})
-	for _, marked := range e.candBufs {
-		cand.ClearSparse(marked)
-	}
-	return e.sumScratch()
 }

@@ -238,129 +238,42 @@ func TestEngineSeedAndReset(t *testing.T) {
 	}
 }
 
-func TestEngineGatherStepCandidates(t *testing.T) {
-	// Star: frontier = {hub}; the candidates must be exactly the leaves
-	// (each probed once), and the gather verdict controls the next frontier.
-	g := graph.Star(6) // hub 0, leaves 1..5
-	e := bsp.NewEngine(g, 2)
-	defer e.Close()
-	e.SetFrontier([]graph.NodeID{0})
-	var calls []graph.NodeID
-	rs := e.GatherStep(func(_ int, v graph.NodeID) bool {
-		calls = append(calls, v)
-		return v%2 == 1
-	})
-	if len(calls) != 5 {
-		t.Fatalf("gather called %d times, want 5 (the leaves)", len(calls))
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, v := range calls {
-		if v == 0 || seen[v] {
-			t.Fatalf("gather offered %v", calls)
-		}
-		seen[v] = true
-	}
-	if rs.Claimed != 3 || e.FrontierLen() != 3 {
-		t.Fatalf("odd leaves 1,3,5 should form the next frontier, got %v", e.Frontier())
-	}
-}
-
-func TestEngineGatherStepPooledPush(t *testing.T) {
-	// Two hubs share 8,000 leaves: 16,000 frontier arcs, so the top-down
-	// round is taken in blocks by the pool, and a leaf is gathered once
-	// though both hubs mark it. The rounds back to the hubs and out again
-	// find the marks of the first one cleared.
-	const leaves = 8000
-	b := graph.NewBuilder(2 + leaves)
-	for l := graph.NodeID(2); l < 2+leaves; l++ {
-		b.AddEdge(0, l)
-		b.AddEdge(1, l)
-	}
-	g := b.Build()
-	e := bsp.NewEngine(g, 4)
-	defer e.Close()
-	e.SetDirection(bsp.DirPush)
-	e.SetFrontier([]graph.NodeID{0, 1})
-	round := func(wantHubs, wantLeaves int32, wantArcs int64) {
-		t.Helper()
-		counts := make([]int32, g.NumNodes())
-		rs := e.GatherStep(func(_ int, v graph.NodeID) bool {
-			atomicAdd32(counts, v)
-			return v < 2 || v%2 == 0
-		})
-		for v, c := range counts {
-			want := wantLeaves
-			if v < 2 {
-				want = wantHubs
-			}
-			if c != want {
-				t.Fatalf("node %d gathered %d times, want %d", v, c, want)
-			}
-		}
-		if rs.Arcs != wantArcs {
-			t.Fatalf("%d arcs, want %d", rs.Arcs, wantArcs)
-		}
-	}
-	round(0, 1, 4*leaves) // hubs mark twice 8,000 leaves, each leaf scans 2 arcs
-	round(1, 0, 3*leaves) // the 4,000 even leaves mark the hubs, each hub scans 8,000
-	round(0, 1, 4*leaves)
-}
-
-func TestEngineGatherStepSkipsVisited(t *testing.T) {
-	// A gather-style traversal whose nodes settle once gathered: the seed and
-	// every frontier handed to VisitFrontier stay out of the later rounds'
-	// candidates, top-down and bottom-up, so the rounds on a path walk
-	// outwards from the seed, two nodes at a time.
-	g := graph.Path(7)
-	for _, dir := range []bsp.Direction{bsp.DirPush, bsp.DirPull} {
-		e := bsp.NewEngine(g, 2)
-		e.SetDirection(dir)
-		e.Seed(3)
-		for _, want := range [][]graph.NodeID{{2, 4}, {1, 5}, {0, 6}, nil} {
-			var offered []graph.NodeID
-			e.GatherStep(func(_ int, v graph.NodeID) bool {
-				offered = append(offered, v)
-				return true
-			})
-			e.VisitFrontier()
-			slices.Sort(offered)
-			if !slices.Equal(offered, want) {
-				t.Fatalf("%v: gather offered %v, want %v", dir, offered, want)
-			}
-		}
-		if e.VisitedCount() != g.NumNodes() {
-			t.Fatalf("%v: %d nodes visited, want all %d", dir, e.VisitedCount(), g.NumNodes())
-		}
-		e.Close()
-	}
-}
-
-func TestEngineGatherStepDenseFrontierUsesPull(t *testing.T) {
-	// With the whole node set in the frontier the gather step must run
-	// bottom-up and still offer every non-isolated node exactly once.
+func TestEngineStepFromUnvisitedFrontier(t *testing.T) {
+	// The ANF round: after a Reset, with every node in the frontier and none
+	// visited, a step claims every node exactly once, frontier nodes
+	// included, in either direction; the dense frontier makes the hybrid
+	// choose pull. A second Reset and the same frontier claim them all
+	// again.
 	g := graph.Mesh(50, 50)
-	e := bsp.NewEngine(g, 4)
-	defer e.Close()
 	all := make([]graph.NodeID, g.NumNodes())
 	for i := range all {
 		all[i] = graph.NodeID(i)
 	}
-	e.SetFrontier(all)
-	counts := make([]int32, g.NumNodes())
-	rs := e.GatherStep(func(_ int, v graph.NodeID) bool {
-		atomicAdd32(counts, v)
-		return false
-	})
-	if rs.Dir != bsp.DirPull {
-		t.Fatalf("dense gather ran %v, want pull", rs.Dir)
-	}
-	for v, c := range counts {
-		if c != 1 {
-			t.Fatalf("node %d gathered %d times", v, c)
+	for _, dir := range []bsp.Direction{bsp.DirAuto, bsp.DirPush, bsp.DirPull} {
+		e := bsp.NewEngine(g, 4)
+		e.SetDirection(dir)
+		for pass := 0; pass < 2; pass++ {
+			e.Reset()
+			e.SetFrontier(all)
+			counts := make([]int32, g.NumNodes())
+			rs := e.Step(bsp.StepSpec{Adopt: func(_ int, v, _ graph.NodeID) { atomicAdd32(counts, v) }})
+			want := dir
+			if dir == bsp.DirAuto {
+				want = bsp.DirPull
+			}
+			if rs.Dir != want {
+				t.Fatalf("%v pass %d: step ran %v, want %v", dir, pass, rs.Dir, want)
+			}
+			for v, c := range counts {
+				if c != 1 {
+					t.Fatalf("%v pass %d: node %d adopted %d times", dir, pass, v, c)
+				}
+			}
+			if rs.Claimed != g.NumNodes() || e.VisitedCount() != g.NumNodes() {
+				t.Fatalf("%v pass %d: %d claimed, %d visited, want all %d", dir, pass, rs.Claimed, e.VisitedCount(), g.NumNodes())
+			}
 		}
-	}
-	if e.FrontierLen() != 0 {
-		t.Fatal("all-false gather must empty the frontier")
+		e.Close()
 	}
 }
 

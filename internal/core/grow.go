@@ -9,8 +9,9 @@ import (
 // maintains the ownership and distance arrays and advances all active
 // clusters one synchronous BSP round at a time on the direction-optimizing
 // traversal engine. It is the BSP implementation of Growth: CLUSTER drives
-// it through Options.Schedule, CLUSTER2 through its own iteration loop (the
-// package mpx grows on its own variant).
+// it through Options.Schedule, CLUSTER2 through its own iteration loop.
+// Package mpx drives the same engine step with its own Adopt, which takes
+// a min over (arrival, cluster) keys instead of the engine's winner.
 type grower struct {
 	g       *graph.Graph
 	e       *bsp.Engine

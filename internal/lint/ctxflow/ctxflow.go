@@ -14,8 +14,7 @@
 //     module calls ExactDiameter and ExactDiameterWeighted by name.
 //   - An exported free function that loops over engine supersteps,
 //     buckets, or MR rounds (syntactically: a for/range statement whose
-//     body calls a method named Step, GatherStep, ProcessBucket, or
-//     Round) must accept a context.Context — otherwise the loop is
+//     body calls a method named Step, ProcessBucket, or Round) must accept a context.Context — otherwise the loop is
 //     uncancellable by construction. Methods are exempt: engine types
 //     carry their context via SetContext, checked at the same barriers.
 package ctxflow
@@ -41,7 +40,6 @@ var Analyzer = &analysis.Analyzer{
 // these is a superstep/bucket/round loop and must be cancellable.
 var loopCallees = map[string]bool{
 	"Step":          true,
-	"GatherStep":    true,
 	"ProcessBucket": true,
 	"Round":         true,
 }

@@ -14,14 +14,15 @@
 // packed (arrival, cluster) words, which makes the outcome deterministic
 // (ties break toward the smaller cluster id) and independent of the
 // goroutine schedule. The claim is a min over keys, not over node ids, so
-// the rounds are the engine's gather steps rather than its claim steps: an
-// uncovered node reads its neighbors' words, which the round leaves alone,
-// and its own new word is committed at the barrier.
+// a round's Adopt ignores the winner the engine's step picks: the claimed
+// node reads all its neighbors' words, which the round leaves alone, and its
+// own new word is committed after the barrier.
 package mpx
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/bsp"
@@ -59,7 +60,7 @@ func unpack(word uint64) (float32, int32) {
 // executes, so the decomposition stays bit-for-bit deterministic in
 // (seed, beta) across worker counts.
 func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clustering, error) {
-	if opt.Beta <= 0 {
+	if !(opt.Beta > 0) { // NaN too
 		return nil, errors.New("mpx: Beta must be positive")
 	}
 	n := g.NumNodes()
@@ -82,6 +83,11 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 		if d > deltaMax {
 			deltaMax = d
 		}
+	}
+	// Arrival times are packed as float32, exact for integers below 2^24;
+	// past it arr+1 can round back to arr and growth stops advancing.
+	if deltaMax+float64(n) >= 1<<24 {
+		return nil, fmt.Errorf("mpx: Beta %g too small: largest shift %.3g plus %d nodes overflows float32 arrival times", opt.Beta, deltaMax, n)
 	}
 	start := make([]float64, n)
 	maxBucket := 0
@@ -110,19 +116,22 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 	// are in the frontier — a neighbor covered any earlier would have
 	// covered the node in the round after its own — so the min needs no
 	// membership test, and it reads only words this round does not write:
-	// the winner waits in pending until the barrier commits it.
+	// the winner waits in pending until the commit after the step. The
+	// engine counts its own probes; adoptArcs counts these scans.
 	pending := make([]uint64, n)
-	claim := func(_ int, v graph.NodeID) bool {
+	adoptArcs := make([]int64, e.NumWorkers())
+	spec := bsp.StepSpec{Adopt: func(w int, v, _ graph.NodeID) {
+		nbrs := g.Neighbors(v)
+		adoptArcs[w] += int64(len(nbrs))
 		best := slotSentinel
-		for _, u := range g.Neighbors(v) {
+		for _, u := range nbrs {
 			if word := slot[u]; word != slotSentinel {
 				arr, owner := unpack(word)
 				best = min(best, pack(arr+1, owner))
 			}
 		}
 		pending[v] = best
-		return true
-	}
+	}}
 	covered := 0
 	for t := 0; covered < n || e.FrontierLen() > 0; t++ {
 		if err := ctx.Err(); err != nil {
@@ -156,20 +165,22 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 		}
 		// Phase 2: expand all active clusters by one unit step, then commit
 		// the round's claims.
-		rs := e.GatherStep(claim)
+		rs := e.Step(spec)
 		claimed := e.Frontier()
 		e.For(len(claimed), func(_, lo, hi int) {
 			for _, v := range claimed[lo:hi] {
 				slot[v] = pending[v]
 			}
 		})
-		e.VisitFrontier() // covered for good: no later round offers them
 		covered += rs.Claimed
 		if t > 2*n+int(deltaMax)+4 {
 			return nil, errors.New("mpx: failed to converge (internal error)")
 		}
 	}
 	stats := e.Stats()
+	for _, a := range adoptArcs {
+		stats.Messages += a
+	}
 
 	// Assemble the clustering: hop distance from the center is recovered
 	// from the arrival time, dist = arrival − start(center).

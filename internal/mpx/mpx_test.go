@@ -18,7 +18,8 @@ func TestDecomposePartitionValid(t *testing.T) {
 		"social": graph.BarabasiAlbert(2000, 4, 5),
 		"path":   graph.Path(400),
 	} {
-		for _, beta := range []float64{0.05, 0.3, 1.0} {
+		// β = +Inf draws every shift 0: every node is its own cluster.
+		for _, beta := range []float64{0.05, 0.3, 1.0, math.Inf(1)} {
 			cl, err := Decompose(t.Context(), g, Options{Beta: beta, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s beta=%v: %v", name, beta, err)
@@ -26,13 +27,21 @@ func TestDecomposePartitionValid(t *testing.T) {
 			if err := cl.Validate(); err != nil {
 				t.Errorf("%s beta=%v: %v", name, beta, err)
 			}
+			if math.IsInf(beta, 1) && cl.NumClusters() != g.NumNodes() {
+				t.Errorf("%s beta=+Inf: %d clusters, want %d singletons", name, cl.NumClusters(), g.NumNodes())
+			}
 		}
 	}
 }
 
 func TestDecomposeErrors(t *testing.T) {
-	if _, err := Decompose(t.Context(), graph.Path(5), Options{Beta: 0}); err == nil {
-		t.Fatal("beta=0 should fail")
+	// NaN passes a Beta <= 0 test; 1e-300 draws shifts whose start times
+	// overflow int and float32 arrivals.
+	for _, beta := range []float64{0, -1, math.NaN(), 1e-300} {
+		cl, err := Decompose(t.Context(), graph.Path(10), Options{Beta: beta, Seed: 1})
+		if err == nil || cl != nil {
+			t.Errorf("beta=%v: (%v, %v), want an error", beta, cl, err)
+		}
 	}
 	if _, err := Decompose(t.Context(), graph.NewBuilder(0).Build(), Options{Beta: 1}); err == nil {
 		t.Fatal("empty graph should fail")
@@ -198,12 +207,10 @@ func TestPackOrdering(t *testing.T) {
 	}
 }
 
-// Fingerprints of (Centers, Owner, Dist), computed at the commit before the
-// rounds moved from the engine's claim step (push and exhaustive-pull
-// closures around an atomic min) to its gather step, at β = 0.3. Every run
-// had rounds in both directions. A decomposition that differs in one owner
-// or one distance, at any worker count, changes a fingerprint.
-func TestDecomposePinned(t *testing.T) {
+// pinnedGraphs are the inputs of the pinned fingerprints: a mesh, a sparse
+// random graph and a union of a mesh, a cycle, a star and five isolated
+// nodes.
+func pinnedGraphs() map[string]*graph.Graph {
 	b := graph.NewBuilder(0)
 	off := graph.NodeID(0)
 	for _, part := range []*graph.Graph{graph.Mesh(40, 40), graph.Cycle(600), graph.Star(100)} {
@@ -212,35 +219,82 @@ func TestDecomposePinned(t *testing.T) {
 		off += graph.NodeID(part.NumNodes())
 	}
 	b.Grow(int(off) + 5) // five isolated nodes
-	graphs := map[string]*graph.Graph{
+	return map[string]*graph.Graph{
 		"mesh":  graph.Mesh(50, 50),
 		"gnp":   graph.ErdosRenyi(3000, 9000, 3),
 		"union": b.Build(),
 	}
+}
+
+// fingerprint hashes a sequence of int64 fields with FNV-1a.
+func fingerprint(xs ...int64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// Fingerprints of (Centers, Owner, Dist), computed at the commit before the
+// rounds moved from the engine's claim step (push and exhaustive-pull
+// closures around an atomic min) to its gather step, at β = 0.3, and held
+// since the rounds moved back to the claim step, whose Adopt takes the min
+// over the neighbors' keys. Every run had rounds in both directions. A decomposition that differs in one owner
+// or one distance, at any worker count, changes a fingerprint.
+func TestDecomposePinned(t *testing.T) {
 	want := map[string][2]uint64{ // seeds 1 and 2
 		"mesh":  {0x183e52bb544fbef5, 0xf26416d175f690ad},
 		"gnp":   {0x5a13b51565598567, 0x9eebf1a491cce00d},
 		"union": {0x4217ed8a55bb2cd9, 0x5467a759f70a0cf9},
 	}
-	for name, g := range graphs {
+	for name, g := range pinnedGraphs() {
 		for i, seed := range []uint64{1, 2} {
 			for _, workers := range []int{1, 2, 8} {
 				cl, err := Decompose(t.Context(), g, Options{Beta: 0.3, Seed: seed, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				h := fnv.New64a()
-				var buf [8]byte
-				for _, xs := range [][]int32{cl.Centers, cl.Owner, cl.Dist} {
-					binary.LittleEndian.PutUint64(buf[:], uint64(len(xs)))
-					h.Write(buf[:])
-					for _, x := range xs {
-						binary.LittleEndian.PutUint64(buf[:], uint64(int64(x)))
-						h.Write(buf[:])
+				var xs []int64
+				for _, s := range [][]int32{cl.Centers, cl.Owner, cl.Dist} {
+					xs = append(xs, int64(len(s)))
+					for _, x := range s {
+						xs = append(xs, int64(x))
 					}
 				}
-				if got := h.Sum64(); got != want[name][i] {
+				if got := fingerprint(xs...); got != want[name][i] {
 					t.Errorf("%s seed %d workers %d: fingerprint %#x, pinned %#x", name, seed, workers, got, want[name][i])
+				}
+			}
+		}
+	}
+}
+
+// Fingerprints of the cost counters (Stats.Rounds, Messages, PullRounds,
+// MaxFrontier and GrowthSteps) on the graphs and β of TestDecomposePinned,
+// computed while the rounds still ran on the engine's gather step, whose
+// kernels counted each candidate's full degree in Messages. They hold the
+// accounting of the adjacency scans the rounds make to that figure at
+// every worker count.
+func TestDecomposeStatsPinned(t *testing.T) {
+	want := map[string][2]uint64{ // seeds 1 and 2
+		"mesh":  {0xbb3f055798c1ad9a, 0x86fd2e98c4733fcb},
+		"gnp":   {0x9c1fa3f768326f48, 0xdce23938755335b1},
+		"union": {0x6a47f8cbb998554f, 0x02bda43cdc67e988},
+	}
+	for name, g := range pinnedGraphs() {
+		for i, seed := range []uint64{1, 2} {
+			for _, workers := range []int{1, 2, 8} {
+				cl, err := Decompose(t.Context(), g, Options{Beta: 0.3, Seed: seed, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := cl.Stats
+				got := fingerprint(int64(s.Rounds), s.Messages, int64(s.PullRounds), int64(s.MaxFrontier), int64(cl.GrowthSteps))
+				if got != want[name][i] {
+					t.Errorf("%s seed %d workers %d: stats %+v growth steps %d, fingerprint %#x, pinned %#x",
+						name, seed, workers, s, cl.GrowthSteps, got, want[name][i])
 				}
 			}
 		}
