@@ -31,19 +31,31 @@ func main() {
 	largestCC := flag.Bool("cc", false, "keep only the largest connected component")
 	flag.Parse()
 
+	// need refuses a size the generator would panic on, naming the flags.
+	need := func(ok bool, format string, args ...any) {
+		if !ok {
+			fail(fmt.Errorf("graphgen: "+format, args...))
+		}
+	}
 	var g *graph.Graph
 	switch *kind {
 	case "mesh":
+		need(*w >= 1 && *h >= 1, "mesh needs -w and -h >= 1, got -w %d -h %d", *w, *h)
 		g = graph.Mesh(*w, *h)
 	case "road":
+		need(*w >= 2 && *h >= 2, "road needs -w and -h >= 2, got -w %d -h %d", *w, *h)
 		g = graph.RoadLike(*w, *h, *keep, *seed)
 	case "ba":
+		need(*deg >= 1 && *n > *deg, "ba needs -deg >= 1 and -n > -deg, got -n %d -deg %d", *n, *deg)
 		g = graph.BarabasiAlbert(*n, *deg, *seed)
 	case "rmat":
+		need(*scale >= 0 && *scale <= 31, "rmat needs -scale in [0, 31] (node ids are 32-bit), got %d", *scale)
 		g = graph.RMAT(*scale, *deg, *seed)
 	case "er":
+		need(*n >= 0, "er needs -n >= 0, got %d", *n)
 		g = graph.ErdosRenyi(*n, *n**deg/2, *seed)
 	case "expanderpath":
+		need(*n >= 6, "expanderpath needs -n >= 6 (an expander core of 4 beside its path), got %d", *n)
 		g = graph.ExpanderPath(*n, 0, *seed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown kind %q\n", *kind)
@@ -55,13 +67,14 @@ func main() {
 	fmt.Fprintln(os.Stderr, graph.Summarize(g))
 
 	if *out == "" {
-		if err := graph.WriteEdgeList(os.Stdout, g); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
+		fail(graph.WriteEdgeList(os.Stdout, g))
 		return
 	}
-	if err := graph.SaveEdgeList(*out, g); err != nil {
+	fail(graph.SaveEdgeList(*out, g))
+}
+
+func fail(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}

@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -114,7 +115,8 @@ func main() {
 
 	graphName, err := bootstrap(s, art, *graphIn, *gen, *name, *snapPath, *tau, *seed, *algo, *lazy)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
 
 	srv := &http.Server{
@@ -284,13 +286,18 @@ func generate(spec string) (*graph.Graph, error) {
 	parts := strings.Split(spec, ":")
 	kind := parts[0]
 	var argErr error
-	argInt := func(i, def int) int {
-		if len(parts) <= i {
-			return def
+	// argInt reads argument i (def when absent), which must lie in
+	// [lo, hi]: outside it the generator would panic.
+	argInt := func(i, def, lo, hi int) int {
+		v := def
+		if len(parts) > i {
+			var err error
+			if v, err = strconv.Atoi(parts[i]); err != nil && argErr == nil {
+				argErr = fmt.Errorf("reprod: bad argument %q in %q", parts[i], spec)
+			}
 		}
-		v, err := strconv.Atoi(parts[i])
-		if err != nil && argErr == nil {
-			argErr = fmt.Errorf("reprod: bad argument %q in %q", parts[i], spec)
+		if (v < lo || v > hi) && argErr == nil {
+			argErr = fmt.Errorf("reprod: %s needs argument %d in [%d, %d], got %d in %q", kind, i, lo, hi, v, spec)
 		}
 		return v
 	}
@@ -304,7 +311,8 @@ func generate(spec string) (*graph.Graph, error) {
 		}
 		return v
 	}
-	dims := func() (int, int, error) {
+	// dims reads WxH, neither side below lo.
+	dims := func(lo int) (int, int, error) {
 		if len(parts) < 2 {
 			return 0, 0, fmt.Errorf("reprod: %s needs WxH (e.g. %s:500x500)", kind, kind)
 		}
@@ -314,20 +322,20 @@ func generate(spec string) (*graph.Graph, error) {
 		}
 		w, err1 := strconv.Atoi(wh[0])
 		h, err2 := strconv.Atoi(wh[1])
-		if err1 != nil || err2 != nil || w < 1 || h < 1 {
-			return 0, 0, fmt.Errorf("reprod: bad dimensions %q", parts[1])
+		if err1 != nil || err2 != nil || w < lo || h < lo {
+			return 0, 0, fmt.Errorf("reprod: bad dimensions %q: %s needs each side >= %d", parts[1], kind, lo)
 		}
 		return w, h, nil
 	}
 	switch kind {
 	case "mesh":
-		w, h, err := dims()
+		w, h, err := dims(1)
 		if err != nil {
 			return nil, err
 		}
 		return graph.Mesh(w, h), nil
 	case "road":
-		w, h, err := dims()
+		w, h, err := dims(2)
 		if err != nil {
 			return nil, err
 		}
@@ -337,19 +345,20 @@ func generate(spec string) (*graph.Graph, error) {
 		}
 		return graph.RoadLike(w, h, keep, 1), nil
 	case "ba":
-		n, deg := argInt(1, 100000), argInt(2, 8)
+		n := argInt(1, 100000, 2, math.MaxInt32)
+		deg := argInt(2, 8, 1, n-1)
 		if argErr != nil {
 			return nil, argErr
 		}
 		return graph.BarabasiAlbert(n, deg, 1), nil
 	case "rmat":
-		scale, deg := argInt(1, 16), argInt(2, 8)
+		scale, deg := argInt(1, 16, 0, 31), argInt(2, 8, 0, math.MaxInt32) // node ids are 32-bit
 		if argErr != nil {
 			return nil, argErr
 		}
 		return graph.RMAT(scale, deg, 1), nil
 	case "er":
-		n, deg := argInt(1, 100000), argInt(2, 8)
+		n, deg := argInt(1, 100000, 0, math.MaxInt32), argInt(2, 8, 0, math.MaxInt32)
 		if argErr != nil {
 			return nil, argErr
 		}

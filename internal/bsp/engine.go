@@ -146,11 +146,10 @@ type Engine struct {
 	visited      *Bitmap // parent != parentFree, densely: what a pull round skips by the word
 	frontier     []NodeID
 	frontierBits *Bitmap
-	bitsFor      []NodeID     // sparse list frontierBits currently encodes
-	frontierArcs int64        // mf: sum of degrees over the current frontier
-	cursor       atomic.Int64 // next unclaimed index of a claimBlocks pass
-	unvisArcs    int64        // mu: sum of degrees over unvisited nodes
-	unvisNodes   int64        // nu: number of unvisited nodes
+	bitsFor      []NodeID // sparse list frontierBits currently encodes
+	frontierArcs int64    // mf: sum of degrees over the current frontier
+	unvisArcs    int64    // mu: sum of degrees over unvisited nodes
+	unvisNodes   int64    // nu: number of unvisited nodes
 
 	stats Stats
 
@@ -500,29 +499,13 @@ func (e *Engine) pushBlock() int {
 }
 
 // claimBlocks clears the per-worker scratch and runs scan over [0, n) in
-// blocks that the workers claim from a shared cursor, so a worker that
-// wakes late costs the round nothing — the others take its blocks. A range
-// of one block runs on the caller. scan accumulates into its worker's
+// blocks the workers claim (Pool.Claim). scan accumulates into its worker's
 // scratch.
 func (e *Engine) claimBlocks(n, block int, scan func(w, lo, hi int)) {
 	for w := 0; w < e.workers; w++ {
 		e.idle(w)
 	}
-	if e.workers == 1 || block >= n {
-		scan(0, 0, n)
-		return
-	}
-	e.cursor.Store(0)
-	e.pool.Run(func(w int) {
-		for {
-			hi := int(e.cursor.Add(int64(block)))
-			lo := hi - block
-			if lo >= n {
-				return
-			}
-			scan(w, lo, min(hi, n))
-		}
-	})
+	e.pool.Claim(n, block, scan)
 }
 
 // stepPull expands the frontier bottom-up: every unvisited node scans its

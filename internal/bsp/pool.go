@@ -1,11 +1,17 @@
 package bsp
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// Pool is the persistent worker pool shared by the traversal engines: a set
-// of goroutines spawned once and fed per-superstep closures, so a
-// multi-round computation (BFS levels, delta-stepping buckets) pays the
-// goroutine startup cost once rather than per round.
+// Pool is the persistent worker pool under every parallel pass in the
+// repository: a set of goroutines spawned once and fed per-superstep
+// closures, so a multi-round computation (BFS levels, delta-stepping
+// buckets, MR rounds) pays the goroutine startup cost once rather than per
+// round. Run hands every worker the same closure; Claim is the one claim
+// loop, in which the workers take blocks of an index range from a shared
+// cursor until none is left.
 //
 // Worker 0 is always the calling goroutine; the pool owns workers 1..w-1.
 // The goroutines are started lazily, on the first Run, so a computation
@@ -16,6 +22,14 @@ type Pool struct {
 	work    []chan func(worker int)
 	wg      sync.WaitGroup
 	closed  bool
+
+	// Claim's arguments and its worker loop's method value, built on first
+	// use: a Claim passes them through these fields instead of capturing
+	// them, so a prebuilt fn allocates nothing.
+	cursor             atomic.Int64 // next unclaimed index
+	claimN, claimBlock int
+	claimFn            func(worker, lo, hi int)
+	claimLoop          func(worker int)
 }
 
 // NewPool returns a pool with the given parallelism (non-positive selects
@@ -56,6 +70,43 @@ func (p *Pool) Run(fn func(worker int)) {
 	}
 	fn(0)
 	p.wg.Wait()
+}
+
+// Claim runs fn(worker, lo, hi) over [0, n) in blocks of block indices
+// (the last one shorter) that the workers take from a shared cursor until
+// none is left, and waits: a worker may take several blocks, and one that
+// wakes late costs the pass nothing, since the others take its blocks. No
+// range is empty, and each index lies in exactly one. A one-worker pool, or
+// a range of one block, runs fn(0, 0, n) on the caller. fn accumulates into
+// its worker's scratch; which worker takes which block is up to the
+// scheduler.
+func (p *Pool) Claim(n, block int, fn func(worker, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if p.workers == 1 || block >= n {
+		fn(0, 0, n)
+		return
+	}
+	if p.claimLoop == nil {
+		p.claimLoop = p.claim
+	}
+	p.claimN, p.claimBlock, p.claimFn = n, max(block, 1), fn
+	p.cursor.Store(0)
+	p.Run(p.claimLoop)
+	p.claimFn = nil
+}
+
+// claim is Claim's worker loop: it takes the next block until none is left.
+func (p *Pool) claim(w int) {
+	for {
+		hi := int(p.cursor.Add(int64(p.claimBlock)))
+		lo := hi - p.claimBlock
+		if lo >= p.claimN {
+			return
+		}
+		p.claimFn(w, lo, min(hi, p.claimN))
+	}
 }
 
 // Close stops the pool goroutines: idle between Runs, they exit as soon as

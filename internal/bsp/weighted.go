@@ -123,18 +123,16 @@ type WeightedEngine struct {
 	offersW  []int64
 	upd      []NodeID // concatenated claim buffers of the last phase
 
-	// relaxPhase parameter slots plus the one worker closure, built at
+	// relaxPhase parameter slots plus relaxChunk's method value, built at
 	// construction: the hot relaxation loop passes its arguments through
 	// these fields instead of capturing them, so a phase allocates no
 	// closures (pinned by the TestRelaxPhaseZeroAlloc tests).
-	phaseNodes  []NodeID
-	phaseWords  []uint64
-	phaseXadj   []int64
-	phaseAdj    []NodeID
-	phaseWs     []int32
-	phaseN      int
-	phaseChunk  int
-	chunkWorker func(w int)
+	phaseNodes []NodeID
+	phaseWords []uint64
+	phaseXadj  []int64
+	phaseAdj   []NodeID
+	phaseWs    []int32
+	relax      func(w, lo, hi int)
 
 	stats Stats
 }
@@ -177,19 +175,7 @@ func NewWeightedEngine(t WeightedTopology, workers int, delta int64) *WeightedEn
 		updBufs: make([][]NodeID, w),
 		offersW: make([]int64, w),
 	}
-	e.chunkWorker = func(w int) {
-		lo := w * e.phaseChunk
-		if lo >= e.phaseN {
-			e.updBufs[w] = e.updBufs[w][:0]
-			e.offersW[w] = 0
-			return
-		}
-		hi := lo + e.phaseChunk
-		if hi > e.phaseN {
-			hi = e.phaseN
-		}
-		e.relaxChunk(w, lo, hi)
-	}
+	e.relax = e.relaxChunk
 	e.splitEdges()
 	return e
 }
@@ -365,17 +351,9 @@ func (e *WeightedEngine) addSource(u, owner NodeID) {
 	}
 }
 
-// clearScratchFrom resets the claim scratch of workers [w, workers) that a
-// sequential or short phase left untouched.
-func (e *WeightedEngine) clearScratchFrom(w int) {
-	for ; w < e.workers; w++ {
-		e.updBufs[w] = e.updBufs[w][:0]
-		e.offersW[w] = 0
-	}
-}
-
 // relaxChunk relaxes nodes [lo, hi) of the current phase (parameters in
-// the phase* fields) into worker w's claim buffer. It is the relaxation
+// the phase* fields), appending to worker w's claim buffer and offer count:
+// a worker may claim several chunks of one phase. It is the relaxation
 // inner loop — a transitive callee of the hot relaxPhase, kept free of
 // closures and allocation.
 func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
@@ -383,7 +361,7 @@ func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 	xadj, adj, ws := e.phaseXadj, e.phaseAdj, e.phaseWs
 	slot, shift, mask, distMax, updBits := e.slot, e.shift, e.ownerMask, e.distMax, e.updBits
 	seq := e.workers == 1
-	buf := e.updBufs[w][:0]
+	buf := e.updBufs[w]
 	var scanned int64
 	for i := lo; i < hi; i++ {
 		u := nodes[i]
@@ -420,32 +398,30 @@ func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 		}
 	}
 	e.updBufs[w] = buf
-	e.offersW[w] = scanned
+	e.offersW[w] += scanned
 }
 
 // relaxPhase offers dist+w along the light or heavy edges of nodes, whose
 // distance words are read from the aligned snapshot words (nil reads the
 // live slots — only safe when they cannot change, i.e. the heavy phase of a
-// settled bucket). It returns the per-worker claim buffers concatenated
-// (each node lowered at least once, exactly one entry) and the offer count.
-// The arguments travel through the phase* fields and the pre-built
-// chunkWorker closure rather than a per-call capture. Zero allocations
-// once warm, pinned by TestRelaxPhaseZeroAlloc{Sequential,Parallel}.
+// settled bucket). The workers claim the nodes in blocks of seqThreshold
+// (Pool.Claim), so a phase under one block runs on the caller. It returns
+// the per-worker claim buffers concatenated (each node lowered at least
+// once, exactly one entry) and the offer count. The arguments travel
+// through the phase* fields and the prebuilt relax value rather than a
+// per-call capture. Zero allocations once warm, pinned by
+// TestRelaxPhaseZeroAlloc{Sequential,Parallel}.
 func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64, heavy bool) (upd []NodeID, offers int64) {
 	e.phaseXadj, e.phaseAdj, e.phaseWs = e.lx, e.ladj, e.lw
 	if heavy {
 		e.phaseXadj, e.phaseAdj, e.phaseWs = e.hx, e.hadj, e.hw
 	}
 	e.phaseNodes, e.phaseWords = nodes, words
-	n := len(nodes)
-	if n < seqThreshold || e.workers == 1 {
-		e.relaxChunk(0, 0, n)
-		e.clearScratchFrom(1)
-	} else {
-		e.phaseN = n
-		e.phaseChunk = (n + e.workers - 1) / e.workers
-		e.pool.Run(e.chunkWorker)
+	for w := range e.updBufs {
+		e.updBufs[w] = e.updBufs[w][:0]
+		e.offersW[w] = 0
 	}
+	e.pool.Claim(len(nodes), seqThreshold, e.relax)
 	e.phaseNodes, e.phaseWords = nil, nil
 	upd = e.upd[:0]
 	for w := 0; w < e.workers; w++ {

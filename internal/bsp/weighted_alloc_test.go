@@ -78,8 +78,8 @@ func TestRelaxPhaseZeroAllocSequential(t *testing.T) {
 }
 
 func TestRelaxPhaseZeroAllocParallel(t *testing.T) {
-	// Large enough to cross seqThreshold: the pool.Run fan-out path, with
-	// the pre-built chunkWorker closure and lazily spun-up pool already
-	// warm before measurement.
+	// Large enough to cross seqThreshold: the Pool.Claim fan-out path, with
+	// the prebuilt relax value and the pool's claim loop already warm
+	// before measurement.
 	relaxPhaseAllocs(t, 4, 64, 48)
 }

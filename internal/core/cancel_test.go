@@ -101,11 +101,12 @@ func TestBuildOracleCancelledMidBuildReturnsPromptly(t *testing.T) {
 	}
 }
 
-// OracleFromClustering's APSP fan-out is the one go site in this package.
-// Its goroutines must be gone when it returns, whether the build completes
-// or is cancelled; this count is their enforcer. The cancel is fired from
-// the first block's delta on a quotient of 18 blocks: the workers must see
-// it before their next source, so all but a few blocks never report.
+// OracleFromClustering's APSP runs on a transient bsp.Pool, the only
+// goroutines this package starts. They must be gone when it returns,
+// whether the build completes or is cancelled; this count is their
+// enforcer. The cancel is fired from the first block's delta on a quotient
+// of 18 blocks: the workers must see it before their next source, so all
+// but a few blocks never report.
 func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
 	cl := voronoi(graph.Mesh(40, 40), 17*graph.APSPBlock+1, 1)
 	const blocks = 18

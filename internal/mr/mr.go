@@ -16,13 +16,14 @@
 // # Execution model
 //
 // A round runs as a sharded shuffle-and-reduce: input pairs are
-// hash-partitioned by key into Config.Shards reducer shards, each shard is
-// sorted and reduced concurrently on a persistent bsp.Pool, and the shard
-// outputs are assembled in ascending key-group order. Because a key group
-// lives entirely in one shard and the assembly is ordered by key, the
-// round's output — and therefore every downstream round, the round count,
-// and MaxReducerInput — is bit-for-bit identical across shard counts,
-// including the single-shard sequential execution.
+// hash-partitioned by key into Config.Shards reducer shards, the workers of
+// a persistent bsp.Pool claim the shards one at a time (Pool.Claim) and
+// sort and reduce each, and the shard outputs are assembled in ascending
+// key-group order. Because a key group lives entirely in one shard and the
+// assembly is ordered by key, the round's output — and therefore every
+// downstream round, the round count, and MaxReducerInput — is bit-for-bit
+// identical across shard counts, including the single-shard sequential
+// execution.
 //
 // # Resource accounting
 //
@@ -202,8 +203,8 @@ type shardGroup struct {
 	lo, hi int
 }
 
-// shardResult is one shard's contribution to a round, produced on its pool
-// worker and merged at the barrier.
+// shardResult is one shard's contribution to a round, produced by the pool
+// worker that claimed the shard and merged at the barrier.
 type shardResult struct {
 	out      []Pair
 	groups   []shardGroup
@@ -283,38 +284,32 @@ func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
 	shards := e.shardsFor(len(input))
 	results := make([]shardResult, shards)
 
-	if shards == 1 {
-		buf := make([]Pair, len(input))
-		copy(buf, input)
-		runShard(e.cfg.ML, buf, &results[0], reduce)
-	} else {
-		// Shuffle: hash-partition by key into contiguous per-shard regions
-		// of one scratch buffer.
-		counts := make([]int, shards)
-		for i := range input {
-			counts[int(mixKey(input[i].Key)%uint64(shards))]++
-		}
-		offsets := make([]int, shards+1)
-		for s := 0; s < shards; s++ {
-			offsets[s+1] = offsets[s] + counts[s]
-		}
-		buf := make([]Pair, len(input))
-		pos := make([]int, shards)
-		copy(pos, offsets[:shards])
-		for i := range input {
-			s := int(mixKey(input[i].Key) % uint64(shards))
-			buf[pos[s]] = input[i]
-			pos[s]++
-		}
-		if e.pool == nil {
-			e.pool = bsp.NewPool(e.shards)
-		}
-		e.pool.Run(func(worker int) {
-			for s := worker; s < shards; s += e.shards {
-				runShard(e.cfg.ML, buf[offsets[s]:offsets[s+1]], &results[s], reduce)
-			}
-		})
+	// Shuffle: hash-partition by key into contiguous per-shard regions of
+	// one scratch buffer (one shard, on the caller, is a copy of input).
+	counts := make([]int, shards)
+	for i := range input {
+		counts[int(mixKey(input[i].Key)%uint64(shards))]++
 	}
+	offsets := make([]int, shards+1)
+	for s := 0; s < shards; s++ {
+		offsets[s+1] = offsets[s] + counts[s]
+	}
+	buf := make([]Pair, len(input))
+	pos := make([]int, shards)
+	copy(pos, offsets[:shards])
+	for i := range input {
+		s := int(mixKey(input[i].Key) % uint64(shards))
+		buf[pos[s]] = input[i]
+		pos[s]++
+	}
+	if e.pool == nil {
+		e.pool = bsp.NewPool(e.shards)
+	}
+	e.pool.Claim(shards, 1, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			runShard(e.cfg.ML, buf[offsets[s]:offsets[s+1]], &results[s], reduce)
+		}
+	})
 
 	// Barrier: surface the lowest-key ML violation (deterministic across
 	// shard counts) before committing anything.

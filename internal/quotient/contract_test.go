@@ -126,7 +126,7 @@ func TestContractMatchesNaiveReferenceAtEveryWorkerCount(t *testing.T) {
 
 // An owner out of range poisons the contraction even when only the last
 // claim of a three-claim graph meets it, at every worker count, and the
-// workers that were stopped early are gone when Contract returns.
+// pool's workers are gone when Contract returns.
 func TestContractLateInvalidOwnerFailsAndLeavesNoGoroutines(t *testing.T) {
 	g := graph.Mesh(220, 220)
 	n := g.NumNodes()
@@ -151,8 +151,8 @@ func TestContractLateInvalidOwnerFailsAndLeavesNoGoroutines(t *testing.T) {
 }
 
 // Fewer arcs than one claim means one worker — the caller — whatever was
-// asked for: eight workers would show as seven more accumulators and seven
-// go statements, so the allocation count gives them away.
+// asked for: eight workers would show as seven more accumulators and the
+// pool's goroutines, so the allocation count gives them away.
 func TestContractSubChunkInputStaysOnTheCaller(t *testing.T) {
 	g := graph.Path(6)
 	owner := []graph.NodeID{0, 0, 0, 1, 1, 1}

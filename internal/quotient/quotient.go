@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -183,10 +181,10 @@ const chunkArcs = 64 << 10
 //
 // The work is split by arcs, not nodes: node ranges of about chunkArcs arcs
 // (boundaries found by binary search in the offset array, so a run of hubs
-// cannot land in one range) are claimed from a shared counter by workers
-// goroutines (non-positive selects GOMAXPROCS, and never more than there
-// are ranges), the caller being one of them — a graph of at most one range
-// is contracted on the caller with no goroutine started. Claims are dynamic
+// cannot land in one range) are claimed one at a time by the workers of a
+// bsp.Pool (non-positive selects GOMAXPROCS, and never more than there are
+// ranges), the caller being one of them — a graph of at most one range is
+// contracted on the caller with no goroutine started. Claims are dynamic
 // because an edge is offered from its lower endpoint, which puts most of
 // the work on low node ids; a static split would leave it with the first
 // worker. Each worker keeps its minima in an Accumulator of its own; they
@@ -200,33 +198,19 @@ func Contract(g *graph.Graph, owner []graph.NodeID, dist []int32, k, workers int
 	xadj, adj := g.CSR()
 	chunks := (len(adj) + chunkArcs - 1) / chunkArcs
 	workers = max(1, min(bsp.Workers(workers), chunks))
-	var next atomic.Int64 // first unclaimed chunk
-	work := func(acc *Accumulator) {
-		for acc.err == nil {
-			c := next.Add(1) - 1
-			if c >= int64(chunks) {
-				return
-			}
-			lo, _ := slices.BinarySearch(xadj[:n], c*chunkArcs)
-			hi, _ := slices.BinarySearch(xadj[:n], (c+1)*chunkArcs)
-			acc.scan(xadj, adj, owner, dist, lo, hi)
-		}
-		next.Store(int64(chunks)) // poisoned: the result is an error, stop everyone
-	}
+	pool := bsp.NewPool(workers)
+	defer pool.Close()
 	accs := make([]*Accumulator, workers)
-	var wg sync.WaitGroup
 	for w := range accs {
 		accs[w] = NewAccumulator(k)
-		if w > 0 {
-			wg.Add(1)
-			go func(acc *Accumulator) {
-				defer wg.Done()
-				work(acc)
-			}(accs[w])
-		}
 	}
-	work(accs[0])
-	wg.Wait()
+	pool.Claim(chunks, 1, func(w, lo, hi int) {
+		if acc := accs[w]; acc.err == nil { // once poisoned the result is an error: skip the rest
+			from, _ := slices.BinarySearch(xadj[:n], int64(lo)*chunkArcs)
+			to, _ := slices.BinarySearch(xadj[:n], int64(hi)*chunkArcs)
+			acc.scan(xadj, adj, owner, dist, from, to)
+		}
+	})
 	for _, acc := range accs[1:] {
 		accs[0].merge(acc)
 	}

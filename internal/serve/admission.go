@@ -153,20 +153,20 @@ func (rq *request) release() {
 }
 
 // admitBuild is the slow lane's gate, called under the cache lock right
-// before a new detached build would be created (that lock is what makes
-// its load-then-add atomic). The lane is saturated when every
+// before a new detached build would be created. The pending builds are
+// the in-flight traces: startTrace adds the build's under the same cache
+// lock, which is what makes the count-then-add atomic. The lane is saturated when every
 // build-pool slot is occupied and the wait queue (pending builds beyond
 // the pool) is at its bound; a new build then sheds with an honest
 // retry estimate instead of joining a queue the client would time out
 // of anyway. Joins on in-flight builds are never shed — they add no
 // work.
 func (s *Server) admitBuild(kind string) error {
-	pending := s.slowPending.Load()
+	pending := s.buildsInFlight()
 	if pending >= int64(cap(s.buildSem)+s.cfg.SlowLaneQueue) {
 		s.met.shed.With(laneSlow).Inc()
 		return &ShedError{Lane: laneSlow, RetryAfter: s.buildRetryAfter(kind, pending)}
 	}
-	s.slowPending.Add(1)
 	return nil
 }
 

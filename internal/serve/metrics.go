@@ -134,7 +134,7 @@ func (s *Server) registerServerGauges() {
 		})
 	reg.GaugeFunc("reprod_builds_in_flight",
 		"Detached builds admitted to the slow lane and not yet finished (queued plus running).", func() float64 {
-			return float64(s.slowPending.Load()) // every in-flight build holds a slow-lane admission
+			return float64(s.buildsInFlight())
 		})
 	reg.GaugeFunc("reprod_build_pool_occupancy",
 		"Build-pool slots currently held by running builds.", func() float64 {

@@ -221,11 +221,6 @@ type Server struct {
 	// queue without ever running.
 	buildSem chan struct{}
 
-	// slowPending counts builds admitted to the slow lane that have not
-	// finished (queued for a pool slot or running). The slow lane sheds
-	// new builds when it reaches cap(buildSem)+SlowLaneQueue.
-	slowPending atomic.Int64
-
 	// breaker is the per-key build circuit breaker (breaker.go).
 	breaker *breaker
 
@@ -242,7 +237,10 @@ type Server struct {
 	reqSeq atomic.Int64
 
 	// Build tracing (trace.go): in-flight traces by build id, plus a
-	// bounded ring of completed ones, newest first.
+	// bounded ring of completed ones, newest first. The in-flight traces
+	// are the builds admitted to the slow lane and not yet finished
+	// (queued for a pool slot or running): the lane sheds new builds when
+	// they reach cap(buildSem)+SlowLaneQueue.
 	traceMu     sync.Mutex
 	nextBuildID atomic.Int64
 	building    map[int64]*buildTrace
@@ -528,9 +526,9 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 }
 
 // finishBuild settles a build that ended with err (by a contained panic,
-// if panicked): the trace, the slow lane and the breaker first — what the
-// ending means is classify's row for err — then the outcome is published
-// to the cache.
+// if panicked): the breaker, the trace and with it the slow lane first —
+// what the ending means is classify's row for err — then the outcome is
+// published to the cache.
 func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err error) {
 	// Stamp the terminal trace state before publishing, so a waiter that
 	// wakes on ready and immediately scrapes /builds sees the final state.
@@ -546,11 +544,9 @@ func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err
 		s.met.timedOut.Inc()
 	}
 
-	// Repay the slow lane (every admitted build reaches here exactly once)
-	// and feed the breaker: a good build closes the key's breaker, a
-	// neutral ending only releases a pending probe, a failure counts
-	// toward tripping it.
-	s.slowPending.Add(-1)
+	// Feed the breaker: a good build closes the key's breaker, a neutral
+	// ending only releases a pending probe, a failure counts toward
+	// tripping it.
 	switch c.verdict {
 	case success:
 		s.breaker.success(key)
@@ -562,8 +558,11 @@ func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err
 		}
 	}
 
-	s.cache.finish(key, e, val, err)
+	// Repay the slow lane (every admitted build reaches here exactly once)
+	// before the cache wakes the waiters: one that starts the next cold
+	// build must not be shed against this one.
 	s.endTrace(e.trace)
+	s.cache.finish(key, e, val, err)
 }
 
 // Shutdown cancels every in-flight build, rejects builds requested from

@@ -171,6 +171,14 @@ func (s *Server) startTrace(key Key) *buildTrace {
 	return tr
 }
 
+// buildsInFlight counts the in-flight traces: the builds admitted to the
+// slow lane and not yet finished.
+func (s *Server) buildsInFlight() int64 {
+	s.traceMu.Lock()
+	defer s.traceMu.Unlock()
+	return int64(len(s.building))
+}
+
 // endTrace moves a terminal trace from the in-flight set to the recent
 // ring (newest first, bounded at recentBuilds).
 func (s *Server) endTrace(tr *buildTrace) {
