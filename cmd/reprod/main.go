@@ -233,13 +233,15 @@ func bootstrap(s *serve.Server, art *snapshot.Artifact, graphIn, gen, name, snap
 		g   *graph.Graph
 		err error
 	)
+	// The log lines give n and m, not graph.Summarize: its component sweep
+	// would add tens of milliseconds to every cold start.
+	start := time.Now()
 	switch {
 	case graphIn != "":
-		start := time.Now()
 		if g, err = graph.LoadEdgeList(graphIn); err != nil {
 			return "", err
 		}
-		log.Printf("reprod: loaded %s in %v: %s", graphIn, time.Since(start).Round(time.Millisecond), graph.Summarize(g))
+		log.Printf("reprod: loaded %s in %v: n=%d m=%d", graphIn, time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges())
 		if name == "" {
 			name = baseName(graphIn)
 		}
@@ -247,7 +249,7 @@ func bootstrap(s *serve.Server, art *snapshot.Artifact, graphIn, gen, name, snap
 		if g, err = generate(gen); err != nil {
 			return "", err
 		}
-		log.Printf("reprod: generated %s: %s", gen, graph.Summarize(g))
+		log.Printf("reprod: generated %s in %v: n=%d m=%d", gen, time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges())
 		if name == "" {
 			name = gen[:strings.IndexByte(gen+":", ':')]
 		}
@@ -263,7 +265,7 @@ func bootstrap(s *serve.Server, art *snapshot.Artifact, graphIn, gen, name, snap
 
 	// Prebuild the default oracle so the first query is O(1), and persist
 	// it if a snapshot path was given.
-	start := time.Now()
+	start = time.Now()
 	built, err := s.SnapshotArtifact(context.Background(), name, tau, seed, algo)
 	if err != nil {
 		return "", err

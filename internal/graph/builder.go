@@ -42,12 +42,13 @@ func (b *Builder) AddEdge(u, v NodeID) {
 	b.pairs = append(b.pairs, packPair(u, v))
 }
 
-// Build produces the CSR graph. The builder remains usable afterwards
-// (further edges may be added and Build called again).
+// Build produces the CSR graph. It sorts and deduplicates the recorded
+// pairs in place, not in a copy, and keeps them; the builder remains
+// usable afterwards (further edges may be added and Build called again).
 func (b *Builder) Build() *Graph {
-	pairs := slices.Clone(b.pairs)
-	slices.Sort(pairs)
-	xadj, adj, _ := fillCSR(b.n, slices.Compact(pairs), nil)
+	slices.Sort(b.pairs)
+	b.pairs = slices.Compact(b.pairs)
+	xadj, adj, _ := fillCSR(b.n, b.pairs, nil)
 	return &Graph{xadj: xadj, adj: adj}
 }
 

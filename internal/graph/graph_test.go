@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,43 @@ func TestBuilderDeduplicatesAndDropsSelfLoops(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Build sorts the builder's pairs in place and keeps them, so a builder
+// that gains edges and nodes after a Build must build what a fresh builder
+// given everything builds, and the first graph must not change.
+func TestBuilderUsableAfterBuild(t *testing.T) {
+	r := rng.New(11)
+	edges := make([][2]NodeID, 400)
+	for i := range edges {
+		edges[i] = [2]NodeID{NodeID(r.Intn(60)), NodeID(r.Intn(60))}
+	}
+	b := NewBuilder(50)
+	for _, e := range edges[:200] {
+		b.AddEdge(min(e[0], 49), min(e[1], 49))
+	}
+	first := b.Build()
+	xadj, adj := slices.Clone(first.xadj), slices.Clone(first.adj)
+	b.Grow(60)
+	for _, e := range edges[200:] {
+		b.AddEdge(e[0], e[1])
+	}
+	again := b.Build()
+
+	fresh := NewBuilder(60)
+	for i, e := range edges {
+		if i < 200 {
+			e = [2]NodeID{min(e[0], 49), min(e[1], 49)}
+		}
+		fresh.AddEdge(e[1], e[0])
+	}
+	want := fresh.Build()
+	if !slices.Equal(again.xadj, want.xadj) || !slices.Equal(again.adj, want.adj) {
+		t.Fatal("Build → AddEdge → Build differs from a fresh builder given every edge")
+	}
+	if !slices.Equal(first.xadj, xadj) || !slices.Equal(first.adj, adj) {
+		t.Fatal("a second Build changed the graph the first one returned")
 	}
 }
 

@@ -6,20 +6,50 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 )
 
-// Edge-list I/O. The text format is one edge per line, "u v", with '#'
-// comment lines permitted (the format used by the SNAP datasets the paper
-// draws from). Node ids must be non-negative integers; the node count is
-// max id + 1 unless a larger count is given via a "# nodes: N" header.
+// Edge-list I/O. The text format is one edge per line, "u v", the format
+// used by the SNAP datasets the paper draws from. ReadEdgeList accepts
+// exactly the following, and names the line of every rejection:
+//
+//   - Lines end in "\n" or "\r\n"; the last may lack its ending. A line of
+//     1 MiB or more, its "\n" not counted, is an error.
+//   - Whitespace is Unicode's (unicode.IsSpace): space, \t, \v, \f, \r,
+//     U+0085, U+00A0 and the other Unicode spaces. It is trimmed from both
+//     ends of a line and separates fields.
+//   - A blank line is skipped.
+//   - A line whose first non-space is '#' is a comment, except that a
+//     "# nodes: N" header fixes the node count at N or more, whatever
+//     follows N. A count above 2³¹, more nodes than NodeIDs can address, is
+//     an error.
+//   - Any other line is an edge: at least two fields, of which the first
+//     two are decimal int32s, optionally signed ("+3", "-0" and "007" are
+//     ids), and neither negative. Further fields are ignored.
+//
+// The node count is max id + 1 unless a header gives more. The
+// "# nodes: N edges: M" header WriteEdgeList writes also sizes the edge
+// buffer, but M is untrusted: LoadEdgeList bounds it by a plain file's
+// size, and anything else by hintCap.
 
-// maxNodes is the most nodes a graph can hold: NodeID is an int32.
-const maxNodes = 1 << 31
+const (
+	// maxNodes is the most nodes a graph can hold: NodeID is an int32.
+	maxNodes = 1 << 31
+	// maxLine is the length, its "\n" not counted, at which a line is
+	// refused as too long.
+	maxLine = 1 << 20
+	// readBuf is the read buffer. A line longer than it is copied aside.
+	readBuf = 64 << 10
+	// hintCap caps the edges an "edges:" count reserves (512 KB of pairs)
+	// when the length of the input is unknown: a reader, or a gzip file.
+	hintCap = 1 << 16
+)
 
-// WriteEdgeList writes g in text edge-list format.
+// WriteEdgeList writes g in text edge-list format, behind a
+// "# nodes: N edges: M" header.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := fmt.Fprintf(bw, "# nodes: %d edges: %d\n", g.NumNodes(), g.NumEdges()); err != nil {
@@ -27,11 +57,11 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	}
 	var werr error
 	g.Edges(func(u, v NodeID) bool {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-			werr = err
-			return false
-		}
-		return true
+		line := strconv.AppendInt(bw.AvailableBuffer(), int64(u), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(v), 10)
+		_, werr = bw.Write(append(line, '\n'))
+		return werr == nil
 	})
 	if werr != nil {
 		return werr
@@ -39,58 +69,162 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses a text edge list. Lines starting with '#' are
-// comments, except that a "# nodes: N" header fixes the node count,
-// whatever follows N. A count above 2³¹, more nodes than NodeIDs can
-// address, is an error.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	b := NewBuilder(0)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			var n int64
-			_, err := fmt.Sscanf(line, "# nodes: %d", &n)
-			if (err == nil && n > maxNodes) || errors.Is(err, strconv.ErrRange) {
-				return nil, fmt.Errorf("graph: line %d: node count out of range (at most %d)", lineNo, maxNodes)
+// ReadEdgeList parses a text edge list in the format above.
+func ReadEdgeList(r io.Reader) (*Graph, error) { return readEdgeList(r, hintCap) }
+
+// edgeReader accumulates what the lines say: the pairs, and in n the
+// larger of max id + 1 and the header's count.
+type edgeReader struct {
+	Builder
+	maxHint int // most pairs an "edges:" count may reserve
+}
+
+// readEdgeList is ReadEdgeList with the header's edge hint capped at
+// maxHint pairs. Every edge line is at least 4 bytes ("0 1\n"), so a
+// caller that knows the bytes left can pass a quarter of them, plus one.
+func readEdgeList(r io.Reader, maxHint int) (*Graph, error) {
+	br := bufio.NewReaderSize(r, readBuf)
+	er := edgeReader{maxHint: maxHint}
+	var long []byte
+	for lineNo := 1; ; lineNo++ {
+		// The whole "u v" lines already buffered, without a call per line.
+		buf, _ := br.Peek(br.Buffered())
+		next := 0
+		for {
+			u, v, n, ok := scanEdge(buf[next:])
+			if !ok {
+				break
 			}
-			if err == nil {
-				b.Grow(int(n))
+			er.add(u, v)
+			next += n
+			lineNo++
+		}
+		br.Discard(next)
+
+		// Then one line that loop could not take, read by ReadSlice.
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull && len(long) <= maxLine {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
 			}
-			continue
+			line = long
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 'u v', got %q", lineNo, line)
+		content := line
+		if err == nil {
+			content = line[:len(line)-1]
 		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
+		if len(content) >= maxLine {
+			return nil, fmt.Errorf("graph: line %d: longer than %d bytes", lineNo, maxLine-1)
+		}
+		if u, v, _, ok := scanEdge(line); ok {
+			er.add(u, v)
+		} else if err := er.slowLine(content); err != nil {
+			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
+		}
+		if err == io.EOF {
+			return er.Build(), nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+			return nil, err
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative node id", lineNo)
-		}
-		hi := int(u) + 1
-		if int(v)+1 > hi {
-			hi = int(v) + 1
-		}
-		b.Grow(hi)
-		b.AddEdge(NodeID(u), NodeID(v))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+}
+
+// add records the edge line "u v".
+func (er *edgeReader) add(u, v NodeID) {
+	er.n = max(er.n, int(u)+1, int(v)+1)
+	if u != v {
+		er.pairs = append(er.pairs, packPair(u, v))
 	}
-	return b.Build(), nil
+}
+
+// scanEdge reads the line at the start of buf if it is the kind of line
+// WriteEdgeList writes: two unsigned ASCII ids of at most 2³¹ − 1 between
+// ASCII separators, and a "\n". It returns the ids and the line's length
+// with its "\n"; ok is false for every other line, blank ones included,
+// and when buf holds no "\n" to end it.
+func scanEdge(buf []byte) (u, v NodeID, n int, ok bool) {
+	i := skipSpace(buf, 0)
+	if u, i, ok = scanID(buf, i); !ok || i == len(buf) || !isSpace(buf[i]) {
+		return 0, 0, 0, false
+	}
+	if v, i, ok = scanID(buf, skipSpace(buf, i)); !ok {
+		return 0, 0, 0, false
+	}
+	if i = skipSpace(buf, i); i == len(buf) || buf[i] != '\n' {
+		return 0, 0, 0, false
+	}
+	return u, v, i + 1, true
+}
+
+// scanID reads the run of decimal digits at s[i:], reporting false if
+// there is none or its value is not a NodeID.
+func scanID(s []byte, i int) (NodeID, int, bool) {
+	start := i
+	x := 0
+	for ; i < len(s) && '0' <= s[i] && s[i] <= '9'; i++ {
+		if x = 10*x + int(s[i]-'0'); x > math.MaxInt32 {
+			return 0, i, false
+		}
+	}
+	return NodeID(x), i, i > start
+}
+
+// isSpace is unicode.IsSpace on ASCII bytes other than '\n', which ends
+// a line.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r' }
+
+func skipSpace(s []byte, i int) int {
+	for i < len(s) && isSpace(s[i]) {
+		i++
+	}
+	return i
+}
+
+// slowLine decides a line scanEdge did not, reading it with
+// strings.TrimSpace, strings.Fields and strconv.ParseInt: blank lines,
+// comments and the header, Unicode whitespace, signed ids and every
+// rejection.
+func (er *edgeReader) slowLine(raw []byte) error {
+	line := strings.TrimSpace(string(raw))
+	if line == "" {
+		return nil
+	}
+	if strings.HasPrefix(line, "#") {
+		var n, m int64
+		_, err := fmt.Sscanf(line, "# nodes: %d", &n)
+		if (err == nil && n > maxNodes) || errors.Is(err, strconv.ErrRange) {
+			return fmt.Errorf("node count out of range (at most %d)", maxNodes)
+		}
+		if err == nil {
+			er.Grow(int(n))
+			if _, err := fmt.Sscanf(line, "# nodes: %d edges: %d", &n, &m); err == nil {
+				if hint := int(min(m, int64(er.maxHint))); hint > len(er.pairs) {
+					er.pairs = append(make([]uint64, 0, hint), er.pairs...)
+				}
+			}
+		}
+		return nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 2 {
+		return fmt.Errorf("want 'u v', got %q", line)
+	}
+	u, err := strconv.ParseInt(fields[0], 10, 32)
+	if err != nil {
+		return err
+	}
+	v, err := strconv.ParseInt(fields[1], 10, 32)
+	if err != nil {
+		return err
+	}
+	if u < 0 || v < 0 {
+		return errors.New("negative node id")
+	}
+	er.add(NodeID(u), NodeID(v))
+	return nil
 }
 
 // SaveEdgeList writes g to the named file.
@@ -109,21 +243,26 @@ func SaveEdgeList(path string, g *Graph) error {
 // LoadEdgeList reads a graph from the named file. Gzip-compressed files
 // (as the SNAP datasets are distributed) are decompressed transparently;
 // compression is detected from the gzip magic bytes, not the file name, so
-// a misnamed .txt works too.
+// a misnamed .txt works too. A plain regular file's size bounds the
+// header's edge hint.
 func LoadEdgeList(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, readBuf)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, fmt.Errorf("graph: %s: %w", path, err)
 		}
 		defer zr.Close()
-		return ReadEdgeList(zr)
+		return readEdgeList(zr, hintCap)
 	}
-	return ReadEdgeList(br)
+	maxHint := hintCap
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		maxHint = int(fi.Size()/4 + 1)
+	}
+	return readEdgeList(br, maxHint)
 }

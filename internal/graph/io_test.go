@@ -3,8 +3,13 @@ package graph
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,10 +78,187 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"# c\n# nodes: 2147483649\n", "line 2"},
 		{"# nodes: 3000000000 edges: 0\n", "line 1"},
 		{"0 1\n# nodes: 99999999999999999999\n", "line 2"},
+		{"2147483648 0\n", "line 1"},
+		{"0 1\n1 -2147483648\n", "line 2"},
+		{"2147483647 -1\n", "line 1"},
+		{"1 2\n2\x003\n", "line 2"},
+		// A line of 1 MiB or more, its "\n" not counted, with or without one.
+		{"0 1\n" + strings.Repeat(" ", 1<<20) + "\n", "line 2"},
+		{"0 1\n\n" + strings.Repeat("7", 1<<20), "line 3"},
 	} {
 		_, err := ReadEdgeList(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Fatalf("input %q: err = %v, want an error naming %s", tc.in, err, tc.msg)
+		}
+	}
+}
+
+// The accept set of the format comment in io.go, one case at a time.
+func TestReadEdgeListAcceptSet(t *testing.T) {
+	pad := strings.Repeat(" ", maxLine-len("0 1")-1) // the longest line
+	for _, tc := range []struct {
+		in    string
+		n     int
+		edges [][2]NodeID
+	}{
+		{"0 1\r\n\r\n1 2\r\n", 3, [][2]NodeID{{0, 1}, {1, 2}}},
+		{"0 1 17 extra fields\n", 2, [][2]NodeID{{0, 1}}},
+		{"+3 -0\n", 4, [][2]NodeID{{0, 3}}},
+		{"007 0010\n", 11, [][2]NodeID{{7, 10}}},
+		{"1\u00a02\n2\u00853\n3\v4\n\t4\f5\r\n", 6, [][2]NodeID{{1, 2}, {2, 3}, {3, 4}, {4, 5}}},
+		{"# nodes: 9 edges: 1000000000000\n0 1\n", 9, [][2]NodeID{{0, 1}}},
+		{"# nodes: 9 edges: 0\n0 1\n1 2\n", 9, [][2]NodeID{{0, 1}, {1, 2}}},
+		{"0 1\n1 2", 3, [][2]NodeID{{0, 1}, {1, 2}}},
+		{"0 1" + pad + "\n2 1\n", 3, [][2]NodeID{{0, 1}, {1, 2}}},
+		{"0 1" + pad, 2, [][2]NodeID{{0, 1}}},
+	} {
+		g, err := ReadEdgeList(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatalf("%.40q: %v", tc.in, err)
+		}
+		want := FromEdges(tc.n, tc.edges)
+		if !slices.Equal(g.xadj, want.xadj) || !slices.Equal(g.adj, want.adj) {
+			t.Fatalf("%.40q: n=%d m=%d, want n=%d edges %v", tc.in, g.NumNodes(), g.NumEdges(), tc.n, tc.edges)
+		}
+	}
+}
+
+// WriteEdgeList appends digits into its write buffer instead of calling
+// fmt per edge; the bytes must be those of the fmt form, including across
+// the 1 MiB buffer's boundaries.
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	for _, g := range []*Graph{Mesh(30, 20), ErdosRenyi(500, 2000, 3), RMAT(14, 8, 5), NewBuilder(0).Build(), NewBuilder(5).Build()} {
+		var want, got bytes.Buffer
+		fmt.Fprintf(&want, "# nodes: %d edges: %d\n", g.NumNodes(), g.NumEdges())
+		g.Edges(func(u, v NodeID) bool {
+			fmt.Fprintf(&want, "%d %d\n", u, v)
+			return true
+		})
+		if err := WriteEdgeList(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d m=%d: WriteEdgeList wrote %d bytes unlike the fmt form's %d", g.NumNodes(), g.NumEdges(), got.Len(), want.Len())
+		}
+	}
+}
+
+// A header-carrying file is read with one pairs array, sized by the
+// header and sorted where it is: beside the graph it returns (xadj, 8
+// bytes a node; adj, 8 bytes an edge) LoadEdgeList may allocate the pairs
+// (8 bytes an edge), fillCSR's cursor (8 bytes a node) and a small
+// constant. Pairs grown by append, or sorted in a copy, fail it.
+func TestLoadEdgeListAllocatesPairsOnce(t *testing.T) {
+	path := edgeListFile(t, RMAT(16, 8, 2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := LoadEdgeList(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, m := uint64(g.NumNodes()), uint64(g.NumEdges())
+	bound := 8*m + 8*(n+1) + 8*m + 8*n + 256<<10
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("n=%d m=%d: %d bytes allocated, bound %d", n, m, got, bound)
+	if got > bound {
+		t.Fatalf("reading %d edges allocated %d bytes, want <= pairs + CSR + 256 KiB = %d", m, got, bound)
+	}
+}
+
+// The per-line path allocates nothing: a hundred times the lines is the
+// same number of allocations. The collector is off while it counts, since
+// a collection empties the pool the header's fmt.Sscanf draws on. Under
+// the race detector that pool drops a quarter of what it is given on
+// purpose, so there the two counts may differ by a few.
+func TestLoadEdgeListAllocsDoNotGrowWithLines(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	slack := 0.0
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		slack = 3
+	}
+	allocs := func(g *Graph) float64 {
+		path := edgeListFile(t, g)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := LoadEdgeList(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(Mesh(25, 21)), allocs(Mesh(250, 201)) // 1,004 and 100,049 edges
+	if math.Abs(small-large) > slack {
+		t.Fatalf("%v allocations for 1,004 lines, %v for 100,049", small, large)
+	}
+}
+
+// The "edges:" count is untrusted: a header claiming 10¹² edges reserves
+// at most what the bytes left could hold in a plain file, and hintCap
+// pairs where their count is unknown (a reader, a gzip file).
+func TestReadEdgeListEdgeHintIsBounded(t *testing.T) {
+	const in = "# nodes: 2 edges: 999999999999\n"
+	dir := t.TempDir()
+	plain, gz := filepath.Join(dir, "plain.txt"), filepath.Join(dir, "packed.gz")
+	if err := os.WriteFile(plain, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(gz, gzipped(t, []byte(in)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() (*Graph, error){
+		"reader":     func() (*Graph, error) { return ReadEdgeList(strings.NewReader(in)) },
+		"plain file": func() (*Graph, error) { return LoadEdgeList(plain) },
+		"gzip file":  func() (*Graph, error) { return LoadEdgeList(gz) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := read()
+		runtime.ReadMemStats(&after)
+		if err != nil || g.NumNodes() != 2 {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("%s: a %d-byte header allocated %d bytes", name, len(in), got)
+		}
+	}
+}
+
+// gzipped returns b gzip-compressed.
+func gzipped(t testing.TB, b []byte) []byte {
+	t.Helper()
+	var packed bytes.Buffer
+	zw := gzip.NewWriter(&packed)
+	if _, err := zw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return packed.Bytes()
+}
+
+// edgeListFile saves g in a temporary file and returns its path.
+func edgeListFile(t testing.TB, g *Graph) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := SaveEdgeList(path, g); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkReadEdgeList reads a header-carrying RMAT list from a file, as
+// the daemon's -graph does, so the header sizes the pairs.
+func BenchmarkReadEdgeList(b *testing.B) {
+	path := edgeListFile(b, RMAT(16, 8, 1))
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := LoadEdgeList(path); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -102,19 +284,12 @@ func TestLoadEdgeListGzip(t *testing.T) {
 	if err := WriteEdgeList(&plain, g); err != nil {
 		t.Fatal(err)
 	}
-	var packed bytes.Buffer
-	zw := gzip.NewWriter(&packed)
-	if _, err := zw.Write(plain.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	packed := gzipped(t, plain.Bytes())
 	// Detection is by magic bytes, so both a .gz name and a misnamed .txt
 	// must decompress.
 	for _, name := range []string{"g.txt.gz", "mislabeled.txt"} {
 		path := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(path, packed.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, packed, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		g2, err := LoadEdgeList(path)
