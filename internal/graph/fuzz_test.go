@@ -174,16 +174,16 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// The fuzzer's inputs fit in one read buffer; this one spans dozens, with
+// The fuzzer's inputs fit in one read buffer; this one spans three, with
 // every kind of line at random places, so lines straddle the buffer's end
-// and the scanner hands over to ReadSlice and back. It must read as the
+// and the fast scan and slowLine take turns. It must read as the
 // reference reads it, and an error on its last line must name that line.
 func TestReadEdgeListMatchesReferenceAcrossBuffers(t *testing.T) {
 	r := rng.New(5)
 	forms := []string{"%d %d\n", "%d %d\r\n", "  %d\t%d  \n", "%d %d 9 extra\n", "+%d 00%d\n", "%d\u00a0%d\v\n", "# %d %d\n", "\n", "%d %d"}
 	var in strings.Builder
 	lines := 0
-	for in.Len() < 3*readBuf*8 {
+	for in.Len() < 3*maxLine {
 		form := forms[0]
 		if r.Intn(4) == 0 {
 			form = forms[r.Intn(len(forms)-1)]

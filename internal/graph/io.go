@@ -39,10 +39,9 @@ const (
 	// maxNodes is the most nodes a graph can hold: NodeID is an int32.
 	maxNodes = 1 << 31
 	// maxLine is the length, its "\n" not counted, at which a line is
-	// refused as too long.
+	// refused as too long. It is also the read buffer's size, so a line
+	// that fills the buffer is that error.
 	maxLine = 1 << 20
-	// readBuf is the read buffer. A line longer than it is copied aside.
-	readBuf = 64 << 10
 	// hintCap caps the edges an "edges:" count reserves (512 KB of pairs)
 	// when the length of the input is unknown: a reader, or a gzip file.
 	hintCap = 1 << 16
@@ -83,44 +82,20 @@ type edgeReader struct {
 // maxHint pairs. Every edge line is at least 4 bytes ("0 1\n"), so a
 // caller that knows the bytes left can pass a quarter of them, plus one.
 func readEdgeList(r io.Reader, maxHint int) (*Graph, error) {
-	br := bufio.NewReaderSize(r, readBuf)
+	br := bufio.NewReaderSize(r, maxLine)
 	er := edgeReader{maxHint: maxHint}
-	var long []byte
 	for lineNo := 1; ; lineNo++ {
-		// The whole "u v" lines already buffered, without a call per line.
-		buf, _ := br.Peek(br.Buffered())
-		next := 0
-		for {
-			u, v, n, ok := scanEdge(buf[next:])
-			if !ok {
-				break
-			}
-			er.add(u, v)
-			next += n
-			lineNo++
-		}
-		br.Discard(next)
-
-		// Then one line that loop could not take, read by ReadSlice.
 		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			long = append(long[:0], line...)
-			for err == bufio.ErrBufferFull && len(long) <= maxLine {
-				line, err = br.ReadSlice('\n')
-				long = append(long, line...)
-			}
-			line = long
-		}
-		content := line
 		if err == nil {
-			content = line[:len(line)-1]
+			line = line[:len(line)-1]
 		}
-		if len(content) >= maxLine {
+		// bufio.ErrBufferFull returns the full buffer, maxLine bytes.
+		if len(line) >= maxLine {
 			return nil, fmt.Errorf("graph: line %d: longer than %d bytes", lineNo, maxLine-1)
 		}
-		if u, v, _, ok := scanEdge(line); ok {
+		if u, v, ok := scanEdge(line); ok {
 			er.add(u, v)
-		} else if err := er.slowLine(content); err != nil {
+		} else if err := er.slowLine(line); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 		}
 		if err == io.EOF {
@@ -140,23 +115,19 @@ func (er *edgeReader) add(u, v NodeID) {
 	}
 }
 
-// scanEdge reads the line at the start of buf if it is the kind of line
+// scanEdge reads line, its "\n" removed, if it is the kind of line
 // WriteEdgeList writes: two unsigned ASCII ids of at most 2³¹ − 1 between
-// ASCII separators, and a "\n". It returns the ids and the line's length
-// with its "\n"; ok is false for every other line, blank ones included,
-// and when buf holds no "\n" to end it.
-func scanEdge(buf []byte) (u, v NodeID, n int, ok bool) {
-	i := skipSpace(buf, 0)
-	if u, i, ok = scanID(buf, i); !ok || i == len(buf) || !isSpace(buf[i]) {
-		return 0, 0, 0, false
+// ASCII separators. ok is false for every other line, blank ones
+// included.
+func scanEdge(line []byte) (u, v NodeID, ok bool) {
+	i := skipSpace(line, 0)
+	if u, i, ok = scanID(line, i); !ok || i == len(line) || !isSpace(line[i]) {
+		return 0, 0, false
 	}
-	if v, i, ok = scanID(buf, skipSpace(buf, i)); !ok {
-		return 0, 0, 0, false
+	if v, i, ok = scanID(line, skipSpace(line, i)); !ok {
+		return 0, 0, false
 	}
-	if i = skipSpace(buf, i); i == len(buf) || buf[i] != '\n' {
-		return 0, 0, 0, false
-	}
-	return u, v, i + 1, true
+	return u, v, skipSpace(line, i) == len(line)
 }
 
 // scanID reads the run of decimal digits at s[i:], reporting false if
@@ -201,8 +172,10 @@ func (er *edgeReader) slowLine(raw []byte) error {
 		if err == nil {
 			er.Grow(int(n))
 			if _, err := fmt.Sscanf(line, "# nodes: %d edges: %d", &n, &m); err == nil {
-				if hint := int(min(m, int64(er.maxHint))); hint > len(er.pairs) {
-					er.pairs = append(make([]uint64, 0, hint), er.pairs...)
+				// Only the first reservation counts: a file of headers
+				// would otherwise reserve once a line.
+				if hint := int(min(m, int64(er.maxHint))); hint > 0 && cap(er.pairs) == 0 {
+					er.pairs = make([]uint64, 0, hint)
 				}
 			}
 		}
@@ -251,7 +224,7 @@ func LoadEdgeList(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, readBuf)
+	br := bufio.NewReaderSize(f, maxLine)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
 		if err != nil {

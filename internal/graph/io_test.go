@@ -146,8 +146,9 @@ func TestWriteEdgeListMatchesFmt(t *testing.T) {
 // A header-carrying file is read with one pairs array, sized by the
 // header and sorted where it is: beside the graph it returns (xadj, 8
 // bytes a node; adj, 8 bytes an edge) LoadEdgeList may allocate the pairs
-// (8 bytes an edge), fillCSR's cursor (8 bytes a node) and a small
-// constant. Pairs grown by append, or sorted in a copy, fail it.
+// (8 bytes an edge), fillCSR's cursor (8 bytes a node), its 1 MiB read
+// buffer and a small constant. Pairs grown by append, or sorted in a copy,
+// fail it.
 func TestLoadEdgeListAllocatesPairsOnce(t *testing.T) {
 	path := edgeListFile(t, RMAT(16, 8, 2))
 	var before, after runtime.MemStats
@@ -158,11 +159,11 @@ func TestLoadEdgeListAllocatesPairsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, m := uint64(g.NumNodes()), uint64(g.NumEdges())
-	bound := 8*m + 8*(n+1) + 8*m + 8*n + 256<<10
+	bound := 8*m + 8*(n+1) + 8*m + 8*n + maxLine + 256<<10
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("n=%d m=%d: %d bytes allocated, bound %d", n, m, got, bound)
 	if got > bound {
-		t.Fatalf("reading %d edges allocated %d bytes, want <= pairs + CSR + 256 KiB = %d", m, got, bound)
+		t.Fatalf("reading %d edges allocated %d bytes, want <= pairs + CSR + read buffer + 256 KiB = %d", m, got, bound)
 	}
 }
 
@@ -191,11 +192,35 @@ func TestLoadEdgeListAllocsDoNotGrowWithLines(t *testing.T) {
 	}
 }
 
-// The "edges:" count is untrusted: a header claiming 10¹² edges reserves
+// The "edges:" count is untrusted. A header claiming 10¹² edges reserves
 // at most what the bytes left could hold in a plain file, and hintCap
-// pairs where their count is unknown (a reader, a gzip file).
+// pairs where their count is unknown (a reader, a gzip file): under 1 MB
+// more than an honest "edges: 0" header costs. A file of such headers,
+// the same lie repeated or a count rising line by line, reserves once, so
+// it costs that plus a small multiple of its length, not a reservation a
+// line.
 func TestReadEdgeListEdgeHintIsBounded(t *testing.T) {
-	const in = "# nodes: 2 edges: 999999999999\n"
+	var repeated, rising strings.Builder
+	for i := range 10000 {
+		repeated.WriteString("# nodes: 2 edges: 999999999999\n")
+		fmt.Fprintf(&rising, "# nodes: 2 edges: %d\n", i+1)
+	}
+	base := edgeHintAllocs(t, "# nodes: 2 edges: 0\n")
+	for _, in := range []string{"# nodes: 2 edges: 999999999999\n", repeated.String(), rising.String()} {
+		bound := uint64(1<<20 + 16*len(in))
+		for way, got := range edgeHintAllocs(t, in) {
+			t.Logf("%s, %d bytes: %d allocated beyond the honest header's %d", way, len(in), got-base[way], base[way])
+			if got > base[way]+bound {
+				t.Fatalf("%s: %d bytes of lying headers allocated %d bytes, %d more than an honest header; want <= %d",
+					way, len(in), got, got-base[way], bound)
+			}
+		}
+	}
+}
+
+// edgeHintAllocs returns the bytes allocated reading in, a list of nodes 0
+// and 1 and no edges, through a reader, a plain file and a gzip file.
+func edgeHintAllocs(t *testing.T, in string) map[string]uint64 {
 	dir := t.TempDir()
 	plain, gz := filepath.Join(dir, "plain.txt"), filepath.Join(dir, "packed.gz")
 	if err := os.WriteFile(plain, []byte(in), 0o644); err != nil {
@@ -204,7 +229,8 @@ func TestReadEdgeListEdgeHintIsBounded(t *testing.T) {
 	if err := os.WriteFile(gz, gzipped(t, []byte(in)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, read := range map[string]func() (*Graph, error){
+	allocs := map[string]uint64{}
+	for way, read := range map[string]func() (*Graph, error){
 		"reader":     func() (*Graph, error) { return ReadEdgeList(strings.NewReader(in)) },
 		"plain file": func() (*Graph, error) { return LoadEdgeList(plain) },
 		"gzip file":  func() (*Graph, error) { return LoadEdgeList(gz) },
@@ -213,13 +239,12 @@ func TestReadEdgeListEdgeHintIsBounded(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		g, err := read()
 		runtime.ReadMemStats(&after)
-		if err != nil || g.NumNodes() != 2 {
-			t.Fatalf("%s: %v", name, err)
+		if err != nil || g.NumNodes() != 2 || g.NumEdges() != 0 {
+			t.Fatalf("%s: %v", way, err)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Fatalf("%s: a %d-byte header allocated %d bytes", name, len(in), got)
-		}
+		allocs[way] = after.TotalAlloc - before.TotalAlloc
 	}
+	return allocs
 }
 
 // gzipped returns b gzip-compressed.
