@@ -33,7 +33,8 @@ import (
 // The node count is max id + 1 unless a header gives more. The
 // "# nodes: N edges: M" header WriteEdgeList writes also sizes the edge
 // buffer, but M is untrusted: LoadEdgeList bounds it by a plain file's
-// size, and anything else by hintCap.
+// size, and anything else by hintCap. Only the first header that
+// reserves does so; later ones size nothing.
 
 const (
 	// maxNodes is the most nodes a graph can hold: NodeID is an int32.
