@@ -28,6 +28,14 @@
 // relaxation phases and whose claims are atomic min-reductions — see
 // weighted.go. Stats.Relaxations and Stats.Buckets are its counters, the
 // weighted counterpart of Messages and Rounds.
+//
+// Every parallel pass of both engines — push and pull rounds, the barrier's
+// settle pass, Engine.For, relaxation phases — runs on one loop,
+// Pool.Claim, in which the workers take blocks of an index range from a
+// shared cursor. The worker count sets how fast a round runs, never which
+// code runs it; the one branch on it is Claim's own rule that a single
+// worker, or a range of one block, runs on the caller. A panic on any
+// worker surfaces on the caller after the barrier.
 package bsp
 
 import "runtime"

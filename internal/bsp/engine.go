@@ -59,11 +59,13 @@ func (d Direction) String() string {
 // and with it every RoundStat a traversal returns or observes — is
 // identical across worker counts.
 
-// seqThreshold is the range length (nodes) below which For and with it
-// the bottom-up steps run inline on the calling goroutine; dispatching to
-// the pool for tiny rounds costs more than it saves. It is also the block
-// of claimed nodes a worker takes at a time in a step's barrier pass.
-// Top-down steps are sized in arcs instead — see pushArcThreshold.
+// seqThreshold is the block of indices a worker claims at a time in For,
+// a bottom-up step and a step's barrier pass, so a range of at most one
+// block runs inline on the calling goroutine: dispatching to the pool for
+// tiny rounds costs more than it saves. It is a multiple of 64, 32 bitmap
+// words, so the plain visited-bitmap writes of a pull block stay
+// word-confined. Top-down steps are sized in arcs instead — see
+// pushArcThreshold.
 const seqThreshold = 2048
 
 // pushArcThreshold is the frontier arc count (mf) below which a push step
@@ -260,7 +262,7 @@ func (e *Engine) VisitedCount() int { return e.visited.Count() }
 // setParent stores v's claim word plainly. Only the push kernel shares a
 // word between goroutines, and it uses atomics throughout; every caller
 // here is either the driver between rounds or the one worker that can
-// reach v (pull chunks are disjoint, a claimed node is in the new frontier
+// reach v (pull blocks are disjoint, a claimed node is in the new frontier
 // once), with the pool's barrier ordering it against the rounds around it.
 func (e *Engine) setParent(v, p NodeID) { e.parent[v] = p }
 
@@ -315,30 +317,13 @@ func (e *Engine) SetFrontier(us []NodeID) {
 // Close stops the pool goroutines. The engine must not be used afterwards.
 func (e *Engine) Close() { e.pool.Close() }
 
-// For splits [0, n) into contiguous chunks (64-aligned, so chunk-confined
-// bitmap writes need no atomics) and runs fn(worker, lo, hi) on each from
-// the persistent pool. Small n runs inline. The engine's bottom-up rounds
-// run on it as well, which is why a worker left without a chunk has its
-// scratch cleared.
+// For runs fn(worker, lo, hi) over [0, n) in blocks of seqThreshold
+// indices that the workers claim (Pool.Claim), so a range of at most one
+// block runs on the caller. Every block starts at a multiple of seqThreshold, a
+// multiple of 64, so block-confined bitmap writes need no atomics. fn may
+// run several times on one worker, and accumulates into its scratch.
 func (e *Engine) For(n int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if n < seqThreshold || e.workers == 1 {
-		fn(0, 0, n)
-		for w := 1; w < e.workers; w++ {
-			e.idle(w)
-		}
-		return
-	}
-	chunk := ((n+e.workers-1)/e.workers + 63) &^ 63
-	e.pool.Run(func(w int) {
-		if lo := w * chunk; lo < n {
-			fn(w, lo, min(lo+chunk, n))
-		} else {
-			e.idle(w)
-		}
-	})
+	e.pool.Claim(n, seqThreshold, fn)
 }
 
 // chooseDirection applies the hybrid cost comparison (or the pinned mode)
@@ -503,23 +488,26 @@ func (e *Engine) pushBlock() int {
 // scratch.
 func (e *Engine) claimBlocks(n, block int, scan func(w, lo, hi int)) {
 	for w := 0; w < e.workers; w++ {
-		e.idle(w)
+		e.bufs[w] = e.bufs[w][:0]
+		e.arcs[w], e.degs[w] = 0, 0
 	}
 	e.pool.Claim(n, block, scan)
 }
 
 // stepPull expands the frontier bottom-up: every unvisited node scans its
 // adjacency and takes the first frontier member as its parent — the
-// smallest, the list being sorted. Worker chunks are 64-aligned so
-// visited-bitmap writes stay word-confined and the next frontier comes out
-// in ascending node order.
+// smallest, the list being sorted. The workers claim blocks of seqThreshold
+// nodes (claimBlocks); each block starts at a multiple of 64, so
+// visited-bitmap writes stay word-confined. The next frontier comes out in
+// claim order, as a push round's does; the set claimed, every winner and
+// the arcs scanned are the same at every worker count.
 func (e *Engine) stepPull() (arcs, claimedDeg int64) {
 	e.syncFrontierBits()
 	xadj, adj := e.xadj, e.adj
 	inFrontier := e.frontierBits
 	visited := e.visited
-	e.For(e.n, func(w, lo, hi int) {
-		buf := e.bufs[w][:0]
+	e.claimBlocks(e.n, seqThreshold, func(w, lo, hi int) {
+		buf := e.bufs[w]
 		var scanned, deg int64
 		for wi := lo >> 6; wi<<6 < hi; wi++ {
 			base := NodeID(wi << 6)
@@ -533,7 +521,7 @@ func (e *Engine) stepPull() (arcs, claimedDeg int64) {
 					scanned++
 					if inFrontier.Get(u) {
 						e.setParent(v, u)
-						visited.Set(v) // word-confined: chunks are 64-aligned
+						visited.Set(v) // word-confined: blocks are 64-aligned
 						buf = append(buf, v)
 						deg += int64(len(nbrs))
 						break
@@ -542,8 +530,8 @@ func (e *Engine) stepPull() (arcs, claimedDeg int64) {
 			}
 		}
 		e.bufs[w] = buf
-		e.arcs[w] = scanned
-		e.degs[w] = deg
+		e.arcs[w] += scanned
+		e.degs[w] += deg
 	})
 	return e.sumScratch()
 }
@@ -558,13 +546,6 @@ func (e *Engine) settle(claimed []NodeID, adopt func(worker int, v, parent NodeI
 			e.setParent(v, parentSettled)
 		}
 	})
-}
-
-// idle clears the scratch of a worker that took no part in a round, so
-// gatherBufs and sumScratch do not pick up what it did in an earlier one.
-func (e *Engine) idle(w int) {
-	e.bufs[w] = e.bufs[w][:0]
-	e.arcs[w], e.degs[w] = 0, 0
 }
 
 func (e *Engine) sumScratch() (arcs, deg int64) {

@@ -6,17 +6,17 @@ import (
 )
 
 // Pool is the persistent worker pool under every parallel pass in the
-// repository: a set of goroutines spawned once and fed per-superstep
-// closures, so a multi-round computation (BFS levels, delta-stepping
-// buckets, MR rounds) pays the goroutine startup cost once rather than per
-// round. Run hands every worker the same closure; Claim is the one claim
-// loop, in which the workers take blocks of an index range from a shared
-// cursor until none is left.
+// repository: a set of goroutines spawned once and fed one pass at a time,
+// so a multi-round computation (BFS levels, delta-stepping buckets, MR
+// rounds) pays the goroutine startup cost once rather than per round.
+// Claim is its one loop: the workers take blocks of an index range from a
+// shared cursor until none is left. The worker count sets how fast a pass
+// runs, never which code runs it.
 //
 // Worker 0 is always the calling goroutine; the pool owns workers 1..w-1.
-// The goroutines are started lazily, on the first Run, so a computation
-// small enough to stay under the engines' inline thresholds never spawns
-// them at all.
+// The goroutines are started lazily, on the first Claim of more than one
+// block, so a computation small enough to stay under the engines' inline
+// thresholds never spawns them at all.
 type Pool struct {
 	workers int
 	work    []chan func(worker int)
@@ -30,46 +30,17 @@ type Pool struct {
 	claimN, claimBlock int
 	claimFn            func(worker, lo, hi int)
 	claimLoop          func(worker int)
+
+	// fault is the first panic a worker recovered from during a pass,
+	// re-raised on the caller once every worker has stopped.
+	faultMu sync.Mutex
+	fault   any
 }
 
 // NewPool returns a pool with the given parallelism (non-positive selects
 // GOMAXPROCS).
 func NewPool(workers int) *Pool {
 	return &Pool{workers: Workers(workers)}
-}
-
-// Run executes fn(worker) on every worker (0 = the caller) and waits. It
-// panics on a closed pool: respawning the goroutines there would leak
-// them, since a second Close is a no-op.
-func (p *Pool) Run(fn func(worker int)) {
-	if p.closed {
-		panic("bsp: Pool.Run called after Close")
-	}
-	if p.workers == 1 {
-		fn(0)
-		return
-	}
-	if p.work == nil {
-		// Lazy spin-up: the first Run pays for the channels and goroutines
-		// once; every later Run only sends on them.
-		p.work = make([]chan func(worker int), p.workers-1)
-		for i := range p.work {
-			ch := make(chan func(worker int))
-			p.work[i] = ch
-			go func(w int, ch chan func(worker int)) {
-				for f := range ch {
-					f(w)
-					p.wg.Done()
-				}
-			}(i+1, ch)
-		}
-	}
-	p.wg.Add(p.workers - 1)
-	for _, ch := range p.work {
-		ch <- fn
-	}
-	fn(0)
-	p.wg.Wait()
 }
 
 // Claim runs fn(worker, lo, hi) over [0, n) in blocks of block indices
@@ -80,7 +51,16 @@ func (p *Pool) Run(fn func(worker int)) {
 // a range of one block, runs fn(0, 0, n) on the caller. fn accumulates into
 // its worker's scratch; which worker takes which block is up to the
 // scheduler.
+//
+// A panic in fn, on any worker, ends that worker's part of the pass; the
+// others drain the remaining blocks, and the first panic is re-raised on
+// the caller after the barrier, with the pool still usable. Claim panics on
+// a closed pool: respawning the goroutines there would leak them, since a
+// second Close is a no-op.
 func (p *Pool) Claim(n, block int, fn func(worker, lo, hi int)) {
+	if p.closed {
+		panic("bsp: Pool.Claim called after Close")
+	}
 	if n <= 0 {
 		return
 	}
@@ -93,8 +73,54 @@ func (p *Pool) Claim(n, block int, fn func(worker, lo, hi int)) {
 	}
 	p.claimN, p.claimBlock, p.claimFn = n, max(block, 1), fn
 	p.cursor.Store(0)
-	p.Run(p.claimLoop)
+	p.run(p.claimLoop)
 	p.claimFn = nil
+	if f := p.fault; f != nil {
+		p.fault = nil
+		panic(f)
+	}
+}
+
+// run is Claim's dispatch: it executes fn(worker) on every worker (0 = the
+// caller) and waits for all of them.
+func (p *Pool) run(fn func(worker int)) {
+	if p.work == nil {
+		// Lazy spin-up: the first pass pays for the channels and goroutines
+		// once; every later pass only sends on them.
+		p.work = make([]chan func(worker int), p.workers-1)
+		for i := range p.work {
+			ch := make(chan func(worker int))
+			p.work[i] = ch
+			go func(w int, ch chan func(worker int)) {
+				for f := range ch {
+					p.do(f, w)
+					p.wg.Done()
+				}
+			}(i+1, ch)
+		}
+	}
+	p.wg.Add(p.workers - 1)
+	for _, ch := range p.work {
+		ch <- fn
+	}
+	p.do(fn, 0)
+	p.wg.Wait()
+}
+
+// do runs fn(w), recovering a panic into p.fault (the first one wins), so
+// that a panic on a pool goroutine reaches the caller instead of ending the
+// process, and one on the caller waits for the barrier.
+func (p *Pool) do(fn func(worker int), w int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.faultMu.Lock()
+			if p.fault == nil {
+				p.fault = r
+			}
+			p.faultMu.Unlock()
+		}
+	}()
+	fn(w)
 }
 
 // claim is Claim's worker loop: it takes the next block until none is left.
@@ -109,9 +135,9 @@ func (p *Pool) claim(w int) {
 	}
 }
 
-// Close stops the pool goroutines: idle between Runs, they exit as soon as
-// their channel closes, shortly after Close returns. Run panics afterwards;
-// a second Close is a no-op.
+// Close stops the pool goroutines: idle between passes, they exit as soon
+// as their channel closes, shortly after Close returns. Claim panics
+// afterwards; a second Close is a no-op.
 func (p *Pool) Close() {
 	if p.closed {
 		return

@@ -1,11 +1,12 @@
 package bsp_test
 
 // Goroutine lifetime of the one go site in this package: the pool's
-// workers live from the first Run to Close. Counting goroutines back to
-// the pre-test baseline is its only enforcer.
+// workers live from the first pooled Claim to Close. Counting goroutines
+// back to the pre-test baseline is its only enforcer.
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,29 +35,67 @@ func TestPoolSettlesToBaseline(t *testing.T) {
 	p := bsp.NewPool(workers)
 	var ran atomic.Int32
 	for round := 0; round < 3; round++ {
-		p.Run(func(int) { ran.Add(1) })
+		p.Claim(workers, 1, func(_, lo, hi int) { ran.Add(int32(hi - lo)) })
 	}
 	p.Close()
 	p.Close() // idempotent
 	settleToBaseline(t, base)
 	if ran.Load() != 3*workers {
-		t.Fatalf("fn ran %d times, want %d", ran.Load(), 3*workers)
+		t.Fatalf("fn covered %d indices, want %d", ran.Load(), 3*workers)
 	}
-
 }
 
-// Run after Close used to respawn the workers, and the closed flag then
-// made every later Close a no-op: they leaked for good.
-func TestPoolRunAfterClosePanics(t *testing.T) {
+// Claim after Close must not respawn the workers: the closed flag makes
+// every later Close a no-op, so they would leak for good.
+func TestPoolClaimAfterClosePanics(t *testing.T) {
 	p := bsp.NewPool(2)
-	p.Run(func(int) {})
+	p.Claim(2, 1, func(_, _, _ int) {})
 	p.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Run on a closed pool did not panic")
+			t.Fatal("Claim on a closed pool did not panic")
 		}
 	}()
-	p.Run(func(int) {})
+	p.Claim(2, 1, func(_, _, _ int) {})
+}
+
+// A panic on a pool goroutine would end the process: no recover on the
+// caller's stack can reach it. Claim re-raises it on the caller, after
+// the barrier, and the pool runs the next pass. Worker 0, the caller,
+// holds its block until a pool worker has panicked, so the panic is
+// always off the caller's goroutine.
+func TestPoolWorkerPanicReachesCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := bsp.NewPool(4)
+	fired := make(chan struct{})
+	var once sync.Once
+	var drained atomic.Int32
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		p.Claim(64, 1, func(w, lo, hi int) {
+			if w == 0 {
+				<-fired
+				drained.Add(int32(hi - lo))
+				return
+			}
+			once.Do(func() { close(fired) })
+			panic("worker panic")
+		})
+		return nil
+	}()
+	if got != "worker panic" {
+		t.Fatalf("recovered %v, want the worker's panic", got)
+	}
+	if drained.Load() == 0 {
+		t.Fatal("the caller ran no block")
+	}
+	var sum atomic.Int64
+	p.Claim(1000, 7, func(_, lo, hi int) { sum.Add(int64(hi - lo)) })
+	if sum.Load() != 1000 {
+		t.Fatalf("the pass after a panic covered %d of 1000 indices", sum.Load())
+	}
+	p.Close()
+	settleToBaseline(t, base)
 }
 
 // TestPoolClaim checks the one claim loop: every index of [0, n) lands in

@@ -355,12 +355,13 @@ func (e *WeightedEngine) addSource(u, owner NodeID) {
 // the phase* fields), appending to worker w's claim buffer and offer count:
 // a worker may claim several chunks of one phase. It is the relaxation
 // inner loop — a transitive callee of the hot relaxPhase, kept free of
-// closures and allocation.
+// closures and allocation — and one kernel at every worker count: each
+// offer is an atomic min-reduction (casLower), each first lowering of a
+// phase an atomic bitmap mark.
 func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 	nodes, words := e.phaseNodes, e.phaseWords
 	xadj, adj, ws := e.phaseXadj, e.phaseAdj, e.phaseWs
 	slot, shift, mask, distMax, updBits := e.slot, e.shift, e.ownerMask, e.distMax, e.updBits
-	seq := e.workers == 1
 	buf := e.updBufs[w]
 	var scanned int64
 	for i := lo; i < hi; i++ {
@@ -382,17 +383,7 @@ func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 				e.overflow.Store(true)
 				continue
 			}
-			nw := uint64(nd)<<shift | base
-			if seq {
-				// Single worker: same min-reduction, no atomics.
-				if nw < slot[v] {
-					slot[v] = nw
-					if !updBits.Get(v) {
-						updBits.Set(v)
-						buf = append(buf, v) // pooled: grows to its high-water mark, then reuses
-					}
-				}
-			} else if casLower(&slot[v], nw) && updBits.SetAtomic(v) {
+			if casLower(&slot[v], uint64(nd)<<shift|base) && updBits.SetAtomic(v) {
 				buf = append(buf, v) // pooled: grows to its high-water mark, then reuses
 			}
 		}

@@ -106,7 +106,8 @@ func TestBuildOracleCancelledMidBuildReturnsPromptly(t *testing.T) {
 // whether the build completes or is cancelled; this count is their
 // enforcer. The cancel is fired from the first block's delta on a quotient
 // of 18 blocks: the workers must see it before their next source, so all
-// but a few blocks never report.
+// but a few blocks never report. A panicking Observer, on any worker,
+// surfaces on the caller and leaves no goroutine behind either.
 func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
 	cl := voronoi(graph.Mesh(40, 40), 17*graph.APSPBlock+1, 1)
 	const blocks = 18
@@ -138,6 +139,60 @@ func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("cancelled at the first delta, yet %d of %d blocks completed: the workers ran on", got, blocks)
 	}
 	settled("cancelled build")
+
+	// An Observer runs on every worker; its panic must reach the caller,
+	// where a serving layer can recover it, and not end the process.
+	panicking := Options{Workers: 4, Observer: func(bsp.Stats) { panic("observer panic") }}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_, _ = OracleFromClustering(context.Background(), cl, panicking)
+		return nil
+	}()
+	if got != "observer panic" {
+		t.Fatalf("recovered %v, want the observer's panic", got)
+	}
+	settled("panicking observer")
+}
+
+// ClusterContext and CLUSTER2's second phase release their engine's pool
+// on every exit path: a panic in a round (here the Observer's, on the
+// driving goroutine, once the pool is up) must not leave its workers
+// behind.
+func TestClusteringClosesEngineOnPanic(t *testing.T) {
+	g := graph.Mesh(100, 100)
+	base := runtime.NumGoroutine()
+	for name, build := range map[string]func(Options) error{
+		"ClusterContext": func(opt Options) error {
+			_, err := ClusterContext(context.Background(), g, 8, opt)
+			return err
+		},
+		"cluster2With": func(opt Options) error {
+			_, err := cluster2With(context.Background(), g, 5, opt)
+			return err
+		},
+	} {
+		var rounds atomic.Int32
+		opt := Options{Workers: 4, Seed: 1, Observer: func(bsp.Stats) {
+			if rounds.Add(1) == 3 {
+				panic("observer panic")
+			}
+		}}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_ = build(opt)
+			return nil
+		}()
+		if got != "observer panic" {
+			t.Fatalf("%s: recovered %v, want the observer's panic", name, got)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want the baseline %d: the engine's pool leaked", name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 // The observer sees one delta per completed block, and the deltas add up to

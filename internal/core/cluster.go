@@ -35,13 +35,13 @@ func ClusterContext(ctx context.Context, g *graph.Graph, tau int, opt Options) (
 		return nil, errors.New("core: Cluster requires tau >= 1")
 	}
 	gr := newGrower(g, opt)
+	defer gr.e.Close() // on every exit path, a panic in a round included
 	gr.e.SetContext(ctx)
 	batches, err := opt.Schedule(gr, g.NumNodes(), tau, ClusterTag)
 	if err == nil {
 		err = ctx.Err()
 	}
 	if err != nil {
-		gr.abort()
 		return nil, err
 	}
 

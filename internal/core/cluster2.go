@@ -33,6 +33,7 @@ func Cluster2(ctx context.Context, g *graph.Graph, tau int, opt Options) (*Clust
 func cluster2With(ctx context.Context, g *graph.Graph, rAlg int32, opt Options) (*Clustering, error) {
 	n := g.NumNodes()
 	gr := newGrower(g, opt)
+	defer gr.e.Close() // on every exit path, a panic in a round included
 	gr.e.SetContext(ctx)
 	seed := rng.Mix64(opt.Seed, 0xc105_7e22, uint64(rAlg))
 
@@ -64,7 +65,6 @@ func cluster2With(ctx context.Context, g *graph.Graph, rAlg int32, opt Options) 
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		gr.abort()
 		return nil, err
 	}
 	return gr.finish(batches), nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bsp"
 	"repro/internal/graph"
 )
@@ -81,35 +83,30 @@ func (gr *grower) Step() (claimed int, live bool, err error) {
 }
 
 // SelectUncovered appends to dst every uncovered node u for which pick(u)
-// is true, scanning in parallel (on the engine's persistent pool) but
-// returning nodes in ascending id order so center numbering is
+// is true, scanning in parallel (blocks claimed on the engine's persistent
+// pool) but returning nodes in ascending id order so center numbering is
 // deterministic. It never fails.
 func (gr *grower) SelectUncovered(dst []graph.NodeID, pick func(u graph.NodeID) bool) ([]graph.NodeID, error) {
-	n := gr.g.NumNodes()
-	w := gr.e.NumWorkers()
-	parts := make([][]graph.NodeID, w)
-	gr.e.For(n, func(worker, lo, hi int) {
-		var local []graph.NodeID
+	parts := make([][]graph.NodeID, gr.e.NumWorkers())
+	gr.e.For(gr.g.NumNodes(), func(worker, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			if gr.owner[u] == -1 && pick(graph.NodeID(u)) {
-				local = append(local, graph.NodeID(u))
+				parts[worker] = append(parts[worker], graph.NodeID(u))
 			}
 		}
-		parts[worker] = local
 	})
+	start := len(dst)
 	for _, p := range parts {
 		dst = append(dst, p...)
 	}
+	slices.Sort(dst[start:])
 	return dst, nil
 }
 
-// abort releases the engine's worker pool without producing a clustering —
-// the exit path of a cancelled build, which must not leak pool goroutines.
-func (gr *grower) abort() { gr.e.Close() }
-
-// finish freezes the grower into a Clustering, computing per-cluster radii,
-// and releases the engine's worker pool. The Clustering takes over the
-// grower's ownership array (graph.NodeID is int32).
+// finish freezes the grower into a Clustering, computing per-cluster radii.
+// The Clustering takes over the grower's ownership array (graph.NodeID is
+// int32). The caller releases the engine's worker pool (gr.e.Close), on
+// every exit path.
 func (gr *grower) finish(batches int) *Clustering {
 	c := &Clustering{
 		G:           gr.g,
@@ -121,7 +118,6 @@ func (gr *grower) finish(batches int) *Clustering {
 		Batches:     batches,
 		Stats:       gr.e.Stats(),
 	}
-	gr.e.Close()
 	for u, o := range gr.owner {
 		if o >= 0 && gr.dist[u] > c.Radii[o] {
 			c.Radii[o] = gr.dist[u]

@@ -20,10 +20,19 @@ import (
 // scanner replaced, kept as the definition of the accept set:
 // bufio.Scanner lines, strings.TrimSpace, strings.Fields and
 // strconv.ParseInt. Its one known difference is a line of 1 MiB or more,
-// which it refuses with a bare "token too long" and no line number.
+// which it refuses with a bare "token too long" and no line number. A read
+// error other than io.EOF fails the line it cuts short, which is not
+// parsed.
 func referenceReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
+	src := &failedRead{r: r}
+	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if atEOF && src.err != nil && bytes.IndexByte(data, '\n') < 0 {
+			return 0, nil, src.err // the partial line before the error
+		}
+		return bufio.ScanLines(data, atEOF)
+	})
 	b := NewBuilder(0)
 	lineNo := 0
 	for sc.Scan() {
@@ -66,9 +75,26 @@ func referenceReadEdgeList(r io.Reader) (*Graph, error) {
 		b.AddEdge(NodeID(u), NodeID(v))
 	}
 	if err := sc.Err(); err != nil {
+		if src.err != nil {
+			return nil, fmt.Errorf("graph: line %d: %w", lineNo+1, err)
+		}
 		return nil, err
 	}
 	return b.Build(), nil
+}
+
+// failedRead records the read error, other than io.EOF, that ends r.
+type failedRead struct {
+	r   io.Reader
+	err error
+}
+
+func (f *failedRead) Read(p []byte) (int, error) {
+	n, err := f.r.Read(p)
+	if err != nil && err != io.EOF {
+		f.err = err
+	}
+	return n, err
 }
 
 var errLine = regexp.MustCompile(`line (\d+):`)

@@ -87,10 +87,15 @@ func readEdgeList(r io.Reader, maxHint int) (*Graph, error) {
 	er := edgeReader{maxHint: maxHint}
 	for lineNo := 1; ; lineNo++ {
 		line, err := br.ReadSlice('\n')
-		if err == nil {
+		switch err {
+		case nil:
 			line = line[:len(line)-1]
+		case io.EOF, bufio.ErrBufferFull: // the last line; the full buffer, maxLine bytes
+		default:
+			// A read error cuts the line short: what came before it is
+			// not a line to parse.
+			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 		}
-		// bufio.ErrBufferFull returns the full buffer, maxLine bytes.
 		if len(line) >= maxLine {
 			return nil, fmt.Errorf("graph: line %d: longer than %d bytes", lineNo, maxLine-1)
 		}
@@ -101,9 +106,6 @@ func readEdgeList(r io.Reader, maxHint int) (*Graph, error) {
 		}
 		if err == io.EOF {
 			return er.Build(), nil
-		}
-		if err != nil {
-			return nil, err
 		}
 	}
 }

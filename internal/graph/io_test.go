@@ -3,7 +3,9 @@ package graph
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestEdgeListWriteReadRoundTrip(t *testing.T) {
@@ -89,6 +92,45 @@ func TestReadEdgeListErrors(t *testing.T) {
 		_, err := ReadEdgeList(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Fatalf("input %q: err = %v, want an error naming %s", tc.in, err, tc.msg)
+		}
+	}
+}
+
+// A read error is reported as itself, on the line it cuts short, and
+// that partial line is not parsed: "12" is a truncated edge, not a
+// malformed one. The reference parser agrees.
+func TestReadEdgeListTruncatedInput(t *testing.T) {
+	for name, read := range map[string]func(io.Reader) (*Graph, error){
+		"ReadEdgeList": ReadEdgeList, "reference": referenceReadEdgeList,
+	} {
+		r := io.MultiReader(strings.NewReader("0 1\n2 3\n12"), iotest.ErrReader(io.ErrUnexpectedEOF))
+		_, err := read(r)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "line 3:") {
+			t.Fatalf("%s: err = %v, want io.ErrUnexpectedEOF on line 3", name, err)
+		}
+	}
+
+	// A gzip file cut short, in its body or in its trailer.
+	var plain bytes.Buffer
+	if err := WriteEdgeList(&plain, RoadLike(60, 60, 0.4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	packed := gzipped(t, plain.Bytes())
+	path := filepath.Join(t.TempDir(), "cut.gz")
+	for _, cut := range []int{1000, 5000, len(packed) / 2, len(packed) - 1} {
+		if err := os.WriteFile(path, packed[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadEdgeList(path)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "line ") {
+			t.Fatalf("gzip of %d bytes cut at %d: err = %v, want io.ErrUnexpectedEOF on a named line", len(packed), cut, err)
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(packed[:cut]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := referenceReadEdgeList(zr); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("reference, gzip cut at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 }
