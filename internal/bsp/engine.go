@@ -167,7 +167,7 @@ type Engine struct {
 	arcs []int64
 	degs []int64
 
-	// Persistent pool: workers-1 goroutines fed per-round closures.
+	// Persistent pool: workers-1 goroutines woken once per claimed pass.
 	pool *Pool
 }
 

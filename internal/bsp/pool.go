@@ -19,17 +19,15 @@ import (
 // thresholds never spawns them at all.
 type Pool struct {
 	workers int
-	work    []chan func(worker int)
+	work    []chan struct{} // one per pool goroutine: a send starts a pass
 	wg      sync.WaitGroup
 	closed  bool
 
-	// Claim's arguments and its worker loop's method value, built on first
-	// use: a Claim passes them through these fields instead of capturing
-	// them, so a prebuilt fn allocates nothing.
+	// Claim's arguments, passed to the workers through these fields
+	// instead of a capture, so a prebuilt fn allocates nothing.
 	cursor             atomic.Int64 // next unclaimed index
 	claimN, claimBlock int
 	claimFn            func(worker, lo, hi int)
-	claimLoop          func(worker int)
 
 	// fault is the first panic a worker recovered from during a pass,
 	// re-raised on the caller once every worker has stopped.
@@ -68,12 +66,9 @@ func (p *Pool) Claim(n, block int, fn func(worker, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	if p.claimLoop == nil {
-		p.claimLoop = p.claim
-	}
 	p.claimN, p.claimBlock, p.claimFn = n, max(block, 1), fn
 	p.cursor.Store(0)
-	p.run(p.claimLoop)
+	p.run()
 	p.claimFn = nil
 	if f := p.fault; f != nil {
 		p.fault = nil
@@ -81,36 +76,38 @@ func (p *Pool) Claim(n, block int, fn func(worker, lo, hi int)) {
 	}
 }
 
-// run is Claim's dispatch: it executes fn(worker) on every worker (0 = the
+// run is Claim's dispatch: it runs the claim loop on every worker (0 = the
 // caller) and waits for all of them.
-func (p *Pool) run(fn func(worker int)) {
+func (p *Pool) run() {
 	if p.work == nil {
 		// Lazy spin-up: the first pass pays for the channels and goroutines
 		// once; every later pass only sends on them.
-		p.work = make([]chan func(worker int), p.workers-1)
+		p.work = make([]chan struct{}, p.workers-1)
 		for i := range p.work {
-			ch := make(chan func(worker int))
+			ch := make(chan struct{})
 			p.work[i] = ch
-			go func(w int, ch chan func(worker int)) {
-				for f := range ch {
-					p.do(f, w)
+			go func(w int) {
+				for range ch {
+					p.claim(w)
 					p.wg.Done()
 				}
-			}(i+1, ch)
+			}(i + 1)
 		}
 	}
 	p.wg.Add(p.workers - 1)
 	for _, ch := range p.work {
-		ch <- fn
+		ch <- struct{}{}
 	}
-	p.do(fn, 0)
+	p.claim(0)
 	p.wg.Wait()
 }
 
-// do runs fn(w), recovering a panic into p.fault (the first one wins), so
-// that a panic on a pool goroutine reaches the caller instead of ending the
-// process, and one on the caller waits for the barrier.
-func (p *Pool) do(fn func(worker int), w int) {
+// claim is Claim's worker loop: it takes the next block until none is
+// left. A panic in fn ends the loop and is recovered into p.fault (the
+// first one wins), so that a panic on a pool goroutine reaches the caller
+// instead of ending the process, and one on the caller waits for the
+// barrier.
+func (p *Pool) claim(w int) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.faultMu.Lock()
@@ -120,11 +117,6 @@ func (p *Pool) do(fn func(worker int), w int) {
 			p.faultMu.Unlock()
 		}
 	}()
-	fn(w)
-}
-
-// claim is Claim's worker loop: it takes the next block until none is left.
-func (p *Pool) claim(w int) {
 	for {
 		hi := int(p.cursor.Add(int64(p.claimBlock)))
 		lo := hi - p.claimBlock
