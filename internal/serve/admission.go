@@ -13,15 +13,17 @@ package serve
 //     deep queue only ever means the server is past saturation, and the
 //     request is shed with 503 + a short Retry-After instead of being
 //     buried.
-//   - The SLOW lane admits cold builds. Builds already execute under the
-//     build pool (Config.Workers slots); the lane bounds how many builds
-//     may be PENDING (queued + running) before new ones are shed with
-//     503 + a Retry-After computed from live pool occupancy and the
-//     per-kind build-duration histograms — an honest estimate of when a
-//     retry will find a free slot.
+//   - The SLOW lane is the build pool: Config.Workers build slots, and a
+//     wait queue (Config.SlowLaneQueue) bounding how many more cold
+//     builds may be PENDING before new ones are shed with 503 + a
+//     Retry-After computed from live pool occupancy and the per-kind
+//     build-duration histograms — an honest estimate of when a retry
+//     will find a free slot.
 //
-// The invariant joining the two: a request that must wait on a build
-// PARKS its fast-lane slot (releases it, re-acquires it when the build
+// Both are instances of one type, lane: admit counts an arrival in or
+// sheds it, wait takes a slot, release gives it back. The invariant
+// joining the two: a request that must wait on a build PARKS its
+// fast-lane slot (releases it, re-enters the lane when the build
 // completes), so however many requests are blocked on cold builds, warm
 // traffic keeps flowing through the fast lane — even at Workers=1.
 
@@ -32,6 +34,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Lane names, used as the metric label on reprod_requests_shed_total.
@@ -60,88 +64,90 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(max(int64(math.Ceil(d.Seconds())), 1), 10)
 }
 
-// lane is a bounded admission lane: width concurrent holders plus a
-// bounded wait queue. Acquire beyond width+queue sheds instead of
+// lane is a bounded admission lane: width slots plus a bounded wait
+// queue. pending counts everything admitted and not yet released, holding
+// a slot or waiting for one; an arrival past width+queue sheds instead of
 // queueing, so the goroutine pile a saturated server accumulates is
-// capped by construction.
+// capped by construction. The server runs two: the fast lane of request
+// slots and the slow lane of build-pool slots.
 type lane struct {
-	name     string
-	slots    chan struct{}
-	queued   atomic.Int64 // requests blocked waiting for a slot
-	maxQueue int
+	slots   chan struct{}
+	pending atomic.Int64
+	bound   int64
+	shed    *obs.Counter // this lane's reprod_requests_shed_total series
 }
 
-func newLane(name string, width, maxQueue int) *lane {
-	if maxQueue < 0 {
-		maxQueue = 0
+// newLane returns a lane of width slots; a negative queue means none.
+func newLane(name string, width, queue int, shed *obs.CounterVec) *lane {
+	return &lane{slots: make(chan struct{}, width), bound: int64(width + max(queue, 0)), shed: shed.With(name)}
+}
+
+// admit counts an arrival into the lane without blocking, or sheds it
+// when the lane is full: the shed is counted and the arrival is not.
+// ahead is what the arrival found pending, for a Retry-After estimate.
+func (l *lane) admit() (ahead int64, ok bool) {
+	if ahead = l.pending.Add(1) - 1; ahead < l.bound {
+		return ahead, true
 	}
-	return &lane{name: name, slots: make(chan struct{}, width), maxQueue: maxQueue}
+	l.pending.Add(-1)
+	l.shed.Inc()
+	return ahead, false
 }
 
-// acquire takes a slot, queueing (bounded) when none is free. It returns
-// a *ShedError when the queue is full and ctx.Err() when the caller
-// disconnects while queued.
-func (l *lane) acquire(ctx context.Context) error { return l.enter(ctx, true) }
-
-// reacquire re-admits a request that parked its slot to wait on a build.
-// Already-admitted work is never shed — it only waits for a free slot or
-// its own cancellation. The wait is bounded in practice: fast slots are
-// only ever held for microsecond compute, never across build waits.
-func (l *lane) reacquire(ctx context.Context) error { return l.enter(ctx, false) }
-
-func (l *lane) enter(ctx context.Context, shed bool) error {
+// wait takes a slot for an admitted arrival, blocking while none is free.
+// An arrival whose ctx ends first leaves the lane and gets ctx.Err().
+func (l *lane) wait(ctx context.Context) error {
+	// A free slot is taken without calling ctx.Done, which may allocate.
 	select {
 	case l.slots <- struct{}{}:
 		return nil
 	default:
 	}
-	if l.queued.Add(1) > int64(l.maxQueue) && shed {
-		l.queued.Add(-1)
-		return &ShedError{Lane: l.name, RetryAfter: time.Second}
-	}
-	defer l.queued.Add(-1)
 	select {
 	case l.slots <- struct{}{}:
 		return nil
 	case <-ctx.Done():
+		l.pending.Add(-1)
 		return ctx.Err()
 	}
 }
 
-func (l *lane) release() { <-l.slots }
+// release frees a held slot and its holder's place in the lane.
+func (l *lane) release() {
+	<-l.slots
+	l.pending.Add(-1)
+}
 
-// queueDepth reports how many requests are blocked waiting for a slot,
-// feeding the reprod_fast_lane_queue_depth gauge.
-func (l *lane) queueDepth() int64 { return l.queued.Load() }
+// queued reports how many admitted arrivals wait for a slot.
+func (l *lane) queued() int64 { return max(l.pending.Load()-int64(len(l.slots)), 0) }
 
 // A request's handle on its fast-lane slot is the request record itself
 // (middleware.go): it is owned by the request goroutine, never shared, which
 // makes release idempotent and lets Server.get park the slot mid-request.
 
-// acquire admits the request to the fast lane, shedding when it is
-// saturated.
-func (rq *request) acquire(ctx context.Context) error {
-	if err := rq.lane.acquire(ctx); err != nil {
-		return err
-	}
-	rq.held = true
-	return nil
+// hold waits for a slot for a request its lane has admitted (endpoint
+// admits, and sheds what the lane refuses).
+func (rq *request) hold(ctx context.Context) error {
+	err := rq.lane.wait(ctx)
+	rq.held = err == nil
+	return err
 }
 
-// park releases the slot while the request blocks on a build.
+// park releases the slot, and the request's place in the lane, while the
+// request blocks on a build.
 func (rq *request) park() { rq.release() }
 
-// unpark re-acquires the slot after the build completes. On failure
-// (request cancelled) the slot stays unheld, so release stays balanced.
+// unpark re-enters the lane after the build completes. Already-admitted
+// work is never shed — it only waits for a free slot or its own
+// cancellation, and the wait is short: fast slots are only ever held for
+// microsecond compute, never across build waits. On failure (request
+// cancelled) the slot stays unheld, so release stays balanced.
 func (rq *request) unpark(ctx context.Context) error {
 	if rq.held {
 		return nil
 	}
-	if err := rq.lane.reacquire(ctx); err != nil {
-		return err
-	}
-	rq.held = true
-	return nil
+	rq.lane.pending.Add(1)
+	return rq.hold(ctx)
 }
 
 // release frees the slot if held; safe to call in every terminal path.
@@ -150,24 +156,6 @@ func (rq *request) release() {
 		rq.lane.release()
 		rq.held = false
 	}
-}
-
-// admitBuild is the slow lane's gate, called under the cache lock right
-// before a new detached build would be created. The pending builds are
-// the in-flight traces: startTrace adds the build's under the same cache
-// lock, which is what makes the count-then-add atomic. The lane is saturated when every
-// build-pool slot is occupied and the wait queue (pending builds beyond
-// the pool) is at its bound; a new build then sheds with an honest
-// retry estimate instead of joining a queue the client would time out
-// of anyway. Joins on in-flight builds are never shed — they add no
-// work.
-func (s *Server) admitBuild(kind string) error {
-	pending := s.buildsInFlight()
-	if pending >= int64(cap(s.buildSem)+s.cfg.SlowLaneQueue) {
-		s.met.shed.With(laneSlow).Inc()
-		return &ShedError{Lane: laneSlow, RetryAfter: s.buildRetryAfter(kind, pending)}
-	}
-	return nil
 }
 
 // buildRetryAfter estimates when a shed build request will find a free
@@ -183,7 +171,7 @@ func (s *Server) buildRetryAfter(kind string, pending int64) time.Duration {
 	if math.IsNaN(p50) || p50 <= 0 {
 		p50 = 1
 	}
-	pool := int64(cap(s.buildSem))
+	pool := int64(cap(s.slow.slots))
 	waves := (pending + pool) / pool // ceil((pending+1)/pool)
 	d := time.Duration(float64(waves) * p50 * float64(time.Second))
 	return min(max(d, time.Second), 5*time.Minute)

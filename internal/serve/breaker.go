@@ -18,6 +18,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -48,22 +49,26 @@ type breakerEntry struct {
 	cooldown time.Duration // current open cooldown (doubles per re-trip)
 	until    time.Time     // open until; zero before the first trip
 	probing  bool          // a half-open probe build is in flight
+	last     uint64        // breaker.seq at the latest failure
 }
 
 // breaker is the server-wide per-key breaker table. Entries exist only
 // for keys with at least one recent failure, and successful builds
-// delete them, so the table is bounded by the set of actively failing
-// keys — itself bounded by MaxArtifacts, since every tracked failure
-// came from an admitted build.
+// delete them. A failed build's cache entry is removed, so the cache
+// bound does not bound the failing keys: a client minting seeds mints
+// entries. The table therefore has its own bound, maxKeys (MaxArtifacts):
+// a failure that would add an entry past it first evicts one (evictLocked).
 type breaker struct {
 	mu          sync.Mutex
 	threshold   int
 	cooldown    time.Duration // base cooldown at the first trip
 	maxCooldown time.Duration
+	maxKeys     int
+	seq         uint64 // failures recorded so far: the eviction clock
 	keys        map[Key]*breakerEntry
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
+func newBreaker(threshold int, cooldown time.Duration, maxKeys int) *breaker {
 	if threshold <= 0 {
 		threshold = 3
 	}
@@ -74,6 +79,7 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 		threshold:   threshold,
 		cooldown:    cooldown,
 		maxCooldown: 5 * time.Minute,
+		maxKeys:     maxKeys,
 		keys:        make(map[Key]*breakerEntry),
 	}
 }
@@ -111,9 +117,14 @@ func (b *breaker) failure(key Key, now time.Time) (tripped bool) {
 	defer b.mu.Unlock()
 	e, ok := b.keys[key]
 	if !ok {
+		if len(b.keys) >= b.maxKeys {
+			b.evictLocked()
+		}
 		e = &breakerEntry{}
 		b.keys[key] = e
 	}
+	b.seq++
+	e.last = b.seq
 	e.probing = false
 	e.failures++
 	if e.failures < b.threshold {
@@ -126,6 +137,26 @@ func (b *breaker) failure(key Key, now time.Time) (tripped bool) {
 	}
 	e.until = now.Add(e.cooldown)
 	return true
+}
+
+// evictLocked drops one entry to make room for a new key's: a closed one
+// (under the threshold) rather than an open one, and of those the least
+// recently failed. Failure sequence numbers are unique, so the choice is
+// deterministic whatever the map order; the key being recorded is not in
+// the table yet, so it is never the one evicted.
+func (b *breaker) evictLocked() {
+	var victim Key
+	lowest := uint64(math.MaxUint64)
+	for k, e := range b.keys {
+		rank := e.last // an open entry ranks above every closed one
+		if e.failures >= b.threshold {
+			rank |= 1 << 63
+		}
+		if rank < lowest {
+			victim, lowest = k, rank
+		}
+	}
+	delete(b.keys, victim)
 }
 
 // success closes the breaker for key: one good build clears the record

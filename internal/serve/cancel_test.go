@@ -265,7 +265,7 @@ func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
 	go func() {
 		defer close(aDone)
 		rq := &request{lane: s.fast}
-		if err := rq.acquire(ctx); err != nil {
+		if err := acquire(ctx, rq); err != nil {
 			t.Errorf("acquire: %v", err)
 			return
 		}
@@ -280,7 +280,7 @@ func TestWaiterSlotFreedWhileBuildStillRunning(t *testing.T) {
 	// cancelled) build goroutine may still be winding down.
 	acqCtx, acqCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer acqCancel()
-	if err := s.fast.acquire(acqCtx); err != nil {
+	if err := acquire(acqCtx, &request{lane: s.fast}); err != nil {
 		t.Fatalf("worker slot not freed on disconnect: %v", err)
 	}
 	s.fast.release()

@@ -174,6 +174,64 @@ func TestFastLanePinnedWhileColdBuildRuns(t *testing.T) {
 	}
 }
 
+// TestSlotGaugeSkipsParkedRequests: a request parked on a cold build holds
+// no fast-lane slot, so reprod_request_slots_in_use must not count it. At
+// Workers=1, five /diameter requests camp on one blocked build: the gauge
+// reads 0 and warm /distance still answers 200, while the slow lane holds
+// the one build.
+func TestSlotGaugeSkipsParkedRequests(t *testing.T) {
+	inj, s, ts := newChaosServer(t, nil)
+	gate := make(chan struct{})
+	inj.SetKind("diameter", Rule{Block: gate})
+	// A failed assertion must still unblock the build: the server's
+	// cleanup waits for the parked requests.
+	unblock := sync.OnceFunc(func() { close(gate) })
+	defer unblock()
+
+	const parked = 5
+	statuses := make(chan int, parked)
+	for i := 0; i < parked; i++ {
+		go func() {
+			resp, err := http.Get(ts.URL + "/diameter?graph=mesh&tau=3&seed=1")
+			if err != nil {
+				statuses <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	waitFor(t, 5*time.Second, "five requests waiting on the blocked build", func() bool {
+		tr := s.BuildTraces().InFlight
+		return len(tr) == 1 && tr[0].Waiters == parked
+	})
+	// Each waiter parks its slot right after joining the build.
+	waitFor(t, 5*time.Second, "reprod_request_slots_in_use to read 0 with every request parked", func() bool {
+		return metric(t, ts.URL, "reprod_request_slots_in_use") == 0
+	})
+	if status, body, _ := get(t, ts.URL+warmDistance); status != http.StatusOK {
+		t.Fatalf("warm request with every request parked: status %d (%s)", status, body)
+	}
+	for series, want := range map[string]float64{
+		"reprod_request_slots_in_use":  0,
+		"reprod_fast_lane_queue_depth": 0,
+		"reprod_builds_in_flight":      1,
+		"reprod_build_pool_occupancy":  1,
+	} {
+		if got := metric(t, ts.URL, series); got != want {
+			t.Fatalf("%s = %v with %d requests parked on one build, want %v", series, got, parked, want)
+		}
+	}
+
+	unblock()
+	for i := 0; i < parked; i++ {
+		if status := <-statuses; status != http.StatusOK {
+			t.Fatalf("parked request status %d after unblock", status)
+		}
+	}
+}
+
 // TestSlowLaneShedsWithRetryAfter drives the slow lane past its bound:
 // with no wait queue and the only build slot provably occupied, the next
 // cold key is shed with 503 + a positive Retry-After, and the shed key

@@ -151,21 +151,16 @@ func (s *Server) endpoint(method string, h func(*request, *http.Request) (any, e
 		return h(rq, r)
 	}
 	return func(rq *request, r *http.Request) {
-		if err := rq.acquire(r.Context()); err != nil {
-			var shed *ShedError
-			if errors.As(err, &shed) {
-				s.met.shed.With(shed.Lane).Inc()
-			} else {
-				s.met.rejected.Add(1)
-			}
+		if _, ok := rq.lane.admit(); !ok {
+			s.writeErr(rq, r, &ShedError{Lane: laneFast, RetryAfter: time.Second})
+			return
+		}
+		if err := rq.hold(r.Context()); err != nil {
+			s.met.rejected.Add(1)
 			s.writeErr(rq, r, err)
 			return
 		}
-		s.met.inFlight.Add(1)
-		defer func() {
-			s.met.inFlight.Add(-1)
-			rq.release()
-		}()
+		defer rq.release()
 		if resp, err := run(rq, r); err != nil {
 			s.writeErr(rq, r, err)
 		} else if resp != nil {

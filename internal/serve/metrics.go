@@ -16,7 +16,6 @@ type metrics struct {
 	httpInFlight *obs.Gauge        // requests between middleware entry and exit
 	errors       *obs.Counter      // responses with status >= 400
 	rejected     *obs.Counter      // requests cancelled while queued for a worker slot
-	inFlight     *obs.Gauge        // requests holding a worker slot
 	queryLatency *obs.Histogram    // point-query handling time (distance + cluster-of)
 
 	// Batch query path (batch.go). batchPairs counts answered pairs —
@@ -28,7 +27,7 @@ type metrics struct {
 
 	// Overload surface (admission.go, breaker.go): load shedding by lane,
 	// client-abandoned requests, and the per-key circuit breaker.
-	shed            *obs.CounterVec // {lane}
+	shed            *obs.CounterVec // {lane}, counted by the lanes themselves
 	clientGone      *obs.Counter
 	breakerTrips    *obs.Counter
 	breakerRejected *obs.Counter
@@ -68,8 +67,6 @@ func newMetrics() *metrics {
 		"Requests answered with status >= 400.")
 	m.rejected = reg.Counter("reprod_requests_rejected_total",
 		"Requests whose client disconnected while queued for a worker slot.")
-	m.inFlight = reg.Gauge("reprod_request_slots_in_use",
-		"Requests currently holding one of the bounded worker slots.")
 	m.queryLatency = reg.Histogram("reprod_point_query_duration_seconds",
 		"Handling time of point queries (distance, cluster-of) against a completed artifact.",
 		obs.DefBuckets)
@@ -119,9 +116,9 @@ func newMetrics() *metrics {
 }
 
 // registerServerGauges registers the scrape-time gauges that read state
-// living on the server itself (cache occupancy, pool occupancy) — exposed
-// as GaugeFuncs so the numbers are never double-booked. Called once from
-// New, after the channels and maps exist.
+// living on the server itself (cache occupancy, the two admission lanes) —
+// exposed as GaugeFuncs so the numbers are never double-booked. Called once
+// from New, after the lanes and maps exist.
 func (s *Server) registerServerGauges() {
 	reg := s.met.reg
 	reg.GaugeFunc("reprod_artifact_cache_entries",
@@ -132,25 +129,29 @@ func (s *Server) registerServerGauges() {
 		"Configured artifact cache bound (Config.MaxArtifacts).", func() float64 {
 			return float64(s.cfg.MaxArtifacts)
 		})
+	reg.GaugeFunc("reprod_request_slots_in_use",
+		"Fast-lane slots currently held by requests (a request parked on a build holds none).", func() float64 {
+			return float64(len(s.fast.slots))
+		})
 	reg.GaugeFunc("reprod_builds_in_flight",
-		"Detached builds admitted to the slow lane and not yet finished (queued plus running).", func() float64 {
-			return float64(s.buildsInFlight())
+		"Builds pending in the slow lane: admitted and not yet finished (queued plus running).", func() float64 {
+			return float64(s.slow.pending.Load())
 		})
 	reg.GaugeFunc("reprod_build_pool_occupancy",
-		"Build-pool slots currently held by running builds.", func() float64 {
-			return float64(len(s.buildSem))
+		"Slow-lane slots currently held by running builds.", func() float64 {
+			return float64(len(s.slow.slots))
 		})
 	reg.GaugeFunc("reprod_build_pool_size",
-		"Configured build-pool bound (Config.Workers).", func() float64 {
-			return float64(cap(s.buildSem))
+		"Slow-lane width, the configured build-pool bound (Config.Workers).", func() float64 {
+			return float64(cap(s.slow.slots))
 		})
 	reg.GaugeFunc("reprod_graphs",
 		"Graphs registered and queryable.", func() float64 {
 			return float64(len(s.GraphNames()))
 		})
 	reg.GaugeFunc("reprod_fast_lane_queue_depth",
-		"Requests waiting for a fast-lane slot.", func() float64 {
-			return float64(s.fast.queueDepth())
+		"Requests admitted to the fast lane and waiting for a slot.", func() float64 {
+			return float64(s.fast.queued())
 		})
 	reg.GaugeFunc("reprod_breaker_open_keys",
 		"Artifact keys whose circuit breaker is currently open or half-open.", func() float64 {

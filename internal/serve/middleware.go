@@ -36,7 +36,7 @@ type request struct {
 	id     string
 
 	// lane is the fast lane, held whether the request owns one of its slots
-	// right now (only endpoint ever acquires one): release is idempotent,
+	// right now (only endpoint ever admits it): release is idempotent,
 	// so the deferred release frees exactly what is held whether the
 	// request completed, parked and resumed, or died parked.
 	lane *lane

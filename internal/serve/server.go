@@ -14,23 +14,24 @@
 // and knows nothing of HTTP, lanes or metrics. A build is a detached
 // goroutine returning a small typed artifact value. Around them, the
 // server deduplicates concurrent builds of the same key single-flight
-// style, and admits traffic through two lanes that mirror the cost split:
-// a FAST lane (Config.Workers slots, a small
-// bounded wait queue) for the request's own compute — cached-artifact
-// lookups, point and batch queries, encoding — and a SLOW lane bounding
-// how many cold builds may be pending at once. A request that must wait
-// on a build parks its fast-lane slot for the duration, so warm queries
-// never queue behind a multi-second decomposition, even at Workers=1.
-// When a lane's bounded queue is full the request is load-shed with 503
-// plus a Retry-After header computed from live build-pool occupancy and
-// the per-kind build-duration histograms (admission.go). A key whose
-// builds keep failing trips a per-key circuit breaker — an exponential-
-// backoff negative cache with a half-open probe (breaker.go) — so a
+// style, and admits traffic through two lanes that mirror the cost split,
+// two instances of one lane type (admission.go): a FAST lane
+// (Config.Workers slots, a small bounded wait queue) for the request's own
+// compute — cached-artifact lookups, point and batch queries, encoding —
+// and a SLOW lane, the build pool (Config.Workers build slots, a bounded
+// queue of pending builds). A request that must wait on a build parks its
+// fast-lane slot for the duration, so warm queries never queue behind a
+// multi-second decomposition, even at Workers=1. When a lane's bounded
+// queue is full the request is load-shed with 503 plus a Retry-After
+// header computed from live build-pool occupancy and the per-kind
+// build-duration histograms. A key whose builds keep failing trips a
+// per-key circuit breaker — an exponential-backoff negative cache with a
+// half-open probe (breaker.go) — so a
 // poisoned key answers a fast 503 instead of re-burning a build slot,
 // and Config.BuildTimeout bounds the slowest cold build server-side
 // without capping warm responses (a timed-out build answers 504).
 // Builds run detached, on their own goroutine under their own
-// context and bounded by a build pool of the same size, with the requests
+// context and bounded by the slow lane's slots, with the requests
 // for the key counted as waiters: a request that disconnects frees its
 // worker slot immediately, and when the last waiter for an in-flight
 // build leaves, the build's context is cancelled and the engines stop at
@@ -209,17 +210,16 @@ var ErrShuttingDown = errors.New("serve: server shutting down")
 // the detached build runner.
 type Server struct {
 	cfg  Config
-	fast *lane // fast-lane admission: the request worker pool
+	fast *lane // the request slots (admission.go)
 
-	// buildSem bounds the number of builds executing engines at once to
-	// Config.Workers. Request slots (the fast lane) no longer cover
-	// builds end to end — a waiter parks its slot while blocked and
-	// frees it the moment it disconnects — so without this bound a
-	// disconnect loop could stack cancelled "zombie" builds, each still
-	// unwinding to its next barrier with GOMAXPROCS-wide engines, beside
-	// the fresh ones. Queued builds whose context is cancelled leave the
-	// queue without ever running.
-	buildSem chan struct{}
+	// slow is the build pool: at most Config.Workers builds execute
+	// engines at once. Request slots do not cover builds end to end — a
+	// waiter parks its slot while blocked and frees it the moment it
+	// disconnects — so without this bound a disconnect loop could stack
+	// cancelled "zombie" builds, each still unwinding to its next barrier
+	// with GOMAXPROCS-wide engines, beside the fresh ones. Queued builds
+	// whose context is cancelled leave the lane without ever running.
+	slow *lane
 
 	// breaker is the per-key build circuit breaker (breaker.go).
 	breaker *breaker
@@ -237,10 +237,7 @@ type Server struct {
 	reqSeq atomic.Int64
 
 	// Build tracing (trace.go): in-flight traces by build id, plus a
-	// bounded ring of completed ones, newest first. The in-flight traces
-	// are the builds admitted to the slow lane and not yet finished
-	// (queued for a pool slot or running): the lane sheds new builds when
-	// they reach cap(buildSem)+SlowLaneQueue.
+	// bounded ring of completed ones, newest first.
 	traceMu     sync.Mutex
 	nextBuildID atomic.Int64
 	building    map[int64]*buildTrace
@@ -255,22 +252,21 @@ func New(cfg Config) *Server {
 	if cfg.MaxArtifacts <= 0 {
 		cfg.MaxArtifacts = 128
 	}
+	// A negative lane queue (none) is clamped by newLane.
 	if cfg.FastLaneQueue == 0 {
-		cfg.FastLaneQueue = 256 // negative (no queue) is clamped by newLane
+		cfg.FastLaneQueue = 256
 	}
-	switch {
-	case cfg.SlowLaneQueue == 0:
+	if cfg.SlowLaneQueue == 0 {
 		cfg.SlowLaneQueue = 4 * cfg.Workers
-	case cfg.SlowLaneQueue < 0:
-		cfg.SlowLaneQueue = 0
 	}
+	met := newMetrics()
 	s := &Server{
 		cfg:      cfg,
-		fast:     newLane(laneFast, cfg.Workers, cfg.FastLaneQueue),
-		buildSem: make(chan struct{}, cfg.Workers),
-		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		fast:     newLane(laneFast, cfg.Workers, cfg.FastLaneQueue, met.shed),
+		slow:     newLane(laneSlow, cfg.Workers, cfg.SlowLaneQueue, met.shed),
+		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.MaxArtifacts),
 		graphs:   make(map[string]*graph.Graph),
-		met:      newMetrics(),
+		met:      met,
 		idBase:   fmt.Sprintf("%08x", time.Now().UnixNano()&0xffffffff),
 		building: make(map[int64]*buildTrace),
 	}
@@ -438,9 +434,11 @@ func (s *Server) get(ctx context.Context, rq *request, key Key, build buildFunc)
 // startBuild gates a new build, under the cache lock and only once the
 // cache has a slot for it: the key's circuit breaker first (a poisoned key
 // answers a fast 503 without touching the slow lane), then slow-lane
-// admission (shed with Retry-After past the pending-build bound). Joins on
-// in-flight builds never reach it. (breaker.mu and traceMu nest inside the
-// cache lock here; neither ever takes it, so the order cannot invert.)
+// admission — past the pending-build bound the build is shed with an
+// honest Retry-After instead of joining a queue the client would time out
+// of anyway. Joins on in-flight builds never reach it: they add no work.
+// (breaker.mu and traceMu nest inside the cache lock here; neither ever
+// takes it, so the order cannot invert.)
 func (s *Server) startBuild(key Key) (*buildTrace, error) {
 	probe, err := s.breaker.allow(key, time.Now())
 	if err != nil {
@@ -450,11 +448,11 @@ func (s *Server) startBuild(key Key) (*buildTrace, error) {
 	if probe {
 		s.met.breakerProbes.Inc()
 	}
-	if err := s.admitBuild(key.Kind); err != nil {
+	if ahead, ok := s.slow.admit(); !ok {
 		// A granted probe that never became a build must not jam the
 		// breaker half-open forever.
 		s.breaker.cancelled(key)
-		return nil, err
+		return nil, &ShedError{Lane: laneSlow, RetryAfter: s.buildRetryAfter(key.Kind, ahead)}
 	}
 	return s.startTrace(key), nil
 }
@@ -466,11 +464,12 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 
 	// Take a build slot before touching the engines, so at most Workers
 	// builds execute concurrently however many keys are minted. A build
-	// cancelled while queued never runs at all.
-	select {
-	case s.buildSem <- struct{}{}:
-	case <-ctx.Done():
-		s.finishBuild(key, e, false, artifact{}, ctx.Err())
+	// cancelled while queued never runs at all. Every admitted build leaves
+	// the slow lane — here or at release below — before the cache wakes its
+	// waiters: one that starts the next cold build must not be shed against
+	// this one.
+	if err := s.slow.wait(ctx); err != nil {
+		s.finishBuild(key, e, false, artifact{}, err)
 		return
 	}
 	e.trace.markRunning()
@@ -513,7 +512,7 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 	}()
 	s.met.builds.Inc()
 	s.met.buildLatency.With(key.Kind).Observe(time.Since(start).Seconds())
-	<-s.buildSem
+	s.slow.release()
 	if err != nil && !panicked && errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
 		// The server-side build deadline fired — distinguishable from a
 		// waiter cancellation because the outer (waiter-driven) context is
@@ -526,9 +525,8 @@ func (s *Server) runBuild(ctx context.Context, key Key, e *entry, build buildFun
 }
 
 // finishBuild settles a build that ended with err (by a contained panic,
-// if panicked): the breaker, the trace and with it the slow lane first —
-// what the ending means is classify's row for err — then the outcome is
-// published to the cache.
+// if panicked): the breaker and the trace first — what the ending means is
+// classify's row for err — then the outcome is published to the cache.
 func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err error) {
 	// Stamp the terminal trace state before publishing, so a waiter that
 	// wakes on ready and immediately scrapes /builds sees the final state.
@@ -558,9 +556,6 @@ func (s *Server) finishBuild(key Key, e *entry, panicked bool, val artifact, err
 		}
 	}
 
-	// Repay the slow lane (every admitted build reaches here exactly once)
-	// before the cache wakes the waiters: one that starts the next cold
-	// build must not be shed against this one.
 	s.endTrace(e.trace)
 	s.cache.finish(key, e, val, err)
 }

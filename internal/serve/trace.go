@@ -27,27 +27,20 @@ const recentBuilds = 64
 // buildTrace accumulates the structured lifecycle of one detached build:
 // the enqueue → slot-acquired → engine-rounds → terminal-state timeline,
 // the waiter high-water mark, and the live engine counters fed by the
-// build's observers. The counter fields are atomics because the oracle's
-// APSP fan-out reports from every worker goroutine; the
-// timeline fields are guarded by mu and change a handful of times per
-// build.
+// build's observers. The counters and the timeline are guarded by mu: the
+// observers take it once per round or APSP block (the oracle's APSP
+// fan-out reports from every worker goroutine), the timeline a handful of
+// times per build.
 type buildTrace struct {
 	id  int64
 	key Key
-
-	// Engine progress, accumulated concurrently by observer callbacks.
-	rounds      atomic.Int64
-	pullRounds  atomic.Int64
-	arcs        atomic.Int64
-	relaxations atomic.Int64
-	buckets     atomic.Int64
-	maxFrontier atomic.Int64
 
 	// Waiter bookkeeping, written under the cache lock alongside entry.waiters.
 	waiters    atomic.Int64
 	waiterHigh atomic.Int64
 
 	mu         sync.Mutex
+	stats      bsp.Stats // engine progress, summed by the observers
 	state      string
 	enqueuedAt time.Time
 	slotAt     time.Time // zero until the build-pool slot is acquired
@@ -129,6 +122,13 @@ func (t *buildTrace) info() BuildTraceInfo {
 		State:      t.state,
 		EnqueuedAt: t.enqueuedAt,
 		Error:      t.errMsg,
+
+		BSPRounds:      int64(t.stats.Rounds),
+		BSPPullRounds:  int64(t.stats.PullRounds),
+		ArcsScanned:    t.stats.Messages,
+		Relaxations:    t.stats.Relaxations,
+		BucketsSettled: int64(t.stats.Buckets),
+		MaxFrontier:    int64(t.stats.MaxFrontier),
 	}
 	switch {
 	case !t.slotAt.IsZero():
@@ -148,12 +148,6 @@ func (t *buildTrace) info() BuildTraceInfo {
 	t.mu.Unlock()
 	inf.Waiters = t.waiters.Load()
 	inf.WaiterHighWater = t.waiterHigh.Load()
-	inf.BSPRounds = t.rounds.Load()
-	inf.BSPPullRounds = t.pullRounds.Load()
-	inf.ArcsScanned = t.arcs.Load()
-	inf.Relaxations = t.relaxations.Load()
-	inf.BucketsSettled = t.buckets.Load()
-	inf.MaxFrontier = t.maxFrontier.Load()
 	return inf
 }
 
@@ -169,14 +163,6 @@ func (s *Server) startTrace(key Key) *buildTrace {
 	s.building[tr.id] = tr
 	s.traceMu.Unlock()
 	return tr
-}
-
-// buildsInFlight counts the in-flight traces: the builds admitted to the
-// slow lane and not yet finished.
-func (s *Server) buildsInFlight() int64 {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	return int64(len(s.building))
 }
 
 // endTrace moves a terminal trace from the in-flight set to the recent
@@ -227,11 +213,8 @@ func (s *Server) buildObserver(tr *buildTrace) bsp.Observer {
 		m.engArcs.Add(d.Messages)
 		m.engRelaxations.Add(d.Relaxations)
 		m.engBuckets.Add(int64(d.Buckets))
-		tr.rounds.Add(int64(d.Rounds))
-		tr.pullRounds.Add(int64(d.PullRounds))
-		tr.arcs.Add(d.Messages)
-		tr.relaxations.Add(d.Relaxations)
-		tr.buckets.Add(int64(d.Buckets))
-		maxStore(&tr.maxFrontier, int64(d.MaxFrontier))
+		tr.mu.Lock()
+		tr.stats.Add(d)
+		tr.mu.Unlock()
 	}
 }
