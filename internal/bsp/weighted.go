@@ -274,9 +274,11 @@ func (e *WeightedEngine) reset(grow bool) {
 	e.inR.ClearAll()
 	e.updBits.ClearAll()
 	e.overflow.Store(false)
-	//lint:allow mapiter order only affects backing-array recycling into e.free, never output
-	for id, b := range e.buckets {
-		e.free = append(e.free, b[:0])
+	// The heap holds exactly the pending bucket ids, the map's keys: insert
+	// pushes an id when it adds the key, and processBucket pops and
+	// deletes together.
+	for _, id := range e.bheap {
+		e.free = append(e.free, e.buckets[id][:0])
 		delete(e.buckets, id)
 	}
 	e.bheap = e.bheap[:0]

@@ -6,8 +6,9 @@
 //
 //	//lint:allow <check> <justification>
 //
-// where <check> names the specific rule being waived (walltime, mapiter,
-// rand, locked, background, lockorder).
+// where <check> names the specific rule being waived: walltime, mapiter
+// or rand (determinism), background (ctxflow), locked or lockorder (the
+// two checks the locks analyzer's one walk feeds).
 // An annotation applies to:
 //
 //   - every violation on the same source line as the comment, and

@@ -5,26 +5,27 @@
 // taken out of order silently voids guarantees the acceptance tests
 // depend on.
 //
-// The four analyzers each guard an invariant no test can see, because the
+// The three analyzers each guard an invariant no test can see, because the
 // violation changes no output on the machine that runs the suite:
 //
 //	determinism   engine packages (bsp, mr, core, mpx, anf) must not
 //	              range over maps, use math/rand, or read time.Now
-//	              un-annotated (bit-for-bit determinism, PRs 2-4). A
-//	              map range that leaks order fails only on some runs.
-//	lockedsuffix  functions named *Locked may only be called with the
-//	              guarding mutex held (serve cache conventions, PR 1+5).
-//	              -race sees a bare call only where a test drives that
-//	              call site concurrently (two of four seeded bare calls
-//	              escaped it).
+//	              un-annotated (bit-for-bit determinism). A map range
+//	              that leaks order fails only on some runs.
 //	ctxflow       no context.Background/TODO in internal non-test code;
 //	              exported superstep-looping free functions must accept
-//	              a context.Context (cancellation contract, PR 5). A
-//	              dropped context still computes the right answer.
-//	lockorder     per-package mutex-acquisition edges are exported as
-//	              facts and the union — the repo-wide lock graph — must
-//	              be acyclic; any cycle is a potential deadlock that
-//	              needs one particular interleaving to fire (PR 10).
+//	              a context.Context (cancellation contract). A dropped
+//	              context still computes the right answer.
+//	locks         one held-mutex walk per function body and per function
+//	              literal feeds two checks. Functions named *Locked may
+//	              only be called with the guarding mutex held (serve's
+//	              cache convention): -race sees a bare call only where a
+//	              test drives that call site concurrently (two of four
+//	              seeded bare calls escaped it). And per-package
+//	              mutex-acquisition edges are exported as facts whose
+//	              union, the repo-wide lock graph, must be acyclic; a
+//	              cycle is a potential deadlock that needs one particular
+//	              interleaving to fire.
 //
 // Invariants a test pins exactly have no analyzer: zero-allocation hot
 // paths (the AllocsPerRun ZeroAlloc tests), goroutine lifetime (the
@@ -49,7 +50,7 @@
 //
 //	go test ./...
 //
-// holds every change to the four invariants; go test ./internal/lint -run
+// holds every change to the invariants; go test ./internal/lint -run
 // 'TestRepo/internal/serve$' shows one package's findings. The framework
 // underneath (internal/lint/analysis, .../analysistest) is a stdlib-only
 // re-implementation of the x/tools go/analysis core, because this
@@ -60,8 +61,7 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/determinism"
-	"repro/internal/lint/lockedsuffix"
-	"repro/internal/lint/lockorder"
+	"repro/internal/lint/locks"
 )
 
 // Analyzers returns the full reprolint suite in deterministic order.
@@ -69,8 +69,7 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxflow.Analyzer,
 		determinism.Analyzer,
-		lockedsuffix.Analyzer,
-		lockorder.Analyzer,
+		locks.Analyzer,
 	}
 }
 
@@ -81,8 +80,8 @@ func KnownChecks() map[string]bool {
 		"walltime":   true, // determinism
 		"mapiter":    true, // determinism
 		"rand":       true, // determinism
-		"locked":     true, // lockedsuffix
+		"locked":     true, // locks
 		"background": true, // ctxflow
-		"lockorder":  true, // lockorder
+		"lockorder":  true, // locks
 	}
 }

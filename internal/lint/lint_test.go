@@ -9,7 +9,7 @@ import (
 	"repro/internal/lint/analysistest"
 )
 
-// TestRepo is the enforcement: the four analyzers, then the //lint:allow
+// TestRepo is the enforcement: the three analyzers, then the //lint:allow
 // audit, over every package of the root module, one subtest per package
 // (named by its directory; the root package is "repro") and one
 // file:line:col: message line per finding. -run 'TestRepo/internal/serve$'

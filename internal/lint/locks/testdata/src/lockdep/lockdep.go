@@ -1,6 +1,6 @@
 // Package lockdep contributes one half of a cross-package lock cycle:
 // its Sync takes the cache lock, then the journal lock. The edge travels
-// to dependents as the lockorder.Edges fact.
+// to dependents as the locks.Edges fact.
 package lockdep
 
 import "sync"

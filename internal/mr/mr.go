@@ -69,11 +69,6 @@ type Config struct {
 	Shards int
 }
 
-// defaultShards, when positive, overrides the GOMAXPROCS fallback for
-// Config.Shards <= 0. The package tests set it from the MR_SHARDS
-// environment variable so CI can sweep shard counts under -race.
-var defaultShards int
-
 // RoundStat records the execution profile of one successful round.
 type RoundStat struct {
 	// PairsIn is the round's input multiset size.
@@ -105,9 +100,6 @@ type Engine struct {
 
 // NewEngine returns an engine for the given configuration.
 func NewEngine(cfg Config) *Engine {
-	if cfg.Shards <= 0 && defaultShards > 0 {
-		cfg.Shards = defaultShards
-	}
 	return &Engine{cfg: cfg, shards: bsp.Workers(cfg.Shards)}
 }
 

@@ -2,30 +2,12 @@ package mr
 
 import (
 	"errors"
-	"fmt"
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
-
-// TestMain lets CI sweep the package under specific shard counts: MR_SHARDS=n
-// overrides the GOMAXPROCS default every Config{Shards: 0} engine resolves
-// to, so the whole suite (and -race) runs at that parallelism.
-func TestMain(m *testing.M) {
-	if v := os.Getenv("MR_SHARDS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad MR_SHARDS %q (want positive integer)\n", v)
-			os.Exit(2)
-		}
-		defaultShards = n
-	}
-	os.Exit(m.Run())
-}
 
 // sweepShards are the shard counts the determinism tests compare; the
 // acceptance criterion is bit-for-bit identical results across all of them.
