@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
+	"repro/internal/quotient"
 )
 
 func TestBuildEntryPointsHonorCancelledContext(t *testing.T) {
@@ -105,8 +106,9 @@ func TestBuildOracleCancelledMidBuildReturnsPromptly(t *testing.T) {
 // goroutines this package starts. They must be gone when it returns,
 // whether the build completes or is cancelled; this count is their
 // enforcer. The cancel is fired from the first block's delta on a quotient
-// of 18 blocks: the workers must see it before their next source, so all
-// but a few blocks never report. A panicking Observer, on any worker,
+// of 1,089 clusters, at least 18 blocks over the two passes: the workers
+// must see it before their next source or merged row, so all but a few
+// blocks never report. A panicking Observer, on any worker,
 // surfaces on the caller and leaves no goroutine behind either.
 func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
 	cl := voronoi(graph.Mesh(40, 40), 17*graph.APSPBlock+1, 1)
@@ -195,11 +197,18 @@ func TestClusteringClosesEngineOnPanic(t *testing.T) {
 	}
 }
 
-// The observer sees one delta per completed block, and the deltas add up to
-// exactly the build's APSPStats — so the live counters behind /builds end
-// at the oracle's own cost.
+// The observer sees one delta per completed block of either pass — a block
+// of up to graph.APSPBlock searched sources, then one of up to as many
+// merged rows — and the deltas add up to exactly the build's APSPStats, so
+// the live counters behind /builds end at the oracle's own cost.
 func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
 	cl := voronoi(graph.RoadLike(30, 30, 0.4, 5), 5*graph.APSPBlock+7, 2)
+	_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, rest := independentSet(wq)
+	blocks := func(n int) int { return (n + graph.APSPBlock - 1) / graph.APSPBlock }
 	var (
 		mu     sync.Mutex
 		sum    bsp.Stats
@@ -215,8 +224,8 @@ func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deltas != 6 {
-		t.Fatalf("%d deltas for 6 blocks", deltas)
+	if want := blocks(len(rest)) + blocks(len(set)); deltas != want {
+		t.Fatalf("%d deltas for %d blocks of searches and %d of merges", deltas, blocks(len(rest)), blocks(len(set)))
 	}
 	if got := o.APSPStats(); sum != got || got.Relaxations == 0 || got.Messages != got.Relaxations || got.Buckets == 0 || got.Rounds == 0 {
 		t.Fatalf("deltas sum to %+v, APSPStats is %+v", sum, got)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -121,21 +123,30 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 // OracleFromClustering builds the oracle tables from an existing
 // decomposition. The quotient has at most maxOracleClusters nodes, so — as
 // in the paper, which solves it inside one reducer's local memory — every
-// search is sequential and cache-resident: a Dial bucket-queue SSSP per
-// source for the weighted rows, one bit-parallel BFS per block of
-// graph.APSPBlock consecutive sources for the hop rows (see
-// graph.APSPScratch). The parallelism is across blocks: the opt.Workers
-// workers of a bsp.Pool claim them, each with its own scratch and Stats,
-// and the Stats are summed after the barrier.
+// search is sequential and cache-resident (see graph.APSPScratch). Only the
+// clusters outside an independent set I of the quotient are searched (I is
+// taken greedily by degree, then id: about half the clusters of a road-like
+// quotient). For t ≠ x, d(x, t) is the least w(x, u) + d(u, t) over x's
+// neighbours u, and the hop count one more than the least h(u, t); no
+// neighbour of x ∈ I is in I, so I's rows follow from searched cells.
+//
+// The build is two passes over the opt.Workers workers of one bsp.Pool,
+// each worker with its own scratch and Stats, summed after the barrier:
+//   - searches: workers claim blocks of graph.APSPBlock sources outside I.
+//     Each source runs a Dial bucket-queue SSSP, and each block one
+//     bit-parallel BFS for its hop rows. A source c copies its row prefix
+//     (c, 0 … c−1) into the triangles and its cells at every t > c in I
+//     into (t, c), rows no search fills.
+//   - merges: workers claim blocks of I's members. Each x ∈ I fills its
+//     cells (x, t) for the t < x in I from its neighbours' cells.
+//
 // The tables are identical to a Dijkstra+BFS build at every worker count.
-// Each worker's kernels fill one scratch row (SSSP) and one block of hop rows
-// (HopRows), and row c's prefix (c, 0 … c−1) is copied into the triangles:
-// the build allocates the 3·k(k−1) bytes it returns and O(k) scratch per
+// The build allocates the 3·k(k−1) bytes it returns and O(k) scratch per
 // worker, never a square or wider table (a decomposition whose distances
 // could overflow a cell is refused first — narrowCellsFit).
-// Cancelling ctx stops every worker before its next source and returns
-// ctx.Err(); opt.Observer receives one delta per completed block, and the
-// deltas sum to APSPStats.
+// Cancelling ctx stops every worker before its next source or merged row
+// and returns ctx.Err(); opt.Observer receives one delta per completed
+// block of either pass, and the deltas sum to APSPStats.
 func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Oracle, error) {
 	k := cl.NumClusters()
 	if k > maxOracleClusters {
@@ -148,13 +159,18 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) {
 		return nil, fmt.Errorf("%w: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)", ErrInfeasible)
 	}
-	blocks := (k + graph.APSPBlock - 1) / graph.APSPBlock
-	workers := max(1, min(bsp.Workers(opt.Workers), blocks))
+	set, rest := independentSet(wq)
+	searchBlocks := (len(rest) + graph.APSPBlock - 1) / graph.APSPBlock
+	mergeBlocks := (len(set) + graph.APSPBlock - 1) / graph.APSPBlock
+	workers := max(1, min(bsp.Workers(opt.Workers), max(searchBlocks, mergeBlocks)))
 	pool := bsp.NewPool(workers)
 	defer pool.Close()
 	// Each worker searches with its own scratch and counts into its own
-	// Stats. It owns the disjoint triangle rows lo … hi−1 of the block it
-	// claimed, so the copies need no synchronization.
+	// Stats. A search from c writes triangle row c and the cells (t, c) of
+	// the rows t > c in set; a merge of x writes the cells (x, t) with t in
+	// set. No cell is written twice, so the writes need no synchronization,
+	// and the merges read only cells the searches wrote before the barrier
+	// between the two passes.
 	type apspWorker struct {
 		scratch *graph.APSPScratch
 		row     []uint32
@@ -164,7 +180,14 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	ws := make([]apspWorker, workers)
 	apsp := make([]uint32, triangle(k))
 	hops := make([]uint16, triangle(k))
-	pool.Claim(blocks, 1, func(w, first, last int) {
+	report := func(aw *apspWorker, delta bsp.Stats) {
+		delta.Messages = delta.Relaxations
+		aw.stats.Add(delta)
+		if opt.Observer != nil {
+			opt.Observer(delta) // concurrent across workers; the Observer contract requires thread safety
+		}
+	}
+	pool.Claim(searchBlocks, 1, func(w, first, last int) {
 		aw := &ws[w]
 		if aw.scratch == nil {
 			// Allocated by the worker that uses it: scratch allocated back
@@ -174,26 +197,58 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 			*aw = apspWorker{scratch: wq.NewAPSPScratch(), row: make([]uint32, k), block: make([]uint16, graph.APSPBlock*k)}
 		}
 		for b := first; b < last; b++ {
-			lo, hi := b*graph.APSPBlock, min((b+1)*graph.APSPBlock, k)
+			srcs := rest[b*graph.APSPBlock : min((b+1)*graph.APSPBlock, len(rest))]
 			var delta bsp.Stats
-			for c := lo; c < hi; c++ {
+			for _, c := range srcs {
 				if ctx.Err() != nil {
 					return // the build is about to be discarded
 				}
-				arcs, buckets := aw.scratch.SSSP(graph.NodeID(c), aw.row)
-				copy(apsp[triangle(c):], aw.row[:c])
+				arcs, buckets := aw.scratch.SSSP(c, aw.row)
+				storeRow(apsp, aw.row, c, set)
 				delta.Relaxations += arcs
 				delta.Buckets += buckets
 			}
-			delta.Messages = delta.Relaxations
-			delta.Rounds = aw.scratch.HopRows(graph.NodeID(lo), aw.block[:(hi-lo)*k])
-			for c := lo; c < hi; c++ {
-				copy(hops[triangle(c):], aw.block[(c-lo)*k:][:c])
+			delta.Rounds = aw.scratch.HopRows(srcs, aw.block[:len(srcs)*k])
+			for i, c := range srcs {
+				storeRow(hops, aw.block[i*k:(i+1)*k], c, set)
 			}
-			aw.stats.Add(delta)
-			if opt.Observer != nil {
-				opt.Observer(delta) // concurrent across workers; the Observer contract requires thread safety
+			report(aw, delta)
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// x in set has no neighbour in set, so for t ≠ x in set every cell
+	// (u, t) of a neighbour u is a searched one: d(x, t) is the least
+	// w(x, u) + d(u, t), and the hop count one more than the least h(u, t).
+	// The sums run in 64 bits, so an unreachable cell (all ones) stays
+	// above every finite sum instead of wrapping below it.
+	pool.Claim(mergeBlocks, 1, func(w, first, last int) {
+		aw := &ws[w]
+		for b := first; b < last; b++ {
+			var delta bsp.Stats
+			for i := b * graph.APSPBlock; i < min((b+1)*graph.APSPBlock, len(set)); i++ {
+				if ctx.Err() != nil {
+					return
+				}
+				x := set[i]
+				nbrs, wts := wq.Neighbors(x)
+				rowA, rowH := apsp[triangle(int(x)):], hops[triangle(int(x)):]
+				for _, t := range set[:i] {
+					dist, hop := uint64(graph.InfDist32), graph.InfHops
+					for j, u := range nbrs {
+						at := cell(u, t)
+						dist = min(dist, uint64(wts[j])+uint64(apsp[at]))
+						hop = min(hop, hops[at])
+					}
+					if hop != graph.InfHops {
+						hop++
+					}
+					rowA[t], rowH[t] = uint32(dist), hop
+				}
+				delta.Relaxations += int64(len(nbrs) * i)
 			}
+			report(aw, delta)
 		}
 	})
 	if err := ctx.Err(); err != nil {
@@ -204,6 +259,46 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 		stats.Add(aw.stats)
 	}
 	return newOracle(cl, k, apsp, hops, stats), nil
+}
+
+// independentSet splits the quotient's nodes into set, a maximal
+// independent set taken greedily in (degree, id) order, and rest, the
+// others, each in ascending id order. Low degrees go first because a row of
+// set costs one min-term per neighbour and cell; the choice depends on the
+// quotient alone, not on any worker count.
+func independentSet(wq *graph.Weighted) (set, rest []graph.NodeID) {
+	k := wq.NumNodes()
+	order := make([]graph.NodeID, k)
+	for c := range order {
+		order[c] = graph.NodeID(c)
+	}
+	slices.SortFunc(order, func(a, b graph.NodeID) int {
+		return cmp.Or(cmp.Compare(wq.Degree(a), wq.Degree(b)), cmp.Compare(a, b))
+	})
+	in := make([]bool, k)
+	for _, x := range order {
+		nbrs, _ := wq.Neighbors(x)
+		in[x] = !slices.ContainsFunc(nbrs, func(u graph.NodeID) bool { return in[u] })
+	}
+	for c, ok := range in {
+		if ok {
+			set = append(set, graph.NodeID(c))
+		} else {
+			rest = append(rest, graph.NodeID(c))
+		}
+	}
+	return set, rest
+}
+
+// storeRow files the row of source c ∉ set into a triangle: its prefix
+// (c, 0 … c−1) is triangle row c, and its cells at the t > c in set (sorted)
+// go to (t, c), in rows no search fills.
+func storeRow[T uint32 | uint16](table, row []T, c graph.NodeID, set []graph.NodeID) {
+	copy(table[triangle(int(c)):], row[:c])
+	i, _ := slices.BinarySearch(set, c)
+	for _, t := range set[i:] {
+		table[triangle(int(t))+int(c)] = row[t]
+	}
 }
 
 // OracleFromParts reassembles an oracle from its persisted parts: the
@@ -293,12 +388,15 @@ func (o *Oracle) NumClusters() int { return o.k }
 
 // APSPStats returns the cost of the quotient APSP build, in counters that
 // depend on the quotient alone — not on the worker count or any schedule:
-// Relaxations = Messages = arcs scanned by the bucket-queue searches (the
-// degrees of the nodes each source reaches, summed over sources), Buckets =
-// non-empty unit-width buckets settled (distinct finite distances, summed
-// over sources), Rounds = bit-parallel BFS sweeps (the largest hop
-// eccentricity in each block of graph.APSPBlock sources, summed over
-// blocks). Zero for oracles reassembled from snapshots.
+// Relaxations = Messages = every offer the build weighs: the arcs scanned
+// by the bucket-queue searches (the degrees of the nodes each searched
+// source reaches, summed over those sources) plus one min-term per
+// neighbour and merged cell (deg(x) times the members of I below x, summed
+// over I's members x); Buckets = non-empty unit-width buckets the searches
+// settle (distinct finite distances, summed over searched sources); Rounds
+// = bit-parallel BFS sweeps (the largest hop eccentricity in each block of
+// graph.APSPBlock searched sources, summed over blocks). Buckets and Rounds
+// count searches only. Zero for oracles reassembled from snapshots.
 func (o *Oracle) APSPStats() bsp.Stats { return o.apspStats }
 
 // LowerQuery returns a certified lower bound on the distance between u and

@@ -323,51 +323,141 @@ func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
 	// both sides of every block edge and across components. The APSP cost
 	// counters are schedule-free, so they too agree at every worker count.
 	for name, cl := range oracleFixtures(t) {
-		k := cl.NumClusters()
-		q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
+		assertTablesMatchReferences(t, name, cl, 1, 2, 4, 8)
+	}
+}
+
+// The build searches only from the clusters outside an independent set I
+// of the quotient and fills I's rows from their neighbours' cells. On seeded
+// samples of the generator families — mesh, road-like, G(n,p), RMAT's
+// largest component, Barabási–Albert — both tables must equal per-source
+// Dijkstra + BFS, and APSPStats must agree at workers 1, 2, 3 and 8 and count
+// one relaxation per arc a search scans and per min-term a merge takes. The
+// other shapes aim at the merge: a star quotient, where I holds every
+// cluster but the hub; a disconnected union with isolated clusters, whose
+// rows merge from no neighbour at all and whose cells across components must
+// stay unreachable (an unreachable cell plus a weight, wrapped in 32 bits,
+// would be a small finite distance); and 1, 2, 64 and 65 clusters.
+func TestOracleMergedRowsMatchReferences(t *testing.T) {
+	var crossMerged, isolated int
+	for seed := uint64(1); seed <= 2; seed++ {
+		r := rng.New(seed)
+		rmat, _ := graph.RMAT(9, 8, seed).LargestComponent()
+		cases := map[string]*Clustering{
+			"mesh":  voronoi(graph.Mesh(20, 15), 40+r.Intn(90), seed),
+			"road":  voronoi(graph.RoadLike(24, 20, 0.4, seed), 40+r.Intn(90), seed),
+			"gnp":   clusterAt(t, graph.ErdosRenyi(300, 420, seed), 2, seed),
+			"rmat":  voronoi(rmat, 20+r.Intn(80), seed),
+			"ba":    voronoi(graph.BarabasiAlbert(300, 2, seed), 40+r.Intn(90), seed),
+			"star":  voronoi(graph.Star(150), 70+r.Intn(60), seed),
+			"union": clusterAt(t, goldenGraphs()["union"], 2, seed),
+		}
+		for _, k := range []int{1, 2, 64, 65} {
+			cases[fmt.Sprintf("k=%d", k)] = voronoi(graph.RoadLike(12, 12, 0.4, seed), k, seed)
+		}
+		for name, cl := range cases {
+			name = fmt.Sprintf("%s/seed%d", name, seed)
+			wq, want, stats := assertTablesMatchReferences(t, name, cl, 1, 2, 3, 8)
+			k := cl.NumClusters()
+			set, rest := independentSet(wq)
+			var relaxations int64
+			for _, c := range rest {
+				for d := range k {
+					if want[int(c)*k+d] != graph.InfDist {
+						relaxations += int64(wq.Degree(graph.NodeID(d)))
+					}
+				}
+			}
+			for i, x := range set {
+				deg := wq.Degree(x)
+				relaxations += int64(deg * i)
+				if deg == 0 {
+					isolated++
+					continue
+				}
+				for _, d := range set[:i] {
+					if want[int(x)*k+int(d)] == graph.InfDist {
+						crossMerged++
+					}
+				}
+			}
+			if stats.Relaxations != relaxations || stats.Messages != relaxations {
+				t.Fatalf("%s: APSPStats %+v, want %d relaxations and messages: searched arcs plus merge min-terms",
+					name, stats, relaxations)
+			}
+			if strings.HasPrefix(name, "star/") && len(set) != k-1 {
+				t.Fatalf("%s: %d of %d clusters in I, want all but the hub", name, len(set), k)
+			}
+		}
+	}
+	if crossMerged == 0 || isolated == 0 {
+		t.Fatalf("inputs too tame: %d merged cells across components, %d isolated clusters in I", crossMerged, isolated)
+	}
+}
+
+// clusterAt is CLUSTER(τ) over g, which may be disconnected.
+func clusterAt(t *testing.T, g *graph.Graph, tau int, seed uint64) *Clustering {
+	t.Helper()
+	cl, err := ClusterContext(t.Context(), g, tau, Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// assertTablesMatchReferences builds cl's oracle at each worker count and
+// requires both tables to equal an independent Dijkstra + BFS build of the
+// same quotient cell for cell, exactly the cross-component cells to be
+// unreachable, and APSPStats to be the same at every worker count. It
+// returns the weighted quotient, the reference distances (square) and the
+// APSPStats.
+func assertTablesMatchReferences(t *testing.T, name string, cl *Clustering, workerCounts ...int) (*graph.Weighted, []int64, bsp.Stats) {
+	t.Helper()
+	k := cl.NumClusters()
+	q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAPSP, wantHops := make([]int64, k*k), make([]int64, k*k)
+	for c := 0; c < k; c++ {
+		wq.DijkstraInto(graph.NodeID(c), wantAPSP[c*k:(c+1)*k])
+		for d, h := range q.BFS(graph.NodeID(c)) {
+			wantHops[c*k+d] = int64(h)
+			if h < 0 {
+				wantHops[c*k+d] = graph.InfDist
+			}
+		}
+	}
+	// Exactly the cross-component cells are InfDist, in both tables.
+	comp, _ := cl.G.ConnectedComponents()
+	for c, u := range cl.Centers {
+		for d, v := range cl.Centers {
+			if inf := comp[u] != comp[v]; inf != (wantAPSP[c*k+d] == graph.InfDist) || inf != (wantHops[c*k+d] == graph.InfDist) {
+				t.Fatalf("%s: reference cell (%d,%d) = %d / %d, cross-component = %v", name, c, d, wantAPSP[c*k+d], wantHops[c*k+d], inf)
+			}
+		}
+	}
+	var stats bsp.Stats
+	for _, workers := range workerCounts {
+		o, err := OracleFromClustering(context.Background(), cl, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantAPSP, wantHops := make([]int64, k*k), make([]int64, k*k)
-		for c := 0; c < k; c++ {
-			wq.DijkstraInto(graph.NodeID(c), wantAPSP[c*k:(c+1)*k])
-			for d, h := range q.BFS(graph.NodeID(c)) {
-				wantHops[c*k+d] = int64(h)
-				if h < 0 {
-					wantHops[c*k+d] = graph.InfDist
-				}
+		if workers == workerCounts[0] {
+			stats = o.APSPStats()
+		} else if o.APSPStats() != stats {
+			t.Fatalf("%s workers=%d: APSP stats %+v diverge from %d workers' %+v", name, workers, o.APSPStats(), workerCounts[0], stats)
+		}
+		gotAPSP, gotHops := o.APSPFlat(), o.HopsFlat() // widened copies: once, not per cell
+		for i := 0; i < k*k; i++ {
+			if gotAPSP[i] != wantAPSP[i] || gotHops[i] != wantHops[i] {
+				t.Fatalf("%s (k=%d) workers=%d: entry (%d,%d) = %d / %d hops, Dijkstra + BFS say %d / %d",
+					name, k, workers, i/k, i%k, gotAPSP[i], gotHops[i], wantAPSP[i], wantHops[i])
 			}
 		}
-		// Exactly the cross-component cells are InfDist, in both tables.
-		comp, _ := cl.G.ConnectedComponents()
-		for c, u := range cl.Centers {
-			for d, v := range cl.Centers {
-				if inf := comp[u] != comp[v]; inf != (wantAPSP[c*k+d] == graph.InfDist) || inf != (wantHops[c*k+d] == graph.InfDist) {
-					t.Fatalf("%s: reference cell (%d,%d) = %d / %d, cross-component = %v", name, c, d, wantAPSP[c*k+d], wantHops[c*k+d], inf)
-				}
-			}
-		}
-		var stats bsp.Stats
-		for _, workers := range []int{1, 2, 4, 8} {
-			o, err := OracleFromClustering(context.Background(), cl, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers == 1 {
-				stats = o.APSPStats()
-			} else if o.APSPStats() != stats {
-				t.Fatalf("%s workers=%d: APSP stats %+v diverge from one worker's %+v", name, workers, o.APSPStats(), stats)
-			}
-			gotAPSP, gotHops := o.APSPFlat(), o.HopsFlat() // widened copies: once, not per cell
-			for i := 0; i < k*k; i++ {
-				if gotAPSP[i] != wantAPSP[i] || gotHops[i] != wantHops[i] {
-					t.Fatalf("%s (k=%d) workers=%d: entry (%d,%d) = %d / %d hops, Dijkstra + BFS say %d / %d",
-						name, k, workers, i/k, i%k, gotAPSP[i], gotHops[i], wantAPSP[i], wantHops[i])
-				}
-			}
-			assertCellsWithinBound(t, o)
-		}
+		assertCellsWithinBound(t, o)
 	}
+	return wq, wantAPSP, stats
 }
 
 func TestOracleLowerQueryBoundsTruth(t *testing.T) {
@@ -537,8 +627,10 @@ func fineClustering(b *testing.B) *Clustering {
 }
 
 // BenchmarkOracleFromClusteringFine is the benchmark's `fine` oracle build
-// without its 40 s harness: the quotient APSP is the whole build. For paired
-// runs build it once per side with `go test -c` and alternate the binaries;
+// without its 40 s harness: the quotient APSP is the whole build. Its
+// ns/source is per cluster row, averaged over the searched rows and the
+// merged ones (about half each on this quotient). For paired runs build it
+// once per side with `go test -c` and alternate the binaries;
 // BenchmarkQueryBatchIntoFine pairs the same way.
 func BenchmarkOracleFromClusteringFine(b *testing.B) {
 	cl := fineClustering(b)

@@ -10,18 +10,22 @@ import (
 // inside one reducer's local memory. Two kernels share one per-worker
 // scratch: a Dial bucket-queue SSSP (Dial, CACM 1969: the label-setting,
 // unit-width limit of delta-stepping) for the weighted rows, and a
-// bit-parallel multi-source BFS (Then et al., VLDB 2014) that fills up to
-// 64 hop rows per pass. DijkstraInto and BFS stay as the references the
-// tests diff them against.
+// bit-parallel multi-source BFS (Then et al., VLDB 2014) that fills the hop
+// rows of up to 64 sources per pass. DijkstraInto and BFS stay as the
+// references the tests diff them against.
 //
 // Both write the narrow cells the oracle stores and the snapshot persists,
-// so a row is filled in its final place. Precondition, not checked here:
-// every finite distance plus the heaviest arc is below 2³¹ (SSSP adds a
-// weight to a settled distance in uint32 and reads "newly reached" off bit
-// 31 of the old cell), and the graph has at most 2¹⁶ − 1 nodes (a hop count
-// is below the node count). core.OracleFromClustering, the only non-test
-// caller, checks both before it allocates a table: narrowCellsFit and the
-// maxOracleClusters cap.
+// so a row's cells are copied into the tables as they are. The oracle runs
+// them only from the clusters outside an independent set of its quotient
+// and derives the set's rows from their cells, so the sources of one HopRows
+// pass are a list, not a range.
+//
+// Precondition, not checked here: every finite distance plus the heaviest
+// arc is below 2³¹ (SSSP adds a weight to a settled distance in uint32 and
+// reads "newly reached" off bit 31 of the old cell), and the graph has at
+// most 2¹⁶ − 1 nodes (a hop count is below the node count).
+// core.OracleFromClustering, the only non-test caller, checks both before it
+// allocates a table: narrowCellsFit and the maxOracleClusters cap.
 
 // APSPBlock is how many sources one HopRows pass serves: one bit of a
 // machine word each.
@@ -158,23 +162,22 @@ func (s *APSPScratch) nextOccupied(from int) int {
 	}
 }
 
-// HopRows runs one breadth-first search from each of the len(rows)/n
-// consecutive sources first, first+1, … (at most APSPBlock of them) in a
-// single bit-parallel pass, and writes source first+i's hop distances to
+// HopRows runs one breadth-first search from each of the len(srcs)
+// distinct sources (at most APSPBlock of them, in any order) in a single
+// bit-parallel pass, and writes srcs[i]'s hop distances to
 // rows[i*n:(i+1)*n] — what BFS computes, with InfHops where BFS says -1.
-// Every cell is written exactly once. It returns the number of sweeps that
-// discovered a node: the largest hop eccentricity among the sources.
-func (s *APSPScratch) HopRows(first NodeID, rows []uint16) (sweeps int) {
+// Every cell of those len(srcs) rows is written exactly once. It returns the
+// number of sweeps that discovered a node: the largest hop eccentricity
+// among the sources.
+func (s *APSPScratch) HopRows(srcs []NodeID, rows []uint16) (sweeps int) {
 	xadj, adj := s.g.xadj, s.g.adj
 	seen, frontier, reached := s.seen, s.frontier, s.reached
 	n := len(seen)
-	count := len(rows) / n
 	clear(seen)
 	clear(frontier)
-	for i := 0; i < count; i++ {
-		src := int(first) + i
+	for i, src := range srcs {
 		seen[src], frontier[src] = 1<<i, 1<<i
-		rows[i*n+src] = 0
+		rows[i*n+int(src)] = 0
 	}
 	for level := uint16(1); ; level++ {
 		for v, f := range frontier {
@@ -203,7 +206,7 @@ func (s *APSPScratch) HopRows(first NodeID, rows []uint16) (sweeps int) {
 		}
 		sweeps++
 	}
-	all := ^uint64(0) >> (64 - count)
+	all := ^uint64(0) >> (64 - len(srcs))
 	for u, sn := range seen {
 		for miss := all &^ sn; miss != 0; miss &= miss - 1 {
 			rows[bits.TrailingZeros64(miss)*n+u] = InfHops

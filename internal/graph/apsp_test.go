@@ -82,30 +82,60 @@ func checkAPSPKernels(t *testing.T, wg *Weighted) {
 				src, arcs, buckets, wantArcs, len(distinct))
 		}
 	}
-	rows := make([]uint16, APSPBlock*n)
+	// HopRows takes any list of distinct sources: the consecutive blocks,
+	// and lists of 1, 63 and 64 sources in random order, as the oracle's
+	// searches outside an independent set hand over.
+	var lists [][]NodeID
 	for lo := 0; lo < n; lo += APSPBlock {
-		hi := min(lo+APSPBlock, n)
+		lists = append(lists, sourceRange(lo, min(lo+APSPBlock, n)))
+	}
+	r := rng.New(uint64(n))
+	for _, size := range []int{1, 63, 64} {
+		if size <= n {
+			lists = append(lists, sourceList(r.Perm(n)[:size]))
+		}
+	}
+	rows := make([]uint16, APSPBlock*n)
+	for _, srcs := range lists {
 		for i := range rows {
 			rows[i] = InfHops - 7 // neither a hop count nor the sentinel: HopRows must overwrite every cell of its rows
 		}
-		sweeps := s.HopRows(NodeID(lo), rows[:(hi-lo)*n])
+		sweeps := s.HopRows(srcs, rows[:len(srcs)*n])
 		wantSweeps := 0
-		for src := lo; src < hi; src++ {
-			for v, h := range q.BFS(NodeID(src)) {
+		for i, src := range srcs {
+			for v, h := range q.BFS(src) {
 				wantHop := uint16(h)
 				if h < 0 {
 					wantHop = InfHops
 				}
 				wantSweeps = max(wantSweeps, int(h))
-				if g := rows[(src-lo)*n+v]; g != wantHop {
-					t.Fatalf("HopRows block %d: hops(%d,%d) = %d, BFS says %d", lo, src, v, g, wantHop)
+				if g := rows[i*n+v]; g != wantHop {
+					t.Fatalf("HopRows%v: hops(%d,%d) = %d, BFS says %d", srcs, src, v, g, wantHop)
 				}
 			}
 		}
 		if sweeps != wantSweeps {
-			t.Fatalf("HopRows block %d ran %d sweeps, largest hop eccentricity is %d", lo, sweeps, wantSweeps)
+			t.Fatalf("HopRows%v ran %d sweeps, largest hop eccentricity is %d", srcs, sweeps, wantSweeps)
 		}
 	}
+}
+
+// sourceRange lists the sources lo … hi−1.
+func sourceRange(lo, hi int) []NodeID {
+	srcs := make([]NodeID, 0, hi-lo)
+	for c := lo; c < hi; c++ {
+		srcs = append(srcs, NodeID(c))
+	}
+	return srcs
+}
+
+// sourceList converts a list of node indices.
+func sourceList(ids []int) []NodeID {
+	srcs := make([]NodeID, len(ids))
+	for i, c := range ids {
+		srcs[i] = NodeID(c)
+	}
+	return srcs
 }
 
 // The oracle stores each quotient table once, as a lower triangle copied out
@@ -133,7 +163,8 @@ func TestAPSPKernelsSymmetric(t *testing.T) {
 				s.SSSP(NodeID(src), dist[src*n:(src+1)*n])
 			}
 			for lo := 0; lo < n; lo += APSPBlock {
-				s.HopRows(NodeID(lo), hops[lo*n:min(lo+APSPBlock, n)*n])
+				hi := min(lo+APSPBlock, n)
+				s.HopRows(sourceRange(lo, hi), hops[lo*n:hi*n])
 			}
 			for c := 0; c < n; c++ {
 				for d := c + 1; d < n; d++ {
@@ -180,7 +211,8 @@ func TestAPSPHeavyWeightsSkipEmptyBuckets(t *testing.T) {
 	}
 }
 
-// Warm, neither kernel allocates: per-worker scratch is sized once.
+// Warm, neither kernel allocates: per-worker scratch is sized once, and
+// HopRows reads its source list in place.
 func TestAPSPKernelsZeroAlloc(t *testing.T) {
 	r := rng.New(3)
 	wg := weightedBy(RoadLike(12, 12, 0.4, 3), func() int32 { return int32(1 + r.Intn(40)) })
@@ -188,10 +220,11 @@ func TestAPSPKernelsZeroAlloc(t *testing.T) {
 	s := wg.NewAPSPScratch()
 	dist := make([]uint32, n)
 	rows := make([]uint16, APSPBlock*n)
+	srcs := sourceList(rng.New(4).Perm(n)[:APSPBlock])
 	if allocs := testing.AllocsPerRun(20, func() { s.SSSP(5, dist) }); allocs != 0 {
 		t.Fatalf("SSSP allocated %.1f times per source, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { s.HopRows(64, rows) }); allocs != 0 {
-		t.Fatalf("HopRows allocated %.1f times per 64-source block, want 0", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { s.HopRows(srcs, rows) }); allocs != 0 {
+		t.Fatalf("HopRows allocated %.1f times per list of 64 sources, want 0", allocs)
 	}
 }
