@@ -14,11 +14,17 @@ import (
 
 func randomWeightedGraph(t *testing.T, g *graph.Graph, seed uint64, maxW int) *graph.Weighted {
 	t.Helper()
-	edges := g.EdgeList()
 	r := rng.New(seed)
+	return weightedBy(t, g, func() int32 { return int32(1 + r.Intn(maxW)) })
+}
+
+// weightedBy weights g's edges, in EdgeList order, with successive draws.
+func weightedBy(t *testing.T, g *graph.Graph, draw func() int32) *graph.Weighted {
+	t.Helper()
+	edges := g.EdgeList()
 	ws := make([]int32, len(edges))
 	for i := range ws {
-		ws[i] = int32(1 + r.Intn(maxW))
+		ws[i] = draw()
 	}
 	wg, err := graph.NewWeighted(g.NumNodes(), edges, ws)
 	if err != nil {
@@ -29,16 +35,20 @@ func randomWeightedGraph(t *testing.T, g *graph.Graph, seed uint64, maxW int) *g
 
 // TestDeltaSSSPMatchesDijkstra is the core equivalence guarantee: for every
 // bucket width and worker count, delta-stepping produces distances
-// identical to the sequential Dijkstra reference.
+// identical to the sequential Dijkstra reference. The heavy-tailed row
+// draws weights 2^0..2^20, so most arcs reach far past every bucket width
+// but the widest.
 func TestDeltaSSSPMatchesDijkstra(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"mesh":   graph.Mesh(20, 20),
-		"gnp":    graph.ErdosRenyi(600, 2400, 3),
-		"social": graph.BarabasiAlbert(500, 4, 5),
-		"road":   graph.RoadLike(15, 15, 0.4, 7),
+	r := rng.New(13)
+	rows := map[string]*graph.Weighted{
+		"mesh":   randomWeightedGraph(t, graph.Mesh(20, 20), 11, 20),
+		"gnp":    randomWeightedGraph(t, graph.ErdosRenyi(600, 2400, 3), 11, 20),
+		"social": randomWeightedGraph(t, graph.BarabasiAlbert(500, 4, 5), 11, 20),
+		"road":   randomWeightedGraph(t, graph.RoadLike(15, 15, 0.4, 7), 11, 20),
+		"gnp/heavyTailed": weightedBy(t, graph.ErdosRenyi(600, 2400, 3),
+			func() int32 { return int32(1) << r.Intn(21) }),
 	}
-	for name, g := range graphs {
-		wg := randomWeightedGraph(t, g, 11, 20)
+	for name, wg := range rows {
 		n := wg.NumNodes()
 		srcs := []graph.NodeID{0, graph.NodeID(n / 2), graph.NodeID(n - 1)}
 		for _, delta := range []int64{0, 1, 3, 25, 1 << 40} {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"testing"
@@ -138,6 +139,79 @@ func TestGrowthIsWorkerInvariant(t *testing.T) {
 			key := name + "/" + string(rune('0'+seed))
 			growthSweep(t, key+" Cluster", g, 4, seed, []int{1, 2, 3, 8}, ClusterContext)
 			growthSweep(t, key+" Cluster2", g, 4, seed, []int{1, 2, 3, 8}, Cluster2)
+		}
+	}
+}
+
+// wideWeightGraphs are the inputs of TestWideWeightFingerprints: weights
+// spread far past the automatic bucket width (the mean weight), so about
+// half of every node's arcs reach beyond its own bucket — the regime the
+// goldens' [1, 9] weights barely touch.
+func wideWeightGraphs(t *testing.T) map[string]*graph.Weighted {
+	return map[string]*graph.Weighted{
+		"er":   randomWeighted(t, graph.ErdosRenyi(3000, 12000, 1), 5, 100),
+		"road": randomWeighted(t, graph.RoadLike(60, 60, 0.4, 3), 5, 1000),
+		"ba":   randomWeighted(t, graph.BarabasiAlbert(3000, 3, 1), 5, 7),
+	}
+}
+
+// TestWideWeightFingerprints pins WeightedCluster's full output at seeds
+// 1–3 and τ ∈ {1, 4, 16}, the same at one worker and at four, and the
+// exact weighted diameter of each input.
+func TestWideWeightFingerprints(t *testing.T) {
+	wantFP := map[string]uint64{
+		"er/1/1":    0xd7c415db171821e4,
+		"er/1/4":    0x895ca3de270a0e64,
+		"er/1/16":   0xc85c537665ef2fee,
+		"er/2/1":    0xe5c8afbb932fde9b,
+		"er/2/4":    0xdc68d83ad308da3c,
+		"er/2/16":   0xb136615251f5a3cf,
+		"er/3/1":    0xec8d512d23423774,
+		"er/3/4":    0x8e4ee437054fbbaa,
+		"er/3/16":   0xf055c414c5756f10,
+		"road/1/1":  0xe99dfd2a91919cff,
+		"road/1/4":  0xa5fb5fef21e91891,
+		"road/1/16": 0x9629af2c2237e79b,
+		"road/2/1":  0x21ea5263d50611aa,
+		"road/2/4":  0x28ccad1aa5594d1,
+		"road/2/16": 0x54b594dca78f7da0,
+		"road/3/1":  0x87409a751db92fb5,
+		"road/3/4":  0xed4246fa003e1519,
+		"road/3/16": 0x9cf951fabccad853,
+		"ba/1/1":    0x8e978c2eea219d7a,
+		"ba/1/4":    0x5450fc8f606cddb7,
+		"ba/1/16":   0xb1ce8039a33c9206,
+		"ba/2/1":    0x77b9d162f7bcbbd0,
+		"ba/2/4":    0x110dfd40d2cf8520,
+		"ba/2/16":   0xd569aacb4d6f48dc,
+		"ba/3/1":    0x7bc769b4740b48a9,
+		"ba/3/4":    0x4f95953df74e9333,
+		"ba/3/16":   0xa45d37bb3a44d36b,
+	}
+	wantDiam := map[string]int64{
+		"er":   311,
+		"road": 46278,
+		"ba":   25,
+	}
+	ctx := context.Background()
+	for name, wg := range wideWeightGraphs(t) {
+		d, exact := wg.ExactDiameterWeighted(0)
+		if !exact || d != wantDiam[name] {
+			t.Errorf("%s: ExactDiameterWeighted = (%d, %v), pinned %d", name, d, exact, wantDiam[name])
+		}
+		for _, seed := range []uint64{1, 2, 3} {
+			for _, tau := range []int{1, 4, 16} {
+				key := fmt.Sprintf("%s/%d/%d", name, seed, tau)
+				for _, workers := range []int{1, 4} {
+					wc, err := WeightedCluster(ctx, wg, tau, Options{Seed: seed, Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fp := fpWeighted(wc); fp != wantFP[key] {
+						t.Errorf("%s workers=%d: fingerprint %#x, pinned %#x", key, workers, fp, wantFP[key])
+					}
+				}
+			}
 		}
 	}
 }
