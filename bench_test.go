@@ -242,7 +242,8 @@ func BenchmarkEngineObserver(b *testing.B) {
 // worker counts (workers=1 is the sequential baseline — the same bucketed
 // relaxations Dijkstra's priority queue would perform, minus the heap).
 // Relaxations/op and buckets/op report the honest weighted work alongside
-// ns/op, the way arcs does for the unweighted engine benches.
+// ns/op, the way arcs does for the unweighted engine benches, and phases/op
+// (Stats.Rounds, the growth's GrowthSteps depth) the barriers it crossed.
 func BenchmarkWeightedClusterModes(b *testing.B) {
 	// G(20k, 100k) with weights uniform in [1, 100].
 	base := graph.ErdosRenyi(20000, 100000, 11)
@@ -265,6 +266,7 @@ func BenchmarkWeightedClusterModes(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.Relaxations), "relaxations")
 			b.ReportMetric(float64(st.Buckets), "buckets")
+			b.ReportMetric(float64(st.Rounds), "phases")
 		})
 	}
 }

@@ -22,11 +22,11 @@
 // the nodes claimed in a round, and who claimed each, do not depend on the
 // direction, the worker count or the goroutine schedule.
 //
-// The weighted algorithms (WeightedCluster growth, weighted iFUB, the
-// oracle's quotient APSP) run on a second engine in this package,
-// WeightedEngine: a delta-stepping bucket schedule whose supersteps are
-// relaxation phases and whose claims are atomic min-reductions — see
-// weighted.go. Stats.Relaxations and Stats.Buckets are its counters, the
+// The weighted algorithms (WeightedCluster growth, weighted iFUB) run on a
+// second engine in this package, WeightedEngine: a delta-stepping bucket
+// schedule whose supersteps are relaxation phases and whose claims are
+// atomic min-reductions — see weighted.go. (The oracle's quotient APSP
+// runs on graph.APSPScratch's sequential kernels instead.) Stats.Relaxations and Stats.Buckets are its counters, the
 // weighted counterpart of Messages and Rounds.
 //
 // Every parallel pass of both engines — push and pull rounds, the barrier's

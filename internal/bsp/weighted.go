@@ -10,12 +10,22 @@ import (
 // the same Meyer whose quotient refinement the paper cites as [21]). Where
 // Engine runs unit-step frontier supersteps, WeightedEngine runs a bucketed
 // relaxation schedule: tentative distances are grouped into buckets of
-// width delta, the lowest bucket is settled by repeated light-edge
-// (weight <= delta) relaxation phases, and the settled set then relaxes its
-// heavy edges (weight > delta) once. Dijkstra's priority queue is the
-// delta -> 0 limit; Bellman-Ford is delta -> infinity. In between, every
-// phase is a bulk superstep over an arbitrary worker count — exactly the
-// shape the rest of this repository's frontier algorithms run in.
+// width delta, and the lowest bucket is settled by repeated relaxation
+// phases, each offering the whole adjacency of the nodes the bucket
+// admitted since the last phase, until no offer lands back in the bucket.
+// Offers that land above it queue their targets in later buckets.
+// Dijkstra's priority queue is the delta -> 0 limit; Bellman-Ford is
+// delta -> infinity. In between, every phase is a bulk superstep over an
+// arbitrary worker count — exactly the shape the rest of this repository's
+// frontier algorithms run in.
+//
+// Meyer and Sanders also split each adjacency into light (weight <= delta)
+// and heavy arcs and offer the heavy ones once per settled node, after its
+// bucket closes. That saves offers only when a node is admitted to its
+// bucket several times and its weights spread far past delta; on the
+// quotients and growths this repository runs it saved almost none, and it
+// cost a second adjacency and an extra phase per bucket, so the engine
+// reads the topology's one adjacency in place.
 //
 // Determinism. All relaxations funnel through an atomic min-reduction on a
 // per-node claim word (casLower): in multi-source mode the word
@@ -66,23 +76,14 @@ func casLower(slot *uint64, val uint64) bool {
 
 // WeightedEngine runs delta-stepping traversals over a weighted topology.
 // It is reusable across runs (each SSSP or GrowInit resets the claim state,
-// keeping the accumulated Stats, the worker pool, and the light/heavy edge
-// split) but is not safe for concurrent use. Close releases the pool.
+// keeping the accumulated Stats and the worker pool) but is not safe for
+// concurrent use. Close releases the pool.
 type WeightedEngine struct {
 	t       WeightedTopology
 	n       int
 	workers int
 	delta   int64
 	pool    *Pool
-
-	// Adjacency split by weight class, in CSR form: light edges
-	// (w <= delta) drive the intra-bucket phases, heavy edges (w > delta)
-	// are relaxed once per settled bucket. The split is what makes the
-	// schedule work-efficient: a bucket's repeated phases never rescan arcs
-	// that cannot land inside it.
-	lx, hx     []int64
-	ladj, hadj []NodeID
-	lw, hw     []int32
 
 	// Claim state. shift is 32 in grow mode (word = dist<<32 | owner) and 0
 	// in SSSP mode (word = dist); ownerMask selects the owner bits.
@@ -129,9 +130,6 @@ type WeightedEngine struct {
 	// closures (pinned by the TestRelaxPhaseZeroAlloc tests).
 	phaseNodes []NodeID
 	phaseWords []uint64
-	phaseXadj  []int64
-	phaseAdj   []NodeID
-	phaseWs    []int32
 	relax      func(w, lo, hi int)
 
 	stats Stats
@@ -139,9 +137,9 @@ type WeightedEngine struct {
 
 // NewWeightedEngine returns a delta-stepping engine over t with the given
 // parallelism (non-positive selects GOMAXPROCS). A non-positive delta picks
-// the bucket width from the weight distribution: the mean edge weight,
-// which makes the average edge light while keeping buckets fine enough to
-// avoid Bellman-Ford-style re-relaxation storms.
+// the bucket width from the weight distribution: the mean arc weight, wide
+// enough that a bucket takes in a node's cheaper arcs within its own
+// phases, fine enough to avoid Bellman-Ford-style re-relaxation storms.
 func NewWeightedEngine(t WeightedTopology, workers int, delta int64) *WeightedEngine {
 	w := Workers(workers)
 	n := t.NumNodes()
@@ -176,50 +174,7 @@ func NewWeightedEngine(t WeightedTopology, workers int, delta int64) *WeightedEn
 		offersW: make([]int64, w),
 	}
 	e.relax = e.relaxChunk
-	e.splitEdges()
 	return e
-}
-
-// splitEdges partitions the adjacency into the light and heavy CSR pair.
-func (e *WeightedEngine) splitEdges() {
-	n := e.n
-	e.lx = make([]int64, n+1)
-	e.hx = make([]int64, n+1)
-	for u := NodeID(0); int(u) < n; u++ {
-		_, ws := e.t.Neighbors(u)
-		for _, wt := range ws {
-			if int64(wt) <= e.delta {
-				e.lx[u+1]++
-			} else {
-				e.hx[u+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		e.lx[i+1] += e.lx[i]
-		e.hx[i+1] += e.hx[i]
-	}
-	e.ladj = make([]NodeID, e.lx[n])
-	e.lw = make([]int32, e.lx[n])
-	e.hadj = make([]NodeID, e.hx[n])
-	e.hw = make([]int32, e.hx[n])
-	lc := make([]int64, n)
-	hc := make([]int64, n)
-	for i := 0; i < n; i++ {
-		lc[i], hc[i] = e.lx[i], e.hx[i]
-	}
-	for u := NodeID(0); int(u) < n; u++ {
-		nbrs, ws := e.t.Neighbors(u)
-		for i, v := range nbrs {
-			if int64(ws[i]) <= e.delta {
-				e.ladj[lc[u]], e.lw[lc[u]] = v, ws[i]
-				lc[u]++
-			} else {
-				e.hadj[hc[u]], e.hw[hc[u]] = v, ws[i]
-				hc[u]++
-			}
-		}
-	}
 }
 
 // Stats returns the accumulated cost counters; like Engine, resets between
@@ -362,25 +317,17 @@ func (e *WeightedEngine) addSource(u, owner NodeID) {
 // phase an atomic bitmap mark.
 func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 	nodes, words := e.phaseNodes, e.phaseWords
-	xadj, adj, ws := e.phaseXadj, e.phaseAdj, e.phaseWs
-	slot, shift, mask, distMax, updBits := e.slot, e.shift, e.ownerMask, e.distMax, e.updBits
+	t, slot, shift, mask, distMax, updBits := e.t, e.slot, e.shift, e.ownerMask, e.distMax, e.updBits
 	buf := e.updBufs[w]
 	var scanned int64
 	for i := lo; i < hi; i++ {
-		u := nodes[i]
-		var word uint64
-		if words != nil {
-			word = words[i]
-		} else {
-			word = slot[u] // nil words: heavy phase of a settled bucket, slots stable (see relaxPhase)
-		}
-		du := int64(word >> shift)
-		base := word & mask
-		adjU := adj[xadj[u]:xadj[u+1]]
-		wsU := ws[xadj[u]:xadj[u+1]:xadj[u+1]]
-		scanned += int64(len(adjU))
-		for a, v := range adjU {
-			nd := du + int64(wsU[a])
+		du := int64(words[i] >> shift)
+		base := words[i] & mask
+		adj, ws := t.Neighbors(nodes[i])
+		ws = ws[:len(adj)]
+		scanned += int64(len(adj))
+		for a, v := range adj {
+			nd := du + int64(ws[a])
 			if nd > distMax {
 				e.overflow.Store(true)
 				continue
@@ -394,21 +341,15 @@ func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 	e.offersW[w] += scanned
 }
 
-// relaxPhase offers dist+w along the light or heavy edges of nodes, whose
-// distance words are read from the aligned snapshot words (nil reads the
-// live slots — only safe when they cannot change, i.e. the heavy phase of a
-// settled bucket). The workers claim the nodes in blocks of seqThreshold
-// (Pool.Claim), so a phase under one block runs on the caller. It returns
-// the per-worker claim buffers concatenated (each node lowered at least
-// once, exactly one entry) and the offer count. The arguments travel
-// through the phase* fields and the prebuilt relax value rather than a
-// per-call capture. Zero allocations once warm, pinned by
+// relaxPhase offers dist+w along every arc of nodes, whose distance words
+// are read from the aligned snapshot words. The workers claim the nodes in
+// blocks of seqThreshold (Pool.Claim), so a phase under one block runs on
+// the caller. It returns the per-worker claim buffers concatenated (each
+// node lowered at least once, exactly one entry) and the offer count. The
+// arguments travel through the phase* fields and the prebuilt relax value
+// rather than a per-call capture. Zero allocations once warm, pinned by
 // TestRelaxPhaseZeroAlloc{Sequential,Parallel}.
-func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64, heavy bool) (upd []NodeID, offers int64) {
-	e.phaseXadj, e.phaseAdj, e.phaseWs = e.lx, e.ladj, e.lw
-	if heavy {
-		e.phaseXadj, e.phaseAdj, e.phaseWs = e.hx, e.hadj, e.hw
-	}
+func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64) (upd []NodeID, offers int64) {
 	e.phaseNodes, e.phaseWords = nodes, words
 	for w := range e.updBufs {
 		e.updBufs[w] = e.updBufs[w][:0]
@@ -446,12 +387,15 @@ func (e *WeightedEngine) admit(v NodeID) {
 	}
 }
 
-// processBucket settles the lowest pending bucket: repeated light-edge
-// phases until the bucket stops changing, then one heavy-edge phase from
-// everything the bucket settled. It reports whether any bucket held live
-// work (stale entries are consumed either way). Slot reads here happen on
-// the driving goroutine between relaxation phases, when the claim words
-// are quiescent.
+// processBucket settles the lowest pending bucket: repeated phases until
+// no offer lands back in the bucket. Every node relaxes its whole adjacency
+// at each word it is admitted with, its final word included, before the
+// bucket closes; an offer made from an earlier, larger word is dominated
+// by the same arc's offer from the final one, so each claim word after the
+// bucket is what offering only from final words would leave. It reports
+// whether any bucket held live work (stale entries are consumed either
+// way). Slot reads here happen on the driving goroutine between relaxation
+// phases, when the claim words are quiescent.
 func (e *WeightedEngine) processBucket() bool {
 	before := e.stats
 	for len(e.bheap) > 0 {
@@ -480,10 +424,10 @@ func (e *WeightedEngine) processBucket() bool {
 			e.inR.ClearSparse(e.rset)
 			continue
 		}
-		// Light phases: relax until no claim lands back in this bucket
-		// (or the context is cancelled at a phase barrier).
+		// Relax until no claim lands back in this bucket (or the context
+		// is cancelled at a phase barrier).
 		for len(e.frontier) > 0 && e.Err() == nil {
-			upd, _ := e.relaxPhase(e.frontier, e.fwords, false)
+			upd, _ := e.relaxPhase(e.frontier, e.fwords)
 			e.frontier = e.frontier[:0]
 			e.fwords = e.fwords[:0]
 			for _, v := range upd {
@@ -496,13 +440,6 @@ func (e *WeightedEngine) processBucket() bool {
 		}
 		if e.Err() != nil {
 			return false
-		}
-		// Heavy phase: every settled node offers its heavy edges once, at
-		// its final distance (heavy offers land strictly above this bucket,
-		// so live slot reads are stable).
-		upd, _ := e.relaxPhase(e.rset, nil, true)
-		for _, v := range upd {
-			e.insert(v, e.distOf(e.slot[v]))
 		}
 		if e.grow {
 			for _, v := range e.rset {

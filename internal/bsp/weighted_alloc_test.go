@@ -53,19 +53,22 @@ func relaxPhaseAllocs(t *testing.T, workers, w, h int) {
 	defer e.Close()
 
 	// Settle the whole graph so every slot holds its final word: the
-	// measured phases then re-offer every light edge but lower nothing,
-	// which is exactly the steady-state shape of a converged bucket.
+	// measured phases then re-offer every arc from the final words but
+	// lower nothing, which is exactly the steady-state shape of a converged
+	// bucket.
 	dist := make([]int64, topo.NumNodes())
 	e.SSSP(0, dist)
 
 	nodes := make([]NodeID, topo.NumNodes())
+	words := make([]uint64, topo.NumNodes())
 	for i := range nodes {
 		nodes[i] = NodeID(i)
+		words[i] = e.slot[i]
 	}
-	e.relaxPhase(nodes, nil, false) // warm: pool spun up, buffers at high water
+	e.relaxPhase(nodes, words) // warm: pool spun up, buffers at high water
 
 	allocs := testing.AllocsPerRun(20, func() {
-		e.relaxPhase(nodes, nil, false)
+		e.relaxPhase(nodes, words)
 	})
 	if allocs != 0 {
 		t.Fatalf("relaxPhase allocated %.1f times per phase at %d workers, want 0", allocs, workers)

@@ -109,9 +109,9 @@ func newMetrics() *metrics {
 	m.engArcs = reg.Counter("reprod_engine_arcs_scanned_total",
 		"Arcs scanned by artifact builds, the paper's message-volume unit.")
 	m.engRelaxations = reg.Counter("reprod_engine_relaxations_total",
-		"Weighted edge relaxations offered by artifact builds (delta-stepping growth, the oracle's bucket-queue APSP).")
+		"Weighted edge relaxations offered by artifact builds: the oracle's bucket-queue APSP (a diameter build's quotient iFUB is not observed).")
 	m.engBuckets = reg.Counter("reprod_engine_buckets_total",
-		"Distance buckets settled by artifact builds: delta-width in weighted growth, unit-width in the oracle's quotient APSP.")
+		"Distance buckets settled by artifact builds: unit-width, in the oracle's quotient APSP (a diameter build's quotient iFUB is not observed).")
 	return m
 }
 

@@ -87,10 +87,13 @@ func (t *buildTrace) finish(state string, err error) {
 // /builds. For an in-flight build RunMillis is the time spent so far and
 // the engine counters are live — two scrapes of the same running build see
 // them grow. A completed build's trace is its artifact's cost line: the
-// counters sum every engine the build ran, so they equal the artifact's own
-// bsp.Stats (for an oracle, its clustering's plus APSPStats), and CLUSTER2
-// builds also count the preliminary CLUSTER pass their result's Stats
-// leave out.
+// counters sum every engine the build observed, so they equal the
+// artifact's own bsp.Stats (for an oracle, its clustering's plus
+// APSPStats), and CLUSTER2 builds also count the preliminary CLUSTER pass
+// their result's Stats leave out. A diameter build's two quotient iFUB
+// runs (graph.ExactDiameterContext and ExactDiameterWeightedContext) run
+// on engines with no observer: neither the trace nor the result's Stats
+// counts them.
 type BuildTraceInfo struct {
 	ID    int64  `json:"id"`
 	Key   string `json:"key"`
