@@ -22,10 +22,10 @@ import (
 // Meyer and Sanders also split each adjacency into light (weight <= delta)
 // and heavy arcs and offer the heavy ones once per settled node, after its
 // bucket closes. That saves offers only when a node is admitted to its
-// bucket several times and its weights spread far past delta; on the
-// quotients and growths this repository runs it saved almost none, and it
-// cost a second adjacency and an extra phase per bucket, so the engine
-// reads the topology's one adjacency in place.
+// bucket several times and its weights spread far past delta. On the
+// benchmark's quotients it saved under 1 % of the offers at the price of a
+// second adjacency and an extra phase per bucket, so the engine reads the
+// topology's one adjacency in place.
 //
 // Determinism. All relaxations funnel through an atomic min-reduction on a
 // per-node claim word (casLower): in multi-source mode the word
@@ -137,9 +137,10 @@ type WeightedEngine struct {
 
 // NewWeightedEngine returns a delta-stepping engine over t with the given
 // parallelism (non-positive selects GOMAXPROCS). A non-positive delta picks
-// the bucket width from the weight distribution: the mean arc weight, wide
-// enough that a bucket takes in a node's cheaper arcs within its own
-// phases, fine enough to avoid Bellman-Ford-style re-relaxation storms.
+// the bucket width from the weight distribution: the mean arc weight. A
+// wider bucket means fewer buckets but more offers from tentative words
+// (toward Bellman-Ford's re-relaxation storms), a narrower one more
+// buckets and barriers.
 func NewWeightedEngine(t WeightedTopology, workers int, delta int64) *WeightedEngine {
 	w := Workers(workers)
 	n := t.NumNodes()

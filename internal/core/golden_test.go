@@ -143,10 +143,11 @@ func TestGrowthIsWorkerInvariant(t *testing.T) {
 	}
 }
 
-// wideWeightGraphs are the inputs of TestWideWeightFingerprints: weights
-// spread far past the automatic bucket width (the mean weight), so about
-// half of every node's arcs reach beyond its own bucket — the regime the
-// goldens' [1, 9] weights barely touch.
+// wideWeightGraphs are the inputs of TestWideWeightFingerprints: weight
+// ranges up to [1, 1000] against the goldens' [1, 9], so a bucket (as wide
+// as the mean weight) holds many distinct distances, nodes are lowered
+// several times inside their bucket, and about half the arcs weigh more
+// than the bucket width.
 func wideWeightGraphs(t *testing.T) map[string]*graph.Weighted {
 	return map[string]*graph.Weighted{
 		"er":   randomWeighted(t, graph.ErdosRenyi(3000, 12000, 1), 5, 100),
@@ -157,7 +158,8 @@ func wideWeightGraphs(t *testing.T) map[string]*graph.Weighted {
 
 // TestWideWeightFingerprints pins WeightedCluster's full output at seeds
 // 1–3 and τ ∈ {1, 4, 16}, the same at one worker and at four, and the
-// exact weighted diameter of each input.
+// exact weighted diameter of each input. The constants date from the
+// engine that offered arcs above the bucket width only from final words.
 func TestWideWeightFingerprints(t *testing.T) {
 	wantFP := map[string]uint64{
 		"er/1/1":    0xd7c415db171821e4,
