@@ -24,6 +24,10 @@ type GrowState struct {
 	Dist []int64
 	// Frontier holds the nodes claimed in the previous step.
 	Frontier []graph.NodeID
+
+	// inFrontier marks Frontier for GrowStep's edge scan; it is all false
+	// between steps.
+	inFrontier []bool
 }
 
 // NewGrowState initializes a state with the given singleton centers.
@@ -53,7 +57,10 @@ func (e *Engine) GrowStep(g *graph.Graph, s *GrowState) (int, error) {
 	if len(s.Frontier) == 0 {
 		return 0, nil
 	}
-	inFrontier := make(map[graph.NodeID]bool, len(s.Frontier))
+	if len(s.inFrontier) != len(s.Owner) {
+		s.inFrontier = make([]bool, len(s.Owner))
+	}
+	inFrontier := s.inFrontier
 	for _, u := range s.Frontier {
 		inFrontier[u] = true
 	}
@@ -71,6 +78,9 @@ func (e *Engine) GrowStep(g *graph.Graph, s *GrowState) (int, error) {
 		}
 		return true
 	})
+	for _, u := range s.Frontier {
+		inFrontier[u] = false
+	}
 	// Round 2: each contended node picks the smallest proposed cluster.
 	out, err := e.Round(in, func(key uint64, pairs []Pair, emit Emitter) {
 		best := pairs[0] // sorted by (A,B): smallest cluster id first

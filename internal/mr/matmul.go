@@ -85,23 +85,41 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 	}
 	bs := e.blockSide(l)
 	nb := (l + bs - 1) / bs
-	// occA[I*nb+K] / occB[K*nb+J]: the block holds a finite entry.
-	occA, occB := make([]bool, nb*nb), make([]bool, nb*nb)
+	// finA[I*nb+K] / finB[K*nb+J]: the block's finite entries. An A entry
+	// in column block K is sent to every J with finB[K*nb+J] > 0, a B entry
+	// in row block K to every I with finA[I*nb+K] > 0, so the round's input
+	// size is known before it is built.
+	finA, finB := make([]int, nb*nb), make([]int, nb*nb)
 	for i := 0; i < l; i++ {
 		for k := 0; k < l; k++ {
 			if (open == nil || open[i]) && a[i*l+k] < Inf {
-				occA[i/bs*nb+k/bs] = true
+				finA[i/bs*nb+k/bs]++
 			}
 			if b[i*l+k] < Inf {
-				occB[i/bs*nb+k/bs] = true
+				finB[i/bs*nb+k/bs]++
 			}
 		}
+	}
+	size := 0
+	for K := 0; K < nb; K++ {
+		var colsA, rowsB, inA, inB int
+		for X := 0; X < nb; X++ {
+			if finA[X*nb+K] > 0 {
+				colsA++
+				inA += finA[X*nb+K]
+			}
+			if finB[K*nb+X] > 0 {
+				rowsB++
+				inB += finB[K*nb+X]
+			}
+		}
+		size += inA*rowsB + inB*colsA
 	}
 	// Round 1 input, keyed by block triple (I·nb + J)·nb + K. A carries the
 	// entry's offset inside its block: A entries in [0, b²), B entries in
 	// [b², 2b²), so a sorted group lists its A block first.
 	sq := int64(bs * bs)
-	in := make([]Pair, 0, 2*l*l)
+	in := make([]Pair, 0, size)
 	for i := 0; i < l; i++ {
 		if open != nil && !open[i] {
 			continue
@@ -110,7 +128,7 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 			if v := a[i*l+k]; v < Inf {
 				I, K := i/bs, k/bs
 				for J := 0; J < nb; J++ {
-					if occB[K*nb+J] {
+					if finB[K*nb+J] > 0 {
 						in = append(in, Pair{Key: uint64((I*nb+J)*nb + K), A: int64(i%bs*bs + k%bs), B: v})
 					}
 				}
@@ -122,17 +140,20 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 			if v := b[k*l+j]; v < Inf {
 				K, J := k/bs, j/bs
 				for I := 0; I < nb; I++ {
-					if occA[I*nb+K] {
+					if finA[I*nb+K] > 0 {
 						in = append(in, Pair{Key: uint64((I*nb+J)*nb + K), A: sq + int64(k%bs*bs+j%bs), B: v})
 					}
 				}
 			}
 		}
 	}
-	parts, err := e.Round(in, func(key uint64, pairs []Pair, emit Emitter) {
+	parts, err := e.round(in, func(key uint64, pairs []Pair, emit Emitter, scratch *[]int64) {
 		ij, K := int(key/uint64(nb)), int64(key%uint64(nb))
 		I, J := ij/nb, ij%nb
-		blk := make([]int64, 2*sq) // B block, then the C block
+		if int64(cap(*scratch)) < 2*sq {
+			*scratch = make([]int64, 2*sq)
+		}
+		blk := (*scratch)[:2*sq] // B block, then the C block
 		for i := range blk {
 			blk[i] = Inf
 		}

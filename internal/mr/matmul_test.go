@@ -269,9 +269,33 @@ func TestMinPlusProductRespectsML(t *testing.T) {
 	}
 }
 
+// The round-1 reducer multiplies its blocks in its shard's scratch, and a
+// product on a warm engine reuses the round buffers: a dense 64×64 product
+// (8×8 blocks, 512 key groups) allocates a fixed handful of slices, not
+// one block per group.
+func TestMinPlusProductAllocsDoNotGrowWithGroups(t *testing.T) {
+	const l = 64
+	a := make([]int64, l*l)
+	for i := range a {
+		a[i] = int64(i%7 + 1)
+	}
+	e := NewEngine(Config{Shards: 1})
+	defer e.Close()
+	product := func() {
+		if _, err := e.MinPlusProduct(a, a, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	product()
+	if allocs := testing.AllocsPerRun(3, product); allocs > 32 {
+		t.Fatalf("a warm 64×64 product allocates %.0f times, want at most 32", allocs)
+	}
+}
+
 // BenchmarkDiameterByRepeatedSquaring squares the benchmark's MR input, the
 // 64-cluster τ = 1 quotient of RoadLike(15, 15, 0.4, 1), and reports the
-// shuffle volume and rounds the blocked product and the frontier take.
+// shuffle volume and rounds the blocked product and the frontier take, and
+// the time and allocations each shuffled pair costs.
 func BenchmarkDiameterByRepeatedSquaring(b *testing.B) {
 	road := graph.RoadLike(15, 15, 0.4, 1)
 	cl, err := core.ClusterContext(context.Background(), road, 1, core.Options{Seed: 1010})
@@ -285,6 +309,8 @@ func BenchmarkDiameterByRepeatedSquaring(b *testing.B) {
 	if wq.NumNodes() != 64 {
 		b.Fatalf("quotient has %d clusters, want 64", wq.NumNodes())
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	var pairs, rounds int64
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(Config{})
@@ -296,4 +322,5 @@ func BenchmarkDiameterByRepeatedSquaring(b *testing.B) {
 	}
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
 }

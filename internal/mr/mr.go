@@ -17,13 +17,21 @@
 //
 // A round runs as a sharded shuffle-and-reduce: input pairs are
 // hash-partitioned by key into Config.Shards reducer shards, the workers of
-// a persistent bsp.Pool claim the shards one at a time (Pool.Claim) and
-// sort and reduce each, and the shard outputs are assembled in ascending
-// key-group order. Because a key group lives entirely in one shard and the
+// a persistent bsp.Pool claim the shards one at a time (Pool.Claim), order
+// and reduce each, and the shard outputs are assembled in ascending
+// key-group order. A shard is ordered by (Key, A, B) without a comparison
+// sort: stable LSD radix passes over only the bits of A and Key that vary
+// inside the shard, then a sort of each run of equal (Key, A) by B (see
+// order.go). Because a key group lives entirely in one shard and the
 // assembly is ordered by key, the round's output — and therefore every
 // downstream round, the round count, and MaxReducerInput — is bit-for-bit
 // identical across shard counts, including the single-shard sequential
 // execution.
+//
+// The shuffle buffer, the radix scratch and each shard's output and group
+// lists belong to the Engine and are reused by every round until Close;
+// the slice a round returns is freshly allocated, so no later round writes
+// into it.
 //
 // # Resource accounting
 //
@@ -43,7 +51,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/bsp"
@@ -88,6 +95,13 @@ type Engine struct {
 	cfg    Config
 	shards int
 	pool   *bsp.Pool
+	closed bool
+
+	// Round's scratch, reused by every round: the shuffled input, the
+	// radix passes' second buffer and one state per shard. No slice Round
+	// returns aliases any of it.
+	buf, tmp []Pair
+	shard    []shardState
 
 	// ctx arms cooperative cancellation (SetContext); nil never cancels.
 	ctx context.Context
@@ -103,12 +117,14 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg, shards: bsp.Workers(cfg.Shards)}
 }
 
-// Close releases the worker pool. The engine must not run rounds afterwards.
+// Close releases the worker pool and the round buffers. A Round after
+// Close panics, as bsp.Pool.Claim does; a second Close is a no-op.
 func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.Close()
-		e.pool = nil
 	}
+	e.closed = true
+	e.buf, e.tmp, e.shard = nil, nil, nil
 }
 
 // SetContext arms cooperative cancellation: every subsequent Round checks
@@ -195,77 +211,77 @@ type shardGroup struct {
 	lo, hi int
 }
 
-// shardResult is one shard's contribution to a round, produced by the pool
-// worker that claimed the shard and merged at the barrier.
-type shardResult struct {
-	out      []Pair
-	groups   []shardGroup
+// shardState is one reducer shard's part of a round: filled by the pool
+// worker that claimed the shard, read at the barrier. Its slices are
+// engine-owned scratch, reused by every later round.
+type shardState struct {
+	out      []Pair       // the shard's reducer output, group after group
+	groups   []shardGroup // the output's key groups, in ascending key order
+	hist     []int        // the radix passes' bucket counts
+	scratch  []int64      // the reducers' scratch (the min-plus block)
 	maxGroup int
 	errKey   uint64
 	err      error
 }
 
-// runShard sorts one shard's pairs by (key, A, B), reduces each key group,
-// and records the group boundaries for the ordered merge. On an ML
-// violation it stops at the first (lowest-key) offending group; because the
-// shard processes keys in ascending order, the minimum errKey across shards
-// is the same group the sequential execution would have tripped on.
-func runShard(ml int64, pairs []Pair, res *shardResult, reduce Reducer) {
-	// The comparison is a total order over all three fields, so the
-	// (unstable) sort is deterministic: equal elements are identical.
-	slices.SortFunc(pairs, func(a, b Pair) int {
-		switch {
-		case a.Key != b.Key:
-			if a.Key < b.Key {
-				return -1
-			}
-			return 1
-		case a.A != b.A:
-			if a.A < b.A {
-				return -1
-			}
-			return 1
-		case a.B < b.B:
-			return -1
-		case a.B > b.B:
-			return 1
-		}
-		return 0
-	})
-	var out []Pair
+// scratchReducer is a Reducer that may also use its shard's scratch slice,
+// which persists across the groups and rounds the shard reduces: it grows
+// *scratch as it needs and must not keep it past the call.
+type scratchReducer func(key uint64, pairs []Pair, emit Emitter, scratch *[]int64)
+
+// run orders one shard's pairs by (key, A, B), reduces each key group, and
+// records the group boundaries for the ordered merge. pairs and tmp are
+// equal-length scratch; the order lands in either. On an ML violation it
+// stops at the first (lowest-key) offending group; because the shard
+// processes keys in ascending order, the minimum errKey across shards is
+// the same group the sequential execution would have tripped on.
+func (st *shardState) run(ml int64, pairs, tmp []Pair, reduce scratchReducer) {
+	pairs = radixSort(pairs, tmp, &st.hist)
+	out, groups := st.out[:0], st.groups[:0]
+	st.maxGroup, st.err = 0, nil
 	emit := func(p Pair) { out = append(out, p) }
 	for lo := 0; lo < len(pairs); {
-		hi := lo
-		for hi < len(pairs) && pairs[hi].Key == pairs[lo].Key {
+		key := pairs[lo].Key
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].Key == key {
 			hi++
 		}
 		group := pairs[lo:hi]
-		key := pairs[lo].Key
 		if ml > 0 && int64(len(group)) > ml {
-			res.errKey = key
-			res.err = fmt.Errorf("%w: key %d has %d pairs > %d",
+			st.errKey = key
+			st.err = fmt.Errorf("%w: key %d has %d pairs > %d",
 				ErrLocalMemory, key, len(group), ml)
-			return
+			break
 		}
-		if len(group) > res.maxGroup {
-			res.maxGroup = len(group)
-		}
+		st.maxGroup = max(st.maxGroup, len(group))
+		sortRunsByB(group)
 		glo := len(out)
-		reduce(key, group, emit)
-		res.groups = append(res.groups, shardGroup{key: key, lo: glo, hi: len(out)})
+		reduce(key, group, emit, &st.scratch)
+		groups = append(groups, shardGroup{key: key, lo: glo, hi: len(out)})
 		lo = hi
 	}
-	res.out = out
+	st.out, st.groups = out, groups
 }
 
 // Round runs one MapReduce round over input: pairs are grouped by key and
 // each group is handed to reduce. It returns the output pairs assembled in
 // ascending key-group order (emission order within a group), which is
-// independent of the shard count. Counters are committed only if the round
+// independent of the shard count. The returned slice is the caller's: no
+// later round writes to it. Counters are committed only if the round
 // passes both memory checks and the engine's context (SetContext) is not
 // cancelled — a cancelled round fails with ctx.Err() and leaves the
-// accounting untouched, exactly like a failed memory probe.
+// accounting untouched, exactly like a failed memory probe. Round panics
+// after Close, as bsp.Pool.Claim does.
 func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
+	return e.round(input, func(key uint64, pairs []Pair, emit Emitter, _ *[]int64) {
+		reduce(key, pairs, emit)
+	})
+}
+
+func (e *Engine) round(input []Pair, reduce scratchReducer) ([]Pair, error) {
+	if e.closed {
+		panic("mr: Engine.Round called after Close")
+	}
 	if err := e.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -274,32 +290,42 @@ func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
 	}
 	start := time.Now() //lint:allow walltime accounting-only: round timing never influences shard output
 	shards := e.shardsFor(len(input))
-	results := make([]shardResult, shards)
+	if e.shard == nil {
+		e.shard = make([]shardState, e.shards)
+	}
+	results := e.shard[:shards]
 
 	// Shuffle: hash-partition by key into contiguous per-shard regions of
-	// one scratch buffer (one shard, on the caller, is a copy of input).
-	counts := make([]int, shards)
-	for i := range input {
-		counts[int(mixKey(input[i].Key)%uint64(shards))]++
+	// the engine's buffer (one shard, on the caller, is a copy of input).
+	n := len(input)
+	if cap(e.buf) < n {
+		e.buf, e.tmp = make([]Pair, n), make([]Pair, n)
 	}
+	buf, tmp := e.buf[:n], e.tmp[:n]
 	offsets := make([]int, shards+1)
-	for s := 0; s < shards; s++ {
-		offsets[s+1] = offsets[s] + counts[s]
-	}
-	buf := make([]Pair, len(input))
-	pos := make([]int, shards)
-	copy(pos, offsets[:shards])
-	for i := range input {
-		s := int(mixKey(input[i].Key) % uint64(shards))
-		buf[pos[s]] = input[i]
-		pos[s]++
+	if shards == 1 {
+		copy(buf, input)
+		offsets[1] = n
+	} else {
+		for i := range input {
+			offsets[1+int(mixKey(input[i].Key)%uint64(shards))]++
+		}
+		for s := 1; s <= shards; s++ {
+			offsets[s] += offsets[s-1]
+		}
+		pos := append([]int(nil), offsets[:shards]...)
+		for i := range input {
+			s := int(mixKey(input[i].Key) % uint64(shards))
+			buf[pos[s]] = input[i]
+			pos[s]++
+		}
 	}
 	if e.pool == nil {
 		e.pool = bsp.NewPool(e.shards)
 	}
 	e.pool.Claim(shards, 1, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			runShard(e.cfg.ML, buf[offsets[s]:offsets[s+1]], &results[s], reduce)
+			results[s].run(e.cfg.ML, buf[offsets[s]:offsets[s+1]], tmp[offsets[s]:offsets[s+1]], reduce)
 		}
 	})
 
@@ -316,21 +342,23 @@ func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
 		return nil, roundErr
 	}
 
-	// Assemble shard outputs in ascending key-group order. Each shard's
-	// group list is already key-sorted and a key lives in exactly one
-	// shard, so a linear multi-way merge reproduces the sequential order.
-	// A single shard already IS that order — no copy needed.
-	var out []Pair
+	// Assemble shard outputs in ascending key-group order into a fresh
+	// slice. Each shard's group list is already key-sorted and a key lives
+	// in exactly one shard, so a linear multi-way merge reproduces the
+	// sequential order; a single shard already IS that order.
+	total := 0
+	for s := range results {
+		total += len(results[s].out)
+	}
+	if e.cfg.MG > 0 && int64(total) > e.cfg.MG {
+		return nil, fmt.Errorf("%w: output %d > %d", ErrGlobalMemory, total, e.cfg.MG)
+	}
+	out := make([]Pair, total)
 	if shards == 1 {
-		out = results[0].out
+		copy(out, results[0].out)
 	} else {
-		total := 0
-		for s := range results {
-			total += len(results[s].out)
-		}
-		out = make([]Pair, 0, total)
 		idx := make([]int, shards)
-		for {
+		for o := 0; ; {
 			best := -1
 			var bestKey uint64
 			for s := 0; s < shards; s++ {
@@ -344,26 +372,20 @@ func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
 				break
 			}
 			g := results[best].groups[idx[best]]
-			out = append(out, results[best].out[g.lo:g.hi]...)
+			o += copy(out[o:], results[best].out[g.lo:g.hi])
 			idx[best]++
 		}
-	}
-
-	if e.cfg.MG > 0 && int64(len(out)) > e.cfg.MG {
-		return nil, fmt.Errorf("%w: output %d > %d", ErrGlobalMemory, len(out), e.cfg.MG)
 	}
 
 	// Commit: the round succeeded, fold the per-shard counters in.
 	e.rounds++
 	e.totalShuffle += int64(len(input))
 	for s := range results {
-		if results[s].maxGroup > e.maxGroup {
-			e.maxGroup = results[s].maxGroup
-		}
+		e.maxGroup = max(e.maxGroup, results[s].maxGroup)
 	}
 	e.roundStats = append(e.roundStats, RoundStat{
 		PairsIn:  int64(len(input)),
-		PairsOut: int64(len(out)),
+		PairsOut: int64(total),
 		Shards:   shards,
 		Millis:   float64(time.Since(start).Nanoseconds()) / 1e6,
 	})
