@@ -3,7 +3,7 @@
 // operation against a paired reference; what is left here is the paper's
 // Section 6 table and figure harness (internal/expt, the code cmd/tables
 // runs at full scale), the competitors the benchmark has no workload for
-// (MPX, HADI/ANF, CLUSTER2, weighted growth) and the engine's pinned
+// (MPX, HADI/ANF, CLUSTER2) and the engine's pinned
 // directions and observer seam. CI runs each once as a rot check.
 package repro_test
 
@@ -19,8 +19,8 @@ import (
 	"repro/internal/expt"
 	"repro/internal/graph"
 	"repro/internal/mpx"
+	"repro/internal/mr"
 	"repro/internal/pbfs"
-	"repro/internal/rng"
 )
 
 // benchCfg keeps per-iteration work around a second per dataset.
@@ -104,15 +104,34 @@ func BenchmarkFigure1Series(b *testing.B) {
 	}
 }
 
-// --- Section 5 validation: growth step + repeated squaring on the MR
-// simulator ---
+// --- Section 5 validation: growth steps on the MR simulator ---
 
+// BenchmarkMRGrowStep times the Lemma 3 growth of expt.MRModel alone, at
+// its Scale 0.4 / Seed 7 shape: a 26×26 mesh, the centres of a ~40-cluster
+// decomposition, and one engine with ML = n, all built before the timer
+// starts. Each iteration grows a fresh GrowState to its fixpoint with
+// mr.Engine.Grow; the squaring that follows it in MRModel has its own
+// benchmark (BenchmarkDiameterByRepeatedSquaring).
 func BenchmarkMRGrowStep(b *testing.B) {
+	g := graph.Mesh(26, 26)
+	_, cl, err := core.TauForTargetClusters(b.Context(), g, 40, 0.5, core.Options{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := mr.NewEngine(mr.Config{ML: int64(g.NumNodes())})
+	defer eng.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.MRModel(b.Context(), expt.Config{Scale: 0.4, Seed: 7}); err != nil {
+		b.StopTimer()
+		state := mr.NewGrowState(g.NumNodes(), cl.Centers)
+		b.StartTimer()
+		if _, err := eng.Grow(g, state); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(eng.Rounds())/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(eng.TotalShuffled())/float64(b.N), "pairs/op")
 }
 
 // --- Ablations ---
@@ -232,41 +251,6 @@ func BenchmarkEngineObserver(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// --- Weighted layer ---
-
-// BenchmarkWeightedClusterModes scales the delta-stepping growth across
-// worker counts (workers=1 is the sequential baseline — the same bucketed
-// relaxations Dijkstra's priority queue would perform, minus the heap).
-// Relaxations/op and buckets/op report the honest weighted work alongside
-// ns/op, the way arcs does for the unweighted engine benches, and phases/op
-// (Stats.Rounds, the growth's GrowthSteps depth) the barriers it crossed.
-func BenchmarkWeightedClusterModes(b *testing.B) {
-	// G(20k, 100k) with weights uniform in [1, 100].
-	base := graph.ErdosRenyi(20000, 100000, 11)
-	edges := base.EdgeList()
-	r := rng.New(13)
-	ws := make([]int32, len(edges))
-	for i := range ws {
-		ws[i] = int32(1 + r.Intn(100))
-	}
-	wg := graph.MustWeighted(base.NumNodes(), edges, ws)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(benchName("workers", w), func(b *testing.B) {
-			var st bsp.Stats
-			for i := 0; i < b.N; i++ {
-				wc, err := core.WeightedCluster(b.Context(), wg, 16, core.Options{Seed: 1, Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st = wc.Stats
-			}
-			b.ReportMetric(float64(st.Relaxations), "relaxations")
-			b.ReportMetric(float64(st.Buckets), "buckets")
-			b.ReportMetric(float64(st.Rounds), "phases")
 		})
 	}
 }

@@ -22,12 +22,14 @@
 // the nodes claimed in a round, and who claimed each, do not depend on the
 // direction, the worker count or the goroutine schedule.
 //
-// The weighted algorithms (WeightedCluster growth, weighted iFUB) run on a
-// second engine in this package, WeightedEngine: a delta-stepping bucket
-// schedule whose supersteps are relaxation phases and whose claims are
-// atomic min-reductions — see weighted.go. (The oracle's quotient APSP
-// runs on graph.APSPScratch's sequential kernels instead.) Stats.Relaxations and Stats.Buckets are its counters, the
-// weighted counterpart of Messages and Rounds.
+// Weighted iFUB (graph.ExactDiameterWeighted, the exact diameter ∆′C of a
+// weighted quotient) runs its single-source searches on a second engine in
+// this package, WeightedEngine: a delta-stepping bucket schedule whose
+// supersteps are relaxation phases and whose claims are atomic
+// min-reductions on distance words — see weighted.go. (The oracle's
+// quotient APSP runs on graph.APSPScratch's sequential kernels instead.)
+// Stats.Relaxations and Stats.Buckets are its counters, the weighted
+// counterpart of Messages and Rounds.
 //
 // Every parallel pass of both engines — push and pull rounds, the barrier's
 // settle pass, Engine.For, relaxation phases — runs on one loop,
@@ -88,10 +90,9 @@ type RoundStat struct {
 }
 
 // Observer receives live progress from a running engine, as Stats deltas
-// emitted at superstep barriers (Engine) and bucket barriers
-// (WeightedEngine) — the window a serving layer needs to report what a
-// multi-second build is doing between enqueue and completion, instead of
-// only its post-hoc totals. Semantics follow Stats.Add: the counter
+// emitted at Engine's superstep barriers — the window a serving layer
+// needs to report what a multi-second build is doing between enqueue and
+// completion, instead of only its post-hoc totals. Semantics follow Stats.Add: the counter
 // fields are increments since the previous emission, MaxFrontier is a
 // high-water candidate to be max-merged.
 //

@@ -63,29 +63,6 @@ func TestEngineNilContextNeverCancels(t *testing.T) {
 	}
 }
 
-func TestWeightedEngineHonorsCancelledContext(t *testing.T) {
-	wg := randomWeightedGraph(t, graph.Mesh(20, 20), 7, 10)
-	e := bsp.NewWeightedEngine(wg, 2, 0)
-	defer e.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e.SetContext(ctx)
-
-	e.GrowInit()
-	e.AddSource(0, 0)
-	ok, err := e.ProcessBucket()
-	if ok {
-		t.Fatal("cancelled ProcessBucket reported live work")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ProcessBucket err = %v, want context.Canceled", err)
-	}
-	if !errors.Is(e.Err(), context.Canceled) {
-		t.Fatalf("Err() = %v, want context.Canceled", e.Err())
-	}
-}
-
 func TestWeightedEngineSSSPStopsAfterCancel(t *testing.T) {
 	wg := randomWeightedGraph(t, graph.Mesh(40, 40), 3, 25)
 

@@ -2,7 +2,6 @@ package bsp
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 )
 
@@ -28,13 +27,11 @@ import (
 // topology's one adjacency in place.
 //
 // Determinism. All relaxations funnel through an atomic min-reduction on a
-// per-node claim word (casLower): in multi-source mode the word
-// packs (distance, owner) so ties break toward the smaller cluster id, in
-// single-source mode it is the raw distance. Each phase relaxes from a
-// distance snapshot taken at the preceding barrier, so the offer multiset
-// of a phase — and therefore every bucket, every final distance, and every
-// owner — is independent of the goroutine schedule and bit-for-bit
-// identical across worker counts.
+// per-node claim word (casLower) holding the raw tentative distance. Each
+// phase relaxes from a distance snapshot taken at the preceding barrier, so
+// the offer multiset of a phase — and therefore every bucket, every final
+// distance and every cost counter — is independent of the goroutine
+// schedule and bit-for-bit identical across worker counts.
 
 // WeightedTopology is the adjacency access the weighted engine needs.
 // *graph.Weighted satisfies it; as with Topology, the interface keeps this
@@ -51,14 +48,9 @@ const WInf int64 = 1 << 62
 // unclaimed is the claim word of a node no relaxation has reached.
 const unclaimed = ^uint64(0)
 
-// growDistMax bounds weighted distances in multi-source (owner-tracking)
-// mode, where the claim word packs the distance into 31 bits above the
-// 32-bit owner id. Exceeding it is reported as an error by ProcessBucket.
-const growDistMax = int64(1)<<31 - 1
-
-// ErrDistOverflow is returned when a multi-source growth accumulates a
-// weighted distance beyond the 31 bits the packed claim word can hold.
-var ErrDistOverflow = errors.New("bsp: weighted distance exceeds 2^31-1 in multi-source growth")
+// distCap is the largest distance a claim word may hold: an offer beyond it
+// would reach WInf and read as unreachable, so relaxChunk drops it.
+const distCap = WInf - 1
 
 // casLower atomically lowers *slot to val; it reports whether this call
 // lowered the word (the min-reduction "claim" of the MPX idiom).
@@ -74,31 +66,20 @@ func casLower(slot *uint64, val uint64) bool {
 	}
 }
 
-// WeightedEngine runs delta-stepping traversals over a weighted topology.
-// It is reusable across runs (each SSSP or GrowInit resets the claim state,
-// keeping the accumulated Stats and the worker pool) but is not safe for
-// concurrent use. Close releases the pool.
+// WeightedEngine runs delta-stepping single-source searches over a weighted
+// topology: weighted iFUB (graph.ExactDiameterWeighted) runs every search of
+// one diameter on one engine. It is reusable across runs (each SSSP resets
+// the claim state, keeping the accumulated Stats and the worker pool) but is
+// not safe for concurrent use. Close releases the pool.
 type WeightedEngine struct {
 	t       WeightedTopology
-	n       int
 	workers int
 	delta   int64
 	pool    *Pool
 
-	// Claim state. shift is 32 in grow mode (word = dist<<32 | owner) and 0
-	// in SSSP mode (word = dist); ownerMask selects the owner bits.
-	slot      []uint64
-	shift     uint
-	ownerMask uint64
-	distMax   int64
-	overflow  atomic.Bool
-
-	// Grow-mode settlement: a node counts as covered once the bucket
-	// holding its final distance has been processed (sources settle at
-	// AddSource). Tentative claims in unprocessed buckets are not settled.
-	grow     bool
-	settled  *Bitmap
-	settledN int
+	// Claim state: one word per node, its tentative distance (unclaimed
+	// until an offer reaches it).
+	slot []uint64
 
 	// Bucket schedule: pending bucket ids in a min-heap, members in a map
 	// of lazily-filtered lists (a node lowered after insertion leaves a
@@ -109,10 +90,6 @@ type WeightedEngine struct {
 
 	// ctx arms cooperative cancellation (SetContext); nil never cancels.
 	ctx context.Context
-
-	// obs, when non-nil, receives a Stats delta after every settled
-	// bucket (SetObserver); nil costs one branch per bucket.
-	obs Observer
 
 	// Per-phase scratch.
 	frontier []NodeID
@@ -162,12 +139,10 @@ func NewWeightedEngine(t WeightedTopology, workers int, delta int64) *WeightedEn
 	}
 	e := &WeightedEngine{
 		t:       t,
-		n:       n,
 		workers: w,
 		delta:   delta,
 		pool:    NewPool(w),
 		slot:    make([]uint64, n),
-		settled: NewBitmap(n),
 		buckets: make(map[int64][]NodeID),
 		inR:     NewBitmap(n),
 		updBits: NewBitmap(n),
@@ -191,16 +166,6 @@ func (e *WeightedEngine) Stats() Stats { return e.stats }
 // reset, covering multi-search computations like the weighted iFUB.
 func (e *WeightedEngine) SetContext(ctx context.Context) { e.ctx = ctx }
 
-// SetObserver installs fn to receive a Stats delta at every bucket
-// barrier — the weighted engine's per-bucket counterpart of
-// Engine.SetObserver, emitting the bucket's relaxation phases
-// (Rounds), offers (Messages/Relaxations), and Buckets: 1 after each
-// settled bucket. The observer runs on the driving goroutine, outside
-// the relaxation phases; it survives reset, covering multi-search
-// computations. A nil fn (the default) disables observation at the cost
-// of one branch per bucket.
-func (e *WeightedEngine) SetObserver(fn Observer) { e.obs = fn }
-
 // Err returns the context error if SetContext armed cancellation and the
 // context has been cancelled, else nil.
 func (e *WeightedEngine) Err() error {
@@ -215,23 +180,14 @@ func (e *WeightedEngine) Close() { e.pool.Close() }
 
 // reset clears the claim and bucket state for a fresh run. Runs on the
 // driving goroutine between searches: workers are parked at the barrier.
-func (e *WeightedEngine) reset(grow bool) {
+func (e *WeightedEngine) reset() {
 	for i := range e.slot {
 		e.slot[i] = unclaimed
 	}
-	e.grow = grow
-	if grow {
-		e.shift, e.ownerMask, e.distMax = 32, 1<<32-1, growDistMax
-	} else {
-		e.shift, e.ownerMask, e.distMax = 0, 0, WInf-1
-	}
-	e.settled.ClearAll()
-	e.settledN = 0
 	e.inR.ClearAll()
 	e.updBits.ClearAll()
-	e.overflow.Store(false)
 	// The heap holds exactly the pending bucket ids, the map's keys: insert
-	// pushes an id when it adds the key, and processBucket pops and
+	// pushes an id when it adds the key, and drain pops and
 	// deletes together.
 	for _, id := range e.bheap {
 		e.free = append(e.free, e.buckets[id][:0])
@@ -241,8 +197,6 @@ func (e *WeightedEngine) reset(grow bool) {
 	e.rset = e.rset[:0]
 	e.frontier = e.frontier[:0]
 }
-
-func (e *WeightedEngine) distOf(word uint64) int64 { return int64(word >> e.shift) }
 
 // insert queues v into the bucket holding distance d.
 func (e *WeightedEngine) insert(v NodeID, d int64) {
@@ -298,17 +252,6 @@ func (e *WeightedEngine) heapPop() int64 {
 	return top
 }
 
-// addSource claims u at distance zero for owner and queues it in bucket 0.
-// Must not be called while a bucket is being processed.
-func (e *WeightedEngine) addSource(u, owner NodeID) {
-	e.slot[u] = uint64(owner) & e.ownerMask // dist 0 in the high bits
-	e.insert(u, 0)
-	if e.grow && !e.settled.Get(u) {
-		e.settled.Set(u)
-		e.settledN++
-	}
-}
-
 // relaxChunk relaxes nodes [lo, hi) of the current phase (parameters in
 // the phase* fields), appending to worker w's claim buffer and offer count:
 // a worker may claim several chunks of one phase. It is the relaxation
@@ -318,22 +261,20 @@ func (e *WeightedEngine) addSource(u, owner NodeID) {
 // phase an atomic bitmap mark.
 func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 	nodes, words := e.phaseNodes, e.phaseWords
-	t, slot, shift, mask, distMax, updBits := e.t, e.slot, e.shift, e.ownerMask, e.distMax, e.updBits
+	t, slot, updBits := e.t, e.slot, e.updBits
 	buf := e.updBufs[w]
 	var scanned int64
 	for i := lo; i < hi; i++ {
-		du := int64(words[i] >> shift)
-		base := words[i] & mask
+		du := int64(words[i])
 		adj, ws := t.Neighbors(nodes[i])
 		ws = ws[:len(adj)]
 		scanned += int64(len(adj))
 		for a, v := range adj {
 			nd := du + int64(ws[a])
-			if nd > distMax {
-				e.overflow.Store(true)
+			if nd > distCap {
 				continue
 			}
-			if casLower(&slot[v], uint64(nd)<<shift|base) && updBits.SetAtomic(v) {
+			if casLower(&slot[v], uint64(nd)) && updBits.SetAtomic(v) {
 				buf = append(buf, v) // pooled: grows to its high-water mark, then reuses
 			}
 		}
@@ -346,11 +287,11 @@ func (e *WeightedEngine) relaxChunk(w, lo, hi int) {
 // are read from the aligned snapshot words. The workers claim the nodes in
 // blocks of seqThreshold (Pool.Claim), so a phase under one block runs on
 // the caller. It returns the per-worker claim buffers concatenated (each
-// node lowered at least once, exactly one entry) and the offer count. The
-// arguments travel through the phase* fields and the prebuilt relax value
-// rather than a per-call capture. Zero allocations once warm, pinned by
+// node lowered at least once, exactly one entry). The arguments travel
+// through the phase* fields and the prebuilt relax value rather than a
+// per-call capture. Zero allocations once warm, pinned by
 // TestRelaxPhaseZeroAlloc{Sequential,Parallel}.
-func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64) (upd []NodeID, offers int64) {
+func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64) []NodeID {
 	e.phaseNodes, e.phaseWords = nodes, words
 	for w := range e.updBufs {
 		e.updBufs[w] = e.updBufs[w][:0]
@@ -358,7 +299,8 @@ func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64) (upd []NodeI
 	}
 	e.pool.Claim(len(nodes), seqThreshold, e.relax)
 	e.phaseNodes, e.phaseWords = nil, nil
-	upd = e.upd[:0]
+	upd := e.upd[:0]
+	var offers int64
 	for w := 0; w < e.workers; w++ {
 		upd = append(upd, e.updBufs[w]...) // pooled: grows to the high-water frontier, then reuses
 		offers += e.offersW[w]
@@ -373,7 +315,7 @@ func (e *WeightedEngine) relaxPhase(nodes []NodeID, words []uint64) (upd []NodeI
 	if len(nodes) > e.stats.MaxFrontier {
 		e.stats.MaxFrontier = len(nodes)
 	}
-	return upd, offers
+	return upd
 }
 
 // admit appends v to the current bucket's frontier (and settlement set R)
@@ -388,25 +330,20 @@ func (e *WeightedEngine) admit(v NodeID) {
 	}
 }
 
-// processBucket settles the lowest pending bucket: repeated phases until
-// no offer lands back in the bucket. Every node relaxes its whole adjacency
+// drain settles the pending buckets, lowest first, each by repeated phases
+// until no offer lands back in it. Every node relaxes its whole adjacency
 // at each word it is admitted with, its final word included, before the
 // bucket closes; an offer made from an earlier, larger word is dominated
 // by the same arc's offer from the final one, so each claim word after the
-// bucket is what offering only from final words would leave. It reports
-// whether any bucket held live work (stale entries are consumed either
-// way). Slot reads here happen on the driving goroutine between relaxation
-// phases, when the claim words are quiescent.
-func (e *WeightedEngine) processBucket() bool {
-	before := e.stats
-	for len(e.bheap) > 0 {
-		if e.Err() != nil {
-			// Cancelled at a bucket barrier: leave the pending buckets
-			// unconsumed and report no further work; ProcessBucket (and
-			// Err) surface the cause, and the run's claim state is
-			// discarded by the driver.
-			return false
-		}
+// bucket is what offering only from final words would leave. A bucket
+// holding only stale entries is consumed without a phase and not counted.
+// Slot reads here happen on the driving goroutine between relaxation
+// phases, when the claim words are quiescent. A cancelled context stops
+// the drain at the next bucket or phase barrier, leaving the pending
+// buckets unconsumed; Err surfaces the cause and the caller discards the
+// run's claim state.
+func (e *WeightedEngine) drain() {
+	for len(e.bheap) > 0 && e.Err() == nil {
 		id := e.heapPop()
 		list := e.buckets[id]
 		delete(e.buckets, id)
@@ -415,24 +352,23 @@ func (e *WeightedEngine) processBucket() bool {
 		e.rset = e.rset[:0]
 		for _, v := range list {
 			word := e.slot[v]
-			if word == unclaimed || int64(word>>e.shift)/e.delta != id || e.inR.Get(v) {
+			if word == unclaimed || int64(word)/e.delta != id || e.inR.Get(v) {
 				continue // stale or duplicate entry
 			}
 			e.admit(v)
 		}
 		e.free = append(e.free, list[:0])
 		if len(e.frontier) == 0 {
-			e.inR.ClearSparse(e.rset)
 			continue
 		}
 		// Relax until no claim lands back in this bucket (or the context
 		// is cancelled at a phase barrier).
 		for len(e.frontier) > 0 && e.Err() == nil {
-			upd, _ := e.relaxPhase(e.frontier, e.fwords)
+			upd := e.relaxPhase(e.frontier, e.fwords)
 			e.frontier = e.frontier[:0]
 			e.fwords = e.fwords[:0]
 			for _, v := range upd {
-				if d := e.distOf(e.slot[v]); d/e.delta == id {
+				if d := int64(e.slot[v]); d/e.delta == id {
 					e.admit(v)
 				} else {
 					e.insert(v, d)
@@ -440,30 +376,11 @@ func (e *WeightedEngine) processBucket() bool {
 			}
 		}
 		if e.Err() != nil {
-			return false
-		}
-		if e.grow {
-			for _, v := range e.rset {
-				if !e.settled.Get(v) {
-					e.settled.Set(v)
-					e.settledN++
-				}
-			}
+			return
 		}
 		e.inR.ClearSparse(e.rset)
 		e.stats.Buckets++
-		if e.obs != nil {
-			e.obs(Stats{
-				Rounds:      e.stats.Rounds - before.Rounds,
-				Messages:    e.stats.Messages - before.Messages,
-				Relaxations: e.stats.Relaxations - before.Relaxations,
-				Buckets:     1,
-				MaxFrontier: e.stats.MaxFrontier,
-			})
-		}
-		return true
 	}
-	return false
 }
 
 // SSSP computes single-source shortest-path distances from src into dist
@@ -473,13 +390,13 @@ func (e *WeightedEngine) processBucket() bool {
 // cancelled (SetContext) the search stops at the next bucket or phase
 // barrier; the distances are then partial and Err reports the cause.
 func (e *WeightedEngine) SSSP(src NodeID, dist []int64) int64 {
-	e.reset(false)
-	e.addSource(src, 0)
-	for e.processBucket() {
-	}
+	e.reset()
+	e.slot[src] = 0
+	e.insert(src, 0)
+	e.drain()
 	var ecc int64
 	for i := range dist {
-		if w := e.slot[i]; w != unclaimed { // search complete, claim words final
+		if w := e.slot[i]; w != unclaimed { // drained, claim words final
 			dist[i] = int64(w)
 			if dist[i] > ecc {
 				ecc = dist[i]
@@ -489,60 +406,4 @@ func (e *WeightedEngine) SSSP(src NodeID, dist []int64) int64 {
 		}
 	}
 	return ecc
-}
-
-// GrowInit starts a multi-source growth: claim words pack (distance, owner)
-// and min-reduce lexicographically, so contended nodes resolve to the
-// (smallest distance, smallest cluster id) claim — the weighted CLUSTER
-// tie-break — independent of schedule. Sources are added with AddSource and
-// buckets advanced with ProcessBucket; both may interleave, which is how
-// the batch schedule staggers center activation.
-func (e *WeightedEngine) GrowInit() { e.reset(true) }
-
-// AddSource activates u as a source owning cluster `owner`: distance zero,
-// settled immediately (a fresh center covers itself), queued in bucket 0.
-// Must only be called between ProcessBucket calls. Adding a source at a
-// node holding a tentative (unsettled) claim overrides that claim — a
-// distance-zero word wins every min-reduction.
-func (e *WeightedEngine) AddSource(u, owner NodeID) { e.addSource(u, owner) }
-
-// ProcessBucket settles the lowest pending bucket. It reports whether any
-// pending bucket held live work, and fails if a packed distance overflowed
-// or the engine's context was cancelled (SetContext).
-func (e *WeightedEngine) ProcessBucket() (bool, error) {
-	ok := e.processBucket()
-	if err := e.Err(); err != nil {
-		return ok, err
-	}
-	if e.overflow.Load() {
-		return ok, ErrDistOverflow
-	}
-	return ok, nil
-}
-
-// HasPending reports whether any bucket (possibly holding only stale
-// entries) is still queued.
-func (e *WeightedEngine) HasPending() bool { return len(e.bheap) > 0 }
-
-// Settled reports whether u's claim has been settled (for sources, since
-// AddSource). Tentative claims in unprocessed buckets do not count.
-func (e *WeightedEngine) Settled(u NodeID) bool { return e.settled.Get(u) }
-
-// SettledCount returns the number of settled nodes.
-func (e *WeightedEngine) SettledCount() int { return e.settledN }
-
-// Extract writes the settled claims into dist and owner (len NumNodes).
-// Unsettled nodes get WInf and owner -1. Called between ProcessBucket
-// calls, when the claim words are quiescent.
-func (e *WeightedEngine) Extract(dist []int64, owner []NodeID) {
-	for u := 0; u < e.n; u++ {
-		if e.settled.Get(NodeID(u)) {
-			word := e.slot[u]
-			dist[u] = int64(word >> e.shift)
-			owner[u] = NodeID(uint32(word & e.ownerMask))
-		} else {
-			dist[u] = WInf
-			owner[u] = -1
-		}
-	}
 }

@@ -120,148 +120,49 @@ func TestDeltaSSSPStatsDeterministic(t *testing.T) {
 	}
 }
 
-// TestWeightedEngineGrowVoronoi: a fully drained multi-source growth is the
-// weighted Voronoi partition of its sources — every node ends with its true
-// shortest distance to the nearest source, ties broken to the smaller
-// owner id — regardless of delta or worker count. The bucket width is pure
-// scheduling: from the automatic choice (0) through unit buckets to one
-// bucket holding everything (2⁴⁰), only the cost counters move.
-func TestWeightedEngineGrowVoronoi(t *testing.T) {
-	wg := randomWeightedGraph(t, graph.Mesh(15, 15), 19, 9)
-	n := wg.NumNodes()
-	sources := []graph.NodeID{3, 77, 140, 220}
-	refDist := make([][]int64, len(sources))
-	for i, s := range sources {
-		refDist[i] = wg.Dijkstra(s)
-	}
-	for _, delta := range []int64{0, 1, 2, 5, 16, 1 << 40} {
-		for _, workers := range []int{1, 4} {
-			e := bsp.NewWeightedEngine(wg, workers, delta)
-			e.GrowInit()
-			for i, s := range sources {
-				e.AddSource(s, graph.NodeID(i))
-			}
-			for {
-				ok, err := e.ProcessBucket()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-			}
-			dist := make([]int64, n)
-			owner := make([]graph.NodeID, n)
-			e.Extract(dist, owner)
-			for u := 0; u < n; u++ {
-				bestD, bestO := int64(1)<<62, graph.NodeID(-1)
-				for i := range sources {
-					if refDist[i][u] < bestD {
-						bestD, bestO = refDist[i][u], graph.NodeID(i)
-					}
-				}
-				if dist[u] != bestD || owner[u] != bestO {
-					t.Fatalf("delta=%d workers=%d node %d: got (%d,%d) want (%d,%d)",
-						delta, workers, u, dist[u], owner[u], bestD, bestO)
-				}
-			}
-			if st := e.Stats(); st.Relaxations == 0 || st.Buckets == 0 {
-				t.Fatalf("delta=%d workers=%d: missing weighted cost counters %+v", delta, workers, st)
-			}
-			e.Close()
-		}
-	}
-}
-
 // TestWeightedEngineParallelRelax drives the relaxation phases where they
 // fan out over the pool and lower claim words concurrently: the graph is
 // wide enough that its phases pass seqThreshold, at four workers. The
 // smaller graphs above relax inline, so this is the test that gives the
 // race detector relaxChunk's casLower and updBits.SetAtomic, and that
-// checks the parallel path against its references: Dijkstra for SSSP at
-// the automatic and the one-bucket width, and the workers = 1 twin, node
-// for node and counter for counter, for a drained multi-source growth
-// whose sources arrive between buckets.
+// checks the parallel path against its references at the automatic and the
+// one-bucket width: Dijkstra, and the workers = 1 twin, node for node and
+// counter for counter, over three searches on one engine as iFUB runs them.
 func TestWeightedEngineParallelRelax(t *testing.T) {
 	wg := randomWeightedGraph(t, graph.ErdosRenyi(20000, 80000, 9), 5, 20)
 	n := wg.NumNodes()
-	ref := wg.Dijkstra(0)
-	dist := make([]int64, n)
-	for _, delta := range []int64{0, 1 << 40} {
-		e := bsp.NewWeightedEngine(wg, 4, delta)
-		e.SSSP(0, dist)
-		e.Close()
-		for u := range ref {
-			if dist[u] != ref[u] {
-				t.Fatalf("delta=%d: dist[%d]=%d want %d", delta, u, dist[u], ref[u])
-			}
-		}
-	}
-
-	grow := func(workers int) ([]int64, []graph.NodeID, bsp.Stats) {
-		e := bsp.NewWeightedEngine(wg, workers, 0)
+	srcs := []graph.NodeID{0, graph.NodeID(n / 3), graph.NodeID(2 * n / 3)}
+	search := func(workers int, delta int64) ([][]int64, bsp.Stats) {
+		e := bsp.NewWeightedEngine(wg, workers, delta)
 		defer e.Close()
-		e.GrowInit()
-		for i := 0; i < 8; i++ {
-			e.AddSource(graph.NodeID(i*n/8), graph.NodeID(i))
-			if _, err := e.ProcessBucket(); err != nil {
-				t.Fatal(err)
+		dists := make([][]int64, len(srcs))
+		for i, src := range srcs {
+			dists[i] = make([]int64, n)
+			e.SSSP(src, dists[i])
+		}
+		return dists, e.Stats()
+	}
+	ref := wg.Dijkstra(srcs[0])
+	for _, delta := range []int64{0, 1 << 40} {
+		d1, s1 := search(1, delta)
+		d4, s4 := search(4, delta)
+		for u := range ref {
+			if d4[0][u] != ref[u] {
+				t.Fatalf("delta=%d: dist[%d]=%d want %d", delta, u, d4[0][u], ref[u])
 			}
 		}
-		for {
-			ok, err := e.ProcessBucket()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
+		for i, src := range srcs {
+			for u := 0; u < n; u++ {
+				if d4[i][u] != d1[i][u] {
+					t.Fatalf("delta=%d src=%d node %d: workers=4 %d, workers=1 %d", delta, src, u, d4[i][u], d1[i][u])
+				}
 			}
 		}
-		dist, owner := make([]int64, n), make([]graph.NodeID, n)
-		e.Extract(dist, owner)
-		return dist, owner, e.Stats()
-	}
-	d1, o1, s1 := grow(1)
-	d4, o4, s4 := grow(4)
-	for u := 0; u < n; u++ {
-		if d4[u] != d1[u] || o4[u] != o1[u] {
-			t.Fatalf("node %d: workers=4 (%d,%d), workers=1 (%d,%d)", u, d4[u], o4[u], d1[u], o1[u])
+		if s4 != s1 {
+			t.Fatalf("delta=%d: stats diverge: workers=4 %+v, workers=1 %+v", delta, s4, s1)
 		}
-	}
-	if s4 != s1 {
-		t.Fatalf("stats diverge: workers=4 %+v, workers=1 %+v", s4, s1)
-	}
-	if s1.MaxFrontier < bsp.SeqThreshold {
-		t.Fatalf("largest phase %d nodes: the relaxation never fanned out", s1.MaxFrontier)
-	}
-}
-
-// TestWeightedEngineGrowOverflow: packed 31-bit distances must fail loudly,
-// not wrap around.
-func TestWeightedEngineGrowOverflow(t *testing.T) {
-	// A path of three maximal edges overflows 2^31-1 after two hops.
-	w := int32(1<<31 - 1)
-	wg, err := graph.NewWeighted(4,
-		[][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}}, []int32{w, w, w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := bsp.NewWeightedEngine(wg, 1, 0)
-	defer e.Close()
-	e.GrowInit()
-	e.AddSource(0, 0)
-	var sawErr bool
-	for {
-		ok, err := e.ProcessBucket()
-		if err != nil {
-			sawErr = true
-			break
+		if s1.MaxFrontier < bsp.SeqThreshold {
+			t.Fatalf("delta=%d: largest phase %d nodes: the relaxation never fanned out", delta, s1.MaxFrontier)
 		}
-		if !ok {
-			break
-		}
-	}
-	if !sawErr {
-		t.Fatal("expected ErrDistOverflow")
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 func TestBuildEntryPointsHonorCancelledContext(t *testing.T) {
 	g := graph.Mesh(40, 40)
-	wg := weightedFixture(t, g)
 	cl, err := ClusterContext(t.Context(), g, 4, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -41,36 +40,17 @@ func TestBuildEntryPointsHonorCancelledContext(t *testing.T) {
 			return err
 		}},
 		{"KCenter", func() error { _, err := KCenter(ctx, g, 8, Options{Seed: 1}); return err }},
-		{"WeightedCluster", func() error { _, err := WeightedCluster(ctx, wg, 4, Options{Seed: 1}); return err }},
 		{"TauForTargetClusters", func() error {
 			_, _, err := TauForTargetClusters(ctx, g, 40, 0.2, Options{Seed: 1})
 			return err
 		}},
 		{"DiameterFromClustering", func() error { _, err := DiameterFromClustering(ctx, cl, 0); return err }},
-		{"ApproxDiameterWeighted", func() error {
-			_, err := ApproxDiameterWeighted(ctx, wg, 4, Options{Seed: 1})
-			return err
-		}},
 	}
 	for _, c := range cases {
 		if err := c.run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s with cancelled ctx: err = %v, want context.Canceled", c.name, err)
 		}
 	}
-}
-
-func weightedFixture(t *testing.T, g *graph.Graph) *graph.Weighted {
-	t.Helper()
-	edges := g.EdgeList()
-	ws := make([]int32, len(edges))
-	for i := range ws {
-		ws[i] = int32(1 + i%7)
-	}
-	wg, err := graph.NewWeighted(g.NumNodes(), edges, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wg
 }
 
 // A cancel landing mid-build must be honored promptly — within the current

@@ -27,8 +27,8 @@ type Options struct {
 	// benchmarks), DirPull forces bottom-up.
 	Direction bsp.Direction
 
-	// Observer, when non-nil, is installed on every engine the build
-	// creates and receives live progress deltas at superstep/bucket
+	// Observer, when non-nil, is installed on every traversal engine the
+	// build creates and receives live progress deltas at superstep
 	// barriers (see bsp.Observer) — the serving layer's window into a
 	// running multi-second build. The oracle's APSP fan-out calls it from
 	// every worker goroutine, once per completed block of sources, so it

@@ -137,24 +137,3 @@ func TestPropertyOracleSandwich(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPropertyWeightedClusterValid(t *testing.T) {
-	f := func(seed uint64) bool {
-		g := randomConnected(seed)
-		edges := g.EdgeList()
-		r := rng.New(seed ^ 0x77)
-		ws := make([]int32, len(edges))
-		for i := range ws {
-			ws[i] = int32(1 + r.Intn(9))
-		}
-		wg := graph.MustWeighted(g.NumNodes(), edges, ws)
-		wc, err := WeightedCluster(t.Context(), wg, 2, Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		return wc.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}

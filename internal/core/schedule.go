@@ -11,10 +11,9 @@ import (
 const ClusterTag uint64 = 0xc105_7e12
 
 // Growth is what the CLUSTER(τ) batch schedule needs from a cluster grower.
-// Three growers implement it: the BSP grower of this package (one
-// superstep per Step), the delta-stepping growth of WeightedCluster (one
-// bucket per Step), and the MapReduce growth of mr.Engine.Cluster (one
-// GrowStep round per Step, one selection round per SelectUncovered).
+// Two growers implement it: the BSP grower of this package (one superstep
+// per Step) and the MapReduce growth of mr.Engine.Cluster (one GrowStep
+// round per Step, one selection round per SelectUncovered).
 type Growth interface {
 	// Uncovered returns the number of nodes no cluster has covered yet.
 	Uncovered() int

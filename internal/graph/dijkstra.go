@@ -123,10 +123,10 @@ func (h *distHeap) Pop() interface{} {
 
 // Dijkstra computes single-source shortest path distances from src.
 // Unreachable nodes get InfDist. It is the sequential binary-heap reference
-// implementation: weighted iFUB and weighted cluster growth run the
-// parallel delta-stepping bsp.WeightedEngine and the oracle's quotient APSP
-// the bucket-queue APSPScratch.SSSP, and both are tested to match this one
-// bit for bit.
+// implementation: weighted iFUB runs its searches on the parallel
+// delta-stepping bsp.WeightedEngine and the oracle's quotient APSP on the
+// bucket-queue APSPScratch.SSSP, and both are tested to match this one bit
+// for bit.
 func (g *Weighted) Dijkstra(src NodeID) []int64 {
 	dist := make([]int64, g.NumNodes())
 	g.DijkstraInto(src, dist)
@@ -162,12 +162,6 @@ func (g *Weighted) DijkstraInto(src NodeID, dist []int64) int64 {
 		}
 	}
 	return ecc
-}
-
-// WeightedEccentricity returns the maximum weighted distance from src to
-// any reachable node.
-func (g *Weighted) WeightedEccentricity(src NodeID) int64 {
-	return g.DijkstraInto(src, make([]int64, g.NumNodes()))
 }
 
 // DiameterExhaustiveWeighted computes the exact weighted diameter by

@@ -127,10 +127,11 @@ func TestExactDiameterWeightedUnitMatchesUnweighted(t *testing.T) {
 
 func TestWeightedEccentricity(t *testing.T) {
 	wg := MustWeighted(4, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}}, []int32{5, 2, 7})
-	if e := wg.WeightedEccentricity(0); e != 14 {
+	dist := make([]int64, wg.NumNodes())
+	if e := wg.DijkstraInto(0, dist); e != 14 {
 		t.Fatalf("ecc=%d want 14", e)
 	}
-	if e := wg.WeightedEccentricity(2); e != 7 {
+	if e := wg.DijkstraInto(2, dist); e != 7 {
 		t.Fatalf("ecc=%d want 7", e)
 	}
 }

@@ -18,9 +18,10 @@ import (
 // closures: a full single-source search and a walk-back-one-step along a
 // shortest path. ExactDiameter plugs in BFS on one shared
 // direction-optimizing bsp.Engine; ExactDiameterWeighted plugs in
-// delta-stepping SSSP on one shared bsp.WeightedEngine (Dijkstra's strict
-// priority order does not map onto supersteps, the bucketed relaxation
-// schedule does), leaving graph.Dijkstra as the sequential reference only.
+// delta-stepping SSSP on one shared bsp.WeightedEngine, the search that
+// engine is built for (Dijkstra's strict priority order does not map onto
+// supersteps, the bucketed relaxation schedule does), leaving
+// graph.Dijkstra as the sequential reference only.
 
 // ExactDiameter computes the exact diameter of the graph; on a
 // disconnected graph, the maximum diameter over its components. maxBFS

@@ -13,7 +13,7 @@ import (
 // quick: the largest component of RMAT(17,8,1) clustered at τ = 1. Run it
 // with paired -count on two checkouts to iterate on the contraction without
 // the 40 s harness; ns/arc is per CSR entry of G, crossing the share of
-// edges that reach an Accumulator.
+// edges that reach an accumulator.
 func BenchmarkBuildWeightedSocial(b *testing.B) {
 	g, _ := graph.RMAT(17, 8, 1).LargestComponent()
 	// Workers: 1 makes the clustering, and so the work, the same every run.

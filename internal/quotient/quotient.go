@@ -10,16 +10,13 @@
 // algorithm [21]) that the paper uses to compute the tighter upper bound
 // ∆″ = 2·R + ∆′C in its experiments.
 //
-// Every quotient graph in the repository — unweighted, hop-weighted, and
-// the weighted-input one of core.ApproxDiameterWeighted — comes out of the
-// Accumulator below, and graph.NewWeighted is the one place its edge set is
-// put into canonical CSR form. Contract is the data-parallel contraction of
-// Section 5 (proof of Theorem 4): workers scan disjoint node ranges of G,
-// each into an Accumulator of its own, and Contract min-merges them into
-// the first before the CSR is laid out — min is commutative and
+// Every quotient graph in the repository, unweighted and hop-weighted,
+// comes out of Contract, and graph.NewWeighted is the one place its edge
+// set is put into canonical CSR form. Contract is the data-parallel
+// contraction of Section 5 (proof of Theorem 4): workers scan disjoint node
+// ranges of G, each into an accumulator of its own, and Contract min-merges
+// them into the first before the CSR is laid out — min is commutative and
 // associative, so the result does not depend on who scanned what.
-// core.ApproxDiameterWeighted offers its (weighted-input) crossings to a
-// single Accumulator itself and merges nothing.
 package quotient
 
 import (
@@ -31,11 +28,11 @@ import (
 	"repro/internal/graph"
 )
 
-// Accumulator keeps the minimum weight offered for every unordered pair of
-// distinct clusters. It is not safe for concurrent use: Contract gives each
-// of its workers one and merges them itself once the workers are done;
-// anyone else (core.ApproxDiameterWeighted) offers from one goroutine.
-type Accumulator struct {
+// accumulator keeps the minimum crossing weight seen for every unordered
+// pair of distinct clusters. It is not safe for concurrent use: Contract
+// gives each of its workers one and merges them itself once the workers
+// are done.
+type accumulator struct {
 	k   int
 	min map[uint64]int64
 	err error
@@ -51,32 +48,17 @@ type Accumulator struct {
 	}
 }
 
-// recentBits sizes Accumulator.recent: 2^recentBits slots, indexed by the
+// recentBits sizes accumulator.recent: 2^recentBits slots, indexed by the
 // top bits of a multiplicative hash of the key.
 const (
 	recentBits  = 12
 	recentSlots = 1 << recentBits
 )
 
-// NewAccumulator returns an empty accumulator over clusters [0, k).
-func NewAccumulator(k int) *Accumulator {
-	return &Accumulator{k: k, min: make(map[uint64]int64)}
-}
+func (a *accumulator) valid(c graph.NodeID) bool { return c >= 0 && int(c) < a.k }
 
-// Offer records a crossing of weight w between clusters cu and cv (a
-// same-cluster edge is no crossing and is ignored). An out-of-range
-// cluster poisons the accumulator: Weighted reports the first one.
-func (a *Accumulator) Offer(cu, cv graph.NodeID, w int64) {
-	if !a.valid(cu) || !a.valid(cv) {
-		a.poison(cu, cv)
-	} else if cu != cv {
-		a.lower(pairKey(cu, cv), w)
-	}
-}
-
-func (a *Accumulator) valid(c graph.NodeID) bool { return c >= 0 && int(c) < a.k }
-
-func (a *Accumulator) poison(cu, cv graph.NodeID) {
+// poison records the first out-of-range cluster; weighted reports it.
+func (a *accumulator) poison(cu, cv graph.NodeID) {
 	if a.err == nil {
 		a.err = fmt.Errorf("quotient: node with invalid cluster (%d or %d of %d)", cu, cv, a.k)
 	}
@@ -92,7 +74,7 @@ func pairKey(cu, cv graph.NodeID) uint64 {
 }
 
 // lower brings the minimum kept under key down to w.
-func (a *Accumulator) lower(key uint64, w int64) {
+func (a *accumulator) lower(key uint64, w int64) {
 	slot := &a.recent[key*0x9e3779b97f4a7c15>>(64-recentBits)]
 	if slot.key == key {
 		if w < slot.min {
@@ -110,7 +92,7 @@ func (a *Accumulator) lower(key uint64, w int64) {
 }
 
 // merge folds b's minima, and b's poison if a has none, into a.
-func (a *Accumulator) merge(b *Accumulator) {
+func (a *accumulator) merge(b *accumulator) {
 	if a.err == nil {
 		a.err = b.err
 	}
@@ -119,11 +101,11 @@ func (a *Accumulator) merge(b *Accumulator) {
 	}
 }
 
-// Weighted returns the quotient graph whose edges carry the accumulated
+// weighted returns the quotient graph whose edges carry the accumulated
 // minima. Edge weights are int32; a minimum beyond that range is an error
 // rather than a clamp, because shortening a quotient edge would shorten
 // quotient paths and silently void every upper bound derived from them.
-func (a *Accumulator) Weighted() (*graph.Weighted, error) {
+func (a *accumulator) weighted() (*graph.Weighted, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
@@ -187,7 +169,7 @@ const chunkArcs = 64 << 10
 // contracted on the caller with no goroutine started. Claims are dynamic
 // because an edge is offered from its lower endpoint, which puts most of
 // the work on low node ids; a static split would leave it with the first
-// worker. Each worker keeps its minima in an Accumulator of its own; they
+// worker. Each worker keeps its minima in an accumulator of its own; they
 // are merged afterwards and graph.NewWeighted sorts what is left, so the
 // CSR arrays are bit-identical for every worker count and claim order.
 func Contract(g *graph.Graph, owner []graph.NodeID, dist []int32, k, workers int) (*graph.Graph, *graph.Weighted, error) {
@@ -200,9 +182,9 @@ func Contract(g *graph.Graph, owner []graph.NodeID, dist []int32, k, workers int
 	workers = max(1, min(bsp.Workers(workers), chunks))
 	pool := bsp.NewPool(workers)
 	defer pool.Close()
-	accs := make([]*Accumulator, workers)
+	accs := make([]*accumulator, workers)
 	for w := range accs {
-		accs[w] = NewAccumulator(k)
+		accs[w] = &accumulator{k: k, min: make(map[uint64]int64)}
 	}
 	pool.Claim(chunks, 1, func(w, lo, hi int) {
 		if acc := accs[w]; acc.err == nil { // once poisoned the result is an error: skip the rest
@@ -214,7 +196,7 @@ func Contract(g *graph.Graph, owner []graph.NodeID, dist []int32, k, workers int
 	for _, acc := range accs[1:] {
 		accs[0].merge(acc)
 	}
-	wq, err := accs[0].Weighted()
+	wq, err := accs[0].weighted()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,10 +208,9 @@ func Contract(g *graph.Graph, owner []graph.NodeID, dist []int32, k, workers int
 // the higher neighbors of u are a suffix of its list and the walk stops at
 // the first lower one. An edge inside one cluster — from half of them to
 // nearly all, depending on the granularity — is dropped on the comparison
-// of the two owners, before any call; what Offer would have checked for it,
-// that the cluster is in range, is checked once per node of positive degree
-// instead.
-func (a *Accumulator) scan(xadj []int64, adj, owner []graph.NodeID, dist []int32, lo, hi int) {
+// of the two owners, before any call; that the clusters are in range is
+// checked once per node of positive degree and once per crossing.
+func (a *accumulator) scan(xadj []int64, adj, owner []graph.NodeID, dist []int32, lo, hi int) {
 	for u := lo; u < hi; u++ {
 		nbrs := adj[xadj[u]:xadj[u+1]]
 		if len(nbrs) == 0 {

@@ -188,21 +188,24 @@ func TestBuildWeightedSharesOneCSR(t *testing.T) {
 
 // A minimum that fits int32 is carried exactly; one that does not is an
 // error naming the weight — never a clamp, which would shorten quotient
-// paths and void the upper bounds derived from them.
+// paths and void the upper bounds derived from them. The crossings of the
+// path 0-1-2-3 weigh dist[u]+1+dist[v].
 func TestAccumulatorRejectsWeightBeyondInt32(t *testing.T) {
-	acc := quotient.NewAccumulator(3)
-	acc.Offer(0, 1, math.MaxInt32+9)
-	acc.Offer(1, 0, math.MaxInt32)
-	acc.Offer(2, 2, 1<<40) // same cluster: no crossing
-	wq, err := acc.Weighted()
+	g := graph.Path(4)
+	// Clusters {0, 3} and {1, 2}: edge 0-1 crosses at MaxInt32, edge 2-3 at
+	// MaxInt32+9, and edge 1-2 is no crossing.
+	owner := []graph.NodeID{0, 1, 1, 0}
+	_, wq, err := quotient.BuildWeighted(g, owner, []int32{math.MaxInt32 - 1, 0, 9, math.MaxInt32 - 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ws := wq.Neighbors(0); wq.NumEdges() != 1 || ws[0] != math.MaxInt32 {
 		t.Fatalf("edges %d weights %v, want the single minimum %d", wq.NumEdges(), ws, math.MaxInt32)
 	}
-	acc.Offer(1, 2, math.MaxInt32+1)
-	if _, err := acc.Weighted(); err == nil || !strings.Contains(err.Error(), "2147483648") {
+	// Clusters {0, 1} and {2, 3}: edge 1-2 crosses at MaxInt32+1, alone.
+	owner = []graph.NodeID{0, 0, 1, 1}
+	if _, _, err := quotient.BuildWeighted(g, owner, []int32{0, math.MaxInt32, 0, 0}, 2); err == nil ||
+		!strings.Contains(err.Error(), "2147483648") {
 		t.Fatalf("err = %v, want one naming the weight 2147483648", err)
 	}
 }

@@ -107,26 +107,6 @@ type (
 	Oracle = core.Oracle
 )
 
-// WeightedClustering is a decomposition of a weighted graph that controls
-// both the weighted radius and the hop radius of every cluster — the
-// extension the paper's Section 7 poses as future work.
-type WeightedClustering = core.WeightedClustering
-
-// WeightedDiameterResult carries weighted-diameter bounds.
-type WeightedDiameterResult = core.WeightedDiameterResult
-
-// WeightedCluster decomposes a weighted graph with the CLUSTER(τ) batch
-// schedule (the paper's Section 7 extension).
-func WeightedCluster(ctx context.Context, wg *Weighted, tau int, opt Options) (*WeightedClustering, error) {
-	return core.WeightedCluster(ctx, wg, tau, opt)
-}
-
-// ApproxDiameterWeighted extends the Section 4 diameter pipeline to
-// weighted graphs, returning a certified upper bound.
-func ApproxDiameterWeighted(ctx context.Context, wg *Weighted, tau int, opt Options) (*WeightedDiameterResult, error) {
-	return core.ApproxDiameterWeighted(ctx, wg, tau, opt)
-}
-
 // NewWeighted builds a weighted graph from parallel edge/weight lists,
 // rejecting mismatched lists, out-of-range endpoints, and non-positive
 // weights.

@@ -139,34 +139,6 @@ func TestFacadeCluster2(t *testing.T) {
 	}
 }
 
-func TestFacadeWeightedExtension(t *testing.T) {
-	g := repro.Mesh(15, 15)
-	edges := g.EdgeList()
-	ws := make([]int32, len(edges))
-	for i := range ws {
-		ws[i] = int32(1 + i%5)
-	}
-	wg, err := repro.NewWeighted(g.NumNodes(), edges, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := repro.WeightedCluster(t.Context(), wg, 4, repro.Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := repro.ApproxDiameterWeighted(t.Context(), wg, 4, repro.Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, _ := wg.ExactDiameterWeighted(0)
-	if res.Upper < truth {
-		t.Fatalf("weighted upper %d below true %d", res.Upper, truth)
-	}
-}
-
 func TestFacadeExperimentsSmoke(t *testing.T) {
 	cfg := repro.ExperimentConfig{Scale: 0.12, Seed: 1}
 	rows, err := repro.Table1(cfg)
