@@ -67,19 +67,25 @@ func (g *Graph) LargestComponent() (*Graph, []NodeID) {
 
 // inducedSubgraph returns the subgraph induced by the count nodes for
 // which keep is true, together with a mapping from new ids to original ids.
+// It reserves half the kept nodes' degree sum as pairs, exact when they
+// form a union of components, so the graph, which keeps its builder's
+// capacity, carries no slack.
 func (g *Graph) inducedSubgraph(keep func(NodeID) bool, count int) (*Graph, []NodeID) {
 	n := g.NumNodes()
 	newID := make([]NodeID, n)
 	ids := make([]NodeID, 0, count)
+	arcs := 0
 	for u := NodeID(0); u < NodeID(n); u++ {
 		if keep(u) {
 			newID[u] = NodeID(len(ids))
 			ids = append(ids, u)
+			arcs += g.Degree(u)
 		} else {
 			newID[u] = None
 		}
 	}
 	b := NewBuilder(len(ids))
+	b.pairs = make([]uint64, 0, arcs/2)
 	g.Edges(func(u, v NodeID) bool {
 		if newID[u] != None && newID[v] != None {
 			b.AddEdge(newID[u], newID[v])

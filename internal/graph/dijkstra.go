@@ -52,7 +52,7 @@ func NewWeighted(n int, edges [][2]NodeID, weights []int32) (*Weighted, error) {
 		pairs[i], ws[i] = a.pair, a.w
 	}
 	wg := &Weighted{}
-	wg.xadj, wg.adj, wg.w = fillCSR(n, pairs, ws)
+	wg.xadj, wg.adj, wg.w = layoutCSR(n, pairs, ws)
 	return wg, nil
 }
 

@@ -22,7 +22,8 @@ import (
 // strconv.ParseInt. Its one known difference is a line of 1 MiB or more,
 // which it refuses with a bare "token too long" and no line number. A read
 // error other than io.EOF fails the line it cuts short, which is not
-// parsed.
+// parsed. It lays out the graph with naiveCSR, not Builder, so the
+// comparison tests the fill as well as the parser.
 func referenceReadEdgeList(r io.Reader) (*Graph, error) {
 	src := &failedRead{r: r}
 	sc := bufio.NewScanner(src)
@@ -33,7 +34,7 @@ func referenceReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		return bufio.ScanLines(data, atEOF)
 	})
-	b := NewBuilder(0)
+	n, edges := 0, [][2]NodeID(nil)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -42,13 +43,13 @@ func referenceReadEdgeList(r io.Reader) (*Graph, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			var n int64
-			_, err := fmt.Sscanf(line, "# nodes: %d", &n)
-			if (err == nil && n > maxNodes) || errors.Is(err, strconv.ErrRange) {
+			var nodes int64
+			_, err := fmt.Sscanf(line, "# nodes: %d", &nodes)
+			if (err == nil && nodes > maxNodes) || errors.Is(err, strconv.ErrRange) {
 				return nil, fmt.Errorf("graph: line %d: node count out of range (at most %d)", lineNo, maxNodes)
 			}
 			if err == nil {
-				b.Grow(int(n))
+				n = max(n, int(nodes))
 			}
 			continue
 		}
@@ -67,12 +68,8 @@ func referenceReadEdgeList(r io.Reader) (*Graph, error) {
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative node id", lineNo)
 		}
-		hi := int(u) + 1
-		if int(v)+1 > hi {
-			hi = int(v) + 1
-		}
-		b.Grow(hi)
-		b.AddEdge(NodeID(u), NodeID(v))
+		n = max(n, int(u)+1, int(v)+1)
+		edges = append(edges, [2]NodeID{NodeID(u), NodeID(v)})
 	}
 	if err := sc.Err(); err != nil {
 		if src.err != nil {
@@ -80,7 +77,8 @@ func referenceReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		return nil, err
 	}
-	return b.Build(), nil
+	xadj, adj, _ := naiveCSR(n, edges, nil)
+	return &Graph{xadj: xadj, adj: adj}, nil
 }
 
 // failedRead records the read error, other than io.EOF, that ends r.

@@ -34,7 +34,12 @@ import (
 // "# nodes: N edges: M" header WriteEdgeList writes also sizes the edge
 // buffer, but M is untrusted: LoadEdgeList bounds it by a plain file's
 // size, and anything else by hintCap. Only the first header that
-// reserves does so; later ones size nothing.
+// reserves does so; later ones size nothing. The graph's adjacency is laid
+// out inside that buffer, so the graph keeps its whole capacity: exactly
+// its edge lines for a header that counts them, as WriteEdgeList's does;
+// append's slack for a list without one, or with one that undercounts; up
+// to the cap for one that overstates M (capacity never written is not
+// resident).
 
 const (
 	// maxNodes is the most nodes a graph can hold: NodeID is an int32.

@@ -186,11 +186,11 @@ func TestWriteEdgeListMatchesFmt(t *testing.T) {
 }
 
 // A header-carrying file is read with one pairs array, sized by the
-// header and sorted where it is: beside the graph it returns (xadj, 8
-// bytes a node; adj, 8 bytes an edge) LoadEdgeList may allocate the pairs
-// (8 bytes an edge), fillCSR's cursor (8 bytes a node), its 1 MiB read
-// buffer and a small constant. Pairs grown by append, or sorted in a copy,
-// fail it.
+// header, sorted where it is and laid out in place as the graph's adj:
+// LoadEdgeList may allocate the pairs (8 bytes an edge), xadj (8 bytes a
+// node), the fill's lower-degree count (4 bytes a node), its 1 MiB read
+// buffer and a small constant. Pairs grown by append, sorted in a copy or
+// copied into a second adjacency fail it.
 func TestLoadEdgeListAllocatesPairsOnce(t *testing.T) {
 	path := edgeListFile(t, RMAT(16, 8, 2))
 	var before, after runtime.MemStats
@@ -201,11 +201,11 @@ func TestLoadEdgeListAllocatesPairsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, m := uint64(g.NumNodes()), uint64(g.NumEdges())
-	bound := 8*m + 8*(n+1) + 8*m + 8*n + maxLine + 256<<10
+	bound := 8*m + 8*(n+1) + 4*n + maxLine + 256<<10
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("n=%d m=%d: %d bytes allocated, bound %d", n, m, got, bound)
 	if got > bound {
-		t.Fatalf("reading %d edges allocated %d bytes, want <= pairs + CSR + read buffer + 256 KiB = %d", m, got, bound)
+		t.Fatalf("reading %d edges allocated %d bytes, want <= pairs + xadj + lower degrees + read buffer + 256 KiB = %d", m, got, bound)
 	}
 }
 

@@ -12,11 +12,12 @@
 //     detached build root, whose lifecycle the server owns, and the two
 //     non-cancellable wrappers internal/graph keeps because the benchmark
 //     module calls ExactDiameter and ExactDiameterWeighted by name.
-//   - An exported free function that loops over engine supersteps,
-//     buckets, or MR rounds (syntactically: a for/range statement whose
-//     body calls a method named Step, ProcessBucket, or Round) must accept a context.Context — otherwise the loop is
-//     uncancellable by construction. Methods are exempt: engine types
-//     carry their context via SetContext, checked at the same barriers.
+//   - An exported free function that loops over engine supersteps or MR
+//     rounds (syntactically: a for/range statement whose body calls a
+//     method named Step or Round) must accept a context.Context —
+//     otherwise the loop is uncancellable by construction. Methods are
+//     exempt: engine types carry their context via SetContext, checked at
+//     the same barriers.
 package ctxflow
 
 import (
@@ -37,11 +38,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // loopCallees are the engine barrier primitives: a loop driving any of
-// these is a superstep/bucket/round loop and must be cancellable.
+// these is a superstep or round loop and must be cancellable.
 var loopCallees = map[string]bool{
-	"Step":          true,
-	"ProcessBucket": true,
-	"Round":         true,
+	"Step":  true,
+	"Round": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

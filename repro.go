@@ -60,11 +60,15 @@ type (
 	Weighted = graph.Weighted
 	// NodeID identifies a node.
 	NodeID = graph.NodeID
-	// Builder accumulates edges and produces a Graph.
+	// Builder accumulates edges and produces a Graph. Build consumes the
+	// edges, laying the graph out in their buffer, and keeps the node count.
 	Builder = graph.Builder
 )
 
-// NewBuilder returns a builder for a graph with n nodes.
+// NewBuilder returns a builder for a graph with n nodes. Each Build
+// returns a graph of the edges added since the last one; the graph keeps
+// the edge buffer's whole capacity: 8 bytes an added edge, plus append's
+// slack.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // FromEdges builds a graph from an undirected edge list.
