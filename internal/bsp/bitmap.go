@@ -1,18 +1,15 @@
 package bsp
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Bitmap is a dense set over node ids [0, n). It is the dense counterpart
 // of the sparse frontier lists the engine keeps: top-down supersteps work
 // on the sparse form, bottom-up supersteps test membership against the
 // dense form, and the two stay interchangeable via ToSparse/FromSparse.
 //
-// Concurrent use: SetAtomic may race with other SetAtomic calls; plain Set
-// and Get must be confined to word-disjoint ranges (the engine aligns its
-// worker chunks to 64-node boundaries for exactly this reason).
+// Concurrent use: Set and Get must be confined to word-disjoint ranges (the
+// engine aligns its worker chunks to 64-node boundaries for exactly this
+// reason).
 type Bitmap struct {
 	words []uint64
 }
@@ -40,29 +37,6 @@ func (b *Bitmap) Absent(wi int) uint64 { return ^b.words[wi] }
 // Set adds u to the set. Not safe for concurrent writers sharing a word.
 func (b *Bitmap) Set(u NodeID) {
 	b.words[uint32(u)>>6] |= 1 << (uint32(u) & 63)
-}
-
-// SetAtomic adds u to the set, safely under concurrent writers. It reports
-// whether this call inserted u (false if it was already present).
-//
-// Implemented as a load+CAS loop rather than atomic.OrUint64: with
-// go1.24.0 on amd64, inlining the OrUint64 intrinsic into the engine's
-// former gather loop (since retired) clobbered the live neighbors-slice
-// register and segfaulted; the fault disappeared at -N -l. The weighted
-// engine's relax loop is the remaining caller. Revisit on a toolchain
-// newer than go1.24.0.
-func (b *Bitmap) SetAtomic(u NodeID) bool {
-	word := &b.words[uint32(u)>>6]
-	mask := uint64(1) << (uint32(u) & 63)
-	for {
-		old := atomic.LoadUint64(word)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(word, old, old|mask) {
-			return true
-		}
-	}
 }
 
 // ClearAll empties the set in O(n/64). Clears run between supersteps, with

@@ -23,21 +23,20 @@
 // direction, the worker count or the goroutine schedule.
 //
 // Weighted iFUB (graph.ExactDiameterWeighted, the exact diameter ∆′C of a
-// weighted quotient) runs its single-source searches on a second engine in
-// this package, WeightedEngine: a delta-stepping bucket schedule whose
-// supersteps are relaxation phases and whose claims are atomic
-// min-reductions on distance words — see weighted.go. (The oracle's
-// quotient APSP runs on graph.APSPScratch's sequential kernels instead.)
-// Stats.Relaxations and Stats.Buckets are its counters, the weighted
-// counterpart of Messages and Rounds.
+// weighted quotient) runs its single-source searches on WeightedEngine, a
+// sequential radix-heap search: the paper computes ∆′C inside one
+// reducer's local memory, and the quotients are small — see weighted.go.
+// (The oracle's quotient APSP runs on graph.APSPScratch's sequential
+// kernels instead.) Stats.Relaxations and Stats.Buckets are its counters,
+// the weighted counterpart of Messages and Rounds.
 //
-// Every parallel pass of both engines — push and pull rounds, the barrier's
-// settle pass, Engine.For, relaxation phases — runs on one loop,
-// Pool.Claim, in which the workers take blocks of an index range from a
-// shared cursor. The worker count sets how fast a round runs, never which
-// code runs it; the one branch on it is Claim's own rule that a single
-// worker, or a range of one block, runs on the caller. A panic on any
-// worker surfaces on the caller after the barrier.
+// Every parallel pass of Engine — push and pull rounds, the barrier's
+// settle pass, Engine.For — runs on one loop, Pool.Claim, in which the
+// workers take blocks of an index range from a shared cursor. The worker
+// count sets how fast a round runs, never which code runs it; the one
+// branch on it is Claim's own rule that a single worker, or a range of one
+// block, runs on the caller. A panic on any worker surfaces on the caller
+// after the barrier.
 package bsp
 
 import "runtime"
@@ -58,12 +57,16 @@ type Stats struct {
 	MaxFrontier int
 	// PullRounds is how many of the supersteps ran bottom-up.
 	PullRounds int
-	// Relaxations is the number of weighted edge relaxations offered by the
-	// delta-stepping engine — the weighted counterpart of Messages, counting
-	// every (tentative distance + weight) offer whether or not it won its
-	// min-reduction. Zero for unweighted runs.
+	// Relaxations is the number of arcs WeightedEngine scanned from settled
+	// nodes — the weighted counterpart of Messages, counting every
+	// (distance + weight) offer whether or not it lowered a distance. Each
+	// reached node is settled once, so a search scans its component's arcs
+	// exactly once; the engine adds the same count to Messages. Zero for
+	// unweighted runs.
 	Relaxations int64
-	// Buckets is the number of delta-stepping buckets settled. Zero for
+	// Buckets is the number of distinct finite distances WeightedEngine
+	// settled, as graph.APSPScratch.SSSP counts them; the engine adds the
+	// same count to Rounds, one round per settled distance. Zero for
 	// unweighted runs.
 	Buckets int
 }

@@ -1,10 +1,11 @@
 package bsp_test
 
 // Cancellation semantics of the two engines: a cancelled context stops the
-// traversal at the next superstep / bucket barrier, drops the frontier so
-// driver loops terminate, and surfaces the cause via Err — without ever
-// perturbing the deterministic schedule of an uncancelled run (the checks
-// sit at barriers that already exist).
+// traversal at the next superstep barrier (the weighted search: before it
+// leaves its source), drops the frontier so driver loops terminate, and
+// surfaces the cause via Err — without ever perturbing the deterministic
+// schedule of an uncancelled run (the checks sit at barriers that already
+// exist).
 
 import (
 	"context"

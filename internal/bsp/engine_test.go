@@ -316,9 +316,6 @@ func TestBitmapSparseRoundTrip(t *testing.T) {
 			t.Fatalf("round trip got %v want %v", got, next)
 		}
 	}
-	if !b.SetAtomic(8) || b.SetAtomic(8) {
-		t.Fatal("SetAtomic first-set detection wrong")
-	}
 }
 
 func atomicAdd32(a []int32, i graph.NodeID) {

@@ -7,9 +7,8 @@ import (
 
 // Pool is the persistent worker pool under every parallel pass in the
 // repository: a set of goroutines spawned once and fed one pass at a time,
-// so a multi-round computation (BFS levels, delta-stepping buckets, MR
-// rounds) pays the goroutine startup cost once rather than per round.
-// Claim is its one loop: the workers take blocks of an index range from a
+// so a multi-round computation (BFS levels, MR rounds) pays the goroutine
+// startup cost once rather than per round. Claim is its one loop: the workers take blocks of an index range from a
 // shared cursor until none is left. The worker count sets how fast a pass
 // runs, never which code runs it.
 //

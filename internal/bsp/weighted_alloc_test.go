@@ -1,16 +1,12 @@
 package bsp
 
-// Internal test: the enforcer of relaxPhase's zero-allocation contract —
-// a steady-state relaxation phase performs zero heap allocations once the
-// pooled claim buffers have reached their high-water mark. Before PR 10
-// every phase allocated two closures (the chunk body handed to forChunks
-// and forChunks's own clearFrom); the phase-field restructuring is what
-// this test protects.
+// Internal test: the enforcer of WeightedEngine.SSSP's zero-allocation
+// contract, on a topology that needs no graph import.
 
 import "testing"
 
 // gridTopo is a w×h 4-neighbor grid with unit-ish weights, enough edges
-// to make relaxation do real work.
+// to make a search do real work.
 type gridTopo struct {
 	w, h int
 	nbr  [][]NodeID
@@ -46,43 +42,19 @@ func newGridTopo(w, h int) *gridTopo {
 func (g *gridTopo) NumNodes() int                          { return g.w * g.h }
 func (g *gridTopo) Neighbors(u NodeID) ([]NodeID, []int32) { return g.nbr[u], g.ws[u] }
 
-func relaxPhaseAllocs(t *testing.T, workers, w, h int) {
-	t.Helper()
-	topo := newGridTopo(w, h)
-	e := NewWeightedEngine(topo, workers, 2)
-	defer e.Close()
-
-	// Settle the whole graph so every slot holds its final word: the
-	// measured phases then re-offer every arc from the final words but
-	// lower nothing, which is exactly the steady-state shape of a converged
-	// bucket.
+// TestWeightedSSSPZeroAlloc pins SSSP's zero-allocation contract: once one
+// search has grown the radix heap's bins to their high-water mark, a
+// repeat of it allocates nothing.
+func TestWeightedSSSPZeroAlloc(t *testing.T) {
+	topo := newGridTopo(64, 48)
+	e := NewWeightedEngine(topo, 0, 0)
 	dist := make([]int64, topo.NumNodes())
-	e.SSSP(0, dist)
-
-	nodes := make([]NodeID, topo.NumNodes())
-	words := make([]uint64, topo.NumNodes())
-	for i := range nodes {
-		nodes[i] = NodeID(i)
-		words[i] = e.slot[i]
-	}
-	e.relaxPhase(nodes, words) // warm: pool spun up, buffers at high water
+	e.SSSP(0, dist) // warm: bins at high water
 
 	allocs := testing.AllocsPerRun(20, func() {
-		e.relaxPhase(nodes, words)
+		e.SSSP(0, dist)
 	})
 	if allocs != 0 {
-		t.Fatalf("relaxPhase allocated %.1f times per phase at %d workers, want 0", allocs, workers)
+		t.Fatalf("SSSP allocated %.1f times per search, want 0", allocs)
 	}
-}
-
-func TestRelaxPhaseZeroAllocSequential(t *testing.T) {
-	// Small enough to stay under seqThreshold: the inline relaxChunk path.
-	relaxPhaseAllocs(t, 1, 16, 16)
-}
-
-func TestRelaxPhaseZeroAllocParallel(t *testing.T) {
-	// Large enough to cross seqThreshold: the Pool.Claim fan-out path, with
-	// the prebuilt relax value and the pool's claim loop already warm
-	// before measurement.
-	relaxPhaseAllocs(t, 4, 64, 48)
 }

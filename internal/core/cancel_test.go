@@ -1,8 +1,8 @@
 package core
 
 // Cancellation semantics of the build entry points: a cancelled context
-// aborts at the next superstep/bucket barrier (the oracle's APSP: before
-// the next source) and surfaces ctx.Err(), and
+// aborts at the next superstep barrier (the oracle's APSP and weighted
+// iFUB: before the next source) and surfaces ctx.Err(), and
 // the checks never change what an uncancelled run computes.
 
 import (

@@ -144,9 +144,8 @@ func wideWeightGraphs(t *testing.T) map[string]*graph.Weighted {
 }
 
 // TestWideWeightFingerprints pins the exact weighted diameter of each
-// input, which weighted iFUB computes on the delta-stepping engine. The
-// constants date from the engine that offered arcs above the bucket width
-// only from final words.
+// wide-weight input, as weighted iFUB computes it on bsp.WeightedEngine.
+// Despite its name it pins no fingerprint, only these three diameters.
 func TestWideWeightFingerprints(t *testing.T) {
 	wantDiam := map[string]int64{
 		"er":   311,

@@ -30,7 +30,7 @@ type MRReport struct {
 	SquaringRounds   int
 	SquaringShuffled int64 // pairs moved across all squaring rounds
 	DiameterMR       int64 // weighted quotient diameter via repeated squaring
-	DiameterRef      int64 // same, via the delta-stepping iFUB (reference)
+	DiameterRef      int64 // same, via weighted iFUB (reference)
 	// GrowRoundStats and SquaringRoundStats are the engines' per-round
 	// execution profiles (pairs in/out, shards, wall-clock).
 	GrowRoundStats     []mr.RoundStat

@@ -8,10 +8,10 @@ import (
 // Sequential all-pairs kernels for graphs small enough to stay in cache —
 // the weighted quotient graphs of Section 4, which the paper too processes
 // inside one reducer's local memory. Two kernels share one per-worker
-// scratch: a Dial bucket-queue SSSP (Dial, CACM 1969: the label-setting,
-// unit-width limit of delta-stepping) for the weighted rows, and a
-// bit-parallel multi-source BFS (Then et al., VLDB 2014) that fills the hop
-// rows of up to 64 sources per pass. DijkstraInto and BFS stay as the
+// scratch: a Dial bucket-queue SSSP (Dial, CACM 1969: a ring of unit-width
+// buckets, one per distance, sized to the heaviest arc) for the weighted
+// rows, and a bit-parallel multi-source BFS (Then et al., VLDB 2014) that
+// fills the hop rows of up to 64 sources per pass. DijkstraInto and BFS stay as the
 // references the tests diff them against.
 //
 // Both write the narrow cells the oracle stores and the snapshot persists,

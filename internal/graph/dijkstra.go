@@ -122,11 +122,10 @@ func (h *distHeap) Pop() interface{} {
 }
 
 // Dijkstra computes single-source shortest path distances from src.
-// Unreachable nodes get InfDist. It is the sequential binary-heap reference
-// implementation: weighted iFUB runs its searches on the parallel
-// delta-stepping bsp.WeightedEngine and the oracle's quotient APSP on the
-// bucket-queue APSPScratch.SSSP, and both are tested to match this one bit
-// for bit.
+// Unreachable nodes get InfDist. It is the binary-heap reference
+// implementation: weighted iFUB runs its searches on the radix-heap
+// bsp.WeightedEngine and the oracle's quotient APSP on the bucket-queue
+// APSPScratch.SSSP, and both are tested to match this one bit for bit.
 func (g *Weighted) Dijkstra(src NodeID) []int64 {
 	dist := make([]int64, g.NumNodes())
 	g.DijkstraInto(src, dist)

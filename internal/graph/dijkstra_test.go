@@ -125,6 +125,9 @@ func TestExactDiameterWeightedUnitMatchesUnweighted(t *testing.T) {
 	}
 }
 
+// TestWeightedEccentricity checks the eccentricity DijkstraInto returns
+// beside its distances, from an end and from an inner node of a weighted
+// path.
 func TestWeightedEccentricity(t *testing.T) {
 	wg := MustWeighted(4, [][2]NodeID{{0, 1}, {1, 2}, {2, 3}}, []int32{5, 2, 7})
 	dist := make([]int64, wg.NumNodes())

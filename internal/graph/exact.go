@@ -17,11 +17,9 @@ import (
 // The method is written once, generic in the distance type, against two
 // closures: a full single-source search and a walk-back-one-step along a
 // shortest path. ExactDiameter plugs in BFS on one shared
-// direction-optimizing bsp.Engine; ExactDiameterWeighted plugs in
-// delta-stepping SSSP on one shared bsp.WeightedEngine, the search that
-// engine is built for (Dijkstra's strict priority order does not map onto
-// supersteps, the bucketed relaxation schedule does), leaving
-// graph.Dijkstra as the sequential reference only.
+// direction-optimizing bsp.Engine; ExactDiameterWeighted plugs in SSSP on
+// one shared bsp.WeightedEngine, a sequential radix-heap search whose heap
+// every search reuses, leaving graph.Dijkstra as the reference only.
 
 // ExactDiameter computes the exact diameter of the graph; on a
 // disconnected graph, the maximum diameter over its components. maxBFS
@@ -60,9 +58,8 @@ func (g *Graph) ExactDiameterContext(ctx context.Context, maxBFS int) (diam int3
 }
 
 // ExactDiameterWeighted computes the exact weighted diameter via iFUB with
-// shortest-path searches, every one on one shared delta-stepping
-// bsp.WeightedEngine (parallel bucketed relaxations, distances identical
-// to Dijkstra's). Disconnected graphs return the maximum over components
+// shortest-path searches, every one on one shared bsp.WeightedEngine (a
+// sequential radix-heap search, distances identical to Dijkstra's). Disconnected graphs return the maximum over components
 // (unreachable pairs are ignored). maxSearches bounds the total number of
 // searches, shared by all components (0 = unlimited); if exhausted, the
 // returned value is a lower bound and exact is false.
@@ -75,8 +72,8 @@ func (g *Weighted) ExactDiameterWeighted(maxSearches int) (diam int64, exact boo
 
 // ExactDiameterWeightedContext is ExactDiameterWeighted with cooperative
 // cancellation, checking ctx at every search boundary (and, through the
-// shared engine, at bucket barriers within a search); a cancelled run
-// returns ctx.Err() with the bounds discarded.
+// shared engine, at the start of every search); a cancelled run returns
+// ctx.Err() with the bounds discarded.
 func (g *Weighted) ExactDiameterWeightedContext(ctx context.Context, maxSearches int) (diam int64, exact bool, err error) {
 	e := bsp.NewWeightedEngine(g, 0, 0)
 	e.SetContext(ctx)
@@ -166,10 +163,10 @@ func (r *ifub[D]) spend() bool {
 }
 
 // sweep spends one search from src and folds its eccentricity into the
-// lower bound. A search that fails contributes nothing: a truncated BFS
-// would still underestimate, but a truncated delta-stepping search may hold
-// tentative (unsettled) distances that OVERESTIMATE the true ones, and
-// folding those in could certify a wrong diameter — so one rule for both.
+// lower bound. A search that fails contributes nothing: its distances are
+// partial (a cancelled BFS stops at a superstep barrier, a cancelled
+// weighted search before it leaves its source), and an eccentricity is
+// only folded in from a complete search — one rule for both.
 func (r *ifub[D]) sweep(src NodeID, dist []D) bool {
 	if !r.spend() {
 		return false

@@ -186,10 +186,12 @@ func TestBuildWeightedSharesOneCSR(t *testing.T) {
 	}
 }
 
-// A minimum that fits int32 is carried exactly; one that does not is an
-// error naming the weight — never a clamp, which would shorten quotient
-// paths and void the upper bounds derived from them. The crossings of the
-// path 0-1-2-3 weigh dist[u]+1+dist[v].
+// TestAccumulatorRejectsWeightBeyondInt32 checks BuildWeighted's crossing
+// weights at the int32 limit: a minimum that fits is carried exactly; one
+// that does not is an error naming the weight — never a clamp, which would
+// shorten quotient paths and void the upper bounds derived from them. The
+// crossings of the path 0-1-2-3 weigh dist[u]+1+dist[v]. (The per-pair
+// minimum it checks is kept in Contract's unexported accumulator.)
 func TestAccumulatorRejectsWeightBeyondInt32(t *testing.T) {
 	g := graph.Path(4)
 	// Clusters {0, 3} and {1, 2}: edge 0-1 crosses at MaxInt32, edge 2-3 at

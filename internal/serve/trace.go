@@ -91,9 +91,9 @@ func (t *buildTrace) finish(state string, err error) {
 // artifact's own bsp.Stats (for an oracle, its clustering's plus
 // APSPStats), and CLUSTER2 builds also count the preliminary CLUSTER pass
 // their result's Stats leave out. A diameter build's two quotient iFUB
-// runs (graph.ExactDiameterContext and ExactDiameterWeightedContext) run
-// on engines with no observer: neither the trace nor the result's Stats
-// counts them.
+// runs — graph.ExactDiameterContext on a bsp.Engine with no observer, and
+// ExactDiameterWeightedContext on bsp.WeightedEngine, which takes none —
+// are counted by neither the trace nor the result's Stats.
 type BuildTraceInfo struct {
 	ID    int64  `json:"id"`
 	Key   string `json:"key"`
