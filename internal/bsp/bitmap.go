@@ -90,3 +90,9 @@ func (b *Bitmap) Count() int {
 	}
 	return total
 }
+
+// BitmapView is a read-only view of a Bitmap.
+type BitmapView struct{ b *Bitmap }
+
+// Absent returns word wi of the complement, pad bits past n included.
+func (v BitmapView) Absent(wi int) uint64 { return v.b.Absent(wi) }

@@ -259,6 +259,11 @@ func (e *Engine) Frontier() []NodeID { return e.frontier }
 // VisitedCount returns the number of nodes visited since the last Reset.
 func (e *Engine) VisitedCount() int { return e.visited.Count() }
 
+// Visited returns a read-only view of the visited set: the seeded nodes and
+// every node a round has claimed since the last Reset. Between supersteps
+// it is exact; it is read by the driver, never during a Step.
+func (e *Engine) Visited() BitmapView { return BitmapView{e.visited} }
+
 // setParent stores v's claim word plainly. Only the push kernel shares a
 // word between goroutines, and it uses atomics throughout; every caller
 // here is either the driver between rounds or the one worker that can
@@ -334,15 +339,22 @@ func (e *Engine) chooseDirection() Direction {
 	if e.mode != DirAuto {
 		return e.mode
 	}
-	nf := int64(len(e.frontier))
-	if nf == 0 || e.unvisNodes == 0 {
-		return DirPush
-	}
-	pullCost := min(e.unvisNodes*int64(e.n)/nf, e.unvisArcs) // the product < 2^62 for n < 2^31
-	if pullCost < e.frontierArcs {
+	if PullCheaper(int64(e.n), int64(len(e.frontier)), e.frontierArcs, e.unvisNodes, e.unvisArcs) {
 		return DirPull
 	}
 	return DirPush
+}
+
+// PullCheaper is the hybrid cost comparison for one level of a traversal
+// over n nodes whose frontier has nf nodes and mf arcs while nu nodes with
+// mu arcs are unvisited: it reports whether a bottom-up level is estimated
+// cheaper, min(nu·n/nf, mu) < mf. An empty frontier or nothing left to
+// visit is a (trivial) top-down level.
+func PullCheaper(n, nf, mf, nu, mu int64) bool {
+	if nf == 0 || nu == 0 {
+		return false
+	}
+	return min(nu*n/nf, mu) < mf // the product < 2^62 for n < 2^31
 }
 
 // Step performs one claim-style superstep in the chosen direction: every

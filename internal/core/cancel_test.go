@@ -53,6 +53,46 @@ func TestBuildEntryPointsHonorCancelledContext(t *testing.T) {
 	}
 }
 
+// countdownCtx is a context whose Err reports cancellation from its
+// (left+1)-th call on, counting the calls: a cancel that lands exactly
+// between two levels of a sweep.
+type countdownCtx struct {
+	context.Context
+	left, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// KCenter's radius sweep checks its context once before every level and
+// stops at the first cancelled check; the exported EvalCenters, which takes
+// no context, sweeps to the end.
+func TestKCenterRadiusSweepStopsBetweenLevels(t *testing.T) {
+	g := graph.Path(100) // 99 levels from node 0
+	live := &countdownCtx{Context: t.Context(), left: 1 << 30}
+	if r, err := evalCenters(live, g, []graph.NodeID{0}); err != nil || r != 99 {
+		t.Fatalf("uncancelled sweep: radius %d, err %v; want 99, nil", r, err)
+	}
+	if live.calls != 99 {
+		t.Fatalf("uncancelled sweep checked its context %d times, want once a level (99)", live.calls)
+	}
+	cut := &countdownCtx{Context: t.Context(), left: 10}
+	if _, err := evalCenters(cut, g, []graph.NodeID{0}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep cancelled after 10 levels: err = %v, want context.Canceled", err)
+	}
+	if cut.calls != 11 {
+		t.Fatalf("sweep cancelled after 10 levels checked %d times, want 11", cut.calls)
+	}
+	if r, err := EvalCenters(g, []graph.NodeID{0}); err != nil || r != 99 {
+		t.Fatalf("EvalCenters: radius %d, err %v; want 99, nil", r, err)
+	}
+}
+
 // A cancel landing mid-build must be honored promptly — within the current
 // round, not at build completion. The build is large enough that the
 // cancel almost always lands mid-flight; if the machine is so fast that

@@ -48,11 +48,11 @@ func cluster2With(ctx context.Context, g *graph.Graph, rAlg int32, opt Options) 
 		if i == iters {
 			p = 1 // final iteration covers every remaining node
 		}
-		it := uint64(i)
+		flip := rng.NewFlip(p, seed, uint64(i))
 		// The grower's selection never fails, and a cancelled Step reports
 		// !live; the loop condition picks the cancellation up.
 		centers, _ = gr.SelectUncovered(centers[:0], func(u graph.NodeID) bool {
-			return rng.Coin(p, seed, it, uint64(u))
+			return flip.At(uint64(u))
 		})
 		for _, u := range centers {
 			gr.AddCenter(u)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/bsp"
@@ -83,15 +84,25 @@ func (gr *grower) Step() (claimed int, live bool, err error) {
 }
 
 // SelectUncovered appends to dst every uncovered node u for which pick(u)
-// is true, scanning in parallel (blocks claimed on the engine's persistent
-// pool) but returning nodes in ascending id order so center numbering is
+// is true, walking the zero bits of the engine's visited set — between
+// rounds a node is covered exactly when the engine has visited it — in
+// parallel (64-aligned blocks claimed on the engine's persistent pool) but
+// returning nodes in ascending id order so center numbering is
 // deterministic. It never fails.
 func (gr *grower) SelectUncovered(dst []graph.NodeID, pick func(u graph.NodeID) bool) ([]graph.NodeID, error) {
 	parts := make([][]graph.NodeID, gr.e.NumWorkers())
+	visited := gr.e.Visited()
 	gr.e.For(gr.g.NumNodes(), func(worker, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			if gr.owner[u] == -1 && pick(graph.NodeID(u)) {
-				parts[worker] = append(parts[worker], graph.NodeID(u))
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			base := graph.NodeID(wi << 6)
+			for m := visited.Absent(wi); m != 0; m &= m - 1 {
+				u := base + graph.NodeID(bits.TrailingZeros64(m))
+				if int(u) >= hi { // hi is clamped to n: this skips pad bits
+					break
+				}
+				if pick(u) {
+					parts[worker] = append(parts[worker], u)
+				}
 			}
 		}
 	})

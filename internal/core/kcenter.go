@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
+	"repro/internal/bsp"
 	"repro/internal/graph"
 	"repro/internal/quotient"
 )
@@ -16,7 +18,8 @@ type KCenterResult struct {
 	// Centers is the selected center set, |Centers| <= k.
 	Centers []graph.NodeID
 	// Radius is the exact maximum distance of any node to the nearest
-	// center (evaluated by multi-source BFS, not an estimate).
+	// center (evaluated by EvalCenters' multi-source sweep, not an
+	// estimate).
 	Radius int32
 	// Clustering is the underlying decomposition.
 	Clustering *Clustering
@@ -34,10 +37,10 @@ type KCenterResult struct {
 // the radius is within a small constant of the Gonzalez 2-approximation.
 //
 // k must be at least the number of connected components of g. Cancelling
-// ctx aborts the decomposition at the next superstep barrier and returns
-// ctx.Err(); the final exact radius evaluation (a single multi-source BFS
-// pass, comparable in cost to one superstep over the whole graph) runs to
-// completion once started.
+// ctx aborts the decomposition at the next superstep barrier and the exact
+// radius evaluation (EvalCenters' level-synchronous sweep) at its next
+// level, and returns ctx.Err(); the merge, a few passes over the quotient,
+// runs to completion once started.
 func KCenter(ctx context.Context, g *graph.Graph, k int, opt Options) (*KCenterResult, error) {
 	n := g.NumNodes()
 	if k < 1 {
@@ -65,10 +68,7 @@ func KCenter(ctx context.Context, g *graph.Graph, k int, opt Options) (*KCenterR
 			return nil, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	radius, err := EvalCenters(g, res.Centers)
+	radius, err := evalCenters(ctx, g, res.Centers)
 	if err != nil {
 		return nil, err
 	}
@@ -79,27 +79,124 @@ func KCenter(ctx context.Context, g *graph.Graph, k int, opt Options) (*KCenterR
 // EvalCenters returns the exact k-center objective value of the given
 // center set: the maximum distance of any node to the nearest center. It
 // fails if a center is not a node of g or some node is unreachable from
-// every center.
+// every center, naming the smallest such node.
+//
+// It is one sequential, level-synchronous multi-source sweep that keeps
+// no distances, only which nodes it has reached: each level runs top-down
+// or bottom-up by the traversal engine's own cost rule (bsp.PullCheaper),
+// and the radius is the number of levels that reach a new node. Its
+// memory is a visited bitmap and the frontier: a node list after a
+// top-down level, a bitmap (and one for the next) after a bottom-up one.
 func EvalCenters(g *graph.Graph, centers []graph.NodeID) (int32, error) {
+	return evalCenters(nil, g, centers)
+}
+
+// evalCenters is EvalCenters checking ctx, when non-nil, between levels.
+func evalCenters(ctx context.Context, g *graph.Graph, centers []graph.NodeID) (int32, error) {
+	n := g.NumNodes()
 	if len(centers) == 0 {
 		return 0, errors.New("core: empty center set")
 	}
 	for _, c := range centers {
-		if c < 0 || int(c) >= g.NumNodes() {
-			return 0, fmt.Errorf("core: center %d out of range [0, %d)", c, g.NumNodes())
+		if c < 0 || int(c) >= n {
+			return 0, fmt.Errorf("core: center %d out of range [0, %d)", c, n)
 		}
 	}
-	dist, _ := g.MultiSourceBFS(centers)
-	var radius int32
-	for u, d := range dist {
-		if d < 0 {
-			return 0, fmt.Errorf("%w: node %d unreachable from all centers (k below the number of components?)", ErrInfeasible, u)
+	xadj, adj := g.CSR()
+	visited := bsp.NewBitmap(n)
+	// The frontier is in list after a top-down level and in cur after a
+	// bottom-up one, as dense says; spare and next receive a level's claims.
+	var list, spare []graph.NodeID
+	var cur, next *bsp.Bitmap
+	dense := false
+	var mf int64 // arcs leaving the frontier
+	for _, c := range centers {
+		if !visited.Get(c) {
+			visited.Set(c)
+			list = append(list, c)
+			mf += xadj[c+1] - xadj[c]
 		}
-		if d > radius {
-			radius = d
+	}
+	nf, nu, mu := int64(len(list)), int64(n-len(list)), int64(len(adj))-mf
+	var radius int32
+	for nf > 0 && nu > 0 {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		var claimed, deg int64
+		if bsp.PullCheaper(int64(n), nf, mf, nu, mu) {
+			if cur == nil {
+				cur, next = bsp.NewBitmap(n), bsp.NewBitmap(n)
+			}
+			if !dense {
+				cur.FromSparse(list, nil)
+			}
+			next.ClearAll()
+			for wi := 0; wi<<6 < n; wi++ {
+				base := graph.NodeID(wi << 6)
+				for m := visited.Absent(wi); m != 0; m &= m - 1 {
+					v := base + graph.NodeID(bits.TrailingZeros64(m))
+					if int(v) >= n { // pad bits of the last word
+						break
+					}
+					for _, u := range adj[xadj[v]:xadj[v+1]] {
+						if cur.Get(u) {
+							visited.Set(v)
+							next.Set(v)
+							claimed++
+							deg += xadj[v+1] - xadj[v]
+							break
+						}
+					}
+				}
+			}
+			cur, next = next, cur
+			dense = true
+		} else {
+			if dense {
+				list = cur.ToSparse(reserve(list, nf))
+			}
+			spare = reserve(spare, min(nu, mf)) // a level claims at most that many
+			for _, u := range list {
+				for _, v := range adj[xadj[u]:xadj[u+1]] {
+					if !visited.Get(v) {
+						visited.Set(v)
+						spare = append(spare, v)
+						deg += xadj[v+1] - xadj[v]
+					}
+				}
+			}
+			list, spare = spare, list
+			claimed = int64(len(list))
+			dense = false
+		}
+		radius++ // a level that claims nothing leaves nu > 0: the error below
+		nf, mf = claimed, deg
+		nu -= claimed
+		mu -= deg
+	}
+	if nu > 0 {
+		for wi := 0; ; wi++ {
+			if m := visited.Absent(wi); m != 0 {
+				u := wi<<6 + bits.TrailingZeros64(m)
+				return 0, fmt.Errorf("%w: node %d unreachable from all centers (k below the number of components?)", ErrInfeasible, u)
+			}
 		}
 	}
 	return radius, nil
+}
+
+// reserve returns buf emptied, with room for at least want nodes: if buf
+// has less, a fresh slice of want or twice buf's capacity, whichever is
+// more, so a list that grows level by level is reallocated O(log n) times
+// and never by append's smaller steps.
+func reserve(buf []graph.NodeID, want int64) []graph.NodeID {
+	if int64(cap(buf)) < want {
+		return make([]graph.NodeID, 0, max(want, 2*int64(cap(buf))))
+	}
+	return buf[:0]
 }
 
 // mergeClustersToK reduces a W > k clustering to at most k centers by

@@ -44,9 +44,10 @@ const (
 // thresholdFactor·τ·log n nodes are uncovered, every uncovered node becomes
 // a center with probability centerFactor·τ·log n / |uncovered| — its coin is
 // a hash of (Seed, tag, τ, batch, node), so each caller's tag keeps its
-// coins apart and the flips do not depend on the grower — and all clusters,
-// old and new, grow until the batch has covered half of what was uncovered
-// at its start. Two guards keep it terminating on any input: a batch ends
+// coins apart and the flips do not depend on the grower; the (Seed, tag, τ,
+// batch) prefix is hashed once a batch (rng.Flip) — and all clusters, old
+// and new, grow until the batch has covered half of what was uncovered at
+// its start. Two guards keep it terminating on any input: a batch ends
 // early once no cluster can grow, and a batch that samples nobody while
 // nothing can grow takes the lowest-id uncovered node. What is left when
 // the loop ends is the caller's tail (singletons, or a drain).
@@ -62,9 +63,9 @@ func (opt Options) Schedule(gr Growth, n, tau int, tag uint64) (batches int, err
 	for float64(gr.Uncovered()) >= threshold {
 		uncovered := gr.Uncovered()
 		p := centerFactor * float64(tau) * logn / float64(uncovered)
-		batch := uint64(batches)
+		flip := rng.NewFlip(p, coins, uint64(batches))
 		centers, err = gr.SelectUncovered(centers[:0], func(u graph.NodeID) bool {
-			return rng.Coin(p, coins, batch, uint64(u))
+			return flip.At(uint64(u))
 		})
 		if err != nil {
 			return batches, err

@@ -24,6 +24,16 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
+// newBuilderFor returns a builder for a graph with n nodes with room for m
+// edges. A built graph keeps its pair buffer's capacity, so a generator
+// that knows how many edges it will add reserves them here and the graph
+// carries none of append's slack.
+func newBuilderFor(n, m int) *Builder {
+	b := NewBuilder(n)
+	b.pairs = make([]uint64, 0, m)
+	return b
+}
+
 // Grow raises the node count to at least n.
 func (b *Builder) Grow(n int) {
 	if n > b.n {
@@ -112,7 +122,7 @@ func layoutCSR(n int, pairs []uint64, ws []int32) (xadj []int64, adj []NodeID, w
 
 // FromEdges builds a graph with n nodes from the given undirected edge list.
 func FromEdges(n int, edges [][2]NodeID) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderFor(n, len(edges))
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}

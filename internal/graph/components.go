@@ -84,8 +84,7 @@ func (g *Graph) inducedSubgraph(keep func(NodeID) bool, count int) (*Graph, []No
 			newID[u] = None
 		}
 	}
-	b := NewBuilder(len(ids))
-	b.pairs = make([]uint64, 0, arcs/2)
+	b := newBuilderFor(len(ids), arcs/2)
 	g.Edges(func(u, v NodeID) bool {
 		if newID[u] != None && newID[v] != None {
 			b.AddEdge(newID[u], newID[v])

@@ -10,11 +10,13 @@ import (
 // Synthetic graph generators. These provide the datasets for the
 // experimental reproduction (see DESIGN.md §2 for the mapping to the
 // paper's benchmark graphs) plus small structured graphs for tests.
-// All generators are deterministic functions of their parameters.
+// All generators are deterministic functions of their parameters, and each
+// reserves the edges it adds (newBuilderFor), exactly or, where it draws
+// duplicates or self-loops to be dropped, the number of draws.
 
 // Path returns the path graph on n nodes (diameter n-1).
 func Path(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderFor(n, max(n-1, 0))
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(NodeID(i), NodeID(i+1))
 	}
@@ -26,7 +28,7 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic("graph: cycle needs n >= 3")
 	}
-	b := NewBuilder(n)
+	b := newBuilderFor(n, n)
 	for i := 0; i < n; i++ {
 		b.AddEdge(NodeID(i), NodeID((i+1)%n))
 	}
@@ -35,7 +37,7 @@ func Cycle(n int) *Graph {
 
 // Star returns the star with one hub (node 0) and n-1 leaves.
 func Star(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderFor(n, max(n-1, 0))
 	for i := 1; i < n; i++ {
 		b.AddEdge(0, NodeID(i))
 	}
@@ -44,7 +46,7 @@ func Star(n int) *Graph {
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderFor(n, n*max(n-1, 0)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			b.AddEdge(NodeID(i), NodeID(j))
@@ -55,7 +57,7 @@ func Complete(n int) *Graph {
 
 // BinaryTree returns the complete binary tree on n nodes (heap indexing).
 func BinaryTree(n int) *Graph {
-	b := NewBuilder(n)
+	b := newBuilderFor(n, max(n-1, 0))
 	for i := 1; i < n; i++ {
 		b.AddEdge(NodeID(i), NodeID((i-1)/2))
 	}
@@ -69,7 +71,7 @@ func Mesh(w, h int) *Graph {
 	if w < 1 || h < 1 {
 		panic("graph: mesh dimensions must be positive")
 	}
-	b := NewBuilder(w * h)
+	b := newBuilderFor(w*h, (w-1)*h+w*(h-1))
 	id := func(x, y int) NodeID { return NodeID(y*w + x) }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -92,7 +94,7 @@ func ErdosRenyi(n, m int, seed uint64) *Graph {
 		m = int(maxEdges)
 	}
 	r := rng.New(seed)
-	b := NewBuilder(n)
+	b := newBuilderFor(n, m)
 	seen := make(map[uint64]bool, m)
 	for len(seen) < m {
 		u := NodeID(r.Intn(n))
@@ -122,7 +124,7 @@ func BarabasiAlbert(n, mPer int, seed uint64) *Graph {
 		panic("graph: BarabasiAlbert needs n > mPer")
 	}
 	r := rng.New(seed)
-	b := NewBuilder(n)
+	b := newBuilderFor(n, mPer*(mPer+1)/2+(n-mPer-1)*mPer)
 	// targets holds each node once per unit of degree; sampling uniformly
 	// from it is preferential attachment.
 	targets := make([]NodeID, 0, 2*mPer*n)
@@ -168,9 +170,9 @@ func BarabasiAlbert(n, mPer int, seed uint64) *Graph {
 func RMAT(scale, edgeFactor int, seed uint64) *Graph {
 	n := 1 << scale
 	r := rng.New(seed)
-	b := NewBuilder(n)
 	const a, bb, c = 0.57, 0.19, 0.19
 	samples := edgeFactor * n
+	b := newBuilderFor(n, samples) // a draw is added unless it is a self-loop
 	for i := 0; i < samples; i++ {
 		var u, v int
 		for bit := scale - 1; bit >= 0; bit-- {
@@ -214,7 +216,7 @@ func RandomRegular(n, d int, seed uint64) *Graph {
 		j := r.Intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
-	b := NewBuilder(n)
+	b := newBuilderFor(n, len(stubs)/2)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		b.AddEdge(stubs[i], stubs[i+1]) // Builder drops self-loops/dups
 	}
@@ -239,7 +241,7 @@ func ExpanderPath(n, tail int, seed uint64) *Graph {
 	exp := RandomRegular(core, 3, seed)
 	exp, _ = exp.LargestComponent()
 	nc := exp.NumNodes()
-	b := NewBuilder(nc + tail)
+	b := newBuilderFor(nc+tail, exp.NumEdges()+tail)
 	exp.Edges(func(u, v NodeID) bool {
 		b.AddEdge(u, v)
 		return true
@@ -266,12 +268,15 @@ func RoadLike(w, h int, keepFrac float64, seed uint64) *Graph {
 	r := rng.New(seed)
 	id := func(x, y int) NodeID { return NodeID(y*w + x) }
 
-	// Random spanning tree via randomized DFS (maze generation).
-	visited := make([]bool, n)
+	// Random spanning tree via randomized DFS (maze generation): parent[v]
+	// is the node that reached v (the root its own), -1 while unvisited.
+	parent := make([]NodeID, n)
+	for i := range parent {
+		parent[i] = -1
+	}
 	type pos struct{ x, y int }
 	stack := []pos{{0, 0}}
-	visited[0] = true
-	b := NewBuilder(n)
+	parent[0] = 0
 	dirs := [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
@@ -279,7 +284,7 @@ func RoadLike(w, h int, keepFrac float64, seed uint64) *Graph {
 		var cand []pos
 		for _, d := range dirs {
 			nx, ny := cur.x+d[0], cur.y+d[1]
-			if nx >= 0 && nx < w && ny >= 0 && ny < h && !visited[id(nx, ny)] {
+			if nx >= 0 && nx < w && ny >= 0 && ny < h && parent[id(nx, ny)] < 0 {
 				cand = append(cand, pos{nx, ny})
 			}
 		}
@@ -288,23 +293,38 @@ func RoadLike(w, h int, keepFrac float64, seed uint64) *Graph {
 			continue
 		}
 		next := cand[r.Intn(len(cand))]
-		visited[id(next.x, next.y)] = true
-		b.AddEdge(id(cur.x, cur.y), id(next.x, next.y))
+		parent[id(next.x, next.y)] = id(cur.x, cur.y)
 		stack = append(stack, next)
 	}
 
-	// Keep each remaining grid edge with probability keepFrac. The builder
-	// deduplicates edges already added by the tree.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w && r.Bernoulli(keepFrac) {
-				b.AddEdge(id(x, y), id(x+1, y))
+	// Keep each remaining grid edge with probability keepFrac, drawing a
+	// coin for every grid edge in row-major order, tree edges included.
+	// The walk runs twice from the same generator state, first to count
+	// the kept non-tree edges so that the builder is reserved exactly.
+	keeps := func(r rng.RNG, add func(u, v NodeID)) {
+		edge := func(u, v NodeID) {
+			if r.Bernoulli(keepFrac) && parent[u] != v && parent[v] != u {
+				add(u, v)
 			}
-			if y+1 < h && r.Bernoulli(keepFrac) {
-				b.AddEdge(id(x, y), id(x, y+1))
+		}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if x+1 < w {
+					edge(id(x, y), id(x+1, y))
+				}
+				if y+1 < h {
+					edge(id(x, y), id(x, y+1))
+				}
 			}
 		}
 	}
+	kept := 0
+	keeps(*r, func(NodeID, NodeID) { kept++ })
+	b := newBuilderFor(n, n-1+kept)
+	for v, p := range parent {
+		b.AddEdge(NodeID(v), p) // the root's self-loop is dropped
+	}
+	keeps(*r, b.AddEdge)
 	return b.Build()
 }
 
@@ -322,7 +342,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64) *Graph {
 		panic("graph: WattsStrogatz needs n > k")
 	}
 	r := rng.New(seed)
-	b := NewBuilder(n)
+	b := newBuilderFor(n, n*(k/2))
 	for u := 0; u < n; u++ {
 		for j := 1; j <= k/2; j++ {
 			v := (u + j) % n
@@ -349,7 +369,7 @@ func AppendTail(g *Graph, anchor NodeID, tailLen int) *Graph {
 	if anchor < 0 || int(anchor) >= n {
 		panic(fmt.Sprintf("graph: tail anchor %d out of range", anchor))
 	}
-	b := NewBuilder(n + tailLen)
+	b := newBuilderFor(n+tailLen, g.NumEdges()+tailLen)
 	g.Edges(func(u, v NodeID) bool {
 		b.AddEdge(u, v)
 		return true

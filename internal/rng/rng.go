@@ -7,7 +7,7 @@
 //
 //   - A sequential generator (RNG, xoshiro256**) seeded via SplitMix64, for
 //     places where a single goroutine draws a stream of values.
-//   - Stateless hash-based coins (Coin, Uniform, ExpAt) keyed by
+//   - Stateless hash-based coins (Coin, Flip, Uniform, ExpAt) keyed by
 //     (seed, round, node), so that per-node random decisions made
 //     concurrently by many workers are identical across runs and across
 //     worker counts.
@@ -137,6 +137,33 @@ func Coin(p float64, words ...uint64) bool {
 	}
 	return Uniform(words...) < p
 }
+
+// Flip is Coin with its probability and every key word but the last
+// hoisted: NewFlip(p, words...).At(w) == Coin(p, words..., w) for every w,
+// at the cost of one SplitMix64 round and an integer comparison a call. A
+// loop that flips one coin per node under a fixed prefix builds it once.
+type Flip struct {
+	prefix    uint64 // Mix64 of the hoisted words
+	threshold uint64 // ⌈p·2⁵³⌉, clamped to [0, 2⁵³]
+}
+
+// NewFlip returns the coin of probability p keyed by the given words and
+// one more, supplied to At. Uniform's value x·2⁻⁵³ (x a 53-bit integer) is
+// below p exactly when x < ⌈p·2⁵³⌉, the scaling being exact; p ≤ 0 and NaN
+// never come up, p ≥ 1 always does, as in Coin.
+func NewFlip(p float64, words ...uint64) Flip {
+	f := Flip{prefix: Mix64(words...)}
+	switch {
+	case p >= 1:
+		f.threshold = 1 << 53
+	case p > 0:
+		f.threshold = uint64(math.Ceil(p * (1 << 53)))
+	}
+	return f
+}
+
+// At flips the coin keyed by the hoisted words and w.
+func (f Flip) At(w uint64) bool { return SplitMix64(f.prefix^w)>>11 < f.threshold }
 
 // ExpAt returns an Exp(beta) variate keyed by the given words.
 func ExpAt(beta float64, words ...uint64) float64 {

@@ -229,6 +229,42 @@ func TestMix64Distinct(t *testing.T) {
 	}
 }
 
+// TestFlipMatchesCoin pins the hoisted flip to Coin bit for bit: the same
+// answer for every probability class Coin treats apart (p ≤ 0, NaN, p ≥ 1)
+// and for dyadic, tiny and arbitrary p, over random key words.
+func TestFlipMatchesCoin(t *testing.T) {
+	r := New(44)
+	ps := []float64{
+		0, -1, math.Inf(-1), math.NaN(), 1, 1.5, math.Inf(1),
+		0.5, 0.25, 0.75, 1.0 / 1024, 3.0 / (1 << 53), 1.0 / (1 << 53), // dyadic
+		math.SmallestNonzeroFloat64, 1e-300, 1e-17, 0.1 / (1 << 50), // tiny
+		math.Nextafter(1, 0), math.Nextafter(0.5, 1), math.Nextafter(0.5, 0),
+	}
+	for range 64 {
+		ps = append(ps, r.Float64())
+	}
+	for _, p := range ps {
+		for range 2000 {
+			a, b, w := r.Uint64(), r.Uint64(), r.Uint64()
+			if got, want := NewFlip(p, a, b).At(w), Coin(p, a, b, w); got != want {
+				t.Fatalf("p=%v words (%#x, %#x, %#x): flip %v, coin %v", p, a, b, w, got, want)
+			}
+		}
+	}
+	// p exactly at a word's Uniform value, and one ulp either side of it:
+	// Coin is strict, so the flip must say no at the value and above it
+	// only yes.
+	for range 2000 {
+		a, w := r.Uint64(), r.Uint64()
+		u := float64(SplitMix64(Mix64(a)^w)>>11) / (1 << 53)
+		for _, p := range []float64{u, math.Nextafter(u, 0), math.Nextafter(u, 1)} {
+			if got, want := NewFlip(p, a).At(w), Coin(p, a, w); got != want {
+				t.Fatalf("p=%v at its word's value %v: flip %v, coin %v", p, u, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkRNGUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
@@ -242,6 +278,15 @@ func BenchmarkCoin(b *testing.B) {
 	var sink bool
 	for i := 0; i < b.N; i++ {
 		sink = Coin(0.5, 1, uint64(i))
+	}
+	_ = sink
+}
+
+func BenchmarkFlip(b *testing.B) {
+	var sink bool
+	f := NewFlip(0.5, 1)
+	for i := 0; i < b.N; i++ {
+		sink = f.At(uint64(i))
 	}
 	_ = sink
 }
