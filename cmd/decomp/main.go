@@ -52,10 +52,7 @@ func main() {
 	// returns, so a second Ctrl-C kills immediately.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
+	context.AfterFunc(ctx, stop)
 
 	var cl *core.Clustering
 	switch *algo {

@@ -57,10 +57,7 @@ func main() {
 	// baseline, the one estimator that is not context-aware.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
+	context.AfterFunc(ctx, stop)
 
 	want := func(name string) bool { return *algo == "all" || *algo == name }
 

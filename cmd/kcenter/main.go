@@ -40,10 +40,7 @@ func main() {
 	// baseline pass).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
+	context.AfterFunc(ctx, stop)
 
 	start := time.Now()
 	res, err := core.KCenter(ctx, g, *k, core.Options{Seed: *seed, Workers: *workers})

@@ -11,7 +11,9 @@
 //
 //	reprod -snapshot road.snap
 //
-// Synthetic graph without a file:
+// Synthetic graph without a file, from graphgen's generator specs
+// (graph.Generate: mesh:WxH, road:WxH[:keep], ba:N[:deg], rmat:SCALE[:deg],
+// er:N[:deg], expanderpath:N), always drawn at seed 1:
 //
 //	reprod -gen mesh:500x500 -name mesh -tau 8
 //
@@ -39,13 +41,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -59,7 +59,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		graphIn  = flag.String("graph", "", "input edge-list file")
-		gen      = flag.String("gen", "", "generator spec: mesh:WxH | road:WxH[:keep] | ba:N[:deg] | rmat:SCALE[:deg] | er:N[:deg]")
+		gen      = flag.String("gen", "", "generator spec (seed 1): "+graph.GenerateSpecs)
 		name     = flag.String("name", "", "name to serve the graph under (default: derived from -graph/-gen)")
 		snapPath = flag.String("snapshot", "", "snapshot file: loaded if it exists (skipping the build), written after the build otherwise")
 		tau      = flag.Int("tau", 0, "default oracle granularity (0 = paper default)")
@@ -246,7 +246,7 @@ func bootstrap(s *serve.Server, art *snapshot.Artifact, graphIn, gen, name, snap
 			name = baseName(graphIn)
 		}
 	case gen != "":
-		if g, err = generate(gen); err != nil {
+		if g, err = graph.Generate(gen, 1); err != nil {
 			return "", err
 		}
 		log.Printf("reprod: generated %s in %v: n=%d m=%d", gen, time.Since(start).Round(time.Millisecond), g.NumNodes(), g.NumEdges())
@@ -280,94 +280,6 @@ func bootstrap(s *serve.Server, art *snapshot.Artifact, graphIn, gen, name, snap
 		log.Printf("reprod: wrote snapshot %s in %v", snapPath, time.Since(start).Round(time.Millisecond))
 	}
 	return name, nil
-}
-
-// generate parses a compact generator spec like "mesh:500x500",
-// "road:200x200:0.4", "ba:100000:8", "rmat:17:8", "er:50000:8".
-func generate(spec string) (*graph.Graph, error) {
-	parts := strings.Split(spec, ":")
-	kind := parts[0]
-	var argErr error
-	// argInt reads argument i (def when absent), which must lie in
-	// [lo, hi]: outside it the generator would panic.
-	argInt := func(i, def, lo, hi int) int {
-		v := def
-		if len(parts) > i {
-			var err error
-			if v, err = strconv.Atoi(parts[i]); err != nil && argErr == nil {
-				argErr = fmt.Errorf("reprod: bad argument %q in %q", parts[i], spec)
-			}
-		}
-		if (v < lo || v > hi) && argErr == nil {
-			argErr = fmt.Errorf("reprod: %s needs argument %d in [%d, %d], got %d in %q", kind, i, lo, hi, v, spec)
-		}
-		return v
-	}
-	argFloat := func(i int, def float64) float64 {
-		if len(parts) <= i {
-			return def
-		}
-		v, err := strconv.ParseFloat(parts[i], 64)
-		if err != nil && argErr == nil {
-			argErr = fmt.Errorf("reprod: bad argument %q in %q", parts[i], spec)
-		}
-		return v
-	}
-	// dims reads WxH, neither side below lo.
-	dims := func(lo int) (int, int, error) {
-		if len(parts) < 2 {
-			return 0, 0, fmt.Errorf("reprod: %s needs WxH (e.g. %s:500x500)", kind, kind)
-		}
-		wh := strings.SplitN(parts[1], "x", 2)
-		if len(wh) != 2 {
-			return 0, 0, fmt.Errorf("reprod: bad dimensions %q", parts[1])
-		}
-		w, err1 := strconv.Atoi(wh[0])
-		h, err2 := strconv.Atoi(wh[1])
-		if err1 != nil || err2 != nil || w < lo || h < lo {
-			return 0, 0, fmt.Errorf("reprod: bad dimensions %q: %s needs each side >= %d", parts[1], kind, lo)
-		}
-		return w, h, nil
-	}
-	switch kind {
-	case "mesh":
-		w, h, err := dims(1)
-		if err != nil {
-			return nil, err
-		}
-		return graph.Mesh(w, h), nil
-	case "road":
-		w, h, err := dims(2)
-		if err != nil {
-			return nil, err
-		}
-		keep := argFloat(2, 0.4)
-		if argErr != nil {
-			return nil, argErr
-		}
-		return graph.RoadLike(w, h, keep, 1), nil
-	case "ba":
-		n := argInt(1, 100000, 2, math.MaxInt32)
-		deg := argInt(2, 8, 1, n-1)
-		if argErr != nil {
-			return nil, argErr
-		}
-		return graph.BarabasiAlbert(n, deg, 1), nil
-	case "rmat":
-		scale, deg := argInt(1, 16, 0, 31), argInt(2, 8, 0, math.MaxInt32) // node ids are 32-bit
-		if argErr != nil {
-			return nil, argErr
-		}
-		return graph.RMAT(scale, deg, 1), nil
-	case "er":
-		n, deg := argInt(1, 100000, 0, math.MaxInt32), argInt(2, 8, 0, math.MaxInt32)
-		if argErr != nil {
-			return nil, argErr
-		}
-		return graph.ErdosRenyi(n, n*deg/2, 1), nil
-	default:
-		return nil, fmt.Errorf("reprod: unknown generator %q", kind)
-	}
 }
 
 func baseName(path string) string {

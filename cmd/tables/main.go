@@ -37,10 +37,7 @@ func main() {
 	// references that are not context-aware).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
+	context.AfterFunc(ctx, stop)
 	want := func(name string) bool {
 		return *experiment == "all" || strings.EqualFold(*experiment, name)
 	}

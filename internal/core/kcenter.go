@@ -217,7 +217,7 @@ func mergeClustersToK(cl *Clustering, k, workers int) ([]graph.NodeID, error) {
 	lo, hi := 1, w // smallest quota with numParts <= k lies in [1, w]
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if countParts(parent, order, mid) <= k {
+		if len(partHeads(parent, order, mid)) <= k {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -265,10 +265,10 @@ func spanningForest(q *graph.Graph) (parent []graph.NodeID, order []graph.NodeID
 	return parent, order, roots
 }
 
-// cutForest marks the part heads for the given quota: processing nodes
-// children-first, a node whose accumulated subtree size reaches the quota
-// is cut and becomes a head; roots are always heads.
-func cutForest(parent []graph.NodeID, order []graph.NodeID, quota int) []bool {
+// partHeads returns the part heads for the given quota, in increasing id:
+// processing nodes children-first, a node whose accumulated subtree size
+// reaches the quota is cut and becomes a head; roots are always heads.
+func partHeads(parent []graph.NodeID, order []graph.NodeID, quota int) []graph.NodeID {
 	n := len(parent)
 	size := make([]int32, n)
 	head := make([]bool, n)
@@ -285,22 +285,6 @@ func cutForest(parent []graph.NodeID, order []graph.NodeID, quota int) []bool {
 			size[parent[u]] += size[u]
 		}
 	}
-	return head
-}
-
-func countParts(parent []graph.NodeID, order []graph.NodeID, quota int) int {
-	head := cutForest(parent, order, quota)
-	count := 0
-	for _, h := range head {
-		if h {
-			count++
-		}
-	}
-	return count
-}
-
-func partHeads(parent []graph.NodeID, order []graph.NodeID, quota int) []graph.NodeID {
-	head := cutForest(parent, order, quota)
 	out := make([]graph.NodeID, 0, 16)
 	for u, h := range head {
 		if h {

@@ -1,9 +1,10 @@
 package graph
 
 // Sequential breadth-first search utilities. These are the reference
-// implementations used for ground truth in tests and for exact diameter
-// computation on quotient graphs; the distributed/parallel variants live in
-// internal/pbfs and internal/bsp.
+// implementations tests check the engines against; Gonzalez's k-center
+// baseline sweeps with BFSInto, and the benchmark times MultiSourceBFS as
+// a pinned control. Exact diameters run iFUB on bsp.Engine (exact.go); the
+// parallel traversals live in internal/bsp and internal/pbfs.
 
 // BFS computes hop distances from src. Unreachable nodes get distance -1.
 // The returned slice has length NumNodes.

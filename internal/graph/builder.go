@@ -57,11 +57,16 @@ func (b *Builder) AddEdge(u, v NodeID) {
 // node count: further edges may be added and Build called again, and the
 // next graph has only those edges. It sorts and deduplicates the recorded
 // pairs in place and lays the graph's adjacency out inside them, so the
-// graph allocates only its offsets and keeps the pair buffer's whole
-// capacity.
+// graph allocates only its offsets and keeps the pair buffer's capacity.
+// Pairs that fill less than half of it, after a reservation that overstated
+// the edges or many duplicates, move to an exact-size buffer first: the
+// graph never holds more than twice its adjacency.
 func (b *Builder) Build() *Graph {
 	slices.Sort(b.pairs)
 	pairs := slices.Compact(b.pairs)
+	if len(pairs) < cap(pairs)/2 {
+		pairs = append(make([]uint64, 0, len(pairs)), pairs...)
+	}
 	b.pairs = nil
 	xadj, adj, _ := layoutCSR(b.n, pairs, nil)
 	return &Graph{xadj: xadj, adj: adj}

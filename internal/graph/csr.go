@@ -14,50 +14,58 @@ func (g *Graph) CSR() (xadj []int64, adj []NodeID) {
 }
 
 // FromCSR adopts pre-built CSR arrays as a Graph, taking ownership of both
-// slices. It verifies the canonical layout Builder produces — monotone
-// offsets bracketing adj, in-range endpoints, strictly increasing
-// adjacency lists, no self-loops — and rejects malformed input, so a
-// decoded snapshot cannot smuggle in a graph that would crash later
-// algorithms. Symmetry (every arc paired with its reverse) is not
-// re-verified here: it is O(m log m) and snapshot integrity is already
-// covered by a checksum; call Validate for the full check.
+// slices. It verifies the canonical layout Builder produces (checkLayout)
+// and rejects malformed input, so a decoded snapshot cannot smuggle in a
+// graph that would crash later algorithms. Symmetry (every arc paired with
+// its reverse) is not re-verified here: it is O(m log m) and snapshot
+// integrity is already covered by a checksum; call Validate for the full
+// check.
 func FromCSR(xadj []int64, adj []NodeID) (*Graph, error) {
+	if err := checkLayout(xadj, adj); err != nil {
+		return nil, fmt.Errorf("graph: FromCSR: %w", err)
+	}
+	return &Graph{xadj: xadj, adj: adj}, nil
+}
+
+// checkLayout verifies the canonical CSR layout: monotone offsets
+// bracketing adj, in-range endpoints, strictly increasing adjacency lists
+// and no self-loops. An empty xadj is the empty graph.
+func checkLayout(xadj []int64, adj []NodeID) error {
 	if len(xadj) == 0 {
 		if len(adj) != 0 {
-			return nil, fmt.Errorf("graph: FromCSR: %d arcs with empty xadj", len(adj))
+			return fmt.Errorf("%d arcs with empty xadj", len(adj))
 		}
-		return &Graph{}, nil
+		return nil
 	}
 	n := len(xadj) - 1
 	if xadj[0] != 0 || xadj[n] != int64(len(adj)) {
-		return nil, fmt.Errorf("graph: FromCSR: xadj endpoints [%d, %d] want [0, %d]",
-			xadj[0], xadj[n], len(adj))
+		return fmt.Errorf("xadj endpoints [%d, %d] want [0, %d]", xadj[0], xadj[n], len(adj))
 	}
 	// Verify the whole offset array before slicing adj with it: a monotone
 	// prefix can still hold an out-of-range offset that later entries
 	// contradict.
 	for u := 0; u < n; u++ {
 		if xadj[u] > xadj[u+1] {
-			return nil, fmt.Errorf("graph: FromCSR: xadj not monotone at %d", u)
+			return fmt.Errorf("xadj not monotone at %d", u)
 		}
 		if xadj[u+1] > int64(len(adj)) {
-			return nil, fmt.Errorf("graph: FromCSR: offset %d at %d exceeds %d arcs", xadj[u+1], u+1, len(adj))
+			return fmt.Errorf("offset %d at %d exceeds %d arcs", xadj[u+1], u+1, len(adj))
 		}
 	}
 	for u := 0; u < n; u++ {
 		prev := NodeID(-1)
 		for _, v := range adj[xadj[u]:xadj[u+1]] {
 			if v < 0 || int(v) >= n {
-				return nil, fmt.Errorf("graph: FromCSR: arc (%d,%d) out of range", u, v)
+				return fmt.Errorf("arc (%d,%d) out of range", u, v)
 			}
 			if v == NodeID(u) {
-				return nil, fmt.Errorf("graph: FromCSR: self loop at %d", u)
+				return fmt.Errorf("self loop at %d", u)
 			}
 			if v <= prev {
-				return nil, fmt.Errorf("graph: FromCSR: adjacency of %d not strictly increasing", u)
+				return fmt.Errorf("adjacency of %d not strictly increasing", u)
 			}
 			prev = v
 		}
 	}
-	return &Graph{xadj: xadj, adj: adj}, nil
+	return nil
 }

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/rng"
 )
@@ -381,4 +383,95 @@ func AppendTail(g *Graph, anchor NodeID, tailLen int) *Graph {
 		prev = next
 	}
 	return b.Build()
+}
+
+// GenerateSpecs lists the generator specs Generate accepts.
+const GenerateSpecs = "mesh:WxH | road:WxH[:keep] | ba:N[:deg] | rmat:SCALE[:deg] | er:N[:deg] | expanderpath:N"
+
+// Generate builds the graph a generator spec names, drawing from seed:
+//
+//	mesh:WxH          Mesh(W, H): W, H >= 1
+//	road:WxH[:keep]   RoadLike(W, H, keep): W, H >= 2; keep [0.4]
+//	ba:N[:deg]        BarabasiAlbert(N, deg): N >= 2 [100000], 1 <= deg < N [8]
+//	rmat:SCALE[:deg]  RMAT(SCALE, deg): 0 <= SCALE <= 31 [16], deg >= 0 [8]
+//	er:N[:deg]        ErdosRenyi(N, N·deg/2): N >= 0 [100000], deg >= 0 [8]
+//	expanderpath:N    ExpanderPath(N, 0): N >= 6 [100000]
+//
+// An omitted argument takes the default in brackets. No count may exceed
+// 2³¹ − 1, nor a grid 2³¹ nodes. Generate is the one gate between a spec
+// from outside the program and the generators, which panic outside these
+// ranges: a spec outside them, or one that does not parse, is an error
+// naming it.
+func Generate(spec string, seed uint64) (*Graph, error) {
+	parts := strings.Split(spec, ":")
+	kind := parts[0]
+	var argErr error
+	fail := func(format string, args ...any) {
+		if argErr == nil {
+			argErr = fmt.Errorf(format, args...)
+		}
+	}
+	// argInt reads argument i (def when absent), which must lie in [lo, hi].
+	argInt := func(i, def, lo, hi int) int {
+		v := def
+		if len(parts) > i {
+			var err error
+			if v, err = strconv.Atoi(parts[i]); err != nil {
+				fail("bad argument %q", parts[i])
+			}
+		}
+		if v < lo || v > hi {
+			fail("%s needs argument %d in [%d, %d], got %d", kind, i, lo, hi, v)
+		}
+		return v
+	}
+	// dims reads argument 1, WxH, neither side below lo.
+	dims := func(lo int) (w, h int) {
+		if len(parts) < 2 {
+			fail("%s needs WxH (e.g. %s:500x500)", kind, kind)
+			return 0, 0
+		}
+		ws, hs, _ := strings.Cut(parts[1], "x")
+		w, err1 := strconv.Atoi(ws)
+		h, err2 := strconv.Atoi(hs)
+		if err1 != nil || err2 != nil || w < lo || h < lo || w > maxNodes/h {
+			fail("bad dimensions %q: %s needs each side >= %d and at most %d nodes", parts[1], kind, lo, maxNodes)
+		}
+		return w, h
+	}
+	var build func() *Graph
+	switch kind {
+	case "mesh":
+		w, h := dims(1)
+		build = func() *Graph { return Mesh(w, h) }
+	case "road":
+		w, h := dims(2)
+		keep := 0.4
+		if len(parts) > 2 {
+			var err error
+			if keep, err = strconv.ParseFloat(parts[2], 64); err != nil {
+				fail("bad argument %q", parts[2])
+			}
+		}
+		build = func() *Graph { return RoadLike(w, h, keep, seed) }
+	case "ba":
+		n := argInt(1, 100000, 2, math.MaxInt32)
+		deg := argInt(2, 8, 1, n-1)
+		build = func() *Graph { return BarabasiAlbert(n, deg, seed) }
+	case "rmat":
+		scale, deg := argInt(1, 16, 0, 31), argInt(2, 8, 0, math.MaxInt32)
+		build = func() *Graph { return RMAT(scale, deg, seed) }
+	case "er":
+		n, deg := argInt(1, 100000, 0, math.MaxInt32), argInt(2, 8, 0, math.MaxInt32)
+		build = func() *Graph { return ErdosRenyi(n, n*deg/2, seed) }
+	case "expanderpath":
+		n := argInt(1, 100000, 6, math.MaxInt32) // an expander core of 4 beside its path
+		build = func() *Graph { return ExpanderPath(n, 0, seed) }
+	default:
+		return nil, fmt.Errorf("graph: unknown generator %q in %q (want %s)", kind, spec, GenerateSpecs)
+	}
+	if argErr != nil {
+		return nil, fmt.Errorf("graph: generator %q: %w", spec, argErr)
+	}
+	return build(), nil
 }

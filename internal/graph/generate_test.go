@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -228,5 +230,47 @@ func TestPathCycleStarCompleteSmall(t *testing.T) {
 	}
 	if Cycle(3).NumEdges() != 3 {
 		t.Fatal("Cycle(3)")
+	}
+}
+
+// A size the generator cannot build, or a spec that does not parse, is an
+// error naming it, not a panic; the smallest sizes it can build still
+// build.
+func TestGenerateRefusesSizesItsGeneratorCannotBuild(t *testing.T) {
+	for _, spec := range []string{"mesh:0x5", "road:1x1", "ba:0", "ba:10:0", "ba:10:10", "rmat:40", "rmat:-1", "er:-5",
+		"rmat:4:-1", "er:10:-5", "expanderpath:5", fmt.Sprintf("mesh:%dx2", 1<<30+1),
+		"", "grid:3x3", "mesh", "mesh:3", "mesh:3x", "mesh:ax3", "road:5x5:x", "ba:1e3", "rmat:4:8.5"} {
+		if g, err := Generate(spec, 1); err == nil {
+			t.Errorf("Generate(%q) built %d nodes, want an error", spec, g.NumNodes())
+		}
+	}
+	for _, spec := range []string{"mesh:1x1", "road:2x2", "ba:2:1", "rmat:0", "er:0", "expanderpath:6"} {
+		if _, err := Generate(spec, 1); err != nil {
+			t.Errorf("Generate(%q): %v", spec, err)
+		}
+	}
+}
+
+// A spec builds exactly the graph of the generator call it names.
+func TestGenerateMatchesGenerators(t *testing.T) {
+	for _, seed := range []uint64{1, 7} {
+		for spec, want := range map[string]*Graph{
+			"mesh:12x9":        Mesh(12, 9),
+			"road:20x15:0.3":   RoadLike(20, 15, 0.3, seed),
+			"road:20x15":       RoadLike(20, 15, 0.4, seed),
+			"ba:500:3":         BarabasiAlbert(500, 3, seed),
+			"rmat:9:4":         RMAT(9, 4, seed),
+			"er:300:5":         ErdosRenyi(300, 750, seed),
+			"expanderpath:200": ExpanderPath(200, 0, seed),
+		} {
+			g, err := Generate(spec, seed)
+			if err != nil {
+				t.Fatalf("Generate(%q, %d): %v", spec, seed, err)
+			}
+			if !slices.Equal(g.xadj, want.xadj) || !slices.Equal(g.adj, want.adj) {
+				t.Errorf("Generate(%q, %d): n=%d m=%d, direct call n=%d m=%d, or another CSR",
+					spec, seed, g.NumNodes(), g.NumEdges(), want.NumNodes(), want.NumEdges())
+			}
+		}
 	}
 }

@@ -10,8 +10,8 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 )
 
 // NodeID identifies a node. Graphs in this repository are limited to
@@ -79,53 +79,18 @@ func (g *Graph) MaxDegree() (int, NodeID) {
 	return best, arg
 }
 
-// Validate checks structural invariants of the CSR arrays: monotone
-// offsets, in-range endpoints, no self-loops, and symmetry (every arc has a
-// reverse arc). It is O(m log m)-ish in the worst case and intended for
-// tests and debugging, not hot paths.
+// Validate checks the CSR layout FromCSR checks (checkLayout) and
+// symmetry: every arc has its reverse. It is O(m log m) in the worst case
+// and intended for tests and debugging, not hot paths.
 func (g *Graph) Validate() error {
-	n := g.NumNodes()
-	if len(g.xadj) != 0 && len(g.xadj) != n+1 {
-		return fmt.Errorf("graph: xadj length %d, want %d", len(g.xadj), n+1)
+	if err := checkLayout(g.xadj, g.adj); err != nil {
+		return fmt.Errorf("graph: %w", err)
 	}
-	if n == 0 {
-		if len(g.adj) != 0 {
-			return errors.New("graph: arcs present in empty graph")
-		}
-		return nil
-	}
-	if g.xadj[0] != 0 || g.xadj[n] != int64(len(g.adj)) {
-		return errors.New("graph: xadj endpoints wrong")
-	}
-	for u := 0; u < n; u++ {
-		if g.xadj[u] > g.xadj[u+1] {
-			return fmt.Errorf("graph: xadj not monotone at %d", u)
-		}
-	}
-	// Adjacency lists are strictly increasing by construction (Builder sorts
-	// and deduplicates), which also rules out duplicate arcs. Count directed
-	// arcs per unordered pair; each must appear exactly twice.
-	counts := make(map[uint64]int, len(g.adj)/2)
-	for u := NodeID(0); u < NodeID(n); u++ {
-		prev := NodeID(-1)
+	for u := range NodeID(g.NumNodes()) {
 		for _, v := range g.Neighbors(u) {
-			if v < 0 || int(v) >= n {
-				return fmt.Errorf("graph: arc (%d,%d) out of range", u, v)
+			if _, ok := slices.BinarySearch(g.Neighbors(v), u); !ok {
+				return fmt.Errorf("graph: arc (%d,%d) has no reverse", u, v)
 			}
-			if v == u {
-				return fmt.Errorf("graph: self loop at %d", u)
-			}
-			if v <= prev {
-				return fmt.Errorf("graph: adjacency of %d not strictly increasing at %d", u, v)
-			}
-			prev = v
-			counts[packPair(u, v)]++
-		}
-	}
-	for key, c := range counts {
-		if c != 2 {
-			u, v := unpackPair(key)
-			return fmt.Errorf("graph: edge {%d,%d} has %d arcs, want 2", u, v, c)
 		}
 	}
 	return nil

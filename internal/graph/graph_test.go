@@ -150,6 +150,37 @@ func TestMaxDegree(t *testing.T) {
 	}
 }
 
+// Validate and FromCSR share one layout check, so they agree on every
+// malformed CSR; only Validate tests symmetry. Each case breaks the path
+// 0-1-2 (xadj {0,1,3,4}, adj {1, 0,2, 1}).
+func TestValidateAndFromCSRAgreeOnLayout(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		xadj         []int64
+		adj          []NodeID
+		layoutBroken bool
+	}{
+		{"valid", []int64{0, 1, 3, 4}, []NodeID{1, 0, 2, 1}, false},
+		{"arcs without offsets", nil, []NodeID{0}, true},
+		{"endpoints", []int64{0, 1, 3, 3}, []NodeID{1, 0, 2, 1}, true},
+		{"non-monotone offsets", []int64{0, 2, 1, 4}, []NodeID{1, 0, 2, 1}, true},
+		{"offset past adj", []int64{0, 1, 9, 4}, []NodeID{1, 0, 2, 1}, true},
+		{"arc out of range", []int64{0, 1, 3, 4}, []NodeID{1, 0, 3, 1}, true},
+		{"self-loop", []int64{0, 1, 3, 4}, []NodeID{1, 0, 1, 1}, true},
+		{"unsorted list", []int64{0, 1, 3, 4}, []NodeID{1, 2, 0, 1}, true},
+		{"asymmetric", []int64{0, 1, 2, 2}, []NodeID{1, 2}, false},
+	} {
+		_, csrErr := FromCSR(slices.Clone(c.xadj), slices.Clone(c.adj))
+		valErr := (&Graph{xadj: c.xadj, adj: c.adj}).Validate()
+		if (csrErr != nil) != c.layoutBroken {
+			t.Errorf("%s: FromCSR error %v, want one: %v", c.name, csrErr, c.layoutBroken)
+		}
+		if wantVal := c.layoutBroken || c.name == "asymmetric"; (valErr != nil) != wantVal {
+			t.Errorf("%s: Validate error %v, want one: %v", c.name, valErr, wantVal)
+		}
+	}
+}
+
 func TestValidatePropertyRandomGraphs(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := ErdosRenyi(50, 120, seed)

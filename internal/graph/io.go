@@ -35,11 +35,12 @@ import (
 // buffer, but M is untrusted: LoadEdgeList bounds it by a plain file's
 // size, and anything else by hintCap. Only the first header that
 // reserves does so; later ones size nothing. The graph's adjacency is laid
-// out inside that buffer, so the graph keeps its whole capacity: exactly
-// its edge lines for a header that counts them, as WriteEdgeList's does;
-// append's slack for a list without one, or with one that undercounts; up
-// to the cap for one that overstates M (capacity never written is not
-// resident).
+// out inside that buffer (Builder.Build), so the graph keeps its capacity:
+// exactly its edge lines for a header that counts them, as WriteEdgeList's
+// does; append's slack for a list without one, or with one that
+// undercounts. A header that overstates M more than twice over costs one
+// copy of the pairs into an exact-size buffer, and the graph does not hold
+// the reservation.
 
 const (
 	// maxNodes is the most nodes a graph can hold: NodeID is an int32.

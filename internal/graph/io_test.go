@@ -260,6 +260,35 @@ func TestReadEdgeListEdgeHintIsBounded(t *testing.T) {
 	}
 }
 
+// A header that overstates M reserves up to the cap, but the built graph
+// does not keep the reservation: its live heap is a small multiple of its
+// CSR, not the 32 MB "edges: 4000000" reserves.
+func TestReadEdgeListDropsOverstatedReservation(t *testing.T) {
+	var in strings.Builder
+	in.WriteString("# nodes: 1001 edges: 4000000\n")
+	for i := range 1000 {
+		fmt.Fprintf(&in, "%d %d\n", i, i+1)
+	}
+	text := in.String()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := readEdgeList(strings.NewReader(text), 1<<22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	csr := int64(8*(g.NumNodes()+1) + 4*g.NumArcs())
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(g)
+	t.Logf("n=%d m=%d: %d live bytes, CSR %d", g.NumNodes(), g.NumEdges(), live, csr)
+	if bound := 4*csr + 256<<10; live > bound {
+		t.Fatalf("a graph of %d edges behind an edges: 4000000 header holds %d live bytes, want <= 4 CSRs + 256 KiB = %d",
+			g.NumEdges(), live, bound)
+	}
+}
+
 // edgeHintAllocs returns the bytes allocated reading in, a list of nodes 0
 // and 1 and no edges, through a reader, a plain file and a gzip file.
 func edgeHintAllocs(t *testing.T, in string) map[string]uint64 {
