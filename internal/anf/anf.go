@@ -38,18 +38,19 @@ type Options struct {
 	Workers int
 	// MaxRounds caps the iteration count (0 = 4n+4, effectively unlimited).
 	MaxRounds int
-	// EffectivePercentile is the quantile of reachable pairs defining the
-	// effective diameter (default 0.9, as in the ANF/HADI papers).
-	EffectivePercentile float64
 }
+
+// effectivePercentile is the quantile of reachable pairs defining the
+// effective diameter, 0.9 as in the ANF/HADI papers.
+const effectivePercentile = 0.9
 
 // Result reports an ANF execution.
 type Result struct {
 	// DiameterEstimate is the round at which the sketches saturated — an
 	// estimate of (and typically a slight underestimate of) the diameter.
 	DiameterEstimate int32
-	// EffectiveDiameter is the interpolated t at which N(t) reaches
-	// EffectivePercentile of its final value.
+	// EffectiveDiameter is the interpolated t at which N(t) reaches 90 %
+	// of its final value (effectivePercentile).
 	EffectiveDiameter float64
 	// Neighborhood holds the estimates N(0), N(1), ..., N(DiameterEstimate).
 	Neighborhood []float64
@@ -76,7 +77,7 @@ const phi = 0.77351
 // Run executes ANF on g until the sketches saturate. The rounds run on
 // the traversal engine as active-set supersteps: the frontier holds the
 // nodes whose sketch changed last round, nothing is visited, and a step's
-// Adopt recombines the nodes with at least one neighbor in it (everyone
+// callback recombines the nodes with at least one neighbor in it (everyone
 // else's sketch provably cannot change). That preserves the dense
 // round-by-round semantics, and thus the saturation-round diameter
 // estimate, while skipping the dead arc scans.
@@ -92,9 +93,6 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	k := opt.K
 	if k <= 0 {
 		k = 32
-	}
-	if opt.EffectivePercentile <= 0 || opt.EffectivePercentile > 1 {
-		opt.EffectivePercentile = 0.9
 	}
 	maxRounds := opt.MaxRounds
 	if maxRounds <= 0 {
@@ -130,7 +128,7 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	// own probes; combineArcs counts these scans.
 	combineArcs := make([]int64, e.NumWorkers())
 	changedBy := make([][]graph.NodeID, e.NumWorkers())
-	spec := bsp.StepSpec{Adopt: func(w int, v, _ graph.NodeID) {
+	combine := func(w int, v, _ graph.NodeID) {
 		nbrs := g.Neighbors(v)
 		combineArcs[w] += int64(len(nbrs))
 		base := int(v) * k
@@ -144,13 +142,13 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 		if !slices.Equal(next[base:base+k], cur[base:base+k]) {
 			changedBy[w] = append(changedBy[w], v)
 		}
-	}}
+	}
 	var changed []graph.NodeID
 	for res.Rounds < maxRounds && e.FrontierLen() > 0 {
 		for w := range changedBy {
 			changedBy[w] = changedBy[w][:0]
 		}
-		e.Step(spec)
+		e.Step(combine)
 		res.Rounds++
 		// Commit the changed sketches (the untouched ones are already
 		// identical in cur).
@@ -185,7 +183,7 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	res.MessagesWords = arcs * int64(k)
 	res.Stats = e.Stats()
 	res.Stats.Messages += arcs
-	res.EffectiveDiameter = effectiveDiameter(res.Neighborhood, opt.EffectivePercentile)
+	res.EffectiveDiameter = effectiveDiameter(res.Neighborhood, effectivePercentile)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

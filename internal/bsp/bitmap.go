@@ -45,24 +45,11 @@ func (b *Bitmap) ClearAll() {
 	clear(b.words)
 }
 
-// ClearSparse empties the set given a superset of its members, zeroing only
-// the words those members touch — O(len(members)) instead of O(n/64).
-// Clears run between supersteps, with no concurrent writers.
-func (b *Bitmap) ClearSparse(members []NodeID) {
-	for _, u := range members {
-		b.words[uint32(u)>>6] = 0
-	}
-}
-
-// FromSparse resets the bitmap to exactly the given members. prev must be a
-// superset of the current members (typically the slice a previous
-// FromSparse installed); pass nil to force a full clear.
-func (b *Bitmap) FromSparse(members, prev []NodeID) {
-	if prev == nil {
-		b.ClearAll()
-	} else {
-		b.ClearSparse(prev)
-	}
+// FromSparse resets the bitmap to exactly the given members: a full clear,
+// then one Set a member. It runs between supersteps, with no concurrent
+// writers.
+func (b *Bitmap) FromSparse(members []NodeID) {
+	b.ClearAll()
 	for _, u := range members {
 		b.Set(u)
 	}

@@ -18,7 +18,7 @@
 //
 // When several frontier nodes reach the same node in one round the paper
 // lets "only one of them, arbitrarily chosen" succeed. The Engine makes the
-// choice itself and makes it the same way every time — see StepSpec — so
+// choice itself and makes it the same way every time — see Engine.Step — so
 // the nodes claimed in a round, and who claimed each, do not depend on the
 // direction, the worker count or the goroutine schedule.
 //
@@ -30,8 +30,8 @@
 // kernels instead.) Stats.Relaxations and Stats.Buckets are its counters,
 // the weighted counterpart of Messages and Rounds.
 //
-// Every parallel pass of Engine — push and pull rounds, the barrier's
-// settle pass, Engine.For — runs on one loop, Pool.Claim, in which the
+// Every parallel pass of Engine — push and pull rounds, a push round's
+// barrier pass, Engine.For — runs on one loop, Pool.Claim, in which the
 // workers take blocks of an index range from a shared cursor. The worker
 // count sets how fast a round runs, never which code runs it; the one
 // branch on it is Claim's own rule that a single worker, or a range of one
@@ -84,7 +84,7 @@ func (s *Stats) Add(other Stats) {
 }
 
 // RoundStat records one superstep, as Engine.Step returns it. Arcs are the
-// kernel's own scans, not a client's in Adopt.
+// kernel's own scans, not a client's in its Step callback.
 type RoundStat struct {
 	Frontier int       // frontier size entering the round
 	Claimed  int       // nodes claimed during the round

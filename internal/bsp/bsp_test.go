@@ -73,7 +73,7 @@ func TestEngineEmptyFrontierStepIsNoop(t *testing.T) {
 	g := graph.Path(5)
 	e := bsp.NewEngine(g, 2)
 	defer e.Close()
-	rs := e.Step(bsp.StepSpec{Adopt: func(int, graph.NodeID, graph.NodeID) { t.Error("Adopt called") }})
+	rs := e.Step(func(int, graph.NodeID, graph.NodeID) { t.Error("Adopt called") })
 	if rs.Arcs != 0 || rs.Claimed != 0 || e.Stats().Rounds != 0 {
 		t.Fatal("empty frontier should be a no-op")
 	}
@@ -95,9 +95,9 @@ func TestEngineNoDuplicateClaims(t *testing.T) {
 			e.Seed(graph.NodeID(i))
 		}
 		var adopted []graph.NodeID
-		rs := e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) {
+		rs := e.Step(func(_ int, v, parent graph.NodeID) {
 			adopted = append(adopted, v, parent) // one claim, so one call
-		}})
+		})
 		if rs.Claimed != 1 || e.FrontierLen() != 1 || e.Frontier()[0] != 0 {
 			t.Fatalf("%v: hub should be claimed exactly once, got %v", dir, e.Frontier())
 		}

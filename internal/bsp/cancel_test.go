@@ -30,7 +30,7 @@ func TestEngineStepHonorsCancelledContext(t *testing.T) {
 	}
 	dist[0] = 0
 	e.Seed(0)
-	spec := bsp.StepSpec{Adopt: func(_ int, v, _ graph.NodeID) { dist[v] = 1 }}
+	spec := func(_ int, v, _ graph.NodeID) { dist[v] = 1 }
 
 	// One live round works normally.
 	if rs := e.Step(spec); rs.Claimed == 0 {

@@ -60,10 +60,10 @@ func (d Direction) String() string {
 // identical across worker counts.
 
 // seqThreshold is the block of indices a worker claims at a time in For,
-// a bottom-up step and a step's barrier pass, so a range of at most one
-// block runs inline on the calling goroutine: dispatching to the pool for
-// tiny rounds costs more than it saves. It is a multiple of 64, 32 bitmap
-// words, so the plain visited-bitmap writes of a pull block stay
+// a bottom-up step and a top-down step's barrier pass, so a range of at
+// most one block runs inline on the calling goroutine: dispatching to the
+// pool for tiny rounds costs more than it saves. It is a multiple of 64,
+// 32 bitmap words, so the plain visited-bitmap writes of a pull block stay
 // word-confined. Top-down steps are sized in arcs instead — see
 // pushArcThreshold.
 const seqThreshold = 2048
@@ -86,28 +86,6 @@ const (
 	pushBlockArcs    = 4 << 10
 )
 
-// StepSpec is what a traversal supplies to a superstep. The claim itself is
-// the engine's: a node reached by several frontier nodes in one round goes
-// to the one with the smallest id, in either direction and under any worker
-// count or schedule (the paper lets "only one of them, arbitrarily chosen"
-// succeed; fixing the choice is what makes every client's output a function
-// of its inputs alone). A push round settles the contention by atomic-min
-// on the engine's parent word of the node, a pull round by adopting the
-// first frontier neighbor in adjacency order, which is the same node
-// because adjacency lists are sorted.
-//
-// Adopt is called at the barrier, once per node claimed in the round, with
-// the winning frontier neighbor: the client copies whatever state a claimed
-// node inherits (cluster and distance, BFS level). Calls for distinct nodes
-// run concurrently; parent's state is stable, having been written at an
-// earlier barrier, and v is passed to exactly one call over the traversal
-// (until Reset). A client whose rule is not the engine's may ignore the
-// winner and read the stable state of all v's neighbors instead: MPX takes
-// a min over (arrival, cluster) keys, ANF ORs the sketches.
-type StepSpec struct {
-	Adopt func(worker int, v, parent NodeID)
-}
-
 // Values of a parent word outside a round's claims. Offers are node ids, so
 // one comparison in the push kernel serves both: any offer lowers
 // parentFree, none lowers parentSettled.
@@ -124,11 +102,11 @@ const (
 // runs supersteps over a persistent worker pool (goroutines are spawned
 // once per engine, not per superstep), and chooses per round between
 // top-down push and bottom-up pull. There is one kind of superstep, Step;
-// every client states its round as an Adopt at the barrier. Stats count the
-// arcs the kernels scan in either direction, keeping Messages honest as the
-// aggregate communication volume of the paper's Section 6 cost analysis; a
-// client whose Adopt scans adjacency of its own (MPX, ANF) adds those arcs
-// to the Messages it reports.
+// every client states its round as the callback Step hands each claim to.
+// Stats count the arcs the kernels scan in either direction, keeping
+// Messages honest as the aggregate communication volume of the paper's
+// Section 6 cost analysis; a client whose callback scans adjacency of its
+// own (MPX, ANF) adds those arcs to the Messages it reports.
 //
 // An Engine may be reused across traversals (Reset) but is not safe for
 // concurrent use by multiple goroutines. Close releases the worker pool.
@@ -141,17 +119,17 @@ type Engine struct {
 	mode    Direction
 
 	// parent is the claim word of every node: parentFree until a round
-	// reaches it, the smallest frontier id that has offered so far while
-	// that round runs, parentSettled from the round's barrier on. A 32-bit
+	// reaches it, the smallest frontier id that has offered so far while a
+	// push round runs, parentSettled once the claim is handed to the
+	// client (in a pull round's kernel, at a push round's barrier). A 32-bit
 	// word on purpose: at 1 M nodes the array is 4 MB beside a 78 MB build.
 	parent       []NodeID
 	visited      *Bitmap // parent != parentFree, densely: what a pull round skips by the word
 	frontier     []NodeID
-	frontierBits *Bitmap
-	bitsFor      []NodeID // sparse list frontierBits currently encodes
-	frontierArcs int64    // mf: sum of degrees over the current frontier
-	unvisArcs    int64    // mu: sum of degrees over unvisited nodes
-	unvisNodes   int64    // nu: number of unvisited nodes
+	frontierBits *Bitmap // the frontier, densely: rebuilt by each pull round
+	frontierArcs int64   // mf: sum of degrees over the current frontier
+	unvisArcs    int64   // mu: sum of degrees over unvisited nodes
+	unvisNodes   int64   // nu: number of unvisited nodes
 
 	stats Stats
 
@@ -278,8 +256,6 @@ func (e *Engine) Reset() {
 		e.setParent(v, parentFree)
 	}
 	e.visited.ClearAll()
-	e.frontierBits.ClearAll()
-	e.bitsFor = nil
 	e.frontier = e.frontier[:0]
 	e.frontierArcs = 0
 	e.unvisArcs = e.arcsTot
@@ -358,11 +334,29 @@ func PullCheaper(n, nf, mf, nu, mu int64) bool {
 }
 
 // Step performs one claim-style superstep in the chosen direction: every
-// unclaimed node with a frontier neighbor is claimed by the smallest of
-// them (see StepSpec), the barrier hands each claim to spec.Adopt, and the
-// claimed nodes replace the frontier. An empty frontier — or a cancelled
-// context (see SetContext) — is a no-op returning a zero RoundStat.
-func (e *Engine) Step(spec StepSpec) RoundStat {
+// unclaimed node with a frontier neighbor is claimed, and the claimed nodes
+// replace the frontier. A node reached by several frontier nodes goes to
+// the one with the smallest id, in either direction and under any worker
+// count or schedule (the paper lets "only one of them, arbitrarily chosen"
+// succeed; fixing the choice is what makes every client's output a function
+// of its inputs alone). A push round settles the contention by atomic-min
+// on the node's parent word, a pull round by taking the first frontier
+// neighbor in adjacency order, which is the same node because adjacency
+// lists are sorted.
+//
+// adopt is called once per claim, with the winning frontier neighbor, as
+// soon as the winner is final: inside a pull round's kernel, at a push
+// round's barrier. The client copies whatever state a claimed node inherits
+// (cluster and distance, BFS level). Calls for distinct nodes may run
+// concurrently, and a call may read only state written before the round
+// (parent's included); v is passed to exactly one call over the traversal
+// (until Reset). A client whose rule is not the engine's may ignore the
+// winner and read the pre-round state of all v's neighbors instead: MPX
+// takes a min over (arrival, cluster) keys, ANF ORs the sketches.
+//
+// An empty frontier — or a cancelled context (see SetContext) — is a no-op
+// returning a zero RoundStat.
+func (e *Engine) Step(adopt func(worker int, v, parent NodeID)) RoundStat {
 	if e.Err() != nil {
 		e.frontier = e.frontier[:0]
 		return RoundStat{}
@@ -379,27 +373,31 @@ func (e *Engine) Step(spec StepSpec) RoundStat {
 	if dir == DirPush {
 		arcs, claimedDeg = e.stepPush()
 	} else {
-		arcs, claimedDeg = e.stepPull()
+		arcs, claimedDeg = e.stepPull(adopt)
+		e.stats.PullRounds++
 	}
 	next := e.gatherBufs()
 	if dir == DirPush {
-		// A node is claimed once per traversal, so this is O(n) plain ORs
-		// in total where a mark per claim inside the round was a locked
+		// The CAS-min makes a winner final only here. A node is claimed
+		// once per traversal, so marking it visited is O(n) plain ORs in
+		// total where a mark per claim inside the round was a locked
 		// instruction each; pull rounds mark as they go, word-confined.
 		for _, v := range next {
 			e.visited.Set(v)
 		}
+		e.claimBlocks(len(next), seqThreshold, func(w, lo, hi int) {
+			for _, v := range next[lo:hi] {
+				adopt(w, v, atomic.LoadInt32(&e.parent[v]))
+				e.setParent(v, parentSettled)
+			}
+		})
 	}
-	e.settle(next, spec.Adopt)
 	e.frontier = next
 	e.frontierArcs = claimedDeg
 	e.unvisArcs -= claimedDeg
 	e.unvisNodes -= int64(len(next))
 	e.stats.Rounds++
 	e.stats.Messages += arcs
-	if dir == DirPull {
-		e.stats.PullRounds++
-	}
 	rs := RoundStat{Frontier: nf, Claimed: len(next), Arcs: arcs, Dir: dir}
 	e.observe(rs)
 	return rs
@@ -418,7 +416,7 @@ func (e *Engine) BFS(src NodeID, dist []int32) (ecc int32) {
 	e.Seed(src)
 	dist[src] = 0
 	for d := int32(1); e.FrontierLen() > 0; d++ {
-		rs := e.Step(StepSpec{Adopt: func(_ int, v, _ NodeID) { dist[v] = d }})
+		rs := e.Step(func(_ int, v, _ NodeID) { dist[v] = d })
 		if rs.Claimed > 0 {
 			ecc = d
 		}
@@ -508,13 +506,15 @@ func (e *Engine) claimBlocks(n, block int, scan func(w, lo, hi int)) {
 
 // stepPull expands the frontier bottom-up: every unvisited node scans its
 // adjacency and takes the first frontier member as its parent — the
-// smallest, the list being sorted. The workers claim blocks of seqThreshold
-// nodes (claimBlocks); each block starts at a multiple of 64, so
-// visited-bitmap writes stay word-confined. The next frontier comes out in
-// claim order, as a push round's does; the set claimed, every winner and
-// the arcs scanned are the same at every worker count.
-func (e *Engine) stepPull() (arcs, claimedDeg int64) {
-	e.syncFrontierBits()
+// smallest, the list being sorted — so the worker that claims a node hands
+// it to adopt there and then. The dense frontier is rebuilt first. The
+// workers claim blocks of seqThreshold nodes (claimBlocks); each block
+// starts at a multiple of 64, so visited-bitmap writes stay word-confined.
+// The next frontier comes out in claim order, as a push round's does; the
+// set claimed, every winner and the arcs scanned are the same at every
+// worker count.
+func (e *Engine) stepPull(adopt func(worker int, v, parent NodeID)) (arcs, claimedDeg int64) {
+	e.frontierBits.FromSparse(e.frontier)
 	xadj, adj := e.xadj, e.adj
 	inFrontier := e.frontierBits
 	visited := e.visited
@@ -532,7 +532,8 @@ func (e *Engine) stepPull() (arcs, claimedDeg int64) {
 				for _, u := range nbrs {
 					scanned++
 					if inFrontier.Get(u) {
-						e.setParent(v, u)
+						adopt(w, v, u)
+						e.setParent(v, parentSettled)
 						visited.Set(v) // word-confined: blocks are 64-aligned
 						buf = append(buf, v)
 						deg += int64(len(nbrs))
@@ -548,28 +549,10 @@ func (e *Engine) stepPull() (arcs, claimedDeg int64) {
 	return e.sumScratch()
 }
 
-// settle is the barrier pass of a claim step: for every node the round
-// claimed it reports the winner to adopt and closes the parent word to
-// later offers.
-func (e *Engine) settle(claimed []NodeID, adopt func(worker int, v, parent NodeID)) {
-	e.claimBlocks(len(claimed), seqThreshold, func(w, lo, hi int) {
-		for _, v := range claimed[lo:hi] {
-			adopt(w, v, atomic.LoadInt32(&e.parent[v]))
-			e.setParent(v, parentSettled)
-		}
-	})
-}
-
 func (e *Engine) sumScratch() (arcs, deg int64) {
 	for w := 0; w < e.workers; w++ {
 		arcs += e.arcs[w]
 		deg += e.degs[w]
 	}
 	return arcs, deg
-}
-
-// syncFrontierBits brings the dense frontier in line with the sparse one.
-func (e *Engine) syncFrontierBits() {
-	e.frontierBits.FromSparse(e.frontier, e.bitsFor)
-	e.bitsFor = append(e.bitsFor[:0], e.frontier...)
 }

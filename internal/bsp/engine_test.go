@@ -118,7 +118,7 @@ func TestPushRoundSplitsHubFrontierByArcs(t *testing.T) {
 			log    []bsp.RoundStat
 		)
 		for e.FrontierLen() > 0 {
-			log = append(log, e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) { parents[v] = parent }}))
+			log = append(log, e.Step(func(_ int, v, parent graph.NodeID) { parents[v] = parent }))
 			front := slices.Clone(e.Frontier())
 			slices.Sort(front)
 			fronts = append(fronts, front)
@@ -256,7 +256,7 @@ func TestEngineStepFromUnvisitedFrontier(t *testing.T) {
 			e.Reset()
 			e.SetFrontier(all)
 			counts := make([]int32, g.NumNodes())
-			rs := e.Step(bsp.StepSpec{Adopt: func(_ int, v, _ graph.NodeID) { atomicAdd32(counts, v) }})
+			rs := e.Step(func(_ int, v, _ graph.NodeID) { atomicAdd32(counts, v) })
 			want := dir
 			if dir == bsp.DirAuto {
 				want = bsp.DirPull
@@ -304,9 +304,9 @@ func TestBitmapSparseRoundTrip(t *testing.T) {
 			t.Fatalf("ToSparse order: got %v want %v", sparse, members)
 		}
 	}
-	// Round-trip through FromSparse with sparse clearing of the old set.
+	// Round-trip through FromSparse, which clears the previous fill.
 	next := []graph.NodeID{7, 64, 900}
-	b.FromSparse(next, sparse)
+	b.FromSparse(next)
 	if b.Count() != len(next) {
 		t.Fatalf("after FromSparse count %d want %d", b.Count(), len(next))
 	}

@@ -13,7 +13,7 @@ import (
 // clusters one synchronous BSP round at a time on the direction-optimizing
 // traversal engine. It is the BSP implementation of Growth: CLUSTER drives
 // it through Options.Schedule, CLUSTER2 through its own iteration loop.
-// Package mpx drives the same engine step with its own Adopt, which takes
+// Package mpx drives the same engine step with its own callback, which takes
 // a min over (arrival, cluster) keys instead of the engine's winner.
 type grower struct {
 	g       *graph.Graph
@@ -67,15 +67,15 @@ func (gr *grower) AddCenter(u graph.NodeID) {
 // newly covered nodes; a round that covers nothing means every frontier is
 // exhausted, and a cancelled engine context surfaces as the error. Which
 // cluster takes a node that several reach in the same round is the engine's
-// rule (bsp.StepSpec: the smallest-id frontier neighbor, in either
-// direction); the grower only copies that neighbor's cluster and depth at
-// the barrier.
+// rule (bsp.Engine.Step: the smallest-id frontier neighbor, in either
+// direction); the grower only copies that neighbor's cluster and depth once
+// the engine hands it the claim.
 func (gr *grower) Step() (claimed int, live bool, err error) {
 	owner, dist := gr.owner, gr.dist
-	rs := gr.e.Step(bsp.StepSpec{Adopt: func(_ int, v, parent graph.NodeID) {
+	rs := gr.e.Step(func(_ int, v, parent graph.NodeID) {
 		owner[v] = owner[parent]
 		dist[v] = dist[parent] + 1
-	}})
+	})
 	if rs.Frontier > 0 {
 		gr.steps++
 		gr.covered += rs.Claimed

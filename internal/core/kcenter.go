@@ -131,7 +131,7 @@ func evalCenters(ctx context.Context, g *graph.Graph, centers []graph.NodeID) (i
 				cur, next = bsp.NewBitmap(n), bsp.NewBitmap(n)
 			}
 			if !dense {
-				cur.FromSparse(list, nil)
+				cur.FromSparse(list)
 			}
 			next.ClearAll()
 			for wi := 0; wi<<6 < n; wi++ {

@@ -14,7 +14,7 @@ type Options struct {
 	// identical clusterings — centers, owners and distances — regardless
 	// of Workers and Direction: per-node coins are hash-based, and a node
 	// that several clusters reach in the same round goes to the engine's
-	// one deterministic winner (bsp.StepSpec).
+	// one deterministic winner (bsp.Engine.Step).
 	Seed uint64
 
 	// Workers is the parallelism of the BSP substrate; non-positive selects

@@ -10,7 +10,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out: the
+// Ablation experiments for two design choices of the reproduction: the
 // Lemma 1 radius/granularity law, and the practical CLUSTER-vs-CLUSTER2
 // simplification the paper's experiments adopt (Section 6.2).
 

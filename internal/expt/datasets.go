@@ -1,6 +1,6 @@
 // Package expt is the experiment harness: it defines the benchmark
 // datasets (synthetic stand-ins for the paper's Table 1 graphs, see
-// DESIGN.md §2) and regenerates every table and figure of the paper's
+// Datasets) and regenerates every table and figure of the paper's
 // Section 6 evaluation. Each experiment returns structured rows so tests
 // can assert the qualitative "shape" results, plus a text rendering that
 // mirrors the paper's tables.

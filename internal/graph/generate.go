@@ -10,8 +10,8 @@ import (
 )
 
 // Synthetic graph generators. These provide the datasets for the
-// experimental reproduction (see DESIGN.md §2 for the mapping to the
-// paper's benchmark graphs) plus small structured graphs for tests.
+// experimental reproduction (expt.Datasets maps them to the paper's
+// benchmark graphs) plus small structured graphs for tests.
 // All generators are deterministic functions of their parameters, and each
 // reserves the edges it adds (newBuilderFor), exactly or, where it draws
 // duplicates or self-loops to be dropped, the number of draws.
@@ -397,11 +397,12 @@ const GenerateSpecs = "mesh:WxH | road:WxH[:keep] | ba:N[:deg] | rmat:SCALE[:deg
 //	er:N[:deg]        ErdosRenyi(N, N·deg/2): N >= 0 [100000], deg >= 0 [8]
 //	expanderpath:N    ExpanderPath(N, 0): N >= 6 [100000]
 //
-// An omitted argument takes the default in brackets. No count may exceed
-// 2³¹ − 1, nor a grid 2³¹ nodes. Generate is the one gate between a spec
-// from outside the program and the generators, which panic outside these
-// ranges: a spec outside them, or one that does not parse, is an error
-// naming it.
+// An omitted argument takes the default in brackets; keep lies in [0, 1].
+// No count may exceed 2³¹ − 1, nor a grid 2³¹ nodes, and no spec may carry
+// more arguments than its kind reads. Generate is the one gate between a
+// spec from outside the program and the generators, which panic outside
+// these ranges: a spec outside them, or one that does not parse, is an
+// error naming it.
 func Generate(spec string, seed uint64) (*Graph, error) {
 	parts := strings.Split(spec, ":")
 	kind := parts[0]
@@ -440,8 +441,10 @@ func Generate(spec string, seed uint64) (*Graph, error) {
 		return w, h
 	}
 	var build func() *Graph
+	arity := 2 // arguments the kind reads
 	switch kind {
 	case "mesh":
+		arity = 1
 		w, h := dims(1)
 		build = func() *Graph { return Mesh(w, h) }
 	case "road":
@@ -451,6 +454,8 @@ func Generate(spec string, seed uint64) (*Graph, error) {
 			var err error
 			if keep, err = strconv.ParseFloat(parts[2], 64); err != nil {
 				fail("bad argument %q", parts[2])
+			} else if !(keep >= 0 && keep <= 1) { // NaN fails both
+				fail("road needs keep in [0, 1], got %s", parts[2])
 			}
 		}
 		build = func() *Graph { return RoadLike(w, h, keep, seed) }
@@ -465,10 +470,14 @@ func Generate(spec string, seed uint64) (*Graph, error) {
 		n, deg := argInt(1, 100000, 0, math.MaxInt32), argInt(2, 8, 0, math.MaxInt32)
 		build = func() *Graph { return ErdosRenyi(n, n*deg/2, seed) }
 	case "expanderpath":
+		arity = 1
 		n := argInt(1, 100000, 6, math.MaxInt32) // an expander core of 4 beside its path
 		build = func() *Graph { return ExpanderPath(n, 0, seed) }
 	default:
 		return nil, fmt.Errorf("graph: unknown generator %q in %q (want %s)", kind, spec, GenerateSpecs)
+	}
+	if len(parts) > arity+1 {
+		fail("too many arguments for %s: %d, at most %d", kind, len(parts)-1, arity)
 	}
 	if argErr != nil {
 		return nil, fmt.Errorf("graph: generator %q: %w", spec, argErr)

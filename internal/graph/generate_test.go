@@ -239,12 +239,14 @@ func TestPathCycleStarCompleteSmall(t *testing.T) {
 func TestGenerateRefusesSizesItsGeneratorCannotBuild(t *testing.T) {
 	for _, spec := range []string{"mesh:0x5", "road:1x1", "ba:0", "ba:10:0", "ba:10:10", "rmat:40", "rmat:-1", "er:-5",
 		"rmat:4:-1", "er:10:-5", "expanderpath:5", fmt.Sprintf("mesh:%dx2", 1<<30+1),
-		"", "grid:3x3", "mesh", "mesh:3", "mesh:3x", "mesh:ax3", "road:5x5:x", "ba:1e3", "rmat:4:8.5"} {
+		"", "grid:3x3", "mesh", "mesh:3", "mesh:3x", "mesh:ax3", "road:5x5:x", "ba:1e3", "rmat:4:8.5",
+		"mesh:3x3:junk", "mesh:3x3:junk:more", "rmat:4:2:9", "er:10:2:x", "expanderpath:100:7", "ba:10:2:1",
+		"road:5x5:0.4:1", "road:5x5:NaN", "road:5x5:-3", "road:5x5:1.5", "road:5x5:Inf"} {
 		if g, err := Generate(spec, 1); err == nil {
 			t.Errorf("Generate(%q) built %d nodes, want an error", spec, g.NumNodes())
 		}
 	}
-	for _, spec := range []string{"mesh:1x1", "road:2x2", "ba:2:1", "rmat:0", "er:0", "expanderpath:6"} {
+	for _, spec := range []string{"mesh:1x1", "road:2x2", "ba:2:1", "rmat:0", "er:0", "expanderpath:6", "road:2x2:0", "road:2x2:1"} {
 		if _, err := Generate(spec, 1); err != nil {
 			t.Errorf("Generate(%q): %v", spec, err)
 		}

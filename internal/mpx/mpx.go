@@ -14,7 +14,7 @@
 // packed (arrival, cluster) words, which makes the outcome deterministic
 // (ties break toward the smaller cluster id) and independent of the
 // goroutine schedule. The claim is a min over keys, not over node ids, so
-// a round's Adopt ignores the winner the engine's step picks: the claimed
+// a round's callback ignores the winner the engine's step picks: the claimed
 // node reads all its neighbors' words, which the round leaves alone, and its
 // own new word is committed after the barrier.
 package mpx
@@ -120,7 +120,7 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 	// engine counts its own probes; adoptArcs counts these scans.
 	pending := make([]uint64, n)
 	adoptArcs := make([]int64, e.NumWorkers())
-	spec := bsp.StepSpec{Adopt: func(w int, v, _ graph.NodeID) {
+	adopt := func(w int, v, _ graph.NodeID) {
 		nbrs := g.Neighbors(v)
 		adoptArcs[w] += int64(len(nbrs))
 		best := slotSentinel
@@ -131,7 +131,7 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 			}
 		}
 		pending[v] = best
-	}}
+	}
 	covered := 0
 	for t := 0; covered < n || e.FrontierLen() > 0; t++ {
 		if err := ctx.Err(); err != nil {
@@ -165,7 +165,7 @@ func Decompose(ctx context.Context, g *graph.Graph, opt Options) (*core.Clusteri
 		}
 		// Phase 2: expand all active clusters by one unit step, then commit
 		// the round's claims.
-		rs := e.Step(spec)
+		rs := e.Step(adopt)
 		claimed := e.Frontier()
 		e.For(len(claimed), func(_, lo, hi int) {
 			for _, v := range claimed[lo:hi] {

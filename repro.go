@@ -66,9 +66,9 @@ type (
 )
 
 // NewBuilder returns a builder for a graph with n nodes. Each Build
-// returns a graph of the edges added since the last one; the graph keeps
-// the edge buffer's whole capacity: 8 bytes an added edge, plus append's
-// slack.
+// returns a graph of the edges added since the last one, laid out in their
+// buffer: 8 bytes a distinct edge, and never more than twice its
+// adjacency (a buffer less than half full is copied to its exact size).
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // FromEdges builds a graph from an undirected edge list.
