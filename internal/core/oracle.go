@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -77,19 +76,25 @@ func DefaultOracleTau(n int) int {
 // "linear space" promise is clearly broken for the intended scales.
 const maxOracleClusters = 8192
 
-// narrowCellsFit reports whether the quotient of a decomposition with these
-// cluster radii and heaviest quotient arc maxW can be searched and stored in
-// uint32 cells. A finite quotient distance runs along a simple path over
-// distinct clusters whose every arc weighs at most the two radii it joins
-// plus one, so it is at most 2·Σradii + k − 1; the SSSP kernel adds one more
-// arc to a settled distance before it compares, and needs that sum below
-// 2³¹ (see graph/apsp.go).
-func narrowCellsFit(radii []int32, maxW int32) bool {
-	bound := int64(len(radii)) + int64(maxW)
+// quotientDistBound bounds every finite distance in the quotient of a
+// decomposition with these cluster radii: a shortest path runs over distinct
+// clusters, and its every arc weighs at most the two radii it joins plus
+// one, so it is at most 2·Σradii + k − 1.
+func quotientDistBound(radii []int32) int64 {
+	bound := int64(len(radii)) - 1
 	for _, r := range radii {
 		bound += 2 * int64(r)
 	}
-	return bound < 1<<31
+	return bound
+}
+
+// narrowCellsFit reports whether the quotient of a decomposition with these
+// cluster radii and heaviest quotient arc maxW can be searched and stored in
+// uint32 cells: the SSSP kernel adds one more arc to a settled distance
+// before it compares, and needs that sum below 2³¹ (see graph/apsp.go), with
+// one to spare.
+func narrowCellsFit(radii []int32, maxW int32) bool {
+	return quotientDistBound(radii)+int64(maxW) < 1<<31-1
 }
 
 // BuildOracle constructs a distance oracle over g. If tau <= 0,
@@ -123,30 +128,40 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 // OracleFromClustering builds the oracle tables from an existing
 // decomposition. The quotient has at most maxOracleClusters nodes, so — as
 // in the paper, which solves it inside one reducer's local memory — every
-// search is sequential and cache-resident (see graph.APSPScratch). Only the
-// clusters outside an independent set I of the quotient are searched (I is
-// taken greedily by degree, then id: about half the clusters of a road-like
+// row is computed sequentially and cache-resident (see graph.APSPScratch).
+// Only the clusters outside an independent set I of the quotient get rows
+// of their own (I is taken greedily by degree, then id:
+// graph.Weighted.IndependentSet, about half the clusters of a road-like
 // quotient). For t ≠ x, d(x, t) is the least w(x, u) + d(u, t) over x's
 // neighbours u, and the hop count one more than the least h(u, t); no
-// neighbour of x ∈ I is in I, so I's rows follow from searched cells.
+// neighbour of x ∈ I is in I, so I's rows follow from computed cells.
+//
+// The weighted rows come through a graph.Overlay of the quotient, built
+// once, sequentially, from the quotient alone: level 0 eliminates I, each
+// later level the greedy independent set of what the last left, adding
+// shortcuts, until a level would not lower the edge count or would let a
+// core search overflow (checked against quotientDistBound, so a
+// decomposition narrowCellsFit accepts is never refused — it contracts
+// fewer levels, down to none). A row lifts its source to the core, runs one
+// seeded Dial search on the core and sweeps back down the levels.
 //
 // The build is two passes over the opt.Workers workers of one bsp.Pool,
 // each worker with its own scratch and Stats, summed after the barrier:
 //   - searches: workers claim blocks of graph.APSPBlock sources outside I.
-//     Each source runs a Dial bucket-queue SSSP, and each block one
-//     bit-parallel BFS for its hop rows. A source c copies its row prefix
-//     (c, 0 … c−1) into the triangles and its cells at every t > c in I
-//     into (t, c), rows no search fills.
+//     Each source computes its overlay row, and each block runs one
+//     bit-parallel BFS of the whole quotient for its hop rows. A source c
+//     copies its row prefix (c, 0 … c−1) into the triangles and its cells
+//     at every t > c in I into (t, c), rows no search fills.
 //   - merges: workers claim blocks of I's members. Each x ∈ I fills its
 //     cells (x, t) for the t < x in I from its neighbours' cells.
 //
 // The tables are identical to a Dijkstra+BFS build at every worker count.
-// The build allocates the 3·k(k−1) bytes it returns and O(k) scratch per
-// worker, never a square or wider table (a decomposition whose distances
-// could overflow a cell is refused first — narrowCellsFit).
-// Cancelling ctx stops every worker before its next source or merged row
-// and returns ctx.Err(); opt.Observer receives one delta per completed
-// block of either pass, and the deltas sum to APSPStats.
+// The build allocates the 3·k(k−1) bytes it returns, O(quotient arcs) for
+// the overlay and O(k) scratch per worker, never a square or wider table
+// (a decomposition whose distances could overflow a cell is refused first —
+// narrowCellsFit). Cancelling ctx stops every worker before its next source
+// or merged row and returns ctx.Err(); opt.Observer receives one delta per
+// completed block of either pass, and the deltas sum to APSPStats.
 func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Oracle, error) {
 	k := cl.NumClusters()
 	if k > maxOracleClusters {
@@ -159,7 +174,8 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) {
 		return nil, fmt.Errorf("%w: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)", ErrInfeasible)
 	}
-	set, rest := independentSet(wq)
+	ov := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
+	set, rest := wq.IndependentSet()
 	searchBlocks := (len(rest) + graph.APSPBlock - 1) / graph.APSPBlock
 	mergeBlocks := (len(set) + graph.APSPBlock - 1) / graph.APSPBlock
 	workers := max(1, min(bsp.Workers(opt.Workers), max(searchBlocks, mergeBlocks)))
@@ -194,7 +210,7 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 			// to back by one goroutine shares cache lines (the Dial ring's
 			// occupancy bitmap is one word), and two workers writing them
 			// made a 3,530-cluster build 40 % slower on two cores.
-			*aw = apspWorker{scratch: wq.NewAPSPScratch(), row: make([]uint32, k), block: make([]uint16, graph.APSPBlock*k)}
+			*aw = apspWorker{scratch: ov.NewAPSPScratch(), row: make([]uint32, k), block: make([]uint16, graph.APSPBlock*k)}
 		}
 		for b := first; b < last; b++ {
 			srcs := rest[b*graph.APSPBlock : min((b+1)*graph.APSPBlock, len(rest))]
@@ -203,9 +219,9 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 				if ctx.Err() != nil {
 					return // the build is about to be discarded
 				}
-				arcs, buckets := aw.scratch.SSSP(c, aw.row)
+				relaxations, buckets := aw.scratch.Row(c, aw.row)
 				storeRow(apsp, aw.row, c, set)
-				delta.Relaxations += arcs
+				delta.Relaxations += relaxations
 				delta.Buckets += buckets
 			}
 			delta.Rounds = aw.scratch.HopRows(srcs, aw.block[:len(srcs)*k])
@@ -259,35 +275,6 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 		stats.Add(aw.stats)
 	}
 	return newOracle(cl, k, apsp, hops, stats), nil
-}
-
-// independentSet splits the quotient's nodes into set, a maximal
-// independent set taken greedily in (degree, id) order, and rest, the
-// others, each in ascending id order. Low degrees go first because a row of
-// set costs one min-term per neighbour and cell; the choice depends on the
-// quotient alone, not on any worker count.
-func independentSet(wq *graph.Weighted) (set, rest []graph.NodeID) {
-	k := wq.NumNodes()
-	order := make([]graph.NodeID, k)
-	for c := range order {
-		order[c] = graph.NodeID(c)
-	}
-	slices.SortFunc(order, func(a, b graph.NodeID) int {
-		return cmp.Or(cmp.Compare(wq.Degree(a), wq.Degree(b)), cmp.Compare(a, b))
-	})
-	in := make([]bool, k)
-	for _, x := range order {
-		nbrs, _ := wq.Neighbors(x)
-		in[x] = !slices.ContainsFunc(nbrs, func(u graph.NodeID) bool { return in[u] })
-	}
-	for c, ok := range in {
-		if ok {
-			set = append(set, graph.NodeID(c))
-		} else {
-			rest = append(rest, graph.NodeID(c))
-		}
-	}
-	return set, rest
 }
 
 // storeRow files the row of source c ∉ set into a triangle: its prefix
@@ -388,15 +375,19 @@ func (o *Oracle) NumClusters() int { return o.k }
 
 // APSPStats returns the cost of the quotient APSP build, in counters that
 // depend on the quotient alone — not on the worker count or any schedule:
-// Relaxations = Messages = every offer the build weighs: the arcs scanned
-// by the bucket-queue searches (the degrees of the nodes each searched
-// source reaches, summed over those sources) plus one min-term per
-// neighbour and merged cell (deg(x) times the members of I below x, summed
-// over I's members x); Buckets = non-empty unit-width buckets the searches
-// settle (distinct finite distances, summed over searched sources); Rounds
-// = bit-parallel BFS sweeps (the largest hop eccentricity in each block of
-// graph.APSPBlock searched sources, summed over blocks). Buckets and Rounds
-// count searches only. Zero for oracles reassembled from snapshots.
+// Relaxations = Messages = every offer the build weighs: the core arcs
+// scanned by the rows' Dial searches (the core degrees of the core nodes
+// each computed source reaches, summed over those sources), plus one
+// min-term per arc a row's lift follows (the kept arcs of every overlay node
+// reachable from the source along kept arcs) and per arc its sweep reads
+// (every kept arc, once a row), plus one min-term per neighbour and merged
+// cell (deg(x) times the members of I below x, summed over I's members x);
+// Buckets = non-empty unit-width buckets the core searches settle (distinct
+// finite distances from the source to core nodes, summed over computed
+// sources); Rounds = bit-parallel BFS sweeps (the largest hop eccentricity
+// in each block of graph.APSPBlock computed sources, summed over blocks).
+// Buckets and Rounds count the search pass only. Zero for oracles
+// reassembled from snapshots.
 func (o *Oracle) APSPStats() bsp.Stats { return o.apspStats }
 
 // LowerQuery returns a certified lower bound on the distance between u and

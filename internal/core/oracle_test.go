@@ -188,6 +188,31 @@ func TestNarrowCellsFit(t *testing.T) {
 	}
 }
 
+// Shortcuts weigh sums of arcs, so a core search can reach about twice the
+// distance bound narrowCellsFit checks. A decomposition at the edge of that
+// check — radii inflated until 2·Σradii + k + the heaviest arc is within
+// one of 2³¹ − 1, the most it accepts — must still be built, through an overlay that takes
+// fewer levels than the honest radii allow, and its tables must equal
+// Dijkstra's and BFS's.
+func TestOracleRefusesLevelsNotClustersNearTheCellBound(t *testing.T) {
+	cl := voronoi(graph.RoadLike(24, 20, 0.4, 1), 120, 1)
+	_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
+	spare := (1<<31 - 2) - (quotientDistBound(cl.Radii) + int64(wq.MaxWeight()))
+	cl.Radii[0] += int32(spare / 2)
+	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) || narrowCellsFit(cl.Radii, wq.MaxWeight()+2) {
+		t.Fatalf("premise: radii not at the edge of narrowCellsFit (spare %d)", spare)
+	}
+	tight := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
+	if tight.Levels() >= honest.Levels() {
+		t.Fatalf("inflated radii took %d levels, honest ones %d: no shortcut was refused", tight.Levels(), honest.Levels())
+	}
+	assertTablesMatchReferences(t, "nearBound", cl, 1, 2)
+}
+
 // Each table is stored once: a build allocates the 3·k(k−1) bytes of its two
 // triangles plus the quotient and per-worker scratch, which on this input
 // (k = 900) are well under the triangles. Square tables — even narrow ones,
@@ -332,7 +357,8 @@ func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
 // samples of the generator families — mesh, road-like, G(n,p), RMAT's
 // largest component, Barabási–Albert — both tables must equal per-source
 // Dijkstra + BFS, and APSPStats must agree at workers 1, 2, 3 and 8 and count
-// one relaxation per arc a search scans and per min-term a merge takes. The
+// one relaxation per core arc a row's search scans and per min-term a lift,
+// a sweep or a merge takes. The
 // other shapes aim at the merge: a star quotient, where I holds every
 // cluster but the hub; a disconnected union with isolated clusters, whose
 // rows merge from no neighbour at all and whose cells across components must
@@ -360,11 +386,18 @@ func TestOracleMergedRowsMatchReferences(t *testing.T) {
 			wq, want, stats := assertTablesMatchReferences(t, name, cl, 1, 2, 3, 8)
 			k := cl.NumClusters()
 			set, rest := independentSet(wq)
-			var relaxations int64
+			ov := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
+			core, ids := ov.Core()
+			var relaxations, sweep int64
+			for x := range k {
+				kept, _ := ov.Kept(graph.NodeID(x))
+				sweep += int64(len(kept))
+			}
 			for _, c := range rest {
-				for d := range k {
-					if want[int(c)*k+d] != graph.InfDist {
-						relaxations += int64(wq.Degree(graph.NodeID(d)))
+				relaxations += sweep + liftTerms(ov, c)
+				for i, d := range ids {
+					if want[int(c)*k+int(d)] != graph.InfDist {
+						relaxations += int64(core.Degree(graph.NodeID(i)))
 					}
 				}
 			}
@@ -382,7 +415,7 @@ func TestOracleMergedRowsMatchReferences(t *testing.T) {
 				}
 			}
 			if stats.Relaxations != relaxations || stats.Messages != relaxations {
-				t.Fatalf("%s: APSPStats %+v, want %d relaxations and messages: searched arcs plus merge min-terms",
+				t.Fatalf("%s: APSPStats %+v, want %d relaxations and messages: core arcs scanned plus lift, sweep and merge min-terms",
 					name, stats, relaxations)
 			}
 			if strings.HasPrefix(name, "star/") && len(set) != k-1 {
@@ -393,6 +426,29 @@ func TestOracleMergedRowsMatchReferences(t *testing.T) {
 	if crossMerged == 0 || isolated == 0 {
 		t.Fatalf("inputs too tame: %d merged cells across components, %d isolated clusters in I", crossMerged, isolated)
 	}
+}
+
+// independentSet is the set I the oracle merges and the rest it searches.
+func independentSet(wq *graph.Weighted) (set, rest []graph.NodeID) { return wq.IndependentSet() }
+
+// liftTerms counts the min-terms of the lift from c: the kept arcs of every
+// node reachable from c along kept arcs.
+func liftTerms(ov *graph.Overlay, c graph.NodeID) int64 {
+	var terms int64
+	seen := map[graph.NodeID]bool{c: true}
+	for stack := []graph.NodeID{c}; len(stack) > 0; {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		kept, _ := ov.Kept(x)
+		terms += int64(len(kept))
+		for _, u := range kept {
+			if !seen[u] {
+				seen[u] = true
+				stack = append(stack, u)
+			}
+		}
+	}
+	return terms
 }
 
 // clusterAt is CLUSTER(τ) over g, which may be disconnected.
@@ -628,13 +684,20 @@ func fineClustering(b *testing.B) *Clustering {
 
 // BenchmarkOracleFromClusteringFine is the benchmark's `fine` oracle build
 // without its 40 s harness: the quotient APSP is the whole build. Its
-// ns/source is per cluster row, averaged over the searched rows and the
-// merged ones (about half each on this quotient). For paired runs build it
-// once per side with `go test -c` and alternate the binaries;
+// ns/source is per cluster row, averaged over the computed rows and the
+// merged ones (about half each on this quotient); a computed row's search
+// runs on the overlay's core, whose size and levels it reports, and the
+// rest of the row is a lift and a sweep. For paired runs build it once per
+// side with `go test -c` and alternate the binaries;
 // BenchmarkQueryBatchIntoFine pairs the same way.
 func BenchmarkOracleFromClusteringFine(b *testing.B) {
 	cl := fineClustering(b)
-	var err error
+	_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ov := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
+	core, _ := ov.Core()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var o *Oracle
@@ -645,6 +708,8 @@ func BenchmarkOracleFromClusteringFine(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*o.NumClusters()), "ns/source")
 			b.ReportMetric(float64(o.APSPStats().Relaxations), "relaxations/op")
+			b.ReportMetric(float64(core.NumNodes()), "core-nodes")
+			b.ReportMetric(float64(ov.Levels()), "levels")
 		})
 	}
 }

@@ -57,11 +57,11 @@ func checkAPSPKernels(t *testing.T, wg *Weighted) {
 	t.Helper()
 	n := wg.NumNodes()
 	q := wg.Topology()
-	s := wg.NewAPSPScratch()
+	s := uncontracted(wg).NewAPSPScratch()
 	got, want := make([]uint32, n), make([]int64, n)
 	for src := 0; src < n; src++ {
 		wg.DijkstraInto(NodeID(src), want)
-		arcs, buckets := s.SSSP(NodeID(src), got)
+		arcs, buckets := sssp(s, NodeID(src), got)
 		var wantArcs int64
 		distinct := map[int64]bool{}
 		for v, d := range want {
@@ -157,10 +157,10 @@ func TestAPSPKernelsSymmetric(t *testing.T) {
 		} {
 			wg := weightedBy(shape.g, func() int32 { return int32(1 + r.Intn(40)) })
 			n := wg.NumNodes()
-			s := wg.NewAPSPScratch()
+			s := uncontracted(wg).NewAPSPScratch()
 			dist, hops := make([]uint32, n*n), make([]uint16, n*n)
 			for src := 0; src < n; src++ {
-				s.SSSP(NodeID(src), dist[src*n:(src+1)*n])
+				sssp(s, NodeID(src), dist[src*n:(src+1)*n])
 			}
 			for lo := 0; lo < n; lo += APSPBlock {
 				hi := min(lo+APSPBlock, n)
@@ -188,12 +188,12 @@ func TestAPSPHeavyWeightsSkipEmptyBuckets(t *testing.T) {
 	r := rng.New(7)
 	wg := weightedBy(RoadLike(16, 16, 0.1, 7), func() int32 { return int32(1) << r.Intn(21) })
 	n := wg.NumNodes()
-	s := wg.NewAPSPScratch()
+	s := uncontracted(wg).NewAPSPScratch()
 	dist := make([]uint32, n)
 	var slotsCrossed int64
 	start := time.Now()
 	for src := 0; src < n; src++ {
-		s.SSSP(NodeID(src), dist)
+		sssp(s, NodeID(src), dist)
 		var ecc uint32
 		for _, d := range dist {
 			if d != InfDist32 {
@@ -211,20 +211,54 @@ func TestAPSPHeavyWeightsSkipEmptyBuckets(t *testing.T) {
 	}
 }
 
-// Warm, neither kernel allocates: per-worker scratch is sized once, and
-// HopRows reads its source list in place.
+// Warm, no kernel allocates: per-worker scratch is sized once, a row's
+// lift, seeded search and sweep run in it, and HopRows reads its source list
+// in place.
 func TestAPSPKernelsZeroAlloc(t *testing.T) {
 	r := rng.New(3)
 	wg := weightedBy(RoadLike(12, 12, 0.4, 3), func() int32 { return int32(1 + r.Intn(40)) })
 	n := wg.NumNodes()
-	s := wg.NewAPSPScratch()
-	dist := make([]uint32, n)
+	_, maxDist := dijkstraTable(wg)
+	ov := NewOverlay(wg, maxDist)
+	if ov.Levels() < 2 {
+		t.Fatalf("premise: %d levels, want a lift and a sweep over several", ov.Levels())
+	}
+	s := ov.NewAPSPScratch()
+	core, ids := ov.Core()
+	if ids[0] == 0 {
+		t.Fatal("premise: node 0 is eliminated (the core's ids ascend)")
+	}
+	row, seeds := make([]uint32, n), make([]uint32, core.NumNodes())
+	for _, src := range []NodeID{0, ids[len(ids)/2]} { // an eliminated source and a core one
+		if allocs := testing.AllocsPerRun(20, func() { s.Row(src, row) }); allocs != 0 {
+			t.Fatalf("Row(%d) allocated %.1f times per source, want 0", src, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := range seeds {
+			seeds[i] = InfDist32
+		}
+		seeds[0], seeds[len(seeds)-1] = 3, 0
+		s.SSSP(seeds)
+	}); allocs != 0 {
+		t.Fatalf("SSSP allocated %.1f times per two-seed search, want 0", allocs)
+	}
 	rows := make([]uint16, APSPBlock*n)
 	srcs := sourceList(rng.New(4).Perm(n)[:APSPBlock])
-	if allocs := testing.AllocsPerRun(20, func() { s.SSSP(5, dist) }); allocs != 0 {
-		t.Fatalf("SSSP allocated %.1f times per source, want 0", allocs)
-	}
 	if allocs := testing.AllocsPerRun(20, func() { s.HopRows(srcs, rows) }); allocs != 0 {
 		t.Fatalf("HopRows allocated %.1f times per list of 64 sources, want 0", allocs)
 	}
+}
+
+// uncontracted is an overlay with no level — a maxDist of 2³¹ refuses every
+// one — so its SSSP searches g itself.
+func uncontracted(g *Weighted) *Overlay { return NewOverlay(g, 1<<31) }
+
+// sssp is the one-seed search from src.
+func sssp(s *APSPScratch, src NodeID, dist []uint32) (arcs int64, buckets int) {
+	for i := range dist {
+		dist[i] = InfDist32
+	}
+	dist[src] = 0
+	return s.SSSP(dist)
 }
