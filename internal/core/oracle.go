@@ -137,13 +137,14 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 // neighbour of x ∈ I is in I, so I's rows follow from computed cells.
 //
 // The weighted rows come through a graph.Overlay of the quotient, built
-// once, sequentially, from the quotient alone: level 0 eliminates I, each
-// later level the greedy independent set of what the last left, adding
-// shortcuts, until a level would not lower the edge count or would let a
-// core search overflow (checked against quotientDistBound, so a
-// decomposition narrowCellsFit accepts is never refused — it contracts
-// fewer levels, down to none). A row lifts its source to the core, runs one
-// seeded Dial search on the core and sweeps back down the levels.
+// once, sequentially, from the quotient alone; I is the overlay's Split,
+// computed once for both. Level 0 eliminates I, each later level the
+// greedy independent set of what the last left, adding shortcuts, until
+// a level would not lower the edge count or would let a core search
+// overflow (checked against quotientDistBound, so a decomposition
+// narrowCellsFit accepts is never refused — it contracts fewer levels,
+// down to none). A row lifts its source to the core, runs one seeded Dial
+// search on the core and sweeps back down the levels.
 //
 // The build is two passes over the opt.Workers workers of one bsp.Pool,
 // each worker with its own scratch and Stats, summed after the barrier:
@@ -175,7 +176,7 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 		return nil, fmt.Errorf("%w: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)", ErrInfeasible)
 	}
 	ov := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
-	set, rest := wq.IndependentSet()
+	set, rest := ov.Split()
 	searchBlocks := (len(rest) + graph.APSPBlock - 1) / graph.APSPBlock
 	mergeBlocks := (len(set) + graph.APSPBlock - 1) / graph.APSPBlock
 	workers := max(1, min(bsp.Workers(opt.Workers), max(searchBlocks, mergeBlocks)))

@@ -57,6 +57,10 @@ type Overlay struct {
 	from, to []NodeID
 	w        []int32
 
+	// set and rest are g's IndependentSet split, level 0's candidate,
+	// kept whether or not level 0 is taken.
+	set, rest []NodeID
+
 	pos  []int32 // pos[v]: v's index in order, or −1 − its core id
 	ring int     // Dial ring slots: above the core's heaviest arc and any spread of lifted seeds
 }
@@ -73,12 +77,15 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 		ids[v] = NodeID(v)
 	}
 	// up[v] is the heaviest path into cur's node v along kept arcs: it
-	// bounds every distance a lift can give v, and so the seeds' spread.
+	// bounds every distance a lift can give v, which must stay below 2³¹.
 	up := make([]int64, n)
 	at, dead := make([]int32, n), []bool(nil) // beaten's scratch
 	cur := g
 	for {
 		set, rest := cur.IndependentSet()
+		if cur == g {
+			o.set, o.rest = set, rest
+		}
 		id := make([]NodeID, cur.NumNodes()) // cur's ids in next, −1 for set
 		for _, x := range set {
 			id[x] = -1
@@ -127,10 +134,15 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 		cur = withoutBeaten(cur, at)
 	}
 	o.core, o.ids = cur, ids
+	// A row's seeds sit on distinct core nodes, each between 0 and its
+	// node's up, so two of them differ by at most the largest up, and a
+	// one-node core, which holds one seed, has no spread.
 	spread := int64(cur.MaxWeight())
 	for i, v := range ids {
 		o.pos[v] = -1 - int32(i)
-		spread = max(spread, up[i])
+		if len(ids) > 1 {
+			spread = max(spread, up[i])
+		}
 	}
 	o.ring = max(64, 1<<bits.Len64(uint64(spread)))
 	return o
@@ -270,6 +282,12 @@ func (g *Weighted) IndependentSet() (set, rest []NodeID) {
 	}
 	return set, rest
 }
+
+// Split returns g's IndependentSet split, which level 0 eliminates when it
+// is taken: the overlay computes it before any stop rule, so it is there
+// even when no level is. Both slices alias the overlay and must not be
+// modified.
+func (o *Overlay) Split() (set, rest []NodeID) { return o.set, o.rest }
 
 // Levels returns how many levels were eliminated.
 func (o *Overlay) Levels() int { return o.levels }

@@ -54,10 +54,10 @@ import (
 const Inf int64 = 1 << 40
 
 // MinPlusProduct computes C[i][j] = min_k (A[i][k] + B[k][j]) of two ℓ×ℓ
-// row-major matrices with the blocked scheme above. Cells with no finite
-// sum are Inf.
+// row-major matrices with the blocked scheme above. Entries are distances:
+// non-negative, or Inf for none. Cells with no finite sum are Inf.
 func (e *Engine) MinPlusProduct(a, b []int64, l int) ([]int64, error) {
-	return e.minPlus(a, b, l, nil)
+	return e.minPlus(a, b, l, nil, nil)
 }
 
 // blockSide returns the side b of the product's square blocks for ℓ×ℓ
@@ -75,8 +75,9 @@ func (e *Engine) blockSide(l int) int {
 }
 
 // minPlus is MinPlusProduct restricted to the rows i of A with open[i]
-// (every row when open is nil); the other rows of C are Inf.
-func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
+// (every row when open is nil); the other rows of C are Inf. It writes C
+// into c, or into a fresh matrix when c is nil.
+func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, error) {
 	if len(a) != l*l || len(b) != l*l {
 		return nil, errors.New("mr: matrix size mismatch")
 	}
@@ -85,10 +86,9 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 	}
 	bs := e.blockSide(l)
 	nb := (l + bs - 1) / bs
-	// finA[I*nb+K] / finB[K*nb+J]: the block's finite entries. An A entry
-	// in column block K is sent to every J with finB[K*nb+J] > 0, a B entry
-	// in row block K to every I with finA[I*nb+K] > 0, so the round's input
-	// size is known before it is built.
+	// finA[I*nb+K] / finB[K*nb+J]: the block's finite entries. Triple
+	// (I, J, K) gets both its blocks exactly when both are occupied, so the
+	// round's input size is known before it is built.
 	finA, finB := make([]int, nb*nb), make([]int, nb*nb)
 	for i := 0; i < l; i++ {
 		for k := 0; k < l; k++ {
@@ -117,43 +117,30 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 	}
 	// Round 1 input, keyed by block triple (I·nb + J)·nb + K. A carries the
 	// entry's offset inside its block: A entries in [0, b²), B entries in
-	// [b², 2b²), so a sorted group lists its A block first.
+	// [b², 2b²). The triples are emitted in key order, each A block and
+	// then its B block in offset order, so the input arrives in the
+	// round's (Key, A, B) order and is reduced in place.
 	sq := int64(bs * bs)
-	in := make([]Pair, 0, size)
-	for i := 0; i < l; i++ {
-		if open != nil && !open[i] {
-			continue
-		}
-		for k := 0; k < l; k++ {
-			if v := a[i*l+k]; v < Inf {
-				I, K := i/bs, k/bs
-				for J := 0; J < nb; J++ {
-					if finB[K*nb+J] > 0 {
-						in = append(in, Pair{Key: uint64((I*nb+J)*nb + K), A: int64(i%bs*bs + k%bs), B: v})
-					}
+	in := slices.Grow(e.prod[0][:0], size)
+	for I := 0; I < nb; I++ {
+		for J := 0; J < nb; J++ {
+			for K := 0; K < nb; K++ {
+				if finA[I*nb+K] > 0 && finB[K*nb+J] > 0 {
+					key := uint64((I*nb+J)*nb + K)
+					in = appendBlock(in, a, l, bs, I, K, key, 0, open)
+					in = appendBlock(in, b, l, bs, K, J, key, sq, nil)
 				}
 			}
 		}
 	}
-	for k := 0; k < l; k++ {
-		for j := 0; j < l; j++ {
-			if v := b[k*l+j]; v < Inf {
-				K, J := k/bs, j/bs
-				for I := 0; I < nb; I++ {
-					if finA[I*nb+K] > 0 {
-						in = append(in, Pair{Key: uint64((I*nb+J)*nb + K), A: sq + int64(k%bs*bs+j%bs), B: v})
-					}
-				}
-			}
-		}
-	}
-	parts, err := e.round(in, func(key uint64, pairs []Pair, emit Emitter, scratch *[]int64) {
+	e.prod[0] = in
+	parts, err := e.round(in, &e.prod[1], func(key uint64, pairs []Pair, st *shardState) {
 		ij, K := int(key/uint64(nb)), int64(key%uint64(nb))
 		I, J := ij/nb, ij%nb
-		if int64(cap(*scratch)) < 2*sq {
-			*scratch = make([]int64, 2*sq)
+		if int64(cap(st.scratch)) < 2*sq {
+			st.scratch = make([]int64, 2*sq)
 		}
-		blk := (*scratch)[:2*sq] // B block, then the C block
+		blk := st.scratch[:2*sq] // B block, then the C block
 		for i := range blk {
 			blk[i] = Inf
 		}
@@ -164,47 +151,56 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 		for _, p := range pairs[split:] {
 			blk[p.A-sq] = p.B
 		}
+		// Entries are non-negative, so a sum with an Inf operand stays at
+		// or above Inf, and only cells below Inf are emitted.
 		bBlk, cBlk := blk[:sq], blk[sq:]
 		for _, p := range pairs[:split] {
 			il, kl := int(p.A)/bs, int(p.A)%bs
-			row, src := cBlk[il*bs:(il+1)*bs], bBlk[kl*bs:(kl+1)*bs]
+			src := bBlk[kl*bs : (kl+1)*bs]
+			row := cBlk[il*bs : (il+1)*bs][:len(src)]
 			for jl, v := range src {
-				if v < Inf && p.B+v < row[jl] {
-					row[jl] = p.B + v
+				row[jl] = min(row[jl], p.B+v)
+			}
+		}
+		out := st.out
+		for il := 0; il < bs; il++ {
+			cell := (I*bs+il)*l + J*bs
+			for jl, v := range cBlk[il*bs : (il+1)*bs] {
+				if v < Inf {
+					out = append(out, Pair{Key: uint64(cell + jl), A: K, B: v})
 				}
 			}
 		}
-		for c, v := range cBlk {
-			if v < Inf {
-				cell := (I*bs+c/bs)*l + J*bs + c%bs
-				emit(Pair{Key: uint64(cell), A: K, B: v})
-			}
-		}
+		st.out = out
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Min per cell over its ≤ nb partials (A = the partial's slot), at
 	// most 2b² partials a reducer: a tree of fan-in 2b² when nb exceeds it.
-	for span := nb; span > 1; {
+	// Each round writes the product buffer its input does not occupy.
+	for span, cur := nb, 1; span > 1; {
 		fan := min(span, 2*bs*bs)
 		next := (span + fan - 1) / fan
 		for i := range parts {
 			parts[i].Key = parts[i].Key*uint64(next) + uint64(parts[i].A)/uint64(fan)
 		}
-		parts, err = e.Round(parts, func(key uint64, pairs []Pair, emit Emitter) {
+		cur ^= 1
+		parts, err = e.round(parts, &e.prod[cur], func(key uint64, pairs []Pair, st *shardState) {
 			m := pairs[0].B
 			for _, p := range pairs[1:] {
 				m = min(m, p.B)
 			}
-			emit(Pair{Key: key / uint64(next), A: int64(key % uint64(next)), B: m})
+			st.out = append(st.out, Pair{Key: key / uint64(next), A: int64(key % uint64(next)), B: m})
 		})
 		if err != nil {
 			return nil, err
 		}
 		span = next
 	}
-	c := make([]int64, l*l)
+	if c == nil {
+		c = make([]int64, l*l)
+	}
 	for i := range c {
 		c[i] = Inf
 	}
@@ -212,6 +208,26 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool) ([]int64, error) {
 		c[p.Key] = p.B
 	}
 	return c, nil
+}
+
+// appendBlock appends the finite entries of block (R, C) of the ℓ×ℓ matrix
+// m, in offset order, as pairs under key with A = base + the entry's offset
+// inside its bs×bs block. Rows r with !open[r] are skipped (none when open
+// is nil).
+func appendBlock(in []Pair, m []int64, l, bs, R, C int, key uint64, base int64, open []bool) []Pair {
+	c0, c1 := C*bs, min(l, (C+1)*bs)
+	for r := R * bs; r < min(l, (R+1)*bs); r++ {
+		if open != nil && !open[r] {
+			continue
+		}
+		off := base + int64((r-R*bs)*bs)
+		for c, v := range m[r*l+c0 : r*l+c1] {
+			if v < Inf {
+				in = append(in, Pair{Key: key, A: off + int64(c), B: v})
+			}
+		}
+	}
+	return in
 }
 
 // APSPByRepeatedSquaring computes all-pairs shortest paths of a weighted
@@ -237,13 +253,12 @@ func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 			}
 		}
 	}
-	open := make([]bool, l)
+	open, sq := make([]bool, l), make([]int64, l*l)
 	for i := range open {
 		open[i] = true
 	}
 	for span, changed := 1, true; span < l && changed; span *= 2 {
-		sq, err := e.minPlus(mat, mat, l, open)
-		if err != nil {
+		if _, err := e.minPlus(mat, mat, l, open, sq); err != nil {
 			return nil, err
 		}
 		changed = false

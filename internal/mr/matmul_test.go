@@ -270,9 +270,10 @@ func TestMinPlusProductRespectsML(t *testing.T) {
 }
 
 // The round-1 reducer multiplies its blocks in its shard's scratch, and a
-// product on a warm engine reuses the round buffers: a dense 64×64 product
-// (8×8 blocks, 512 key groups) allocates a fixed handful of slices, not
-// one block per group.
+// product on a warm engine writes its rounds into the engine's buffers: a
+// dense 64×64 product (8×8 blocks, 512 key groups) allocates a handful of
+// small objects (its occupancy tables, closures and C), none per group and
+// no pair buffer.
 func TestMinPlusProductAllocsDoNotGrowWithGroups(t *testing.T) {
 	const l = 64
 	a := make([]int64, l*l)
@@ -287,8 +288,48 @@ func TestMinPlusProductAllocsDoNotGrowWithGroups(t *testing.T) {
 		}
 	}
 	product()
-	if allocs := testing.AllocsPerRun(3, product); allocs > 32 {
-		t.Fatalf("a warm 64×64 product allocates %.0f times, want at most 32", allocs)
+	// Thirty runs: the count is an integer mean, which one stray
+	// allocation elsewhere in the process, or the engine's RoundStats log
+	// growing, tips over when it is taken over a few runs.
+	if allocs := testing.AllocsPerRun(30, product); allocs > 7 {
+		t.Fatalf("a warm 64×64 product allocates %.0f times, want at most 7", allocs)
+	}
+}
+
+// benchQuotient is the benchmark's MR input: the 64-cluster τ = 1 quotient
+// of RoadLike(15, 15, 0.4, 1).
+func benchQuotient(tb testing.TB) *graph.Weighted {
+	road := graph.RoadLike(15, 15, 0.4, 1)
+	cl, err := core.ClusterContext(context.Background(), road, 1, core.Options{Seed: 1010})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, wq, err := quotient.BuildWeighted(road, cl.Owner, cl.Dist, cl.NumClusters())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if wq.NumNodes() != 64 {
+		tb.Fatalf("quotient has %d clusters, want 64", wq.NumNodes())
+	}
+	return wq
+}
+
+// A warm engine squares the benchmark's quotient (five squarings, ten
+// rounds) in the buffers the first run grew, at every shard count: the
+// matrix, its frontier and its square, then each squaring's small objects
+// as in TestMinPlusProductAllocsDoNotGrowWithGroups, and no pair buffer.
+func TestDiameterByRepeatedSquaringAllocsPinned(t *testing.T) {
+	wq := benchQuotient(t)
+	e := NewEngine(Config{})
+	defer e.Close()
+	diameter := func() {
+		if _, err := e.DiameterByRepeatedSquaring(wq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diameter()
+	if allocs := testing.AllocsPerRun(10, diameter); allocs > 33 { // ten runs: see TestMinPlusProductAllocsDoNotGrowWithGroups
+		t.Fatalf("a warm engine's diameter allocates %.0f times, want at most 33", allocs)
 	}
 }
 
@@ -297,18 +338,7 @@ func TestMinPlusProductAllocsDoNotGrowWithGroups(t *testing.T) {
 // shuffle volume and rounds the blocked product and the frontier take, and
 // the time and allocations each shuffled pair costs.
 func BenchmarkDiameterByRepeatedSquaring(b *testing.B) {
-	road := graph.RoadLike(15, 15, 0.4, 1)
-	cl, err := core.ClusterContext(context.Background(), road, 1, core.Options{Seed: 1010})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, wq, err := quotient.BuildWeighted(road, cl.Owner, cl.Dist, cl.NumClusters())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if wq.NumNodes() != 64 {
-		b.Fatalf("quotient has %d clusters, want 64", wq.NumNodes())
-	}
+	wq := benchQuotient(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var pairs, rounds int64

@@ -15,23 +15,25 @@
 //
 // # Execution model
 //
-// A round runs as a sharded shuffle-and-reduce: input pairs are
-// hash-partitioned by key into Config.Shards reducer shards, the workers of
-// a persistent bsp.Pool claim the shards one at a time (Pool.Claim), order
-// and reduce each, and the shard outputs are assembled in ascending
-// key-group order. A shard is ordered by (Key, A, B) without a comparison
-// sort: stable LSD radix passes over only the bits of A and Key that vary
-// inside the shard, then a sort of each run of equal (Key, A) by B (see
-// order.go). Because a key group lives entirely in one shard and the
-// assembly is ordered by key, the round's output — and therefore every
+// A round runs as an ordered shuffle-and-reduce. Its input is put in
+// (Key, A, B) order once: an input that already arrives in that order, as
+// the min-plus product's first round does, is read in place, and any other
+// is radix-ordered in the engine's buffers on the calling goroutine —
+// stable LSD radix passes over only the bits of A and Key that vary, then
+// a sort of each run of equal (Key, A) by B inside the shards (see
+// order.go). The order is cut at group boundaries into up to Config.Shards
+// contiguous key ranges of about equal size; the workers of a persistent
+// bsp.Pool claim the ranges one at a time (Pool.Claim) and reduce each,
+// and the range outputs are concatenated. A key group lies in one range
+// and the ranges ascend, so the round's output — and therefore every
 // downstream round, the round count, and MaxReducerInput — is bit-for-bit
 // identical across shard counts, including the single-shard sequential
 // execution.
 //
-// The shuffle buffer, the radix scratch and each shard's output and group
-// lists belong to the Engine and are reused by every round until Close;
-// the slice a round returns is freshly allocated, so no later round writes
-// into it.
+// The ordering buffers and each shard's output belong to the Engine and
+// are reused by every round until Close, as are the product's own round
+// buffers; the slice Round returns is freshly allocated, so no later round
+// writes into it.
 //
 // # Resource accounting
 //
@@ -51,6 +53,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bsp"
@@ -97,11 +100,16 @@ type Engine struct {
 	pool   *bsp.Pool
 	closed bool
 
-	// Round's scratch, reused by every round: the shuffled input, the
-	// radix passes' second buffer and one state per shard. No slice Round
-	// returns aliases any of it.
+	// Round's scratch, reused by every round: the ordered copy of an
+	// unordered input, the radix passes' second buffer and bucket counts,
+	// and one state per shard. No slice Round returns aliases any of it.
 	buf, tmp []Pair
+	hist     []int
 	shard    []shardState
+
+	// prod holds the min-plus product's round buffers: round 1's input,
+	// then each round's output in the buffer its input does not occupy.
+	prod [2][]Pair
 
 	// ctx arms cooperative cancellation (SetContext); nil never cancels.
 	ctx context.Context
@@ -124,7 +132,7 @@ func (e *Engine) Close() {
 		e.pool.Close()
 	}
 	e.closed = true
-	e.buf, e.tmp, e.shard = nil, nil, nil
+	e.buf, e.tmp, e.hist, e.shard, e.prod = nil, nil, nil, nil, [2][]Pair{}
 }
 
 // SetContext arms cooperative cancellation: every subsequent Round checks
@@ -171,7 +179,9 @@ var ErrGlobalMemory = errors.New("mr: round input exceeds global memory MG")
 type Emitter func(Pair)
 
 // Reducer transforms one key group. pairs is sorted by (A, B) for
-// determinism and aliases engine-internal storage: it must not be retained.
+// determinism and aliases either engine-internal storage or, when the
+// round's input arrived in (Key, A, B) order, that input: it must not be
+// modified or retained.
 // Key groups are reduced concurrently across shards, so a Reducer must be
 // safe for concurrent invocation: a pure function of its group plus
 // read-only captured state.
@@ -193,53 +203,37 @@ func (e *Engine) shardsFor(n int) int {
 	return s
 }
 
-// mixKey is the splitmix64 finalizer: the shard hash must scramble keys
-// that clients assign sequentially (node ids, block ids, matrix cells) so
-// the shards stay balanced.
-func mixKey(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// shardGroup is one reduced key group inside a shard's output buffer.
-type shardGroup struct {
-	key    uint64
-	lo, hi int
-}
-
 // shardState is one reducer shard's part of a round: filled by the pool
 // worker that claimed the shard, read at the barrier. Its slices are
 // engine-owned scratch, reused by every later round.
 type shardState struct {
-	out      []Pair       // the shard's reducer output, group after group
-	groups   []shardGroup // the output's key groups, in ascending key order
-	hist     []int        // the radix passes' bucket counts
-	scratch  []int64      // the reducers' scratch (the min-plus block)
+	lo, hi   int     // the shard's key range: pairs[lo:hi] of the ordered round
+	out      []Pair  // the shard's reducer output, group after group
+	emit     Emitter // appends to out: the Emitter a Reducer is handed
+	scratch  []int64 // the reducers' scratch (the min-plus block)
 	maxGroup int
-	errKey   uint64
 	err      error
 }
 
-// scratchReducer is a Reducer that may also use its shard's scratch slice,
-// which persists across the groups and rounds the shard reduces: it grows
-// *scratch as it needs and must not keep it past the call.
-type scratchReducer func(key uint64, pairs []Pair, emit Emitter, scratch *[]int64)
+// shardReducer reduces one key group straight into its shard: it appends
+// its output to st.out and may keep scratch in st.scratch, which persists
+// across the groups and rounds the shard reduces (grown as it needs, never
+// kept past the call).
+type shardReducer func(key uint64, pairs []Pair, st *shardState)
 
-// run orders one shard's pairs by (key, A, B), reduces each key group, and
-// records the group boundaries for the ordered merge. pairs and tmp are
-// equal-length scratch; the order lands in either. On an ML violation it
-// stops at the first (lowest-key) offending group; because the shard
-// processes keys in ascending order, the minimum errKey across shards is
-// the same group the sequential execution would have tripped on.
-func (st *shardState) run(ml int64, pairs, tmp []Pair, reduce scratchReducer) {
-	pairs = radixSort(pairs, tmp, &st.hist)
-	out, groups := st.out[:0], st.groups[:0]
-	st.maxGroup, st.err = 0, nil
-	emit := func(p Pair) { out = append(out, p) }
+// run reduces one shard's key range, group by group in ascending key
+// order. pairs is (Key, A)-ordered, and also ordered by B inside each run
+// of equal (Key, A) unless sortB asks run to finish that order itself (it
+// then writes pairs, which is engine scratch). On an ML violation it stops
+// at the shard's first offending group; the shards hold ascending key
+// ranges, so the first shard that fails holds the group the sequential
+// execution would have tripped on.
+func (st *shardState) run(ml int64, pairs []Pair, sortB bool, reduce shardReducer) {
+	// Reserve an output as large as the input: the min-per-cell, growth
+	// and selection rounds emit at most a pair per group, and the
+	// product's first round emits about half its input once its blocks
+	// fill. A larger output grows it.
+	st.out, st.maxGroup, st.err = slices.Grow(st.out[:0], len(pairs)), 0, nil
 	for lo := 0; lo < len(pairs); {
 		key := pairs[lo].Key
 		hi := lo + 1
@@ -248,37 +242,42 @@ func (st *shardState) run(ml int64, pairs, tmp []Pair, reduce scratchReducer) {
 		}
 		group := pairs[lo:hi]
 		if ml > 0 && int64(len(group)) > ml {
-			st.errKey = key
 			st.err = fmt.Errorf("%w: key %d has %d pairs > %d",
 				ErrLocalMemory, key, len(group), ml)
 			break
 		}
 		st.maxGroup = max(st.maxGroup, len(group))
-		sortRunsByB(group)
-		glo := len(out)
-		reduce(key, group, emit, &st.scratch)
-		groups = append(groups, shardGroup{key: key, lo: glo, hi: len(out)})
+		if sortB {
+			sortRunsByB(group)
+		}
+		reduce(key, group, st)
 		lo = hi
 	}
-	st.out, st.groups = out, groups
 }
 
 // Round runs one MapReduce round over input: pairs are grouped by key and
 // each group is handed to reduce. It returns the output pairs assembled in
 // ascending key-group order (emission order within a group), which is
 // independent of the shard count. The returned slice is the caller's: no
-// later round writes to it. Counters are committed only if the round
-// passes both memory checks and the engine's context (SetContext) is not
-// cancelled — a cancelled round fails with ctx.Err() and leaves the
-// accounting untouched, exactly like a failed memory probe. Round panics
-// after Close, as bsp.Pool.Claim does.
+// later round writes to it. Round never writes input; an input that is
+// already in (Key, A, B) order is reduced in place, so the reducers' pairs
+// then alias it. Counters are committed only if the round passes both
+// memory checks and the engine's context (SetContext) is not cancelled — a
+// cancelled round fails with ctx.Err() and leaves the accounting
+// untouched, exactly like a failed memory probe. Round panics after Close,
+// as bsp.Pool.Claim does.
 func (e *Engine) Round(input []Pair, reduce Reducer) ([]Pair, error) {
-	return e.round(input, func(key uint64, pairs []Pair, emit Emitter, _ *[]int64) {
-		reduce(key, pairs, emit)
+	return e.round(input, nil, func(key uint64, pairs []Pair, st *shardState) {
+		if st.emit == nil {
+			st.emit = func(p Pair) { st.out = append(st.out, p) }
+		}
+		reduce(key, pairs, st.emit)
 	})
 }
 
-func (e *Engine) round(input []Pair, reduce scratchReducer) ([]Pair, error) {
+// round is Round writing its output into *dst, grown as needed, or into a
+// fresh slice when dst is nil.
+func (e *Engine) round(input []Pair, dst *[]Pair, reduce shardReducer) ([]Pair, error) {
 	if e.closed {
 		panic("mr: Engine.Round called after Close")
 	}
@@ -289,102 +288,80 @@ func (e *Engine) round(input []Pair, reduce scratchReducer) ([]Pair, error) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrGlobalMemory, len(input), e.cfg.MG)
 	}
 	start := time.Now() //lint:allow walltime accounting-only: round timing never influences shard output
-	shards := e.shardsFor(len(input))
+	n := len(input)
+	shards := e.shardsFor(n)
 	if e.shard == nil {
 		e.shard = make([]shardState, e.shards)
 	}
 	results := e.shard[:shards]
 
-	// Shuffle: hash-partition by key into contiguous per-shard regions of
-	// the engine's buffer (one shard, on the caller, is a copy of input).
-	n := len(input)
-	if cap(e.buf) < n {
-		e.buf, e.tmp = make([]Pair, n), make([]Pair, n)
+	// Order: an input already in (Key, A, B) order is read in place;
+	// otherwise a copy in the engine's buffer is radix-ordered by (Key, A)
+	// and each shard finishes its groups by B.
+	pairs, sortB := input, !ordered(input)
+	if sortB {
+		if cap(e.buf) < n {
+			e.buf, e.tmp = make([]Pair, n), make([]Pair, n)
+		}
+		pairs = radixSort(input, e.buf[:n], e.tmp[:n], &e.hist)
 	}
-	buf, tmp := e.buf[:n], e.tmp[:n]
-	offsets := make([]int, shards+1)
-	if shards == 1 {
-		copy(buf, input)
-		offsets[1] = n
-	} else {
-		for i := range input {
-			offsets[1+int(mixKey(input[i].Key)%uint64(shards))]++
+
+	// Cut the order at group boundaries into contiguous key ranges of
+	// about n/shards pairs, one a shard.
+	lo := 0
+	for s := range results {
+		hi := max(lo, n*(s+1)/shards)
+		for hi > 0 && hi < n && pairs[hi].Key == pairs[hi-1].Key {
+			hi++
 		}
-		for s := 1; s <= shards; s++ {
-			offsets[s] += offsets[s-1]
-		}
-		pos := append([]int(nil), offsets[:shards]...)
-		for i := range input {
-			s := int(mixKey(input[i].Key) % uint64(shards))
-			buf[pos[s]] = input[i]
-			pos[s]++
-		}
+		results[s].lo, results[s].hi = lo, hi
+		lo = hi
 	}
 	if e.pool == nil {
 		e.pool = bsp.NewPool(e.shards)
 	}
 	e.pool.Claim(shards, 1, func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			results[s].run(e.cfg.ML, buf[offsets[s]:offsets[s+1]], tmp[offsets[s]:offsets[s+1]], reduce)
+			st := &results[s]
+			st.run(e.cfg.ML, pairs[st.lo:st.hi], sortB, reduce)
 		}
 	})
 
-	// Barrier: surface the lowest-key ML violation (deterministic across
-	// shard counts) before committing anything.
-	var roundErr error
-	var errKey uint64
-	for s := range results {
-		if results[s].err != nil && (roundErr == nil || results[s].errKey < errKey) {
-			roundErr, errKey = results[s].err, results[s].errKey
-		}
-	}
-	if roundErr != nil {
-		return nil, roundErr
-	}
-
-	// Assemble shard outputs in ascending key-group order into a fresh
-	// slice. Each shard's group list is already key-sorted and a key lives
-	// in exactly one shard, so a linear multi-way merge reproduces the
-	// sequential order; a single shard already IS that order.
+	// Barrier: surface the first shard's (so the lowest-key) ML violation
+	// before committing anything.
 	total := 0
 	for s := range results {
+		if results[s].err != nil {
+			return nil, results[s].err
+		}
 		total += len(results[s].out)
 	}
 	if e.cfg.MG > 0 && int64(total) > e.cfg.MG {
 		return nil, fmt.Errorf("%w: output %d > %d", ErrGlobalMemory, total, e.cfg.MG)
 	}
-	out := make([]Pair, total)
-	if shards == 1 {
-		copy(out, results[0].out)
-	} else {
-		idx := make([]int, shards)
-		for o := 0; ; {
-			best := -1
-			var bestKey uint64
-			for s := 0; s < shards; s++ {
-				if idx[s] < len(results[s].groups) {
-					if k := results[s].groups[idx[s]].key; best < 0 || k < bestKey {
-						best, bestKey = s, k
-					}
-				}
-			}
-			if best < 0 {
-				break
-			}
-			g := results[best].groups[idx[best]]
-			o += copy(out[o:], results[best].out[g.lo:g.hi])
-			idx[best]++
-		}
+
+	// Concatenate the shard outputs: the shards' key ranges ascend, so this
+	// is the sequential order.
+	var out []Pair
+	if dst != nil {
+		out = (*dst)[:0]
+	}
+	out = slices.Grow(out, total)
+	for s := range results {
+		out = append(out, results[s].out...)
+	}
+	if dst != nil {
+		*dst = out
 	}
 
 	// Commit: the round succeeded, fold the per-shard counters in.
 	e.rounds++
-	e.totalShuffle += int64(len(input))
+	e.totalShuffle += int64(n)
 	for s := range results {
 		e.maxGroup = max(e.maxGroup, results[s].maxGroup)
 	}
 	e.roundStats = append(e.roundStats, RoundStat{
-		PairsIn:  int64(len(input)),
+		PairsIn:  int64(n),
 		PairsOut: int64(total),
 		Shards:   shards,
 		Millis:   float64(time.Since(start).Nanoseconds()) / 1e6,

@@ -6,14 +6,29 @@ import (
 	"slices"
 )
 
-// A shard's pairs are reduced in the total order (Key, A, B), the order the
+// A round's pairs are reduced in the total order (Key, A, B), the order the
 // shard-count invariance rests on: it fixes which group comes first, what
-// each reducer sees, MaxReducerInput and the lowest-key ErrLocalMemory.
-// radixSort establishes (Key, A) with stable LSD counting passes and
-// sortRunsByB finishes each run of equal (Key, A) by B. The passes cover
-// only the bits that vary inside the shard, so a round whose keys are node
-// ids or block triples pays one or two passes, and an arbitrary uint64 key
-// pays at most six, by the same code.
+// each reducer sees, where the shards' key ranges are cut,
+// MaxReducerInput and the lowest-key ErrLocalMemory. ordered checks in one
+// comparison pass whether a round's input already arrives in that order (a
+// round whose mapper emits in key order, such as the min-plus product's
+// first round, pays nothing more). Otherwise radixSort establishes
+// (Key, A) on a copy with stable LSD counting passes and sortRunsByB
+// finishes each run of equal (Key, A) by B. The passes cover only the bits
+// that vary in the round, so a round whose keys are node ids or matrix
+// cells pays one or two passes, and an arbitrary uint64 key pays at most
+// six, by the same code.
+
+// ordered reports whether pairs is already in (Key, A, B) order.
+func ordered(pairs []Pair) bool {
+	for i := 1; i < len(pairs); i++ {
+		p, q := pairs[i-1], pairs[i]
+		if q.Key < p.Key || q.Key == p.Key && (q.A < p.A || q.A == p.A && q.B < p.B) {
+			return false
+		}
+	}
+	return true
+}
 
 // digitBits is the widest radix digit: 2,048 buckets, whose counts stay in
 // L1 beside the pairs streaming through.
@@ -31,15 +46,13 @@ type radixPass struct {
 	mask  uint64
 }
 
-// radixSort orders pairs by (Key, A), stably, and returns the ordered
-// slice: pairs itself or tmp, an equal-length scratch buffer. Each word's
-// varying bits [lo, hi) are cut into the fewest digits of at most digitBits
-// bits, all of one width; A's passes run first, then Key's. hist is the
-// caller's reusable bucket-count scratch.
-func radixSort(pairs, tmp []Pair, hist *[]int) []Pair {
-	if len(pairs) < 2 {
-		return pairs
-	}
+// radixSort orders a copy of pairs by (Key, A), stably, and returns it:
+// buf or tmp, equal-length scratch buffers. pairs, which is out of order
+// (so holds at least two pairs), is only read. Each word's varying bits
+// [lo, hi) are cut into the fewest digits of at most digitBits bits, all
+// of one width; A's passes run first, then Key's. hist is the caller's
+// reusable bucket-count scratch.
+func radixSort(pairs, buf, tmp []Pair, hist *[]int) []Pair {
 	k0, a0 := pairs[0].Key, pairs[0].A
 	var dk, da uint64
 	for _, p := range pairs {
@@ -66,7 +79,8 @@ func radixSort(pairs, tmp []Pair, hist *[]int) []Pair {
 		}
 	}
 	if np == 0 {
-		return pairs
+		copy(buf, pairs)
+		return buf
 	}
 
 	// One read counts every pass's digits.
@@ -89,7 +103,7 @@ func radixSort(pairs, tmp []Pair, hist *[]int) []Pair {
 		}
 	}
 
-	src, dst := pairs, tmp
+	src, dst, next := pairs, buf, tmp
 	for i := 0; i < np; i++ {
 		pos := h[base[i] : base[i]+int(plan[i].mask)+1]
 		sum := 0
@@ -102,7 +116,7 @@ func radixSort(pairs, tmp []Pair, hist *[]int) []Pair {
 		} else {
 			scatterA(dst, src, pos, plan[i].shift, plan[i].mask)
 		}
-		src, dst = dst, src
+		src, dst, next = dst, next, dst
 	}
 	return src
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,12 +107,17 @@ func checkRoundOrder(t *testing.T, in []Pair, shards int, ml int64) {
 	}
 }
 
-// TestRoundOrderMatchesSortFunc diffs the radix shard order against the
-// comparison sort on inputs chosen to break a radix: keys and A at the ends
-// of their ranges (A's sign bit), runs of equal (Key, A) that only B
-// orders, exact duplicates, shards holding one key, and rounds of 0 and 1
-// pairs.
-func TestRoundOrderMatchesSortFunc(t *testing.T) {
+// orderCase is one round input of the order tests, with its local memory.
+type orderCase struct {
+	name string
+	in   []Pair
+	ml   int64
+}
+
+// orderCases are inputs chosen to break a radix: keys and A at the ends of
+// their ranges (A's sign bit), runs of equal (Key, A) that only B orders,
+// exact duplicates, rounds holding one key, and rounds of 0 and 1 pairs.
+func orderCases() []orderCase {
 	r := rng.New(40)
 	gen := func(n int, key func() uint64, a, b func() int64) []Pair {
 		in := make([]Pair, n)
@@ -128,11 +134,7 @@ func TestRoundOrderMatchesSortFunc(t *testing.T) {
 	}
 	aEnds := pick(math.MinInt64, math.MinInt64+1, -1, 0, 1, math.MaxInt64-1, math.MaxInt64)
 
-	cases := []struct {
-		name string
-		in   []Pair
-		ml   int64
-	}{
+	return []orderCase{
 		{"empty", nil, 0},
 		{"one pair", []Pair{{Key: math.MaxUint64, A: math.MinInt64, B: 7}}, 0},
 		{"random", gen(6000, r.Uint64, full, full), 0},
@@ -147,10 +149,73 @@ func TestRoundOrderMatchesSortFunc(t *testing.T) {
 		{"local memory at the top key", append(gen(5000, func() uint64 { return uint64(r.Intn(5000)) }, small(10), full),
 			gen(40, func() uint64 { return math.MaxUint64 }, aEnds, full)...), 20},
 	}
-	for _, c := range cases {
+}
+
+// TestRoundOrderMatchesSortFunc diffs the radix order against the
+// comparison sort on orderCases.
+func TestRoundOrderMatchesSortFunc(t *testing.T) {
+	for _, c := range orderCases() {
 		for _, shards := range sweepShards {
 			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
 				checkRoundOrder(t, c.in, shards, c.ml)
+			})
+		}
+	}
+}
+
+// TestRoundOrderedInputMatchesShuffled runs each of orderCases through
+// Round twice, as generated and pre-ordered by (Key, A, B). The ordered
+// copy takes the in-place path — every group the reducers see aliases it —
+// and both runs must give the same output, MaxReducerInput, RoundStats
+// (bar Millis) and lowest-key ErrLocalMemory, with the ordered copy left
+// as it was.
+func TestRoundOrderedInputMatchesShuffled(t *testing.T) {
+	type result struct {
+		out      []Pair
+		err      string
+		maxGroup int
+		stats    []RoundStat
+	}
+	run := func(in []Pair, shards int, ml int64, reduce Reducer) result {
+		e := NewEngine(Config{ML: ml, Shards: shards})
+		defer e.Close()
+		out, err := e.Round(in, reduce)
+		res := result{out: out, maxGroup: e.MaxReducerInput(), stats: e.RoundStats()}
+		if err != nil {
+			res.err = err.Error()
+		}
+		for i := range res.stats {
+			res.stats[i].Millis = 0
+		}
+		return res
+	}
+	for _, c := range orderCases() {
+		ord := referenceOrder(c.in)
+		at := make(map[*Pair]bool, len(ord))
+		for i := range ord {
+			at[&ord[i]] = true
+		}
+		for _, shards := range sweepShards {
+			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
+				kept := slices.Clone(ord)
+				var copied atomic.Bool
+				inPlace := run(ord, shards, c.ml, func(key uint64, pairs []Pair, emit Emitter) {
+					if !at[&pairs[0]] {
+						copied.Store(true)
+					}
+					echoGroup(key, pairs, emit)
+				})
+				if copied.Load() {
+					t.Fatal("a reducer of the ordered input saw a copy, not the input")
+				}
+				if !slices.Equal(ord, kept) {
+					t.Fatal("Round wrote its ordered input")
+				}
+				if shuffled := run(c.in, shards, c.ml, echoGroup); !reflect.DeepEqual(inPlace, shuffled) {
+					t.Fatalf("ordered input gave %d pairs, %q, max group %d, stats %+v;\nas generated %d pairs, %q, max group %d, stats %+v",
+						len(inPlace.out), inPlace.err, inPlace.maxGroup, inPlace.stats,
+						len(shuffled.out), shuffled.err, shuffled.maxGroup, shuffled.stats)
+				}
 			})
 		}
 	}
@@ -299,7 +364,8 @@ func decodePairs(data []byte) ([]Pair, int64) {
 }
 
 // FuzzRoundOrder diffs Round's grouping against the comparison-sort
-// reference at 1 and 4 shards.
+// reference at 1 and 4 shards, for each decoded input as decoded and
+// pre-ordered (the in-place path).
 func FuzzRoundOrder(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x00, 0x00, 0x05, 0x01, 0x02})
@@ -307,8 +373,10 @@ func FuzzRoundOrder(f *testing.F) {
 	f.Add([]byte{0x83, 0x2a, 0x09, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x04, 0x2a, 0x09, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x04})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, ml := decodePairs(data)
+		ord := referenceOrder(in)
 		for _, shards := range []int{1, 4} {
 			checkRoundOrder(t, in, shards, ml)
+			checkRoundOrder(t, ord, shards, ml)
 		}
 	})
 }
