@@ -117,8 +117,8 @@ func (e *WeightedEngine) refill() bool {
 
 // SSSP computes single-source shortest-path distances from src into dist
 // (len NumNodes; unreachable nodes get WInf) and returns the weighted
-// eccentricity of src within its component. Distances are identical to
-// graph.Dijkstra's. If the engine's context is already cancelled
+// eccentricity of src within its component: Dijkstra's distances, on a
+// radix heap. If the engine's context is already cancelled
 // (SetContext), dist holds only the source and Err reports the cause.
 // It allocates nothing once the heap has reached its high-water mark
 // (pinned by TestWeightedSSSPZeroAlloc).

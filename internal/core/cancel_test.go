@@ -127,11 +127,11 @@ func TestBuildOracleCancelledMidBuildReturnsPromptly(t *testing.T) {
 // whether the build completes or is cancelled; this count is their
 // enforcer. The cancel is fired from the first block's delta on a quotient
 // of 1,089 clusters, at least 18 blocks over the two passes: the workers
-// must see it before their next source or merged row, so all but a few
-// blocks never report. A panicking Observer, on any worker,
+// must see it before their next table row, reset row or source, so all but
+// a few blocks never report. A panicking Observer, on any worker,
 // surfaces on the caller and leaves no goroutine behind either.
 func TestOracleFromClusteringLeavesNoGoroutines(t *testing.T) {
-	cl := voronoi(graph.Mesh(40, 40), 17*graph.APSPBlock+1, 1)
+	cl := voronoi(graph.Mesh(40, 40), 17*rowBlock+1, 1)
 	const blocks = 18
 	base := runtime.NumGoroutine()
 	settled := func(when string) {
@@ -222,13 +222,14 @@ func TestClusteringClosesEngineOnPanic(t *testing.T) {
 // merged rows — and the deltas add up to exactly the build's APSPStats, so
 // the live counters behind /builds end at the oracle's own cost.
 func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
-	cl := voronoi(graph.RoadLike(30, 30, 0.4, 5), 5*graph.APSPBlock+7, 2)
+	cl := voronoi(graph.RoadLike(30, 30, 0.4, 5), 5*rowBlock+7, 2)
 	_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, rest := independentSet(wq)
-	blocks := func(n int) int { return (n + graph.APSPBlock - 1) / graph.APSPBlock }
+	wov, hov := overlays(wq, cl.Radii)
+	set, rest := wov.Split()
+	blocks := func(n int) int { return (n + rowBlock - 1) / rowBlock }
 	var (
 		mu     sync.Mutex
 		sum    bsp.Stats
@@ -244,11 +245,13 @@ func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := blocks(len(rest)) + blocks(len(set)); deltas != want {
-		t.Fatalf("%d deltas for %d blocks of searches and %d of merges", deltas, blocks(len(rest)), blocks(len(set)))
+	items := tableRows(wov) + tableRows(hov) + len(set)
+	if want := blocks(items) + blocks(len(rest)); deltas != want {
+		t.Fatalf("%d deltas for %d blocks of table rows and resets and %d of sources", deltas, blocks(items), blocks(len(rest)))
 	}
-	if got := o.APSPStats(); sum != got || got.Relaxations == 0 || got.Messages != got.Relaxations || got.Buckets == 0 || got.Rounds == 0 {
-		t.Fatalf("deltas sum to %+v, APSPStats is %+v", sum, got)
+	if got := o.APSPStats(); sum != got || got.Relaxations == 0 || got.Messages != got.Relaxations || got.Buckets == 0 ||
+		got.Rounds != tableRows(wov)+tableRows(hov) {
+		t.Fatalf("deltas sum to %+v, APSPStats is %+v, with %d + %d core searches", sum, got, tableRows(wov), tableRows(hov))
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -128,41 +128,45 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 // OracleFromClustering builds the oracle tables from an existing
 // decomposition. The quotient has at most maxOracleClusters nodes, so — as
 // in the paper, which solves it inside one reducer's local memory — every
-// row is computed sequentially and cache-resident (see graph.APSPScratch).
-// Only the clusters outside an independent set I of the quotient get rows
-// of their own (I is taken greedily by degree, then id:
-// graph.Weighted.IndependentSet, about half the clusters of a road-like
-// quotient). For t ≠ x, d(x, t) is the least w(x, u) + d(u, t) over x's
-// neighbours u, and the hop count one more than the least h(u, t); no
-// neighbour of x ∈ I is in I, so I's rows follow from computed cells.
+// row is computed sequentially and cache-resident.
 //
-// The weighted rows come through a graph.Overlay of the quotient, built
-// once, sequentially, from the quotient alone; I is the overlay's Split,
-// computed once for both. Level 0 eliminates I, each later level the
-// greedy independent set of what the last left, adding shortcuts, until
-// a level would not lower the edge count or would let a core search
-// overflow (checked against quotientDistBound, so a decomposition
-// narrowCellsFit accepts is never refused — it contracts fewer levels,
-// down to none). A row lifts its source to the core, runs one seeded Dial
-// search on the core and sweeps back down the levels.
+// Both tables come out of one row kernel over two graph.Overlays, one of
+// the weighted quotient and one of the same quotient with unit weights,
+// whose distances are the hop counts (see graph/apsp.go). Each overlay
+// eliminates independent sets level by level with shortcuts, until a level
+// would not lower the edge count or would let a core search overflow
+// (checked against quotientDistBound, so a decomposition narrowCellsFit
+// accepts is never refused — it contracts fewer levels, down to none). I is
+// the independent set level 0 eliminates (taken greedily by degree, then
+// id: graph.Weighted.IndependentSet, about half the clusters of a road-like
+// quotient; it depends on the structure alone, so both overlays share it),
+// and R is the rest.
 //
 // The build is two passes over the opt.Workers workers of one bsp.Pool,
 // each worker with its own scratch and Stats, summed after the barrier:
-//   - searches: workers claim blocks of graph.APSPBlock sources outside I.
-//     Each source computes its overlay row, and each block runs one
-//     bit-parallel BFS of the whole quotient for its hop rows. A source c
-//     copies its row prefix (c, 0 … c−1) into the triangles and its cells
-//     at every t > c in I into (t, c), rows no search fills.
-//   - merges: workers claim blocks of I's members. Each x ∈ I fills its
-//     cells (x, t) for the t < x in I from its neighbours' cells.
+//   - tables: workers claim blocks of rowBlock items: the rows of both
+//     overlays' core tables, each one Dial search on its core, then I's
+//     triangle rows, set to all ones (unreachable).
+//   - rows: workers claim blocks of rowBlock sources of R. A source u gets
+//     its weighted and its hop row from the kernel (a lift to the core, the
+//     least of seed plus table row in every core cell, a sweep back down;
+//     over an overlay that took no level, one search of the whole quotient),
+//     copies the prefixes (u, 0 … u−1) into the triangles, and pushes its
+//     rows into every neighbour x ∈ I: for t < x, (x, t) becomes the least
+//     of itself and w(x,u) + d(u,t), and its hop count the least of itself
+//     and h(u,t) + 1, under x's own mutex. No neighbour of x is in I, so
+//     every neighbour pushes, and d(x, t) is the least over them.
 //
-// The tables are identical to a Dijkstra+BFS build at every worker count.
-// The build allocates the 3·k(k−1) bytes it returns, O(quotient arcs) for
-// the overlay and O(k) scratch per worker, never a square or wider table
-// (a decomposition whose distances could overflow a cell is refused first —
-// narrowCellsFit). Cancelling ctx stops every worker before its next source
-// or merged row and returns ctx.Err(); opt.Observer receives one delta per
-// completed block of either pass, and the deltas sum to APSPStats.
+// min is commutative, so the tables are identical to a Dijkstra+BFS build
+// at every worker count and in every schedule. The build allocates the
+// 3·k(k−1) bytes it returns, O(quotient arcs) for the overlays, the two
+// core tables — 6·C² bytes for a core of C nodes, 2 MB on the `fine`
+// benchmark workload's 572, none for an overlay that took no level — and
+// O(k) scratch per worker (a decomposition whose distances could overflow a
+// cell is refused first — narrowCellsFit).
+// Cancelling ctx stops every worker before its next item or source and
+// returns ctx.Err(); opt.Observer receives one delta per completed block of
+// either pass, and the deltas sum to APSPStats.
 func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Oracle, error) {
 	k := cl.NumClusters()
 	if k > maxOracleClusters {
@@ -175,28 +179,44 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) {
 		return nil, fmt.Errorf("%w: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)", ErrInfeasible)
 	}
-	ov := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
-	set, rest := ov.Split()
-	searchBlocks := (len(rest) + graph.APSPBlock - 1) / graph.APSPBlock
-	mergeBlocks := (len(set) + graph.APSPBlock - 1) / graph.APSPBlock
-	workers := max(1, min(bsp.Workers(opt.Workers), max(searchBlocks, mergeBlocks)))
+	wov, hov := overlays(wq, cl.Radii)
+	dist, hop := graph.NewCoreTable[uint32](wov), graph.NewCoreTable[uint16](hov)
+	set, rest := wov.Split()
+	cw, ch := dist.Rows(), hop.Rows()
+	items := cw + ch + len(set)
+	blocks := func(n int) int { return (n + rowBlock - 1) / rowBlock }
+	workers := max(1, min(bsp.Workers(opt.Workers), max(blocks(items), blocks(len(rest)))))
 	pool := bsp.NewPool(workers)
 	defer pool.Close()
-	// Each worker searches with its own scratch and counts into its own
-	// Stats. A search from c writes triangle row c and the cells (t, c) of
-	// the rows t > c in set; a merge of x writes the cells (x, t) with t in
-	// set. No cell is written twice, so the writes need no synchronization,
-	// and the merges read only cells the searches wrote before the barrier
-	// between the two passes.
+	// Each worker runs the kernels with its own scratch and counts into its
+	// own Stats. A table row, a triangle row of R and an I row's reset are
+	// each written by one worker; an I row takes its neighbours' pushes
+	// under its own mutex, and pushes take minima, so their order never
+	// shows.
 	type apspWorker struct {
-		scratch *graph.APSPScratch
-		row     []uint32
-		block   []uint16
-		stats   bsp.Stats
+		ws, hs *graph.APSPScratch
+		row    []uint32
+		hrow   []uint16
+		stats  bsp.Stats
 	}
 	ws := make([]apspWorker, workers)
 	apsp := make([]uint32, triangle(k))
 	hops := make([]uint16, triangle(k))
+	inSet, locks := make([]bool, k), make([]sync.Mutex, k)
+	for _, x := range set {
+		inSet[x] = true
+	}
+	scratch := func(w int) *apspWorker {
+		aw := &ws[w]
+		if aw.ws == nil {
+			// Allocated by the worker that uses it: scratch allocated back
+			// to back by one goroutine shares cache lines (the Dial ring's
+			// occupancy bitmap is one word), and two workers writing them
+			// made a 3,530-cluster build 40 % slower on two cores.
+			*aw = apspWorker{ws: wov.NewAPSPScratch(), hs: hov.NewAPSPScratch(), row: make([]uint32, k), hrow: make([]uint16, k)}
+		}
+		return aw
+	}
 	report := func(aw *apspWorker, delta bsp.Stats) {
 		delta.Messages = delta.Relaxations
 		aw.stats.Add(delta)
@@ -204,30 +224,30 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 			opt.Observer(delta) // concurrent across workers; the Observer contract requires thread safety
 		}
 	}
-	pool.Claim(searchBlocks, 1, func(w, first, last int) {
-		aw := &ws[w]
-		if aw.scratch == nil {
-			// Allocated by the worker that uses it: scratch allocated back
-			// to back by one goroutine shares cache lines (the Dial ring's
-			// occupancy bitmap is one word), and two workers writing them
-			// made a 3,530-cluster build 40 % slower on two cores.
-			*aw = apspWorker{scratch: ov.NewAPSPScratch(), row: make([]uint32, k), block: make([]uint16, graph.APSPBlock*k)}
-		}
+	pool.Claim(blocks(items), 1, func(w, first, last int) {
+		aw := scratch(w)
 		for b := first; b < last; b++ {
-			srcs := rest[b*graph.APSPBlock : min((b+1)*graph.APSPBlock, len(rest))]
 			var delta bsp.Stats
-			for _, c := range srcs {
+			for i := b * rowBlock; i < min((b+1)*rowBlock, items); i++ {
 				if ctx.Err() != nil {
 					return // the build is about to be discarded
 				}
-				relaxations, buckets := aw.scratch.Row(c, aw.row)
-				storeRow(apsp, aw.row, c, set)
-				delta.Relaxations += relaxations
+				var arcs int64
+				var buckets int
+				switch {
+				case i < cw:
+					arcs, buckets = dist.Fill(aw.ws, i)
+				case i < cw+ch:
+					arcs, buckets = hop.Fill(aw.hs, i-cw)
+				default:
+					x := int(set[i-cw-ch])
+					fillOnes(apsp[triangle(x):triangle(x+1)])
+					fillOnes(hops[triangle(x):triangle(x+1)])
+					continue
+				}
+				delta.Rounds++
+				delta.Relaxations += arcs
 				delta.Buckets += buckets
-			}
-			delta.Rounds = aw.scratch.HopRows(srcs, aw.block[:len(srcs)*k])
-			for i, c := range srcs {
-				storeRow(hops, aw.block[i*k:(i+1)*k], c, set)
 			}
 			report(aw, delta)
 		}
@@ -235,35 +255,38 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// x in set has no neighbour in set, so for t ≠ x in set every cell
-	// (u, t) of a neighbour u is a searched one: d(x, t) is the least
-	// w(x, u) + d(u, t), and the hop count one more than the least h(u, t).
-	// The sums run in 64 bits, so an unreachable cell (all ones) stays
-	// above every finite sum instead of wrapping below it.
-	pool.Claim(mergeBlocks, 1, func(w, first, last int) {
-		aw := &ws[w]
+	pool.Claim(blocks(len(rest)), 1, func(w, first, last int) {
+		aw := scratch(w)
+		row, hrow := aw.row, aw.hrow
 		for b := first; b < last; b++ {
 			var delta bsp.Stats
-			for i := b * graph.APSPBlock; i < min((b+1)*graph.APSPBlock, len(set)); i++ {
+			for _, u := range rest[b*rowBlock : min((b+1)*rowBlock, len(rest))] {
 				if ctx.Err() != nil {
 					return
 				}
-				x := set[i]
-				nbrs, wts := wq.Neighbors(x)
-				rowA, rowH := apsp[triangle(int(x)):], hops[triangle(int(x)):]
-				for _, t := range set[:i] {
-					dist, hop := uint64(graph.InfDist32), graph.InfHops
-					for j, u := range nbrs {
-						at := cell(u, t)
-						dist = min(dist, uint64(wts[j])+uint64(apsp[at]))
-						hop = min(hop, hops[at])
+				tableRow(dist, aw.ws, u, row, &delta)
+				tableRow(hop, aw.hs, u, hrow, &delta)
+				copy(apsp[triangle(int(u)):], row[:u])
+				copy(hops[triangle(int(u)):], hrow[:u])
+				nbrs, wts := wq.Neighbors(u)
+				for j, x := range nbrs {
+					if !inSet[x] {
+						continue
 					}
-					if hop != graph.InfHops {
-						hop++
+					// Sums run in 64 and 32 bits, so an unreachable cell (all
+					// ones) stays above every finite one instead of wrapping.
+					lo, hi, wxu := triangle(int(x)), triangle(int(x)+1), uint64(wts[j])
+					rowA, rowH := apsp[lo:hi], hops[lo:hi]
+					locks[x].Lock()
+					for t, d := range row[:len(rowA)] {
+						rowA[t] = uint32(min(uint64(rowA[t]), wxu+uint64(d)))
 					}
-					rowA[t], rowH[t] = uint32(dist), hop
+					for t, h := range hrow[:len(rowH)] {
+						rowH[t] = uint16(min(uint32(rowH[t]), uint32(h)+1))
+					}
+					locks[x].Unlock()
+					delta.Relaxations += 2 * int64(x)
 				}
-				delta.Relaxations += int64(len(nbrs) * i)
 			}
 			report(aw, delta)
 		}
@@ -278,14 +301,33 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	return newOracle(cl, k, apsp, hops, stats), nil
 }
 
-// storeRow files the row of source c ∉ set into a triangle: its prefix
-// (c, 0 … c−1) is triangle row c, and its cells at the t > c in set (sorted)
-// go to (t, c), in rows no search fills.
-func storeRow[T uint32 | uint16](table, row []T, c graph.NodeID, set []graph.NodeID) {
-	copy(table[triangle(int(c)):], row[:c])
-	i, _ := slices.BinarySearch(set, c)
-	for _, t := range set[i:] {
-		table[triangle(int(t))+int(c)] = row[t]
+// rowBlock is how many items or sources one claim of the build's passes
+// takes, and so how much work one Observer delta reports.
+const rowBlock = 64
+
+// overlays returns the build's two overlays of the weighted quotient wq of
+// a decomposition with these cluster radii: of wq itself, and of wq with
+// unit weights, whose distances are below its node count.
+func overlays(wq *graph.Weighted, radii []int32) (dist, hop *graph.Overlay) {
+	return graph.NewOverlay(wq, quotientDistBound(radii)), graph.NewOverlay(wq.Unit(), int64(wq.NumNodes()))
+}
+
+// tableRow writes u's row of t into row and counts it into delta: its
+// min-terms, or, when t's overlay took no level and the row is a search of
+// the whole quotient, one more core search with its arcs and distances.
+func tableRow[T graph.Cell](t *graph.CoreTable[T], s *graph.APSPScratch, u graph.NodeID, row []T, delta *bsp.Stats) {
+	terms, buckets := t.Row(s, u, row)
+	delta.Relaxations += terms
+	if t.Rows() == 0 {
+		delta.Rounds++
+		delta.Buckets += buckets
+	}
+}
+
+// fillOnes sets every cell of a triangle row to the unreachable mark.
+func fillOnes[T uint32 | uint16](cells []T) {
+	for i := range cells {
+		cells[i] = ^T(0)
 	}
 }
 
@@ -375,20 +417,18 @@ func cell(c, d graph.NodeID) uint {
 func (o *Oracle) NumClusters() int { return o.k }
 
 // APSPStats returns the cost of the quotient APSP build, in counters that
-// depend on the quotient alone — not on the worker count or any schedule:
-// Relaxations = Messages = every offer the build weighs: the core arcs
-// scanned by the rows' Dial searches (the core degrees of the core nodes
-// each computed source reaches, summed over those sources), plus one
-// min-term per arc a row's lift follows (the kept arcs of every overlay node
-// reachable from the source along kept arcs) and per arc its sweep reads
-// (every kept arc, once a row), plus one min-term per neighbour and merged
-// cell (deg(x) times the members of I below x, summed over I's members x);
-// Buckets = non-empty unit-width buckets the core searches settle (distinct
-// finite distances from the source to core nodes, summed over computed
-// sources); Rounds = bit-parallel BFS sweeps (the largest hop eccentricity
-// in each block of graph.APSPBlock computed sources, summed over blocks).
-// Buckets and Rounds count the search pass only. Zero for oracles
-// reassembled from snapshots.
+// depend on the quotient alone — not on the worker count or any schedule —
+// summed over its two overlays, the weighted and the unit-weight one:
+// Rounds = the core searches, one per core node of each (which fill the
+// core tables), or, for an overlay that took no level, one per source of R
+// (each a whole row); Buckets = the distinct finite distances those
+// searches settle; Relaxations = Messages = the core arcs they scan (the
+// core degrees of the core nodes each reaches), plus every min-term the
+// rows weigh: per source of R over a contracted overlay, one per arc its
+// lift follows (the kept arcs of every overlay node reachable from it along
+// kept arcs), C per lifted seed (a core of C nodes) and one per kept arc for
+// the sweep, and then deg(x)·x per member x of I for the pushes into its
+// row. Zero for oracles reassembled from snapshots.
 func (o *Oracle) APSPStats() bsp.Stats { return o.apspStats }
 
 // LowerQuery returns a certified lower bound on the distance between u and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,35 +215,71 @@ func TestOracleRefusesLevelsNotClustersNearTheCellBound(t *testing.T) {
 }
 
 // Each table is stored once: a build allocates the 3·k(k−1) bytes of its two
-// triangles plus the quotient and per-worker scratch, which on this input
-// (k = 900) are well under the triangles. Square tables — even narrow ones,
-// 6·k² bytes for the two — fail it: they alone exceed 3·k(k−1) plus the
-// slack of either worker count, and a wide intermediate does by more.
+// triangles plus the quotient, the two overlays with their core tables and
+// per-worker scratch, which are well under the triangles on a road-like
+// quotient (k = 900, a core of 172) and on a Barabási–Albert one whose
+// overlays take no level (k = 1,000), where the rows are searched for and
+// no core table is kept. Square tables — even narrow ones, 6·k² bytes for
+// the two — fail it on both: they alone exceed 3·k(k−1) plus the slack of
+// either worker count, and a wide intermediate does by more.
 func TestOracleBuildAllocatesOnlyNarrowTables(t *testing.T) {
-	cl := voronoi(graph.RoadLike(40, 40, 0.4, 5), 900, 2)
-	k := int64(cl.NumClusters())
-	for _, workers := range []int{1, 2} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		o, err := OracleFromClustering(context.Background(), cl, Options{Workers: workers})
-		runtime.ReadMemStats(&after)
+	for _, in := range []struct {
+		name   string
+		cl     *Clustering
+		levels bool
+	}{
+		{"road", voronoi(graph.RoadLike(40, 40, 0.4, 5), 900, 2), true},
+		{"ba", voronoi(graph.BarabasiAlbert(3000, 2, 2), 1000, 2), false},
+	} {
+		cl := in.cl
+		k := int64(cl.NumClusters())
+		_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Slack: the contraction's O(n + quotient arcs) and, per worker, one
-		// APSPScratch (40 bytes a cluster), the kernels' scratch row and hop
-		// block (4 + 2·64 = 132 bytes a cluster) and a goroutine — 1 KiB per
-		// cluster per worker covers them several times over at this size.
-		slack := k * 1024 * int64(workers)
-		tables := 3 * k * (k - 1)
-		got := int64(after.TotalAlloc - before.TotalAlloc)
-		t.Logf("workers=%d: %d bytes allocated, tables %d, slack %d", workers, got, tables, slack)
-		if got > tables+slack {
-			t.Fatalf("workers=%d: build of %d clusters allocated %d bytes, want <= 3·k(k−1) + %d = %d",
-				workers, k, got, slack, tables+slack)
+		wov, hov := overlays(wq, cl.Radii)
+		if (wov.Levels() > 0) != in.levels || (hov.Levels() > 0) != in.levels {
+			t.Fatalf("%s: premise: %d and %d levels, want levels %v", in.name, wov.Levels(), hov.Levels(), in.levels)
 		}
-		runtime.KeepAlive(o)
+		cw, ch := int64(tableRows(wov)), int64(tableRows(hov))
+		for _, workers := range []int{1, 2} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			o, err := OracleFromClustering(context.Background(), cl, Options{Workers: workers})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Slack: the core tables' 4·C² + 2·C² bytes; the contraction's
+			// O(n + quotient arcs) and the two overlays' O(arcs of every
+			// level), 1 KiB per cluster on these inputs of at most 3 nodes
+			// and 6 edges a cluster; and, per worker, two APSPScratches
+			// (under 40 bytes a cluster each), the kernels' two rows (6 bytes
+			// a cluster) and a goroutine, 512 bytes per cluster.
+			slack := 4*cw*cw + 2*ch*ch + k*1024 + k*512*int64(workers)
+			tables := 3 * k * (k - 1)
+			got := int64(after.TotalAlloc - before.TotalAlloc)
+			t.Logf("%s, workers=%d: %d bytes allocated, tables %d, slack %d", in.name, workers, got, tables, slack)
+			if got > tables+slack {
+				t.Fatalf("%s, workers=%d: build of %d clusters allocated %d bytes, want <= 3·k(k−1) + %d = %d",
+					in.name, workers, k, got, slack, tables+slack)
+			}
+			if square := 6 * k * k; square <= tables+slack {
+				t.Fatalf("%s: premise: square narrow tables (%d bytes) would pass the bound %d", in.name, square, tables+slack)
+			}
+			runtime.KeepAlive(o)
+		}
 	}
+}
+
+// tableRows is the number of rows of o's core table: its core's node count,
+// none when o took no level.
+func tableRows(o *graph.Overlay) int {
+	if o.Levels() == 0 {
+		return 0
+	}
+	core, _ := o.Core()
+	return core.NumNodes()
 }
 
 // Both sentinels surface as graph.InfDist from every accessor.
@@ -352,20 +389,23 @@ func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
 	}
 }
 
-// The build searches only from the clusters outside an independent set I
-// of the quotient and fills I's rows from their neighbours' cells. On seeded
-// samples of the generator families — mesh, road-like, G(n,p), RMAT's
-// largest component, Barabási–Albert — both tables must equal per-source
-// Dijkstra + BFS, and APSPStats must agree at workers 1, 2, 3 and 8 and count
-// one relaxation per core arc a row's search scans and per min-term a lift,
-// a sweep or a merge takes. The
-// other shapes aim at the merge: a star quotient, where I holds every
-// cluster but the hub; a disconnected union with isolated clusters, whose
-// rows merge from no neighbour at all and whose cells across components must
-// stay unreachable (an unreachable cell plus a weight, wrapped in 32 bits,
-// would be a small finite distance); and 1, 2, 64 and 65 clusters.
+// The build computes rows only from the clusters outside an independent set
+// I of the quotient, through the core tables of two overlays, and pushes
+// them into I's rows. On seeded samples of the generator families — mesh,
+// road-like, G(n,p), RMAT's largest component, Barabási–Albert — both
+// tables must equal per-source Dijkstra + BFS, and APSPStats must agree at
+// workers 1, 2, 3 and 8 and equal its definition (wantAPSPStats). The other
+// shapes aim at the kernel's edges: a star quotient, where I holds every
+// cluster but the hub and the core is the hub alone; two copies of a
+// Barabási–Albert quotient whose first level would add more shortcuts than
+// it removes arcs, so the overlays take no level, every source of R is a
+// core node and the core is disconnected (unreachable table cells); a
+// disconnected union with isolated clusters, whose I rows take no push at
+// all, and whose cells across components must stay unreachable (an
+// unreachable cell plus a weight, wrapped in 32 bits, would be a small
+// finite distance); and 1, 2, 64 and 65 clusters.
 func TestOracleMergedRowsMatchReferences(t *testing.T) {
-	var crossMerged, isolated int
+	var crossPushed, isolated, oneNodeCore, noLevel, splitCore int
 	for seed := uint64(1); seed <= 2; seed++ {
 		r := rng.New(seed)
 		rmat, _ := graph.RMAT(9, 8, seed).LargestComponent()
@@ -373,6 +413,7 @@ func TestOracleMergedRowsMatchReferences(t *testing.T) {
 			"mesh":  voronoi(graph.Mesh(20, 15), 40+r.Intn(90), seed),
 			"road":  voronoi(graph.RoadLike(24, 20, 0.4, seed), 40+r.Intn(90), seed),
 			"gnp":   clusterAt(t, graph.ErdosRenyi(300, 420, seed), 2, seed),
+			"twin":  twin(voronoi(graph.BarabasiAlbert(300, 4, seed), 100, seed)),
 			"rmat":  voronoi(rmat, 20+r.Intn(80), seed),
 			"ba":    voronoi(graph.BarabasiAlbert(300, 2, seed), 40+r.Intn(90), seed),
 			"star":  voronoi(graph.Star(150), 70+r.Intn(60), seed),
@@ -383,62 +424,109 @@ func TestOracleMergedRowsMatchReferences(t *testing.T) {
 		}
 		for name, cl := range cases {
 			name = fmt.Sprintf("%s/seed%d", name, seed)
-			wq, want, stats := assertTablesMatchReferences(t, name, cl, 1, 2, 3, 8)
+			wq, wantAPSP, wantHops, stats := assertTablesMatchReferences(t, name, cl, 1, 2, 3, 8)
+			if want := wantAPSPStats(wq, cl.Radii, wantAPSP, wantHops); stats != want {
+				t.Fatalf("%s: APSPStats %+v, want %+v: core searches, their arcs and distinct distances, and lift, table, sweep and push min-terms",
+					name, stats, want)
+			}
 			k := cl.NumClusters()
-			set, rest := independentSet(wq)
-			ov := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
-			core, ids := ov.Core()
-			var relaxations, sweep int64
-			for x := range k {
-				kept, _ := ov.Kept(graph.NodeID(x))
-				sweep += int64(len(kept))
-			}
-			for _, c := range rest {
-				relaxations += sweep + liftTerms(ov, c)
-				for i, d := range ids {
-					if want[int(c)*k+int(d)] != graph.InfDist {
-						relaxations += int64(core.Degree(graph.NodeID(i)))
-					}
-				}
-			}
+			wov, _ := overlays(wq, cl.Radii)
+			set, _ := wov.Split()
 			for i, x := range set {
-				deg := wq.Degree(x)
-				relaxations += int64(deg * i)
-				if deg == 0 {
+				if wq.Degree(x) == 0 {
 					isolated++
 					continue
 				}
 				for _, d := range set[:i] {
-					if want[int(x)*k+int(d)] == graph.InfDist {
-						crossMerged++
+					if wantAPSP[int(x)*k+int(d)] == graph.InfDist {
+						crossPushed++
 					}
 				}
 			}
-			if stats.Relaxations != relaxations || stats.Messages != relaxations {
-				t.Fatalf("%s: APSPStats %+v, want %d relaxations and messages: core arcs scanned plus lift, sweep and merge min-terms",
-					name, stats, relaxations)
+			core, _ := wov.Core()
+			if _, parts := core.Topology().ConnectedComponents(); parts > 1 {
+				splitCore++
 			}
-			if strings.HasPrefix(name, "star/") && len(set) != k-1 {
-				t.Fatalf("%s: %d of %d clusters in I, want all but the hub", name, len(set), k)
+			if core.NumNodes() == 1 && k > 2 {
+				oneNodeCore++
+			}
+			if wov.Levels() == 0 && k > 2 {
+				noLevel++
+			}
+			if strings.HasPrefix(name, "star/") && (len(set) != k-1 || core.NumNodes() != 1) {
+				t.Fatalf("%s: %d of %d clusters in I, a core of %d: want all but the hub, and the hub", name, len(set), k, core.NumNodes())
 			}
 		}
 	}
-	if crossMerged == 0 || isolated == 0 {
-		t.Fatalf("inputs too tame: %d merged cells across components, %d isolated clusters in I", crossMerged, isolated)
+	if crossPushed == 0 || isolated == 0 || oneNodeCore == 0 || noLevel == 0 || splitCore == 0 {
+		t.Fatalf("inputs too tame: %d cells of I across components, %d isolated clusters in I, %d one-node cores, %d overlays with no level, %d disconnected cores",
+			crossPushed, isolated, oneNodeCore, noLevel, splitCore)
 	}
 }
 
-// independentSet is the set I the oracle merges and the rest it searches.
-func independentSet(wq *graph.Weighted) (set, rest []graph.NodeID) { return wq.IndependentSet() }
+// wantAPSPStats is APSPStats by its definition, from the reference tables
+// (square, graph.InfDist when unreachable), for each of the two overlays:
+// one round per core search — from every core node, or from every source
+// of R when the overlay took no level —, the core degrees of the core nodes
+// each reaches, and its distinct finite distances; then, over a contracted
+// overlay, for every source of R the lift's min-terms, C per lifted seed
+// and one per kept arc; then deg(x)·x push min-terms for every x in I.
+func wantAPSPStats(wq *graph.Weighted, radii []int32, wantAPSP, wantHops []int64) bsp.Stats {
+	k := wq.NumNodes()
+	wov, hov := overlays(wq, radii)
+	set, rest := wov.Split()
+	var st bsp.Stats
+	for _, ov := range []struct {
+		ov    *graph.Overlay
+		table []int64
+	}{{wov, wantAPSP}, {hov, wantHops}} {
+		core, ids := ov.ov.Core()
+		sources := rest
+		if ov.ov.Levels() > 0 {
+			sources = ids
+		}
+		for _, c := range sources {
+			distinct := map[int64]bool{}
+			for i, d := range ids {
+				if v := ov.table[int(c)*k+int(d)]; v != graph.InfDist {
+					st.Relaxations += int64(core.Degree(graph.NodeID(i)))
+					distinct[v] = true
+				}
+			}
+			st.Rounds++
+			st.Buckets += len(distinct)
+		}
+		if ov.ov.Levels() > 0 {
+			var sweep int64
+			for x := range k {
+				kept, _ := ov.ov.Kept(graph.NodeID(x))
+				sweep += int64(len(kept))
+			}
+			for _, c := range rest {
+				terms, seeds := liftTerms(ov.ov, c)
+				st.Relaxations += terms + seeds*int64(len(ids)) + sweep
+			}
+		}
+		for _, x := range set {
+			st.Relaxations += int64(wq.Degree(x)) * int64(x)
+		}
+	}
+	st.Messages = st.Relaxations
+	return st
+}
 
-// liftTerms counts the min-terms of the lift from c: the kept arcs of every
-// node reachable from c along kept arcs.
-func liftTerms(ov *graph.Overlay, c graph.NodeID) int64 {
-	var terms int64
+// liftTerms counts the min-terms of the lift from c — the kept arcs of every
+// node reachable from c along kept arcs — and the core nodes among those
+// nodes, c itself included: the lift's seeds.
+func liftTerms(ov *graph.Overlay, c graph.NodeID) (terms, seeds int64) {
+	_, ids := ov.Core()
 	seen := map[graph.NodeID]bool{c: true}
 	for stack := []graph.NodeID{c}; len(stack) > 0; {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		if _, core := slices.BinarySearch(ids, x); core {
+			seeds++
+		}
 		kept, _ := ov.Kept(x)
 		terms += int64(len(kept))
 		for _, u := range kept {
@@ -448,7 +536,28 @@ func liftTerms(ov *graph.Overlay, c graph.NodeID) int64 {
 			}
 		}
 	}
-	return terms
+	return terms, seeds
+}
+
+// twin is cl twice over, on two disjoint copies of its graph: the second
+// copy's nodes and clusters follow the first's.
+func twin(cl *Clustering) *Clustering {
+	n, k := cl.G.NumNodes(), cl.NumClusters()
+	b := graph.NewBuilder(2 * n)
+	cl.G.Edges(func(u, v graph.NodeID) bool {
+		b.AddEdge(u, v)
+		b.AddEdge(u+graph.NodeID(n), v+graph.NodeID(n))
+		return true
+	})
+	out := &Clustering{G: b.Build(), Owner: slices.Concat(cl.Owner, cl.Owner), Dist: slices.Concat(cl.Dist, cl.Dist),
+		Centers: slices.Concat(cl.Centers, cl.Centers), Radii: slices.Concat(cl.Radii, cl.Radii)}
+	for u := range n {
+		out.Owner[n+u] += graph.NodeID(k)
+	}
+	for c := range k {
+		out.Centers[k+c] += graph.NodeID(n)
+	}
+	return out
 }
 
 // clusterAt is CLUSTER(τ) over g, which may be disconnected.
@@ -463,11 +572,12 @@ func clusterAt(t *testing.T, g *graph.Graph, tau int, seed uint64) *Clustering {
 
 // assertTablesMatchReferences builds cl's oracle at each worker count and
 // requires both tables to equal an independent Dijkstra + BFS build of the
-// same quotient cell for cell, exactly the cross-component cells to be
-// unreachable, and APSPStats to be the same at every worker count. It
-// returns the weighted quotient, the reference distances (square) and the
-// APSPStats.
-func assertTablesMatchReferences(t *testing.T, name string, cl *Clustering, workerCounts ...int) (*graph.Weighted, []int64, bsp.Stats) {
+// same quotient cell for cell (the radix-heap bsp.WeightedEngine is the
+// Dijkstra), exactly the cross-component cells to be unreachable, and
+// APSPStats to be the same at every worker count. It returns the weighted
+// quotient, the reference distances and hop counts (square, graph.InfDist
+// when unreachable) and the APSPStats.
+func assertTablesMatchReferences(t *testing.T, name string, cl *Clustering, workerCounts ...int) (*graph.Weighted, []int64, []int64, bsp.Stats) {
 	t.Helper()
 	k := cl.NumClusters()
 	q, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, k)
@@ -475,8 +585,9 @@ func assertTablesMatchReferences(t *testing.T, name string, cl *Clustering, work
 		t.Fatal(err)
 	}
 	wantAPSP, wantHops := make([]int64, k*k), make([]int64, k*k)
+	dijkstra := bsp.NewWeightedEngine(wq, 1, 0)
 	for c := 0; c < k; c++ {
-		wq.DijkstraInto(graph.NodeID(c), wantAPSP[c*k:(c+1)*k])
+		dijkstra.SSSP(graph.NodeID(c), wantAPSP[c*k:(c+1)*k])
 		for d, h := range q.BFS(graph.NodeID(c)) {
 			wantHops[c*k+d] = int64(h)
 			if h < 0 {
@@ -513,7 +624,7 @@ func assertTablesMatchReferences(t *testing.T, name string, cl *Clustering, work
 		}
 		assertCellsWithinBound(t, o)
 	}
-	return wq, wantAPSP, stats
+	return wq, wantAPSP, wantHops, stats
 }
 
 func TestOracleLowerQueryBoundsTruth(t *testing.T) {
@@ -685,10 +796,11 @@ func fineClustering(b *testing.B) *Clustering {
 // BenchmarkOracleFromClusteringFine is the benchmark's `fine` oracle build
 // without its 40 s harness: the quotient APSP is the whole build. Its
 // ns/source is per cluster row, averaged over the computed rows and the
-// merged ones (about half each on this quotient); a computed row's search
-// runs on the overlay's core, whose size and levels it reports, and the
-// rest of the row is a lift and a sweep. For paired runs build it once per
-// side with `go test -c` and alternate the binaries;
+// pushed ones (about half each on this quotient). The weighted overlay's
+// core, whose size and levels it reports, is searched once from each of its
+// nodes for the core table; a computed row is then a lift, a core table
+// min-term per seed and core node, and a sweep, for each table. For paired
+// runs build it once per side with `go test -c` and alternate the binaries;
 // BenchmarkQueryBatchIntoFine pairs the same way.
 func BenchmarkOracleFromClusteringFine(b *testing.B) {
 	cl := fineClustering(b)

@@ -6,37 +6,49 @@ import (
 )
 
 // Sequential all-pairs kernels for graphs small enough to stay in cache —
-// the weighted quotient graphs of Section 4, which the paper too processes
-// inside one reducer's local memory. One per-worker scratch serves two
-// kernels over an Overlay: a weighted row (Row) lifts the source to the
-// overlay's core, runs a Dial bucket-queue search there (SSSP: Dial, CACM
-// 1969, a ring of unit-width buckets, one per distance, sized to the
-// heaviest core arc and the lifted seeds' spread) and sweeps back down the
-// eliminated levels; a bit-parallel multi-source BFS (Then et al., VLDB
-// 2014) fills the hop rows of up to 64 sources per pass over the whole
-// graph. DijkstraInto and BFS stay as the references the tests diff them
-// against.
+// the quotient graphs of Section 4, which the paper too processes inside
+// one reducer's local memory. They run over an Overlay, and one row kernel
+// serves every table, weighted distances and hop counts alike (a hop count
+// is a distance on the graph with unit weights):
 //
-// Both write the narrow cells the oracle stores and the snapshot persists,
-// so a row's cells are copied into the tables as they are. The oracle runs
-// them only from the clusters outside an independent set of its quotient
-// and derives the set's rows from their cells, so the sources of one HopRows
-// pass are a list, not a range.
+//   - a CoreTable holds the distances between every two of the overlay's
+//     core nodes. Fill computes its row i by one Dial bucket-queue search on
+//     the core from core node i (Dial, CACM 1969: a ring of unit-width
+//     buckets, one per distance, larger than the heaviest core arc);
+//   - Row computes a whole row from any source with no search at all: it
+//     lifts the source to the core, takes each core cell as the least of a
+//     lifted seed plus that seed's table row (many-to-many distances through
+//     a contraction's core: Knopp, Sanders, Schultes, Schulz and Wagner,
+//     ALENEX 2007), and sweeps back down the eliminated levels (PHAST's row
+//     sweep: Delling, Goldberg, Nowatzyk and Werneck, IPDPS 2011).
 //
-// Precondition, not checked here: every finite distance plus the heaviest
-// arc is below 2³¹ (SSSP adds a weight to a settled distance in uint32 and
-// reads "newly reached" off bit 31 of the old cell), and the graph has at
-// most 2¹⁶ − 1 nodes (a hop count is below the node count). NewOverlay keeps
-// the first half on its core by taking fewer levels; core.OracleFromClustering,
-// the only non-test caller, checks both on the whole quotient before it
-// allocates a table: narrowCellsFit and the maxOracleClusters cap.
+// A table takes C² cells for a core of C nodes; on the `fine` benchmark
+// workload's quotient (3,530 clusters, a core of 572) that is 1.3 MB of
+// distances and 0.65 MB of hop counts. An overlay that took no level has the
+// whole graph for its core, so its table stores nothing: Row runs the one
+// search Fill would have stored. The rows are written in the narrow
+// cells the oracle stores and the snapshot persists, so a row's cells are
+// copied into the tables as they are; a test's Dijkstra and BFS are the
+// references the kernels are diffed against.
+//
+// Preconditions, not checked here: every finite distance plus the heaviest
+// arc is below 2³¹ (the search adds a weight to a settled distance in uint32 and
+// reads "newly reached" off bit 31 of the old cell), and every finite
+// distance is below the all-ones cell of the table's width (a hop count is
+// below the node count, so a uint16 table needs at most 2¹⁶ − 1 nodes).
+// NewOverlay keeps the first on its core by taking fewer levels;
+// core.OracleFromClustering, the only non-test caller, checks both on the
+// whole quotient before it allocates a table: narrowCellsFit and the
+// maxOracleClusters cap. Sums that could meet an unreachable cell run in 64
+// bits, so the all-ones mark stays above every finite sum instead of
+// wrapping below it.
 
-// APSPBlock is how many sources one HopRows pass serves: one bit of a
-// machine word each.
-const APSPBlock = 64
+// Cell is the width of a table's cells: uint32 distances or uint16 hop
+// counts, the all-ones value of either marking an unreachable pair.
+type Cell interface{ uint32 | uint16 }
 
-// InfDist32 and InfHops mark the unreachable cells of an SSSP row and of a
-// HopRows row: InfDist at the rows' own widths.
+// InfDist32 and InfHops mark the unreachable cells of a distance row and of
+// a hop row: InfDist at the rows' own widths.
 const (
 	InfDist32 uint32 = math.MaxUint32
 	InfHops   uint16 = math.MaxUint16
@@ -51,8 +63,8 @@ type APSPScratch struct {
 
 	// Dial queue over the core: a circular array of unit-width buckets. A
 	// queued node's tentative distance lies within the ring of the bucket
-	// being settled (the ring exceeds both the heaviest core arc and the
-	// seeds' spread), so a power-of-two ring never wraps onto itself. A
+	// being settled (the ring exceeds the heaviest core arc), so a
+	// power-of-two ring never wraps onto itself. A
 	// bucket is a circular doubly-linked list through links, closed by its
 	// slot's own entry links[n+slot]; a node in no bucket is linked to
 	// itself. Unlinking and linking are therefore the same few stores
@@ -62,15 +74,13 @@ type APSPScratch struct {
 	mask  int
 	links []bucketLink
 	occ   []uint64 // one bit per slot, set on link, cleared on visit: empty slots are skipped a word at a time
+	dist  []uint32 // the search's distances, in core ids
 
-	// Row: the core cells, and one bit per eliminated node (by its index in
-	// the overlay's order) for the lift's pending nodes.
-	seeds   []uint32
-	pending []uint64
-
-	// Bit-parallel BFS: bit i of a node's word speaks for the pass's i-th
-	// source.
-	seen, frontier, reached []uint64
+	// Row: the lifted seeds and the core cells, in core ids and 64 bits,
+	// and one bit per eliminated node (by its index in the overlay's order)
+	// for the lift's pending nodes.
+	seeds, core []uint64
+	pending     []uint64
 }
 
 type bucketLink struct{ next, prev uint32 }
@@ -78,17 +88,16 @@ type bucketLink struct{ next, prev uint32 }
 // NewAPSPScratch sizes the kernels' scratch for o: the ring has the
 // overlay's slot count, at least one bitmap word.
 func (o *Overlay) NewAPSPScratch() *APSPScratch {
-	n, c := o.g.NumNodes(), o.core.NumNodes()
+	c := o.core.NumNodes()
 	s := &APSPScratch{
-		ov:       o,
-		mask:     o.ring - 1,
-		links:    make([]bucketLink, c+o.ring),
-		occ:      make([]uint64, o.ring/64),
-		seeds:    make([]uint32, c),
-		pending:  make([]uint64, (len(o.order)+63)/64),
-		seen:     make([]uint64, n),
-		frontier: make([]uint64, n),
-		reached:  make([]uint64, n),
+		ov:      o,
+		mask:    o.ring - 1,
+		links:   make([]bucketLink, c+o.ring),
+		occ:     make([]uint64, o.ring/64),
+		dist:    make([]uint32, c),
+		seeds:   make([]uint64, c),
+		core:    make([]uint64, c),
+		pending: make([]uint64, (len(o.order)+63)/64),
 	}
 	for i := c; i < c+o.ring; i++ {
 		s.links[i] = bucketLink{uint32(i), uint32(i)}
@@ -96,44 +105,94 @@ func (o *Overlay) NewAPSPScratch() *APSPScratch {
 	return s
 }
 
-// Row overwrites row (len NumNodes of the overlay's graph) with the
-// shortest-path distances from src, InfDist32 for unreachable nodes — what
-// DijkstraInto computes, cell for cell, under the precondition in this
-// file's header. It returns the relaxations weighed — the arcs the core
-// search scans, plus one min-term per arc the lift follows out of a reached
-// node and per arc the sweep reads (every kept arc) — and the distinct
-// distances the core search settles.
-func (s *APSPScratch) Row(src NodeID, row []uint32) (relaxations int64, buckets int) {
-	o := s.ov
-	for i := range row {
-		row[i] = InfDist32
+// CoreTable is the distance table of an overlay's core, C rows of C cells
+// in core ids (Overlay.Core), in cells of width T. Its Rows rows are filled
+// once (Fill), after which any number of goroutines may read it through Row.
+type CoreTable[T Cell] struct {
+	ov    *Overlay
+	cells []T
+}
+
+// NewCoreTable allocates o's core table, every row still to be filled: C²
+// cells, none when o took no level.
+func NewCoreTable[T Cell](o *Overlay) *CoreTable[T] {
+	t := &CoreTable[T]{ov: o}
+	t.cells = make([]T, t.Rows()*t.Rows())
+	return t
+}
+
+// Rows is how many rows Fill must write: one per core node, none when the
+// overlay took no level.
+func (t *CoreTable[T]) Rows() int {
+	if t.ov.levels == 0 {
+		return 0
 	}
-	seeds := s.seeds
+	return len(t.ov.ids)
+}
+
+// Fill writes row i < Rows of the table, the distances from core node i to
+// every core node, by one search on the core (search); s must be the
+// scratch of the table's overlay. Distinct rows may be filled concurrently,
+// each with its own scratch. It returns the search's counters.
+func (t *CoreTable[T]) Fill(s *APSPScratch, i int) (arcs int64, buckets int) {
+	c := len(t.ov.ids)
+	return search(s, i, t.cells[i*c:(i+1)*c])
+}
+
+// Row overwrites row (len NumNodes of the overlay's graph) with the
+// shortest-path distances from src, all ones for unreachable nodes — what
+// Dijkstra computes, cell for cell, under the preconditions in this file's
+// header — from the filled table; s must be the scratch of the table's
+// overlay. It returns the min-terms weighed: one per arc the lift follows
+// out of a reached node, C per lifted seed (the core nodes reachable from
+// src along kept arcs; a core source is its own seed, at 0), and one per
+// kept arc for the sweep. Over an overlay that took no level, whose core is
+// the graph, Row is one search from src and returns its counters instead,
+// its arcs as terms.
+func (t *CoreTable[T]) Row(s *APSPScratch, src NodeID, row []T) (terms int64, buckets int) {
+	o, inf := t.ov, ^T(0)
+	if o.levels == 0 {
+		return search(s, int(src), row)
+	}
+	for i := range row {
+		row[i] = inf
+	}
+	seeds, core := s.seeds, s.core
 	for i := range seeds {
-		seeds[i] = InfDist32
+		seeds[i], core[i] = uint64(inf), uint64(inf)
 	}
 	if p := o.pos[src]; p < 0 {
 		seeds[-1-p] = 0
 	} else {
 		row[src] = 0
-		relaxations = s.lift(int(p), row)
+		terms = lift(s, int(p), row)
 	}
-	arcs, buckets := s.SSSP(seeds)
-	for i, v := range o.ids {
-		row[v] = seeds[i]
+	// A seed at or above the mark is no seed: the lift path it came by is
+	// no shortest one, and a seed on the shortest path gives its cells.
+	c := len(core)
+	for i, sd := range seeds {
+		if sd >= uint64(inf) {
+			continue
+		}
+		terms += int64(c)
+		for j, d := range t.cells[i*c : (i+1)*c] {
+			core[j] = min(core[j], sd+uint64(d))
+		}
+	}
+	for j, v := range o.ids {
+		row[v] = T(core[j])
 	}
 	// Sweep: every kept arc leads to a later level or the core, final by
 	// the time the arcs, taken last to first, come down to its level; one
 	// flat pass over the arcs, with no loop per node whose exit would be
-	// mispredicted node after node. Sums run in 64 bits, so an unreachable
-	// cell stays above every finite one instead of wrapping.
+	// mispredicted node after node.
 	from, to, w := o.from, o.to, o.w
 	from, w = from[:len(to)], w[:len(to)]
 	for j := len(to) - 1; j >= 0; j-- {
 		x := from[j]
-		row[x] = uint32(min(uint64(row[x]), uint64(row[to[j]])+uint64(w[j])))
+		row[x] = T(min(uint64(row[x]), uint64(row[to[j]])+uint64(w[j])))
 	}
-	return relaxations + arcs + int64(len(to)), buckets
+	return terms + int64(len(to)), 0
 }
 
 // lift relaxes the kept arcs out of every node reachable from order[from]
@@ -141,22 +200,22 @@ func (s *APSPScratch) Row(src NodeID, row []uint32) (relaxations int64, buckets 
 // ones, and returns the arcs relaxed. Kept arcs climb to later levels,
 // which come later in order, so taking the pending nodes in order settles
 // each before its arcs are read.
-func (s *APSPScratch) lift(from int, row []uint32) (arcs int64) {
+func lift[T Cell](s *APSPScratch, from int, row []T) (arcs int64) {
 	o, seeds, pending := s.ov, s.seeds, s.pending
 	pending[from>>6] |= 1 << (from & 63)
 	for i := from >> 6; i < len(pending); i++ {
 		for pending[i] != 0 {
 			p := i<<6 + bits.TrailingZeros64(pending[i])
 			pending[i] &= pending[i] - 1
-			d := row[o.order[p]]
+			d := uint64(row[o.order[p]])
 			lo, hi := o.arcs[p], o.arcs[p+1]
 			arcs += int64(hi - lo)
 			for j := lo; j < hi; j++ {
-				u, nd := o.to[j], d+uint32(o.w[j])
+				u, nd := o.to[j], d+uint64(o.w[j])
 				if q := o.pos[u]; q < 0 {
 					seeds[-1-q] = min(seeds[-1-q], nd)
-				} else if nd < row[u] {
-					row[u] = nd
+				} else if nd < uint64(row[u]) {
+					row[u] = T(nd)
 					pending[q>>6] |= 1 << (q & 63)
 				}
 			}
@@ -165,20 +224,17 @@ func (s *APSPScratch) lift(from int, row []uint32) (arcs int64) {
 	return arcs
 }
 
-// SSSP runs one Dial search on the overlay's core from seeds: dist (len the
-// core's NumNodes, in its ids) holds each seed's starting distance and
-// InfDist32 everywhere else, and is overwritten with every node's least
-// seed distance plus path length, InfDist32 for nodes no seed reaches. A
-// single source is the one-seed case. The seeds' spread (largest minus
-// smallest) must be below the ring, as a lift's is; over an overlay with no
-// level the core is the graph itself.
-// It returns the arcs scanned (the degrees of the reached nodes: every node
-// is settled once, so the count does not depend on any schedule) and the
-// number of non-empty buckets settled (the distinct finite distances).
-func (s *APSPScratch) SSSP(dist []uint32) (arcs int64, buckets int) {
+// search overwrites row (len the core's NumNodes, in its ids) with the
+// distances from core node src, all ones for nodes it does not reach, by
+// one Dial search on the overlay's core; over an overlay with no level the
+// core is the graph itself. It returns the arcs scanned (the degrees of the
+// reached nodes: every node is settled once, so the count does not depend
+// on any schedule) and the number of non-empty buckets settled (the
+// distinct finite distances).
+func search[T Cell](s *APSPScratch, src int, row []T) (arcs int64, buckets int) {
 	core := s.ov.core
 	xadj, adj, w := core.xadj, core.adj, core.w
-	links, occ, mask := s.links, s.occ, s.mask
+	dist, links, occ, mask := s.dist, s.links, s.occ, s.mask
 	n := uint32(len(dist))
 	// relink moves v, at tentative distance d, first into d's bucket:
 	// unlinking a node in no bucket rewrites its self-links.
@@ -192,16 +248,13 @@ func (s *APSPScratch) SSSP(dist []uint32) (arcs int64, buckets int) {
 		links[first].prev, links[h].next = v, v
 		occ[to>>6] |= 1 << (to & 63)
 	}
-	queued := 0
-	cur := InfDist32 // distance of the bucket being settled; only ever grows
-	for i, d := range dist {
-		links[i] = bucketLink{uint32(i), uint32(i)}
-		if d != InfDist32 {
-			relink(uint32(i), d)
-			queued++
-			cur = min(cur, d)
-		}
+	for i := range dist {
+		dist[i], links[i] = InfDist32, bucketLink{uint32(i), uint32(i)}
 	}
+	dist[src] = 0
+	relink(uint32(src), 0)
+	queued := 1
+	cur := uint32(0) // distance of the bucket being settled; only ever grows
 	for queued > 0 {
 		slot := s.nextOccupied(int(cur) & mask)
 		cur += uint32((slot - int(cur)) & mask)
@@ -231,6 +284,10 @@ func (s *APSPScratch) SSSP(dist []uint32) (arcs int64, buckets int) {
 		}
 		links[head] = bucketLink{head, head}
 	}
+	inf := uint32(^T(0))
+	for j, d := range dist[:len(row)] {
+		row[j] = T(min(d, inf)) // finite distances fit T; InfDist32 becomes T's own mark
+	}
 	return arcs, buckets
 }
 
@@ -248,57 +305,4 @@ func (s *APSPScratch) nextOccupied(from int) int {
 			return i<<6 + bits.TrailingZeros64(occ[i])
 		}
 	}
-}
-
-// HopRows runs one breadth-first search from each of the len(srcs)
-// distinct sources (at most APSPBlock of them, in any order) in a single
-// bit-parallel pass, and writes srcs[i]'s hop distances to
-// rows[i*n:(i+1)*n] — what BFS computes, with InfHops where BFS says -1.
-// Every cell of those len(srcs) rows is written exactly once. It returns the
-// number of sweeps that discovered a node: the largest hop eccentricity
-// among the sources.
-func (s *APSPScratch) HopRows(srcs []NodeID, rows []uint16) (sweeps int) {
-	xadj, adj := s.ov.g.xadj, s.ov.g.adj
-	seen, frontier, reached := s.seen, s.frontier, s.reached
-	n := len(seen)
-	clear(seen)
-	clear(frontier)
-	for i, src := range srcs {
-		seen[src], frontier[src] = 1<<i, 1<<i
-		rows[i*n+int(src)] = 0
-	}
-	for level := uint16(1); ; level++ {
-		for v, f := range frontier {
-			if f == 0 {
-				continue
-			}
-			for _, u := range adj[xadj[v]:xadj[v+1]] {
-				reached[u] |= f
-			}
-		}
-		grew := false
-		for u, r := range reached {
-			fresh := r &^ seen[u]
-			reached[u], frontier[u] = 0, fresh
-			if fresh == 0 {
-				continue
-			}
-			grew = true
-			seen[u] |= fresh
-			for ; fresh != 0; fresh &= fresh - 1 {
-				rows[bits.TrailingZeros64(fresh)*n+u] = level
-			}
-		}
-		if !grew {
-			break
-		}
-		sweeps++
-	}
-	all := ^uint64(0) >> (64 - len(srcs))
-	for u, sn := range seen {
-		for miss := all &^ sn; miss != 0; miss &= miss - 1 {
-			rows[bits.TrailingZeros64(miss)*n+u] = InfHops
-		}
-	}
-	return sweeps
 }

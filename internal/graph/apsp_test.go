@@ -18,14 +18,16 @@ func weightedBy(g *Graph, draw func() int32) *Weighted {
 	return MustWeighted(g.NumNodes(), edges, ws)
 }
 
-// The two APSP kernels against the references they replace in the oracle
+// The APSP kernels against the references they replace in the oracle
 // build, cell for cell, on seeded random inputs from every generator family
 // the oracle meets — with small weights (the quotient's own range) and with
 // heavy-tailed ones up to 2²⁰, where consecutive settled distances lie
 // thousands of ring words apart (at most 130 nodes, so every distance plus
-// an arc stays below 2²⁸: inside the kernels' 2³¹ precondition). The narrow
-// cells' unreachable marks map to the references' InfDist and −1. The
-// returned counters are checked against their schedule-free definitions.
+// an arc stays below 2²⁸: inside the kernels' 2³¹ precondition): SSSP on the
+// whole graph against Dijkstra, and the uint16 table rows of the graph with
+// unit weights, through its overlay, against BFS. The narrow cells'
+// unreachable marks map to the references' InfDist and −1. The returned
+// counters are checked against their schedule-free definitions.
 func TestAPSPKernelsMatchReferences(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := rng.New(seed)
@@ -33,9 +35,9 @@ func TestAPSPKernelsMatchReferences(t *testing.T) {
 			name string
 			g    *Graph
 		}{
-			{"mesh", Mesh(9, 8)},                  // 72 nodes: a full block and a ragged one
-			{"road", RoadLike(13, 10, 0.4, seed)}, // 130 nodes: the last block holds two sources
-			{"gnp", ErdosRenyi(64, 120, seed)},    // exactly one block; may itself be disconnected
+			{"mesh", Mesh(9, 8)},
+			{"road", RoadLike(13, 10, 0.4, seed)},
+			{"gnp", ErdosRenyi(64, 120, seed)}, // may itself be disconnected
 			{"union", disjointUnion(3, Mesh(5, 5), ErdosRenyi(30, 45, seed), Path(9))},
 		} {
 			for _, weights := range []struct {
@@ -56,7 +58,6 @@ func TestAPSPKernelsMatchReferences(t *testing.T) {
 func checkAPSPKernels(t *testing.T, wg *Weighted) {
 	t.Helper()
 	n := wg.NumNodes()
-	q := wg.Topology()
 	s := uncontracted(wg).NewAPSPScratch()
 	got, want := make([]uint32, n), make([]int64, n)
 	for src := 0; src < n; src++ {
@@ -82,51 +83,23 @@ func checkAPSPKernels(t *testing.T, wg *Weighted) {
 				src, arcs, buckets, wantArcs, len(distinct))
 		}
 	}
-	// HopRows takes any list of distinct sources: the consecutive blocks,
-	// and lists of 1, 63 and 64 sources in random order, as the oracle's
-	// searches outside an independent set hand over.
-	var lists [][]NodeID
-	for lo := 0; lo < n; lo += APSPBlock {
-		lists = append(lists, sourceRange(lo, min(lo+APSPBlock, n)))
-	}
-	r := rng.New(uint64(n))
-	for _, size := range []int{1, 63, 64} {
-		if size <= n {
-			lists = append(lists, sourceList(r.Perm(n)[:size]))
-		}
-	}
-	rows := make([]uint16, APSPBlock*n)
-	for _, srcs := range lists {
-		for i := range rows {
-			rows[i] = InfHops - 7 // neither a hop count nor the sentinel: HopRows must overwrite every cell of its rows
-		}
-		sweeps := s.HopRows(srcs, rows[:len(srcs)*n])
-		wantSweeps := 0
-		for i, src := range srcs {
-			for v, h := range q.BFS(src) {
-				wantHop := uint16(h)
-				if h < 0 {
-					wantHop = InfHops
-				}
-				wantSweeps = max(wantSweeps, int(h))
-				if g := rows[i*n+v]; g != wantHop {
-					t.Fatalf("HopRows%v: hops(%d,%d) = %d, BFS says %d", srcs, src, v, g, wantHop)
-				}
-			}
-		}
-		if sweeps != wantSweeps {
-			t.Fatalf("HopRows%v ran %d sweeps, largest hop eccentricity is %d", srcs, sweeps, wantSweeps)
-		}
-	}
+	unit := wg.Unit()
+	checkTableRows[uint16](t, NewOverlay(unit, int64(n)), bfsTable(unit.Topology()))
 }
 
-// sourceRange lists the sources lo … hi−1.
-func sourceRange(lo, hi int) []NodeID {
-	srcs := make([]NodeID, 0, hi-lo)
-	for c := lo; c < hi; c++ {
-		srcs = append(srcs, NodeID(c))
+// bfsTable is g's all-pairs hop table, row by row, InfDist when unreachable.
+func bfsTable(g *Graph) []int64 {
+	n := g.NumNodes()
+	table := make([]int64, n*n)
+	for src := range n {
+		for v, h := range g.BFS(NodeID(src)) {
+			table[src*n+v] = int64(h)
+			if h < 0 {
+				table[src*n+v] = InfDist
+			}
+		}
 	}
-	return srcs
+	return table
 }
 
 // sourceList converts a list of node indices.
@@ -140,10 +113,10 @@ func sourceList(ids []int) []NodeID {
 
 // The oracle stores each quotient table once, as a lower triangle copied out
 // of these kernels' rows, and answers (c, d) and (d, c) from the same cell.
-// That is sound because both kernels are symmetric on an undirected graph:
-// SSSP row c at d equals row d at c, and HopRows' rows likewise, unreachable
-// marks included — on seeded weighted road-like, G(n,p) and disconnected
-// union graphs, with ragged last blocks.
+// That is sound because the kernels are symmetric on an undirected graph:
+// SSSP row c at d equals row d at c, and the table rows of a contracted
+// overlay likewise, in both widths, unreachable marks included — on seeded
+// weighted road-like, G(n,p) and disconnected union graphs.
 func TestAPSPKernelsSymmetric(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := rng.New(seed)
@@ -158,24 +131,37 @@ func TestAPSPKernelsSymmetric(t *testing.T) {
 			wg := weightedBy(shape.g, func() int32 { return int32(1 + r.Intn(40)) })
 			n := wg.NumNodes()
 			s := uncontracted(wg).NewAPSPScratch()
-			dist, hops := make([]uint32, n*n), make([]uint16, n*n)
+			dist := make([]uint32, n*n)
 			for src := 0; src < n; src++ {
 				sssp(s, NodeID(src), dist[src*n:(src+1)*n])
 			}
-			for lo := 0; lo < n; lo += APSPBlock {
-				hi := min(lo+APSPBlock, n)
-				s.HopRows(sourceRange(lo, hi), hops[lo*n:hi*n])
-			}
+			_, maxDist := dijkstraTable(wg)
+			wide := tableRows[uint32](NewOverlay(wg, maxDist), n)
+			hops := tableRows[uint16](NewOverlay(wg.Unit(), int64(n)), n)
 			for c := 0; c < n; c++ {
 				for d := c + 1; d < n; d++ {
-					if dist[c*n+d] != dist[d*n+c] || hops[c*n+d] != hops[d*n+c] {
-						t.Fatalf("%s seed %d: (%d,%d) = %d / %d hops, (%d,%d) = %d / %d hops", shape.name, seed,
-							c, d, dist[c*n+d], hops[c*n+d], d, c, dist[d*n+c], hops[d*n+c])
+					if dist[c*n+d] != dist[d*n+c] || wide[c*n+d] != wide[d*n+c] || hops[c*n+d] != hops[d*n+c] {
+						t.Fatalf("%s seed %d: (%d,%d) = %d, %d / %d hops, (%d,%d) = %d, %d / %d hops", shape.name, seed,
+							c, d, dist[c*n+d], wide[c*n+d], hops[c*n+d], d, c, dist[d*n+c], wide[d*n+c], hops[d*n+c])
 					}
 				}
 			}
 		}
 	}
+}
+
+// tableRows is every row of ov's graph, n of them, from its filled core
+// table in cells of width T.
+func tableRows[T Cell](ov *Overlay, n int) []T {
+	s, tab := ov.NewAPSPScratch(), NewCoreTable[T](ov)
+	for i := range tab.Rows() {
+		tab.Fill(s, i)
+	}
+	rows := make([]T, n*n)
+	for src := range n {
+		tab.Row(s, NodeID(src), rows[src*n:(src+1)*n])
+	}
+	return rows
 }
 
 // The occupancy bitmap is what keeps a source's cost at O(arcs + n + D/64)
@@ -211,9 +197,10 @@ func TestAPSPHeavyWeightsSkipEmptyBuckets(t *testing.T) {
 	}
 }
 
-// Warm, no kernel allocates: per-worker scratch is sized once, a row's
-// lift, seeded search and sweep run in it, and HopRows reads its source list
-// in place.
+// Warm, no kernel allocates: per-worker scratch is sized once, a core
+// table's row is one search in it, a row's lift, table min-terms and sweep
+// run in it, at both cell widths, and so does the search that is a whole
+// row over an overlay with no level.
 func TestAPSPKernelsZeroAlloc(t *testing.T) {
 	r := rng.New(3)
 	wg := weightedBy(RoadLike(12, 12, 0.4, 3), func() int32 { return int32(1 + r.Intn(40)) })
@@ -224,41 +211,44 @@ func TestAPSPKernelsZeroAlloc(t *testing.T) {
 		t.Fatalf("premise: %d levels, want a lift and a sweep over several", ov.Levels())
 	}
 	s := ov.NewAPSPScratch()
-	core, ids := ov.Core()
+	_, ids := ov.Core()
 	if ids[0] == 0 {
 		t.Fatal("premise: node 0 is eliminated (the core's ids ascend)")
 	}
-	row, seeds := make([]uint32, n), make([]uint32, core.NumNodes())
+	dist := NewCoreTable[uint32](ov)
+	if allocs := testing.AllocsPerRun(20, func() { dist.Fill(s, len(ids)/2) }); allocs != 0 {
+		t.Fatalf("Fill allocated %.1f times per core row, want 0", allocs)
+	}
+	for i := range ids {
+		dist.Fill(s, i)
+	}
+	row := make([]uint32, n)
 	for _, src := range []NodeID{0, ids[len(ids)/2]} { // an eliminated source and a core one
-		if allocs := testing.AllocsPerRun(20, func() { s.Row(src, row) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { dist.Row(s, src, row) }); allocs != 0 {
 			t.Fatalf("Row(%d) allocated %.1f times per source, want 0", src, allocs)
 		}
 	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		for i := range seeds {
-			seeds[i] = InfDist32
-		}
-		seeds[0], seeds[len(seeds)-1] = 3, 0
-		s.SSSP(seeds)
-	}); allocs != 0 {
-		t.Fatalf("SSSP allocated %.1f times per two-seed search, want 0", allocs)
+	hov := NewOverlay(wg.Unit(), int64(n))
+	hs, hops := hov.NewAPSPScratch(), NewCoreTable[uint16](hov)
+	for i := range hops.Rows() {
+		hops.Fill(hs, i)
 	}
-	rows := make([]uint16, APSPBlock*n)
-	srcs := sourceList(rng.New(4).Perm(n)[:APSPBlock])
-	if allocs := testing.AllocsPerRun(20, func() { s.HopRows(srcs, rows) }); allocs != 0 {
-		t.Fatalf("HopRows allocated %.1f times per list of 64 sources, want 0", allocs)
+	hrow := make([]uint16, n)
+	if allocs := testing.AllocsPerRun(20, func() { hops.Row(hs, 0, hrow) }); allocs != 0 {
+		t.Fatalf("hop Row allocated %.1f times per source, want 0", allocs)
+	}
+	flat := NewCoreTable[uint32](uncontracted(wg))
+	fs := flat.ov.NewAPSPScratch()
+	if allocs := testing.AllocsPerRun(20, func() { flat.Row(fs, 0, row) }); allocs != 0 {
+		t.Fatalf("Row over an overlay with no level allocated %.1f times per search, want 0", allocs)
 	}
 }
 
 // uncontracted is an overlay with no level — a maxDist of 2³¹ refuses every
-// one — so its SSSP searches g itself.
+// one — so its search runs on g itself.
 func uncontracted(g *Weighted) *Overlay { return NewOverlay(g, 1<<31) }
 
-// sssp is the one-seed search from src.
+// sssp is the search from src over an uncontracted overlay's scratch.
 func sssp(s *APSPScratch, src NodeID, dist []uint32) (arcs int64, buckets int) {
-	for i := range dist {
-		dist[i] = InfDist32
-	}
-	dist[src] = 0
-	return s.SSSP(dist)
+	return search(s, int(src), dist)
 }

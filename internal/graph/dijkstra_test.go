@@ -1,11 +1,87 @@
 package graph
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 )
+
+type heapItem struct {
+	node NodeID
+	dist int64
+}
+
+type distHeap []heapItem
+
+func (h distHeap) Len() int            { return len(h) }
+func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
+func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
+func (h *distHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
+// Dijkstra computes single-source shortest path distances from src.
+// Unreachable nodes get InfDist. It is the binary-heap reference the
+// package's kernels are diffed against: the bucket-queue APSPScratch.SSSP
+// and the core-table rows of CoreTable.Row.
+func (g *Weighted) Dijkstra(src NodeID) []int64 {
+	dist := make([]int64, g.NumNodes())
+	g.DijkstraInto(src, dist)
+	return dist
+}
+
+// DijkstraInto runs Dijkstra from src, overwriting the caller's dist (len
+// NumNodes; unreachable nodes get InfDist), and returns the weighted
+// eccentricity of src within its component (0 if src is isolated).
+func (g *Weighted) DijkstraInto(src NodeID, dist []int64) int64 {
+	for i := range dist {
+		dist[i] = InfDist
+	}
+	h := make(distHeap, 0, 64)
+	dist[src] = 0
+	heap.Push(&h, heapItem{src, 0})
+	var ecc int64
+	for h.Len() > 0 {
+		it := heap.Pop(&h).(heapItem)
+		if it.dist > dist[it.node] {
+			continue // stale entry
+		}
+		if it.dist > ecc {
+			ecc = it.dist
+		}
+		nbrs, ws := g.Neighbors(it.node)
+		for i, v := range nbrs {
+			nd := it.dist + int64(ws[i])
+			if nd < dist[v] {
+				dist[v] = nd
+				heap.Push(&h, heapItem{v, nd})
+			}
+		}
+	}
+	return ecc
+}
+
+// DiameterExhaustiveWeighted computes the exact weighted diameter by
+// running Dijkstra from every node. O(n·m log n): for small graphs; use
+// ExactDiameterWeighted for larger ones.
+func (g *Weighted) DiameterExhaustiveWeighted() int64 {
+	n := g.NumNodes()
+	dist := make([]int64, n)
+	var diam int64
+	for u := 0; u < n; u++ {
+		if e := g.DijkstraInto(NodeID(u), dist); e > diam {
+			diam = e
+		}
+	}
+	return diam
+}
 
 func unitWeighted(g *Graph) *Weighted { return weightedBy(g, func() int32 { return 1 }) }
 

@@ -19,7 +19,7 @@ import (
 // shortest path. ExactDiameter plugs in BFS on one shared
 // direction-optimizing bsp.Engine; ExactDiameterWeighted plugs in SSSP on
 // one shared bsp.WeightedEngine, a sequential radix-heap search whose heap
-// every search reuses, leaving graph.Dijkstra as the reference only.
+// every search reuses.
 
 // ExactDiameter computes the exact diameter of the graph; on a
 // disconnected graph, the maximum diameter over its components. maxBFS

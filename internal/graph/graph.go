@@ -1,7 +1,7 @@
 // Package graph provides the compressed-sparse-row (CSR) graph
 // representation used throughout the repository, together with builders,
-// synthetic generators, sequential reference algorithms (BFS, Dijkstra,
-// connected components, exact diameter), and edge-list I/O.
+// synthetic generators, sequential algorithms (BFS, connected components,
+// exact diameter, the quotient APSP kernels), and edge-list I/O.
 //
 // All graphs are unweighted and undirected, matching the setting of the
 // paper; an undirected edge {u, v} is stored as the two directed arcs

@@ -28,12 +28,12 @@ import (
 // beats (w(x,y) + w(y,u) <= w(x,u)); a contracted core drops such arcs too.
 // Neither moves a distance, and neither changes which levels are taken: on
 // the `fine` benchmark workload's quotient they are a third of the core's
-// arcs. A row from src is
-// then (APSPScratch.Row):
+// arcs. With the core's own distances in a table (CoreTable, one Dial
+// search from each core node), a row from src is then (CoreTable.Row):
 //  1. a lift: src's shortest distances along those arcs, level by level,
-//     up to the core;
-//  2. one Dial search on the core, seeded with the lifted distances, which
-//     gives every core node its exact distance;
+//     up to the core, whose nodes it reaches are the seeds;
+//  2. every core node's distance, the least over the seeds of the seed's
+//     lifted distance plus its table cell;
 //  3. a sweep down the levels, setting each eliminated x to the least of
 //     its lifted value and row[u] + w(u,x) over its kept arcs.
 //
@@ -42,7 +42,7 @@ import (
 // and starts with a lighter kept one), so the three steps give the rows a
 // search of the whole graph gives, cell for cell. The overlay depends on the graph
 // alone and takes O(arcs of every level) words; it is read-only once built,
-// so any number of scratches may share it.
+// so any number of scratches and tables may share it.
 type Overlay struct {
 	g    *Weighted // the graph the rows are over
 	core *Weighted // what the last level left, its nodes renumbered in ascending id order
@@ -62,13 +62,13 @@ type Overlay struct {
 	set, rest []NodeID
 
 	pos  []int32 // pos[v]: v's index in order, or −1 − its core id
-	ring int     // Dial ring slots: above the core's heaviest arc and any spread of lifted seeds
+	ring int     // Dial ring slots: a power of two above the core's heaviest arc
 }
 
 // NewOverlay contracts g. maxDist must bound every finite distance in g
 // from above, and the caller guarantees maxDist plus g's heaviest arc below
-// 2³¹; a level whose core arcs or lifted distances would break that is not
-// taken. A maxDist of 2³¹ therefore takes no level: the core is g.
+// 2³¹; a level whose core arcs would break that is not taken. A maxDist of
+// 2³¹ therefore takes no level: the core is g.
 func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 	n := g.NumNodes()
 	o := &Overlay{g: g, arcs: []int32{0}, pos: make([]int32, n)}
@@ -76,9 +76,6 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 	for v := range ids {
 		ids[v] = NodeID(v)
 	}
-	// up[v] is the heaviest path into cur's node v along kept arcs: it
-	// bounds every distance a lift can give v, which must stay below 2³¹.
-	up := make([]int64, n)
 	at, dead := make([]int32, n), []bool(nil) // beaten's scratch
 	cur := g
 	for {
@@ -95,19 +92,6 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 		}
 		next := eliminate(cur, rest, id)
 		if next.NumEdges() >= cur.NumEdges() || maxDist+int64(next.MaxWeight()) >= 1<<31 {
-			break
-		}
-		nextUp := make([]int64, len(rest))
-		for i, v := range rest {
-			nextUp[i] = up[v]
-		}
-		for _, x := range set {
-			nbrs, wts := cur.Neighbors(x)
-			for j, u := range nbrs {
-				nextUp[id[u]] = max(nextUp[id[u]], up[x]+int64(wts[j]))
-			}
-		}
-		if slices.ContainsFunc(nextUp, func(d int64) bool { return d >= 1<<31 }) {
 			break
 		}
 		for _, x := range set {
@@ -128,23 +112,16 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 		for i, v := range rest {
 			ids[i] = ids[v]
 		}
-		ids, up, cur = ids[:len(rest)], nextUp, next
+		ids, cur = ids[:len(rest)], next
 	}
 	if o.levels > 0 { // with no level taken, the core stays g itself
 		cur = withoutBeaten(cur, at)
 	}
 	o.core, o.ids = cur, ids
-	// A row's seeds sit on distinct core nodes, each between 0 and its
-	// node's up, so two of them differ by at most the largest up, and a
-	// one-node core, which holds one seed, has no spread.
-	spread := int64(cur.MaxWeight())
 	for i, v := range ids {
 		o.pos[v] = -1 - int32(i)
-		if len(ids) > 1 {
-			spread = max(spread, up[i])
-		}
 	}
-	o.ring = max(64, 1<<bits.Len64(uint64(spread)))
+	o.ring = max(64, 1<<bits.Len32(uint32(cur.MaxWeight())))
 	return o
 }
 

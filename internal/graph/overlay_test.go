@@ -50,7 +50,7 @@ func voronoiQuotient(g *Graph, k int, seed uint64) *Weighted {
 	return MustWeighted(k, edges, ws)
 }
 
-// Overlay rows against Dijkstra from every source, cell for cell, on the
+// Table rows against Dijkstra from every source, cell for cell, on the
 // inputs the oracle meets and the ones that stress the contraction:
 // quotients of road-like, mesh and G(n,p) graphs; RMAT's hub-heavy largest
 // component, where contraction runs many levels; a star, whose first level
@@ -58,10 +58,9 @@ func voronoiQuotient(g *Graph, k int, seed uint64) *Weighted {
 // two nodes; and a maxDist near the 2³¹ bound, as a quotient of
 // large-radius clusters gives, where levels must be refused rather than let
 // the core search overflow (the same graph with its true maxDist contracts
-// deeper). Row's counters are checked against their definitions: core
-// arcs scanned from the nodes the source reaches, the lift's arcs out of
-// every node reachable from the source along kept arcs, every kept arc
-// once for the sweep, and the distinct distances of the reached core nodes.
+// deeper), down to none, where Row is a search of the whole graph. The same graphs with unit weights give the hop rows, in uint16
+// cells, against BFS. The kernels' counters are checked against their
+// definitions (checkTableRows).
 func TestAPSPOverlayRowsMatchDijkstra(t *testing.T) {
 	var rmatLevels, refused int
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -86,7 +85,9 @@ func TestAPSPOverlayRowsMatchDijkstra(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", in.name, seed), func(t *testing.T) {
 				table, maxDist := dijkstraTable(in.g)
 				ov := NewOverlay(in.g, maxDist)
-				checkOverlayRows(t, in.g, ov, table)
+				checkTableRows[uint32](t, ov, table)
+				unit := in.g.Unit()
+				checkTableRows[uint16](t, NewOverlay(unit, int64(unit.NumNodes())), bfsTable(unit.Topology()))
 				switch in.name {
 				case "rmat":
 					rmatLevels = max(rmatLevels, ov.Levels())
@@ -105,7 +106,8 @@ func TestAPSPOverlayRowsMatchDijkstra(t *testing.T) {
 					if core, _ := tight.Core(); int64(core.MaxWeight())+near >= 1<<31 {
 						t.Fatalf("core arc %d plus maxDist %d reaches 2³¹", core.MaxWeight(), near)
 					}
-					checkOverlayRows(t, in.g, tight, table)
+					checkTableRows[uint32](t, tight, table)
+					checkTableRows[uint32](t, uncontracted(in.g), table)
 					refused++
 				}
 			})
@@ -116,43 +118,74 @@ func TestAPSPOverlayRowsMatchDijkstra(t *testing.T) {
 	}
 }
 
-// checkOverlayRows compares ov's rows with table, g's Dijkstra table.
-func checkOverlayRows(t *testing.T, g *Weighted, ov *Overlay, table []int64) {
+// checkTableRows fills ov's core table in cells of width T and compares the
+// rows Row computes from every source with table, the reference distances
+// of ov's graph (InfDist when unreachable), cell for cell. The counters are
+// checked against their definitions: a search — Fill's, or Row's over an
+// overlay with no level — scans the core arcs of every core node it reaches
+// and settles its distinct distances; otherwise Row weighs the kept arcs of
+// every node reachable from the source along kept arcs (the lift), C cells
+// for each core node among those (the seeds: a core source is its own) and
+// every kept arc once (the sweep).
+func checkTableRows[T Cell](t *testing.T, ov *Overlay, table []int64) {
 	t.Helper()
-	n := g.NumNodes()
+	n := ov.g.NumNodes()
 	core, ids := ov.Core()
-	coreID := make([]NodeID, n)
-	for i, v := range ids {
-		coreID[v] = NodeID(i)
+	searched := func(c NodeID) (arcs int64, buckets int) {
+		var distinct []int64
+		for j, v := range ids {
+			if d := table[int(c)*n+int(v)]; d != InfDist {
+				arcs += int64(core.Degree(NodeID(j)))
+				distinct = append(distinct, d)
+			}
+		}
+		slices.Sort(distinct)
+		return arcs, len(slices.Compact(distinct))
+	}
+	s, tab := ov.NewAPSPScratch(), NewCoreTable[T](ov)
+	if rows := tab.Rows(); (ov.Levels() == 0) != (rows == 0) || (rows != 0 && rows != len(ids)) {
+		t.Fatalf("%d table rows for %d levels and a core of %d", rows, ov.Levels(), len(ids))
+	}
+	for i := range tab.Rows() {
+		arcs, buckets := tab.Fill(s, i)
+		if wantArcs, wantBuckets := searched(ids[i]); arcs != wantArcs || buckets != wantBuckets {
+			t.Fatalf("Fill(%d) counted %d arcs, %d buckets; want %d and %d distinct core distances", i, arcs, buckets, wantArcs, wantBuckets)
+		}
 	}
 	var sweep int64
 	for v := range n {
 		kept, _ := ov.Kept(NodeID(v))
 		sweep += int64(len(kept))
 	}
-	s := ov.NewAPSPScratch()
-	row := make([]uint32, n)
+	row := make([]T, n)
 	for i := range row {
 		row[i] = 7 // Row must overwrite every cell
 	}
 	for src := range n {
 		want := table[src*n : (src+1)*n]
-		relaxations, buckets := s.Row(NodeID(src), row)
+		terms, buckets := tab.Row(s, NodeID(src), row)
 		for v, d := range want {
-			if got := int64(row[v]); (row[v] == InfDist32) != (d == InfDist) || (d != InfDist && got != d) {
-				t.Fatalf("Row(%d)[%d] = %d, Dijkstra says %d (%d levels, core of %d)", src, v, row[v], d, ov.Levels(), len(ids))
+			if got := int64(row[v]); (row[v] == ^T(0)) != (d == InfDist) || (d != InfDist && got != d) {
+				t.Fatalf("Row(%d)[%d] = %d, the reference says %d (%d levels, core of %d)", src, v, row[v], d, ov.Levels(), len(ids))
 			}
 		}
-		// The lift scans the kept arcs of every node reachable from src
-		// along kept arcs; the core search those of every reached core node.
-		wantRelax := sweep
+		if ov.Levels() == 0 {
+			if wantArcs, wantBuckets := searched(NodeID(src)); terms != wantArcs || buckets != wantBuckets {
+				t.Fatalf("Row(%d) with no level counted %d arcs, %d buckets; want %d and %d", src, terms, buckets, wantArcs, wantBuckets)
+			}
+			continue
+		}
+		wantTerms := sweep
 		seen := make([]bool, n)
 		seen[src] = true
 		for stack := []NodeID{NodeID(src)}; len(stack) > 0; {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			if ov.pos[x] < 0 {
+				wantTerms += int64(len(ids))
+			}
 			kept, _ := ov.Kept(x)
-			wantRelax += int64(len(kept))
+			wantTerms += int64(len(kept))
 			for _, u := range kept {
 				if !seen[u] {
 					seen[u] = true
@@ -160,17 +193,8 @@ func checkOverlayRows(t *testing.T, g *Weighted, ov *Overlay, table []int64) {
 				}
 			}
 		}
-		var distinct []int64
-		for _, v := range ids {
-			if want[v] != InfDist {
-				wantRelax += int64(core.Degree(coreID[v]))
-				distinct = append(distinct, want[v])
-			}
-		}
-		slices.Sort(distinct)
-		if distinct = slices.Compact(distinct); relaxations != wantRelax || buckets != len(distinct) {
-			t.Fatalf("Row(%d) counted %d relaxations, %d buckets; want %d and %d distinct core distances",
-				src, relaxations, buckets, wantRelax, len(distinct))
+		if terms != wantTerms || buckets != 0 {
+			t.Fatalf("Row(%d) counted %d min-terms and %d buckets, want %d and none", src, terms, buckets, wantTerms)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"slices"
 )
@@ -90,6 +89,17 @@ func (g *Weighted) Neighbors(u NodeID) ([]NodeID, []int32) {
 // sharing this graph's CSR arrays, not a copy.
 func (g *Weighted) Topology() *Graph { return &Graph{xadj: g.xadj, adj: g.adj} }
 
+// Unit returns the same graph with every weight 1, whose distances are hop
+// counts: it shares this graph's CSR arrays and has a weight array of its
+// own.
+func (g *Weighted) Unit() *Weighted {
+	w := make([]int32, len(g.adj))
+	for i := range w {
+		w[i] = 1
+	}
+	return &Weighted{xadj: g.xadj, adj: g.adj, w: w}
+}
+
 // MaxWeight returns the heaviest edge weight, 0 for an edgeless graph.
 func (g *Weighted) MaxWeight() int32 {
 	var maxW int32
@@ -101,79 +111,3 @@ func (g *Weighted) MaxWeight() int32 {
 
 // InfDist marks unreachable nodes in weighted distance arrays.
 const InfDist int64 = 1 << 62
-
-type heapItem struct {
-	node NodeID
-	dist int64
-}
-
-type distHeap []heapItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// Dijkstra computes single-source shortest path distances from src.
-// Unreachable nodes get InfDist. It is the binary-heap reference
-// implementation: weighted iFUB runs its searches on the radix-heap
-// bsp.WeightedEngine and the oracle's quotient APSP on the bucket-queue
-// APSPScratch.SSSP, and both are tested to match this one bit for bit.
-func (g *Weighted) Dijkstra(src NodeID) []int64 {
-	dist := make([]int64, g.NumNodes())
-	g.DijkstraInto(src, dist)
-	return dist
-}
-
-// DijkstraInto runs Dijkstra from src, overwriting the caller's dist (len
-// NumNodes; unreachable nodes get InfDist), and returns the weighted
-// eccentricity of src within its component (0 if src is isolated).
-func (g *Weighted) DijkstraInto(src NodeID, dist []int64) int64 {
-	for i := range dist {
-		dist[i] = InfDist
-	}
-	h := make(distHeap, 0, 64)
-	dist[src] = 0
-	heap.Push(&h, heapItem{src, 0})
-	var ecc int64
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(heapItem)
-		if it.dist > dist[it.node] {
-			continue // stale entry
-		}
-		if it.dist > ecc {
-			ecc = it.dist
-		}
-		nbrs, ws := g.Neighbors(it.node)
-		for i, v := range nbrs {
-			nd := it.dist + int64(ws[i])
-			if nd < dist[v] {
-				dist[v] = nd
-				heap.Push(&h, heapItem{v, nd})
-			}
-		}
-	}
-	return ecc
-}
-
-// DiameterExhaustiveWeighted computes the exact weighted diameter by
-// running Dijkstra from every node. O(n·m log n): for small graphs; use
-// ExactDiameterWeighted for larger ones.
-func (g *Weighted) DiameterExhaustiveWeighted() int64 {
-	n := g.NumNodes()
-	dist := make([]int64, n)
-	var diam int64
-	for u := 0; u < n; u++ {
-		if e := g.DijkstraInto(NodeID(u), dist); e > diam {
-			diam = e
-		}
-	}
-	return diam
-}

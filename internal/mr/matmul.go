@@ -182,8 +182,10 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 	for span, cur := nb, 1; span > 1; {
 		fan := min(span, 2*bs*bs)
 		next := (span + fan - 1) / fan
-		for i := range parts {
-			parts[i].Key = parts[i].Key*uint64(next) + uint64(parts[i].A)/uint64(fan)
+		if next > 1 { // with one round left, every slot is below fan and the keys stand
+			for i := range parts {
+				parts[i].Key = parts[i].Key*uint64(next) + uint64(parts[i].A)/uint64(fan)
+			}
 		}
 		cur ^= 1
 		parts, err = e.round(parts, &e.prod[cur], func(key uint64, pairs []Pair, st *shardState) {

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/quotient"
@@ -169,8 +170,9 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		l := tc.w.NumNodes()
+		dij, sssp := make([]int64, l), bsp.NewWeightedEngine(tc.w, 1, 0)
 		for u := 0; u < l; u++ {
-			dij := tc.w.Dijkstra(graph.NodeID(u))
+			sssp.SSSP(graph.NodeID(u), dij)
 			for v := 0; v < l; v++ {
 				want, got := dij[v], mat[u*l+v]
 				if want == graph.InfDist {

@@ -3,6 +3,7 @@ package spanner
 import (
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -22,10 +23,12 @@ func checkStretch(t *testing.T, w, sp *graph.Weighted, k int, samples int) {
 	n := w.NumNodes()
 	r := rng.New(99)
 	stretch := int64(2*k - 1)
+	orig, span := make([]int64, n), make([]int64, n)
+	origSSSP, spanSSSP := bsp.NewWeightedEngine(w, 1, 0), bsp.NewWeightedEngine(sp, 1, 0)
 	for s := 0; s < samples; s++ {
 		src := graph.NodeID(r.Intn(n))
-		orig := w.Dijkstra(src)
-		span := sp.Dijkstra(src)
+		origSSSP.SSSP(src, orig)
+		spanSSSP.SSSP(src, span)
 		for v := 0; v < n; v++ {
 			if orig[v] == graph.InfDist {
 				if span[v] != graph.InfDist {
