@@ -23,12 +23,12 @@
 // direction, the worker count or the goroutine schedule.
 //
 // Weighted iFUB (graph.ExactDiameterWeighted, the exact diameter ∆′C of a
-// weighted quotient) runs its single-source searches on WeightedEngine, a
-// sequential radix-heap search: the paper computes ∆′C inside one
+// weighted quotient) and the oracle's quotient APSP (the core tables of
+// graph.CoreTable) run their single-source searches on WeightedEngine, a
+// sequential radix-heap search: the paper solves the quotient inside one
 // reducer's local memory, and the quotients are small — see weighted.go.
-// (The oracle's quotient APSP runs on graph.APSPScratch's sequential
-// kernels instead.) Stats.Relaxations and Stats.Buckets are its counters,
-// the weighted counterpart of Messages and Rounds.
+// Stats.Relaxations and Stats.Buckets are its counters, the weighted
+// counterpart of Messages and Rounds.
 //
 // Every parallel pass of Engine — push and pull rounds, a push round's
 // barrier pass, Engine.For — runs on one loop, Pool.Claim, in which the
@@ -65,7 +65,7 @@ type Stats struct {
 	// unweighted runs.
 	Relaxations int64
 	// Buckets is the number of distinct finite distances WeightedEngine
-	// settled, as graph.APSPScratch.SSSP counts them; the engine adds the
+	// settled, as the oracle's APSPStats counts them; the engine adds the
 	// same count to Rounds, one round per settled distance. Zero for
 	// unweighted runs.
 	Buckets int

@@ -7,8 +7,8 @@ import (
 
 // Weighted single-source shortest paths by a monotone radix heap (Ahuja,
 // Mehlhorn, Orlin and Tarjan, JACM 1990). Section 4 of the paper computes
-// the weighted quotient's diameter on one machine, inside one reducer's
-// local memory, and the quotients weighted iFUB searches are small, so
+// the weighted quotient's diameter and all-pairs distances on one machine,
+// inside one reducer's local memory, and the quotients are small, so
 // WeightedEngine is sequential: a label-setting search that settles every
 // reached node once, in order of distance, exactly as Dijkstra does.
 //
@@ -35,7 +35,9 @@ const WInf int64 = 1 << 62
 // WeightedEngine runs single-source shortest-path searches over a weighted
 // topology with positive arc weights: weighted iFUB
 // (graph.ExactDiameterWeighted) runs every search of one diameter on one
-// engine. It is reusable across searches (its heap keeps its capacity, and
+// engine, and each worker of the oracle's build fills its rows of an
+// overlay's core table (graph.CoreTable.Fill) on one engine over the core.
+// It is reusable across searches (its heap keeps its capacity, and
 // Stats accumulate) but is not safe for concurrent use.
 type WeightedEngine struct {
 	t    WeightedTopology

@@ -218,8 +218,8 @@ func TestClusteringClosesEngineOnPanic(t *testing.T) {
 }
 
 // The observer sees one delta per completed block of either pass — a block
-// of up to graph.APSPBlock searched sources, then one of up to as many
-// merged rows — and the deltas add up to exactly the build's APSPStats, so
+// of up to rowBlock table rows and I rows, then one of up to as many
+// sources of R — and the deltas add up to exactly the build's APSPStats, so
 // the live counters behind /builds end at the oracle's own cost.
 func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
 	cl := voronoi(graph.RoadLike(30, 30, 0.4, 5), 5*rowBlock+7, 2)
@@ -227,7 +227,7 @@ func TestOracleFromClusteringObserverDeltasSumToAPSPStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wov, hov := overlays(wq, cl.Radii)
+	wov, hov := overlays(wq)
 	set, rest := wov.Split()
 	blocks := func(n int) int { return (n + rowBlock - 1) / rowBlock }
 	var (

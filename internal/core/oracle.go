@@ -89,10 +89,11 @@ func quotientDistBound(radii []int32) int64 {
 }
 
 // narrowCellsFit reports whether the quotient of a decomposition with these
-// cluster radii and heaviest quotient arc maxW can be searched and stored in
-// uint32 cells: the SSSP kernel adds one more arc to a settled distance
-// before it compares, and needs that sum below 2³¹ (see graph/apsp.go), with
-// one to spare.
+// cluster radii and heaviest quotient arc maxW can be contracted and stored
+// in uint32 cells: quotientDistBound bounds every simple path of the
+// quotient, so every overlay arc fits an int32 (graph.NewOverlay's
+// precondition) and every distance a uint32 cell below the all-ones mark.
+// The heaviest arc's term is a margin beyond what either needs.
 func narrowCellsFit(radii []int32, maxW int32) bool {
 	return quotientDistBound(radii)+int64(maxW) < 1<<31-1
 }
@@ -134,19 +135,17 @@ func BuildOracle(ctx context.Context, g *graph.Graph, tau int, useCluster2 bool,
 // the weighted quotient and one of the same quotient with unit weights,
 // whose distances are the hop counts (see graph/apsp.go). Each overlay
 // eliminates independent sets level by level with shortcuts, until a level
-// would not lower the edge count or would let a core search overflow
-// (checked against quotientDistBound, so a decomposition narrowCellsFit
-// accepts is never refused — it contracts fewer levels, down to none). I is
-// the independent set level 0 eliminates (taken greedily by degree, then
-// id: graph.Weighted.IndependentSet, about half the clusters of a road-like
-// quotient; it depends on the structure alone, so both overlays share it),
-// and R is the rest.
+// would not lower the edge count; that depends on the quotient's structure
+// alone, so both overlays take the same levels. I is the independent set
+// level 0 eliminates (taken greedily by degree, then id:
+// graph.Weighted.IndependentSet, about half the clusters of a road-like
+// quotient), and R is the rest.
 //
 // The build is two passes over the opt.Workers workers of one bsp.Pool,
 // each worker with its own scratch and Stats, summed after the barrier:
 //   - tables: workers claim blocks of rowBlock items: the rows of both
-//     overlays' core tables, each one Dial search on its core, then I's
-//     triangle rows, set to all ones (unreachable).
+//     overlays' core tables, each one bsp.WeightedEngine search on its
+//     core, then I's triangle rows, set to all ones (unreachable).
 //   - rows: workers claim blocks of rowBlock sources of R. A source u gets
 //     its weighted and its hop row from the kernel (a lift to the core, the
 //     least of seed plus table row in every core cell, a sweep back down;
@@ -179,7 +178,7 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) {
 		return nil, fmt.Errorf("%w: cluster radii overflow the oracle's 32-bit cells (2·Σradii + k + heaviest quotient arc must stay below 2³¹)", ErrInfeasible)
 	}
-	wov, hov := overlays(wq, cl.Radii)
+	wov, hov := overlays(wq)
 	dist, hop := graph.NewCoreTable[uint32](wov), graph.NewCoreTable[uint16](hov)
 	set, rest := wov.Split()
 	cw, ch := dist.Rows(), hop.Rows()
@@ -210,9 +209,9 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 		aw := &ws[w]
 		if aw.ws == nil {
 			// Allocated by the worker that uses it: scratch allocated back
-			// to back by one goroutine shares cache lines (the Dial ring's
-			// occupancy bitmap is one word), and two workers writing them
-			// made a 3,530-cluster build 40 % slower on two cores.
+			// to back by one goroutine shares cache lines (a search engine's
+			// heap state is a few words), and two workers writing them made
+			// a 3,530-cluster build 40 % slower on two cores.
 			*aw = apspWorker{ws: wov.NewAPSPScratch(), hs: hov.NewAPSPScratch(), row: make([]uint32, k), hrow: make([]uint16, k)}
 		}
 		return aw
@@ -305,11 +304,11 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 // takes, and so how much work one Observer delta reports.
 const rowBlock = 64
 
-// overlays returns the build's two overlays of the weighted quotient wq of
-// a decomposition with these cluster radii: of wq itself, and of wq with
-// unit weights, whose distances are below its node count.
-func overlays(wq *graph.Weighted, radii []int32) (dist, hop *graph.Overlay) {
-	return graph.NewOverlay(wq, quotientDistBound(radii)), graph.NewOverlay(wq.Unit(), int64(wq.NumNodes()))
+// overlays returns the build's two overlays of the weighted quotient wq:
+// of wq itself, and of wq with unit weights, whose distances are the hop
+// counts.
+func overlays(wq *graph.Weighted) (dist, hop *graph.Overlay) {
+	return graph.NewOverlay(wq), graph.NewOverlay(wq.Unit())
 }
 
 // tableRow writes u's row of t into row and counts it into delta: its

@@ -189,29 +189,33 @@ func TestNarrowCellsFit(t *testing.T) {
 	}
 }
 
-// Shortcuts weigh sums of arcs, so a core search can reach about twice the
-// distance bound narrowCellsFit checks. A decomposition at the edge of that
-// check — radii inflated until 2·Σradii + k + the heaviest arc is within
-// one of 2³¹ − 1, the most it accepts — must still be built, through an overlay that takes
-// fewer levels than the honest radii allow, and its tables must equal
-// Dijkstra's and BFS's.
+// A decomposition at the edge of narrowCellsFit — radii inflated until
+// 2·Σradii + k + the heaviest arc is within one of 2³¹ − 1, the most it
+// accepts — must still be built, through overlays that take as many levels
+// as the honest radii's (the core searches sum in 64 bits, so no level is
+// refused for the weight of its arcs): the same core searches and min-terms,
+// so the same APSPStats. Its tables must equal Dijkstra's and BFS's.
 func TestOracleRefusesLevelsNotClustersNearTheCellBound(t *testing.T) {
 	cl := voronoi(graph.RoadLike(24, 20, 0.4, 1), 120, 1)
 	_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
+	if wov, _ := overlays(wq); wov.Levels() == 0 {
+		t.Fatal("premise: the honest quotient takes no level")
+	}
+	honest, err := OracleFromClustering(context.Background(), cl, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	spare := (1<<31 - 2) - (quotientDistBound(cl.Radii) + int64(wq.MaxWeight()))
 	cl.Radii[0] += int32(spare / 2)
 	if !narrowCellsFit(cl.Radii, wq.MaxWeight()) || narrowCellsFit(cl.Radii, wq.MaxWeight()+2) {
 		t.Fatalf("premise: radii not at the edge of narrowCellsFit (spare %d)", spare)
 	}
-	tight := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
-	if tight.Levels() >= honest.Levels() {
-		t.Fatalf("inflated radii took %d levels, honest ones %d: no shortcut was refused", tight.Levels(), honest.Levels())
+	if _, _, _, stats := assertTablesMatchReferences(t, "nearBound", cl, 1, 2); stats != honest.APSPStats() {
+		t.Fatalf("inflated radii: APSPStats %+v, honest ones %+v: want the same levels and searches", stats, honest.APSPStats())
 	}
-	assertTablesMatchReferences(t, "nearBound", cl, 1, 2)
 }
 
 // Each table is stored once: a build allocates the 3·k(k−1) bytes of its two
@@ -237,7 +241,7 @@ func TestOracleBuildAllocatesOnlyNarrowTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wov, hov := overlays(wq, cl.Radii)
+		wov, hov := overlays(wq)
 		if (wov.Levels() > 0) != in.levels || (hov.Levels() > 0) != in.levels {
 			t.Fatalf("%s: premise: %d and %d levels, want levels %v", in.name, wov.Levels(), hov.Levels(), in.levels)
 		}
@@ -407,30 +411,15 @@ func TestOracleFanOutMatchesSequentialBuild(t *testing.T) {
 func TestOracleMergedRowsMatchReferences(t *testing.T) {
 	var crossPushed, isolated, oneNodeCore, noLevel, splitCore int
 	for seed := uint64(1); seed <= 2; seed++ {
-		r := rng.New(seed)
-		rmat, _ := graph.RMAT(9, 8, seed).LargestComponent()
-		cases := map[string]*Clustering{
-			"mesh":  voronoi(graph.Mesh(20, 15), 40+r.Intn(90), seed),
-			"road":  voronoi(graph.RoadLike(24, 20, 0.4, seed), 40+r.Intn(90), seed),
-			"gnp":   clusterAt(t, graph.ErdosRenyi(300, 420, seed), 2, seed),
-			"twin":  twin(voronoi(graph.BarabasiAlbert(300, 4, seed), 100, seed)),
-			"rmat":  voronoi(rmat, 20+r.Intn(80), seed),
-			"ba":    voronoi(graph.BarabasiAlbert(300, 2, seed), 40+r.Intn(90), seed),
-			"star":  voronoi(graph.Star(150), 70+r.Intn(60), seed),
-			"union": clusterAt(t, goldenGraphs()["union"], 2, seed),
-		}
-		for _, k := range []int{1, 2, 64, 65} {
-			cases[fmt.Sprintf("k=%d", k)] = voronoi(graph.RoadLike(12, 12, 0.4, seed), k, seed)
-		}
-		for name, cl := range cases {
+		for name, cl := range mergedRowsCases(t, seed) {
 			name = fmt.Sprintf("%s/seed%d", name, seed)
 			wq, wantAPSP, wantHops, stats := assertTablesMatchReferences(t, name, cl, 1, 2, 3, 8)
-			if want := wantAPSPStats(wq, cl.Radii, wantAPSP, wantHops); stats != want {
+			if want := wantAPSPStats(wq, wantAPSP, wantHops); stats != want {
 				t.Fatalf("%s: APSPStats %+v, want %+v: core searches, their arcs and distinct distances, and lift, table, sweep and push min-terms",
 					name, stats, want)
 			}
 			k := cl.NumClusters()
-			wov, _ := overlays(wq, cl.Radii)
+			wov, _ := overlays(wq)
 			set, _ := wov.Split()
 			for i, x := range set {
 				if wq.Degree(x) == 0 {
@@ -464,6 +453,59 @@ func TestOracleMergedRowsMatchReferences(t *testing.T) {
 	}
 }
 
+// mergedRowsCases is TestOracleMergedRowsMatchReferences's clusterings at
+// one seed: a sample of every generator family and of the kernel's edges.
+func mergedRowsCases(t *testing.T, seed uint64) map[string]*Clustering {
+	r := rng.New(seed)
+	rmat, _ := graph.RMAT(9, 8, seed).LargestComponent()
+	cases := map[string]*Clustering{
+		"mesh":  voronoi(graph.Mesh(20, 15), 40+r.Intn(90), seed),
+		"road":  voronoi(graph.RoadLike(24, 20, 0.4, seed), 40+r.Intn(90), seed),
+		"gnp":   clusterAt(t, graph.ErdosRenyi(300, 420, seed), 2, seed),
+		"twin":  twin(voronoi(graph.BarabasiAlbert(300, 4, seed), 100, seed)),
+		"rmat":  voronoi(rmat, 20+r.Intn(80), seed),
+		"ba":    voronoi(graph.BarabasiAlbert(300, 2, seed), 40+r.Intn(90), seed),
+		"star":  voronoi(graph.Star(150), 70+r.Intn(60), seed),
+		"union": clusterAt(t, goldenGraphs()["union"], 2, seed),
+	}
+	for _, k := range []int{1, 2, 64, 65} {
+		cases[fmt.Sprintf("k=%d", k)] = voronoi(graph.RoadLike(12, 12, 0.4, seed), k, seed)
+	}
+	return cases
+}
+
+// The weighted and the unit-weight overlay of one quotient eliminate the
+// same nodes: the same number of levels, the same level-0 split and the
+// same core ids, on every input of TestOracleMergedRowsMatchReferences.
+// Which nodes a level eliminates, and whether it is taken, depend on the
+// quotient's structure alone, so one elimination could carry both weights.
+func TestOracleOverlaysEliminateTheSameNodes(t *testing.T) {
+	var contracted int
+	for seed := uint64(1); seed <= 2; seed++ {
+		for name, cl := range mergedRowsCases(t, seed) {
+			_, wq, err := quotient.BuildWeighted(cl.G, cl.Owner, cl.Dist, cl.NumClusters())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wov, hov := overlays(wq)
+			wSet, wRest := wov.Split()
+			hSet, hRest := hov.Split()
+			_, wIDs := wov.Core()
+			_, hIDs := hov.Core()
+			if wov.Levels() != hov.Levels() || !slices.Equal(wSet, hSet) || !slices.Equal(wRest, hRest) || !slices.Equal(wIDs, hIDs) {
+				t.Fatalf("%s/seed%d: weighted overlay %d levels, split %d/%d, core %d; unit-weight %d levels, split %d/%d, core %d",
+					name, seed, wov.Levels(), len(wSet), len(wRest), len(wIDs), hov.Levels(), len(hSet), len(hRest), len(hIDs))
+			}
+			if wov.Levels() > 1 {
+				contracted++
+			}
+		}
+	}
+	if contracted == 0 {
+		t.Fatal("inputs too tame: no overlay took more than one level")
+	}
+}
+
 // wantAPSPStats is APSPStats by its definition, from the reference tables
 // (square, graph.InfDist when unreachable), for each of the two overlays:
 // one round per core search — from every core node, or from every source
@@ -471,9 +513,9 @@ func TestOracleMergedRowsMatchReferences(t *testing.T) {
 // each reaches, and its distinct finite distances; then, over a contracted
 // overlay, for every source of R the lift's min-terms, C per lifted seed
 // and one per kept arc; then deg(x)·x push min-terms for every x in I.
-func wantAPSPStats(wq *graph.Weighted, radii []int32, wantAPSP, wantHops []int64) bsp.Stats {
+func wantAPSPStats(wq *graph.Weighted, wantAPSP, wantHops []int64) bsp.Stats {
 	k := wq.NumNodes()
-	wov, hov := overlays(wq, radii)
+	wov, hov := overlays(wq)
 	set, rest := wov.Split()
 	var st bsp.Stats
 	for _, ov := range []struct {
@@ -808,7 +850,7 @@ func BenchmarkOracleFromClusteringFine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ov := graph.NewOverlay(wq, quotientDistBound(cl.Radii))
+	ov := graph.NewOverlay(wq)
 	core, _ := ov.Core()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/bsp"
 )
 
 // Sequential all-pairs kernels for graphs small enough to stay in cache —
@@ -12,9 +14,9 @@ import (
 // is a distance on the graph with unit weights):
 //
 //   - a CoreTable holds the distances between every two of the overlay's
-//     core nodes. Fill computes its row i by one Dial bucket-queue search on
-//     the core from core node i (Dial, CACM 1969: a ring of unit-width
-//     buckets, one per distance, larger than the heaviest core arc);
+//     core nodes. Fill computes its row i by one search on the core from
+//     core node i, on the radix-heap bsp.WeightedEngine that weighted iFUB
+//     runs on too;
 //   - Row computes a whole row from any source with no search at all: it
 //     lifts the source to the core, takes each core cell as the least of a
 //     lifted seed plus that seed's table row (many-to-many distances through
@@ -31,12 +33,9 @@ import (
 // copied into the tables as they are; a test's Dijkstra and BFS are the
 // references the kernels are diffed against.
 //
-// Preconditions, not checked here: every finite distance plus the heaviest
-// arc is below 2³¹ (the search adds a weight to a settled distance in uint32 and
-// reads "newly reached" off bit 31 of the old cell), and every finite
-// distance is below the all-ones cell of the table's width (a hop count is
-// below the node count, so a uint16 table needs at most 2¹⁶ − 1 nodes).
-// NewOverlay keeps the first on its core by taking fewer levels;
+// Preconditions, not checked here: NewOverlay's, and every finite distance
+// is below the all-ones cell of the table's width (a hop count is below the
+// node count, so a uint16 table needs at most 2¹⁶ − 1 nodes).
 // core.OracleFromClustering, the only non-test caller, checks both on the
 // whole quotient before it allocates a table: narrowCellsFit and the
 // maxOracleClusters cap. Sums that could meet an unreachable cell run in 64
@@ -54,27 +53,17 @@ const (
 	InfHops   uint16 = math.MaxUint16
 )
 
-// APSPScratch is the reusable state of the kernels over one overlay:
-// O(n + ring) words, allocated once, after which no kernel allocates
-// (pinned by TestAPSPKernelsZeroAlloc). It is not safe for concurrent use;
-// a parallel caller gives every goroutine its own.
+// APSPScratch is the reusable state of the kernels over one overlay: O(n)
+// words. Once the search's heap has grown to its high-water mark, no kernel
+// allocates (pinned by TestAPSPKernelsZeroAlloc). It is not safe for
+// concurrent use; a parallel caller gives every goroutine its own.
 type APSPScratch struct {
 	ov *Overlay
 
-	// Dial queue over the core: a circular array of unit-width buckets. A
-	// queued node's tentative distance lies within the ring of the bucket
-	// being settled (the ring exceeds the heaviest core arc), so a
-	// power-of-two ring never wraps onto itself. A
-	// bucket is a circular doubly-linked list through links, closed by its
-	// slot's own entry links[n+slot]; a node in no bucket is linked to
-	// itself. Unlinking and linking are therefore the same few stores
-	// whether or not the node was queued or the bucket empty: the
-	// relaxation path branches on "is it shorter" and nothing else, which is
-	// worth a sixth of the run time on a road-like quotient.
-	mask  int
-	links []bucketLink
-	occ   []uint64 // one bit per slot, set on link, cleared on visit: empty slots are skipped a word at a time
-	dist  []uint32 // the search's distances, in core ids
+	// The core search: an engine over the core, and its distances in core
+	// ids.
+	e    *bsp.WeightedEngine
+	dist []int64
 
 	// Row: the lifted seeds and the core cells, in core ids and 64 bits,
 	// and one bit per eliminated node (by its index in the overlay's order)
@@ -83,26 +72,17 @@ type APSPScratch struct {
 	pending     []uint64
 }
 
-type bucketLink struct{ next, prev uint32 }
-
-// NewAPSPScratch sizes the kernels' scratch for o: the ring has the
-// overlay's slot count, at least one bitmap word.
+// NewAPSPScratch sizes the kernels' scratch for o.
 func (o *Overlay) NewAPSPScratch() *APSPScratch {
 	c := o.core.NumNodes()
-	s := &APSPScratch{
+	return &APSPScratch{
 		ov:      o,
-		mask:    o.ring - 1,
-		links:   make([]bucketLink, c+o.ring),
-		occ:     make([]uint64, o.ring/64),
-		dist:    make([]uint32, c),
+		e:       bsp.NewWeightedEngine(o.core, 0, 0),
+		dist:    make([]int64, c),
 		seeds:   make([]uint64, c),
 		core:    make([]uint64, c),
 		pending: make([]uint64, (len(o.order)+63)/64),
 	}
-	for i := c; i < c+o.ring; i++ {
-		s.links[i] = bucketLink{uint32(i), uint32(i)}
-	}
-	return s
 }
 
 // CoreTable is the distance table of an overlay's core, C rows of C cells
@@ -226,83 +206,18 @@ func lift[T Cell](s *APSPScratch, from int, row []T) (arcs int64) {
 
 // search overwrites row (len the core's NumNodes, in its ids) with the
 // distances from core node src, all ones for nodes it does not reach, by
-// one Dial search on the overlay's core; over an overlay with no level the
-// core is the graph itself. It returns the arcs scanned (the degrees of the
-// reached nodes: every node is settled once, so the count does not depend
-// on any schedule) and the number of non-empty buckets settled (the
-// distinct finite distances).
+// one bsp.WeightedEngine search on the overlay's core; over an overlay with
+// no level the core is the graph itself. It returns the engine's counters
+// for the search: the arcs scanned (the degrees of the reached nodes: every
+// node is settled once, so the count does not depend on any schedule) and
+// the distinct finite distances settled.
 func search[T Cell](s *APSPScratch, src int, row []T) (arcs int64, buckets int) {
-	core := s.ov.core
-	xadj, adj, w := core.xadj, core.adj, core.w
-	dist, links, occ, mask := s.dist, s.links, s.occ, s.mask
-	n := uint32(len(dist))
-	// relink moves v, at tentative distance d, first into d's bucket:
-	// unlinking a node in no bucket rewrites its self-links.
-	relink := func(v, d uint32) {
-		l := links[v]
-		links[l.next].prev, links[l.prev].next = l.prev, l.next
-		to := int(d) & mask
-		h := n + uint32(to)
-		first := links[h].next
-		links[v] = bucketLink{first, h}
-		links[first].prev, links[h].next = v, v
-		occ[to>>6] |= 1 << (to & 63)
+	before := s.e.Stats()
+	s.e.SSSP(NodeID(src), s.dist)
+	after := s.e.Stats()
+	inf := int64(^T(0))
+	for j, d := range s.dist {
+		row[j] = T(min(d, inf)) // finite distances fit T; bsp.WInf becomes T's own mark
 	}
-	for i := range dist {
-		dist[i], links[i] = InfDist32, bucketLink{uint32(i), uint32(i)}
-	}
-	dist[src] = 0
-	relink(uint32(src), 0)
-	queued := 1
-	cur := uint32(0) // distance of the bucket being settled; only ever grows
-	for queued > 0 {
-		slot := s.nextOccupied(int(cur) & mask)
-		cur += uint32((slot - int(cur)) & mask)
-		occ[slot>>6] &^= 1 << (slot & 63)
-		head := n + uint32(slot)
-		if links[head].next == head {
-			continue // every node queued here has since found a shorter path
-		}
-		buckets++
-		// Weights are >= 1 and below the ring size, so relaxing out of this
-		// bucket neither adds to it nor unlinks from it: the list is
-		// stable while it is walked.
-		for u := links[head].next; u != head; u = links[u].next {
-			queued--
-			lo, hi := xadj[u], xadj[u+1]
-			arcs += hi - lo
-			for j := lo; j < hi; j++ {
-				v, nd := uint32(adj[j]), cur+uint32(w[j])
-				old := dist[v]
-				if nd >= old {
-					continue
-				}
-				dist[v] = nd
-				queued += int(old >> 31) // only InfDist32 has bit 31 set: v is newly reached
-				relink(v, nd)
-			}
-		}
-		links[head] = bucketLink{head, head}
-	}
-	inf := uint32(^T(0))
-	for j, d := range dist[:len(row)] {
-		row[j] = T(min(d, inf)) // finite distances fit T; InfDist32 becomes T's own mark
-	}
-	return arcs, buckets
-}
-
-// nextOccupied returns the first slot at or circularly after from whose
-// occupancy bit is set. At least one must be.
-func (s *APSPScratch) nextOccupied(from int) int {
-	occ := s.occ
-	i := from >> 6
-	if b := occ[i] >> (from & 63); b != 0 {
-		return from + bits.TrailingZeros64(b)
-	}
-	for {
-		i = (i + 1) & (len(occ) - 1)
-		if occ[i] != 0 {
-			return i<<6 + bits.TrailingZeros64(occ[i])
-		}
-	}
+	return after.Relaxations - before.Relaxations, after.Buckets - before.Buckets
 }

@@ -29,8 +29,8 @@ func (h *distHeap) Pop() interface{} {
 
 // Dijkstra computes single-source shortest path distances from src.
 // Unreachable nodes get InfDist. It is the binary-heap reference the
-// package's kernels are diffed against: the bucket-queue APSPScratch.SSSP
-// and the core-table rows of CoreTable.Row.
+// package's kernels are diffed against: the core searches of
+// CoreTable.Fill and the core-table rows of CoreTable.Row.
 func (g *Weighted) Dijkstra(src NodeID) []int64 {
 	dist := make([]int64, g.NumNodes())
 	g.DijkstraInto(src, dist)

@@ -3,7 +3,6 @@ package graph
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -20,16 +19,16 @@ import (
 // weighs the shortest path between its ends whose inner nodes are all
 // eliminated. What the last level leaves is the core. Contraction stops,
 // by rule rather than by a tuning constant, before the first level that
-// would not lower the edge count or that would break the Dial kernel's 2³¹
-// precondition (see apsp.go).
+// would not lower the edge count; the levels, the independent sets and the
+// core's nodes depend on g's structure alone, not on its weights.
 //
 // Every eliminated node keeps its arcs to the nodes left when it went, all
 // on later levels or in the core, bar those a path of two arcs matches or
 // beats (w(x,y) + w(y,u) <= w(x,u)); a contracted core drops such arcs too.
 // Neither moves a distance, and neither changes which levels are taken: on
 // the `fine` benchmark workload's quotient they are a third of the core's
-// arcs. With the core's own distances in a table (CoreTable, one Dial
-// search from each core node), a row from src is then (CoreTable.Row):
+// arcs. With the core's own distances in a table (CoreTable, one search
+// from each core node), a row from src is then (CoreTable.Row):
 //  1. a lift: src's shortest distances along those arcs, level by level,
 //     up to the core, whose nodes it reaches are the seeds;
 //  2. every core node's distance, the least over the seeds of the seed's
@@ -61,15 +60,14 @@ type Overlay struct {
 	// kept whether or not level 0 is taken.
 	set, rest []NodeID
 
-	pos  []int32 // pos[v]: v's index in order, or −1 − its core id
-	ring int     // Dial ring slots: a power of two above the core's heaviest arc
+	pos []int32 // pos[v]: v's index in order, or −1 − its core id
 }
 
-// NewOverlay contracts g. maxDist must bound every finite distance in g
-// from above, and the caller guarantees maxDist plus g's heaviest arc below
-// 2³¹; a level whose core arcs would break that is not taken. A maxDist of
-// 2³¹ therefore takes no level: the core is g.
-func NewOverlay(g *Weighted, maxDist int64) *Overlay {
+// NewOverlay contracts g. The caller guarantees that every simple path of g
+// weighs at most math.MaxInt32. Every arc of a level weighs a shortest path
+// of g whose inner nodes were eliminated, a simple path, so no arc then
+// saturates, and every finite distance fits an int32.
+func NewOverlay(g *Weighted) *Overlay {
 	n := g.NumNodes()
 	o := &Overlay{g: g, arcs: []int32{0}, pos: make([]int32, n)}
 	ids := make([]NodeID, n)
@@ -91,7 +89,7 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 			id[v] = NodeID(i)
 		}
 		next := eliminate(cur, rest, id)
-		if next.NumEdges() >= cur.NumEdges() || maxDist+int64(next.MaxWeight()) >= 1<<31 {
+		if next.NumEdges() >= cur.NumEdges() {
 			break
 		}
 		for _, x := range set {
@@ -121,7 +119,6 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 	for i, v := range ids {
 		o.pos[v] = -1 - int32(i)
 	}
-	o.ring = max(64, 1<<bits.Len32(uint32(cur.MaxWeight())))
 	return o
 }
 
@@ -129,8 +126,9 @@ func NewOverlay(g *Weighted, maxDist int64) *Overlay {
 // eliminated: the rest, renumbered by id (−1 marks the set), their arcs
 // among themselves, and a shortcut through every eliminated node for each
 // pair of its neighbours, the lighter arc of a pair surviving. A shortcut
-// too heavy for an int32 saturates, which no caller accepts. Each list is
-// filled once, with room for every shortcut it could take, then packed.
+// too heavy for an int32 saturates; under NewOverlay's precondition the
+// arc that survives for its pair weighs a path. Each list is filled once,
+// with room for every shortcut it could take, then packed.
 func eliminate(cur *Weighted, rest, id []NodeID) *Weighted {
 	xadj := make([]int64, len(rest)+1)
 	for i, u := range rest {

@@ -109,9 +109,9 @@ func newMetrics() *metrics {
 	m.engArcs = reg.Counter("reprod_engine_arcs_scanned_total",
 		"Arcs scanned by artifact builds, the paper's message-volume unit.")
 	m.engRelaxations = reg.Counter("reprod_engine_relaxations_total",
-		"Weighted edge relaxations offered by artifact builds: the oracle's bucket-queue APSP (a diameter build's quotient iFUB is not observed).")
+		"Weighted edge relaxations offered by artifact builds: the oracle's quotient APSP (a diameter build's quotient iFUB is not observed).")
 	m.engBuckets = reg.Counter("reprod_engine_buckets_total",
-		"Distance buckets settled by artifact builds: unit-width, in the oracle's quotient APSP (a diameter build's quotient iFUB is not observed).")
+		"Distinct distances settled by artifact builds' searches: the oracle's quotient APSP core searches (a diameter build's quotient iFUB is not observed).")
 	return m
 }
 
