@@ -62,6 +62,7 @@ func main() {
 	want := func(name string) bool { return *algo == "all" || *algo == name }
 
 	if want("cluster") {
+		start := time.Now()
 		res, err := core.ApproxDiameter(ctx, g, core.DiameterOptions{
 			Options:     core.Options{Seed: *seed, Workers: *workers},
 			Tau:         *tau,
@@ -70,22 +71,24 @@ func main() {
 		fail(err)
 		fmt.Printf("CLUSTER: %d <= diameter <= %d  (quotient nC=%d mC=%d, R=%d, rounds=%d (%d pull), %v)\n",
 			res.DeltaC, res.Upper, res.Quotient.NumNodes(), res.Quotient.NumEdges(),
-			res.RMax, res.Stats.Rounds, res.Stats.PullRounds, res.Elapsed.Round(time.Millisecond))
+			res.RMax, res.Stats.Rounds, res.Stats.PullRounds, time.Since(start).Round(time.Millisecond))
 	}
 	if want("bfs") {
 		_, src := g.MaxDegree()
+		start := time.Now()
 		res, err := pbfs.Run(g, src, *workers)
 		fail(err)
 		fmt.Printf("BFS:     %d <= diameter <= %d  (rounds=%d (%d pull), arcs=%d, %v)\n",
 			res.Lower, res.Upper, res.Stats.Rounds, res.Stats.PullRounds,
-			res.Stats.Messages, res.Elapsed.Round(time.Millisecond))
+			res.Stats.Messages, time.Since(start).Round(time.Millisecond))
 	}
 	if want("hadi") {
+		start := time.Now()
 		res, err := anf.Run(ctx, g, anf.Options{K: *k, Seed: *seed, Workers: *workers})
 		fail(err)
 		fmt.Printf("HADI:    diameter ~= %d, effective(0.9) = %.1f  (rounds=%d, %v)\n",
 			res.DiameterEstimate, res.EffectiveDiameter, res.Rounds,
-			res.Elapsed.Round(time.Millisecond))
+			time.Since(start).Round(time.Millisecond))
 	}
 	if want("exact") {
 		start := time.Now()

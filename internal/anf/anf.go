@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -67,8 +66,6 @@ type Result struct {
 	// largest frontier); its Messages are the frontier-membership probes
 	// plus the arcs the combine scans.
 	Stats bsp.Stats
-	// Elapsed is the wall-clock time.
-	Elapsed time.Duration
 }
 
 // phi is the Flajolet–Martin bias correction constant.
@@ -85,7 +82,6 @@ const phi = 0.77351
 // no result, once it is cancelled; an uncancelled run is bit-for-bit
 // deterministic in (seed, K) across worker counts.
 func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	start := time.Now() //lint:allow walltime accounting-only: Elapsed never influences sketch updates
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, errors.New("anf: empty graph")
@@ -184,7 +180,6 @@ func Run(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	res.Stats = e.Stats()
 	res.Stats.Messages += arcs
 	res.EffectiveDiameter = effectiveDiameter(res.Neighborhood, effectivePercentile)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

@@ -154,7 +154,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Elapsed = 0
 		if first == nil {
 			first = res
 		} else if !reflect.DeepEqual(first, res) {
@@ -163,9 +162,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunPinned fingerprints every deterministic field of the Result
-// (Elapsed aside) on three graph families and two seeds, at every worker
-// count: a refactor of the sketch rounds must leave every constant as is.
+// TestRunPinned fingerprints every field of the Result on three graph
+// families and two seeds, at every worker count: a refactor of the sketch
+// rounds must leave every constant as is.
 func TestRunPinned(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"mesh": graph.Mesh(30, 30),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -55,8 +54,6 @@ type DiameterResult struct {
 	Upper int64
 	// Stats aggregates the BSP cost of the clustering phase.
 	Stats bsp.Stats
-	// Elapsed is the wall-clock time of the whole estimation.
-	Elapsed time.Duration
 }
 
 // ApproxDiameter estimates the diameter of the connected graph g by
@@ -67,7 +64,6 @@ type DiameterResult struct {
 // aborts the build — in the clustering phase or between the quotient
 // diameter searches — and returns ctx.Err().
 func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*DiameterResult, error) {
-	start := time.Now() //lint:allow walltime accounting-only: Elapsed never influences the bounds
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, errors.New("core: diameter of empty graph")
@@ -89,12 +85,7 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opt DiameterOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := DiameterFromClustering(ctx, cl, opt.Workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return DiameterFromClustering(ctx, cl, opt.Workers)
 }
 
 // DiameterFromClustering derives the diameter bounds from an existing

@@ -106,9 +106,6 @@ func TestApproxDiameterDefaults(t *testing.T) {
 	if res.Quotient.NumNodes() != res.Clustering.NumClusters() {
 		t.Fatal("quotient size mismatch")
 	}
-	if res.Elapsed <= 0 {
-		t.Fatal("elapsed time not recorded")
-	}
 }
 
 func TestApproxDiameterEmptyGraph(t *testing.T) {

@@ -231,22 +231,16 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 				if ctx.Err() != nil {
 					return // the build is about to be discarded
 				}
-				var arcs int64
-				var buckets int
 				switch {
 				case i < cw:
-					arcs, buckets = dist.Fill(aw.ws, i)
+					delta.Add(dist.Fill(aw.ws, i))
 				case i < cw+ch:
-					arcs, buckets = hop.Fill(aw.hs, i-cw)
+					delta.Add(hop.Fill(aw.hs, i-cw))
 				default:
 					x := int(set[i-cw-ch])
 					fillOnes(apsp[triangle(x):triangle(x+1)])
 					fillOnes(hops[triangle(x):triangle(x+1)])
-					continue
 				}
-				delta.Rounds++
-				delta.Relaxations += arcs
-				delta.Buckets += buckets
 			}
 			report(aw, delta)
 		}
@@ -263,8 +257,8 @@ func OracleFromClustering(ctx context.Context, cl *Clustering, opt Options) (*Or
 				if ctx.Err() != nil {
 					return
 				}
-				tableRow(dist, aw.ws, u, row, &delta)
-				tableRow(hop, aw.hs, u, hrow, &delta)
+				delta.Add(dist.Row(aw.ws, u, row))
+				delta.Add(hop.Row(aw.hs, u, hrow))
 				copy(apsp[triangle(int(u)):], row[:u])
 				copy(hops[triangle(int(u)):], hrow[:u])
 				nbrs, wts := wq.Neighbors(u)
@@ -309,18 +303,6 @@ const rowBlock = 64
 // counts.
 func overlays(wq *graph.Weighted) (dist, hop *graph.Overlay) {
 	return graph.NewOverlay(wq), graph.NewOverlay(wq.Unit())
-}
-
-// tableRow writes u's row of t into row and counts it into delta: its
-// min-terms, or, when t's overlay took no level and the row is a search of
-// the whole quotient, one more core search with its arcs and distances.
-func tableRow[T graph.Cell](t *graph.CoreTable[T], s *graph.APSPScratch, u graph.NodeID, row []T, delta *bsp.Stats) {
-	terms, buckets := t.Row(s, u, row)
-	delta.Relaxations += terms
-	if t.Rows() == 0 {
-		delta.Rounds++
-		delta.Buckets += buckets
-	}
 }
 
 // fillOnes sets every cell of a triangle row to the unreachable mark.

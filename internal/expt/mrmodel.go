@@ -32,7 +32,7 @@ type MRReport struct {
 	DiameterMR       int64 // weighted quotient diameter via repeated squaring
 	DiameterRef      int64 // same, via weighted iFUB (reference)
 	// GrowRoundStats and SquaringRoundStats are the engines' per-round
-	// execution profiles (pairs in/out, shards, wall-clock).
+	// execution profiles (pairs in/out, shards).
 	GrowRoundStats     []mr.RoundStat
 	SquaringRoundStats []mr.RoundStat
 }

@@ -113,8 +113,8 @@ func (t *CoreTable[T]) Rows() int {
 // Fill writes row i < Rows of the table, the distances from core node i to
 // every core node, by one search on the core (search); s must be the
 // scratch of the table's overlay. Distinct rows may be filled concurrently,
-// each with its own scratch. It returns the search's counters.
-func (t *CoreTable[T]) Fill(s *APSPScratch, i int) (arcs int64, buckets int) {
+// each with its own scratch. It returns the search's work (search).
+func (t *CoreTable[T]) Fill(s *APSPScratch, i int) bsp.Stats {
 	c := len(t.ov.ids)
 	return search(s, i, t.cells[i*c:(i+1)*c])
 }
@@ -123,13 +123,13 @@ func (t *CoreTable[T]) Fill(s *APSPScratch, i int) (arcs int64, buckets int) {
 // shortest-path distances from src, all ones for unreachable nodes — what
 // Dijkstra computes, cell for cell, under the preconditions in this file's
 // header — from the filled table; s must be the scratch of the table's
-// overlay. It returns the min-terms weighed: one per arc the lift follows
-// out of a reached node, C per lifted seed (the core nodes reachable from
-// src along kept arcs; a core source is its own seed, at 0), and one per
-// kept arc for the sweep. Over an overlay that took no level, whose core is
-// the graph, Row is one search from src and returns its counters instead,
-// its arcs as terms.
-func (t *CoreTable[T]) Row(s *APSPScratch, src NodeID, row []T) (terms int64, buckets int) {
+// overlay. It returns the work done, as Relaxations the min-terms weighed:
+// one per arc the lift follows out of a reached node, C per lifted seed (the
+// core nodes reachable from src along kept arcs; a core source is its own
+// seed, at 0), and one per kept arc for the sweep. Over an overlay that took
+// no level, whose core is the graph, Row is one search from src and returns
+// what Fill would.
+func (t *CoreTable[T]) Row(s *APSPScratch, src NodeID, row []T) bsp.Stats {
 	o, inf := t.ov, ^T(0)
 	if o.levels == 0 {
 		return search(s, int(src), row)
@@ -137,6 +137,7 @@ func (t *CoreTable[T]) Row(s *APSPScratch, src NodeID, row []T) (terms int64, bu
 	for i := range row {
 		row[i] = inf
 	}
+	var terms int64
 	seeds, core := s.seeds, s.core
 	for i := range seeds {
 		seeds[i], core[i] = uint64(inf), uint64(inf)
@@ -172,7 +173,7 @@ func (t *CoreTable[T]) Row(s *APSPScratch, src NodeID, row []T) (terms int64, bu
 		x := from[j]
 		row[x] = T(min(uint64(row[x]), uint64(row[to[j]])+uint64(w[j])))
 	}
-	return terms + int64(len(to)), 0
+	return bsp.Stats{Relaxations: terms + int64(len(to))}
 }
 
 // lift relaxes the kept arcs out of every node reachable from order[from]
@@ -207,11 +208,12 @@ func lift[T Cell](s *APSPScratch, from int, row []T) (arcs int64) {
 // search overwrites row (len the core's NumNodes, in its ids) with the
 // distances from core node src, all ones for nodes it does not reach, by
 // one bsp.WeightedEngine search on the overlay's core; over an overlay with
-// no level the core is the graph itself. It returns the engine's counters
-// for the search: the arcs scanned (the degrees of the reached nodes: every
-// node is settled once, so the count does not depend on any schedule) and
-// the distinct finite distances settled.
-func search[T Cell](s *APSPScratch, src int, row []T) (arcs int64, buckets int) {
+// no level the core is the graph itself. It returns one round with the
+// engine's counters for the search: as Relaxations the arcs scanned (the
+// degrees of the reached nodes: every node is settled once, so the count
+// does not depend on any schedule), as Buckets the distinct finite
+// distances settled.
+func search[T Cell](s *APSPScratch, src int, row []T) bsp.Stats {
 	before := s.e.Stats()
 	s.e.SSSP(NodeID(src), s.dist)
 	after := s.e.Stats()
@@ -219,5 +221,5 @@ func search[T Cell](s *APSPScratch, src int, row []T) (arcs int64, buckets int) 
 	for j, d := range s.dist {
 		row[j] = T(min(d, inf)) // finite distances fit T; bsp.WInf becomes T's own mark
 	}
-	return after.Relaxations - before.Relaxations, after.Buckets - before.Buckets
+	return bsp.Stats{Rounds: 1, Relaxations: after.Relaxations - before.Relaxations, Buckets: after.Buckets - before.Buckets}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/rng"
 )
 
@@ -61,7 +62,7 @@ func checkAPSPKernels(t *testing.T, wg *Weighted) {
 	got, want := make([]uint32, n), make([]int64, n)
 	for src := 0; src < n; src++ {
 		wg.DijkstraInto(NodeID(src), want)
-		arcs, buckets := sssp(s, NodeID(src), got)
+		st := sssp(s, NodeID(src), got)
 		var wantArcs int64
 		distinct := map[int64]bool{}
 		for v, d := range want {
@@ -77,9 +78,9 @@ func checkAPSPKernels(t *testing.T, wg *Weighted) {
 				distinct[d] = true
 			}
 		}
-		if arcs != wantArcs || buckets != len(distinct) {
-			t.Fatalf("SSSP(%d) counted %d arcs, %d buckets; reached degrees sum to %d over %d distinct distances",
-				src, arcs, buckets, wantArcs, len(distinct))
+		if st != (bsp.Stats{Rounds: 1, Relaxations: wantArcs, Buckets: len(distinct)}) {
+			t.Fatalf("SSSP(%d) counted %+v; reached degrees sum to %d over %d distinct distances",
+				src, st, wantArcs, len(distinct))
 		}
 	}
 	unit := wg.Unit()
@@ -221,6 +222,6 @@ func uncontracted(g *Weighted) *Overlay {
 }
 
 // sssp is the search from src over an uncontracted overlay's scratch.
-func sssp(s *APSPScratch, src NodeID, dist []uint32) (arcs int64, buckets int) {
+func sssp(s *APSPScratch, src NodeID, dist []uint32) bsp.Stats {
 	return search(s, int(src), dist)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/rng"
 )
 
@@ -101,18 +102,20 @@ func TestAPSPOverlayRowsMatchDijkstra(t *testing.T) {
 
 // checkTableRows fills ov's core table in cells of width T and compares the
 // rows Row computes from every source with table, the reference distances
-// of ov's graph (InfDist when unreachable), cell for cell. The counters are
-// checked against their definitions: a search — Fill's, or Row's over an
-// overlay with no level — scans the core arcs of every core node it reaches
-// and settles its distinct distances; otherwise Row weighs the kept arcs of
-// every node reachable from the source along kept arcs (the lift), C cells
-// for each core node among those (the seeds: a core source is its own) and
-// every kept arc once (the sweep).
+// of ov's graph (InfDist when unreachable), cell for cell. The Stats the
+// kernels return are checked against their definitions: a search — Fill's,
+// or Row's over an overlay with no level — is one round that relaxes the
+// core arcs of every core node it reaches and settles its distinct
+// distances; otherwise Row's only counter is its Relaxations, the min-terms:
+// the kept arcs of every node reachable from the source along kept arcs (the
+// lift), C cells for each core node among those (the seeds: a core source is
+// its own) and every kept arc once (the sweep).
 func checkTableRows[T Cell](t *testing.T, ov *Overlay, table []int64) {
 	t.Helper()
 	n := ov.g.NumNodes()
 	core, ids := ov.Core()
-	searched := func(c NodeID) (arcs int64, buckets int) {
+	searched := func(c NodeID) bsp.Stats {
+		var arcs int64
 		var distinct []int64
 		for j, v := range ids {
 			if d := table[int(c)*n+int(v)]; d != InfDist {
@@ -121,16 +124,15 @@ func checkTableRows[T Cell](t *testing.T, ov *Overlay, table []int64) {
 			}
 		}
 		slices.Sort(distinct)
-		return arcs, len(slices.Compact(distinct))
+		return bsp.Stats{Rounds: 1, Relaxations: arcs, Buckets: len(slices.Compact(distinct))}
 	}
 	s, tab := ov.NewAPSPScratch(), NewCoreTable[T](ov)
 	if rows := tab.Rows(); (ov.Levels() == 0) != (rows == 0) || (rows != 0 && rows != len(ids)) {
 		t.Fatalf("%d table rows for %d levels and a core of %d", rows, ov.Levels(), len(ids))
 	}
 	for i := range tab.Rows() {
-		arcs, buckets := tab.Fill(s, i)
-		if wantArcs, wantBuckets := searched(ids[i]); arcs != wantArcs || buckets != wantBuckets {
-			t.Fatalf("Fill(%d) counted %d arcs, %d buckets; want %d and %d distinct core distances", i, arcs, buckets, wantArcs, wantBuckets)
+		if got, want := tab.Fill(s, i), searched(ids[i]); got != want {
+			t.Fatalf("Fill(%d) counted %+v; want %+v (the core arcs and distinct distances reached)", i, got, want)
 		}
 	}
 	var sweep int64
@@ -144,15 +146,15 @@ func checkTableRows[T Cell](t *testing.T, ov *Overlay, table []int64) {
 	}
 	for src := range n {
 		want := table[src*n : (src+1)*n]
-		terms, buckets := tab.Row(s, NodeID(src), row)
+		got := tab.Row(s, NodeID(src), row)
 		for v, d := range want {
 			if got := int64(row[v]); (row[v] == ^T(0)) != (d == InfDist) || (d != InfDist && got != d) {
 				t.Fatalf("Row(%d)[%d] = %d, the reference says %d (%d levels, core of %d)", src, v, row[v], d, ov.Levels(), len(ids))
 			}
 		}
 		if ov.Levels() == 0 {
-			if wantArcs, wantBuckets := searched(NodeID(src)); terms != wantArcs || buckets != wantBuckets {
-				t.Fatalf("Row(%d) with no level counted %d arcs, %d buckets; want %d and %d", src, terms, buckets, wantArcs, wantBuckets)
+			if want := searched(NodeID(src)); got != want {
+				t.Fatalf("Row(%d) with no level counted %+v; want %+v", src, got, want)
 			}
 			continue
 		}
@@ -174,8 +176,8 @@ func checkTableRows[T Cell](t *testing.T, ov *Overlay, table []int64) {
 				}
 			}
 		}
-		if terms != wantTerms || buckets != 0 {
-			t.Fatalf("Row(%d) counted %d min-terms and %d buckets, want %d and none", src, terms, buckets, wantTerms)
+		if want := (bsp.Stats{Relaxations: wantTerms}); got != want {
+			t.Fatalf("Row(%d) counted %+v, want %+v", src, got, want)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 //
 //	//lint:allow <check> <justification>
 //
-// where <check> names the specific rule being waived: walltime, mapiter
-// or rand (determinism), background (ctxflow), locked or lockorder (the
-// two checks the locks analyzer's one walk feeds).
+// where <check> names the specific rule being waived: background
+// (ctxflow), locked or lockorder (the two checks the locks analyzer's one
+// walk feeds). The determinism checks take no waiver.
 // An annotation applies to:
 //
 //   - every violation on the same source line as the comment, and

@@ -1,5 +1,6 @@
 // Package bsp is analyzer testdata mimicking an engine package: its import
-// path is in determinism.EnginePackages, so all three rules apply.
+// path is in determinism.EnginePackages, so all three rules apply, and a
+// //lint:allow annotation silences none of them.
 package bsp
 
 import (
@@ -23,7 +24,7 @@ func SumMap(m map[string]int) int {
 func SumMapSorted(m map[string]int) int {
 	keys := make([]string, 0, len(m))
 	//lint:allow mapiter keys are sorted immediately below
-	for k := range m {
+	for k := range m { // want `range over map map\[string\]int in engine package`
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -47,5 +48,6 @@ func Stamp() time.Time {
 }
 
 func StampAllowed() time.Time {
-	return time.Now() //lint:allow walltime accounting-only timer
+	//lint:allow walltime accounting-only timer
+	return time.Now() // want `time.Now in engine package repro/internal/bsp`
 }

@@ -8,10 +8,10 @@
 // The three analyzers each guard an invariant no test can see, because the
 // violation changes no output on the machine that runs the suite:
 //
-//	determinism   engine packages (bsp, mr, core, mpx, anf) must not
-//	              range over maps, use math/rand, or read time.Now
-//	              un-annotated (bit-for-bit determinism). A map range
-//	              that leaks order fails only on some runs.
+//	determinism   engine packages (bsp, mr, core, mpx, anf, graph, pbfs)
+//	              must not range over maps, use math/rand, or read
+//	              time.Now, with no waiver (bit-for-bit determinism). A
+//	              map range that leaks order fails only on some runs.
 //	ctxflow       no context.Background/TODO in internal non-test code;
 //	              exported superstep-looping free functions must accept
 //	              a context.Context (cancellation contract). A dropped
@@ -77,9 +77,6 @@ func Analyzers() []*analysis.Analyzer {
 // the allow.Audit stale-suppression sweep keys off it.
 func KnownChecks() map[string]bool {
 	return map[string]bool{
-		"walltime":   true, // determinism
-		"mapiter":    true, // determinism
-		"rand":       true, // determinism
 		"locked":     true, // locks
 		"background": true, // ctxflow
 		"lockorder":  true, // locks

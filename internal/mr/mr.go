@@ -54,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/bsp"
 )
@@ -88,8 +87,6 @@ type RoundStat struct {
 	// Shards is the number of reducer shards the round actually used
 	// (small rounds stay on the calling goroutine).
 	Shards int `json:"shards"`
-	// Millis is the round's wall-clock time.
-	Millis float64 `json:"millis"`
 }
 
 // Engine executes rounds and accounts resource usage. An Engine is not safe
@@ -287,7 +284,6 @@ func (e *Engine) round(input []Pair, dst *[]Pair, reduce shardReducer) ([]Pair, 
 	if e.cfg.MG > 0 && int64(len(input)) > e.cfg.MG {
 		return nil, fmt.Errorf("%w: %d > %d", ErrGlobalMemory, len(input), e.cfg.MG)
 	}
-	start := time.Now() //lint:allow walltime accounting-only: round timing never influences shard output
 	n := len(input)
 	shards := e.shardsFor(n)
 	if e.shard == nil {
@@ -364,7 +360,6 @@ func (e *Engine) round(input []Pair, dst *[]Pair, reduce shardReducer) ([]Pair, 
 		PairsIn:  int64(n),
 		PairsOut: int64(total),
 		Shards:   shards,
-		Millis:   float64(time.Since(start).Nanoseconds()) / 1e6,
 	})
 	return out, nil
 }

@@ -12,7 +12,6 @@ package pbfs
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/bsp"
 	"repro/internal/graph"
@@ -35,8 +34,6 @@ type Result struct {
 	// direction; at most Θ(m) aggregate, less when the engine runs
 	// bottom-up rounds).
 	Stats bsp.Stats
-	// Elapsed is the wall-clock time.
-	Elapsed time.Duration
 }
 
 // Run is the paper's BFS competitor: one parallel BFS from src with the
@@ -50,7 +47,6 @@ func Run(g *graph.Graph, src graph.NodeID, workers int) (*Result, error) {
 // the pure top-down baseline the engine-mode benchmarks compare against).
 // The distances are deterministic across worker counts.
 func RunDirection(g *graph.Graph, src graph.NodeID, workers int, dir bsp.Direction) (*Result, error) {
-	start := time.Now()
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, errors.New("pbfs: empty graph")
@@ -64,12 +60,11 @@ func RunDirection(g *graph.Graph, src graph.NodeID, workers int, dir bsp.Directi
 	dist := make([]int32, n)
 	ecc := e.BFS(src, dist)
 	return &Result{
-		Source:  src,
-		Ecc:     ecc,
-		Upper:   2 * ecc,
-		Lower:   ecc,
-		Dist:    dist,
-		Stats:   e.Stats(),
-		Elapsed: time.Since(start),
+		Source: src,
+		Ecc:    ecc,
+		Upper:  2 * ecc,
+		Lower:  ecc,
+		Dist:   dist,
+		Stats:  e.Stats(),
 	}, nil
 }
