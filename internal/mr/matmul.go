@@ -21,9 +21,13 @@ import (
 // reducer multiplies its A block by its B block locally and emits at most
 // b² partial minima, one per output cell; the following rounds take the
 // minimum per cell, at most 2b² partials a reducer (one round whenever
-// ⌈ℓ/b⌉ ≤ 2b², the log_ML term of Fact 2 otherwise). With one min round a
-// product shuffles at most 2·⌈ℓ/b⌉·ℓ² + ⌈ℓ/b⌉·ℓ² pairs, against ℓ³ for an
-// unblocked product that emits one pair per (i, k, j).
+// ⌈ℓ/b⌉ ≤ 2b², the log_ML term of Fact 2 otherwise). With one min round
+// and nb = ⌈ℓ/b⌉ a product shuffles at most 2·nb·ℓ² + nb·ℓ² pairs, against
+// ℓ³ for an unblocked product that emits one pair per (i, k, j). A squaring
+// keys only the triples with I ≤ J and emits only the cells i ≤ j (see the
+// frontier below): nb²(nb+1)/2 triples of at most 2b² pairs, then at most
+// nb partials for each of the nb(nb+1)b²/2 cells of the blocks I ≤ J, so
+// at most 3·nb²(nb+1)·b²/2 pairs, about half a product's.
 //
 // Block side. b = ⌊√(ML/2)⌋ capped at ℓ when Config.ML > 0, so that a
 // round-1 group — two b×b blocks — fits the local memory; b = ⌊√ℓ⌋
@@ -38,8 +42,18 @@ import (
 //	A′[i][k] + A′[k][j] = A[i][k] + min_m (A[k][m] + A[m][j])
 //	                    ≥ min_m (A[i][m] + A[m][j]) = A′[i][j],
 //
-// so row i of A′ ⊗ A′ is row i of A′ again. Each squaring's matrix is thus
-// still the exact square of the last one.
+// so row i of A′ ⊗ A′ is row i of A′ again.
+//
+// A squaring also computes only the upper triangle of its open rows and
+// columns: the cells (i, j) with i ≤ j and both i and j open. The B side
+// carries the open columns, round 1 keys the block triples with I ≤ J, and
+// a diagonal block emits its cells with il ≤ jl. The driver completes each
+// open row i of C = A ⊗ A. The graph is undirected, so A is symmetric and
+// so is C, since C[i][j] = min_k (A[j][k] + A[k][i]) = C[j][i]: an open
+// column j < i reads the computed cell (j, i). A closed row j is final,
+// so C[i][j] = C[j][i] = A[j][i] = A[i][j]: a closed column keeps the old
+// value. Each squaring's matrix is thus still the exact, symmetric square
+// of the last one.
 //
 // Stop rule. The squarings stop when one lowers no row (every later one
 // would repeat the matrix), or after ⌈log₂ ℓ⌉ of them, which cover every
@@ -74,9 +88,10 @@ func (e *Engine) blockSide(l int) int {
 	return b
 }
 
-// minPlus is MinPlusProduct restricted to the rows i of A with open[i]
-// (every row when open is nil); the other rows of C are Inf. It writes C
-// into c, or into a fresh matrix when c is nil.
+// minPlus is MinPlusProduct when open is nil. Otherwise it squares one
+// symmetric matrix, a = b, and computes only the cells (i, j) with i ≤ j
+// and open[i] and open[j]; every other cell of C is Inf. It writes C into
+// c, or into a fresh matrix when c is nil.
 func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, error) {
 	if len(a) != l*l || len(b) != l*l {
 		return nil, errors.New("mr: matrix size mismatch")
@@ -86,34 +101,31 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 	}
 	bs := e.blockSide(l)
 	nb := (l + bs - 1) / bs
-	// finA[I*nb+K] / finB[K*nb+J]: the block's finite entries. Triple
-	// (I, J, K) gets both its blocks exactly when both are occupied, so the
-	// round's input size is known before it is built.
+	// finA[I*nb+K] / finB[K*nb+J]: the block's finite entries in the open
+	// rows of A and the open columns of B. Triple (I, J, K), with I ≤ J
+	// when squaring, gets both its blocks exactly when both are occupied,
+	// so the round's input size is known before it is built.
 	finA, finB := make([]int, nb*nb), make([]int, nb*nb)
 	for i := 0; i < l; i++ {
 		for k := 0; k < l; k++ {
 			if (open == nil || open[i]) && a[i*l+k] < Inf {
 				finA[i/bs*nb+k/bs]++
 			}
-			if b[i*l+k] < Inf {
+			if (open == nil || open[k]) && b[i*l+k] < Inf {
 				finB[i/bs*nb+k/bs]++
 			}
 		}
 	}
+	sym := open != nil
 	size := 0
-	for K := 0; K < nb; K++ {
-		var colsA, rowsB, inA, inB int
-		for X := 0; X < nb; X++ {
-			if finA[X*nb+K] > 0 {
-				colsA++
-				inA += finA[X*nb+K]
-			}
-			if finB[K*nb+X] > 0 {
-				rowsB++
-				inB += finB[K*nb+X]
+	for I := 0; I < nb; I++ {
+		for J := 0; J < nb; J++ {
+			for K := 0; K < nb; K++ {
+				if nA, nB := finA[I*nb+K], finB[K*nb+J]; nA > 0 && nB > 0 && (!sym || I <= J) {
+					size += nA + nB
+				}
 			}
 		}
-		size += inA*rowsB + inB*colsA
 	}
 	// Round 1 input, keyed by block triple (I·nb + J)·nb + K. A carries the
 	// entry's offset inside its block: A entries in [0, b²), B entries in
@@ -125,10 +137,10 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 	for I := 0; I < nb; I++ {
 		for J := 0; J < nb; J++ {
 			for K := 0; K < nb; K++ {
-				if finA[I*nb+K] > 0 && finB[K*nb+J] > 0 {
+				if finA[I*nb+K] > 0 && finB[K*nb+J] > 0 && (!sym || I <= J) {
 					key := uint64((I*nb+J)*nb + K)
-					in = appendBlock(in, a, l, bs, I, K, key, 0, open)
-					in = appendBlock(in, b, l, bs, K, J, key, sq, nil)
+					in = appendBlock(in, a, l, bs, I, K, key, 0, open, nil)
+					in = appendBlock(in, b, l, bs, K, J, key, sq, nil, open)
 				}
 			}
 		}
@@ -162,10 +174,16 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 				row[jl] = min(row[jl], p.B+v)
 			}
 		}
+		// A diagonal block of a squaring emits its upper triangle only.
+		diag := sym && I == J
 		out := st.out
 		for il := 0; il < bs; il++ {
-			cell := (I*bs+il)*l + J*bs
-			for jl, v := range cBlk[il*bs : (il+1)*bs] {
+			jl0 := 0
+			if diag {
+				jl0 = il
+			}
+			cell := (I*bs+il)*l + J*bs + jl0
+			for jl, v := range cBlk[il*bs+jl0 : (il+1)*bs] {
 				if v < Inf {
 					out = append(out, Pair{Key: uint64(cell + jl), A: K, B: v})
 				}
@@ -214,17 +232,17 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 
 // appendBlock appends the finite entries of block (R, C) of the ℓ×ℓ matrix
 // m, in offset order, as pairs under key with A = base + the entry's offset
-// inside its bs×bs block. Rows r with !open[r] are skipped (none when open
-// is nil).
-func appendBlock(in []Pair, m []int64, l, bs, R, C int, key uint64, base int64, open []bool) []Pair {
+// inside its bs×bs block. Rows r with !rows[r] and columns c with !cols[c]
+// are skipped (none when the slice is nil).
+func appendBlock(in []Pair, m []int64, l, bs, R, C int, key uint64, base int64, rows, cols []bool) []Pair {
 	c0, c1 := C*bs, min(l, (C+1)*bs)
 	for r := R * bs; r < min(l, (R+1)*bs); r++ {
-		if open != nil && !open[r] {
+		if rows != nil && !rows[r] {
 			continue
 		}
 		off := base + int64((r-R*bs)*bs)
 		for c, v := range m[r*l+c0 : r*l+c1] {
-			if v < Inf {
+			if v < Inf && (cols == nil || cols[c0+c]) {
 				in = append(in, Pair{Key: key, A: off + int64(c), B: v})
 			}
 		}
@@ -235,8 +253,9 @@ func appendBlock(in []Pair, m []int64, l, bs, R, C int, key uint64, base int64, 
 // APSPByRepeatedSquaring computes all-pairs shortest paths of a weighted
 // graph by min-plus squarings of its adjacency matrix, the strategy
 // Theorem 4 uses for the quotient graph: at most ⌈log₂ ℓ⌉ of them, each
-// over the rows the last one changed, stopping at the fixpoint (see the
-// frontier and stop rule above). Unreachable pairs stay at Inf.
+// over the upper triangle of the rows and columns the last one changed,
+// stopping at the fixpoint (see the frontier and stop rule above).
+// Unreachable pairs stay at Inf.
 func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 	l := w.NumNodes()
 	if l == 0 {
@@ -262,6 +281,20 @@ func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 	for span, changed := 1, true; span < l && changed; span *= 2 {
 		if _, err := e.minPlus(mat, mat, l, open, sq); err != nil {
 			return nil, err
+		}
+		// Complete each open row (see the frontier above): an open column
+		// j < i from the mirror cell, a closed column from the old matrix.
+		for i, ok := range open {
+			if !ok {
+				continue
+			}
+			for j := range l {
+				if !open[j] {
+					sq[i*l+j] = mat[i*l+j]
+				} else if j < i {
+					sq[i*l+j] = sq[j*l+i]
+				}
+			}
 		}
 		changed = false
 		for i, ok := range open {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/bsp"
@@ -152,6 +154,8 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 	}
 	// A weighted path of 2^5 + 1 nodes: its 32 arcs need all ⌈log₂ 33⌉ = 6
 	// squarings, so the fixpoint is found by the last one the cap allows.
+	// G(37, m) is one past a multiple of its block side 6: its last block
+	// row and column, and so its last diagonal block, are cut to one cell.
 	cases := []struct {
 		name  string
 		w     *graph.Weighted
@@ -159,35 +163,80 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 	}{
 		{"roadlike", weighted(graph.RoadLike(6, 6, 0.5, 2), 7, 5), 0},
 		{"gnm", weighted(graph.ErdosRenyi(40, 70, 9), 9, 6), 0},
+		{"gnm37", weighted(graph.ErdosRenyi(37, 60, 8), 9, 8), 0},
 		{"union", graph.MustWeighted(road.NumNodes()+gnm.NumNodes()+3, edges, unionW), 0},
 		{"path33", weighted(graph.Path(33), 4, 7), ceilLog2(33)},
 	}
+	closedEarly := false // some case closes a row before its last squaring
 	for _, tc := range cases {
-		e := NewEngine(Config{})
-		mat, err := e.APSPByRepeatedSquaring(tc.w)
-		e.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
 		l := tc.w.NumNodes()
-		dij, sssp := make([]int64, l), bsp.NewWeightedEngine(tc.w, 1, 0)
+		dij, sssp := make([]int64, l*l), bsp.NewWeightedEngine(tc.w, 1, 0)
 		for u := 0; u < l; u++ {
-			sssp.SSSP(graph.NodeID(u), dij)
-			for v := 0; v < l; v++ {
-				want, got := dij[v], mat[u*l+v]
-				if want == graph.InfDist {
-					want = Inf
-				}
-				if got != want {
-					t.Fatalf("%s (%d,%d): got %d want %d", tc.name, u, v, got, want)
-				}
+			sssp.SSSP(graph.NodeID(u), dij[u*l:(u+1)*l])
+		}
+		// Squarings by the naive product: a row the next squaring leaves as
+		// it is closes, and a later squaring then keeps its column's cells
+		// where the others are mirrored.
+		cur := make([]int64, l*l)
+		for u := range cur {
+			cur[u] = Inf
+		}
+		for u := 0; u < l; u++ {
+			cur[u*l+u] = 0
+			nbrs, ws := tc.w.Neighbors(graph.NodeID(u))
+			for i, v := range nbrs {
+				cur[u*l+int(v)] = min(cur[u*l+int(v)], int64(ws[i]))
 			}
 		}
-		// ℓ ≥ 4 here, so ⌈ℓ/b⌉ ≤ 2b² and every squaring is two rounds.
-		squarings := e.Rounds() / 2
-		if e.Rounds()%2 != 0 || squarings > ceilLog2(l) || (tc.exact > 0 && squarings != tc.exact) {
-			t.Fatalf("%s: %d rounds for ℓ = %d (cap %d squarings, want %d)", tc.name, e.Rounds(), l, ceilLog2(l), tc.exact)
+		for span := 1; span < l; span *= 2 {
+			next := naiveMinPlus(cur, cur, l)
+			for i := range next {
+				next[i] = min(next[i], Inf)
+			}
+			changed := !slices.Equal(next, cur)
+			for i := 0; i < l && changed && 2*span < l; i++ { // another squaring follows
+				closedEarly = closedEarly || slices.Equal(next[i*l:(i+1)*l], cur[i*l:(i+1)*l])
+			}
+			if !changed {
+				break
+			}
+			cur = next
 		}
+		for _, cfg := range []Config{{}, {ML: 8}, {ML: int64(2 * l)}, {Shards: 4}} {
+			name := fmt.Sprintf("%s/ML=%d/shards=%d", tc.name, cfg.ML, cfg.Shards)
+			e := NewEngine(cfg)
+			mat, err := e.APSPByRepeatedSquaring(tc.w)
+			e.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for u := 0; u < l; u++ {
+				for v := 0; v < l; v++ {
+					want, got := dij[u*l+v], mat[u*l+v]
+					if want == graph.InfDist {
+						want = Inf
+					}
+					if got != want {
+						t.Fatalf("%s (%d,%d): got %d want %d", name, u, v, got, want)
+					}
+				}
+			}
+			// A squaring is round 1 and then one min round per level of the
+			// tree of fan-in 2b² over its nb partials.
+			bs := wantBlockSide(cfg.ML, l)
+			roundsPer := 1
+			for span := (l + bs - 1) / bs; span > 1; span = (span + 2*bs*bs - 1) / (2 * bs * bs) {
+				roundsPer++
+			}
+			squarings := e.Rounds() / roundsPer
+			if e.Rounds()%roundsPer != 0 || squarings > ceilLog2(l) || (tc.exact > 0 && squarings != tc.exact) {
+				t.Fatalf("%s: %d rounds for ℓ = %d, %d a squaring (cap %d squarings, want %d)",
+					name, e.Rounds(), l, roundsPer, ceilLog2(l), tc.exact)
+			}
+		}
+	}
+	if !closedEarly {
+		t.Fatal("no case closes a row before its last squaring: the fill's kept-cell branch is not covered")
 	}
 }
 
@@ -224,23 +273,44 @@ func TestDiameterByRepeatedSquaring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, exact := wq.ExactDiameterWeighted(0)
-	if !exact {
-		t.Fatal("reference quotient diameter not certified")
-	}
-	e = NewEngine(Config{})
-	defer e.Close()
-	if d, err := e.DiameterByRepeatedSquaring(wq); err != nil || d != want {
-		t.Fatalf("quotient of %d clusters: squaring %d (%v), exact %d", wq.NumNodes(), d, err, want)
-	}
-	// Fact 2's budget: no reducer above 2ℓ pairs, and no squaring (two
-	// rounds) above 3·⌈ℓ/b⌉·ℓ² shuffled pairs.
-	l := wq.NumNodes()
-	bs := wantBlockSide(0, l)
-	perSquaring := int64(3 * ((l + bs - 1) / bs) * l * l)
-	if e.MaxReducerInput() > 2*l || e.TotalShuffled() > int64(e.Rounds()/2)*perSquaring {
-		t.Fatalf("quotient of %d clusters: max reducer input %d (cap %d), %d pairs in %d rounds (cap %d a squaring)",
-			l, e.MaxReducerInput(), 2*l, e.TotalShuffled(), e.Rounds(), perSquaring)
+	// It and the benchmark's quotient, with the shuffle volume and rounds
+	// of their squarings pinned.
+	for _, tc := range []struct {
+		name             string
+		w                *graph.Weighted
+		shuffled, rounds int64
+	}{
+		{"section5", wq, 104323, 10},
+		{"bench", benchQuotient(t), 120269, 10},
+	} {
+		want, exact := tc.w.ExactDiameterWeighted(0)
+		if !exact {
+			t.Fatalf("%s: reference quotient diameter not certified", tc.name)
+		}
+		e := NewEngine(Config{})
+		d, err := e.DiameterByRepeatedSquaring(tc.w)
+		e.Close()
+		if err != nil || d != want {
+			t.Fatalf("%s: quotient of %d clusters: squaring %d (%v), exact %d", tc.name, tc.w.NumNodes(), d, err, want)
+		}
+		if e.TotalShuffled() != tc.shuffled || int64(e.Rounds()) != tc.rounds {
+			t.Errorf("%s: %d pairs in %d rounds, pinned %d in %d", tc.name, e.TotalShuffled(), e.Rounds(), tc.shuffled, tc.rounds)
+		}
+		// Fact 2's budget: no reducer above 2ℓ pairs, and no squaring (two
+		// rounds) above the triangle's 3·nb²(nb+1)·b²/2 shuffled pairs.
+		l := tc.w.NumNodes()
+		bs := wantBlockSide(0, l)
+		nb := int64((l + bs - 1) / bs)
+		perSquaring := 3 * nb * nb * (nb + 1) * int64(bs*bs) / 2
+		if e.MaxReducerInput() > 2*l {
+			t.Errorf("%s: max reducer input %d, cap 2ℓ = %d", tc.name, e.MaxReducerInput(), 2*l)
+		}
+		stats := e.RoundStats()
+		for s := 0; s+1 < len(stats); s += 2 {
+			if in := stats[s].PairsIn + stats[s+1].PairsIn; in > perSquaring {
+				t.Errorf("%s: squaring %d shuffled %d pairs, cap %d", tc.name, s/2+1, in, perSquaring)
+			}
+		}
 	}
 }
 
@@ -296,6 +366,71 @@ func TestMinPlusProductAllocsDoNotGrowWithGroups(t *testing.T) {
 	if allocs := testing.AllocsPerRun(30, product); allocs > 7 {
 		t.Fatalf("a warm 64×64 product allocates %.0f times, want at most 7", allocs)
 	}
+}
+
+// decodeSquaring turns fuzz bytes into a squaring input: data[0] picks ℓ ≤
+// 40, data[1] the local memory (0, or 2 to 256: ML = 1 fits no round-1
+// group) and data[2]'s low bit 1 or 4 shards. Every later byte triple is
+// an edge (u mod ℓ, v mod ℓ) of weight w + 1, or MaxInt32 for w = 255;
+// self-loops drop out, parallel edges keep their lightest weight, and
+// nodes no edge touches stay isolated.
+func decodeSquaring(data []byte) (*graph.Weighted, Config) {
+	var head [3]byte
+	data = data[copy(head[:], data):]
+	l := int(head[0]) % 41
+	cfg := Config{Shards: 1 + 3*int(head[2]&1)}
+	if head[1] > 0 {
+		cfg.ML = int64(head[1]) + 1
+	}
+	var edges [][2]graph.NodeID
+	var ws []int32
+	for ; l > 0 && len(data) >= 3; data = data[3:] {
+		w := int32(data[2]) + 1
+		if data[2] == 0xff {
+			w = math.MaxInt32
+		}
+		edges = append(edges, [2]graph.NodeID{graph.NodeID(int(data[0]) % l), graph.NodeID(int(data[1]) % l)})
+		ws = append(ws, w)
+	}
+	return graph.MustWeighted(l, edges, ws), cfg
+}
+
+// FuzzSquaringMatchesDijkstra diffs every row of APSPByRepeatedSquaring
+// against the weighted engine's SSSP on small decoded graphs, across local
+// memories (and so block sides and min-round trees) and shard counts.
+func FuzzSquaringMatchesDijkstra(f *testing.F) {
+	f.Add([]byte{1, 0, 0})
+	f.Add([]byte{5, 0, 1, 0, 1, 3, 1, 2, 0xff, 2, 3, 1, 0, 3, 9})
+	f.Add([]byte{37, 7, 0, 0, 1, 4, 1, 0, 2, 5, 6, 1, 6, 7, 0, 30, 31, 2, 31, 36, 0xff, 36, 0, 3})
+	f.Add([]byte{40, 0, 1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1, 5, 6, 1, 6, 7, 1, 7, 8, 1,
+		8, 9, 1, 9, 10, 1, 10, 11, 1, 11, 12, 1, 12, 13, 1, 13, 14, 1, 14, 15, 1, 15, 16, 1, 16, 17, 1,
+		0, 17, 40, 17, 0, 60, 20, 21, 2, 22, 23, 2, 39, 38, 9})
+	f.Add([]byte{33, 1, 1, 3, 4, 5, 4, 3, 2, 4, 5, 0xff, 5, 6, 8, 6, 7, 0, 7, 8, 1, 8, 9, 2, 1, 2, 7, 2, 3, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, cfg := decodeSquaring(data)
+		e := NewEngine(cfg)
+		defer e.Close()
+		mat, err := e.APSPByRepeatedSquaring(w)
+		if err != nil {
+			t.Fatalf("ℓ = %d, %+v: %v", w.NumNodes(), cfg, err)
+		}
+		l := w.NumNodes()
+		dist, sssp := make([]int64, l), bsp.NewWeightedEngine(w, 1, 0)
+		for u := 0; u < l; u++ {
+			sssp.SSSP(graph.NodeID(u), dist)
+			for v, want := range dist {
+				if want == graph.InfDist {
+					want = Inf
+				}
+				if got := mat[u*l+v]; got != want {
+					t.Fatalf("ℓ = %d, %+v: (%d,%d) = %d want %d", l, cfg, u, v, got, want)
+				}
+			}
+		}
+		if bs := wantBlockSide(cfg.ML, l); e.MaxReducerInput() > 2*bs*bs {
+			t.Fatalf("ℓ = %d, %+v: a reducer took %d pairs, more than 2b² = %d", l, cfg, e.MaxReducerInput(), 2*bs*bs)
+		}
+	})
 }
 
 // benchQuotient is the benchmark's MR input: the 64-cluster τ = 1 quotient
