@@ -202,8 +202,9 @@ func reserve(buf []graph.NodeID, want int64) []graph.NodeID {
 // mergeClustersToK reduces a W > k clustering to at most k centers by
 // partitioning a spanning forest of the quotient graph into at most k
 // connected groups of clusters and keeping one center per group. The group
-// size quota is found by doubling-then-binary search, since the number of
-// groups is monotonically non-increasing in the quota.
+// size quota is the smallest with at most k groups, found by bisecting
+// [1, W], since the number of groups is monotonically non-increasing in the
+// quota.
 func mergeClustersToK(cl *Clustering, k, workers int) ([]graph.NodeID, error) {
 	w := cl.NumClusters()
 	q, _, err := quotient.Contract(cl.G, cl.Owner, nil, w, workers)

@@ -45,10 +45,9 @@ func MRModel(ctx context.Context, cfg Config) (*MRReport, error) {
 	// Cluster on the shared-memory engine (the MR growth demo below uses
 	// the same step structure), then derive the quotient. The quotient is
 	// kept small: a blocked min-plus squaring still shuffles Θ(ℓ³/b)
-	// pairs for b×b blocks (b = ⌊√ℓ⌋ without an ML), about half a general
-	// product's since it computes only the upper triangle of the rows and
-	// columns still open, which is exactly why Theorem 4 sizes it against
-	// MG·√ML.
+	// pairs for b×b blocks (b = ⌊√ℓ⌋ without an ML), even computing only
+	// the upper triangle of the rows and columns still open, which is
+	// exactly why Theorem 4 sizes it against MG·√ML.
 	opt := core.Options{Seed: cfg.Seed, Workers: cfg.Workers}
 	_, cl, err := core.TauForTargetClusters(ctx, g, 40, 0.5, opt)
 	if err != nil {

@@ -1,59 +1,57 @@
 package mr
 
-import (
-	"errors"
-	"slices"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Fact 2: two ℓ×ℓ matrices can be multiplied in O(log_ML n + ℓ³/(MG·√ML))
-// rounds. The paper uses min-plus ("tropical") products to square the
-// quotient graph's distance matrix O(log ℓ) times, obtaining its diameter
-// within the memory budget of Theorem 4. The product here is Fact 2's
-// blocked scheme.
+// rounds. The paper squares the quotient graph's distance matrix under the
+// min-plus ("tropical") product O(log ℓ) times, obtaining its diameter
+// within the memory budget of Theorem 4. The squaring here is Fact 2's
+// blocked scheme, applied to the one matrix it squares.
 //
-// Blocking. Both matrices are cut into b×b blocks, ⌈ℓ/b⌉ to a side. Round 1
-// keys every finite entry by a block triple (I, J, K): an A entry (i, k)
-// goes to every J whose B block (K, J) holds a finite entry, a B entry
-// (k, j) to every I whose A block (I, K) does. The driver holds both
-// matrices, so it computes that O((ℓ/b)²) occupancy table itself. Each
-// reducer multiplies its A block by its B block locally and emits at most
-// b² partial minima, one per output cell; the following rounds take the
-// minimum per cell, at most 2b² partials a reducer (one round whenever
-// ⌈ℓ/b⌉ ≤ 2b², the log_ML term of Fact 2 otherwise). With one min round
-// and nb = ⌈ℓ/b⌉ a product shuffles at most 2·nb·ℓ² + nb·ℓ² pairs, against
-// ℓ³ for an unblocked product that emits one pair per (i, k, j). A squaring
-// keys only the triples with I ≤ J and emits only the cells i ≤ j (see the
-// frontier below): nb²(nb+1)/2 triples of at most 2b² pairs, then at most
-// nb partials for each of the nb(nb+1)b²/2 cells of the blocks I ≤ J, so
-// at most 3·nb²(nb+1)·b²/2 pairs, about half a product's.
+// Blocking. The matrix A is cut into b×b blocks, nb = ⌈ℓ/b⌉ to a side. The
+// graph is undirected, so A is symmetric and so is C = A ⊗ A, since
+// C[i][j] = min_k (A[j][k] + A[k][i]) = C[j][i]: a squaring computes only
+// the cells (i, j) with i ≤ j, and only those whose row and column are both
+// open (see the frontier below). Cell block (I, J), I ≤ J, is the minimum
+// over K of block (I, K) times block (K, J), and by symmetry block (K, J)
+// over the open columns holds exactly the finite entries of block (J, K)
+// over the open rows. So round 1 keys every triple (I, J, K) with I ≤ J by
+// the open rows' finite entries of the row blocks (I, K) and (J, K). The
+// driver holds the matrix, so it counts that O(nb²) occupancy table itself
+// and keys only the triples whose two blocks are occupied. Each reducer
+// multiplies its two blocks locally, reading the second one transposed,
+// and emits at most b² partial minima, one per cell (a diagonal block
+// I = J only its cells il ≤ jl); the following rounds take the minimum per
+// cell, at most 2b² partials a reducer (one round whenever nb ≤ 2b², the
+// log_ML term of Fact 2 otherwise). With one min round a squaring
+// shuffles at most nb²(nb+1)/2 triples of 2b² pairs, then at most nb
+// partials for each of the nb(nb+1)b²/2 cells of the blocks I ≤ J: at most
+// 3·nb²(nb+1)·b²/2 pairs, against ℓ³ for an unblocked product that emits
+// one pair per (i, k, j).
 //
 // Block side. b = ⌊√(ML/2)⌋ capped at ℓ when Config.ML > 0, so that a
 // round-1 group — two b×b blocks — fits the local memory; b = ⌊√ℓ⌋
-// otherwise, which keeps every reducer of the product at ≤ 2b² ≤ 2ℓ pairs.
-// Every b is at least 1.
+// otherwise, which keeps every reducer at ≤ 2b² ≤ 2ℓ pairs. Every b is at
+// least 1.
 //
-// Changed-row frontier. APSPByRepeatedSquaring feeds the A side of a
-// squaring only the rows the previous squaring lowered. A row left
-// unchanged is closed, and it stays closed: if A′ = A ⊗ A and
-// A′[i][·] = A[i][·], then for every k and j
+// Changed-row frontier. A squaring reads only the rows the previous one
+// lowered. A row left unchanged is closed, and it stays closed: if
+// A′ = A ⊗ A and A′[i][·] = A[i][·], then for every k and j
 //
 //	A′[i][k] + A′[k][j] = A[i][k] + min_m (A[k][m] + A[m][j])
 //	                    ≥ min_m (A[i][m] + A[m][j]) = A′[i][j],
 //
-// so row i of A′ ⊗ A′ is row i of A′ again.
+// so row i of A′ ⊗ A′ is row i of A′ again. A closed row j is final, so
+// C[i][j] = C[j][i] = A[j][i] = A[i][j]: a cell with a closed row or
+// column keeps its value. The driver squares A in place. Its diagonal is
+// 0, so C ≤ A cell by cell; the driver writes each computed cell and its
+// mirror where it is lower, and the rows it lowers are the next squaring's
+// open rows. Each squaring's matrix is thus the exact, symmetric square of
+// the last one.
 //
-// A squaring also computes only the upper triangle of its open rows and
-// columns: the cells (i, j) with i ≤ j and both i and j open. The B side
-// carries the open columns, round 1 keys the block triples with I ≤ J, and
-// a diagonal block emits its cells with il ≤ jl. The driver completes each
-// open row i of C = A ⊗ A. The graph is undirected, so A is symmetric and
-// so is C, since C[i][j] = min_k (A[j][k] + A[k][i]) = C[j][i]: an open
-// column j < i reads the computed cell (j, i). A closed row j is final,
-// so C[i][j] = C[j][i] = A[j][i] = A[i][j]: a closed column keeps the old
-// value. Each squaring's matrix is thus still the exact, symmetric square
-// of the last one.
+// Unreachable. A cell with no path holds graph.InfDist (2⁶²). Every finite
+// distance is below it, so a sum with one Inf operand stays below 2⁶³ and
+// at or above Inf, and only sums below Inf are emitted.
 //
 // Stop rule. The squarings stop when one lowers no row (every later one
 // would repeat the matrix), or after ⌈log₂ ℓ⌉ of them, which cover every
@@ -63,19 +61,8 @@ import (
 // Every reducer is pure, so all rounds run concurrently across the
 // engine's reducer shards.
 
-// Inf is the "no path" value in distance matrices. It is large enough that
-// Inf + Inf does not overflow int64.
-const Inf int64 = 1 << 40
-
-// MinPlusProduct computes C[i][j] = min_k (A[i][k] + B[k][j]) of two ℓ×ℓ
-// row-major matrices with the blocked scheme above. Entries are distances:
-// non-negative, or Inf for none. Cells with no finite sum are Inf.
-func (e *Engine) MinPlusProduct(a, b []int64, l int) ([]int64, error) {
-	return e.minPlus(a, b, l, nil, nil)
-}
-
-// blockSide returns the side b of the product's square blocks for ℓ×ℓ
-// matrices.
+// blockSide returns the side b of the squaring's square blocks for an ℓ×ℓ
+// matrix.
 func (e *Engine) blockSide(l int) int {
 	x := int64(l)
 	if e.cfg.ML > 0 {
@@ -88,59 +75,52 @@ func (e *Engine) blockSide(l int) int {
 	return b
 }
 
-// minPlus is MinPlusProduct when open is nil. Otherwise it squares one
-// symmetric matrix, a = b, and computes only the cells (i, j) with i ≤ j
-// and open[i] and open[j]; every other cell of C is Inf. It writes C into
-// c, or into a fresh matrix when c is nil.
-func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, error) {
-	if len(a) != l*l || len(b) != l*l {
-		return nil, errors.New("mr: matrix size mismatch")
-	}
-	if l == 0 {
-		return nil, nil
-	}
+// square computes, with the blocked scheme above, the cells (i, j) of
+// C = A ⊗ A with i ≤ j, open[i] and open[j], of a symmetric ℓ×ℓ row-major
+// distance matrix a (non-negative, graph.InfDist for none). It returns the
+// cells with a finite value as pairs, Key = i·ℓ + j and B = C[i][j], in
+// ascending key order, in an engine buffer the next squaring reuses.
+func (e *Engine) square(a []int64, l int, open []bool) ([]Pair, error) {
 	bs := e.blockSide(l)
 	nb := (l + bs - 1) / bs
-	// finA[I*nb+K] / finB[K*nb+J]: the block's finite entries in the open
-	// rows of A and the open columns of B. Triple (I, J, K), with I ≤ J
-	// when squaring, gets both its blocks exactly when both are occupied,
-	// so the round's input size is known before it is built.
-	finA, finB := make([]int, nb*nb), make([]int, nb*nb)
-	for i := 0; i < l; i++ {
-		for k := 0; k < l; k++ {
-			if (open == nil || open[i]) && a[i*l+k] < Inf {
-				finA[i/bs*nb+k/bs]++
-			}
-			if (open == nil || open[k]) && b[i*l+k] < Inf {
-				finB[i/bs*nb+k/bs]++
+	// fin[I*nb+K]: block (I, K)'s finite entries in the open rows. Triple
+	// (I, J, K) gets its two blocks exactly when both are occupied, so the
+	// round's input size is known before it is built.
+	fin := make([]int, nb*nb)
+	for i, ok := range open {
+		if !ok {
+			continue
+		}
+		for k, v := range a[i*l : (i+1)*l] {
+			if v < graph.InfDist {
+				fin[i/bs*nb+k/bs]++
 			}
 		}
 	}
-	sym := open != nil
 	size := 0
 	for I := 0; I < nb; I++ {
-		for J := 0; J < nb; J++ {
+		for J := I; J < nb; J++ {
 			for K := 0; K < nb; K++ {
-				if nA, nB := finA[I*nb+K], finB[K*nb+J]; nA > 0 && nB > 0 && (!sym || I <= J) {
-					size += nA + nB
+				if nI, nJ := fin[I*nb+K], fin[J*nb+K]; nI > 0 && nJ > 0 {
+					size += nI + nJ
 				}
 			}
 		}
 	}
 	// Round 1 input, keyed by block triple (I·nb + J)·nb + K. A carries the
-	// entry's offset inside its block: A entries in [0, b²), B entries in
-	// [b², 2b²). The triples are emitted in key order, each A block and
-	// then its B block in offset order, so the input arrives in the
-	// round's (Key, A, B) order and is reduced in place.
+	// entry's offset inside its block: block (I, K)'s entries in [0, b²),
+	// block (J, K)'s in [b², 2b²). The triples are emitted in key order,
+	// each block in offset order, so the input arrives in the round's
+	// (Key, A, B) order and is reduced in place.
 	sq := int64(bs * bs)
-	in := slices.Grow(e.prod[0][:0], size)
+	in := reserve(e.prod[0], size)
 	for I := 0; I < nb; I++ {
-		for J := 0; J < nb; J++ {
+		for J := I; J < nb; J++ {
 			for K := 0; K < nb; K++ {
-				if finA[I*nb+K] > 0 && finB[K*nb+J] > 0 && (!sym || I <= J) {
+				if fin[I*nb+K] > 0 && fin[J*nb+K] > 0 {
 					key := uint64((I*nb+J)*nb + K)
-					in = appendBlock(in, a, l, bs, I, K, key, 0, open, nil)
-					in = appendBlock(in, b, l, bs, K, J, key, sq, nil, open)
+					in = appendBlock(in, a, l, bs, I, K, key, 0, open)
+					in = appendBlock(in, a, l, bs, J, K, key, sq, open)
 				}
 			}
 		}
@@ -152,19 +132,19 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 		if int64(cap(st.scratch)) < 2*sq {
 			st.scratch = make([]int64, 2*sq)
 		}
-		blk := st.scratch[:2*sq] // B block, then the C block
+		blk := st.scratch[:2*sq] // block (K, J), then the C block
 		for i := range blk {
-			blk[i] = Inf
+			blk[i] = graph.InfDist
 		}
 		split := 0
 		for split < len(pairs) && pairs[split].A < sq {
 			split++
 		}
+		// Block (J, K)'s entry (jl, kl) is block (K, J)'s entry (kl, jl).
 		for _, p := range pairs[split:] {
-			blk[p.A-sq] = p.B
+			off := int(p.A - sq)
+			blk[off%bs*bs+off/bs] = p.B
 		}
-		// Entries are non-negative, so a sum with an Inf operand stays at
-		// or above Inf, and only cells below Inf are emitted.
 		bBlk, cBlk := blk[:sq], blk[sq:]
 		for _, p := range pairs[:split] {
 			il, kl := int(p.A)/bs, int(p.A)%bs
@@ -174,17 +154,16 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 				row[jl] = min(row[jl], p.B+v)
 			}
 		}
-		// A diagonal block of a squaring emits its upper triangle only.
-		diag := sym && I == J
+		// A diagonal block emits its upper triangle only.
 		out := st.out
 		for il := 0; il < bs; il++ {
 			jl0 := 0
-			if diag {
+			if I == J {
 				jl0 = il
 			}
 			cell := (I*bs+il)*l + J*bs + jl0
 			for jl, v := range cBlk[il*bs+jl0 : (il+1)*bs] {
-				if v < Inf {
+				if v < graph.InfDist {
 					out = append(out, Pair{Key: uint64(cell + jl), A: K, B: v})
 				}
 			}
@@ -196,7 +175,7 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 	}
 	// Min per cell over its ≤ nb partials (A = the partial's slot), at
 	// most 2b² partials a reducer: a tree of fan-in 2b² when nb exceeds it.
-	// Each round writes the product buffer its input does not occupy.
+	// Each round writes the buffer its input does not occupy.
 	for span, cur := nb, 1; span > 1; {
 		fan := min(span, 2*bs*bs)
 		next := (span + fan - 1) / fan
@@ -218,31 +197,21 @@ func (e *Engine) minPlus(a, b []int64, l int, open []bool, c []int64) ([]int64, 
 		}
 		span = next
 	}
-	if c == nil {
-		c = make([]int64, l*l)
-	}
-	for i := range c {
-		c[i] = Inf
-	}
-	for _, p := range parts {
-		c[p.Key] = p.B
-	}
-	return c, nil
+	return parts, nil
 }
 
-// appendBlock appends the finite entries of block (R, C) of the ℓ×ℓ matrix
-// m, in offset order, as pairs under key with A = base + the entry's offset
-// inside its bs×bs block. Rows r with !rows[r] and columns c with !cols[c]
-// are skipped (none when the slice is nil).
-func appendBlock(in []Pair, m []int64, l, bs, R, C int, key uint64, base int64, rows, cols []bool) []Pair {
+// appendBlock appends the finite entries in the open rows of block (R, C)
+// of the ℓ×ℓ matrix m, in offset order, as pairs under key with A = base +
+// the entry's offset inside its bs×bs block.
+func appendBlock(in []Pair, m []int64, l, bs, R, C int, key uint64, base int64, open []bool) []Pair {
 	c0, c1 := C*bs, min(l, (C+1)*bs)
 	for r := R * bs; r < min(l, (R+1)*bs); r++ {
-		if rows != nil && !rows[r] {
+		if !open[r] {
 			continue
 		}
 		off := base + int64((r-R*bs)*bs)
 		for c, v := range m[r*l+c0 : r*l+c1] {
-			if v < Inf && (cols == nil || cols[c0+c]) {
+			if v < graph.InfDist {
 				in = append(in, Pair{Key: key, A: off + int64(c), B: v})
 			}
 		}
@@ -251,11 +220,11 @@ func appendBlock(in []Pair, m []int64, l, bs, R, C int, key uint64, base int64, 
 }
 
 // APSPByRepeatedSquaring computes all-pairs shortest paths of a weighted
-// graph by min-plus squarings of its adjacency matrix, the strategy
-// Theorem 4 uses for the quotient graph: at most ⌈log₂ ℓ⌉ of them, each
-// over the upper triangle of the rows and columns the last one changed,
-// stopping at the fixpoint (see the frontier and stop rule above).
-// Unreachable pairs stay at Inf.
+// graph by min-plus squarings of its adjacency matrix in place, the
+// strategy Theorem 4 uses for the quotient graph: at most ⌈log₂ ℓ⌉ of
+// them, each over the upper triangle of the rows and columns the last one
+// lowered, stopping at the fixpoint (see the frontier and stop rule
+// above). Unreachable pairs hold graph.InfDist.
 func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 	l := w.NumNodes()
 	if l == 0 {
@@ -263,7 +232,7 @@ func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 	}
 	mat := make([]int64, l*l)
 	for i := range mat {
-		mat[i] = Inf
+		mat[i] = graph.InfDist
 	}
 	for u := 0; u < l; u++ {
 		mat[u*l+u] = 0
@@ -274,38 +243,24 @@ func (e *Engine) APSPByRepeatedSquaring(w *graph.Weighted) ([]int64, error) {
 			}
 		}
 	}
-	open, sq := make([]bool, l), make([]int64, l*l)
+	open := make([]bool, l)
 	for i := range open {
 		open[i] = true
 	}
 	for span, changed := 1, true; span < l && changed; span *= 2 {
-		if _, err := e.minPlus(mat, mat, l, open, sq); err != nil {
+		cells, err := e.square(mat, l, open)
+		if err != nil {
 			return nil, err
 		}
-		// Complete each open row (see the frontier above): an open column
-		// j < i from the mirror cell, a closed column from the old matrix.
-		for i, ok := range open {
-			if !ok {
-				continue
-			}
-			for j := range l {
-				if !open[j] {
-					sq[i*l+j] = mat[i*l+j]
-				} else if j < i {
-					sq[i*l+j] = sq[j*l+i]
-				}
-			}
-		}
+		// Lower each computed cell and its mirror; the rows that drop are
+		// the next squaring's open rows.
+		clear(open)
 		changed = false
-		for i, ok := range open {
-			if !ok {
-				continue
-			}
-			row, old := sq[i*l:(i+1)*l], mat[i*l:(i+1)*l]
-			open[i] = !slices.Equal(row, old)
-			if open[i] {
-				copy(old, row)
-				changed = true
+		for _, p := range cells {
+			if p.B < mat[p.Key] {
+				i, j := int(p.Key)/l, int(p.Key)%l
+				mat[p.Key], mat[j*l+i] = p.B, p.B
+				open[i], open[j], changed = true, true, true
 			}
 		}
 	}
@@ -322,7 +277,7 @@ func (e *Engine) DiameterByRepeatedSquaring(w *graph.Weighted) (int64, error) {
 	}
 	var diam int64
 	for _, d := range mat {
-		if d < Inf && d > diam {
+		if d < graph.InfDist && d > diam {
 			diam = d
 		}
 	}

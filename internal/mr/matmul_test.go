@@ -16,14 +16,16 @@ import (
 	"repro/internal/rng"
 )
 
-func naiveMinPlus(a, b []int64, l int) []int64 {
+// naiveSquare is A ⊗ A by the definition, skipping Inf operands (Inf + Inf
+// overflows int64).
+func naiveSquare(a []int64, l int) []int64 {
 	c := make([]int64, l*l)
 	for i := 0; i < l; i++ {
 		for j := 0; j < l; j++ {
-			best := Inf
+			best := graph.InfDist
 			for k := 0; k < l; k++ {
-				if s := a[i*l+k] + b[k*l+j]; s < best {
-					best = s
+				if x, y := a[i*l+k], a[k*l+j]; x < graph.InfDist && y < graph.InfDist {
+					best = min(best, x+y)
 				}
 			}
 			c[i*l+j] = best
@@ -32,7 +34,7 @@ func naiveMinPlus(a, b []int64, l int) []int64 {
 	return c
 }
 
-// wantBlockSide is the block side the product must pick, written from its
+// wantBlockSide is the block side the squaring must pick, written from its
 // definition: the largest b with 2b² ≤ ML (capped at ℓ) under a local
 // memory, the largest b with b² ≤ ℓ without one, and never below 1.
 func wantBlockSide(ml int64, l int) int {
@@ -52,6 +54,19 @@ func wantBlockSide(ml int64, l int) int {
 // ceilLog2 is ⌈log₂ l⌉, the squarings a path of l − 1 arcs needs.
 func ceilLog2(l int) int { return bits.Len(uint(l - 1)) }
 
+// allOpen is an open mask of l rows, every row open.
+func allOpen(l int) []bool {
+	open := make([]bool, l)
+	for i := range open {
+		open[i] = true
+	}
+	return open
+}
+
+// TestMinPlusProductMatchesNaive diffs the blocked squaring against the
+// definition on random symmetric matrices and random open masks: it must
+// return, in ascending key order, exactly the finite cells (i, j) with
+// i ≤ j whose row and column are open.
 func TestMinPlusProductMatchesNaive(t *testing.T) {
 	r := rng.New(3)
 	for _, l := range []int{1, 2, 3, 7, 8, 9, 63, 64, 65} {
@@ -59,32 +74,41 @@ func TestMinPlusProductMatchesNaive(t *testing.T) {
 			for _, holes := range []bool{false, true} {
 				for _, ml := range []int64{0, 8, int64(2 * l)} {
 					name := fmt.Sprintf("l=%d/inf=%v/holes=%v/ML=%d", l, density, holes, ml)
-					a, b := make([]int64, l*l), make([]int64, l*l)
-					for i := range a {
-						a[i], b[i] = int64(r.Intn(20)), int64(r.Intn(20))
-						if r.Bernoulli(density) {
-							a[i] = Inf
-						}
-						if r.Bernoulli(density) {
-							b[i] = Inf
+					a, open := make([]int64, l*l), make([]bool, l)
+					for i := 0; i < l; i++ {
+						open[i] = r.Bernoulli(0.7)
+						for j := i; j < l; j++ {
+							v := int64(r.Intn(20))
+							if r.Bernoulli(density) {
+								v = graph.InfDist
+							}
+							a[i*l+j], a[j*l+i] = v, v
 						}
 					}
-					if holes { // an all-Inf row of A and an all-Inf column of B
+					if holes { // an all-Inf row and, by symmetry, column
 						for x := 0; x < l; x++ {
-							a[l/2*l+x], b[x*l+l/3] = Inf, Inf
+							a[l/2*l+x], a[x*l+l/2] = graph.InfDist, graph.InfDist
+						}
+					}
+					var want []Pair
+					for c, v := range naiveSquare(a, l) {
+						if i, j := c/l, c%l; i <= j && open[i] && open[j] && v < graph.InfDist {
+							want = append(want, Pair{Key: uint64(c), B: v})
 						}
 					}
 					e := NewEngine(Config{ML: ml})
-					got, err := e.MinPlusProduct(a, b, l)
+					got, err := e.square(a, l, open)
 					e.Close()
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					for i, w := range naiveMinPlus(a, b, l) {
-						// The naive sums of an Inf operand overshoot Inf; the
-						// product never forms them.
-						if got[i] != min(w, Inf) {
-							t.Fatalf("%s: C[%d][%d] = %d want %d", name, i/l, i%l, got[i], min(w, Inf))
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d cells, want %d", name, len(got), len(want))
+					}
+					for x, w := range want {
+						if got[x].Key != w.Key || got[x].B != w.B {
+							t.Fatalf("%s: cell %d is (%d,%d) = %d, want (%d,%d) = %d", name, x,
+								got[x].Key/uint64(l), got[x].Key%uint64(l), got[x].B, w.Key/uint64(l), w.Key%uint64(l), w.B)
 						}
 					}
 					if bs := wantBlockSide(ml, l); e.MaxReducerInput() > 2*bs*bs {
@@ -98,26 +122,32 @@ func TestMinPlusProductMatchesNaive(t *testing.T) {
 
 func TestMinPlusSquareIdentityBehavior(t *testing.T) {
 	// Squaring a distance matrix with zero diagonal must not increase any
-	// entry and must keep the diagonal zero.
-	l := 6
+	// entry and must keep the diagonal zero: every finite cell of the
+	// upper triangle comes back, no higher than it was.
+	const l, inf = 6, graph.InfDist
 	a := []int64{
-		0, 2, Inf, Inf, Inf, Inf,
-		2, 0, 3, Inf, Inf, Inf,
-		Inf, 3, 0, 1, Inf, Inf,
-		Inf, Inf, 1, 0, 4, Inf,
-		Inf, Inf, Inf, 4, 0, 5,
-		Inf, Inf, Inf, Inf, 5, 0,
+		0, 2, inf, inf, inf, inf,
+		2, 0, 3, inf, inf, inf,
+		inf, 3, 0, 1, inf, inf,
+		inf, inf, 1, 0, 4, inf,
+		inf, inf, inf, 4, 0, 5,
+		inf, inf, inf, inf, 5, 0,
 	}
 	e := NewEngine(Config{})
-	sq, err := e.MinPlusProduct(a, a, l)
+	defer e.Close()
+	cells, err := e.square(a, l, allOpen(l))
 	if err != nil {
 		t.Fatal(err)
+	}
+	sq := slices.Repeat([]int64{inf}, l*l)
+	for _, p := range cells {
+		sq[p.Key] = p.B
 	}
 	for i := 0; i < l; i++ {
 		if sq[i*l+i] != 0 {
 			t.Fatalf("diagonal broke at %d: %d", i, sq[i*l+i])
 		}
-		for j := 0; j < l; j++ {
+		for j := i; j < l; j++ {
 			if sq[i*l+j] > a[i*l+j] {
 				t.Fatalf("entry (%d,%d) increased: %d > %d", i, j, sq[i*l+j], a[i*l+j])
 			}
@@ -174,13 +204,9 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 		for u := 0; u < l; u++ {
 			sssp.SSSP(graph.NodeID(u), dij[u*l:(u+1)*l])
 		}
-		// Squarings by the naive product: a row the next squaring leaves as
-		// it is closes, and a later squaring then keeps its column's cells
-		// where the others are mirrored.
-		cur := make([]int64, l*l)
-		for u := range cur {
-			cur[u] = Inf
-		}
+		// Squarings by the definition: a row the next squaring leaves as it
+		// is closes, and no later squaring reads it again.
+		cur := slices.Repeat([]int64{graph.InfDist}, l*l)
 		for u := 0; u < l; u++ {
 			cur[u*l+u] = 0
 			nbrs, ws := tc.w.Neighbors(graph.NodeID(u))
@@ -189,10 +215,7 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 			}
 		}
 		for span := 1; span < l; span *= 2 {
-			next := naiveMinPlus(cur, cur, l)
-			for i := range next {
-				next[i] = min(next[i], Inf)
-			}
+			next := naiveSquare(cur, l)
 			changed := !slices.Equal(next, cur)
 			for i := 0; i < l && changed && 2*span < l; i++ { // another squaring follows
 				closedEarly = closedEarly || slices.Equal(next[i*l:(i+1)*l], cur[i*l:(i+1)*l])
@@ -212,11 +235,7 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 			}
 			for u := 0; u < l; u++ {
 				for v := 0; v < l; v++ {
-					want, got := dij[u*l+v], mat[u*l+v]
-					if want == graph.InfDist {
-						want = Inf
-					}
-					if got != want {
+					if want, got := dij[u*l+v], mat[u*l+v]; got != want {
 						t.Fatalf("%s (%d,%d): got %d want %d", name, u, v, got, want)
 					}
 				}
@@ -236,7 +255,7 @@ func TestAPSPMatchesDijkstra(t *testing.T) {
 		}
 	}
 	if !closedEarly {
-		t.Fatal("no case closes a row before its last squaring: the fill's kept-cell branch is not covered")
+		t.Fatal("no case closes a row before its last squaring: the frontier's closed rows are not covered")
 	}
 }
 
@@ -314,16 +333,29 @@ func TestDiameterByRepeatedSquaring(t *testing.T) {
 	}
 }
 
-func TestMinPlusProductErrors(t *testing.T) {
-	e := NewEngine(Config{})
-	if _, err := e.MinPlusProduct(make([]int64, 3), make([]int64, 4), 2); err == nil {
-		t.Fatal("size mismatch should fail")
+// A path of 600 nodes whose arcs weigh MaxInt32 has diameter
+// 599·(2³¹ − 1), past 2⁴⁰: every finite distance must survive the
+// squarings, however large. Blocks of 300×300, two to a side, keep the
+// largest round near 1 M pairs (110 MB resident); the default 24×24 ones
+// would shuffle 9 M (1 GB).
+func TestDiameterByRepeatedSquaringWideDistances(t *testing.T) {
+	g := graph.Path(600)
+	edges := g.EdgeList()
+	w := graph.MustWeighted(g.NumNodes(), edges, slices.Repeat([]int32{math.MaxInt32}, len(edges)))
+	want, exact := w.ExactDiameterWeighted(0)
+	if !exact || want != 599*math.MaxInt32 {
+		t.Fatalf("reference diameter %d (exact %v), want %d", want, exact, int64(599*math.MaxInt32))
+	}
+	e := NewEngine(Config{ML: 2 * 300 * 300})
+	defer e.Close()
+	if d, err := e.DiameterByRepeatedSquaring(w); err != nil || d != want {
+		t.Fatalf("squaring diameter %d (%v), want %d", d, err, want)
 	}
 }
 
 func TestMinPlusProductRespectsML(t *testing.T) {
-	// ML = 1 leaves 1×1 blocks, and a round-1 group holding one A entry and
-	// one B entry already exceeds it: the product must fail before it
+	// ML = 1 leaves 1×1 blocks, and a round-1 group holding one entry of
+	// each block already exceeds it: the squaring must fail before it
 	// commits anything to the accounting.
 	e := NewEngine(Config{ML: 1})
 	defer e.Close()
@@ -331,40 +363,41 @@ func TestMinPlusProductRespectsML(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := snap(e)
-	l := 10
-	a := make([]int64, l*l)
-	if _, err := e.MinPlusProduct(a, a, l); !errors.Is(err, ErrLocalMemory) {
+	if _, err := e.APSPByRepeatedSquaring(weighted(graph.Path(10), 3, 1)); !errors.Is(err, ErrLocalMemory) {
 		t.Fatalf("want ErrLocalMemory, got %v", err)
 	}
 	if after := snap(e); after != before {
-		t.Fatalf("failed product polluted accounting: %+v -> %+v", before, after)
+		t.Fatalf("failed squaring polluted accounting: %+v -> %+v", before, after)
 	}
 }
 
 // The round-1 reducer multiplies its blocks in its shard's scratch, and a
-// product on a warm engine writes its rounds into the engine's buffers: a
-// dense 64×64 product (8×8 blocks, 512 key groups) allocates a handful of
-// small objects (its occupancy tables, closures and C), none per group and
-// no pair buffer.
+// squaring on a warm engine writes its rounds into the engine's buffers: a
+// dense 64×64 squaring (8×8 blocks, 288 key groups) allocates a handful of
+// small objects (its occupancy table and closures), none per group and no
+// pair buffer.
 func TestMinPlusProductAllocsDoNotGrowWithGroups(t *testing.T) {
 	const l = 64
 	a := make([]int64, l*l)
-	for i := range a {
-		a[i] = int64(i%7 + 1)
+	for i := 0; i < l; i++ {
+		for j := 0; j < l; j++ {
+			a[i*l+j] = int64((i+j)%7 + 1)
+		}
 	}
+	open := allOpen(l)
 	e := NewEngine(Config{Shards: 1})
 	defer e.Close()
-	product := func() {
-		if _, err := e.MinPlusProduct(a, a, l); err != nil {
+	square := func() {
+		if _, err := e.square(a, l, open); err != nil {
 			t.Fatal(err)
 		}
 	}
-	product()
+	square()
 	// Thirty runs: the count is an integer mean, which one stray
 	// allocation elsewhere in the process, or the engine's RoundStats log
 	// growing, tips over when it is taken over a few runs.
-	if allocs := testing.AllocsPerRun(30, product); allocs > 7 {
-		t.Fatalf("a warm 64×64 product allocates %.0f times, want at most 7", allocs)
+	if allocs := testing.AllocsPerRun(30, square); allocs > 7 {
+		t.Fatalf("a warm 64×64 squaring allocates %.0f times, want at most 7", allocs)
 	}
 }
 
@@ -419,9 +452,6 @@ func FuzzSquaringMatchesDijkstra(f *testing.F) {
 		for u := 0; u < l; u++ {
 			sssp.SSSP(graph.NodeID(u), dist)
 			for v, want := range dist {
-				if want == graph.InfDist {
-					want = Inf
-				}
 				if got := mat[u*l+v]; got != want {
 					t.Fatalf("ℓ = %d, %+v: (%d,%d) = %d want %d", l, cfg, u, v, got, want)
 				}
@@ -453,8 +483,8 @@ func benchQuotient(tb testing.TB) *graph.Weighted {
 
 // A warm engine squares the benchmark's quotient (five squarings, ten
 // rounds) in the buffers the first run grew, at every shard count: the
-// matrix, its frontier and its square, then each squaring's small objects
-// as in TestMinPlusProductAllocsDoNotGrowWithGroups, and no pair buffer.
+// matrix and its frontier, then each squaring's small objects as in
+// TestMinPlusProductAllocsDoNotGrowWithGroups, and no pair buffer.
 func TestDiameterByRepeatedSquaringAllocsPinned(t *testing.T) {
 	wq := benchQuotient(t)
 	e := NewEngine(Config{})
@@ -472,7 +502,7 @@ func TestDiameterByRepeatedSquaringAllocsPinned(t *testing.T) {
 
 // BenchmarkDiameterByRepeatedSquaring squares the benchmark's MR input, the
 // 64-cluster τ = 1 quotient of RoadLike(15, 15, 0.4, 1), and reports the
-// shuffle volume and rounds the blocked product and the frontier take, and
+// shuffle volume and rounds the blocked squaring and the frontier take, and
 // the time and allocations each shuffled pair costs.
 func BenchmarkDiameterByRepeatedSquaring(b *testing.B) {
 	wq := benchQuotient(b)

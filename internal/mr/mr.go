@@ -17,7 +17,7 @@
 //
 // A round runs as an ordered shuffle-and-reduce. Its input is put in
 // (Key, A, B) order once: an input that already arrives in that order, as
-// the min-plus product's first round does, is read in place, and any other
+// the min-plus squaring's first round does, is read in place, and any other
 // is radix-ordered in the engine's buffers on the calling goroutine —
 // stable LSD radix passes over only the bits of A and Key that vary, then
 // a sort of each run of equal (Key, A) by B inside the shards (see
@@ -31,7 +31,7 @@
 // execution.
 //
 // The ordering buffers and each shard's output belong to the Engine and
-// are reused by every round until Close, as are the product's own round
+// are reused by every round until Close, as are the squaring's own round
 // buffers; the slice Round returns is freshly allocated, so no later round
 // writes into it.
 //
@@ -53,7 +53,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/bsp"
 )
@@ -104,7 +103,7 @@ type Engine struct {
 	hist     []int
 	shard    []shardState
 
-	// prod holds the min-plus product's round buffers: round 1's input,
+	// prod holds the min-plus squaring's round buffers: round 1's input,
 	// then each round's output in the buffer its input does not occupy.
 	prod [2][]Pair
 
@@ -228,9 +227,9 @@ type shardReducer func(key uint64, pairs []Pair, st *shardState)
 func (st *shardState) run(ml int64, pairs []Pair, sortB bool, reduce shardReducer) {
 	// Reserve an output as large as the input: the min-per-cell, growth
 	// and selection rounds emit at most a pair per group, and the
-	// product's first round emits about half its input once its blocks
+	// squaring's first round emits about half its input once its blocks
 	// fill. A larger output grows it.
-	st.out, st.maxGroup, st.err = slices.Grow(st.out[:0], len(pairs)), 0, nil
+	st.out, st.maxGroup, st.err = reserve(st.out, len(pairs)), 0, nil
 	for lo := 0; lo < len(pairs); {
 		key := pairs[lo].Key
 		hi := lo + 1
@@ -340,9 +339,9 @@ func (e *Engine) round(input []Pair, dst *[]Pair, reduce shardReducer) ([]Pair, 
 	// is the sequential order.
 	var out []Pair
 	if dst != nil {
-		out = (*dst)[:0]
+		out = *dst
 	}
-	out = slices.Grow(out, total)
+	out = reserve(out, total)
 	for s := range results {
 		out = append(out, results[s].out...)
 	}
@@ -362,4 +361,14 @@ func (e *Engine) round(input []Pair, dst *[]Pair, reduce shardReducer) ([]Pair, 
 		Shards:   shards,
 	})
 	return out, nil
+}
+
+// reserve returns buf emptied, with room for n pairs: buf itself when it
+// has the room, else a fresh buffer, since growing buf would first copy
+// its stale contents.
+func reserve(buf []Pair, n int) []Pair {
+	if cap(buf) < n {
+		return make([]Pair, 0, n)
+	}
+	return buf[:0]
 }

@@ -11,7 +11,7 @@ import (
 // each reducer sees, where the shards' key ranges are cut,
 // MaxReducerInput and the lowest-key ErrLocalMemory. ordered checks in one
 // comparison pass whether a round's input already arrives in that order (a
-// round whose mapper emits in key order, such as the min-plus product's
+// round whose mapper emits in key order, such as the min-plus squaring's
 // first round, pays nothing more). Otherwise radixSort establishes
 // (Key, A) on a copy with stable LSD counting passes and sortRunsByB
 // finishes each run of equal (Key, A) by B. The passes cover only the bits
